@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,9 @@ class ChannelParams:
     distance_km: float = 0.0  # Alice-Bob distance
 
     def __post_init__(self) -> None:
+        for f_ in fields(self):
+            if not math.isfinite(getattr(self, f_.name)):
+                raise ValueError(f"{f_.name} must be finite, got {getattr(self, f_.name)}")
         for name in ("e0", "e_d", "p_d", "eta_d"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -23,14 +23,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .channel_sim import ChannelParams, validate_model
 from .keyrate_core import AnalysisInputs, KeyRateReport, secure_key_rate
 from .optimizer import OptimizationProblem, optimize
-from .source_model import SideSources, SourceEnsemble, check_decoy_conditions, coeff_bounds
+from .source_model import SideSources, SourceEnsemble, check_decoy_conditions
 from .stat_bounds import SolverError
 
 
@@ -78,7 +78,6 @@ class RunConfig:
     budget: int = 800
     restarts: int = 8
     seed: int = 1
-    h_grid: int = 1001
     mc_trials: int = 10_000_000
     k_max: int = 20
 
@@ -126,7 +125,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"budget", "restarts", "seed", "h_grid", "mc_trials", "k_max"}
+_INT_KEYS = {"budget", "restarts", "seed", "mc_trials", "k_max"}
 _BOOL_KEYS = {"optimize"}
 _STR_KEYS = {"distances"}
 
@@ -207,12 +206,11 @@ def parse_distances(spec: str) -> list[float]:
 
 
 def _validated_inputs(config: RunConfig, params: ChannelParams) -> AnalysisInputs:
-    ensemble = config.ensemble()
-    bounds = coeff_bounds(ensemble, k_max=config.k_max)
-    report = check_decoy_conditions(bounds)
+    inputs = AnalysisInputs.from_simulation(config.ensemble(), params, k_max=config.k_max)
+    report = check_decoy_conditions(inputs.bounds)
     if not report.passed:
         raise ConfigError(f"decoy conditions fail for these sources: {report.summary()}")
-    return AnalysisInputs.from_simulation(ensemble, params, k_max=config.k_max)
+    return inputs
 
 
 def _fmt(value: float) -> str:
@@ -228,23 +226,33 @@ def _provenance_lines(config: RunConfig, command: str) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, provenance: list[str], header: list[str], rows: list[list[str]]) -> None:
-    lines = provenance + [",".join(header)] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _csv(config: RunConfig, command: str, header: list[str], rows: list[list[str]]) -> str:
+    lines = _provenance_lines(config, command) + [",".join(header)] + [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(text: str, out: str | None) -> None:
+    sys.stdout.write(text)
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _run_report(config: RunConfig, distance: float) -> KeyRateReport:
     params = config.channel_params().at_distance(distance)
-    inputs = _validated_inputs(config, params)
-    return secure_key_rate(inputs, h_grid=config.h_grid)
+    return secure_key_rate(_validated_inputs(config, params))
+
+
+def _problem(config: RunConfig, distance: float) -> OptimizationProblem:
+    return OptimizationProblem(
+        channel=config.channel_params().at_distance(distance),
+        vacuum_cap=config.vacuum_cap,
+        fluctuation=config.fluctuation,
+        k_max=config.k_max,
+    )
 
 
 def cmd_rate(config: RunConfig, out: str | None) -> int:
-    report = _run_report(config, config.distance_km)
-    record = report.to_record()
-    sys.stdout.write(record)
-    if out:
-        Path(out).write_text(record, encoding="utf-8")
+    _emit(_run_report(config, config.distance_km).to_record(), out)
     return 0
 
 
@@ -253,25 +261,10 @@ def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
     mode = "optimized" if config.optimize else "fixed"
     for distance in distances:
         if config.optimize:
-            problem = OptimizationProblem(
-                channel=config.channel_params().at_distance(distance),
-                vacuum_cap=config.vacuum_cap,
-                fluctuation=config.fluctuation,
-                k_max=config.k_max,
-            )
-            result = optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
+            result = optimize(_problem(config, distance), seed=config.seed, budget=config.budget, restarts=config.restarts)
             mu_x, mu_y, mu_z, p_x, p_y, p_z = result.point
-            best = RunConfig(
-                **{
-                    **{f_.name: getattr(config, f_.name) for f_ in fields(RunConfig)},
-                    "mu_x": mu_x,
-                    "mu_y": mu_y,
-                    "mu_z": mu_z,
-                    "p_x": p_x,
-                    "p_y": p_y,
-                    "p_z": p_z,
-                    "p_v": 1.0 - p_x - p_y - p_z,
-                }
+            best = replace(
+                config, mu_x=mu_x, mu_y=mu_y, mu_z=mu_z, p_x=p_x, p_y=p_y, p_z=p_z, p_v=1.0 - p_x - p_y - p_z
             )
             report = _run_report(best, distance)
         else:
@@ -291,13 +284,8 @@ def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
 
 def cmd_scan(config: RunConfig, out: str | None) -> int:
     distances = sorted(parse_distances(config.distances))
-    rows = _scan_rows(config, distances)
     header = ["distance_km", "mode", "rate", "h_star", "s11_lower", "e11_upper"]
-    lines = _provenance_lines(config, "scan") + [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    _emit(_csv(config, "scan", header, _scan_rows(config, distances)), out)
     return 0
 
 
@@ -306,31 +294,15 @@ def cmd_optimize(config: RunConfig, out: str | None, eval_log: str | None) -> in
     rows = []
     log_rows = []
     for distance in distances:
-        problem = OptimizationProblem(
-            channel=config.channel_params().at_distance(distance),
-            vacuum_cap=config.vacuum_cap,
-            fluctuation=config.fluctuation,
-            k_max=config.k_max,
-        )
-        result = optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
-        rows.append(
-            [f"{distance:g}", _fmt(result.rate)] + [_fmt(v) for v in result.point]
-        )
+        result = optimize(_problem(config, distance), seed=config.seed, budget=config.budget, restarts=config.restarts)
+        rows.append([f"{distance:g}", _fmt(result.rate)] + [_fmt(v) for v in result.point])
         for point, rate in result.evaluations:
             log_rows.append([f"{distance:g}"] + [_fmt(v) for v in point] + [_fmt(rate)])
     header = ["distance_km", "rate", "mu_x", "mu_y", "mu_z", "p_x", "p_y", "p_z"]
-    lines = _provenance_lines(config, "optimize") + [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    _emit(_csv(config, "optimize", header, rows), out)
     if eval_log:
-        _write_csv(
-            Path(eval_log),
-            _provenance_lines(config, "optimize-eval-log"),
-            ["distance_km", "mu_x", "mu_y", "mu_z", "p_x", "p_y", "p_z", "rate"],
-            log_rows,
-        )
+        log_header = ["distance_km", "mu_x", "mu_y", "mu_z", "p_x", "p_y", "p_z", "rate"]
+        Path(eval_log).write_text(_csv(config, "optimize-eval-log", log_header, log_rows), encoding="utf-8")
     return 0
 
 
@@ -355,11 +327,7 @@ def cmd_validate_model(config: RunConfig, out: str | None) -> int:
         ]
         for r in report.rows
     ]
-    lines = _provenance_lines(config, "validate-model") + [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    _emit(_csv(config, "validate-model", header, rows), out)
     if report.passed:
         print(f"model validation PASSED ({len(report.rows)} checks, {config.mc_trials} trials each)")
         return 0

@@ -9,7 +9,9 @@ least one side emitted vacuum.  That nuisance quantity, scaled to
 is unknown but boundable.  For each admissible H the analysis yields a
 single-photon-pair yield floor ``s11(H)``, a phase-error ceiling ``e11(H)``,
 and a candidate rate ``R(H)``; the secure rate is the minimum of ``R(H)``
-over the whole interval, so the true H can only do better.
+over the whole interval, so the true H can only do better.  ``R(H)`` is convex
+on that interval, so the minimum is found by an exact convex search rather
+than a grid.
 
 Every expected counting rate entering those formulas is replaced by its
 Chernoff envelope, with positively-combined groups bounded jointly through
@@ -20,16 +22,19 @@ single-photon yield is estimated by its X-basis bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import stat_bounds
 from .channel_sim import PairObservables, build_observables
 from .source_model import DecoyConditionReport, PhotonCoeffBounds, check_decoy_conditions, coeff_bounds
-from .stat_bounds import ChernoffConfig, Envelope, InvocationCounter
+from .stat_bounds import ChernoffConfig, Envelope, InvocationCounter, SolverError
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Convex search over H: probes per round, and the bracket width, relative to
+# the interval's larger end, at which it stops.
+_PROBES = 65
+_REL_TOL = 1e-12
 
 
 class AnalysisInfeasible(ValueError):
@@ -380,8 +385,7 @@ class KeyRateReport:
     signal_error_rate: float
     chernoff_invocations: int
     reason: str
-    trace_h: tuple[float, ...] = field(repr=False, default=())
-    trace_rate: tuple[float, ...] = field(repr=False, default=())
+    trace_samples: int = 0
 
     RECORD_FIELDS = (
         "rate",
@@ -400,7 +404,7 @@ class KeyRateReport:
     def to_record(self) -> str:
         lines = []
         for name in self.RECORD_FIELDS:
-            value = len(self.trace_h) if name == "trace_samples" else getattr(self, name)
+            value = getattr(self, name)
             if isinstance(value, float):
                 lines.append(f"{name} = {value:.12e}")
             else:
@@ -423,47 +427,43 @@ def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> Key
     )
 
 
-def _golden_refine(curve: _RateCurve, a: float, b: float, rel_tol: float) -> tuple[float, float]:
-    """Golden-section minimum of the rate on [a, b]; tracks the best point seen."""
-    best_h, best_r = a, float(curve.rate(a))
-    rb = float(curve.rate(b))
-    if rb < best_r:
-        best_h, best_r = b, rb
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = float(curve.rate(c))
-    fd = float(curve.rate(d))
-    scale = max(abs(a), abs(b), 1e-300)
-    for _ in range(300):
-        for h, r in ((c, fc), (d, fd)):
-            if r < best_r:
-                best_h, best_r = h, r
-        if b - a <= rel_tol * scale:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = float(curve.rate(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = float(curve.rate(d))
-    return best_h, best_r
+def _convex_minimum(curve: _RateCurve, lo: float, hi: float) -> tuple[float, float, int]:
+    """Minimum of the candidate rate on ``[lo, hi]`` as ``(h, rate, samples)``.
+
+    Exact because ``R(h)`` is convex there.  ``s11(h)`` and
+    ``u(h) = txx_upper - h/2`` are affine in h, and ``u >= 0`` on the interval
+    since ``h_upper = 2 txx_upper``.  ``s phi(u / (beta s))`` is the perspective
+    of ``phi(e) = 1 - H2(e)`` (zero for e >= 1/2), which is convex and
+    non-increasing, so it is jointly convex (Boyd & Vandenberghe, *Convex
+    Optimization*, section 3.2.6); it is also non-decreasing in s, so clamping
+    s11 at zero keeps it convex.  On a convex curve the two grid neighbours of
+    the sampled argmin bracket a minimizer, so each round shrinks the bracket
+    at least 32-fold around one; as ``0 <= lo``, 32**8 > 1e12 caps the search
+    at 8 rounds.  The best point seen is kept, starting from ``lo`` and
+    replaced only on strict improvement.
+    """
+    best_h, best_rate = lo, float(curve.rate(lo))
+    samples = 1
+    tol = _REL_TOL * max(abs(lo), abs(hi))
+    while hi - lo > tol:
+        hs = np.linspace(lo, hi, _PROBES)
+        rates = curve.rate(hs)
+        samples += _PROBES
+        idx = int(rates.argmin())
+        if rates[idx] < best_rate:
+            best_h, best_rate = float(hs[idx]), float(rates[idx])
+        lo, hi = float(hs[max(idx - 1, 0)]), float(hs[min(idx + 1, _PROBES - 1)])
+    return best_h, best_rate, samples
 
 
-def secure_key_rate(
-    inputs: AnalysisInputs,
-    h_grid: int = 1001,
-    refine_rel_tol: float = 1e-10,
-) -> KeyRateReport:
+def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     """Minimize the candidate rate over the admissible nuisance interval.
 
     Structural infeasibilities come back as zero-rate reports with a reason
     code rather than exceptions; a merely unprofitable configuration reports
-    ``reason="ok"`` with the rate clamped at zero.
+    ``reason="ok"`` with the rate clamped at zero.  A minimum that is not
+    finite raises :class:`SolverError` instead of being clamped.
     """
-    if h_grid < 1:
-        raise ValueError(f"h_grid must be at least 1, got {h_grid}")
     obs = inputs.observables
     decoy_report: DecoyConditionReport = check_decoy_conditions(inputs.bounds)
     if not decoy_report.passed:
@@ -480,20 +480,9 @@ def secure_key_rate(
     if h_lo > h_hi:
         return _zero_report("h-range-empty", obs, counter.count)
 
-    if h_hi == h_lo or h_grid == 1:
-        hs = np.array([h_lo])
-    else:
-        hs = np.linspace(h_lo, h_hi, h_grid)
-    rates = np.atleast_1d(np.asarray(curve.rate(hs), dtype=float))
-    idx = int(rates.argmin())
-    best_h, best_rate = float(hs[idx]), float(rates[idx])
-
-    if hs.size > 1:
-        lo = float(hs[max(idx - 1, 0)])
-        hi = float(hs[min(idx + 1, hs.size - 1)])
-        refined_h, refined_rate = _golden_refine(curve, lo, hi, refine_rel_tol)
-        if refined_rate < best_rate:
-            best_h, best_rate = refined_h, refined_rate
+    best_h, best_rate, samples = _convex_minimum(curve, h_lo, h_hi)
+    if not math.isfinite(best_rate):
+        raise SolverError(f"candidate rate is not finite at its minimum (h = {best_h!r}, rate = {best_rate!r})")
 
     s11_min = float(curve.s11(best_h))
     e11_min = e11_upper(best_h, curve.txx_upper, s11_min, inputs.bounds)
@@ -508,6 +497,5 @@ def secure_key_rate(
         signal_error_rate=obs.signal_error_rate,
         chernoff_invocations=counter.count,
         reason="ok",
-        trace_h=tuple(float(v) for v in hs),
-        trace_rate=tuple(float(v) for v in rates),
+        trace_samples=samples,
     )

@@ -39,7 +39,6 @@ class OptimizationProblem:
     vacuum_cap: float = 0.0
     fluctuation: float = 0.0
     k_max: int = 20
-    h_grid: int = 401
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def evaluate(problem: OptimizationProblem, point) -> float:
         return 0.0
     observables = build_observables(ensemble, problem.channel)
     inputs = AnalysisInputs.from_simulation(ensemble, problem.channel, observables=observables, k_max=problem.k_max)
-    report = secure_key_rate(inputs, h_grid=problem.h_grid)
+    report = secure_key_rate(inputs)
     return report.rate
 
 

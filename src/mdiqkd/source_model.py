@@ -16,7 +16,7 @@ are everything the downstream analysis is allowed to know about the sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SOURCES = ("v", "x", "y", "z")
 
@@ -75,6 +75,9 @@ class SideSources:
     fluctuation: float = 0.0
 
     def __post_init__(self) -> None:
+        for f_ in fields(self):
+            if not math.isfinite(getattr(self, f_.name)):
+                raise ValueError(f"{f_.name} must be finite, got {getattr(self, f_.name)}")
         if not (0.0 < self.mu_x < self.mu_y):
             raise ValueError(
                 f"decoy intensities must satisfy 0 < mu_x < mu_y, got mu_x={self.mu_x}, mu_y={self.mu_y}"

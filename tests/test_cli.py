@@ -41,6 +41,19 @@ def test_zero_failure_probability_exit_code_2(tmp_path, capsys):
     assert "xi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["f", "n_pairs", "mu_z", "vacuum_cap"])
+def test_non_finite_value_exit_code_2(tmp_path, capsys, key):
+    config = write_config(tmp_path, f"{key} = nan\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_removed_h_grid_key_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, "h_grid = 1001\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    assert "unknown key 'h_grid'" in capsys.readouterr().err
+
+
 def test_unknown_key_rejected_with_line_number(tmp_path, capsys):
     config = write_config(tmp_path, "mu_q = 0.3\n")
     assert main(["rate", "--config", str(config)]) == 2

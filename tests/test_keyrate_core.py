@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mdiqkd import (
     AnalysisInfeasible,
@@ -11,8 +13,10 @@ from mdiqkd import (
     ChernoffConfig,
     PhotonCoeffBounds,
     SideSources,
+    SolverError,
     SourceEnsemble,
     binary_entropy,
+    check_decoy_conditions,
     chernoff_lower,
     coeff_bounds,
     e11_upper,
@@ -299,17 +303,45 @@ def test_secure_key_rate_exact_point_regression(exact_ensemble):
     assert report.h_lower <= report.h_star <= report.h_upper
 
 
-def test_secure_key_rate_handles_single_point_interval(inputs_10km):
-    report = secure_key_rate(inputs_10km, h_grid=1)
-    assert report.h_star == report.h_lower
-    assert len(report.trace_h) == 1
+@st.composite
+def _random_inputs(draw):
+    """Simulated analysis inputs at a random source point that passes the decoy conditions."""
+    mu_x = draw(st.floats(0.01, 0.2))
+    p_x, p_y, p_z = draw(st.floats(0.03, 0.3)), draw(st.floats(0.03, 0.3)), draw(st.floats(0.3, 0.8))
+    assume(p_x + p_y + p_z <= 0.98)
+    side = SideSources(
+        mu_x=mu_x,
+        mu_y=draw(st.floats(2.0 * mu_x + 0.05, 2.0 * mu_x + 0.7)),
+        mu_z=draw(st.floats(0.1, 0.8)),
+        p_v=1.0 - p_x - p_y - p_z,
+        p_x=p_x,
+        p_y=p_y,
+        p_z=p_z,
+        vacuum_cap=10.0 ** draw(st.floats(-8.0, -4.0)),
+        fluctuation=draw(st.floats(0.0, 0.05)),
+    )
+    params = ChannelParams(n_pairs=10.0 ** draw(st.floats(9.0, 13.0)), distance_km=draw(st.floats(0.0, 100.0)))
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params)
+    assume(check_decoy_conditions(inputs.bounds).passed)
+    return inputs
 
 
-def test_refinement_never_worse_than_grid(inputs_10km):
-    report = secure_key_rate(inputs_10km, h_grid=41)
-    grid_min = min(report.trace_rate)
-    rate, _, _ = rate_function(inputs_10km)
-    assert float(rate(report.h_star)) <= grid_min + 1e-18
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_random_inputs())
+def test_convex_search_never_above_dense_grid(inputs):
+    report = secure_key_rate(inputs)
+    assert math.isfinite(report.rate)
+    assume(report.reason == "ok")
+    assert report.h_lower <= report.h_star <= report.h_upper
+    assert report.trace_samples <= 1 + 8 * 65
+    rate, h_lo, h_hi = rate_function(inputs)
+    grid_min = float(np.min(rate(np.linspace(h_lo, h_hi, 20001))))
+    assert report.rate <= max(0.0, grid_min) + 1e-12
+
+
+def test_non_finite_minimum_raises_solver_error(inputs_10km):
+    with pytest.raises(SolverError, match="not finite"):
+        secure_key_rate(replace(inputs_10km, f_ec=math.nan))
 
 
 def test_collapse_matches_straight_line_oracle(exact_ensemble, exact_side):
