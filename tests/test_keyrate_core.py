@@ -303,6 +303,27 @@ def test_secure_key_rate_exact_point_regression(exact_ensemble):
     assert report.h_lower <= report.h_star <= report.h_upper
 
 
+def test_secure_key_rate_handles_single_point_interval(inputs_10km):
+    silent = AnalysisInputs(
+        bounds=inputs_10km.bounds,
+        observables=_with_errors_zeroed(inputs_10km.observables),
+        chernoff=replace(inputs_10km.chernoff, disabled=True),
+        f_ec=inputs_10km.f_ec,
+    )
+    report = secure_key_rate(silent)
+    assert report.reason == "ok"
+    assert report.h_lower == report.h_upper == 0.0
+    assert report.h_star == report.h_lower
+    assert report.trace_samples == 1
+
+
+def test_refinement_never_worse_than_grid(inputs_10km):
+    report = secure_key_rate(inputs_10km)
+    rate, h_lo, h_hi = rate_function(inputs_10km)
+    grid_min = float(np.min(rate(np.linspace(h_lo, h_hi, 41))))
+    assert float(rate(report.h_star)) <= grid_min + 1e-18
+
+
 @st.composite
 def _random_inputs(draw):
     """Simulated analysis inputs at a random source point that passes the decoy conditions."""
