@@ -30,7 +30,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import i0 as _bessel_i0
 
 from .source_model import SOURCES, SourceEnsemble
 
@@ -83,17 +82,19 @@ def side_transmittance(params: ChannelParams) -> float:
 
 
 def _i0m1(z: float) -> float:
-    """I0(z) - 1, accurate for small z where direct subtraction cancels."""
-    if z < 0.5:
-        term = z * z / 4.0
-        total = 0.0
-        m = 1
-        while term > 1e-20 * (total or 1.0):
-            total += term
-            m += 1
-            term *= z * z / (4.0 * m * m)
-        return total
-    return float(_bessel_i0(z)) - 1.0
+    """I0(z) - 1 from its power series, whose terms are all positive.
+
+    No term cancels, so the sum keeps full relative precision at every z,
+    including small z where ``I0(z) - 1`` computed directly would not.
+    """
+    term = z * z / 4.0
+    total = 0.0
+    m = 1
+    while term > 1e-20 * (total or 1.0):
+        total += term
+        m += 1
+        term *= z * z / (4.0 * m * m)
+    return total
 
 
 def pair_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams) -> tuple[float, float]:

@@ -28,9 +28,9 @@ from pathlib import Path
 
 from . import __version__
 from .channel_sim import ChannelParams, validate_model
-from .keyrate_core import AnalysisInputs, KeyRateReport, secure_key_rate
+from .keyrate_core import DECOY_FAILED, AnalysisInputs, KeyRateReport, secure_key_rate
 from .optimizer import OptimizationProblem, optimize
-from .source_model import SideSources, SourceEnsemble, check_decoy_conditions
+from .source_model import SideSources, SourceEnsemble
 from .stat_bounds import SolverError
 
 
@@ -79,7 +79,13 @@ class RunConfig:
     restarts: int = 8
     seed: int = 1
     mc_trials: int = 10_000_000
-    k_max: int = 20
+
+    def __post_init__(self) -> None:
+        for name in ("budget", "restarts", "mc_trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def channel_params(self) -> ChannelParams:
         try:
@@ -125,7 +131,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"budget", "restarts", "seed", "mc_trials", "k_max"}
+_INT_KEYS = {"budget", "restarts", "seed", "mc_trials"}
 _BOOL_KEYS = {"optimize"}
 _STR_KEYS = {"distances"}
 
@@ -205,14 +211,6 @@ def parse_distances(spec: str) -> list[float]:
     return values
 
 
-def _validated_inputs(config: RunConfig, params: ChannelParams) -> AnalysisInputs:
-    inputs = AnalysisInputs.from_simulation(config.ensemble(), params, k_max=config.k_max)
-    report = check_decoy_conditions(inputs.bounds)
-    if not report.passed:
-        raise ConfigError(f"decoy conditions fail for these sources: {report.summary()}")
-    return inputs
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
 
@@ -239,7 +237,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _run_report(config: RunConfig, distance: float) -> KeyRateReport:
     params = config.channel_params().at_distance(distance)
-    return secure_key_rate(_validated_inputs(config, params))
+    report = secure_key_rate(AnalysisInputs.from_simulation(config.ensemble(), params))
+    if report.reason.startswith(DECOY_FAILED):
+        raise ConfigError(f"decoy conditions fail for these sources: {report.reason[len(DECOY_FAILED):]}")
+    return report
 
 
 def _problem(config: RunConfig, distance: float) -> OptimizationProblem:
@@ -247,7 +248,6 @@ def _problem(config: RunConfig, distance: float) -> OptimizationProblem:
         channel=config.channel_params().at_distance(distance),
         vacuum_cap=config.vacuum_cap,
         fluctuation=config.fluctuation,
-        k_max=config.k_max,
     )
 
 
@@ -307,8 +307,6 @@ def cmd_optimize(config: RunConfig, out: str | None, eval_log: str | None) -> in
 
 
 def cmd_validate_model(config: RunConfig, out: str | None) -> int:
-    if config.mc_trials < 1:
-        raise ConfigError(f"mc_trials must be at least 1, got {config.mc_trials}")
     params = config.channel_params()
     report = validate_model(params, trials=config.mc_trials, seed=config.seed)
     header = ["mu", "distance_km", "basis", "analytic_gain", "mc_gain", "z_gain", "analytic_error_gain", "mc_error_gain", "z_error", "ok"]

@@ -15,8 +15,11 @@ than a grid.
 
 Every expected counting rate entering those formulas is replaced by its
 Chernoff envelope, with positively-combined groups bounded jointly through
-the telescoping combination bounds rather than term by term.  The Z-basis
-single-photon yield is estimated by its X-basis bound.
+the telescoping combination bounds rather than term by term (Zhang et al.,
+PRA 95, 012333 (2017)); the groups are those of the four-intensity joint
+constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  The Z-basis
+single-photon yield is estimated by its X-basis bound.  :class:`RateCurve` is
+the one implementation of ``s11(H)``, ``e11(H)`` and ``R(H)``.
 """
 
 from __future__ import annotations
@@ -28,13 +31,17 @@ import numpy as np
 
 from . import stat_bounds
 from .channel_sim import PairObservables, build_observables
-from .source_model import DecoyConditionReport, PhotonCoeffBounds, check_decoy_conditions, coeff_bounds
-from .stat_bounds import ChernoffConfig, Envelope, InvocationCounter, SolverError
+from .source_model import PhotonCoeffBounds, check_decoy_conditions, coeff_bounds
+from .stat_bounds import ChernoffConfig, InvocationCounter, SolverError
 
 # Convex search over H: probes per round, and the bracket width, relative to
 # the interval's larger end, at which it stops.
 _PROBES = 65
 _REL_TOL = 1e-12
+
+# Reason prefix of a report refused because the decoy conditions fail; the
+# failing checks' summary follows it.
+DECOY_FAILED = "decoy-conditions-failed: "
 
 
 class AnalysisInfeasible(ValueError):
@@ -94,83 +101,14 @@ class AnalysisInputs:
     f_ec: float = 1.16
 
     @classmethod
-    def from_simulation(cls, ensemble, params, observables=None, k_max: int = 20, disabled: bool = False):
+    def from_simulation(cls, ensemble, params, disabled: bool = False):
         """Wire coefficient bounds and simulated observables together."""
-        obs = observables if observables is not None else build_observables(ensemble, params)
         return cls(
-            bounds=coeff_bounds(ensemble, k_max=k_max),
-            observables=obs,
+            bounds=coeff_bounds(ensemble),
+            observables=build_observables(ensemble, params),
             chernoff=ChernoffConfig(xi=params.xi, disabled=disabled),
             f_ec=params.f_ec,
         )
-
-
-@dataclass(frozen=True)
-class ExpectationEnvelope:
-    """Chernoff envelopes on expected counting rates and their joint groups.
-
-    Per-source envelopes are in rate units (counts over emitted pairs).  The
-    joint entries bound unit-coefficient sums of expected rates for the
-    groupings the analysis relies on, computed through the telescoping
-    combination bounds, so they are never looser than adding per-source
-    envelopes.
-    """
-
-    count_rate: dict[tuple[str, str], Envelope]
-    error_rate_upper: dict[tuple[str, str], float]
-    joint_count_lower: dict[tuple[tuple[str, str], ...], float]
-    joint_count_upper: dict[tuple[tuple[str, str], ...], float]
-    joint_error_lower: dict[tuple[tuple[str, str], ...], float]
-    joint_error_upper: dict[tuple[tuple[str, str], ...], float]
-    chernoff_calls: int
-
-
-_COUNT_SOURCES = (("v", "v"), ("v", "x"), ("x", "v"), ("v", "y"), ("y", "v"), ("x", "x"), ("y", "y"))
-_ERROR_SOURCES = (("x", "x"), ("v", "x"), ("x", "v"), ("v", "v"))
-_JOINT_COUNT_LOWER = (
-    (("x", "x"), ("v", "y")),
-    (("x", "x"), ("y", "v")),
-    (("v", "y"), ("y", "v")),
-    (("x", "x"), ("v", "y"), ("y", "v")),
-)
-_JOINT_COUNT_UPPER = ((("y", "y"), ("v", "v")),)
-_JOINT_ERROR_LOWER = ((("v", "x"), ("x", "v")),)
-_JOINT_ERROR_UPPER = ((("x", "x"), ("v", "v")),)
-
-
-def expectation_envelopes(inputs: AnalysisInputs, counter: InvocationCounter | None = None) -> ExpectationEnvelope:
-    """Envelopes on expected rates for every source group the analysis uses."""
-    obs = inputs.observables
-    cfg = inputs.chernoff
-    own_counter = counter if counter is not None else InvocationCounter()
-
-    count_rate = {}
-    for pair in _COUNT_SOURCES:
-        emitted = obs.emitted(*pair)
-        env = stat_bounds.envelope(obs.counts(*pair), cfg, own_counter)
-        count_rate[pair] = Envelope(lower=env.lower / emitted, upper=env.upper / emitted)
-
-    error_rate_upper = {
-        pair: stat_bounds.chernoff_upper(obs.errors(*pair), cfg, own_counter) / obs.emitted(*pair)
-        for pair in _ERROR_SOURCES
-    }
-
-    def joint(groups, getter, bound_fn):
-        out = {}
-        for group in groups:
-            terms = [(1.0 / obs.emitted(*pair), float(getter(*pair))) for pair in group]
-            out[group] = bound_fn(terms, cfg, own_counter)
-        return out
-
-    return ExpectationEnvelope(
-        count_rate=count_rate,
-        error_rate_upper=error_rate_upper,
-        joint_count_lower=joint(_JOINT_COUNT_LOWER, obs.counts, stat_bounds.combo_lower),
-        joint_count_upper=joint(_JOINT_COUNT_UPPER, obs.counts, stat_bounds.combo_upper),
-        joint_error_lower=joint(_JOINT_ERROR_LOWER, obs.errors, stat_bounds.combo_lower),
-        joint_error_upper=joint(_JOINT_ERROR_UPPER, obs.errors, stat_bounds.combo_upper),
-        chernoff_calls=own_counter.count,
-    )
 
 
 def s_plus_lower(
@@ -254,35 +192,6 @@ def h_range(
     return h_lower, h_upper
 
 
-def _s11_denominator(bounds: PhotonCoeffBounds) -> float:
-    a, b = bounds.alice, bounds.bob
-    return a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
-
-
-def s11_lower(h: float, s_plus: float, s_minus: float, bounds: PhotonCoeffBounds) -> float:
-    """Single-photon-pair yield floor at nuisance value ``h``; affine, decreasing in h."""
-    denominator = _s11_denominator(bounds)
-    if denominator <= 0.0:
-        raise AnalysisInfeasible(
-            "single-photon denominator is not positive; decoy intensities too close for the bound"
-        )
-    a, b = bounds.alice, bounds.bob
-    return max(0.0, (s_plus - s_minus - a.lo("y", 1) * b.lo("y", 2) * h) / denominator)
-
-
-def e11_upper(h: float, txx_upper: float, s11: float, bounds: PhotonCoeffBounds) -> float | None:
-    """Phase-error ceiling at nuisance value ``h``, or None when s11 vanishes.
-
-    Clamped to [0, 1]; values at or above one half mean no key is extractable
-    at this ``h``.
-    """
-    if s11 <= 0.0:
-        return None
-    a, b = bounds.alice, bounds.bob
-    value = (txx_upper - h / 2.0) / (a.lo("x", 1) * b.lo("x", 1) * s11)
-    return min(max(value, 0.0), 1.0)
-
-
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy in bits, with H(0) = H(1) = 0 by continuity."""
     if not (0.0 <= x <= 1.0):
@@ -301,8 +210,13 @@ def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _RateCurve:
-    """Precomputed H-independent pieces of the candidate rate function."""
+class RateCurve:
+    """Candidate rate ``R(h)`` with its yield floor and phase-error ceiling.
+
+    Holds the H-independent pieces; every method accepts scalars or arrays
+    of nuisance values, and calling the curve gives ``R(h)`` (raw; may be
+    negative).
+    """
 
     s_plus: float
     s_minus: float
@@ -315,29 +229,37 @@ class _RateCurve:
     correction: float  # f_ec * S_zz * H2(E_zz), from observed values
 
     def s11(self, h):
+        """Single-photon-pair yield floor; affine and decreasing in h, clamped at zero."""
         return np.maximum((self.s_plus - self.s_minus - self.c_y * np.asarray(h, dtype=float)) / self.denominator, 0.0)
 
-    def rate(self, h):
+    def e11(self, h):
+        """Phase-error ceiling clipped to [0, 1]; NaN where the yield floor vanishes."""
+        h_arr = np.asarray(h, dtype=float)
+        return self._e11(h_arr, self.s11(h_arr))
+
+    def _e11(self, h, s11):
+        safe = np.where(s11 > 0.0, s11, 1.0)
+        # minimum/maximum rather than np.clip: same values, cheaper on small arrays.
+        return np.where(s11 > 0.0, np.minimum(np.maximum((self.txx_upper - h / 2.0) / (self.beta * safe), 0.0), 1.0), np.nan)
+
+    def __call__(self, h):
         h_arr = np.asarray(h, dtype=float)
         s11 = self.s11(h_arr)
-        safe = np.where(s11 > 0.0, s11, 1.0)
-        e11 = np.where(s11 > 0.0, (self.txx_upper - h_arr / 2.0) / (self.beta * safe), 1.0)
-        e11 = np.clip(e11, 0.0, 1.0)
-        # Phase error at or beyond one half leaves nothing to distill.
+        e11 = self._e11(h_arr, s11)
+        # Phase error at or beyond one half, or undefined, leaves nothing to distill.
         privacy = np.where(e11 < 0.5, 1.0 - _binary_entropy_arr(e11), 0.0)
         return self.pz2 * (self.gamma * s11 * privacy - self.correction)
 
 
-def _curve(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCounter) -> _RateCurve:
-    bounds = inputs.bounds
-    a, b = bounds.alice, bounds.bob
+def _curve(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCounter) -> RateCurve:
+    a, b = inputs.bounds.alice, inputs.bounds.bob
     obs = inputs.observables
-    denominator = _s11_denominator(bounds)
+    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
     if denominator <= 0.0:
         raise AnalysisInfeasible(
             "single-photon denominator is not positive; decoy intensities too close for the bound"
         )
-    return _RateCurve(
+    return RateCurve(
         s_plus=s_plus_lower(inputs, sigma, counter),
         s_minus=s_minus_upper(inputs, sigma, counter),
         txx_upper=stat_bounds.chernoff_upper(obs.errors("x", "x"), inputs.chernoff, counter) / obs.emitted("x", "x"),
@@ -350,25 +272,17 @@ def _curve(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCount
     )
 
 
-def key_rate_at(h: float, inputs: AnalysisInputs, counter: InvocationCounter | None = None) -> float:
-    """Candidate rate at one nuisance value (raw; may be negative)."""
-    own = counter if counter is not None else InvocationCounter()
-    sigma = sigma_factors(inputs.bounds)
-    return float(_curve(inputs, sigma, own).rate(h))
+def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
+    """The candidate-rate curve and the admissible H interval.
 
-
-def rate_function(inputs: AnalysisInputs):
-    """Vectorized candidate-rate callable and the admissible H interval.
-
-    Returns ``(rate, h_lower, h_upper)`` where ``rate`` accepts scalars or
-    arrays; for diagnostics and dense scans of the same curve
-    :func:`secure_key_rate` minimizes.
+    Returns ``(curve, h_lower, h_upper)``: the curve :func:`secure_key_rate`
+    minimizes, for diagnostics and dense scans.
     """
     counter = InvocationCounter()
     sigma = sigma_factors(inputs.bounds)
     curve = _curve(inputs, sigma, counter)
     h_lo, h_hi = h_range(inputs, sigma, counter)
-    return curve.rate, h_lo, h_hi
+    return curve, h_lo, h_hi
 
 
 @dataclass(frozen=True)
@@ -427,7 +341,7 @@ def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> Key
     )
 
 
-def _convex_minimum(curve: _RateCurve, lo: float, hi: float) -> tuple[float, float, int]:
+def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, float, int]:
     """Minimum of the candidate rate on ``[lo, hi]`` as ``(h, rate, samples)``.
 
     Exact because ``R(h)`` is convex there.  ``s11(h)`` and
@@ -442,12 +356,12 @@ def _convex_minimum(curve: _RateCurve, lo: float, hi: float) -> tuple[float, flo
     at 8 rounds.  The best point seen is kept, starting from ``lo`` and
     replaced only on strict improvement.
     """
-    best_h, best_rate = lo, float(curve.rate(lo))
+    best_h, best_rate = lo, float(curve(lo))
     samples = 1
     tol = _REL_TOL * max(abs(lo), abs(hi))
     while hi - lo > tol:
         hs = np.linspace(lo, hi, _PROBES)
-        rates = curve.rate(hs)
+        rates = curve(hs)
         samples += _PROBES
         idx = int(rates.argmin())
         if rates[idx] < best_rate:
@@ -465,9 +379,9 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     finite raises :class:`SolverError` instead of being clamped.
     """
     obs = inputs.observables
-    decoy_report: DecoyConditionReport = check_decoy_conditions(inputs.bounds)
+    decoy_report = check_decoy_conditions(inputs.bounds)
     if not decoy_report.passed:
-        return _zero_report("decoy-conditions-failed: " + decoy_report.summary(), obs)
+        return _zero_report(DECOY_FAILED + decoy_report.summary(), obs)
 
     counter = InvocationCounter()
     try:
@@ -484,15 +398,13 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     if not math.isfinite(best_rate):
         raise SolverError(f"candidate rate is not finite at its minimum (h = {best_h!r}, rate = {best_rate!r})")
 
-    s11_min = float(curve.s11(best_h))
-    e11_min = e11_upper(best_h, curve.txx_upper, s11_min, inputs.bounds)
     return KeyRateReport(
         rate=max(0.0, best_rate),
         h_lower=h_lo,
         h_upper=h_hi,
         h_star=best_h,
-        s11_at_min=s11_min,
-        e11_at_min=math.nan if e11_min is None else e11_min,
+        s11_at_min=float(curve.s11(best_h)),
+        e11_at_min=float(curve.e11(best_h)),
         signal_rate=obs.signal_rate,
         signal_error_rate=obs.signal_error_rate,
         chernoff_invocations=counter.count,

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _scipy_optimize
 
-from .channel_sim import ChannelParams, build_observables
+from .channel_sim import ChannelParams
 from .keyrate_core import AnalysisInputs, secure_key_rate
 from .source_model import SideSources, SourceEnsemble
 
@@ -38,7 +37,6 @@ class OptimizationProblem:
     channel: ChannelParams
     vacuum_cap: float = 0.0
     fluctuation: float = 0.0
-    k_max: int = 20
 
 
 @dataclass(frozen=True)
@@ -46,10 +44,6 @@ class OptimizationResult:
     point: tuple[float, float, float, float, float, float]
     rate: float
     evaluations: tuple[tuple[tuple[float, ...], float], ...] = field(repr=False)
-
-    @property
-    def n_evaluations(self) -> int:
-        return len(self.evaluations)
 
 
 def _ensemble_at(problem: OptimizationProblem, point: np.ndarray) -> SourceEnsemble | None:
@@ -86,10 +80,7 @@ def evaluate(problem: OptimizationProblem, point) -> float:
     ensemble = _ensemble_at(problem, arr)
     if ensemble is None:
         return 0.0
-    observables = build_observables(ensemble, problem.channel)
-    inputs = AnalysisInputs.from_simulation(ensemble, problem.channel, observables=observables, k_max=problem.k_max)
-    report = secure_key_rate(inputs)
-    return report.rate
+    return secure_key_rate(AnalysisInputs.from_simulation(ensemble, problem.channel)).rate
 
 
 def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.ndarray:
@@ -118,6 +109,8 @@ def optimize(
     probing is logged on top).  The returned point is the best over every
     evaluation made, so it dominates the whole log by construction.
     """
+    from scipy import optimize as _scipy_optimize  # only this command pays for the import
+
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if restarts < 1:

@@ -20,6 +20,10 @@ from dataclasses import dataclass, fields
 
 SOURCES = ("v", "x", "y", "z")
 
+# Highest photon number with coefficient bounds, and so the depth of the decoy
+# checks; see :func:`check_decoy_conditions` for why a finite depth suffices.
+MAX_PHOTON_NUMBER = 20
+
 _PROB_TOL = 1e-12
 
 
@@ -124,7 +128,8 @@ class SideCoeffBounds:
     """Worst-case photon-number coefficient bounds for one side.
 
     ``lower[l][k]`` / ``upper[l][k]`` bound the k-photon coefficient of source
-    ``l`` over that source's intensity interval, for k = 0 .. k_max.
+    ``l`` over that source's intensity interval, for k = 0 ..
+    ``MAX_PHOTON_NUMBER``.
     """
 
     intervals: dict[str, tuple[float, float]]
@@ -144,45 +149,36 @@ class PhotonCoeffBounds:
 
     alice: SideCoeffBounds
     bob: SideCoeffBounds
-    k_max: int
 
     @classmethod
     def from_intervals(
         cls,
         alice_intervals: dict[str, tuple[float, float]],
         bob_intervals: dict[str, tuple[float, float]],
-        k_max: int = 20,
     ) -> "PhotonCoeffBounds":
         """Build bounds directly from per-source intensity intervals.
 
         Lets callers evaluate the decoy conditions for configurations that a
         validated :class:`SourceEnsemble` would refuse (e.g. swapped decoys).
         """
-        if k_max < 2:
-            raise ValueError(f"k_max must be at least 2, got {k_max}")
-        return cls(
-            alice=_side_bounds(alice_intervals, k_max),
-            bob=_side_bounds(bob_intervals, k_max),
-            k_max=k_max,
-        )
+        return cls(alice=_side_bounds(alice_intervals), bob=_side_bounds(bob_intervals))
 
 
-def _side_bounds(intervals: dict[str, tuple[float, float]], k_max: int) -> SideCoeffBounds:
+def _side_bounds(intervals: dict[str, tuple[float, float]]) -> SideCoeffBounds:
     lower: dict[str, tuple[float, ...]] = {}
     upper: dict[str, tuple[float, ...]] = {}
     for source, (mu_lo, mu_hi) in intervals.items():
-        pairs = [coeff_interval(mu_lo, mu_hi, k) for k in range(k_max + 1)]
+        pairs = [coeff_interval(mu_lo, mu_hi, k) for k in range(MAX_PHOTON_NUMBER + 1)]
         lower[source] = tuple(p[0] for p in pairs)
         upper[source] = tuple(p[1] for p in pairs)
     return SideCoeffBounds(intervals=dict(intervals), lower=lower, upper=upper)
 
 
-def coeff_bounds(ensemble: SourceEnsemble, k_max: int = 20) -> PhotonCoeffBounds:
+def coeff_bounds(ensemble: SourceEnsemble) -> PhotonCoeffBounds:
     """Worst-case coefficient bounds for every source of both sides."""
     return PhotonCoeffBounds.from_intervals(
         {s: ensemble.alice.intensity_interval(s) for s in SOURCES},
         {s: ensemble.bob.intensity_interval(s) for s in SOURCES},
-        k_max=k_max,
     )
 
 
@@ -218,10 +214,10 @@ class DecoyConditionReport:
         return "; ".join(f"{c.side}:{c.name}: {c.detail}" for c in self.failures())
 
 
-def check_decoy_conditions(bounds: PhotonCoeffBounds, k_max: int | None = None) -> DecoyConditionReport:
+def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
     """Verify the ratio conditions the single-photon estimates rest on.
 
-    Checked per side, for k = 2 .. k_max:
+    Checked per side, for k = 2 .. ``MAX_PHOTON_NUMBER``:
 
     * decoy ratio chain: ``a_k^{y,L}/a_k^{x,U} >= a_2^{y,L}/a_2^{x,U} >=
       a_1^{y,L}/a_1^{x,U}`` (evaluated in product form, so zero coefficients
@@ -232,13 +228,8 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds, k_max: int | None = None) 
       through factors that vanish with it).
     * the x and y intensity intervals must be disjoint (x strictly below y);
       that disjointness makes the ratio chain monotone in k for Poissonian
-      sources, so checking up to a finite k_max certifies all k.
+      sources, so checking up to a finite depth certifies all k.
     """
-    if k_max is None:
-        k_max = bounds.k_max
-    if k_max < 2 or k_max > bounds.k_max:
-        raise ValueError(f"k_max must lie in [2, {bounds.k_max}], got {k_max}")
-
     checks: list[ConditionCheck] = []
     for side_name, sb in (("alice", bounds.alice), ("bob", bounds.bob)):
         x_lo, x_hi = sb.intervals["x"]
@@ -266,7 +257,7 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds, k_max: int | None = None) 
         )
 
         bad_k = None
-        for k in range(2, k_max + 1):
+        for k in range(2, MAX_PHOTON_NUMBER + 1):
             if sb.lo("y", k) * sb.hi("x", 2) < sb.lo("y", 2) * sb.hi("x", k):
                 bad_k = k
                 break
@@ -293,7 +284,7 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds, k_max: int | None = None) 
         else:
             bad = None
             for source in ("x", "y"):
-                for k in range(2, k_max + 1):
+                for k in range(2, MAX_PHOTON_NUMBER + 1):
                     if sb.lo(source, k) * a1v_hi < sb.hi(source, 1) * sb.hi("v", k):
                         bad = (source, k)
                         break

@@ -15,14 +15,15 @@ bisection on a bracketing interval.
 ``sum_i c_i <X_i>`` jointly: sorting coefficients descending and telescoping
 over partial sums of the observed counts turns the combination into a
 positive-weight sum of Chernoff bounds on pooled counts, which is never looser
-(and usually strictly tighter) than bounding every term separately.
+(and usually strictly tighter) than bounding every term separately.  This is
+the joint-constraint construction of Zhang et al., PRA 95, 012333 (2017).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _BRACKET_EDGE = 1e-12
 
@@ -49,22 +50,6 @@ class ChernoffConfig:
             raise ValueError(f"failure probability must lie in (0, 1), got {self.xi}")
         if self.rel_tol <= 0.0 or self.max_iter < 1:
             raise ValueError("rel_tol must be positive and max_iter at least 1")
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Two-sided bound on an expected count."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError(f"envelope must satisfy 0 <= lower <= upper, got {self!r}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 class InvocationCounter:
@@ -200,10 +185,6 @@ def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
     return x / _upper_complement(x, cfg)
 
 
-def envelope(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> Envelope:
-    return Envelope(lower=chernoff_lower(x, cfg, counter), upper=chernoff_upper(x, cfg, counter))
-
-
 def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
     out = []
     for c, x in terms:
@@ -217,16 +198,17 @@ def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, 
     return out
 
 
-def combo_lower(
+def _telescope(
     terms: Sequence[tuple[float, float]],
+    bound: Callable[[float, ChernoffConfig, InvocationCounter | None], float],
     cfg: ChernoffConfig,
-    counter: InvocationCounter | None = None,
+    counter: InvocationCounter | None,
 ) -> float:
-    """Joint lower bound on ``sum_i c_i <X_i>`` from observed counts.
+    """``sum_i c_i <X_i>`` bounded by ``bound`` on coefficient-sorted partial sums.
 
-    Telescopes over coefficient-sorted partial sums; ties collapse into a
-    single pooled bound, so equal coefficients reduce exactly to
-    ``c * chernoff_lower(sum X_i)``.
+    Each level pools every count whose coefficient is at least that level's,
+    weighted by the drop to the next coefficient; ties collapse into a single
+    pooled bound.
     """
     ts = sorted(_validated_terms(terms), key=lambda t: -t[0])
     total = 0.0
@@ -235,8 +217,20 @@ def combo_lower(
         cum += x
         c_next = ts[i + 1][0] if i + 1 < len(ts) else 0.0
         if c > c_next:
-            total += (c - c_next) * chernoff_lower(cum, cfg, counter)
+            total += (c - c_next) * bound(cum, cfg, counter)
     return total
+
+
+def combo_lower(
+    terms: Sequence[tuple[float, float]],
+    cfg: ChernoffConfig,
+    counter: InvocationCounter | None = None,
+) -> float:
+    """Joint lower bound on ``sum_i c_i <X_i>`` from observed counts.
+
+    Equal coefficients reduce exactly to ``c * chernoff_lower(sum X_i)``.
+    """
+    return _telescope(terms, chernoff_lower, cfg, counter)
 
 
 def combo_upper(
@@ -244,13 +238,5 @@ def combo_upper(
     cfg: ChernoffConfig,
     counter: InvocationCounter | None = None,
 ) -> float:
-    """Joint upper bound on ``sum_i c_i <X_i>``; mirror of :func:`combo_lower`."""
-    ts = sorted(_validated_terms(terms), key=lambda t: -t[0])
-    total = 0.0
-    cum = 0.0
-    for i, (c, x) in enumerate(ts):
-        cum += x
-        c_next = ts[i + 1][0] if i + 1 < len(ts) else 0.0
-        if c > c_next:
-            total += (c - c_next) * chernoff_upper(cum, cfg, counter)
-    return total
+    """Joint upper bound on ``sum_i c_i <X_i>``; the same telescoping as :func:`combo_lower`."""
+    return _telescope(terms, chernoff_upper, cfg, counter)

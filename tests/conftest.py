@@ -48,5 +48,5 @@ def observables_10km(noisy_ensemble, params_10km):
 
 
 @pytest.fixture(scope="session")
-def inputs_10km(noisy_ensemble, params_10km, observables_10km):
-    return AnalysisInputs.from_simulation(noisy_ensemble, params_10km, observables=observables_10km)
+def inputs_10km(noisy_ensemble, params_10km):
+    return AnalysisInputs.from_simulation(noisy_ensemble, params_10km)

@@ -19,13 +19,8 @@ from mdiqkd import (
     chernoff_upper,
     combo_lower,
     combo_upper,
-    e11_upper,
     rate_function,
-    s11_lower,
-    s_minus_upper,
-    s_plus_lower,
     secure_key_rate,
-    sigma_factors,
     single_photon_pair_truth,
     vacuum_error_component,
     validate_model,
@@ -110,16 +105,12 @@ def test_criterion_5_soundness_on_honest_data(noisy_ensemble, noisy_side):
         y11_true, e11_true = single_photon_pair_truth("X", params)
         h_true = 2.0 * vacuum_error_component(noisy_side.mu_x, noisy_side.mu_x, params)
         # Evaluate the pointwise bounds at the true nuisance value.
-        _, h_lo, h_hi = rate_function(inputs)
+        curve, h_lo, h_hi = rate_function(inputs)
         assert h_lo <= h_true <= h_hi, (distance, h_lo, h_true, h_hi)
-        sigma = sigma_factors(inputs.bounds)
-        s11_at_truth = s11_lower(h_true, s_plus_lower(inputs, sigma), s_minus_upper(inputs, sigma), inputs.bounds)
+        s11_at_truth = float(curve.s11(h_true))
         assert s11_at_truth <= y11_true, (distance, s11_at_truth, y11_true)
-        txx_upper = chernoff_upper(
-            inputs.observables.errors("x", "x"), inputs.chernoff
-        ) / inputs.observables.emitted("x", "x")
-        e11_at_truth = e11_upper(h_true, txx_upper, s11_at_truth, inputs.bounds)
-        assert e11_at_truth is not None and e11_at_truth >= e11_true, (distance, e11_at_truth, e11_true)
+        e11_at_truth = float(curve.e11(h_true))
+        assert not math.isnan(e11_at_truth) and e11_at_truth >= e11_true, (distance, e11_at_truth, e11_true)
     print("ACCEPTANCE 5 PASS: true yield, phase error, and nuisance value inside their bounds at 10 and 50 km")
 
 

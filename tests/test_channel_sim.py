@@ -1,6 +1,8 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.special import i0
 
 from mdiqkd import (
     ChannelParams,
@@ -12,7 +14,7 @@ from mdiqkd import (
     vacuum_error_component,
     validate_model,
 )
-from mdiqkd.channel_sim import read_observables_csv, write_observables_csv
+from mdiqkd.channel_sim import _i0m1, read_observables_csv, write_observables_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -20,6 +22,13 @@ DATA_DIR = Path(__file__).parent / "data"
 def test_transmittance_at_zero_distance_is_detector_efficiency():
     params = ChannelParams(distance_km=0.0)
     assert side_transmittance(params) == params.eta_d
+
+
+def test_i0m1_series_matches_bessel_oracle_at_large_argument():
+    # Below 0.5 the series is what the gains use; above it, where direct
+    # subtraction no longer cancels, it must still agree with a library I0.
+    for z in np.linspace(0.5, 700.0, 2001):
+        assert _i0m1(float(z)) == pytest.approx(float(i0(z)) - 1.0, rel=1e-12)
 
 
 def test_transmittance_exact_arithmetic():

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mdiqkd
 from mdiqkd.cli import main, parse_distances, ConfigError
 
 
@@ -46,6 +50,40 @@ def test_non_finite_value_exit_code_2(tmp_path, capsys, key):
     config = write_config(tmp_path, f"{key} = nan\n")
     assert main(["rate", "--config", str(config)]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_decoy_failure_exit_code_2(tmp_path, capsys):
+    # Valid sources whose fluctuation-widened decoy intervals overlap.
+    config = write_config(tmp_path, "mu_x = 0.3\nmu_y = 0.4\nfluctuation = 0.2\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: decoy conditions fail for these sources: alice:intensity-intervals-disjoint: ")
+
+
+@pytest.mark.parametrize(
+    "command, line, fragment",
+    [
+        ("optimize", "budget = 0", "budget must be at least 1"),
+        ("optimize", "restarts = 0", "restarts must be at least 1"),
+        ("validate-model", "seed = -1", "seed must be nonnegative"),
+        ("validate-model", "mc_trials = 0", "mc_trials must be at least 1"),
+        ("rate", "k_max = 20", "unknown key 'k_max'"),
+    ],
+)
+def test_bad_run_option_exit_code_2(tmp_path, capsys, command, line, fragment):
+    config = write_config(tmp_path, line + "\n")
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(mdiqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys\nimport mdiqkd.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_removed_h_grid_key_rejected(tmp_path, capsys):

@@ -18,17 +18,15 @@ from mdiqkd import (
     binary_entropy,
     check_decoy_conditions,
     chernoff_lower,
+    chernoff_upper,
     coeff_bounds,
-    e11_upper,
-    expectation_envelopes,
     h_range,
-    key_rate_at,
     rate_function,
-    s11_lower,
     s_minus_upper,
     s_plus_lower,
     secure_key_rate,
     sigma_factors,
+    single_photon_pair_truth,
     vacuum_error_component,
 )
 from mdiqkd.channel_sim import PairObservables
@@ -87,42 +85,18 @@ def test_sigma_infeasible_when_vacuum_too_unstable():
 # --- envelopes --------------------------------------------------------------
 
 
-def test_envelopes_contain_observed_rates(inputs_10km):
-    env = expectation_envelopes(inputs_10km)
-    for pair, envelope_ in env.count_rate.items():
-        rate = inputs_10km.observables.entry(*pair).rate
-        assert envelope_.lower <= rate <= envelope_.upper
-    for pair, upper in env.error_rate_upper.items():
-        assert inputs_10km.observables.entry(*pair).error_rate <= upper
-    assert env.chernoff_calls > 0
-
-
 def test_envelope_relative_width_shrinks_with_more_data(inputs_10km):
-    env = expectation_envelopes(inputs_10km)
-    scaled_inputs = AnalysisInputs(
-        bounds=inputs_10km.bounds,
-        observables=_scaled(inputs_10km.observables, 100.0),
-        chernoff=inputs_10km.chernoff,
-        f_ec=inputs_10km.f_ec,
-    )
-    env_scaled = expectation_envelopes(scaled_inputs)
-    for pair, envelope_ in env.count_rate.items():
-        rate = inputs_10km.observables.entry(*pair).rate
-        if rate == 0.0:
+    # The count sources the yield bounds read, at 10 km and with 100x the data.
+    cfg = inputs_10km.chernoff
+    scaled = _scaled(inputs_10km.observables, 100.0)
+    for pair in (("v", "v"), ("v", "x"), ("x", "v"), ("v", "y"), ("y", "v"), ("x", "x"), ("y", "y")):
+        counts = inputs_10km.observables.counts(*pair)
+        if counts == 0:
             continue
-        rel = envelope_.width / rate
-        rel_scaled = env_scaled.count_rate[pair].width / scaled_inputs.observables.entry(*pair).rate
+        rel = (chernoff_upper(counts, cfg) - chernoff_lower(counts, cfg)) / counts
+        counts_scaled = scaled.counts(*pair)
+        rel_scaled = (chernoff_upper(counts_scaled, cfg) - chernoff_lower(counts_scaled, cfg)) / counts_scaled
         assert rel_scaled < rel
-
-
-def test_joint_envelopes_dominate_per_source(inputs_10km):
-    env = expectation_envelopes(inputs_10km)
-    for group, joint in env.joint_count_lower.items():
-        split = sum(env.count_rate[pair].lower for pair in group)
-        assert joint >= split - 1e-12
-    for group, joint in env.joint_count_upper.items():
-        split = sum(env.count_rate[pair].upper for pair in group)
-        assert joint <= split + 1e-12
 
 
 # --- yield combination bounds ----------------------------------------------
@@ -205,42 +179,46 @@ def test_h_interval_contains_model_truth(noisy_side, inputs_10km, params_10km):
 
 
 def test_s11_is_affine_and_decreasing_in_h(inputs_10km):
-    sigma = sigma_factors(inputs_10km.bounds)
-    s_plus = s_plus_lower(inputs_10km, sigma)
-    s_minus = s_minus_upper(inputs_10km, sigma)
-    hs = [0.0, 1e-5, 2e-5, 3e-5]
-    values = [s11_lower(h, s_plus, s_minus, inputs_10km.bounds) for h in hs]
+    curve, _, _ = rate_function(inputs_10km)
+    values = curve.s11(np.array([0.0, 1e-5, 2e-5, 3e-5]))
     assert all(a > b for a, b in zip(values, values[1:]))
     deltas = np.diff(values)
     assert np.allclose(deltas, deltas[0], rtol=1e-9)
 
 
 def test_s11_zero_when_combinations_cancel(inputs_10km):
-    assert s11_lower(0.0, 1e-3, 1e-3, inputs_10km.bounds) == 0.0
+    curve, _, _ = rate_function(inputs_10km)
+    assert replace(curve, s_plus=1e-3, s_minus=1e-3).s11(0.0) == 0.0
 
 
-def test_s11_rejects_degenerate_denominator():
+def test_s11_rejects_degenerate_denominator(inputs_10km):
     bounds = PhotonCoeffBounds.from_intervals(
         {"v": (0.0, 0.0), "x": (0.4, 0.4), "y": (0.1, 0.1), "z": (0.5, 0.5)},
         {"v": (0.0, 0.0), "x": (0.4, 0.4), "y": (0.1, 0.1), "z": (0.5, 0.5)},
     )
     with pytest.raises(AnalysisInfeasible, match="denominator"):
-        s11_lower(0.0, 1.0, 0.0, bounds)
+        rate_function(replace(inputs_10km, bounds=bounds))
+
+
+def _fixed_s11_curve(inputs, txx_upper):
+    """The curve of ``inputs`` with s11 held at its h = 0 value and a given txx_upper."""
+    curve, _, _ = rate_function(inputs)
+    return replace(curve, c_y=0.0, txx_upper=txx_upper)
 
 
 def test_e11_vanishes_at_interval_top(inputs_10km):
     txx_upper = 3e-5
-    assert e11_upper(2.0 * txx_upper, txx_upper, 5e-3, inputs_10km.bounds) == 0.0
+    assert _fixed_s11_curve(inputs_10km, txx_upper).e11(2.0 * txx_upper) == 0.0
 
 
 def test_e11_decreasing_in_h_at_fixed_s11(inputs_10km):
-    txx_upper = 3e-5
-    values = [e11_upper(h, txx_upper, 5e-3, inputs_10km.bounds) for h in (0.0, 1e-5, 2e-5)]
+    values = _fixed_s11_curve(inputs_10km, 3e-5).e11(np.array([0.0, 1e-5, 2e-5]))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_e11_signals_no_single_photon_signal(inputs_10km):
-    assert e11_upper(0.0, 3e-5, 0.0, inputs_10km.bounds) is None
+    curve, _, _ = rate_function(inputs_10km)
+    assert math.isnan(replace(curve, s_plus=1e-3, s_minus=1e-3).e11(0.0))
 
 
 # --- entropy ------------------------------------------------------------------
@@ -270,7 +248,8 @@ def test_rate_with_no_single_photon_floor_is_pure_cost(inputs_10km):
     obs = inputs_10km.observables
     pz2 = obs.emitted("z", "z") / obs.n_pairs
     expected = -pz2 * inputs_10km.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
-    assert key_rate_at(1.0, inputs_10km) == pytest.approx(expected, rel=1e-12)
+    curve, _, _ = rate_function(inputs_10km)
+    assert float(curve(1.0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
@@ -281,15 +260,20 @@ def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
     s_minus = s_minus_upper(inputs, sigma)
     a, b = inputs.bounds.alice, inputs.bounds.bob
     # Just below the h where s11 reaches zero: s11 is tiny but positive, so
-    # the phase-error ceiling saturates and only the correction cost remains.
+    # only the correction cost remains.
     h_zero = (s_plus - s_minus) / (a.lo("y", 1) * b.lo("y", 2))
     probe = h_zero * (1.0 - 1e-9)
-    assert s11_lower(probe, s_plus, s_minus, inputs.bounds) > 0.0
-    rate, _, _ = rate_function(inputs)
+    curve, _, _ = rate_function(inputs)
+    assert curve.s11(probe) > 0.0
     obs = inputs.observables
     pz2 = obs.emitted("z", "z") / obs.n_pairs
     cost = pz2 * inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
-    assert float(rate(probe)) == pytest.approx(-cost, rel=1e-9)
+    assert float(curve(probe)) == pytest.approx(-cost, rel=1e-9)
+    # The probe lies above h_upper, where e11 clips to 0; with the error
+    # ceiling raised, e11 saturates instead and the privacy term is exactly 0.
+    saturated = replace(curve, txx_upper=probe)
+    assert saturated.e11(probe) == 1.0
+    assert float(saturated(probe)) == pytest.approx(-cost, rel=1e-12)
 
 
 def test_secure_key_rate_exact_point_regression(exact_ensemble):
@@ -325,8 +309,8 @@ def test_refinement_never_worse_than_grid(inputs_10km):
 
 
 @st.composite
-def _random_inputs(draw):
-    """Simulated analysis inputs at a random source point that passes the decoy conditions."""
+def _random_setup(draw):
+    """A random ``(side, params)`` whose sources pass the decoy conditions."""
     mu_x = draw(st.floats(0.01, 0.2))
     p_x, p_y, p_z = draw(st.floats(0.03, 0.3)), draw(st.floats(0.03, 0.3)), draw(st.floats(0.3, 0.8))
     assume(p_x + p_y + p_z <= 0.98)
@@ -342,9 +326,13 @@ def _random_inputs(draw):
         fluctuation=draw(st.floats(0.0, 0.05)),
     )
     params = ChannelParams(n_pairs=10.0 ** draw(st.floats(9.0, 13.0)), distance_km=draw(st.floats(0.0, 100.0)))
-    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params)
-    assume(check_decoy_conditions(inputs.bounds).passed)
-    return inputs
+    assume(check_decoy_conditions(coeff_bounds(SourceEnsemble.symmetric(side))).passed)
+    return side, params
+
+
+def _random_inputs():
+    """Simulated analysis inputs at a random source point that passes the decoy conditions."""
+    return _random_setup().map(lambda setup: AnalysisInputs.from_simulation(SourceEnsemble.symmetric(setup[0]), setup[1]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -358,6 +346,34 @@ def test_convex_search_never_above_dense_grid(inputs):
     rate, h_lo, h_hi = rate_function(inputs)
     grid_min = float(np.min(rate(np.linspace(h_lo, h_hi, 20001))))
     assert report.rate <= max(0.0, grid_min) + 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_random_setup(), st.floats(0.0, 0.05), st.floats(0.0, 50.0), st.floats(0.0, 2.0))
+def test_rate_monotone_in_fluctuation_distance_and_data(setup, more_fluctuation, more_km, more_decades):
+    side, params = setup
+    rate = _rate_for(side, params)
+    assert _rate_for(replace(side, fluctuation=side.fluctuation + more_fluctuation), params) <= rate
+    assert _rate_for(side, replace(params, distance_km=params.distance_km + more_km)) <= rate
+    assert _rate_for(side, replace(params, n_pairs=params.n_pairs * 10.0**more_decades)) >= rate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_random_setup())
+def test_bounds_contain_model_truth_on_random_honest_data(setup):
+    # Acceptance 5 on random configurations: the true nuisance value, yield
+    # and phase error lie inside their bounds.
+    side, params = setup
+    try:
+        curve, h_lo, h_hi = rate_function(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params))
+    except AnalysisInfeasible:
+        assume(False)
+    y11_true, e11_true = single_photon_pair_truth("X", params)
+    h_true = 2.0 * vacuum_error_component(side.mu_x, side.mu_x, params)
+    assert h_lo <= h_true <= h_hi
+    assert curve.s11(h_true) <= y11_true
+    if curve.s11(h_true) > 0.0:
+        assert curve.e11(h_true) >= e11_true
 
 
 def test_non_finite_minimum_raises_solver_error(inputs_10km):

@@ -11,7 +11,6 @@ from mdiqkd import (
     chernoff_upper,
     combo_lower,
     combo_upper,
-    envelope,
 )
 from mdiqkd.stat_bounds import lower_deviation, upper_deviation
 
@@ -74,10 +73,9 @@ def test_upper_bound_tightens_at_large_counts():
 
 
 def test_smaller_failure_probability_widens_envelope():
-    loose = envelope(10**4, ChernoffConfig(xi=1e-5))
-    tight = envelope(10**4, ChernoffConfig(xi=1e-10))
-    assert tight.lower < loose.lower
-    assert tight.upper > loose.upper
+    loose, tight = ChernoffConfig(xi=1e-5), ChernoffConfig(xi=1e-10)
+    assert chernoff_lower(10**4, tight) < chernoff_lower(10**4, loose)
+    assert chernoff_upper(10**4, tight) > chernoff_upper(10**4, loose)
 
 
 def test_pooled_counts_dominate_split_counts():
