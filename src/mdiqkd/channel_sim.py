@@ -33,10 +33,8 @@ import numpy as np
 
 from .source_model import SOURCES, SourceEnsemble
 
-# Pairs whose counts the security analysis consumes.
-USED_PAIRS = frozenset(
-    [("v", "v"), ("v", "x"), ("x", "v"), ("v", "y"), ("y", "v"), ("x", "x"), ("y", "y"), ("z", "z")]
-)
+# Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
+_CHUNK_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,6 @@ def monte_carlo_yield(
     params: ChannelParams,
     trials: int,
     seed: int,
-    chunk_size: int = 1_000_000,
 ) -> MonteCarloYield:
     """Photon-level simulation of the relay measurement.
 
@@ -159,8 +156,8 @@ def monte_carlo_yield(
     amplitudes through the beam splitter, draw Poisson photon numbers at each
     detector from the post-loss intensities, add dark counts, and classify the
     coincidence pattern.  Trials are partitioned into fixed-size chunks with
-    seeds spawned per chunk, so results depend only on ``(seed, trials,
-    chunk_size)`` and not on how chunks are scheduled.
+    seeds spawned per chunk, so results depend only on ``(seed, trials)`` and
+    not on how chunks are scheduled.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -173,13 +170,13 @@ def monte_carlo_yield(
     mu_p = (ea + eb) / 2.0
     p_d, e_d = params.p_d, params.e_d
 
-    n_chunks = (trials + chunk_size - 1) // chunk_size
+    n_chunks = (trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     n_success = 0
     n_error = 0
     remaining = trials
     for child in children:
-        m = min(chunk_size, remaining)
+        m = min(_CHUNK_SIZE, remaining)
         remaining -= m
         rng = np.random.default_rng(child)
         cos_phi = np.cos(rng.uniform(0.0, 2.0 * np.pi, m))
@@ -243,21 +240,14 @@ def monte_carlo_yield(
 class SourceCounts:
     """Counts recorded for one two-pulse source."""
 
-    alice_source: str
-    bob_source: str
     basis: str  # "X", "Z", or "mixed" (basis-mismatched, discarded by the analysis)
     emitted: float  # expected emitted pairs p_l p_r N_t
     counts: int
     errors: int
-    used: bool
 
     @property
     def rate(self) -> float:
         return self.counts / self.emitted
-
-    @property
-    def error_rate(self) -> float:
-        return self.errors / self.emitted
 
 
 @dataclass(frozen=True)
@@ -308,7 +298,7 @@ def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairOb
 
     Counts are rounded to integers (round-half-even) since any real run
     records integers.  Basis-mismatched pairs are generated with the X-basis
-    gain and a fully random error fraction; they are flagged unused.
+    gain and a fully random error fraction; the analysis never reads them.
     """
     pairs: dict[tuple[str, str], SourceCounts] = {}
     for l in SOURCES:
@@ -328,15 +318,7 @@ def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairOb
                 eq = params.e0 * q
             counts = round(emitted * q)
             errors = min(round(emitted * eq), counts)
-            pairs[(l, r)] = SourceCounts(
-                alice_source=l,
-                bob_source=r,
-                basis=basis,
-                emitted=emitted,
-                counts=counts,
-                errors=errors,
-                used=(l, r) in USED_PAIRS,
-            )
+            pairs[(l, r)] = SourceCounts(basis=basis, emitted=emitted, counts=counts, errors=errors)
     return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
 
 
@@ -350,35 +332,6 @@ def write_observables_csv(observables: PairObservables, path: str | Path) -> Non
             for r in SOURCES:
                 e = observables.entry(l, r)
                 writer.writerow([l, r, e.basis, repr(e.emitted), e.counts, e.errors])
-
-
-def read_observables_csv(path: str | Path) -> PairObservables:
-    path = Path(path)
-    n_pairs = None
-    pairs: dict[tuple[str, str], SourceCounts] = {}
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        rows = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if key.strip() == "n_pairs":
-                    n_pairs = float(value)
-                continue
-            rows.append(line)
-        for record in csv.DictReader(rows):
-            l, r = record["l"], record["r"]
-            pairs[(l, r)] = SourceCounts(
-                alice_source=l,
-                bob_source=r,
-                basis=record["basis"],
-                emitted=float(record["emitted"]),
-                counts=int(record["counts"]),
-                errors=int(record["errors"]),
-                used=(l, r) in USED_PAIRS,
-            )
-    if n_pairs is None:
-        raise ValueError(f"{path} is missing the n_pairs header comment")
-    return PairObservables(pairs=pairs, n_pairs=n_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -45,6 +46,13 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("off", "false", "no", "0"):
         return False
     raise ValueError(f"expected on/off, got {text!r}")
+
+
+def _parse_int(text: str) -> int:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -131,9 +139,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"budget", "restarts", "seed", "mc_trials"}
-_BOOL_KEYS = {"optimize"}
-_STR_KEYS = {"distances"}
+_PARSERS = {"float": float, "int": _parse_int, "bool": _parse_bool, "str": str}
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -141,8 +147,12 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     overrides: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,14 +166,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         if key in overrides:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                overrides[key] = _parse_bool(value)
-            elif key in _INT_KEYS:
-                overrides[key] = int(float(value))
-            elif key in _STR_KEYS:
-                overrides[key] = value
-            else:
-                overrides[key] = float(value)
+            overrides[key] = _PARSERS[_FIELD_TYPES[key]](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return overrides
@@ -194,6 +197,8 @@ def parse_distances(spec: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("range form is A:B:STEP")
             start, stop, step = (float(p) for p in parts)
+            if not all(math.isfinite(v) for v in (start, stop, step)):
+                raise ValueError("A, B and STEP must be finite")
             if step <= 0:
                 raise ValueError("STEP must be positive")
             if stop < start:
@@ -204,6 +209,8 @@ def parse_distances(spec: str) -> list[float]:
             values = [float(p) for p in spec.split(",") if p.strip()]
         if not values:
             raise ValueError("empty distance list")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("distances must be finite")
         if any(v < 0 for v in values):
             raise ValueError("distances must be nonnegative")
     except ValueError as exc:
@@ -229,10 +236,17 @@ def _csv(config: RunConfig, command: str, header: list[str], rows: list[list[str
     return "\n".join(lines) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     sys.stdout.write(text)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
 
 
 def _run_report(config: RunConfig, distance: float) -> KeyRateReport:
@@ -302,7 +316,7 @@ def cmd_optimize(config: RunConfig, out: str | None, eval_log: str | None) -> in
     _emit(_csv(config, "optimize", header, rows), out)
     if eval_log:
         log_header = ["distance_km", "mu_x", "mu_y", "mu_z", "p_x", "p_y", "p_z", "rate"]
-        Path(eval_log).write_text(_csv(config, "optimize-eval-log", log_header, log_rows), encoding="utf-8")
+        _write(eval_log, _csv(config, "optimize-eval-log", log_header, log_rows))
     return 0
 
 

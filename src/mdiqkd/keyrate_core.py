@@ -25,7 +25,7 @@ the one implementation of ``s11(H)``, ``e11(H)`` and ``R(H)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,21 +54,16 @@ class SigmaFactors:
 
     Each factor measures how much of a decoy source's zero-photon statistics
     the unstable vacuum source's one-photon component could fake; the bounds
-    built on them require each per-basis sum to stay below one.
+    built on them require each per-basis sum, Alice's factor plus Bob's, to
+    stay below one.
     """
 
-    x_alice: float
-    x_bob: float
-    y_alice: float
-    y_bob: float
+    x_total: float
+    y_total: float
 
-    @property
-    def x_total(self) -> float:
-        return self.x_alice + self.x_bob
 
-    @property
-    def y_total(self) -> float:
-        return self.y_alice + self.y_bob
+def _sigma(side, source: str) -> float:
+    return side.hi(source, 0) * side.hi("v", 1) / (side.lo("v", 0) * side.lo(source, 1))
 
 
 def sigma_factors(bounds: PhotonCoeffBounds) -> SigmaFactors:
@@ -77,12 +72,7 @@ def sigma_factors(bounds: PhotonCoeffBounds) -> SigmaFactors:
     for side in (a, b):
         if side.lo("v", 0) <= 0.0 or side.lo("x", 1) <= 0.0 or side.lo("y", 1) <= 0.0:
             raise AnalysisInfeasible("zero denominator in contamination factors; coefficient bounds degenerate")
-    factors = SigmaFactors(
-        x_alice=a.hi("x", 0) * a.hi("v", 1) / (a.lo("v", 0) * a.lo("x", 1)),
-        x_bob=b.hi("x", 0) * b.hi("v", 1) / (b.lo("v", 0) * b.lo("x", 1)),
-        y_alice=a.hi("y", 0) * a.hi("v", 1) / (a.lo("v", 0) * a.lo("y", 1)),
-        y_bob=b.hi("y", 0) * b.hi("v", 1) / (b.lo("v", 0) * b.lo("y", 1)),
-    )
+    factors = SigmaFactors(x_total=_sigma(a, "x") + _sigma(b, "x"), y_total=_sigma(a, "y") + _sigma(b, "y"))
     if factors.x_total >= 1.0 or factors.y_total >= 1.0:
         raise AnalysisInfeasible(
             f"vacuum contamination too large (x: {factors.x_total:.3g}, y: {factors.y_total:.3g}); "
@@ -151,23 +141,17 @@ def s_minus_upper(
     return stat_bounds.combo_upper(terms, inputs.chernoff, counter)
 
 
-def h_range(
-    inputs: AnalysisInputs,
-    sigma: SigmaFactors,
-    counter: InvocationCounter | None = None,
-) -> tuple[float, float]:
-    """Admissible interval for the vacuum-error nuisance parameter H.
+def _h_lower(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCounter) -> float:
+    """Lower end of the admissible interval for the vacuum-error nuisance H.
 
-    The upper end is twice the error-rate envelope of the x-x source.  The
-    lower end jointly lower-bounds the positive group (v-x, x-v) and jointly
+    Jointly lower-bounds the positive group (v-x, x-v) and jointly
     upper-bounds the subtracted group (x-x, v-v), then clamps at zero since H
-    is a physical error fraction.
+    is a physical error fraction.  The upper end is twice the x-x error-rate
+    envelope, ``2 txx_upper`` of the rate curve.
     """
     a, b = inputs.bounds.alice, inputs.bounds.bob
     obs = inputs.observables
     cfg = inputs.chernoff
-
-    h_upper = 2.0 * stat_bounds.chernoff_upper(obs.errors("x", "x"), cfg, counter) / obs.emitted("x", "x")
 
     positive = stat_bounds.combo_lower(
         [
@@ -188,8 +172,7 @@ def h_range(
         cfg,
         counter,
     )
-    h_lower = max(0.0, 2.0 * (positive - negative) / (1.0 - sigma.x_total))
-    return h_lower, h_upper
+    return max(0.0, 2.0 * (positive - negative) / (1.0 - sigma.x_total))
 
 
 def binary_entropy(x: float) -> float:
@@ -272,17 +255,20 @@ def _curve(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCount
     )
 
 
+def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateCurve, float, float]:
+    """``(curve, h_lower, h_upper)``, with every Chernoff bound solved once."""
+    sigma = sigma_factors(inputs.bounds)
+    curve = _curve(inputs, sigma, counter)
+    return curve, _h_lower(inputs, sigma, counter), 2.0 * curve.txx_upper
+
+
 def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
     """The candidate-rate curve and the admissible H interval.
 
     Returns ``(curve, h_lower, h_upper)``: the curve :func:`secure_key_rate`
     minimizes, for diagnostics and dense scans.
     """
-    counter = InvocationCounter()
-    sigma = sigma_factors(inputs.bounds)
-    curve = _curve(inputs, sigma, counter)
-    h_lo, h_hi = h_range(inputs, sigma, counter)
-    return curve, h_lo, h_hi
+    return _analysis(inputs, InvocationCounter())
 
 
 @dataclass(frozen=True)
@@ -301,28 +287,14 @@ class KeyRateReport:
     reason: str
     trace_samples: int = 0
 
-    RECORD_FIELDS = (
-        "rate",
-        "h_lower",
-        "h_upper",
-        "h_star",
-        "s11_at_min",
-        "e11_at_min",
-        "signal_rate",
-        "signal_error_rate",
-        "chernoff_invocations",
-        "reason",
-        "trace_samples",
-    )
-
     def to_record(self) -> str:
         lines = []
-        for name in self.RECORD_FIELDS:
-            value = getattr(self, name)
+        for f_ in fields(self):
+            value = getattr(self, f_.name)
             if isinstance(value, float):
-                lines.append(f"{name} = {value:.12e}")
+                lines.append(f"{f_.name} = {value:.12e}")
             else:
-                lines.append(f"{name} = {value}")
+                lines.append(f"{f_.name} = {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -385,12 +357,10 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
 
     counter = InvocationCounter()
     try:
-        sigma = sigma_factors(inputs.bounds)
-        curve = _curve(inputs, sigma, counter)
+        curve, h_lo, h_hi = _analysis(inputs, counter)
     except AnalysisInfeasible as exc:
         return _zero_report(f"infeasible: {exc}", obs, counter.count)
 
-    h_lo, h_hi = h_range(inputs, sigma, counter)
     if h_lo > h_hi:
         return _zero_report("h-range-empty", obs, counter.count)
 

@@ -51,9 +51,8 @@ def _ensemble_at(problem: OptimizationProblem, point: np.ndarray) -> SourceEnsem
     p_v = 1.0 - p_x - p_y - p_z
     if p_v < _MIN_VACUUM_PROB:
         return None
-    if not (0.0 < mu_x < mu_y) or mu_z <= 0.0:
-        return None
-    # Fluctuation-widened decoy intervals must stay disjoint.
+    # Fluctuation-widened decoy intervals must stay disjoint (so mu_x < mu_y);
+    # the box keeps mu_x and mu_z positive.
     if mu_x * (1.0 + problem.fluctuation) >= mu_y * (1.0 - problem.fluctuation):
         return None
     side = SideSources(
@@ -75,7 +74,7 @@ def evaluate(problem: OptimizationProblem, point) -> float:
     arr = np.asarray(point, dtype=float)
     if arr.shape != (6,):
         raise ValueError(f"expected a 6-vector (mu_x, mu_y, mu_z, p_x, p_y, p_z), got shape {arr.shape}")
-    if np.any(arr < BOX_LOWER) or np.any(arr > BOX_UPPER):
+    if not np.all((arr >= BOX_LOWER) & (arr <= BOX_UPPER)):  # NaN fails too
         return 0.0
     ensemble = _ensemble_at(problem, arr)
     if ensemble is None:

@@ -183,35 +183,24 @@ def coeff_bounds(ensemble: SourceEnsemble) -> PhotonCoeffBounds:
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    side: str
-    passed: bool
-    first_violation_k: int | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class DecoyConditionReport:
     """Outcome of the decoy-state precondition checks.
 
-    A failing report means the single-photon bounds below are not valid for
-    these sources; the key-rate analysis must refuse to run on it.
+    Each failure reads ``side:check: detail``.  A failing report means the
+    single-photon bounds below are not valid for these sources; the key-rate
+    analysis must refuse to run on it.
     """
 
-    checks: tuple[ConditionCheck, ...]
+    failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[ConditionCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return not self.failures
 
     def summary(self) -> str:
         if self.passed:
             return "decoy conditions satisfied"
-        return "; ".join(f"{c.side}:{c.name}: {c.detail}" for c in self.failures())
+        return "; ".join(self.failures)
 
 
 def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
@@ -230,74 +219,37 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
       that disjointness makes the ratio chain monotone in k for Poissonian
       sources, so checking up to a finite depth certifies all k.
     """
-    checks: list[ConditionCheck] = []
+    failures: list[str] = []
+    photon_numbers = range(2, MAX_PHOTON_NUMBER + 1)
     for side_name, sb in (("alice", bounds.alice), ("bob", bounds.bob)):
         x_lo, x_hi = sb.intervals["x"]
         y_lo, y_hi = sb.intervals["y"]
-        disjoint = x_hi < y_lo
-        checks.append(
-            ConditionCheck(
-                name="intensity-intervals-disjoint",
-                side=side_name,
-                passed=disjoint,
-                detail="" if disjoint else f"x interval [{x_lo:g}, {x_hi:g}] overlaps y interval [{y_lo:g}, {y_hi:g}]",
+        if not x_hi < y_lo:
+            failures.append(
+                f"{side_name}:intensity-intervals-disjoint: "
+                f"x interval [{x_lo:g}, {x_hi:g}] overlaps y interval [{y_lo:g}, {y_hi:g}]"
             )
-        )
 
         # a_2^{y,L} a_1^{x,U} >= a_1^{y,L} a_2^{x,U}
-        step_ok = sb.lo("y", 2) * sb.hi("x", 1) >= sb.lo("y", 1) * sb.hi("x", 2)
-        checks.append(
-            ConditionCheck(
-                name="decoy-ratio-step",
-                side=side_name,
-                passed=step_ok,
-                first_violation_k=None if step_ok else 2,
-                detail="" if step_ok else "two-photon y/x ratio falls below the one-photon ratio",
-            )
-        )
+        if not sb.lo("y", 2) * sb.hi("x", 1) >= sb.lo("y", 1) * sb.hi("x", 2):
+            failures.append(f"{side_name}:decoy-ratio-step: two-photon y/x ratio falls below the one-photon ratio")
 
-        bad_k = None
-        for k in range(2, MAX_PHOTON_NUMBER + 1):
-            if sb.lo("y", k) * sb.hi("x", 2) < sb.lo("y", 2) * sb.hi("x", k):
-                bad_k = k
-                break
-        checks.append(
-            ConditionCheck(
-                name="decoy-ratio-growth",
-                side=side_name,
-                passed=bad_k is None,
-                first_violation_k=bad_k,
-                detail="" if bad_k is None else f"y/x coefficient ratio decreases at k={bad_k}",
-            )
-        )
+        bad_k = next((k for k in photon_numbers if sb.lo("y", k) * sb.hi("x", 2) < sb.lo("y", 2) * sb.hi("x", k)), None)
+        if bad_k is not None:
+            failures.append(f"{side_name}:decoy-ratio-growth: y/x coefficient ratio decreases at k={bad_k}")
 
         a1v_hi = sb.hi("v", 1)
-        if a1v_hi == 0.0:
-            checks.append(
-                ConditionCheck(
-                    name="vacuum-ratio",
-                    side=side_name,
-                    passed=True,
-                    detail="exact vacuum source; condition holds by convention",
-                )
+        if a1v_hi != 0.0:
+            bad = next(
+                (
+                    (source, k)
+                    for source in ("x", "y")
+                    for k in photon_numbers
+                    if sb.lo(source, k) * a1v_hi < sb.hi(source, 1) * sb.hi("v", k)
+                ),
+                None,
             )
-        else:
-            bad = None
-            for source in ("x", "y"):
-                for k in range(2, MAX_PHOTON_NUMBER + 1):
-                    if sb.lo(source, k) * a1v_hi < sb.hi(source, 1) * sb.hi("v", k):
-                        bad = (source, k)
-                        break
-                if bad:
-                    break
-            checks.append(
-                ConditionCheck(
-                    name="vacuum-ratio",
-                    side=side_name,
-                    passed=bad is None,
-                    first_violation_k=None if bad is None else bad[1],
-                    detail="" if bad is None else f"source {bad[0]} violates the vacuum ratio at k={bad[1]}",
-                )
-            )
+            if bad is not None:
+                failures.append(f"{side_name}:vacuum-ratio: source {bad[0]} violates the vacuum ratio at k={bad[1]}")
 
-    return DecoyConditionReport(checks=tuple(checks))
+    return DecoyConditionReport(failures=tuple(failures))

@@ -26,6 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 _BRACKET_EDGE = 1e-12
+# Bisection stops once the bracket is this small relative to its end, and
+# gives up loudly after this many halvings.
+_REL_TOL = 1e-12
+_MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
@@ -34,22 +38,18 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChernoffConfig:
-    """Solver configuration.
+    """Failure probability per bound, and the switch to the infinite-data limit.
 
     ``disabled=True`` collapses every envelope onto the observed value, which
     turns the finite-data analysis into its infinite-data limit.
     """
 
     xi: float
-    rel_tol: float = 1e-12
-    max_iter: int = 200
     disabled: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.xi < 1.0):
             raise ValueError(f"failure probability must lie in (0, 1), got {self.xi}")
-        if self.rel_tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("rel_tol must be positive and max_iter at least 1")
 
 
 class InvocationCounter:
@@ -62,21 +62,21 @@ class InvocationCounter:
         self.count += n
 
 
-def _bisect_decreasing(f, lo: float, hi: float, cfg: ChernoffConfig) -> float:
+def _bisect_decreasing(f, lo: float, hi: float) -> float:
     """Root of a strictly decreasing ``f`` with ``f(lo) > 0 > f(hi)``.
 
     Returns the upper end of the final bracket, which errs on the large-d
     (conservative) side of the bound.
     """
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= cfg.rel_tol * hi:
+        if hi - lo <= _REL_TOL * hi:
             return hi
-    raise SolverError(f"bisection did not reach tolerance {cfg.rel_tol} within {cfg.max_iter} iterations")
+    raise SolverError(f"bisection did not reach tolerance {_REL_TOL} within {_MAX_ITER} iterations")
 
 
 def lower_deviation(x: float, cfg: ChernoffConfig) -> float:
@@ -98,7 +98,7 @@ def lower_deviation(x: float, cfg: ChernoffConfig) -> float:
         doublings += 1
         if doublings > 200:
             raise SolverError("could not bracket the lower-envelope deviation")
-    return _bisect_decreasing(g, lo, hi, cfg)
+    return _bisect_decreasing(g, lo, hi)
 
 
 def _upper_complement(x: float, cfg: ChernoffConfig) -> float:
@@ -130,26 +130,26 @@ def _upper_complement(x: float, cfg: ChernoffConfig) -> float:
     if g(0.5) >= 0.0:
         # Root at w <= 0.5: geometric bisection in w.
         w_lo, w_hi = lo, 0.5
-        for _ in range(cfg.max_iter):
+        for _ in range(_MAX_ITER):
             mid = math.sqrt(w_lo * w_hi)
             if g(mid) > 0.0:
                 w_hi = mid
             else:
                 w_lo = mid
-            if w_hi - w_lo <= cfg.rel_tol * w_lo:
+            if w_hi - w_lo <= _REL_TOL * w_lo:
                 return w_lo
     else:
         # Root at w > 0.5: geometric bisection in the deviation d = 1 - w.
         d_lo, d_hi = _BRACKET_EDGE, 0.5
-        for _ in range(cfg.max_iter):
+        for _ in range(_MAX_ITER):
             mid = math.sqrt(d_lo * d_hi)
             if g(1.0 - mid) > 0.0:
                 d_lo = mid
             else:
                 d_hi = mid
-            if d_hi - d_lo <= cfg.rel_tol * d_lo:
+            if d_hi - d_lo <= _REL_TOL * d_lo:
                 return 1.0 - d_hi
-    raise SolverError(f"bisection did not reach tolerance {cfg.rel_tol} within {cfg.max_iter} iterations")
+    raise SolverError(f"bisection did not reach tolerance {_REL_TOL} within {_MAX_ITER} iterations")
 
 
 def upper_deviation(x: float, cfg: ChernoffConfig) -> float:

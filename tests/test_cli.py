@@ -1,12 +1,20 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import mdiqkd
-from mdiqkd.cli import main, parse_distances, ConfigError
+from mdiqkd.cli import main, parse_distances, ConfigError, RunConfig
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("float", "int")]
+# Every numeric key with nan (id: the bare key) and with inf (id: key-inf).
+NON_FINITE_CASES = [pytest.param(key, "nan", id=key) for key in NUMERIC_KEYS] + [
+    pytest.param(key, "inf", id=f"{key}-inf") for key in NUMERIC_KEYS
+]
 
 
 def write_config(tmp_path: Path, extra: str = "", name: str = "run.cfg") -> Path:
@@ -45,11 +53,34 @@ def test_zero_failure_probability_exit_code_2(tmp_path, capsys):
     assert "xi" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["f", "n_pairs", "mu_z", "vacuum_cap"])
-def test_non_finite_value_exit_code_2(tmp_path, capsys, key):
-    config = write_config(tmp_path, f"{key} = nan\n")
+@pytest.mark.parametrize("key, value", NON_FINITE_CASES)
+def test_non_finite_value_exit_code_2(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, f"{key} = {value}\n")
     assert main(["rate", "--config", str(config)]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("scan", "nan"),
+        ("scan", "inf"),
+        ("scan", "1e400"),
+        ("scan", "5,nan"),
+        ("scan", "0:inf:1"),
+        ("scan", "nan:10:1"),
+        ("scan", "0:10:inf"),
+        ("optimize", "nan"),
+    ],
+)
+def test_non_finite_distances_exit_code_2(tmp_path, capsys, command, spec):
+    config = write_config(tmp_path)
+    assert main([command, "--config", str(config), "--distances", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad distances ") and "must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_decoy_failure_exit_code_2(tmp_path, capsys):
@@ -110,6 +141,23 @@ def test_missing_config_file_exit_code_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-in-missing-directory", "eval-log-in-missing-directory"])
+def test_unreadable_or_unwritable_path_exit_code_2(tmp_path, capsys, case):
+    config = write_config(tmp_path, "budget = 20\nrestarts = 2\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"mu_x = 0.1\xff\n")
+    missing = str(tmp_path / "missing" / "out.csv")
+    argv = {
+        "config-not-utf8": ["rate", "--config", str(tmp_path / "latin1.cfg")],
+        "config-is-directory": ["rate", "--config", str(tmp_path)],
+        "out-in-missing-directory": ["rate", "--config", str(config), "--out", missing],
+        "eval-log-in-missing-directory": ["optimize", "--config", str(config), "--distances", "10", "--eval-log", missing],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ")
+    assert "Traceback" not in err
+
+
 def test_distance_parsing():
     assert parse_distances("0:50:10") == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
     assert parse_distances("5,1,12.5") == [5.0, 1.0, 12.5]
@@ -149,6 +197,12 @@ def test_scan_output_is_byte_stable(tmp_path, capsys):
     assert main(["scan", "--config", str(config), "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_reference_scan_matches_golden_output(capsys):
+    assert main(["scan", "--config", str(REPO_ROOT / "configs" / "reference.cfg")]) == 0
+    golden = (REPO_ROOT / "tests" / "data" / "reference_scan.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_scan_provenance_headers(tmp_path, capsys):

@@ -20,7 +20,6 @@ from mdiqkd import (
     chernoff_lower,
     chernoff_upper,
     coeff_bounds,
-    h_range,
     rate_function,
     s_minus_upper,
     s_plus_lower,
@@ -57,22 +56,22 @@ def _scaled(observables: PairObservables, factor: float) -> PairObservables:
 
 def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
     sigma = sigma_factors(coeff_bounds(exact_ensemble))
-    assert sigma.x_alice == sigma.x_bob == sigma.y_alice == sigma.y_bob == 0.0
+    assert sigma.x_total == sigma.y_total == 0.0
 
 
 def test_sigma_reference_value():
     # cap 1e-6 with mu_x = 0.1 and no fluctuation: everything cancels except
-    # cap / mu_x = 1e-5.
+    # cap / mu_x = 1e-5 per side.
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=1e-6)
     sigma = sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
-    assert sigma.x_alice == pytest.approx(1e-5, rel=1e-12)
+    assert sigma.x_total == pytest.approx(2e-5, rel=1e-12)
 
 
 def test_sigma_monotone_in_vacuum_cap():
     values = []
     for cap in (0.0, 1e-6, 1e-4, 1e-2):
         side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=cap)
-        values.append(sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side))).x_alice)
+        values.append(sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side))).x_total)
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -156,21 +155,18 @@ def test_h_lower_zero_when_no_errors(inputs_10km):
         chernoff=inputs_10km.chernoff,
         f_ec=inputs_10km.f_ec,
     )
-    sigma = sigma_factors(silent.bounds)
-    h_lo, h_hi = h_range(silent, sigma)
+    _, h_lo, h_hi = rate_function(silent)
     assert h_lo == 0.0
     assert h_hi > 0.0
 
 
 def test_h_interval_is_ordered(inputs_10km):
-    sigma = sigma_factors(inputs_10km.bounds)
-    h_lo, h_hi = h_range(inputs_10km, sigma)
+    _, h_lo, h_hi = rate_function(inputs_10km)
     assert 0.0 <= h_lo <= h_hi
 
 
 def test_h_interval_contains_model_truth(noisy_side, inputs_10km, params_10km):
-    sigma = sigma_factors(inputs_10km.bounds)
-    h_lo, h_hi = h_range(inputs_10km, sigma)
+    _, h_lo, h_hi = rate_function(inputs_10km)
     h_true = 2.0 * vacuum_error_component(noisy_side.mu_x, noisy_side.mu_x, params_10km)
     assert h_lo <= h_true <= h_hi
 
@@ -282,7 +278,7 @@ def test_secure_key_rate_exact_point_regression(exact_ensemble):
     assert report.reason == "ok"
     assert report.rate == pytest.approx(7.245334874083355e-06, rel=1e-10)
     assert report.h_star == report.h_lower
-    assert report.chernoff_invocations == 8
+    assert report.chernoff_invocations == 7
     assert 0.0 < report.e11_at_min < 0.5
     assert report.h_lower <= report.h_star <= report.h_upper
 

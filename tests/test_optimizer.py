@@ -29,6 +29,7 @@ def test_vanishing_signal_probability_kills_rate(problem_10km):
 def test_out_of_box_points_score_zero(problem_10km):
     assert evaluate(problem_10km, (0.1, 0.4, 0.5, 0.5, 0.4, 0.2)) == 0.0  # no vacuum probability left
     assert evaluate(problem_10km, (0.0, 0.4, 0.5, 0.1, 0.1, 0.7)) == 0.0
+    assert evaluate(problem_10km, (float("nan"), 0.4, 0.5, 0.1, 0.1, 0.7)) == 0.0
 
 
 def test_sane_point_rate_regression(problem_10km):

@@ -12,6 +12,7 @@ from mdiqkd import (
     combo_lower,
     combo_upper,
 )
+from mdiqkd import stat_bounds
 from mdiqkd.stat_bounds import lower_deviation, upper_deviation
 
 from .oracles import brentq_lower_deviation, brentq_upper_deviation
@@ -120,9 +121,10 @@ def test_negative_inputs_rejected():
         combo_upper([(0.1, -10.0)], CFG)
 
 
-def test_solver_failure_is_loud():
+def test_solver_failure_is_loud(monkeypatch):
+    monkeypatch.setattr(stat_bounds, "_MAX_ITER", 3)
     with pytest.raises(SolverError):
-        lower_deviation(10**6, ChernoffConfig(xi=1e-7, rel_tol=1e-12, max_iter=3))
+        lower_deviation(10**6, ChernoffConfig(xi=1e-7))
 
 
 def test_disabled_mode_collapses_envelopes():
