@@ -36,6 +36,13 @@ from .source_model import SOURCES, SourceEnsemble
 # Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
 _CHUNK_SIZE = 1_000_000
 
+# A trial's clicks as a 4-bit code, bit k set when detector k (1H, 1V, 2H,
+# 2V) fired.  Accepted coincidences are 1H+1V, 2H+2V (same port) and 1H+2V,
+# 1V+2H (cross port).
+_CLICK_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
+_SUCCESS = np.isin(np.arange(16), [0b0011, 0b1100, 0b1001, 0b0110])
+_SAME_PORT = np.isin(np.arange(16), [0b0011, 0b1100])
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -95,13 +102,17 @@ def _i0m1(z: float) -> float:
     return total
 
 
+def _check_intensities(mu_a: float, mu_b: float) -> None:
+    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
+        raise ValueError(f"intensities must be finite and nonnegative, got mu_a={mu_a}, mu_b={mu_b}")
+
+
 def pair_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams) -> tuple[float, float]:
     """Gain and error-gain per emitted pulse pair at the given intensities.
 
     Returns ``(Q, EQ)`` clamped to ``0 <= EQ <= Q <= 1``.
     """
-    if mu_a < 0 or mu_b < 0:
-        raise ValueError("intensities must be nonnegative")
+    _check_intensities(mu_a, mu_b)
     eta = side_transmittance(params)
     ea, eb = eta * mu_a, eta * mu_b
     x = math.sqrt(ea * eb) / 2.0
@@ -158,18 +169,21 @@ def monte_carlo_yield(
     coincidence pattern.  Trials are partitioned into fixed-size chunks with
     seeds spawned per chunk, so results depend only on ``(seed, trials)`` and
     not on how chunks are scheduled.
+
+    The draws are part of that contract.  Each chunk of ``m`` trials makes
+    these generator calls, in this order: ``uniform(0, 2 pi, m)`` for the
+    phase, ``integers(0, 2, m)`` for Alice's bit and again for Bob's,
+    ``poisson`` on the ``(m, 4)`` detector intensities, ``random((m, 4))``
+    for dark counts, and ``random(n)`` for the misalignment flips of the
+    chunk's ``n`` successful trials.  Changing any of them changes the counts.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
+    _check_intensities(mu_a, mu_b)
 
     eta = side_transmittance(params)
-    ea, eb = eta * mu_a, eta * mu_b
-    x = math.sqrt(ea * eb) / 2.0
-    mu_p = (ea + eb) / 2.0
-    p_d, e_d = params.p_d, params.e_d
-
     n_chunks = (trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     n_success = 0
@@ -178,50 +192,9 @@ def monte_carlo_yield(
     for child in children:
         m = min(_CHUNK_SIZE, remaining)
         remaining -= m
-        rng = np.random.default_rng(child)
-        cos_phi = np.cos(rng.uniform(0.0, 2.0 * np.pi, m))
-        bit_a = rng.integers(0, 2, m)
-        bit_b = rng.integers(0, 2, m)
-        lam = np.zeros((m, 4))  # columns: 1H, 1V, 2H, 2V
-        if basis == "X":
-            sign = np.where(bit_a == bit_b, 1.0, -1.0)
-            lam[:, 0] = mu_p / 2.0 + x * cos_phi
-            lam[:, 1] = mu_p / 2.0 + sign * x * cos_phi
-            lam[:, 2] = mu_p / 2.0 - x * cos_phi
-            lam[:, 3] = mu_p / 2.0 - sign * x * cos_phi
-        else:
-            lam_plus = mu_p + 2.0 * x * cos_phi
-            lam_minus = mu_p - 2.0 * x * cos_phi
-            both_h = (bit_a == 0) & (bit_b == 0)
-            both_v = (bit_a == 1) & (bit_b == 1)
-            a_h_b_v = (bit_a == 0) & (bit_b == 1)
-            a_v_b_h = (bit_a == 1) & (bit_b == 0)
-            lam[both_h, 0] = lam_plus[both_h]
-            lam[both_h, 2] = lam_minus[both_h]
-            lam[both_v, 1] = lam_plus[both_v]
-            lam[both_v, 3] = lam_minus[both_v]
-            lam[a_h_b_v, 0] = ea / 2.0
-            lam[a_h_b_v, 2] = ea / 2.0
-            lam[a_h_b_v, 1] = eb / 2.0
-            lam[a_h_b_v, 3] = eb / 2.0
-            lam[a_v_b_h, 1] = ea / 2.0
-            lam[a_v_b_h, 3] = ea / 2.0
-            lam[a_v_b_h, 0] = eb / 2.0
-            lam[a_v_b_h, 2] = eb / 2.0
-
-        clicks = (rng.poisson(lam) > 0) | (rng.random((m, 4)) < p_d)
-        two_clicks = clicks.sum(axis=1) == 2
-        same_port = (clicks[:, 0] & clicks[:, 1]) | (clicks[:, 2] & clicks[:, 3])
-        cross_port = (clicks[:, 0] & clicks[:, 3]) | (clicks[:, 1] & clicks[:, 2])
-        success = two_clicks & (same_port | cross_port)
-
-        if basis == "X":
-            raw_error = np.where(same_port[success], bit_a[success] != bit_b[success], bit_a[success] == bit_b[success])
-        else:
-            raw_error = bit_a[success] == bit_b[success]
-        flipped = rng.random(int(success.sum())) < e_d
-        n_success += int(success.sum())
-        n_error += int((raw_error ^ flipped).sum())
+        successes, errors = _chunk_counts(np.random.default_rng(child), m, basis, eta * mu_a, eta * mu_b, params)
+        n_success += successes
+        n_error += errors
 
     q_hat = n_success / trials
     eq_hat = n_error / trials
@@ -234,6 +207,67 @@ def monte_carlo_yield(
         successes=n_success,
         errors=n_error,
     )
+
+
+def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
+    """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`."""
+    lam, same = _detector_intensities(rng, m, basis, ea, eb)
+    clicks = rng.poisson(lam.T) > 0
+    clicks |= rng.random((m, 4)) < params.p_d
+    code = clicks.view(np.uint8) @ _CLICK_WEIGHTS
+    success = _SUCCESS.take(code)
+    raw_error = same[success]  # every Z-basis success announces anticorrelated bits
+    if basis == "X":
+        raw_error ^= _SAME_PORT.take(code[success])  # a same-port success announces equal bits
+    flipped = rng.random(raw_error.size) < params.e_d
+    return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
+
+
+def _detector_intensities(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float) -> tuple[np.ndarray, np.ndarray]:
+    """Draw phases and bits; return the mean photon numbers and ``bit_a == bit_b``.
+
+    The intensities form a ``(4, m)`` array, one contiguous row per detector
+    (1H, 1V, 2H, 2V).  Each is built as a sum of ``mask * value`` terms of
+    which exactly one is nonzero, so it is the same float a per-trial branch
+    would give, without branches or masked writes.  ``scratch`` holds the
+    phase, then cos(phi), then each term in turn.
+    """
+    x = math.sqrt(ea * eb) / 2.0
+    mu_p = (ea + eb) / 2.0
+    scratch = rng.uniform(0.0, 2.0 * np.pi, m)
+    np.cos(scratch, out=scratch)
+    bit_a = rng.integers(0, 2, m)
+    bit_b = rng.integers(0, 2, m)
+    same = bit_a == bit_b
+    lam = np.empty((4, m))
+    if basis == "X":
+        # The H detectors of ports 1 and 2 see base +- x cos(phi); the V
+        # detectors see the same pair, swapped when the bits differ.
+        np.multiply(x, scratch, out=scratch)
+        plus = np.add(mu_p / 2.0, scratch, out=lam[0])
+        minus = np.subtract(mu_p / 2.0, scratch, out=lam[2])
+        differ = ~same
+        for row, if_same, if_differ in ((1, plus, minus), (3, minus, plus)):
+            np.multiply(same, if_same, out=lam[row])
+            lam[row] += np.multiply(differ, if_differ, out=scratch)
+        return lam, same
+    # Equal bits interfere on the two detectors of their polarization; unequal
+    # bits put each party's half intensity on both detectors of its own
+    # polarization.  pattern = 2 bit_a + bit_b: 0 HH, 1 HV, 2 VH, 3 VV.
+    np.multiply(2.0 * x, scratch, out=scratch)
+    plus = np.add(mu_p, scratch, out=lam[0])
+    minus = np.subtract(mu_p, scratch, out=lam[2])
+    pattern = np.left_shift(bit_a, 1, out=bit_a)
+    pattern |= bit_b
+    both_v = pattern == 3
+    np.multiply(both_v, plus, out=lam[1])
+    np.multiply(both_v, minus, out=lam[3])
+    both_h = pattern == 0
+    plus *= both_h
+    minus *= both_h
+    for first_row, at_hv, at_vh in ((0, ea / 2.0, eb / 2.0), (1, eb / 2.0, ea / 2.0)):
+        lam[first_row::2] += np.take(np.array((0.0, at_hv, at_vh, 0.0)), pattern, out=scratch)
+    return lam, same
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+# Most points an A:B:STEP range may expand to; a longer range is a
+# configuration error, rejected before any list is built.
+MAX_RANGE_POINTS = 100_000
+
+
 def parse_distances(spec: str) -> list[float]:
     """Parse 'A:B:STEP' (inclusive of B when it lands on the grid) or 'a,b,c'."""
     spec = spec.strip()
@@ -203,7 +208,10 @@ def parse_distances(spec: str) -> list[float]:
                 raise ValueError("STEP must be positive")
             if stop < start:
                 raise ValueError("B must not be below A")
-            n = int((stop - start) / step + 1e-9)
+            span = (stop - start) / step + 1e-9  # inf when the range overflows
+            if span >= MAX_RANGE_POINTS:
+                raise ValueError(f"range has more than {MAX_RANGE_POINTS} points")
+            n = int(span)
             values = [start + i * step for i in range(n + 1)]
         else:
             values = [float(p) for p in spec.split(",") if p.strip()]

@@ -81,12 +81,60 @@ def test_monte_carlo_is_deterministic():
     assert (a.successes, a.errors) != (c.successes, c.errors)
 
 
+# (successes, errors) recorded from the photon-level simulation as first
+# written, with masked writes and per-column classification.  Any change to the
+# draws, their order or the classification moves these counts.
+MONTE_CARLO_GOLDEN = [
+    # id, mu_a, mu_b, basis, ChannelParams overrides, trials, seed, successes, errors
+    ("x-equal", 0.3, 0.3, "X", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 28, 4),
+    ("z-equal", 0.3, 0.3, "Z", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 18, 3),
+    ("x-unequal", 0.5, 0.2, "X", {"p_d": 1e-2}, 20_000, 11, 97, 41),
+    ("z-unequal", 0.5, 0.35, "Z", {"p_d": 1e-2}, 20_000, 11, 78, 29),
+    ("x-zero-intensity", 0.0, 0.0, "X", {"p_d": 0.05}, 20_000, 3, 172, 82),
+    ("z-zero-intensity", 0.0, 0.0, "Z", {"p_d": 0.05}, 20_000, 3, 172, 80),
+    ("z-one-side-dark", 0.4, 0.0, "Z", {"p_d": 0.05}, 20_000, 5, 303, 143),
+    ("x-ed-0", 0.4, 0.4, "X", {"e_d": 0.0, "p_d": 0.02}, 20_000, 13, 168, 60),
+    ("z-ed-1", 0.4, 0.28, "Z", {"e_d": 1.0, "p_d": 0.02}, 20_000, 13, 119, 61),
+    ("x-pd-0", 0.6, 0.6, "X", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 134, 35),
+    ("z-pd-0", 0.6, 0.42, "Z", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 42, 4),
+    ("x-all-patterns", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 6568, 1881),
+    ("z-all-patterns", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 4023, 1755),
+    ("x-trials-1", 2.0, 2.0, "X", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 1, 1),
+    ("z-trials-1", 2.0, 2.0, "Z", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "mu_a, mu_b, basis, overrides, trials, seed, successes, errors",
+    [pytest.param(*case[1:], id=case[0]) for case in MONTE_CARLO_GOLDEN],
+)
+def test_monte_carlo_counts_match_golden(mu_a, mu_b, basis, overrides, trials, seed, successes, errors):
+    result = monte_carlo_yield(mu_a, mu_b, basis, ChannelParams(**overrides), trials=trials, seed=seed)
+    assert (result.successes, result.errors) == (successes, errors)
+
+
 def test_monte_carlo_chunking_does_not_change_results(monkeypatch):
+    # Three chunks, the last one short: the counts depend on (seed, trials) only.
     monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 10_000)
-    params = ChannelParams(distance_km=5.0)
-    a = monte_carlo_yield(0.2, 0.2, "Z", params, trials=30_000, seed=11)
-    b = monte_carlo_yield(0.2, 0.2, "Z", params, trials=30_000, seed=11)
-    assert (a.successes, a.errors) == (b.successes, b.errors)
+    params = ChannelParams(distance_km=5.0, p_d=1e-2)
+    for basis, counts in (("X", (113, 38)), ("Z", (90, 31))):
+        a = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
+        b = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
+        assert (a.successes, a.errors) == (b.successes, b.errors) == counts
+
+
+@pytest.mark.parametrize("mu_a, mu_b", [(float("nan"), 0.1), (0.1, -0.1), (float("inf"), 0.1), (0.1, float("nan"))])
+def test_bad_intensities_raise_one_clear_error(monkeypatch, mu_a, mu_b):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was built before the intensities were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    params = ChannelParams()
+    for basis in ("X", "Z"):
+        with pytest.raises(ValueError, match="intensities must be finite and nonnegative"):
+            pair_yield(mu_a, mu_b, basis, params)
+        with pytest.raises(ValueError, match="intensities must be finite and nonnegative"):
+            monte_carlo_yield(mu_a, mu_b, basis, params, trials=10, seed=1)
 
 
 def test_monte_carlo_exact_zero_without_light_or_darks():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mdiqkd
-from mdiqkd.cli import main, parse_distances, ConfigError, RunConfig
+from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("float", "int")]
@@ -80,6 +80,15 @@ def test_non_finite_distances_exit_code_2(tmp_path, capsys, command, spec):
     assert main([command, "--config", str(config), "--distances", spec]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad distances ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, spec", [("scan", "0:1e8:1"), ("scan", "0:1e300:1e-300"), ("optimize", "0:100000:1")])
+def test_too_long_distance_range_exit_code_2(tmp_path, capsys, command, spec):
+    config = write_config(tmp_path)
+    assert main([command, "--config", str(config), "--distances", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad distances ") and f"more than {MAX_RANGE_POINTS} points" in err
     assert "Traceback" not in err
 
 
@@ -161,6 +170,9 @@ def test_unreadable_or_unwritable_path_exit_code_2(tmp_path, capsys, case):
 def test_distance_parsing():
     assert parse_distances("0:50:10") == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
     assert parse_distances("5,1,12.5") == [5.0, 1.0, 12.5]
+    assert len(parse_distances(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+    with pytest.raises(ConfigError):
+        parse_distances(f"0:{MAX_RANGE_POINTS}:1")
     with pytest.raises(ConfigError):
         parse_distances("10:0:5")
     with pytest.raises(ConfigError):
@@ -202,6 +214,14 @@ def test_scan_output_is_byte_stable(tmp_path, capsys):
 def test_reference_scan_matches_golden_output(capsys):
     assert main(["scan", "--config", str(REPO_ROOT / "configs" / "reference.cfg")]) == 0
     golden = (REPO_ROOT / "tests" / "data" / "reference_scan.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_reference_validation_matches_golden_output(tmp_path, capsys):
+    reference = (REPO_ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
+    config = write_config(tmp_path, reference + "mc_trials = 100000\n")
+    assert main(["validate-model", "--config", str(config)]) == 0
+    golden = (REPO_ROOT / "tests" / "data" / "validate_reference.csv").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
 
 
