@@ -31,7 +31,7 @@ from . import __version__
 from .channel_sim import ChannelParams, validate_model
 from .keyrate_core import DECOY_FAILED, AnalysisInputs, KeyRateReport, secure_key_rate
 from .optimizer import OptimizationProblem, optimize
-from .source_model import SideSources, SourceEnsemble
+from .source_model import PhotonCoeffBounds, SideSources, SourceEnsemble, coeff_bounds
 from .stat_bounds import SolverError
 
 
@@ -257,9 +257,9 @@ def _emit(text: str, out: str | None) -> None:
         _write(out, text)
 
 
-def _run_report(config: RunConfig, distance: float) -> KeyRateReport:
+def _run_report(config: RunConfig, distance: float, bounds: PhotonCoeffBounds | None = None) -> KeyRateReport:
     params = config.channel_params().at_distance(distance)
-    report = secure_key_rate(AnalysisInputs.from_simulation(config.ensemble(), params))
+    report = secure_key_rate(AnalysisInputs.from_simulation(config.ensemble(), params, bounds=bounds))
     if report.reason.startswith(DECOY_FAILED):
         raise ConfigError(f"decoy conditions fail for these sources: {report.reason[len(DECOY_FAILED):]}")
     return report
@@ -281,6 +281,8 @@ def cmd_rate(config: RunConfig, out: str | None) -> int:
 def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
     rows = []
     mode = "optimized" if config.optimize else "fixed"
+    # The coefficient bounds depend only on the sources: one table serves every distance.
+    bounds = None if config.optimize else coeff_bounds(config.ensemble())
     for distance in distances:
         if config.optimize:
             result = optimize(_problem(config, distance), seed=config.seed, budget=config.budget, restarts=config.restarts)
@@ -290,7 +292,7 @@ def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
             )
             report = _run_report(best, distance)
         else:
-            report = _run_report(config, distance)
+            report = _run_report(config, distance, bounds)
         rows.append(
             [
                 f"{distance:g}",

@@ -10,8 +10,8 @@ is unknown but boundable.  For each admissible H the analysis yields a
 single-photon-pair yield floor ``s11(H)``, a phase-error ceiling ``e11(H)``,
 and a candidate rate ``R(H)``; the secure rate is the minimum of ``R(H)``
 over the whole interval, so the true H can only do better.  ``R(H)`` is convex
-on that interval, so the minimum is found by an exact convex search rather
-than a grid.
+on that interval and its slope ``dR/dH`` has a closed form, so the minimum is
+found by bisecting on the sign of that slope rather than by sampling a grid.
 
 Every expected counting rate entering those formulas is replaced by its
 Chernoff envelope, with positively-combined groups bounded jointly through
@@ -34,9 +34,8 @@ from .channel_sim import PairObservables, build_observables
 from .source_model import PhotonCoeffBounds, check_decoy_conditions, coeff_bounds
 from .stat_bounds import ChernoffConfig, InvocationCounter, SolverError
 
-# Convex search over H: probes per round, and the bracket width, relative to
-# the interval's larger end, at which it stops.
-_PROBES = 65
+# Slope search over H: the bracket width, relative to the interval's larger
+# end, at which it stops.
 _REL_TOL = 1e-12
 
 # Reason prefix of a report refused because the decoy conditions fail; the
@@ -91,10 +90,14 @@ class AnalysisInputs:
     f_ec: float = 1.16
 
     @classmethod
-    def from_simulation(cls, ensemble, params, disabled: bool = False):
-        """Wire coefficient bounds and simulated observables together."""
+    def from_simulation(cls, ensemble, params, disabled: bool = False, bounds: PhotonCoeffBounds | None = None):
+        """Wire coefficient bounds and simulated observables together.
+
+        ``bounds``, when given, must be ``coeff_bounds(ensemble)``: the bounds
+        depend only on the sources, so a distance scan builds them once.
+        """
         return cls(
-            bounds=coeff_bounds(ensemble),
+            bounds=coeff_bounds(ensemble) if bounds is None else bounds,
             observables=build_observables(ensemble, params),
             chernoff=ChernoffConfig(xi=params.xi, disabled=disabled),
             f_ec=params.f_ec,
@@ -233,6 +236,34 @@ class RateCurve:
         privacy = np.where(e11 < 0.5, 1.0 - _binary_entropy_arr(e11), 0.0)
         return self.pz2 * (self.gamma * s11 * privacy - self.correction)
 
+    def slope(self, h: float) -> float:
+        """Exact ``dR/dh`` at a scalar h.
+
+        With ``A = s_plus - s_minus``, ``s = s11(h)``, ``e = e11(h)`` and
+        ``phi(e) = 1 - H2(e)`` it is ``pz2 gamma (s' phi(e) + s phi'(e) e')``,
+        where ``s' = -c_y/denominator``, ``phi'(e) = log2(e/(1-e))`` and
+        ``e' = denominator (c_y txx_upper - A/2) / (beta (A - c_y h)^2)``.
+        It is 0 where ``s11`` is clamped to zero or ``e >= 1/2``, since R is
+        flat there.  At ``e = 0`` (``h = h_upper``) ``phi'(0) = -inf``, so the
+        one-sided slope is infinite with the sign of ``-e'``; it is ``+inf``
+        when ``e' = 0``, the sign that sends a search away from that end.
+        A NaN in h or in a field the slope uses gives NaN, not an exception.
+        """
+        a = self.s_plus - self.s_minus
+        s = (a - self.c_y * h) / self.denominator
+        if s <= 0.0:
+            return 0.0
+        # max/min in this order keep a NaN quotient NaN.
+        e = min(max((self.txx_upper - h / 2.0) / (self.beta * s), 0.0), 1.0)
+        if e >= 0.5:
+            return 0.0
+        e_prime = self.denominator * (self.c_y * self.txx_upper - a / 2.0) / (self.beta * (a - self.c_y * h) ** 2)
+        if e == 0.0:
+            return -math.inf if e_prime > 0.0 else math.inf
+        log_e, log_not_e = math.log2(e), math.log2(1.0 - e)
+        phi = 1.0 + e * log_e + (1.0 - e) * log_not_e  # 1 - H2(e), NaN-safe unlike binary_entropy
+        return self.pz2 * self.gamma * (-self.c_y / self.denominator * phi + s * (log_e - log_not_e) * e_prime)
+
 
 def _curve(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCounter) -> RateCurve:
     a, b = inputs.bounds.alice, inputs.bounds.bob
@@ -285,7 +316,7 @@ class KeyRateReport:
     signal_error_rate: float
     chernoff_invocations: int
     reason: str
-    trace_samples: int = 0
+    trace_samples: int = 0  # slope evaluations of the minimum over H
 
     def to_record(self) -> str:
         lines = []
@@ -314,7 +345,7 @@ def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> Key
 
 
 def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, float, int]:
-    """Minimum of the candidate rate on ``[lo, hi]`` as ``(h, rate, samples)``.
+    """Minimum of the candidate rate on ``[lo, hi]`` as ``(h, rate, slope evaluations)``.
 
     Exact because ``R(h)`` is convex there.  ``s11(h)`` and
     ``u(h) = txx_upper - h/2`` are affine in h, and ``u >= 0`` on the interval
@@ -322,24 +353,41 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
     of ``phi(e) = 1 - H2(e)`` (zero for e >= 1/2), which is convex and
     non-increasing, so it is jointly convex (Boyd & Vandenberghe, *Convex
     Optimization*, section 3.2.6); it is also non-decreasing in s, so clamping
-    s11 at zero keeps it convex.  On a convex curve the two grid neighbours of
-    the sampled argmin bracket a minimizer, so each round shrinks the bracket
-    at least 32-fold around one; as ``0 <= lo``, 32**8 > 1e12 caps the search
-    at 8 rounds.  The best point seen is kept, starting from ``lo`` and
-    replaced only on strict improvement.
+    s11 at zero keeps it convex.  Its slope :meth:`RateCurve.slope` is
+    therefore non-decreasing: an end whose slope points inward is the minimum,
+    and otherwise bisection on the slope's sign keeps a minimizer inside the
+    bracket down to ``_REL_TOL`` of the interval's larger end, about 40 halvings.
+    The lower of ``R`` at the final bracket's two ends is reported.
+
+    A NaN slope, or an infinite one anywhere but at ``hi`` (where ``e = 0``),
+    raises :class:`SolverError` rather than steering the search.
     """
-    best_h, best_rate = lo, float(curve(lo))
-    samples = 1
+    samples = 0
+
+    def slope(h: float) -> float:
+        nonlocal samples
+        samples += 1
+        value = curve.slope(h)
+        if math.isnan(value) or (math.isinf(value) and h != hi):
+            raise SolverError(f"candidate-rate slope is {value!r} at h = {h!r} in [{lo!r}, {hi!r}]")
+        return value
+
+    if slope(lo) >= 0.0:
+        return lo, float(curve(lo)), samples
+    if slope(hi) < 0.0:
+        return hi, float(curve(hi)), samples
+    left, right = lo, hi
     tol = _REL_TOL * max(abs(lo), abs(hi))
-    while hi - lo > tol:
-        hs = np.linspace(lo, hi, _PROBES)
-        rates = curve(hs)
-        samples += _PROBES
-        idx = int(rates.argmin())
-        if rates[idx] < best_rate:
-            best_h, best_rate = float(hs[idx]), float(rates[idx])
-        lo, hi = float(hs[max(idx - 1, 0)]), float(hs[min(idx + 1, _PROBES - 1)])
-    return best_h, best_rate, samples
+    while right - left > tol:
+        mid = 0.5 * (left + right)
+        if slope(mid) < 0.0:
+            left = mid
+        else:
+            right = mid
+    rate_left, rate_right = float(curve(left)), float(curve(right))
+    if rate_right < rate_left:
+        return right, rate_right, samples
+    return left, rate_left, samples
 
 
 def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:

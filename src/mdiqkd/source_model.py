@@ -160,8 +160,10 @@ class PhotonCoeffBounds:
 
         Lets callers evaluate the decoy conditions for configurations that a
         validated :class:`SourceEnsemble` would refuse (e.g. swapped decoys).
+        Equal intervals, as in a symmetric ensemble, share one table.
         """
-        return cls(alice=_side_bounds(alice_intervals), bob=_side_bounds(bob_intervals))
+        alice = _side_bounds(alice_intervals)
+        return cls(alice=alice, bob=alice if bob_intervals == alice_intervals else _side_bounds(bob_intervals))
 
 
 def _side_bounds(intervals: dict[str, tuple[float, float]]) -> SideCoeffBounds:

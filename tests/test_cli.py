@@ -192,6 +192,49 @@ def test_scan_single_distance_matches_rate(tmp_path, capsys):
     assert float(data_row[2]) == pytest.approx(float(rate_value), rel=1e-12)
 
 
+def test_scan_builds_coefficient_bounds_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (mdiqkd.cli, mdiqkd.keyrate_core):
+        counted = module.coeff_bounds
+        monkeypatch.setattr(module, "coeff_bounds", lambda ensemble, counted=counted: calls.append(1) or counted(ensemble))
+    config = write_config(tmp_path, "fluctuation = 0.01\nvacuum_cap = 1e-6\n")
+    assert main(["scan", "--config", str(config), "--distances", "0:60:15"]) == 0
+    assert len(calls) == 1
+
+
+def test_scan_rows_equal_rate_records(tmp_path, capsys):
+    # The scan shares one coefficient table across distances; each row must
+    # still be byte-identical to a separate rate run at its distance.
+    distances = ["0", "7.5", "20", "45", "90", "140"]
+    base = (REPO_ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8").replace("distance_km = 10\n", "")
+    assert main(["scan", "--config", str(write_config(tmp_path, base)), "--distances", ",".join(distances)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1:]
+    assert [row[0] for row in rows] == distances
+    for row in rows:
+        config = write_config(tmp_path, base + f"distance_km = {row[0]}\n", name="rate.cfg")
+        assert main(["rate", "--config", str(config)]) == 0
+        record = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        assert row[2:] == [record["rate"], record["h_star"], record["s11_at_min"], record["e11_at_min"]]
+    assert any(float(row[2]) > 0.0 for row in rows) and any(float(row[2]) == 0.0 for row in rows)
+
+
+def test_scan_decoy_failure_exit_code_2_with_rate_message(tmp_path, capsys):
+    config = write_config(tmp_path, "mu_x = 0.3\nmu_y = 0.4\nfluctuation = 0.2\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    rate_err = capsys.readouterr().err
+    assert main(["scan", "--config", str(config), "--distances", "0:20:10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == rate_err and captured.out == ""
+    assert rate_err.startswith("error: decoy conditions fail for these sources: ")
+
+
+def test_nan_rate_slope_exit_code_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mdiqkd.keyrate_core.RateCurve, "slope", lambda self, h: float("nan"))
+    assert main(["rate", "--config", str(write_config(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: candidate-rate slope is nan") and "Traceback" not in err
+
+
 def test_scan_rates_non_increasing_with_distance(tmp_path, capsys):
     config = write_config(tmp_path, "fluctuation = 0\n")
     assert main(["scan", "--config", str(config), "--distances", "0:20:10"]) == 0

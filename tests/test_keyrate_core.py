@@ -29,6 +29,7 @@ from mdiqkd import (
     vacuum_error_component,
 )
 from mdiqkd.channel_sim import PairObservables
+from mdiqkd.keyrate_core import RateCurve, _convex_minimum
 
 from .oracles import plugin_asymptotic_rate
 
@@ -342,6 +343,97 @@ def test_convex_search_never_above_dense_grid(inputs):
     rate, h_lo, h_hi = rate_function(inputs)
     grid_min = float(np.min(rate(np.linspace(h_lo, h_hi, 20001))))
     assert report.rate <= max(0.0, grid_min) + 1e-12
+
+
+# c_y txx_upper = 0.4 < A/2 = 0.5, so s11 stays positive up to h_upper = 0.8,
+# and e11(0) = 0.2: the minimum is interior.
+_TRAP_CURVE = RateCurve(
+    s_plus=1.0, s_minus=0.0, txx_upper=0.4, c_y=1.0, denominator=1.0, beta=2.0, gamma=1.0, pz2=1.0, correction=0.15
+)
+
+
+@st.composite
+def _interior_minimum_curve(draw):
+    """A rate curve with ``c_y txx_upper < A/2`` whose minimum lies inside ``[lo, 2 txx_upper]``.
+
+    With ``A = s_plus - s_minus`` and ``k = 2 c_y txx_upper / A < 1`` the
+    yield floor stays positive up to ``h_upper``, where ``e11 = 0`` and the
+    slope is ``+inf``.  The curve's shape depends only on ``k`` and on
+    ``e11(0)``; the ranges drawn are where its minimum is interior.  That
+    minimum is kept a thousandth of the interval off the top: on a steeper
+    curve the slope turns positive only within an ulp of it.
+    """
+    log_uniform = lambda lo, hi: 10.0 ** draw(st.floats(lo, hi))
+    a, c_y, denominator = log_uniform(-6.0, 0.0), log_uniform(-3.0, 1.0), log_uniform(-3.0, 0.0)
+    k, e11_at_zero = draw(st.floats(0.4, 0.999)), draw(st.floats(0.05, 0.45))
+    s_minus = a * draw(st.floats(0.0, 3.0))
+    curve = RateCurve(
+        s_plus=s_minus + a,
+        s_minus=s_minus,
+        txx_upper=k * a / (2.0 * c_y),
+        c_y=c_y,
+        denominator=denominator,
+        beta=denominator * k / (2.0 * c_y * e11_at_zero),
+        gamma=log_uniform(-3.0, 0.0),
+        pz2=draw(st.floats(0.01, 1.0)),
+        correction=log_uniform(-12.0, -3.0),
+    )
+    hi = 2.0 * curve.txx_upper
+    lo = draw(st.floats(0.0, 0.5)) * hi
+    assume(curve.slope(lo) < 0.0 < curve.slope(hi - 1e-3 * (hi - lo)))
+    return curve, lo, hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_interior_minimum_curve())
+def test_slope_search_finds_interior_minima(case):
+    curve, lo, hi = case
+    assert curve.slope(hi) == math.inf
+    h, rate, samples = _convex_minimum(curve, lo, hi)
+    assert lo < h < hi
+    assert samples <= 2 + 64
+    grid = curve(np.linspace(lo, hi, 20001))
+    assert rate <= float(np.min(grid)) + 1e-12 * float(np.max(np.abs(grid)))
+
+
+def test_slope_search_does_not_stop_at_top_where_e11_vanishes():
+    # Regression: at h_upper e11 = 0 and phi'(0) = -inf, so the slope there is
+    # +inf.  Reading phi'(0) as 0 makes the top look like a descent end and
+    # returns it, nearly doubling this curve's rate.
+    curve = _TRAP_CURVE
+    h, rate, _ = _convex_minimum(curve, 0.0, 0.8)
+    assert curve.slope(0.0) < 0.0 and curve.slope(0.8) == math.inf
+    assert h == pytest.approx(0.7052640621, abs=1e-9)
+    assert rate == pytest.approx(0.0258292843, abs=1e-9)
+    assert float(curve(0.8)) == pytest.approx(0.05, rel=1e-12)
+    assert rate <= float(np.min(curve(np.linspace(0.0, 0.8, 20001))))
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_slope_matches_central_difference(inputs_10km, fraction):
+    for curve, lo, hi in (
+        rate_function(inputs_10km),
+        (_TRAP_CURVE, 0.0, 0.8),
+    ):
+        h = lo + fraction * (hi - lo)
+        step = 1e-6 * (hi - lo)
+        difference = (float(curve(h + step)) - float(curve(h - step))) / (2.0 * step)
+        assert curve.slope(h) == pytest.approx(difference, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad_slope", [math.nan, -math.inf, math.inf], ids=["nan", "minus-inf", "plus-inf"])
+def test_unusable_slope_raises_solver_error(inputs_10km, monkeypatch, bad_slope):
+    # An infinite slope is legitimate only at h_upper, where e11 = 0; the
+    # search must fail loudly rather than bisect on anything else.
+    monkeypatch.setattr(RateCurve, "slope", lambda self, h: bad_slope)
+    with pytest.raises(SolverError, match="slope"):
+        secure_key_rate(inputs_10km)
+
+
+def test_slope_of_nan_curve_is_nan(inputs_10km):
+    curve, h_lo, _ = rate_function(inputs_10km)
+    assert math.isnan(replace(curve, txx_upper=math.nan).slope(h_lo))
+    assert math.isnan(curve.slope(math.nan))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
+
+from mdiqkd import source_model
 
 from mdiqkd import (
     PhotonCoeffBounds,
@@ -102,6 +105,22 @@ def test_shrinking_fluctuation_never_widens_bounds(noisy_side):
         for k in range(3):
             assert wide.alice.lo(source, k) <= narrow.alice.lo(source, k)
             assert narrow.alice.hi(source, k) <= wide.alice.hi(source, k)
+
+
+def test_symmetric_ensemble_builds_its_side_bounds_once(noisy_side, monkeypatch):
+    calls = []
+    counted = source_model.poisson_coeff
+    monkeypatch.setattr(source_model, "poisson_coeff", lambda mu, k: calls.append(k) or counted(mu, k))
+    symmetric = coeff_bounds(SourceEnsemble.symmetric(noisy_side))
+    one_side = len(calls)
+    other = replace(noisy_side, fluctuation=0.02)
+    asymmetric = coeff_bounds(SourceEnsemble(alice=noisy_side, bob=other))
+    assert symmetric.alice is symmetric.bob
+    assert len(calls) - one_side == 2 * one_side
+    # The shared table is the one each side builds for itself.
+    mirrored = coeff_bounds(SourceEnsemble(alice=other, bob=noisy_side))
+    assert asymmetric.alice == symmetric.alice == mirrored.bob
+    assert asymmetric.bob == mirrored.alice != symmetric.alice
 
 
 def test_partial_sums_of_lower_bounds_stay_below_one(noisy_ensemble):
