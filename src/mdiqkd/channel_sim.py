@@ -24,10 +24,8 @@ is used.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -356,68 +354,6 @@ def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairOb
     return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
 
 
-def write_observables_csv(observables: PairObservables, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# n_pairs={observables.n_pairs!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["l", "r", "basis", "emitted", "counts", "errors"])
-        for l in SOURCES:
-            for r in SOURCES:
-                e = observables.entry(l, r)
-                writer.writerow([l, r, e.basis, repr(e.emitted), e.counts, e.errors])
-
-
-# ---------------------------------------------------------------------------
-# Model-decomposition oracles.  Conditioned on emitted photon numbers the
-# channel is intensity-independent, so the weak-coherent gain is the Poisson
-# mixture of Fock-pair yields:  Q(a, b) = sum_jk P_j(a) P_k(b) Y_jk.  Both
-# helpers below invert that mixture without touching the detector internals.
-# ---------------------------------------------------------------------------
-
-
-def vacuum_error_component(mu_a: float, mu_b: float, params: ChannelParams) -> float:
-    """Error rate contributed by X-basis pairs where either side emitted vacuum.
-
-    By inclusion-exclusion over the vacuum components of the two sources this
-    is exactly ``b0 EQ(mu_a, 0) + a0 EQ(0, mu_b) - a0 b0 EQ(0, 0)`` with
-    ``a0 = exp(-mu_a)``, ``b0 = exp(-mu_b)``.
-    """
-    a0 = math.exp(-mu_a)
-    b0 = math.exp(-mu_b)
-    _, eq_a_only = pair_yield(mu_a, 0.0, "X", params)
-    _, eq_b_only = pair_yield(0.0, mu_b, "X", params)
-    _, eq_none = pair_yield(0.0, 0.0, "X", params)
-    return b0 * eq_a_only + a0 * eq_b_only - a0 * b0 * eq_none
-
-
-def single_photon_pair_truth(basis: str, params: ChannelParams, step: float = 4e-3) -> tuple[float, float]:
-    """True yield and error rate of emitted single-photon pairs.
-
-    Extracts the (1,1) Fock coefficient of the gain's Poisson mixture via the
-    mixed second difference of ``exp(a+b) Q(a, b)`` at the origin, Richardson
-    extrapolated to kill the first- and second-order truncation terms.
-    """
-
-    def mixed(component: int, h: float) -> float:
-        def f(a: float, b: float) -> float:
-            return math.exp(a + b) * pair_yield(a, b, basis, params)[component]
-
-        return (f(h, h) - f(h, 0.0) - f(0.0, h) + f(0.0, 0.0)) / (h * h)
-
-    def richardson(component: int) -> float:
-        d1, d2, d3 = (mixed(component, step / s) for s in (1.0, 2.0, 4.0))
-        r1 = 2.0 * d2 - d1
-        r2 = 2.0 * d3 - d2
-        return (4.0 * r2 - r1) / 3.0
-
-    y11 = richardson(0)
-    ey11 = richardson(1)
-    if y11 <= 0.0:
-        raise ValueError("single-photon-pair yield is not positive; channel too lossy to extract")
-    return y11, max(ey11, 0.0) / y11
-
-
 # ---------------------------------------------------------------------------
 # Analytic-model validation against the photon-level simulation.
 # ---------------------------------------------------------------------------
@@ -482,21 +418,15 @@ def validate_model(
     trials: int,
     seed: int,
     grid: tuple[tuple[float, float], ...] = DEFAULT_VALIDATION_GRID,
-    analytic_params: ChannelParams | None = None,
 ) -> ValidationReport:
-    """Compare closed-form gains against the photon-level simulation.
-
-    ``analytic_params`` substitutes a different parameter set on the analytic
-    side only; tests use it to confirm the comparison actually has teeth.
-    """
+    """Compare closed-form gains against the photon-level simulation."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    analytic_side = analytic_params if analytic_params is not None else params
     rows = []
     for i, (mu, distance) in enumerate(grid):
         for j, basis in enumerate(("X", "Z")):
             run_params = params.at_distance(distance)
-            q, eq = pair_yield(mu, mu, basis, analytic_side.at_distance(distance))
+            q, eq = pair_yield(mu, mu, basis, run_params)
             mc = monte_carlo_yield(mu, mu, basis, run_params, trials, seed + 1000 * i + j)
             z_gain = _z_score(mc.gain, q, mc.gain_se, trials)
             z_err = _z_score(mc.error_gain, eq, mc.error_se, trials)

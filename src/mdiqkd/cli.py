@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel_sim import ChannelParams, validate_model
-from .keyrate_core import DECOY_FAILED, AnalysisInputs, KeyRateReport, secure_key_rate
+from .keyrate_core import AnalysisInputs, KeyRateReport, secure_key_rate
 from .optimizer import OptimizationProblem, optimize
 from .source_model import PhotonCoeffBounds, SideSources, SourceEnsemble, coeff_bounds
 from .stat_bounds import SolverError
@@ -259,10 +259,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _run_report(config: RunConfig, distance: float, bounds: PhotonCoeffBounds | None = None) -> KeyRateReport:
     params = config.channel_params().at_distance(distance)
-    report = secure_key_rate(AnalysisInputs.from_simulation(config.ensemble(), params, bounds=bounds))
-    if report.reason.startswith(DECOY_FAILED):
-        raise ConfigError(f"decoy conditions fail for these sources: {report.reason[len(DECOY_FAILED):]}")
-    return report
+    inputs = AnalysisInputs.from_simulation(config.ensemble(), params, bounds=bounds)
+    if not inputs.bounds.decoy.passed:
+        raise ConfigError(f"decoy conditions fail for these sources: {inputs.bounds.decoy.summary()}")
+    return secure_key_rate(inputs)
 
 
 def _problem(config: RunConfig, distance: float) -> OptimizationProblem:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import stat_bounds
 from .channel_sim import PairObservables, build_observables
-from .source_model import PhotonCoeffBounds, check_decoy_conditions, coeff_bounds
+from .source_model import PhotonCoeffBounds, coeff_bounds
 from .stat_bounds import ChernoffConfig, InvocationCounter, SolverError
 
 # Slope search over H: the bracket width, relative to the interval's larger
@@ -399,9 +399,9 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     finite raises :class:`SolverError` instead of being clamped.
     """
     obs = inputs.observables
-    decoy_report = check_decoy_conditions(inputs.bounds)
-    if not decoy_report.passed:
-        return _zero_report(DECOY_FAILED + decoy_report.summary(), obs)
+    decoy = inputs.bounds.decoy
+    if not decoy.passed:
+        return _zero_report(DECOY_FAILED + decoy.summary(), obs)
 
     counter = InvocationCounter()
     try:

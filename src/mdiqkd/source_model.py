@@ -16,13 +16,16 @@ are everything the downstream analysis is allowed to know about the sources.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 SOURCES = ("v", "x", "y", "z")
 
-# Highest photon number with coefficient bounds, and so the depth of the decoy
-# checks; see :func:`check_decoy_conditions` for why a finite depth suffices.
-MAX_PHOTON_NUMBER = 20
+# Every intensity interval must end below this: at or above it the
+# zero-photon coefficient e^-mu underflows the smallest normal float, and the
+# coefficient table, which runs up to the largest interval end, grows with it.
+MAX_INTENSITY = -math.log(sys.float_info.min)
 
 _PROB_TOL = 1e-12
 
@@ -99,6 +102,8 @@ class SideSources:
         total = self.p_v + self.p_x + self.p_y + self.p_z
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"source probabilities must sum to 1, got {total!r}")
+        for source in SOURCES:
+            _check_interval_end(source, self.intensity_interval(source)[1])
 
     def probability(self, source: str) -> float:
         return {"v": self.p_v, "x": self.p_x, "y": self.p_y, "z": self.p_z}[source]
@@ -128,8 +133,10 @@ class SideCoeffBounds:
     """Worst-case photon-number coefficient bounds for one side.
 
     ``lower[l][k]`` / ``upper[l][k]`` bound the k-photon coefficient of source
-    ``l`` over that source's intensity interval, for k = 0 ..
-    ``MAX_PHOTON_NUMBER``.
+    ``l`` over that source's intensity interval, for k = 0 .. K with
+    ``K = max(2, ceil(largest interval end))``: the rate reads k = 0, 1, 2,
+    and :func:`check_decoy_conditions` reads k = 2 .. K, beyond which its
+    conditions have closed forms.
     """
 
     intervals: dict[str, tuple[float, float]]
@@ -165,12 +172,28 @@ class PhotonCoeffBounds:
         alice = _side_bounds(alice_intervals)
         return cls(alice=alice, bob=alice if bob_intervals == alice_intervals else _side_bounds(bob_intervals))
 
+    @cached_property
+    def decoy(self) -> DecoyConditionReport:
+        """The decoy-condition verdict on these bounds, computed once per table."""
+        return check_decoy_conditions(self)
+
+
+def _check_interval_end(source: str, mu_hi: float) -> None:
+    if not mu_hi < MAX_INTENSITY:
+        raise ValueError(
+            f"source {source} intensity interval ends at {mu_hi:g}, not below {MAX_INTENSITY:.6g}, "
+            "where the zero-photon coefficient e^-mu underflows"
+        )
+
 
 def _side_bounds(intervals: dict[str, tuple[float, float]]) -> SideCoeffBounds:
+    for source, (_, mu_hi) in intervals.items():
+        _check_interval_end(source, mu_hi)
+    depth = max(2, math.ceil(max(mu_hi for _, mu_hi in intervals.values())))
     lower: dict[str, tuple[float, ...]] = {}
     upper: dict[str, tuple[float, ...]] = {}
     for source, (mu_lo, mu_hi) in intervals.items():
-        pairs = [coeff_interval(mu_lo, mu_hi, k) for k in range(MAX_PHOTON_NUMBER + 1)]
+        pairs = [coeff_interval(mu_lo, mu_hi, k) for k in range(depth + 1)]
         lower[source] = tuple(p[0] for p in pairs)
         upper[source] = tuple(p[1] for p in pairs)
     return SideCoeffBounds(intervals=dict(intervals), lower=lower, upper=upper)
@@ -206,10 +229,11 @@ class DecoyConditionReport:
 
 
 def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
-    """Verify the ratio conditions the single-photon estimates rest on.
+    """Verify the ratio conditions the single-photon estimates rest on, for every k >= 2.
 
-    Checked per side, for k = 2 .. ``MAX_PHOTON_NUMBER``:
+    Checked per side:
 
+    * the x and y intensity intervals must be disjoint (x strictly below y).
     * decoy ratio chain: ``a_k^{y,L}/a_k^{x,U} >= a_2^{y,L}/a_2^{x,U} >=
       a_1^{y,L}/a_1^{x,U}`` (evaluated in product form, so zero coefficients
       cannot divide).
@@ -217,13 +241,30 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
       l = x, y.  When ``a_1^{v,U} = 0`` the vacuum source is exactly vacuum
       and the condition holds by convention (every downstream use enters
       through factors that vanish with it).
-    * the x and y intensity intervals must be disjoint (x strictly below y);
-      that disjointness makes the ratio chain monotone in k for Poissonian
-      sources, so checking up to a finite depth certifies all k.
+
+    The table covers k = 0 .. K, where K is at least every interval end, and
+    k = 2 .. K are checked from it.  Every k > K follows in closed form.  The
+    coefficient ``P_k(mu) = e^-mu mu^k / k!`` increases on ``[0, k]``, so for
+    every k >= K each bound sits at an interval end: ``a_k^{l,L} = P_k(l_lo)``,
+    ``a_k^{l,U} = P_k(l_hi)`` and ``a_k^{v,U} = P_k(c)``, c the vacuum cap.
+
+    * decoy ratio: ``a_k^{y,L}/a_k^{x,U} = e^(x_hi - y_lo) (y_lo/x_hi)^k``.
+      Disjoint intervals have ``y_lo > x_hi``, so the ratio grows with k and
+      the condition at k = K holds for every k > K.  (At ``x_hi = 0`` both
+      sides of the product form vanish for every k >= 1.)  Overlapping
+      intervals fail the disjointness check whatever the ratios do.
+    * vacuum ratio, for c > 0: the condition reads
+      ``e^(c - l_lo) (l_lo/c)^k >= a_1^{l,U}/a_1^{v,U}`` with a right side
+      fixed in k.  For ``l_lo >= c`` the left side does not decrease in k,
+      so the condition at k = K holds for every k > K.  For ``l_lo < c`` it
+      falls to zero, so the condition fails at some k unless
+      ``a_1^{l,U} = 0``.  That k grows like ``1/log(c/l_lo)``, past any
+      fixed depth and past the point where both products underflow to zero
+      and compare equal, so this case is decided by comparing ``l_lo`` with c.
     """
     failures: list[str] = []
-    photon_numbers = range(2, MAX_PHOTON_NUMBER + 1)
     for side_name, sb in (("alice", bounds.alice), ("bob", bounds.bob)):
+        photon_numbers = range(2, len(sb.lower["x"]))  # k = 2 .. K
         x_lo, x_hi = sb.intervals["x"]
         y_lo, y_hi = sb.intervals["y"]
         if not x_hi < y_lo:
@@ -253,5 +294,13 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
             )
             if bad is not None:
                 failures.append(f"{side_name}:vacuum-ratio: source {bad[0]} violates the vacuum ratio at k={bad[1]}")
+            else:
+                cap = sb.intervals["v"][1]
+                tail = next((s for s in ("x", "y") if sb.intervals[s][0] < cap and sb.hi(s, 1) > 0.0), None)
+                if tail is not None:
+                    failures.append(
+                        f"{side_name}:vacuum-ratio: source {tail} violates the vacuum ratio at large k: "
+                        f"its interval starts at {sb.intervals[tail][0]:g}, below the vacuum cap {cap:g}"
+                    )
 
     return DecoyConditionReport(failures=tuple(failures))

@@ -1,14 +1,21 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is written straight-line from the defining formulas with its
-own arithmetic (no imports from the package's numerical paths beyond raw
-observables), so agreement is evidence rather than tautology.
+own arithmetic, so agreement is evidence rather than tautology.  The only
+package code used is raw observables and, in the model-decomposition oracles,
+the closed-form gain ``pair_yield`` that they take apart.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
+
+from mdiqkd import ChannelParams, pair_yield
+from mdiqkd.channel_sim import PairObservables
+from mdiqkd.source_model import SOURCES
 
 
 def brentq_lower_deviation(x: float, xi: float) -> float:
@@ -83,3 +90,66 @@ def plugin_asymptotic_rate(observables, side, f_ec: float) -> float:
     e_zz = zz.errors / zz.counts
     pz2 = zz.emitted / observables.n_pairs
     return pz2 * (az1 * az1 * s11 * (1.0 - h2(e11)) - f_ec * s_zz * h2(e_zz))
+
+
+def write_observables_csv(observables: PairObservables, path: str | Path) -> None:
+    """Write an observables table in the format of ``tests/data/observables_L10.csv``."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# n_pairs={observables.n_pairs!r}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["l", "r", "basis", "emitted", "counts", "errors"])
+        for l in SOURCES:
+            for r in SOURCES:
+                e = observables.entry(l, r)
+                writer.writerow([l, r, e.basis, repr(e.emitted), e.counts, e.errors])
+
+
+# ---------------------------------------------------------------------------
+# Model-decomposition oracles.  Conditioned on emitted photon numbers the
+# channel is intensity-independent, so the weak-coherent gain is the Poisson
+# mixture of Fock-pair yields:  Q(a, b) = sum_jk P_j(a) P_k(b) Y_jk.  Both
+# helpers below invert that mixture without touching the detector internals.
+# ---------------------------------------------------------------------------
+
+
+def vacuum_error_component(mu_a: float, mu_b: float, params: ChannelParams) -> float:
+    """Error rate contributed by X-basis pairs where either side emitted vacuum.
+
+    By inclusion-exclusion over the vacuum components of the two sources this
+    is exactly ``b0 EQ(mu_a, 0) + a0 EQ(0, mu_b) - a0 b0 EQ(0, 0)`` with
+    ``a0 = exp(-mu_a)``, ``b0 = exp(-mu_b)``.
+    """
+    a0 = math.exp(-mu_a)
+    b0 = math.exp(-mu_b)
+    _, eq_a_only = pair_yield(mu_a, 0.0, "X", params)
+    _, eq_b_only = pair_yield(0.0, mu_b, "X", params)
+    _, eq_none = pair_yield(0.0, 0.0, "X", params)
+    return b0 * eq_a_only + a0 * eq_b_only - a0 * b0 * eq_none
+
+
+def single_photon_pair_truth(basis: str, params: ChannelParams, step: float = 4e-3) -> tuple[float, float]:
+    """True yield and error rate of emitted single-photon pairs.
+
+    Extracts the (1,1) Fock coefficient of the gain's Poisson mixture via the
+    mixed second difference of ``exp(a+b) Q(a, b)`` at the origin, Richardson
+    extrapolated to kill the first- and second-order truncation terms.
+    """
+
+    def mixed(component: int, h: float) -> float:
+        def f(a: float, b: float) -> float:
+            return math.exp(a + b) * pair_yield(a, b, basis, params)[component]
+
+        return (f(h, h) - f(h, 0.0) - f(0.0, h) + f(0.0, 0.0)) / (h * h)
+
+    def richardson(component: int) -> float:
+        d1, d2, d3 = (mixed(component, step / s) for s in (1.0, 2.0, 4.0))
+        r1 = 2.0 * d2 - d1
+        r2 = 2.0 * d3 - d2
+        return (4.0 * r2 - r1) / 3.0
+
+    y11 = richardson(0)
+    ey11 = richardson(1)
+    if y11 <= 0.0:
+        raise ValueError("single-photon-pair yield is not positive; channel too lossy to extract")
+    return y11, max(ey11, 0.0) / y11

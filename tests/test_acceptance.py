@@ -21,14 +21,12 @@ from mdiqkd import (
     combo_upper,
     rate_function,
     secure_key_rate,
-    single_photon_pair_truth,
-    vacuum_error_component,
     validate_model,
 )
 from mdiqkd.cli import main as cli_main
 from mdiqkd.stat_bounds import lower_deviation, upper_deviation
 
-from .oracles import plugin_asymptotic_rate
+from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
 
 
 def test_criterion_1_chernoff_round_trip():

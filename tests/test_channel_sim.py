@@ -10,12 +10,12 @@ from mdiqkd import (
     monte_carlo_yield,
     pair_yield,
     side_transmittance,
-    single_photon_pair_truth,
-    vacuum_error_component,
     validate_model,
 )
 from mdiqkd import channel_sim
-from mdiqkd.channel_sim import _i0m1, write_observables_csv
+from mdiqkd.channel_sim import _i0m1
+
+from .oracles import single_photon_pair_truth, vacuum_error_component, write_observables_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -225,10 +225,17 @@ def test_single_photon_truth_step_insensitive():
     assert e_a == pytest.approx(e_b, rel=1e-5)
 
 
-def test_validation_report_catches_corrupted_model():
+def test_validation_report_catches_corrupted_model(monkeypatch):
+    # The analytic side runs on corrupted parameters, the simulation on the true ones.
     params = ChannelParams(distance_km=0.0)
     corrupted = ChannelParams(p_d=5e-3, distance_km=0.0)
-    report = validate_model(params, trials=200_000, seed=99, grid=((0.1, 0.0), (0.3, 0.0)), analytic_params=corrupted)
+    true_pair_yield = channel_sim.pair_yield
+    monkeypatch.setattr(
+        channel_sim,
+        "pair_yield",
+        lambda mu_a, mu_b, basis, run_params: true_pair_yield(mu_a, mu_b, basis, corrupted.at_distance(run_params.distance_km)),
+    )
+    report = validate_model(params, trials=200_000, seed=99, grid=((0.1, 0.0), (0.3, 0.0)))
     assert not report.passed
 
 

@@ -100,6 +100,27 @@ def test_decoy_failure_exit_code_2(tmp_path, capsys):
     assert err.startswith("error: decoy conditions fail for these sources: alice:intensity-intervals-disjoint: ")
 
 
+def test_vacuum_ratio_failing_beyond_depth_twenty_exit_code_2(tmp_path, capsys):
+    # x's vacuum ratio holds up to k = 20 and fails from k = 21 on.
+    config = write_config(tmp_path, "mu_x = 2.2\nmu_y = 3.2\nmu_z = 0.5\nvacuum_cap = 2.25\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: decoy conditions fail for these sources: ")
+    assert ":vacuum-ratio:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("mu_y", "2e4"), ("mu_z", "2e4"), ("vacuum_cap", "2e4"), ("mu_y", "1e9"), ("mu_y", "800")])
+def test_intensity_past_underflow_limit_exit_code_2(tmp_path, capsys, monkeypatch, key, value):
+    built = []
+    monkeypatch.setattr(mdiqkd.source_model, "coeff_interval", lambda *args: built.append(args))
+    monkeypatch.setattr(mdiqkd.channel_sim, "pair_yield", lambda *args: built.append(args))
+    config = write_config(tmp_path, f"{key} = {value}\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: source ") and "underflows" in err and "Traceback" not in err
+    assert built == []  # rejected before any coefficient table or observable
+
+
 @pytest.mark.parametrize(
     "command, line, fragment",
     [
@@ -202,6 +223,15 @@ def test_scan_builds_coefficient_bounds_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_scan_checks_decoy_conditions_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    counted = mdiqkd.source_model.check_decoy_conditions
+    monkeypatch.setattr(mdiqkd.source_model, "check_decoy_conditions", lambda bounds: calls.append(1) or counted(bounds))
+    config = write_config(tmp_path, "fluctuation = 0.01\nvacuum_cap = 1e-6\n")
+    assert main(["scan", "--config", str(config), "--distances", "0:60:15"]) == 0
+    assert len(calls) == 1
+
+
 def test_scan_rows_equal_rate_records(tmp_path, capsys):
     # The scan shares one coefficient table across distances; each row must
     # still be byte-identical to a separate rate run at its distance.
@@ -266,6 +296,15 @@ def test_reference_validation_matches_golden_output(tmp_path, capsys):
     assert main(["validate-model", "--config", str(config)]) == 0
     golden = (REPO_ROOT / "tests" / "data" / "validate_reference.csv").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_reference_optimize_matches_golden_output(tmp_path, capsys):
+    # Pins every probe's rate, and so its decoy verdict, not just the best points.
+    log = tmp_path / "evals.csv"
+    argv = ["optimize", "--config", str(REPO_ROOT / "configs" / "reference.cfg"), "--distances", "10,25", "--eval-log", str(log)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (REPO_ROOT / "tests" / "data" / "optimize_reference.txt").read_text(encoding="utf-8")
+    assert log.read_bytes() == (REPO_ROOT / "tests" / "data" / "optimize_reference_evals.csv").read_bytes()
 
 
 def test_scan_provenance_headers(tmp_path, capsys):

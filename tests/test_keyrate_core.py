@@ -25,13 +25,12 @@ from mdiqkd import (
     s_plus_lower,
     secure_key_rate,
     sigma_factors,
-    single_photon_pair_truth,
-    vacuum_error_component,
 )
+from mdiqkd import source_model
 from mdiqkd.channel_sim import PairObservables
 from mdiqkd.keyrate_core import RateCurve, _convex_minimum
 
-from .oracles import plugin_asymptotic_rate
+from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
 
 
 def _with_errors_zeroed(observables: PairObservables) -> PairObservables:
@@ -484,6 +483,15 @@ def test_decoy_failure_reported_not_raised():
     report = secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params))
     assert report.rate == 0.0
     assert report.reason.startswith("decoy-conditions-failed")
+
+
+def test_secure_key_rate_checks_fresh_bounds_once(noisy_ensemble, params_10km, monkeypatch):
+    calls = []
+    counted = source_model.check_decoy_conditions
+    monkeypatch.setattr(source_model, "check_decoy_conditions", lambda bounds: calls.append(1) or counted(bounds))
+    inputs = AnalysisInputs.from_simulation(noisy_ensemble, params_10km)
+    assert secure_key_rate(inputs).reason == "ok"
+    assert len(calls) == 1
 
 
 def test_sigma_infeasibility_reported_not_raised():

@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdiqkd import source_model
 
@@ -124,10 +126,10 @@ def test_symmetric_ensemble_builds_its_side_bounds_once(noisy_side, monkeypatch)
 
 
 def test_partial_sums_of_lower_bounds_stay_below_one(noisy_ensemble):
-    bounds = coeff_bounds(noisy_ensemble)
     for source in ("v", "x", "y", "z"):
-        assert sum(bounds.alice.lower[source]) <= 1.0
-        assert sum(bounds.alice.upper[source]) >= 1.0 - 1e-12
+        pairs = [coeff_interval(*noisy_ensemble.alice.intensity_interval(source), k) for k in range(61)]
+        assert sum(lo for lo, _ in pairs) <= 1.0
+        assert sum(hi for _, hi in pairs) >= 1.0 - 1e-12
 
 
 def test_probabilities_must_normalize():
@@ -179,3 +181,97 @@ def test_overlapping_decoy_intervals_fail():
     report = check_decoy_conditions(coeff_bounds(SourceEnsemble.symmetric(side)))
     assert not report.passed
     assert any(":intensity-intervals-disjoint:" in failure for failure in report.failures)
+
+
+def test_table_depth_follows_the_largest_interval_end():
+    low = coeff_bounds(SourceEnsemble.symmetric(SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7)))
+    assert all(len(low.alice.lower[s]) == len(low.alice.upper[s]) == 3 for s in "vxyz")
+    high = PhotonCoeffBounds.from_intervals(
+        {"v": (0.0, 1e-6), "x": (0.5, 0.5), "y": (3.0, 3.3), "z": (0.4, 0.6)},
+        {"v": (0.0, 1e-6), "x": (0.5, 0.5), "y": (3.0, 3.0), "z": (0.4, 0.6)},
+    )
+    assert len(high.alice.lower["v"]) == 5 and len(high.bob.lower["v"]) == 4
+
+
+@pytest.mark.parametrize("key", ["mu_y", "mu_z", "vacuum_cap"])
+def test_interval_end_at_the_underflow_limit_rejected(key):
+    values = dict(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7)
+    SideSources(**{**values, key: 700.0})
+    with pytest.raises(ValueError, match="underflows"):
+        SideSources(**{**values, key: source_model.MAX_INTENSITY})
+
+
+def test_widened_or_raw_interval_past_the_underflow_limit_rejected():
+    with pytest.raises(ValueError, match="underflows"):  # mu_y 700 reaches 714 at the top of its interval
+        SideSources(mu_x=0.1, mu_y=700.0, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, fluctuation=0.02)
+    intervals = {"v": (0.0, 0.0), "x": (0.1, 0.1), "y": (0.4, 1e9), "z": (0.5, 0.5)}
+    with pytest.raises(ValueError, match="underflows"):
+        PhotonCoeffBounds.from_intervals(intervals, intervals)
+
+
+def test_vacuum_ratio_failing_beyond_depth_twenty_is_caught():
+    # The vacuum cap sits above x's intensity, so x's vacuum ratio
+    # e^(c - x) (x / c)^k * a_1^{v,U} / a_1^{x,U} falls below 1 at k = 21.
+    intervals = {"v": (0.0, 2.25), "x": (2.2, 2.2), "y": (3.2, 3.2), "z": (0.5, 0.5)}
+    bounds = PhotonCoeffBounds.from_intervals(intervals, intervals)
+    ratios = [
+        poisson_coeff(2.2, k) * bounds.alice.hi("v", 1) / (bounds.alice.hi("x", 1) * poisson_coeff(2.25, k))
+        for k in range(2, 22)
+    ]
+    assert min(ratios[:-1]) >= 1.0 > ratios[-1]  # holds for k <= 20, fails at k = 21
+    report = check_decoy_conditions(bounds)
+    assert not report.passed
+    assert [f.split(": ")[0] for f in report.failures] == ["alice:vacuum-ratio", "bob:vacuum-ratio"]
+    assert "source x" in report.failures[0]
+
+
+def _brute_force_coeffs(mu_lo, mu_hi, k):
+    """Min and max of e^-mu mu^k / k! over [mu_lo, mu_hi], from its endpoints and its peak at mu = k."""
+
+    def coeff(mu):
+        if mu == 0.0:
+            return 1.0 if k == 0 else 0.0
+        return math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+
+    values = [coeff(mu_lo), coeff(mu_hi)] + ([coeff(float(k))] if mu_lo < k < mu_hi else [])
+    return min(values), max(values)
+
+
+def _brute_force_decoy_check(intervals, depth=200):
+    """The decoy conditions of one side at every k = 2 .. depth, evaluated one by one."""
+    lo = {s: [_brute_force_coeffs(*intervals[s], k)[0] for k in range(depth + 1)] for s in "vxy"}
+    hi = {s: [_brute_force_coeffs(*intervals[s], k)[1] for k in range(depth + 1)] for s in "vxy"}
+    ks = range(2, depth + 1)
+    return (
+        intervals["x"][1] < intervals["y"][0]
+        and lo["y"][2] * hi["x"][1] >= lo["y"][1] * hi["x"][2]
+        and all(lo["y"][k] * hi["x"][2] >= lo["y"][2] * hi["x"][k] for k in ks)
+        and (hi["v"][1] == 0.0 or all(lo[s][k] * hi["v"][1] >= hi[s][1] * hi["v"][k] for s in "xy" for k in ks))
+    )
+
+
+@st.composite
+def _decoy_intervals(draw):
+    fluctuation = draw(st.floats(0.0, 0.3))
+    interval = {
+        s: (mu * (1.0 - fluctuation), mu * (1.0 + fluctuation))
+        for s, mu in zip("xyz", (draw(st.floats(0.001, 50.0)) for _ in range(3)))
+    }
+    interval["v"] = (0.0, interval["x"][0] * draw(st.sampled_from([0.0, 1e-6]) | st.floats(0.0, 1.5)))
+    return interval
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_decoy_intervals())
+def test_decoy_check_agrees_with_depth_200_brute_force(intervals):
+    report = check_decoy_conditions(PhotonCoeffBounds.from_intervals(intervals, intervals))
+    if report.passed:
+        assert _brute_force_decoy_check(intervals)
+    elif _brute_force_decoy_check(intervals):
+        # The one failure a check at a fixed depth can miss: a vacuum ratio
+        # that falls below its bound only past depth 200, or only where the
+        # products have underflowed.
+        cap = intervals["v"][1]
+        for failure in report.failures:
+            assert ":vacuum-ratio: " in failure and "at large k" in failure
+            assert intervals[failure.split("source ")[1][0]][0] < cap
