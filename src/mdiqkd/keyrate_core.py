@@ -61,17 +61,22 @@ class SigmaFactors:
     y_total: float
 
 
-def _sigma(side, source: str) -> float:
-    return side.hi(source, 0) * side.hi("v", 1) / (side.lo("v", 0) * side.lo(source, 1))
-
-
 def sigma_factors(bounds: PhotonCoeffBounds) -> SigmaFactors:
-    """Contamination factors from worst-case coefficient bounds."""
+    """Contamination factors from worst-case coefficient bounds.
+
+    Also guards the vacuum-vacuum denominator ``a0_v^L b0_v^L`` that the
+    yield and H bounds divide by.  The products themselves are checked, since
+    two tiny positive bounds can multiply to zero.
+    """
     a, b = bounds.alice, bounds.bob
-    for side in (a, b):
-        if side.lo("v", 0) <= 0.0 or side.lo("x", 1) <= 0.0 or side.lo("y", 1) <= 0.0:
-            raise AnalysisInfeasible("zero denominator in contamination factors; coefficient bounds degenerate")
-    factors = SigmaFactors(x_total=_sigma(a, "x") + _sigma(b, "x"), y_total=_sigma(a, "y") + _sigma(b, "y"))
+    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
+    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
+    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
+        raise AnalysisInfeasible("zero denominator in contamination factors; coefficient bounds degenerate")
+    factors = SigmaFactors(
+        x_total=a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx,
+        y_total=a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by,
+    )
     if factors.x_total >= 1.0 or factors.y_total >= 1.0:
         raise AnalysisInfeasible(
             f"vacuum contamination too large (x: {factors.x_total:.3g}, y: {factors.y_total:.3g}); "

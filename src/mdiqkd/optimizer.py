@@ -6,6 +6,10 @@ normalization.  The rate landscape is piecewise smooth with hard feasibility
 cliffs (decoy-condition failures score zero), so the search runs a
 derivative-free simplex from several seeded random starts and keeps the best
 feasible point.
+
+The simplex is an in-repo adaptive Nelder-Mead (Gao & Han, Comput. Optim.
+Appl. 51, 259 (2012)), so the probe sequence, and every output built from it,
+depends only on numpy and not on an installed optimization library.
 """
 
 from __future__ import annotations
@@ -28,6 +32,14 @@ _MIN_VACUUM_PROB = 1e-3
 # zeros outside the living region, which a simplex cannot climb).
 DEFAULT_START = np.array([0.03, 0.25, 0.45, 0.18, 0.05, 0.6])
 _START_PROBES = 40
+
+# Simplex stopping tolerances on vertex spread and on value spread.
+_XATOL = 1e-4
+_FATOL = 1e-12
+
+
+class _BudgetSpent(Exception):
+    """The simplex asked for more evaluations than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -96,10 +108,80 @@ def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.
     raise RuntimeError("could not sample a feasible starting point")
 
 
+def _nelder_mead(func, x0, maxfev: int) -> None:
+    """Minimize ``func`` over the box by adaptive Nelder-Mead, calling it at most ``maxfev`` times.
+
+    Gao & Han's dimension-adapted coefficients, a 5 % initial simplex
+    reflected into the box, every trial vertex clipped to the box, and a stop
+    once the vertex spread is within ``_XATOL`` and the value spread within
+    ``_FATOL``.  Each operation, its order and the re-sort after every step
+    are fixed, so the calls are byte-stable; ``tests/test_optimizer.py``
+    checks them bit for bit against a reference implementation, including
+    budgets that run out inside an expansion or a shrink.  ``func`` receives
+    copies and the caller records what it needs, so nothing is returned.
+    """
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(np.copy(x))
+
+    n = len(BOX_LOWER)
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    x0 = np.clip(np.asarray(x0, dtype=float), BOX_LOWER, BOX_UPPER)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    # A vertex past the upper bound is reflected inside, so clipping cannot fold it back onto x0.
+    sim = np.clip(np.where(sim > BOX_UPPER, 2 * BOX_UPPER - sim, sim), BOX_LOWER, BOX_UPPER)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+        # Sorted twice before the first step: argsort is not stable, so the
+        # second sort can reorder ties, and the reference makes both.
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        while True:
+            order = np.argsort(fsim)
+            sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+            if np.max(np.abs(sim[1:] - sim[0])) <= _XATOL and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL:
+                return
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], BOX_LOWER, BOX_UPPER)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], BOX_LOWER, BOX_UPPER)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], BOX_LOWER, BOX_UPPER)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = np.clip((1 - psi) * xbar + psi * sim[-1], BOX_LOWER, BOX_UPPER)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), BOX_LOWER, BOX_UPPER)
+                        fsim[j] = f(sim[j])
+    except _BudgetSpent:
+        return
+
+
 def optimize(
     problem: OptimizationProblem,
     seed: int = 1,
-    budget: int = 1600,
+    budget: int = 800,
     restarts: int = 8,
 ) -> OptimizationResult:
     """Multi-start simplex search; deterministic for a given seed.
@@ -108,8 +190,6 @@ def optimize(
     probing is logged on top).  The returned point is the best over every
     evaluation made, so it dominates the whole log by construction.
     """
-    from scipy import optimize as _scipy_optimize  # only this command pays for the import
-
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if restarts < 1:
@@ -118,13 +198,11 @@ def optimize(
     log: list[tuple[tuple[float, ...], float]] = []
 
     def logged_rate(point: np.ndarray) -> float:
-        clipped = np.clip(point, BOX_LOWER, BOX_UPPER)
-        rate = evaluate(problem, clipped)
-        log.append((tuple(float(v) for v in clipped), rate))
+        rate = evaluate(problem, point)
+        log.append((tuple(float(v) for v in point), rate))
         return rate
 
     per_restart = max(budget // restarts, 10)
-    bounds = _scipy_optimize.Bounds(BOX_LOWER, BOX_UPPER)
     root = np.random.SeedSequence(seed)
     for index, child in enumerate(root.spawn(restarts)):
         rng = np.random.default_rng(child)
@@ -136,13 +214,7 @@ def optimize(
                 if logged_rate(start) > 0.0:
                     break
                 start = _random_start(problem, rng)
-        _scipy_optimize.minimize(
-            lambda point: -logged_rate(point),
-            start,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxfev": per_restart, "xatol": 1e-4, "fatol": 1e-12, "adaptive": True},
-        )
+        _nelder_mead(lambda point: -logged_rate(point), start, per_restart)
 
     best_point, best_rate = max(log, key=lambda entry: entry[1])
     return OptimizationResult(point=best_point, rate=best_rate, evaluations=tuple(log))

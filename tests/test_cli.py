@@ -147,6 +147,30 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_optimize_leaves_scipy_unloaded(tmp_path):
+    src = str(Path(mdiqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = write_config(tmp_path, "budget = 12\nrestarts = 1\n")
+    code = (
+        "import sys\nfrom mdiqkd.cli import main\n"
+        f"assert main(['optimize', '--config', {str(config)!r}, '--distances', '10']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    )
+    err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
+    assert err.strip() == "[]"
+
+
+def test_underflowing_contamination_denominator_is_zero_rate_not_traceback(tmp_path, capsys):
+    # Each coefficient bound is positive, but a0_v^L * a1_y^L underflows to 0.
+    config = write_config(tmp_path, "mu_x = 300\nmu_y = 600\nvacuum_cap = 200\n")
+    assert main(["rate", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    fields = dict(line.split(" = ") for line in captured.out.strip().splitlines())
+    assert float(fields["rate"]) == 0.0
+    assert fields["reason"] == "infeasible: zero denominator in contamination factors; coefficient bounds degenerate"
+    assert "Traceback" not in captured.err
+
+
 def test_removed_h_grid_key_rejected(tmp_path, capsys):
     config = write_config(tmp_path, "h_grid = 1001\n")
     assert main(["rate", "--config", str(config)]) == 2

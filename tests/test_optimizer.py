@@ -1,6 +1,11 @@
+import inspect
+
+import numpy as np
 import pytest
 
-from mdiqkd import ChannelParams, OptimizationProblem, evaluate, optimize
+from mdiqkd import ChannelParams, OptimizationProblem, evaluate, optimize, optimizer
+from mdiqkd.cli import RunConfig
+from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START
 
 SANE_POINT = (0.1, 0.4, 0.5, 0.1, 0.1, 0.7)
 
@@ -81,3 +86,107 @@ def test_fluctuation_never_helps_optimized_rate():
     r_steady = optimize(steady, seed=33, budget=800, restarts=8).rate
     r_fluct = optimize(fluct, seed=33, budget=800, restarts=8).rate
     assert r_steady >= r_fluct * (1.0 - 1e-3)
+
+
+def test_library_default_budget_matches_cli():
+    assert inspect.signature(optimize).parameters["budget"].default == RunConfig.budget == 800
+
+
+def _recording(objective):
+    calls = []
+
+    def func(x):
+        calls.append(x.copy())
+        return objective(x)
+
+    return func, calls
+
+
+def test_simplex_stops_on_tolerances_inside_box_on_convex_quadratic():
+    target = np.array([0.2, 0.5, 0.4, 0.3, 0.2, 0.4])
+    quadratic = lambda x: float(np.sum((x - target) ** 2))
+    func, calls = _recording(quadratic)
+    optimizer._nelder_mead(func, DEFAULT_START, 10_000)
+    assert 7 < len(calls) < 10_000  # stopped on xatol/fatol, not on the budget
+    assert all(np.all((x >= BOX_LOWER) & (x <= BOX_UPPER)) for x in calls)
+    assert min(quadratic(x) for x in calls) < 1e-7
+    # A larger budget changes nothing once the tolerances stop the search.
+    again, more_calls = _recording(quadratic)
+    optimizer._nelder_mead(again, DEFAULT_START, 100_000)
+    assert np.array_equal(np.array(calls), np.array(more_calls))
+
+
+def test_simplex_stays_in_box_when_minimum_lies_outside():
+    target = BOX_UPPER + 0.5  # every step pushes past the upper bounds
+    func, calls = _recording(lambda x: float(np.sum((x - target) ** 2)))
+    optimizer._nelder_mead(func, DEFAULT_START, 10_000)
+    assert 7 < len(calls) < 10_000
+    assert all(np.all((x >= BOX_LOWER) & (x <= BOX_UPPER)) for x in calls)
+    assert any(np.any(x == BOX_UPPER) for x in calls)
+
+
+@pytest.mark.parametrize("maxfev", [1, 6, 7, 8, 9, 12, 37])
+def test_simplex_never_exceeds_its_budget(maxfev):
+    # A flat-bottomed bowl keeps the simplex busy well past these budgets.
+    func, calls = _recording(lambda x: float(np.sum(np.abs(x - 0.5))))
+    optimizer._nelder_mead(func, DEFAULT_START, maxfev)
+    assert len(calls) == maxfev
+
+
+def _reference_nelder_mead(func, x0, maxfev):
+    from scipy.optimize import Bounds, minimize  # callers skip when scipy is missing
+
+    minimize(
+        func,
+        x0,
+        method="Nelder-Mead",
+        bounds=Bounds(BOX_LOWER, BOX_UPPER),
+        options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-12, "adaptive": True},
+    )
+
+
+# (seed, distance_km, fluctuation, budget, restarts).  The budgets cut every
+# restart short; for several restarts the cut lands inside a multi-call step
+# (an expansion, a contraction after its reflection, or a shrink).
+DIFFERENTIAL_CASES = [
+    (1, 0.0, 0.01, 37, 3),
+    (7, 25.0, 0.05, 37, 3),
+    (42, 60.0, 0.01, 120, 2),
+    (1234, 45.0, 0.0, 60, 5),
+    (99, 10.0, 0.02, 400, 4),
+]
+
+
+@pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", DIFFERENTIAL_CASES)
+def test_simplex_matches_reference_implementation_bit_for_bit(monkeypatch, seed, distance, fluctuation, budget, restarts):
+    pytest.importorskip("scipy.optimize")
+    problem = OptimizationProblem(
+        channel=ChannelParams(n_pairs=1e11, distance_km=distance), vacuum_cap=1e-6, fluctuation=fluctuation
+    )
+    shipped = optimize(problem, seed=seed, budget=budget, restarts=restarts)
+    monkeypatch.setattr(optimizer, "_nelder_mead", _reference_nelder_mead)
+    reference = optimize(problem, seed=seed, budget=budget, restarts=restarts)
+    as_bytes = lambda result: np.array([point + (rate,) for point, rate in result.evaluations]).tobytes()
+    assert as_bytes(shipped) == as_bytes(reference)
+    assert any(rate > 0.0 for _, rate in shipped.evaluations)
+
+
+# Staircase objectives tie often, which exercises every tie-break comparison.
+STAIRCASES = {
+    "coarse": lambda x: float(np.sum(np.round(4.0 * x))),
+    "plateau": lambda x: 0.0 if x[0] > 0.05 else -float(np.round(x[1], 2)),
+    "bowl": lambda x: float(np.round(np.sum((x - 0.3) ** 2), 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAIRCASES))
+@pytest.mark.parametrize("maxfev", [9, 37, 400])
+def test_simplex_matches_reference_on_tied_objectives(name, maxfev):
+    pytest.importorskip("scipy.optimize")
+    starts = np.random.default_rng(2012).uniform(BOX_LOWER, BOX_UPPER, size=(8, 6))
+    for start in starts:
+        shipped, shipped_calls = _recording(STAIRCASES[name])
+        reference, reference_calls = _recording(STAIRCASES[name])
+        optimizer._nelder_mead(shipped, start, maxfev)
+        _reference_nelder_mead(reference, start, maxfev)
+        assert np.array(shipped_calls).tobytes() == np.array(reference_calls).tobytes()
