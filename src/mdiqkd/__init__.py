@@ -17,13 +17,9 @@ from .keyrate_core import (
     AnalysisInputs,
     KeyRateReport,
     RateCurve,
-    SigmaFactors,
     binary_entropy,
     rate_function,
-    s_minus_upper,
-    s_plus_lower,
     secure_key_rate,
-    sigma_factors,
 )
 from .optimizer import OptimizationProblem, OptimizationResult, evaluate, optimize
 from .source_model import (
@@ -33,12 +29,10 @@ from .source_model import (
     SourceEnsemble,
     check_decoy_conditions,
     coeff_bounds,
-    coeff_interval,
     poisson_coeff,
 )
 from .stat_bounds import (
     ChernoffConfig,
-    InvocationCounter,
     SolverError,
     chernoff_lower,
     chernoff_upper,
@@ -52,7 +46,6 @@ __all__ = [
     "ChannelParams",
     "ChernoffConfig",
     "DecoyConditionReport",
-    "InvocationCounter",
     "KeyRateReport",
     "MonteCarloYield",
     "OptimizationProblem",
@@ -61,7 +54,6 @@ __all__ = [
     "PhotonCoeffBounds",
     "RateCurve",
     "SideSources",
-    "SigmaFactors",
     "SolverError",
     "SourceEnsemble",
     "binary_entropy",
@@ -70,7 +62,6 @@ __all__ = [
     "chernoff_lower",
     "chernoff_upper",
     "coeff_bounds",
-    "coeff_interval",
     "combo_lower",
     "combo_upper",
     "evaluate",
@@ -79,10 +70,7 @@ __all__ = [
     "pair_yield",
     "poisson_coeff",
     "rate_function",
-    "s_minus_upper",
-    "s_plus_lower",
     "secure_key_rate",
     "side_transmittance",
-    "sigma_factors",
     "validate_model",
 ]

@@ -272,7 +272,6 @@ def _detector_intensities(rng: np.random.Generator, m: int, basis: str, ea: floa
 class SourceCounts:
     """Counts recorded for one two-pulse source."""
 
-    basis: str  # "X", "Z", or "mixed" (basis-mismatched, discarded by the analysis)
     emitted: float  # expected emitted pairs p_l p_r N_t
     counts: int
     errors: int
@@ -339,18 +338,15 @@ def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairOb
             mu_a = simulation_intensity(ensemble.alice, l)
             mu_b = simulation_intensity(ensemble.bob, r)
             if (l, r) == ("z", "z"):
-                basis = "Z"
                 q, eq = pair_yield(mu_a, mu_b, "Z", params)
             elif l != "z" and r != "z":
-                basis = "X"
                 q, eq = pair_yield(mu_a, mu_b, "X", params)
             else:
-                basis = "mixed"
                 q, _ = pair_yield(mu_a, mu_b, "X", params)
                 eq = params.e0 * q
             counts = round(emitted * q)
             errors = min(round(emitted * eq), counts)
-            pairs[(l, r)] = SourceCounts(basis=basis, emitted=emitted, counts=counts, errors=errors)
+            pairs[(l, r)] = SourceCounts(emitted=emitted, counts=counts, errors=errors)
     return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
 
 

@@ -30,8 +30,8 @@ from pathlib import Path
 from . import __version__
 from .channel_sim import ChannelParams, validate_model
 from .keyrate_core import AnalysisInputs, KeyRateReport, secure_key_rate
-from .optimizer import OptimizationProblem, optimize
-from .source_model import PhotonCoeffBounds, SideSources, SourceEnsemble, coeff_bounds
+from .optimizer import OptimizationProblem, OptimizationResult, optimize
+from .source_model import SideSources, SourceEnsemble
 from .stat_bounds import SolverError
 
 
@@ -52,6 +52,8 @@ def _parse_int(text: str) -> int:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text!r}")
+    if not value.is_integer():
+        raise ValueError(f"must be a whole number, got {text!r}")
     return int(value)
 
 
@@ -257,20 +259,24 @@ def _emit(text: str, out: str | None) -> None:
         _write(out, text)
 
 
-def _run_report(config: RunConfig, distance: float, bounds: PhotonCoeffBounds | None = None) -> KeyRateReport:
+def _run_report(config: RunConfig, distance: float, ensemble: SourceEnsemble | None = None) -> KeyRateReport:
     params = config.channel_params().at_distance(distance)
-    inputs = AnalysisInputs.from_simulation(config.ensemble(), params, bounds=bounds)
+    inputs = AnalysisInputs.from_simulation(config.ensemble() if ensemble is None else ensemble, params)
     if not inputs.bounds.decoy.passed:
         raise ConfigError(f"decoy conditions fail for these sources: {inputs.bounds.decoy.summary()}")
     return secure_key_rate(inputs)
 
 
-def _problem(config: RunConfig, distance: float) -> OptimizationProblem:
-    return OptimizationProblem(
+def _optimize(config: RunConfig, distance: float) -> OptimizationResult:
+    problem = OptimizationProblem(
         channel=config.channel_params().at_distance(distance),
         vacuum_cap=config.vacuum_cap,
         fluctuation=config.fluctuation,
     )
+    try:
+        return optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_rate(config: RunConfig, out: str | None) -> int:
@@ -281,18 +287,19 @@ def cmd_rate(config: RunConfig, out: str | None) -> int:
 def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
     rows = []
     mode = "optimized" if config.optimize else "fixed"
-    # The coefficient bounds depend only on the sources: one table serves every distance.
-    bounds = None if config.optimize else coeff_bounds(config.ensemble())
+    # The coefficient bounds depend only on the sources: one ensemble, and so
+    # one table, serves every distance.
+    ensemble = None if config.optimize else config.ensemble()
     for distance in distances:
         if config.optimize:
-            result = optimize(_problem(config, distance), seed=config.seed, budget=config.budget, restarts=config.restarts)
+            result = _optimize(config, distance)
             mu_x, mu_y, mu_z, p_x, p_y, p_z = result.point
             best = replace(
                 config, mu_x=mu_x, mu_y=mu_y, mu_z=mu_z, p_x=p_x, p_y=p_y, p_z=p_z, p_v=1.0 - p_x - p_y - p_z
             )
             report = _run_report(best, distance)
         else:
-            report = _run_report(config, distance, bounds)
+            report = _run_report(config, distance, ensemble)
         rows.append(
             [
                 f"{distance:g}",
@@ -318,7 +325,7 @@ def cmd_optimize(config: RunConfig, out: str | None, eval_log: str | None) -> in
     rows = []
     log_rows = []
     for distance in distances:
-        result = optimize(_problem(config, distance), seed=config.seed, budget=config.budget, restarts=config.restarts)
+        result = _optimize(config, distance)
         rows.append([f"{distance:g}", _fmt(result.rate)] + [_fmt(v) for v in result.point])
         for point, rate in result.evaluations:
             log_rows.append([f"{distance:g}"] + [_fmt(v) for v in point] + [_fmt(rate)])

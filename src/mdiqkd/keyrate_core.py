@@ -30,8 +30,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import stat_bounds
-from .channel_sim import PairObservables, build_observables
-from .source_model import PhotonCoeffBounds, coeff_bounds
+from .channel_sim import ChannelParams, PairObservables, build_observables
+from .source_model import PhotonCoeffBounds, SourceEnsemble
 from .stat_bounds import ChernoffConfig, InvocationCounter, SolverError
 
 # Slope search over H: the bracket width, relative to the interval's larger
@@ -47,42 +47,30 @@ class AnalysisInfeasible(ValueError):
     """Raised when the source configuration cannot support the bounds."""
 
 
-@dataclass(frozen=True)
-class SigmaFactors:
-    """Vacuum-contamination factors of the imperfect vacuum source.
+def _sigma_factors(bounds: PhotonCoeffBounds) -> tuple[float, float]:
+    """Vacuum-contamination factors ``(x_total, y_total)`` from worst-case coefficient bounds.
 
     Each factor measures how much of a decoy source's zero-photon statistics
     the unstable vacuum source's one-photon component could fake; the bounds
     built on them require each per-basis sum, Alice's factor plus Bob's, to
-    stay below one.
-    """
-
-    x_total: float
-    y_total: float
-
-
-def sigma_factors(bounds: PhotonCoeffBounds) -> SigmaFactors:
-    """Contamination factors from worst-case coefficient bounds.
-
-    Also guards the vacuum-vacuum denominator ``a0_v^L b0_v^L`` that the
-    yield and H bounds divide by.  The products themselves are checked, since
-    two tiny positive bounds can multiply to zero.
+    stay below one.  Also guards the vacuum-vacuum denominator
+    ``a0_v^L b0_v^L`` that the yield and H bounds divide by.  The products
+    themselves are checked, since two tiny positive bounds can multiply to
+    zero.
     """
     a, b = bounds.alice, bounds.bob
     a_v, b_v = a.lo("v", 0), b.lo("v", 0)
     ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
     if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
         raise AnalysisInfeasible("zero denominator in contamination factors; coefficient bounds degenerate")
-    factors = SigmaFactors(
-        x_total=a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx,
-        y_total=a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by,
-    )
-    if factors.x_total >= 1.0 or factors.y_total >= 1.0:
+    x_total = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
+    y_total = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
+    if x_total >= 1.0 or y_total >= 1.0:
         raise AnalysisInfeasible(
-            f"vacuum contamination too large (x: {factors.x_total:.3g}, y: {factors.y_total:.3g}); "
+            f"vacuum contamination too large (x: {x_total:.3g}, y: {y_total:.3g}); "
             "bounds require each sum below 1"
         )
-    return factors
+    return x_total, y_total
 
 
 @dataclass(frozen=True)
@@ -95,61 +83,21 @@ class AnalysisInputs:
     f_ec: float = 1.16
 
     @classmethod
-    def from_simulation(cls, ensemble, params, disabled: bool = False, bounds: PhotonCoeffBounds | None = None):
-        """Wire coefficient bounds and simulated observables together.
+    def from_simulation(cls, ensemble: SourceEnsemble, params: ChannelParams) -> "AnalysisInputs":
+        """Wire the ensemble's own coefficient bounds to its simulated observables.
 
-        ``bounds``, when given, must be ``coeff_bounds(ensemble)``: the bounds
-        depend only on the sources, so a distance scan builds them once.
+        The bounds are ``ensemble.bounds``, built once per ensemble, so a
+        distance scan over one ensemble shares a single table.
         """
         return cls(
-            bounds=coeff_bounds(ensemble) if bounds is None else bounds,
+            bounds=ensemble.bounds,
             observables=build_observables(ensemble, params),
-            chernoff=ChernoffConfig(xi=params.xi, disabled=disabled),
+            chernoff=ChernoffConfig(xi=params.xi),
             f_ec=params.f_ec,
         )
 
 
-def s_plus_lower(
-    inputs: AnalysisInputs,
-    sigma: SigmaFactors,
-    counter: InvocationCounter | None = None,
-) -> float:
-    """Lower bound on the positive yield combination feeding the s11 numerator.
-
-    The combination is ``c_y <S_xx> + K (a0_ratio <S_vy> + b0_ratio <S_yv>)``
-    with nonnegative coefficients, so the three sources are bounded jointly.
-    """
-    a, b = inputs.bounds.alice, inputs.bounds.bob
-    obs = inputs.observables
-    scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma.y_total)
-    terms = [
-        (a.lo("y", 1) * b.lo("y", 2) / obs.emitted("x", "x"), float(obs.counts("x", "x"))),
-        (scale * (a.lo("y", 0) / a.hi("v", 0)) / obs.emitted("v", "y"), float(obs.counts("v", "y"))),
-        (scale * (b.lo("y", 0) / b.hi("v", 0)) / obs.emitted("y", "v"), float(obs.counts("y", "v"))),
-    ]
-    return stat_bounds.combo_lower(terms, inputs.chernoff, counter)
-
-
-def s_minus_upper(
-    inputs: AnalysisInputs,
-    sigma: SigmaFactors,
-    counter: InvocationCounter | None = None,
-) -> float:
-    """Upper bound on the subtracted yield combination (y-y and vacuum-vacuum)."""
-    a, b = inputs.bounds.alice, inputs.bounds.bob
-    obs = inputs.observables
-    scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma.y_total)
-    terms = [
-        (scale / obs.emitted("y", "y"), float(obs.counts("y", "y"))),
-        (
-            scale * (a.hi("y", 0) * b.hi("y", 0) / (a.lo("v", 0) * b.lo("v", 0))) / obs.emitted("v", "v"),
-            float(obs.counts("v", "v")),
-        ),
-    ]
-    return stat_bounds.combo_upper(terms, inputs.chernoff, counter)
-
-
-def _h_lower(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCounter) -> float:
+def _h_lower(inputs: AnalysisInputs, sigma_x: float, counter: InvocationCounter) -> float:
     """Lower end of the admissible interval for the vacuum-error nuisance H.
 
     Jointly lower-bounds the positive group (v-x, x-v) and jointly
@@ -175,12 +123,12 @@ def _h_lower(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCou
                 (a.hi("x", 0) * b.hi("x", 0) / (a.lo("v", 0) * b.lo("v", 0))) / obs.emitted("v", "v"),
                 float(obs.errors("v", "v")),
             ),
-            (sigma.x_total / obs.emitted("x", "x"), float(obs.errors("x", "x"))),
+            (sigma_x / obs.emitted("x", "x"), float(obs.errors("x", "x"))),
         ],
         cfg,
         counter,
     )
-    return max(0.0, 2.0 * (positive - negative) / (1.0 - sigma.x_total))
+    return max(0.0, 2.0 * (positive - negative) / (1.0 - sigma_x))
 
 
 def binary_entropy(x: float) -> float:
@@ -192,6 +140,10 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+# The curve's array form.  The error-correction term keeps the scalar form:
+# np.log2 and math.log2 differ in the last bit for about 0.1 % of x, and with
+# this form there the rate changed at full precision on 3 of the 1,664 probes
+# behind tests/data/optimize_reference_evals.csv (numpy 2.4.6).
 def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     inside = (x > 0.0) & (x < 1.0)
@@ -270,18 +222,47 @@ class RateCurve:
         return self.pz2 * self.gamma * (-self.c_y / self.denominator * phi + s * (log_e - log_not_e) * e_prime)
 
 
-def _curve(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCounter) -> RateCurve:
+def _curve(inputs: AnalysisInputs, sigma_y: float, counter: InvocationCounter) -> RateCurve:
+    """The rate curve.
+
+    ``s_plus`` jointly lower-bounds the positive yield group
+    ``c_y <S_xx> + K (a0_ratio <S_vy> + b0_ratio <S_yv>)`` and ``s_minus``
+    jointly upper-bounds the subtracted y-y and vacuum-vacuum group, with
+    ``K = a1_x^U b2_x^U / (1 - sigma_y)``.
+    """
     a, b = inputs.bounds.alice, inputs.bounds.bob
     obs = inputs.observables
+    cfg = inputs.chernoff
     denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
     if denominator <= 0.0:
         raise AnalysisInfeasible(
             "single-photon denominator is not positive; decoy intensities too close for the bound"
         )
+    scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y)
+    s_plus = stat_bounds.combo_lower(
+        [
+            (a.lo("y", 1) * b.lo("y", 2) / obs.emitted("x", "x"), float(obs.counts("x", "x"))),
+            (scale * (a.lo("y", 0) / a.hi("v", 0)) / obs.emitted("v", "y"), float(obs.counts("v", "y"))),
+            (scale * (b.lo("y", 0) / b.hi("v", 0)) / obs.emitted("y", "v"), float(obs.counts("y", "v"))),
+        ],
+        cfg,
+        counter,
+    )
+    s_minus = stat_bounds.combo_upper(
+        [
+            (scale / obs.emitted("y", "y"), float(obs.counts("y", "y"))),
+            (
+                scale * (a.hi("y", 0) * b.hi("y", 0) / (a.lo("v", 0) * b.lo("v", 0))) / obs.emitted("v", "v"),
+                float(obs.counts("v", "v")),
+            ),
+        ],
+        cfg,
+        counter,
+    )
     return RateCurve(
-        s_plus=s_plus_lower(inputs, sigma, counter),
-        s_minus=s_minus_upper(inputs, sigma, counter),
-        txx_upper=stat_bounds.chernoff_upper(obs.errors("x", "x"), inputs.chernoff, counter) / obs.emitted("x", "x"),
+        s_plus=s_plus,
+        s_minus=s_minus,
+        txx_upper=stat_bounds.chernoff_upper(obs.errors("x", "x"), cfg, counter) / obs.emitted("x", "x"),
         c_y=a.lo("y", 1) * b.lo("y", 2),
         denominator=denominator,
         beta=a.lo("x", 1) * b.lo("x", 1),
@@ -293,9 +274,9 @@ def _curve(inputs: AnalysisInputs, sigma: SigmaFactors, counter: InvocationCount
 
 def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateCurve, float, float]:
     """``(curve, h_lower, h_upper)``, with every Chernoff bound solved once."""
-    sigma = sigma_factors(inputs.bounds)
-    curve = _curve(inputs, sigma, counter)
-    return curve, _h_lower(inputs, sigma, counter), 2.0 * curve.txx_upper
+    sigma_x, sigma_y = _sigma_factors(inputs.bounds)
+    curve = _curve(inputs, sigma_y, counter)
+    return curve, _h_lower(inputs, sigma_x, counter), 2.0 * curve.txx_upper
 
 
 def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:

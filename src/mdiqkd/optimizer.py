@@ -105,7 +105,10 @@ def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.
         point = np.array([mu_x, mu_y, mu_z, p_x, p_y, p_z])
         if 1.0 - p_x - p_y - p_z >= 0.02 and _ensemble_at(problem, point) is not None:
             return point
-    raise RuntimeError("could not sample a feasible starting point")
+    raise ValueError(
+        f"could not sample a feasible starting point: at fluctuation {problem.fluctuation:g} "
+        "the widened mu_x and mu_y intervals overlap at every sampled start"
+    )
 
 
 def _nelder_mead(func, x0, maxfev: int) -> None:
@@ -186,9 +189,14 @@ def optimize(
 ) -> OptimizationResult:
     """Multi-start simplex search; deterministic for a given seed.
 
-    ``budget`` caps the simplex rate evaluations across restarts (start
-    probing is logged on top).  The returned point is the best over every
-    evaluation made, so it dominates the whole log by construction.
+    Each restart runs the simplex for at most ``max(budget // restarts, 10)``
+    rate evaluations, so the simplex calls stay within ``budget`` only when
+    ``budget >= 10 * restarts``.  Every restart after the first also probes
+    up to ``_START_PROBES`` random starts for a nonzero rate; those probes are
+    evaluated and logged on top.  The returned point is the best over every
+    evaluation made, so it dominates the whole log by construction.  Raises
+    ``ValueError`` on an invalid problem, and when no feasible random start
+    can be sampled.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")

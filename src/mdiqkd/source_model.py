@@ -127,6 +127,11 @@ class SourceEnsemble:
     def symmetric(cls, side: SideSources) -> "SourceEnsemble":
         return cls(alice=side, bob=side)
 
+    @cached_property
+    def bounds(self) -> PhotonCoeffBounds:
+        """The worst-case coefficient bounds of these sources, built once per ensemble."""
+        return coeff_bounds(self)
+
 
 @dataclass(frozen=True)
 class SideCoeffBounds:

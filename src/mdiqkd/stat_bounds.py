@@ -152,11 +152,6 @@ def _upper_complement(x: float, cfg: ChernoffConfig) -> float:
     raise SolverError(f"bisection did not reach tolerance {_REL_TOL} within {_MAX_ITER} iterations")
 
 
-def upper_deviation(x: float, cfg: ChernoffConfig) -> float:
-    """Solve for the upper-envelope deviation d2 at observed count ``x > 0``."""
-    return 1.0 - _upper_complement(x, cfg)
-
-
 def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
     """Lower bound on the expectation behind an observed count ``x``."""
     if x < 0:

@@ -3,7 +3,10 @@
 Everything here is written straight-line from the defining formulas with its
 own arithmetic, so agreement is evidence rather than tautology.  The only
 package code used is raw observables and, in the model-decomposition oracles,
-the closed-form gain ``pair_yield`` that they take apart.
+the closed-form gain ``pair_yield`` that they take apart.  The exceptions are
+``upper_deviation``, the package's own upper-envelope root restated as a
+deviation so it can be checked against ``brentq_upper_deviation``, and
+``write_observables_csv``, the regression-fixture writer.
 """
 
 import csv
@@ -16,6 +19,7 @@ from scipy.optimize import brentq
 from mdiqkd import ChannelParams, pair_yield
 from mdiqkd.channel_sim import PairObservables
 from mdiqkd.source_model import SOURCES
+from mdiqkd.stat_bounds import ChernoffConfig, _upper_complement
 
 
 def brentq_lower_deviation(x: float, xi: float) -> float:
@@ -39,6 +43,11 @@ def brentq_upper_deviation(x: float, xi: float) -> float:
         xtol=1e-15,
         rtol=8.882e-16,
     )
+
+
+def upper_deviation(x: float, cfg: ChernoffConfig) -> float:
+    """The package's upper-envelope deviation d2 at observed count ``x > 0``, for checking its root."""
+    return 1.0 - _upper_complement(x, cfg)
 
 
 def grid_scan_coeff_extrema(mu_lo: float, mu_hi: float, k: int, points: int = 100_000):
@@ -102,7 +111,9 @@ def write_observables_csv(observables: PairObservables, path: str | Path) -> Non
         for l in SOURCES:
             for r in SOURCES:
                 e = observables.entry(l, r)
-                writer.writerow([l, r, e.basis, repr(e.emitted), e.counts, e.errors])
+                # z-z is the Z basis, any other pair with a z is basis-mismatched.
+                basis = "Z" if (l, r) == ("z", "z") else "mixed" if "z" in (l, r) else "X"
+                writer.writerow([l, r, basis, repr(e.emitted), e.counts, e.errors])
 
 
 # ---------------------------------------------------------------------------

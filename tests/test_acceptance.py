@@ -24,9 +24,9 @@ from mdiqkd import (
     validate_model,
 )
 from mdiqkd.cli import main as cli_main
-from mdiqkd.stat_bounds import lower_deviation, upper_deviation
+from mdiqkd.stat_bounds import lower_deviation
 
-from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
+from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, upper_deviation, vacuum_error_component
 
 
 def test_criterion_1_chernoff_round_trip():
@@ -77,7 +77,8 @@ def test_criterion_3_asymptotic_collapse(exact_ensemble, exact_side):
     worst = 0.0
     for distance in (0.0, 25.0, 50.0):
         params = ChannelParams(n_pairs=1e11, distance_km=distance)
-        inputs = AnalysisInputs.from_simulation(exact_ensemble, params, disabled=True)
+        inputs = AnalysisInputs.from_simulation(exact_ensemble, params)
+        inputs = replace(inputs, chernoff=replace(inputs.chernoff, disabled=True))
         report = secure_key_rate(inputs)
         oracle = plugin_asymptotic_rate(inputs.observables, exact_side, params.f_ec)
         rel = abs(report.rate - oracle) / abs(oracle)

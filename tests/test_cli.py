@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mdiqkd
-from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_distances, ConfigError, RunConfig
+from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_config_file, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("float", "int")]
@@ -129,6 +129,10 @@ def test_intensity_past_underflow_limit_exit_code_2(tmp_path, capsys, monkeypatc
         ("validate-model", "seed = -1", "seed must be nonnegative"),
         ("validate-model", "mc_trials = 0", "mc_trials must be at least 1"),
         ("rate", "k_max = 20", "unknown key 'k_max'"),
+        ("optimize", "budget = 1.7", "'budget': must be a whole number"),
+        ("optimize", "restarts = 2.9", "'restarts': must be a whole number"),
+        ("validate-model", "seed = 0.5", "'seed': must be a whole number"),
+        ("validate-model", "mc_trials = 100000.5", "'mc_trials': must be a whole number"),
     ],
 )
 def test_bad_run_option_exit_code_2(tmp_path, capsys, command, line, fragment):
@@ -137,6 +141,28 @@ def test_bad_run_option_exit_code_2(tmp_path, capsys, command, line, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert "Traceback" not in err
+
+
+def test_integer_keys_accept_whole_numbers_in_any_float_form(tmp_path):
+    config = write_config(tmp_path, "mc_trials = 1e7\nbudget = 120.0\nrestarts = 4\nseed = 2E1\n")
+    assert parse_config_file(config) == {"mc_trials": 10_000_000, "budget": 120, "restarts": 4, "seed": 20}
+
+
+@pytest.mark.parametrize("argv", [["optimize"], ["scan", "--optimize", "on"]], ids=["optimize", "scan-optimize"])
+def test_optimize_without_feasible_start_exit_code_2(tmp_path, capsys, argv):
+    # Near fluctuation 0.96 and above, no random start keeps the widened decoy intervals disjoint.
+    config = write_config(tmp_path, "fluctuation = 0.99\n")
+    assert main([*argv, "--config", str(config), "--distances", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: could not sample a feasible starting point: at fluctuation 0.99 ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_optimize_vacuum_cap_past_underflow_limit_exit_code_2(tmp_path, capsys):
+    config = write_config(tmp_path, "vacuum_cap = 800\n")
+    assert main(["optimize", "--config", str(config), "--distances", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: source v intensity interval ends at 800") and "Traceback" not in err
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -239,9 +265,8 @@ def test_scan_single_distance_matches_rate(tmp_path, capsys):
 
 def test_scan_builds_coefficient_bounds_once(tmp_path, capsys, monkeypatch):
     calls = []
-    for module in (mdiqkd.cli, mdiqkd.keyrate_core):
-        counted = module.coeff_bounds
-        monkeypatch.setattr(module, "coeff_bounds", lambda ensemble, counted=counted: calls.append(1) or counted(ensemble))
+    counted = mdiqkd.source_model.coeff_bounds
+    monkeypatch.setattr(mdiqkd.source_model, "coeff_bounds", lambda ensemble: calls.append(1) or counted(ensemble))
     config = write_config(tmp_path, "fluctuation = 0.01\nvacuum_cap = 1e-6\n")
     assert main(["scan", "--config", str(config), "--distances", "0:60:15"]) == 0
     assert len(calls) == 1

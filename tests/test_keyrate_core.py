@@ -21,14 +21,11 @@ from mdiqkd import (
     chernoff_upper,
     coeff_bounds,
     rate_function,
-    s_minus_upper,
-    s_plus_lower,
     secure_key_rate,
-    sigma_factors,
 )
 from mdiqkd import source_model
 from mdiqkd.channel_sim import PairObservables
-from mdiqkd.keyrate_core import RateCurve, _convex_minimum
+from mdiqkd.keyrate_core import RateCurve, _convex_minimum, _sigma_factors
 
 from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
 
@@ -55,30 +52,31 @@ def _scaled(observables: PairObservables, factor: float) -> PairObservables:
 
 
 def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
-    sigma = sigma_factors(coeff_bounds(exact_ensemble))
-    assert sigma.x_total == sigma.y_total == 0.0
+    x_total, y_total = _sigma_factors(coeff_bounds(exact_ensemble))
+    assert x_total == y_total == 0.0
 
 
 def test_sigma_reference_value():
     # cap 1e-6 with mu_x = 0.1 and no fluctuation: everything cancels except
     # cap / mu_x = 1e-5 per side.
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=1e-6)
-    sigma = sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
-    assert sigma.x_total == pytest.approx(2e-5, rel=1e-12)
+    x_total, _ = _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
+    assert x_total == pytest.approx(2e-5, rel=1e-12)
 
 
 def test_sigma_monotone_in_vacuum_cap():
     values = []
     for cap in (0.0, 1e-6, 1e-4, 1e-2):
         side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=cap)
-        values.append(sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side))).x_total)
+        x_total, _ = _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
+        values.append(x_total)
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_sigma_infeasible_when_vacuum_too_unstable():
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=0.09)
     with pytest.raises(AnalysisInfeasible, match="contamination"):
-        sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
+        _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
 
 
 # --- envelopes --------------------------------------------------------------
@@ -103,8 +101,9 @@ def test_envelope_relative_width_shrinks_with_more_data(inputs_10km):
 
 def test_collapsed_bounds_reproduce_plugin_values(exact_ensemble, exact_side):
     params = ChannelParams(n_pairs=1e11, distance_km=10.0)
-    inputs = AnalysisInputs.from_simulation(exact_ensemble, params, disabled=True)
-    sigma = sigma_factors(inputs.bounds)
+    inputs = AnalysisInputs.from_simulation(exact_ensemble, params)
+    inputs = replace(inputs, chernoff=replace(inputs.chernoff, disabled=True))
+    curve, _, _ = rate_function(inputs)
     obs = inputs.observables
     a1y = math.exp(-0.4) * 0.4
     a2y = math.exp(-0.4) * 0.08
@@ -115,34 +114,36 @@ def test_collapsed_bounds_reproduce_plugin_values(exact_ensemble, exact_side):
         a0y * obs.entry("v", "y").rate + a0y * obs.entry("y", "v").rate
     )
     expected_minus = a1x * a2x * (obs.entry("y", "y").rate + a0y * a0y * obs.entry("v", "v").rate)
-    assert s_plus_lower(inputs, sigma) == pytest.approx(expected_plus, rel=1e-12)
-    assert s_minus_upper(inputs, sigma) == pytest.approx(expected_minus, rel=1e-12)
+    assert curve.s_plus == pytest.approx(expected_plus, rel=1e-12)
+    assert curve.s_minus == pytest.approx(expected_minus, rel=1e-12)
 
 
 def test_finite_data_bounds_bracket_plugin_values(inputs_10km):
-    sigma = sigma_factors(inputs_10km.bounds)
     collapsed = AnalysisInputs(
         bounds=inputs_10km.bounds,
         observables=inputs_10km.observables,
         chernoff=ChernoffConfig(xi=inputs_10km.chernoff.xi, disabled=True),
         f_ec=inputs_10km.f_ec,
     )
-    assert s_plus_lower(inputs_10km, sigma) <= s_plus_lower(collapsed, sigma)
-    assert s_minus_upper(inputs_10km, sigma) >= s_minus_upper(collapsed, sigma)
+    finite, _, _ = rate_function(inputs_10km)
+    plugin, _, _ = rate_function(collapsed)
+    assert finite.s_plus <= plugin.s_plus
+    assert finite.s_minus >= plugin.s_minus
 
 
 def test_joint_splus_dominates_per_term_composition(inputs_10km):
-    sigma = sigma_factors(inputs_10km.bounds)
+    _, y_total = _sigma_factors(inputs_10km.bounds)
     a, b = inputs_10km.bounds.alice, inputs_10km.bounds.bob
     obs = inputs_10km.observables
     cfg = inputs_10km.chernoff
-    scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma.y_total)
+    scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - y_total)
     per_term = (
         a.lo("y", 1) * b.lo("y", 2) / obs.emitted("x", "x") * chernoff_lower(obs.counts("x", "x"), cfg)
         + scale * (a.lo("y", 0) / a.hi("v", 0)) / obs.emitted("v", "y") * chernoff_lower(obs.counts("v", "y"), cfg)
         + scale * (b.lo("y", 0) / b.hi("v", 0)) / obs.emitted("y", "v") * chernoff_lower(obs.counts("y", "v"), cfg)
     )
-    assert s_plus_lower(inputs_10km, sigma) >= per_term - 1e-15
+    curve, _, _ = rate_function(inputs_10km)
+    assert curve.s_plus >= per_term - 1e-15
 
 
 # --- nuisance interval -------------------------------------------------------
@@ -251,15 +252,12 @@ def test_rate_with_no_single_photon_floor_is_pure_cost(inputs_10km):
 def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
     params = ChannelParams(n_pairs=1e11, distance_km=10.0)
     inputs = AnalysisInputs.from_simulation(exact_ensemble, params)
-    sigma = sigma_factors(inputs.bounds)
-    s_plus = s_plus_lower(inputs, sigma)
-    s_minus = s_minus_upper(inputs, sigma)
+    curve, _, _ = rate_function(inputs)
     a, b = inputs.bounds.alice, inputs.bounds.bob
     # Just below the h where s11 reaches zero: s11 is tiny but positive, so
     # only the correction cost remains.
-    h_zero = (s_plus - s_minus) / (a.lo("y", 1) * b.lo("y", 2))
+    h_zero = (curve.s_plus - curve.s_minus) / (a.lo("y", 1) * b.lo("y", 2))
     probe = h_zero * (1.0 - 1e-9)
-    curve, _, _ = rate_function(inputs)
     assert curve.s11(probe) > 0.0
     obs = inputs.observables
     pz2 = obs.emitted("z", "z") / obs.n_pairs
@@ -471,7 +469,8 @@ def test_non_finite_minimum_raises_solver_error(inputs_10km):
 def test_collapse_matches_straight_line_oracle(exact_ensemble, exact_side):
     for distance in (0.0, 25.0):
         params = ChannelParams(n_pairs=1e11, distance_km=distance)
-        inputs = AnalysisInputs.from_simulation(exact_ensemble, params, disabled=True)
+        inputs = AnalysisInputs.from_simulation(exact_ensemble, params)
+        inputs = replace(inputs, chernoff=replace(inputs.chernoff, disabled=True))
         report = secure_key_rate(inputs)
         oracle = plugin_asymptotic_rate(inputs.observables, exact_side, params.f_ec)
         assert report.rate == pytest.approx(oracle, rel=1e-9)
@@ -485,11 +484,12 @@ def test_decoy_failure_reported_not_raised():
     assert report.reason.startswith("decoy-conditions-failed")
 
 
-def test_secure_key_rate_checks_fresh_bounds_once(noisy_ensemble, params_10km, monkeypatch):
+def test_secure_key_rate_checks_fresh_bounds_once(noisy_side, params_10km, monkeypatch):
     calls = []
     counted = source_model.check_decoy_conditions
     monkeypatch.setattr(source_model, "check_decoy_conditions", lambda bounds: calls.append(1) or counted(bounds))
-    inputs = AnalysisInputs.from_simulation(noisy_ensemble, params_10km)
+    # A new ensemble: the shared fixture's table, and so its verdict, may already be cached.
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(noisy_side), params_10km)
     assert secure_key_rate(inputs).reason == "ok"
     assert len(calls) == 1
 
@@ -523,9 +523,8 @@ def test_report_record_has_all_fields(inputs_10km):
 # --- monotone degradation ------------------------------------------------------
 
 
-def _rate_for(side: SideSources, params: ChannelParams, disabled: bool = False) -> float:
-    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params, disabled=disabled)
-    return secure_key_rate(inputs).rate
+def _rate_for(side: SideSources, params: ChannelParams) -> float:
+    return secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params)).rate
 
 
 def test_rate_degrades_with_fluctuation(sweep_side):

@@ -92,6 +92,18 @@ def test_library_default_budget_matches_cli():
     assert inspect.signature(optimize).parameters["budget"].default == RunConfig.budget == 800
 
 
+def test_each_restart_gets_budget_share_floored_at_ten_simplex_calls(problem_10km, monkeypatch):
+    # The first restart starts at DEFAULT_START and probes no random starts,
+    # so its log is its simplex calls alone.
+    assert len(optimize(problem_10km, budget=1, restarts=1).evaluations) == 10
+    caps = []
+    simplex = optimizer._nelder_mead
+    monkeypatch.setattr(optimizer, "_nelder_mead", lambda func, x0, maxfev: caps.append(maxfev) or simplex(func, x0, maxfev))
+    optimize(problem_10km, budget=12, restarts=8)
+    optimize(problem_10km, budget=100, restarts=4)
+    assert caps == [10] * 8 + [25] * 4
+
+
 def _recording(objective):
     calls = []
 

@@ -13,9 +13,9 @@ from mdiqkd import (
     SourceEnsemble,
     check_decoy_conditions,
     coeff_bounds,
-    coeff_interval,
     poisson_coeff,
 )
+from mdiqkd.source_model import coeff_interval
 
 from .oracles import grid_scan_coeff_extrema
 

@@ -5,7 +5,6 @@ import pytest
 
 from mdiqkd import (
     ChernoffConfig,
-    InvocationCounter,
     SolverError,
     chernoff_lower,
     chernoff_upper,
@@ -13,9 +12,9 @@ from mdiqkd import (
     combo_upper,
 )
 from mdiqkd import stat_bounds
-from mdiqkd.stat_bounds import lower_deviation, upper_deviation
+from mdiqkd.stat_bounds import InvocationCounter, lower_deviation
 
-from .oracles import brentq_lower_deviation, brentq_upper_deviation
+from .oracles import brentq_lower_deviation, brentq_upper_deviation, upper_deviation
 
 CFG = ChernoffConfig(xi=1e-7)
 
