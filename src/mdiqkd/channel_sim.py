@@ -25,6 +25,7 @@ is used.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -33,6 +34,14 @@ from .source_model import SOURCES, SourceEnsemble
 
 # Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
 _CHUNK_SIZE = 1_000_000
+
+# Trials per draw block within a chunk: the detector intensities and the
+# Poisson and dark-count draws of one block take about 256 KB each.
+_BLOCK_SIZE = 8192
+
+# Threads that run Monte Carlo chunks at once.  Each chunk has its own seed
+# and counts add up as integers, so the counts do not depend on this.
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4)
 
 # A trial's clicks as a 4-bit code, bit k set when detector k (1H, 1V, 2H,
 # 2V) fired.  Accepted coincidences are 1H+1V, 2H+2V (same port) and 1H+2V,
@@ -165,54 +174,129 @@ def monte_carlo_yield(
     amplitudes through the beam splitter, draw Poisson photon numbers at each
     detector from the post-loss intensities, add dark counts, and classify the
     coincidence pattern.  Trials are partitioned into fixed-size chunks with
-    seeds spawned per chunk, so results depend only on ``(seed, trials)`` and
-    not on how chunks are scheduled.
+    seeds spawned per chunk, and chunks run on a small thread pool.  Results
+    depend only on ``(seed, trials)``, not on the number of threads, the
+    order in which chunks finish, or the block size below.
 
     The draws are part of that contract.  Each chunk of ``m`` trials makes
     these generator calls, in this order: ``uniform(0, 2 pi, m)`` for the
     phase, ``integers(0, 2, m)`` for Alice's bit and again for Bob's,
     ``poisson`` on the ``(m, 4)`` detector intensities, ``random((m, 4))``
     for dark counts, and ``random(n)`` for the misalignment flips of the
-    chunk's ``n`` successful trials.  Changing any of them changes the counts.
+    chunk's ``n`` successful trials.  The bit, Poisson and dark-count draws
+    are made in blocks of trials, one call per block on the same stream; a
+    generator consumes its stream in element order, so the blocks draw the
+    same numbers as one call would.  Changing any draw changes the counts.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
     _check_intensities(mu_a, mu_b)
+    return _simulate([(mu_a, mu_b, basis, params, trials, seed)])[0]
 
-    eta = side_transmittance(params)
-    n_chunks = (trials + _CHUNK_SIZE - 1) // _CHUNK_SIZE
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    n_success = 0
-    n_error = 0
-    remaining = trials
-    for child in children:
-        m = min(_CHUNK_SIZE, remaining)
-        remaining -= m
-        successes, errors = _chunk_counts(np.random.default_rng(child), m, basis, eta * mu_a, eta * mu_b, params)
-        n_success += successes
-        n_error += errors
 
-    q_hat = n_success / trials
-    eq_hat = n_error / trials
-    return MonteCarloYield(
-        gain=q_hat,
-        error_gain=eq_hat,
-        gain_se=math.sqrt(q_hat * (1.0 - q_hat) / trials),
-        error_se=math.sqrt(eq_hat * (1.0 - eq_hat) / trials),
-        trials=trials,
-        successes=n_success,
-        errors=n_error,
-    )
+def _simulate(cells: list[tuple[float, float, str, ChannelParams, int, int]]) -> list[MonteCarloYield]:
+    """Monte Carlo results of ``(mu_a, mu_b, basis, params, trials, seed)`` cells.
+
+    Every ``(cell, chunk)`` job runs on one thread pool.  Jobs are made as
+    they are submitted, at most two per worker in flight, so neither the
+    seeds nor the futures of a huge run are built up front.  Chunk ``k`` of a
+    cell draws from ``SeedSequence(seed, spawn_key=(k,))``, which is
+    ``SeedSequence(seed).spawn(n)[k]``.  Worker threads run only
+    ``_chunk_counts`` and below.
+    """
+    # Imported here: it costs about 8 ms, which commands without a Monte
+    # Carlo should not pay.
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+    totals = [[0, 0] for _ in cells]
+
+    def add(futures) -> None:
+        for future in futures:
+            index, (successes, errors) = future.result()
+            totals[index][0] += successes
+            totals[index][1] += errors
+
+    pool = ThreadPoolExecutor(max_workers=_WORKERS)
+    try:
+        in_flight = set()
+        for index, (mu_a, mu_b, basis, params, trials, seed) in enumerate(cells):
+            eta = side_transmittance(params)
+            for k, first in enumerate(range(0, trials, _CHUNK_SIZE)):
+                if len(in_flight) >= 2 * _WORKERS:
+                    done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                    add(done)
+                m = min(_CHUNK_SIZE, trials - first)
+                in_flight.add(pool.submit(_chunk_job, index, seed, k, m, basis, eta * mu_a, eta * mu_b, params))
+        add(wait(in_flight).done)
+    finally:
+        # After a failed chunk, jobs not yet started are dropped; the
+        # threads are joined either way.
+        pool.shutdown(cancel_futures=True)
+
+    results = []
+    for cell, (successes, errors) in zip(cells, totals):
+        trials = cell[4]
+        q_hat = successes / trials
+        eq_hat = errors / trials
+        results.append(
+            MonteCarloYield(
+                gain=q_hat,
+                error_gain=eq_hat,
+                gain_se=math.sqrt(q_hat * (1.0 - q_hat) / trials),
+                error_se=math.sqrt(eq_hat * (1.0 - eq_hat) / trials),
+                trials=trials,
+                successes=successes,
+                errors=errors,
+            )
+        )
+    return results
+
+
+def _chunk_job(index: int, seed: int, k: int, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, tuple[int, int]]:
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    return index, _chunk_counts(rng, m, basis, ea, eb, params)
 
 
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
-    """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`."""
-    lam, same = _detector_intensities(rng, m, basis, ea, eb)
-    clicks = rng.poisson(lam.T) > 0
-    clicks |= rng.random((m, 4)) < params.p_d
-    code = clicks.view(np.uint8) @ _CLICK_WEIGHTS
+    """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
+
+    Every draw but the phases is made block by block, in the listed order,
+    through buffers reused across blocks.  A chunk holds ``cos(phi)`` and
+    one byte per trial for each bit, each click pattern and each test on
+    them, but never an ``(m, 4)`` array.
+    """
+    block = min(_BLOCK_SIZE, m)
+    blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
+    cos_phi = rng.uniform(0.0, 2.0 * np.pi, m)
+    np.cos(cos_phi, out=cos_phi)
+    bit_a = np.empty(m, dtype=np.uint8)
+    bit_b = np.empty(m, dtype=np.uint8)
+    for bits in (bit_a, bit_b):
+        for start, stop in blocks:
+            bits[start:stop] = rng.integers(0, 2, stop - start)
+    same = bit_a == bit_b
+    # Z basis: pattern = 2 bit_a + bit_b, 0 HH, 1 HV, 2 VH, 3 VV.
+    pattern = np.left_shift(bit_a, 1, out=bit_a)
+    pattern |= bit_b
+
+    lam = np.empty((4, block))
+    scratch = np.empty(block)
+    clicks = np.empty((block, 4), dtype=bool)
+    code = np.empty(m, dtype=np.uint8)  # bit k set when detector k fired
+    for start, stop in blocks:
+        n = stop - start
+        part = lam[:, :n]
+        _detector_intensities(part, scratch[:n], cos_phi[start:stop], same[start:stop], pattern[start:stop], basis, ea, eb)
+        np.greater(rng.poisson(part.T), 0, out=clicks[:n])
+        np.matmul(clicks[:n].view(np.uint8), _CLICK_WEIGHTS, out=code[start:stop])
+    dark = np.empty((block, 4))
+    for start, stop in blocks:
+        n = stop - start
+        np.less(rng.random(out=dark[:n]), params.p_d, out=clicks[:n])
+        code[start:stop] |= clicks[:n].view(np.uint8) @ _CLICK_WEIGHTS
+
     success = _SUCCESS.take(code)
     raw_error = same[success]  # every Z-basis success announces anticorrelated bits
     if basis == "X":
@@ -221,42 +305,33 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
 
 
-def _detector_intensities(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float) -> tuple[np.ndarray, np.ndarray]:
-    """Draw phases and bits; return the mean photon numbers and ``bit_a == bit_b``.
+def _detector_intensities(lam: np.ndarray, scratch: np.ndarray, cos_phi: np.ndarray, same: np.ndarray, pattern: np.ndarray, basis: str, ea: float, eb: float) -> None:
+    """Write the mean photon numbers of one block of trials into ``lam``.
 
-    The intensities form a ``(4, m)`` array, one contiguous row per detector
-    (1H, 1V, 2H, 2V).  Each is built as a sum of ``mask * value`` terms of
-    which exactly one is nonzero, so it is the same float a per-trial branch
-    would give, without branches or masked writes.  ``scratch`` holds the
-    phase, then cos(phi), then each term in turn.
+    ``lam`` has one row per detector (1H, 1V, 2H, 2V).  Each is built as a
+    sum of ``mask * value`` terms of which exactly one is nonzero, so it is
+    the same float a per-trial branch would give, without branches or masked
+    writes.  ``scratch`` holds each term in turn.
     """
     x = math.sqrt(ea * eb) / 2.0
     mu_p = (ea + eb) / 2.0
-    scratch = rng.uniform(0.0, 2.0 * np.pi, m)
-    np.cos(scratch, out=scratch)
-    bit_a = rng.integers(0, 2, m)
-    bit_b = rng.integers(0, 2, m)
-    same = bit_a == bit_b
-    lam = np.empty((4, m))
     if basis == "X":
         # The H detectors of ports 1 and 2 see base +- x cos(phi); the V
         # detectors see the same pair, swapped when the bits differ.
-        np.multiply(x, scratch, out=scratch)
+        np.multiply(x, cos_phi, out=scratch)
         plus = np.add(mu_p / 2.0, scratch, out=lam[0])
         minus = np.subtract(mu_p / 2.0, scratch, out=lam[2])
         differ = ~same
         for row, if_same, if_differ in ((1, plus, minus), (3, minus, plus)):
             np.multiply(same, if_same, out=lam[row])
             lam[row] += np.multiply(differ, if_differ, out=scratch)
-        return lam, same
+        return
     # Equal bits interfere on the two detectors of their polarization; unequal
     # bits put each party's half intensity on both detectors of its own
-    # polarization.  pattern = 2 bit_a + bit_b: 0 HH, 1 HV, 2 VH, 3 VV.
-    np.multiply(2.0 * x, scratch, out=scratch)
+    # polarization.
+    np.multiply(2.0 * x, cos_phi, out=scratch)
     plus = np.add(mu_p, scratch, out=lam[0])
     minus = np.subtract(mu_p, scratch, out=lam[2])
-    pattern = np.left_shift(bit_a, 1, out=bit_a)
-    pattern |= bit_b
     both_v = pattern == 3
     np.multiply(both_v, plus, out=lam[1])
     np.multiply(both_v, minus, out=lam[3])
@@ -265,7 +340,6 @@ def _detector_intensities(rng: np.random.Generator, m: int, basis: str, ea: floa
     minus *= both_h
     for first_row, at_hv, at_vh in ((0, ea / 2.0, eb / 2.0), (1, eb / 2.0, ea / 2.0)):
         lam[first_row::2] += np.take(np.array((0.0, at_hv, at_vh, 0.0)), pattern, out=scratch)
-    return lam, same
 
 
 @dataclass(frozen=True)
@@ -418,25 +492,25 @@ def validate_model(
     """Compare closed-form gains against the photon-level simulation."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rows = []
+    cells, analytic = [], []
     for i, (mu, distance) in enumerate(grid):
         for j, basis in enumerate(("X", "Z")):
             run_params = params.at_distance(distance)
-            q, eq = pair_yield(mu, mu, basis, run_params)
-            mc = monte_carlo_yield(mu, mu, basis, run_params, trials, seed + 1000 * i + j)
-            z_gain = _z_score(mc.gain, q, mc.gain_se, trials)
-            z_err = _z_score(mc.error_gain, eq, mc.error_se, trials)
-            rows.append(
-                ValidationRow(
-                    mu=mu,
-                    distance_km=distance,
-                    basis=basis,
-                    analytic_gain=q,
-                    mc_gain=mc.gain,
-                    z_gain=z_gain,
-                    analytic_error_gain=eq,
-                    mc_error_gain=mc.error_gain,
-                    z_error=z_err,
-                )
+            analytic.append(pair_yield(mu, mu, basis, run_params))
+            cells.append((mu, mu, basis, run_params, trials, seed + 1000 * i + j))
+    rows = []
+    for (mu, _, basis, run_params, _, _), (q, eq), mc in zip(cells, analytic, _simulate(cells)):
+        rows.append(
+            ValidationRow(
+                mu=mu,
+                distance_km=run_params.distance_km,
+                basis=basis,
+                analytic_gain=q,
+                mc_gain=mc.gain,
+                z_gain=_z_score(mc.gain, q, mc.gain_se, trials),
+                analytic_error_gain=eq,
+                mc_error_gain=mc.error_gain,
+                z_error=_z_score(mc.error_gain, eq, mc.error_se, trials),
             )
+        )
     return ValidationReport(rows=tuple(rows), trials=trials)

@@ -49,7 +49,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_int(text: str) -> int:
-    value = float(text)
+    try:
+        return int(text)  # exact, also past 2**53
+    except ValueError:
+        pass
+    value = float(text)  # whole numbers written as 1e7 or 2.0
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text!r}")
     if not value.is_integer():

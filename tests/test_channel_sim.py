@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,14 @@ MONTE_CARLO_GOLDEN = [
     ("z-all-patterns", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 4023, 1755),
     ("x-trials-1", 2.0, 2.0, "X", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 1, 1),
     ("z-trials-1", 2.0, 2.0, "Z", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
+    # Recorded from the unblocked kernel, at trial counts that end on, just
+    # past and just short of a boundary of the 8192-trial draw blocks.
+    ("x-block-multiple", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 8083, 2407),
+    ("z-block-multiple", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 5059, 2051),
+    ("x-block-plus-one", 0.5, 0.35, "X", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 115, 42),
+    ("z-block-plus-one", 0.5, 0.35, "Z", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 88, 28),
+    ("x-block-minus-one", 0.8, 0.8, "X", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 1051, 356),
+    ("z-block-minus-one", 0.8, 0.8, "Z", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 716, 226),
 ]
 
 
@@ -121,6 +132,99 @@ def test_monte_carlo_chunking_does_not_change_results(monkeypatch):
         a = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
         b = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
         assert (a.successes, a.errors) == (b.successes, b.errors) == counts
+
+
+@pytest.mark.parametrize("block_size", [7, 1000])
+def test_monte_carlo_counts_do_not_depend_on_block_size(monkeypatch, block_size):
+    monkeypatch.setattr(channel_sim, "_BLOCK_SIZE", block_size)
+    for _, mu_a, mu_b, basis, overrides, trials, seed, successes, errors in MONTE_CARLO_GOLDEN[-6:]:
+        result = monte_carlo_yield(mu_a, mu_b, basis, ChannelParams(**overrides), trials=trials, seed=seed)
+        assert (result.successes, result.errors) == (successes, errors)
+
+
+def test_validation_rows_do_not_depend_on_worker_count(monkeypatch):
+    # Three chunks per cell, the last one short, run on one, two and four
+    # threads; four, with a short switch interval, to provoke any lost update.
+    monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 10_000)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(channel_sim, "_WORKERS", workers)
+            reports.append(validate_model(ChannelParams(), trials=25_000, seed=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0].rows) == 2 * len(channel_sim.DEFAULT_VALIDATION_GRID)
+
+
+def test_chunk_seeds_are_the_spawned_children(monkeypatch):
+    seen = []
+
+    def record(rng, m, basis, ea, eb, params):
+        seen.append(rng.bit_generator.seed_seq)
+        return 0, 0
+
+    monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 10)
+    monkeypatch.setattr(channel_sim, "_chunk_counts", record)
+    seed = 20240501
+    monte_carlo_yield(0.1, 0.1, "X", ChannelParams(), trials=95, seed=seed)
+    children = np.random.SeedSequence(seed).spawn(10)
+    seen.sort(key=lambda child: child.spawn_key)
+    assert [child.spawn_key for child in seen] == [child.spawn_key for child in children]
+    for lazy, spawned in zip(seen, children):
+        assert lazy.entropy == spawned.entropy
+        assert np.array_equal(lazy.generate_state(8), spawned.generate_state(8))
+
+
+def test_worker_error_propagates_and_threads_are_joined(monkeypatch):
+    class ChunkFailure(Exception):
+        pass
+
+    failure = ChunkFailure("chunk failed")
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise failure
+
+    monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 1)
+    monkeypatch.setattr(channel_sim, "_chunk_counts", fail)
+    threads_before = threading.active_count()
+    with pytest.raises(ChunkFailure) as caught:
+        validate_model(ChannelParams(), trials=1000, seed=1)
+    assert caught.value is failure
+    assert threading.active_count() == threads_before
+    # 20,000 one-trial jobs, but no more than the in-flight window ran.
+    assert 1 <= len(calls) <= 2 * channel_sim._WORKERS
+
+
+def test_worker_count_is_capped_at_four():
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    assert channel_sim._WORKERS == min(usable, 4)
+    assert 1 <= channel_sim._WORKERS <= 4
+
+
+def test_traced_functions_run_on_the_calling_thread(monkeypatch):
+    # A tracer that keeps one span stack needs every public call on one thread.
+    threads = []
+    for name in ("pair_yield", "monte_carlo_yield"):
+        original = getattr(channel_sim, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            threads.append(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(channel_sim, name, wrapper)
+    monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 1000)
+    validate_model(ChannelParams(), trials=3000, seed=3, grid=((0.2, 0.0), (0.4, 10.0)))
+    channel_sim.monte_carlo_yield(0.2, 0.2, "Z", ChannelParams(), trials=3000, seed=3)
+    assert len(threads) == 5
+    assert set(threads) == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("mu_a, mu_b", [(float("nan"), 0.1), (0.1, -0.1), (float("inf"), 0.1), (0.1, float("nan"))])

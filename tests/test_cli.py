@@ -148,6 +148,13 @@ def test_integer_keys_accept_whole_numbers_in_any_float_form(tmp_path):
     assert parse_config_file(config) == {"mc_trials": 10_000_000, "budget": 120, "restarts": 4, "seed": 20}
 
 
+def test_integer_keys_past_two_to_the_53_parse_exactly(tmp_path, capsys):
+    config = write_config(tmp_path, "seed = 9007199254740993\nmc_trials = 1000\n")
+    assert parse_config_file(config) == {"seed": 9007199254740993, "mc_trials": 1000}
+    assert main(["validate-model", "--config", str(config)]) == 0
+    assert "# seed=9007199254740993" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [["optimize"], ["scan", "--optimize", "on"]], ids=["optimize", "scan-optimize"])
 def test_optimize_without_feasible_start_exit_code_2(tmp_path, capsys, argv):
     # Near fluctuation 0.96 and above, no random start keeps the widened decoy intervals disjoint.
