@@ -166,6 +166,8 @@ def monte_carlo_yield(
     params: ChannelParams,
     trials: int,
     seed: int,
+    *,
+    _runner: _Runner | None = None,
 ) -> MonteCarloYield:
     """Photon-level simulation of the relay measurement.
 
@@ -187,71 +189,94 @@ def monte_carlo_yield(
     are made in blocks of trials, one call per block on the same stream; a
     generator consumes its stream in element order, so the blocks draw the
     same numbers as one call would.  Changing any draw changes the counts.
+
+    :func:`validate_model` passes the runner of all its cells as
+    ``_runner``, so that the chunks of later cells run while this call
+    waits for this cell's.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
     _check_intensities(mu_a, mu_b)
-    return _simulate([(mu_a, mu_b, basis, params, trials, seed)])[0]
+    cell = (mu_a, mu_b, basis, params, trials, seed)
+    if _runner is not None:
+        return _runner.result(cell)
+    with _Runner([cell]) as runner:
+        return runner.result(cell)
 
 
-def _simulate(cells: list[tuple[float, float, str, ChannelParams, int, int]]) -> list[MonteCarloYield]:
-    """Monte Carlo results of ``(mu_a, mu_b, basis, params, trials, seed)`` cells.
+class _Runner:
+    """Monte Carlo of ``(mu_a, mu_b, basis, params, trials, seed)`` cells on one thread pool.
 
-    Every ``(cell, chunk)`` job runs on one thread pool.  Jobs are made as
-    they are submitted, at most two per worker in flight, so neither the
-    seeds nor the futures of a huge run are built up front.  Chunk ``k`` of a
-    cell draws from ``SeedSequence(seed, spawn_key=(k,))``, which is
+    Every ``(cell, chunk)`` job runs on the pool.  Jobs are made as they are
+    submitted, at most two per worker in flight, so neither the seeds nor the
+    futures of a huge run are built up front, and the jobs of later cells
+    start while an earlier cell is collected.  Chunk ``k`` of a cell draws
+    from ``SeedSequence(seed, spawn_key=(k,))``, which is
     ``SeedSequence(seed).spawn(n)[k]``.  Worker threads run only
-    ``_chunk_counts`` and below.
+    ``_chunk_counts`` and below; counts are added, and each cell's result
+    is returned in order, on the thread that calls :meth:`result`.
     """
-    # Imported here: it costs about 8 ms, which commands without a Monte
-    # Carlo should not pay.
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-    totals = [[0, 0] for _ in cells]
+    def __init__(self, cells: list[tuple[float, float, str, ChannelParams, int, int]]) -> None:
+        # Imported here, so that commands without a Monte Carlo do not pay
+        # for the import.
+        from concurrent.futures import ThreadPoolExecutor
 
-    def add(futures) -> None:
-        for future in futures:
-            index, (successes, errors) = future.result()
-            totals[index][0] += successes
-            totals[index][1] += errors
+        self._cells = cells
+        self._jobs = self._make_jobs()
+        self._chunks_left = [len(range(0, cell[4], _CHUNK_SIZE)) for cell in cells]
+        self._totals = [[0, 0] for _ in cells]
+        self._in_flight: set = set()
+        self._next = 0
+        self._pool = ThreadPoolExecutor(max_workers=_WORKERS)
 
-    pool = ThreadPoolExecutor(max_workers=_WORKERS)
-    try:
-        in_flight = set()
-        for index, (mu_a, mu_b, basis, params, trials, seed) in enumerate(cells):
-            eta = side_transmittance(params)
-            for k, first in enumerate(range(0, trials, _CHUNK_SIZE)):
-                if len(in_flight) >= 2 * _WORKERS:
-                    done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-                    add(done)
-                m = min(_CHUNK_SIZE, trials - first)
-                in_flight.add(pool.submit(_chunk_job, index, seed, k, m, basis, eta * mu_a, eta * mu_b, params))
-        add(wait(in_flight).done)
-    finally:
+    def __enter__(self) -> _Runner:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
         # After a failed chunk, jobs not yet started are dropped; the
         # threads are joined either way.
-        pool.shutdown(cancel_futures=True)
+        self._pool.shutdown(cancel_futures=True)
 
-    results = []
-    for cell, (successes, errors) in zip(cells, totals):
+    def _make_jobs(self):
+        for index, (mu_a, mu_b, basis, params, trials, seed) in enumerate(self._cells):
+            eta = side_transmittance(params)
+            for k, first in enumerate(range(0, trials, _CHUNK_SIZE)):
+                yield index, seed, k, min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params
+
+    def result(self, cell: tuple[float, float, str, ChannelParams, int, int]) -> MonteCarloYield:
+        """The result of the next cell, which must be ``cell``."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        index = self._next
+        if index >= len(self._cells) or cell != self._cells[index]:
+            raise ValueError("Monte Carlo cells must be collected in the order they were given")
+        while self._chunks_left[index]:
+            while len(self._in_flight) < 2 * _WORKERS and (job := next(self._jobs, None)) is not None:
+                self._in_flight.add(self._pool.submit(_chunk_job, *job))
+            done, self._in_flight = wait(self._in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                finished, (successes, errors) = future.result()
+                self._totals[finished][0] += successes
+                self._totals[finished][1] += errors
+                self._chunks_left[finished] -= 1
+        self._next += 1
+
+        successes, errors = self._totals[index]
         trials = cell[4]
         q_hat = successes / trials
         eq_hat = errors / trials
-        results.append(
-            MonteCarloYield(
-                gain=q_hat,
-                error_gain=eq_hat,
-                gain_se=math.sqrt(q_hat * (1.0 - q_hat) / trials),
-                error_se=math.sqrt(eq_hat * (1.0 - eq_hat) / trials),
-                trials=trials,
-                successes=successes,
-                errors=errors,
-            )
+        return MonteCarloYield(
+            gain=q_hat,
+            error_gain=eq_hat,
+            gain_se=math.sqrt(q_hat * (1.0 - q_hat) / trials),
+            error_se=math.sqrt(eq_hat * (1.0 - eq_hat) / trials),
+            trials=trials,
+            successes=successes,
+            errors=errors,
         )
-    return results
 
 
 def _chunk_job(index: int, seed: int, k: int, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, tuple[int, int]]:
@@ -489,7 +514,12 @@ def validate_model(
     seed: int,
     grid: tuple[tuple[float, float], ...] = DEFAULT_VALIDATION_GRID,
 ) -> ValidationReport:
-    """Compare closed-form gains against the photon-level simulation."""
+    """Compare closed-form gains against the photon-level simulation.
+
+    Each cell's simulation is one :func:`monte_carlo_yield` call on the
+    calling thread.  The calls share one runner, so the cells' chunks run
+    on the thread pool together.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     cells, analytic = [], []
@@ -498,8 +528,10 @@ def validate_model(
             run_params = params.at_distance(distance)
             analytic.append(pair_yield(mu, mu, basis, run_params))
             cells.append((mu, mu, basis, run_params, trials, seed + 1000 * i + j))
+    with _Runner(cells) as runner:
+        mcs = [monte_carlo_yield(*cell, _runner=runner) for cell in cells]
     rows = []
-    for (mu, _, basis, run_params, _, _), (q, eq), mc in zip(cells, analytic, _simulate(cells)):
+    for (mu, _, basis, run_params, _, _), (q, eq), mc in zip(cells, analytic, mcs):
         rows.append(
             ValidationRow(
                 mu=mu,

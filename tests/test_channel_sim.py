@@ -1,4 +1,3 @@
-import os
 import sys
 import threading
 from pathlib import Path
@@ -201,30 +200,41 @@ def test_worker_error_propagates_and_threads_are_joined(monkeypatch):
 
 
 def test_worker_count_is_capped_at_four():
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    assert channel_sim._WORKERS == min(usable, 4)
     assert 1 <= channel_sim._WORKERS <= 4
 
 
 def test_traced_functions_run_on_the_calling_thread(monkeypatch):
-    # A tracer that keeps one span stack needs every public call on one thread.
-    threads = []
+    # A tracer that keeps one span stack needs every public call on one
+    # thread, and sees validate_model's simulation as one call per cell.
+    calls = []
     for name in ("pair_yield", "monte_carlo_yield"):
         original = getattr(channel_sim, name)
 
-        def wrapper(*args, _original=original, **kwargs):
-            threads.append(threading.current_thread())
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, threading.current_thread()))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(channel_sim, name, wrapper)
     monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 1000)
     validate_model(ChannelParams(), trials=3000, seed=3, grid=((0.2, 0.0), (0.4, 10.0)))
     channel_sim.monte_carlo_yield(0.2, 0.2, "Z", ChannelParams(), trials=3000, seed=3)
-    assert len(threads) == 5
-    assert set(threads) == {threading.current_thread()}
+    assert sorted(name for name, _ in calls) == ["monte_carlo_yield"] * 5 + ["pair_yield"] * 4
+    assert {thread for _, thread in calls} == {threading.current_thread()}
+
+
+def test_validation_cells_run_at_the_same_time(monkeypatch):
+    # Two one-chunk cells on two workers: each chunk waits for the other to
+    # start, which times out if validate_model ran its cells one by one.
+    barrier = threading.Barrier(2, timeout=10)
+
+    def meet(*args):
+        barrier.wait()
+        return 0, 0
+
+    monkeypatch.setattr(channel_sim, "_WORKERS", 2)
+    monkeypatch.setattr(channel_sim, "_chunk_counts", meet)
+    report = validate_model(ChannelParams(), trials=100, seed=1, grid=((0.2, 0.0),))
+    assert [row.mc_gain for row in report.rows] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("mu_a, mu_b", [(float("nan"), 0.1), (0.1, -0.1), (float("inf"), 0.1), (0.1, float("nan"))])
