@@ -23,8 +23,7 @@ from functools import cached_property
 SOURCES = ("v", "x", "y", "z")
 
 # Every intensity interval must end below this: at or above it the
-# zero-photon coefficient e^-mu underflows the smallest normal float, and the
-# coefficient table, which runs up to the largest interval end, grows with it.
+# zero-photon coefficient e^-mu underflows the smallest normal float.
 MAX_INTENSITY = -math.log(sys.float_info.min)
 
 _PROB_TOL = 1e-12
@@ -36,10 +35,10 @@ def poisson_coeff(mu: float, k: int) -> float:
     Evaluated in log space so large ``k`` neither overflows the factorial nor
     underflows prematurely.
     """
-    if k != int(k) or k < 0:
+    if not (0 <= k < math.inf and k == int(k)):
         raise ValueError(f"photon number must be a nonnegative integer, got {k!r}")
-    if mu < 0:
-        raise ValueError(f"intensity must be nonnegative, got {mu!r}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"intensity must be finite and nonnegative, got {mu!r}")
     k = int(k)
     if mu == 0.0:
         return 1.0 if k == 0 else 0.0
@@ -54,7 +53,7 @@ def coeff_interval(mu_lo: float, mu_hi: float, k: int) -> tuple[float, float]:
     The coefficient is unimodal in ``mu`` with its single maximum at ``mu = k``,
     so the extrema sit at the interval endpoints or at that interior point.
     """
-    if mu_lo < 0 or mu_hi < mu_lo:
+    if not 0.0 <= mu_lo <= mu_hi < math.inf:
         raise ValueError(f"invalid intensity interval [{mu_lo}, {mu_hi}]")
     candidates = [poisson_coeff(mu_lo, k), poisson_coeff(mu_hi, k)]
     if mu_lo < k < mu_hi:
@@ -103,7 +102,7 @@ class SideSources:
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"source probabilities must sum to 1, got {total!r}")
         for source in SOURCES:
-            _check_interval_end(source, self.intensity_interval(source)[1])
+            _check_interval(source, *self.intensity_interval(source))
 
     def probability(self, source: str) -> float:
         return {"v": self.p_v, "x": self.p_x, "y": self.p_y, "z": self.p_z}[source]
@@ -139,9 +138,9 @@ class SideCoeffBounds:
 
     ``lower[l][k]`` / ``upper[l][k]`` bound the k-photon coefficient of source
     ``l`` over that source's intensity interval, for k = 0 .. K with
-    ``K = max(2, ceil(largest interval end))``: the rate reads k = 0, 1, 2,
-    and :func:`check_decoy_conditions` reads k = 2 .. K, beyond which its
-    conditions have closed forms.
+    ``K = max(2, ceil(vacuum_cap))``: the rate reads k = 0, 1, 2, and the
+    vacuum ratio of :func:`check_decoy_conditions` reads k = 2 .. K, beyond
+    which it follows in closed form.
     """
 
     intervals: dict[str, tuple[float, float]]
@@ -183,7 +182,9 @@ class PhotonCoeffBounds:
         return check_decoy_conditions(self)
 
 
-def _check_interval_end(source: str, mu_hi: float) -> None:
+def _check_interval(source: str, mu_lo: float, mu_hi: float) -> None:
+    if not 0.0 <= mu_lo <= mu_hi:
+        raise ValueError(f"source {source}: invalid intensity interval [{mu_lo}, {mu_hi}]")
     if not mu_hi < MAX_INTENSITY:
         raise ValueError(
             f"source {source} intensity interval ends at {mu_hi:g}, not below {MAX_INTENSITY:.6g}, "
@@ -192,9 +193,9 @@ def _check_interval_end(source: str, mu_hi: float) -> None:
 
 
 def _side_bounds(intervals: dict[str, tuple[float, float]]) -> SideCoeffBounds:
-    for source, (_, mu_hi) in intervals.items():
-        _check_interval_end(source, mu_hi)
-    depth = max(2, math.ceil(max(mu_hi for _, mu_hi in intervals.values())))
+    for source, (mu_lo, mu_hi) in intervals.items():
+        _check_interval(source, mu_lo, mu_hi)
+    depth = max(2, math.ceil(intervals["v"][1]))
     lower: dict[str, tuple[float, ...]] = {}
     upper: dict[str, tuple[float, ...]] = {}
     for source, (mu_lo, mu_hi) in intervals.items():
@@ -216,9 +217,10 @@ def coeff_bounds(ensemble: SourceEnsemble) -> PhotonCoeffBounds:
 class DecoyConditionReport:
     """Outcome of the decoy-state precondition checks.
 
-    Each failure reads ``side:check: detail``.  A failing report means the
-    single-photon bounds below are not valid for these sources; the key-rate
-    analysis must refuse to run on it.
+    Each failure reads ``side:check: detail``, where check is
+    ``intensity-intervals-disjoint`` or ``vacuum-ratio``.  A failing report
+    means the single-photon bounds below are not valid for these sources; the
+    key-rate analysis must refuse to run on it.
     """
 
     failures: tuple[str, ...]
@@ -236,40 +238,35 @@ class DecoyConditionReport:
 def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
     """Verify the ratio conditions the single-photon estimates rest on, for every k >= 2.
 
-    Checked per side:
+    Checked per side, with ``P_k(mu) = e^-mu mu^k / k!``:
 
     * the x and y intensity intervals must be disjoint (x strictly below y).
-    * decoy ratio chain: ``a_k^{y,L}/a_k^{x,U} >= a_2^{y,L}/a_2^{x,U} >=
-      a_1^{y,L}/a_1^{x,U}`` (evaluated in product form, so zero coefficients
-      cannot divide).
+      That alone certifies the decoy ratio chain ``a_k^{y,L}/a_k^{x,U} >=
+      a_2^{y,L}/a_2^{x,U} >= a_1^{y,L}/a_1^{x,U}`` for every k >= 2.  A
+      lower bound over an upper bound is the minimum, over every pair x, y
+      drawn from the two intervals, of ``P_k(y)/P_k(x) = e^(x - y) (y/x)^k``.
+      With y > x each of these ratios does not decrease in k, so neither does
+      their minimum.
     * vacuum ratio: ``a_k^{l,L}/a_1^{l,U} >= a_k^{v,U}/a_1^{v,U}`` for
       l = x, y.  When ``a_1^{v,U} = 0`` the vacuum source is exactly vacuum
       and the condition holds by convention (every downstream use enters
       through factors that vanish with it).
 
-    The table covers k = 0 .. K, where K is at least every interval end, and
-    k = 2 .. K are checked from it.  Every k > K follows in closed form.  The
-    coefficient ``P_k(mu) = e^-mu mu^k / k!`` increases on ``[0, k]``, so for
-    every k >= K each bound sits at an interval end: ``a_k^{l,L} = P_k(l_lo)``,
-    ``a_k^{l,U} = P_k(l_hi)`` and ``a_k^{v,U} = P_k(c)``, c the vacuum cap.
-
-    * decoy ratio: ``a_k^{y,L}/a_k^{x,U} = e^(x_hi - y_lo) (y_lo/x_hi)^k``.
-      Disjoint intervals have ``y_lo > x_hi``, so the ratio grows with k and
-      the condition at k = K holds for every k > K.  (At ``x_hi = 0`` both
-      sides of the product form vanish for every k >= 1.)  Overlapping
-      intervals fail the disjointness check whatever the ratios do.
-    * vacuum ratio, for c > 0: the condition reads
-      ``e^(c - l_lo) (l_lo/c)^k >= a_1^{l,U}/a_1^{v,U}`` with a right side
-      fixed in k.  For ``l_lo >= c`` the left side does not decrease in k,
-      so the condition at k = K holds for every k > K.  For ``l_lo < c`` it
-      falls to zero, so the condition fails at some k unless
-      ``a_1^{l,U} = 0``.  That k grows like ``1/log(c/l_lo)``, past any
-      fixed depth and past the point where both products underflow to zero
-      and compare equal, so this case is decided by comparing ``l_lo`` with c.
+    The vacuum ratio is checked at k = 2 .. K from the table, with
+    ``K = max(2, ceil(c))`` and c the vacuum cap, and every k > K follows.
+    ``P_k`` increases on ``[0, k]``, so for k >= max(1, c) the bound
+    ``a_k^{v,U}`` is ``P_k(c)`` and the condition reads
+    ``min_l e^(c - l) (l/c)^k >= a_1^{l,U}/a_1^{v,U}``, the minimum taken
+    over l's interval, with a right side fixed in k.  For ``l_lo >= c`` every
+    term of that minimum, and so the minimum, does not decrease in k, so the
+    condition at k = K holds for every k > K.  For ``l_lo < c`` the term at
+    ``l_lo`` falls to zero, so the condition fails at some k unless
+    ``a_1^{l,U} = 0``.  That k grows like ``1/log(c/l_lo)``, past any fixed
+    depth and past the point where both products underflow to zero and
+    compare equal, so this case is decided by comparing ``l_lo`` with c.
     """
     failures: list[str] = []
     for side_name, sb in (("alice", bounds.alice), ("bob", bounds.bob)):
-        photon_numbers = range(2, len(sb.lower["x"]))  # k = 2 .. K
         x_lo, x_hi = sb.intervals["x"]
         y_lo, y_hi = sb.intervals["y"]
         if not x_hi < y_lo:
@@ -278,21 +275,13 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
                 f"x interval [{x_lo:g}, {x_hi:g}] overlaps y interval [{y_lo:g}, {y_hi:g}]"
             )
 
-        # a_2^{y,L} a_1^{x,U} >= a_1^{y,L} a_2^{x,U}
-        if not sb.lo("y", 2) * sb.hi("x", 1) >= sb.lo("y", 1) * sb.hi("x", 2):
-            failures.append(f"{side_name}:decoy-ratio-step: two-photon y/x ratio falls below the one-photon ratio")
-
-        bad_k = next((k for k in photon_numbers if sb.lo("y", k) * sb.hi("x", 2) < sb.lo("y", 2) * sb.hi("x", k)), None)
-        if bad_k is not None:
-            failures.append(f"{side_name}:decoy-ratio-growth: y/x coefficient ratio decreases at k={bad_k}")
-
         a1v_hi = sb.hi("v", 1)
         if a1v_hi != 0.0:
             bad = next(
                 (
                     (source, k)
                     for source in ("x", "y")
-                    for k in photon_numbers
+                    for k in range(2, len(sb.lower["v"]))  # k = 2 .. K
                     if sb.lo(source, k) * a1v_hi < sb.hi(source, 1) * sb.hi("v", k)
                 ),
                 None,

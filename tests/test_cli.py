@@ -100,6 +100,16 @@ def test_decoy_failure_exit_code_2(tmp_path, capsys):
     assert err.startswith("error: decoy conditions fail for these sources: alice:intensity-intervals-disjoint: ")
 
 
+def test_ulp_apart_decoys_give_zero_rate_not_decoy_failure(tmp_path, capsys):
+    # Disjoint by one ulp, so the decoy conditions hold; the single-photon
+    # denominator then rounds to zero or below and the rate is zero.
+    config = write_config(tmp_path, "mu_x = 0.009885017232114096\nmu_y = 0.00988501723211411\n")
+    assert main(["rate", "--config", str(config)]) == 0
+    fields = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert float(fields["rate"]) == 0.0
+    assert fields["reason"].startswith("infeasible: single-photon denominator is not positive")
+
+
 def test_vacuum_ratio_failing_beyond_depth_twenty_exit_code_2(tmp_path, capsys):
     # x's vacuum ratio holds up to k = 20 and fails from k = 21 on.
     config = write_config(tmp_path, "mu_x = 2.2\nmu_y = 3.2\nmu_z = 0.5\nvacuum_cap = 2.25\n")

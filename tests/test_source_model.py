@@ -48,6 +48,12 @@ def test_domain_errors():
         poisson_coeff(0.1, -1)
     with pytest.raises(ValueError):
         poisson_coeff(0.1, 1.5)
+    for mu, k in [(0.1, math.inf), (0.1, math.nan), (math.inf, 1), (math.nan, 0)]:
+        with pytest.raises(ValueError):
+            poisson_coeff(mu, k)
+    for mu_lo, mu_hi in [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf), (0.2, 0.1), (-0.1, 0.1)]:
+        with pytest.raises(ValueError, match="invalid intensity interval"):
+            coeff_interval(mu_lo, mu_hi, 1)
 
 
 def test_zero_width_interval_is_degenerate():
@@ -154,14 +160,13 @@ def test_decoy_conditions_pass_for_clean_settings():
     assert all(r2 >= r1 for r1, r2 in zip(ratios, ratios[1:]))
 
 
-def test_swapped_decoys_fail_at_k2():
+def test_swapped_decoys_fail_only_disjointness():
     bounds = PhotonCoeffBounds.from_intervals(
         {"v": (0.0, 0.0), "x": (0.4, 0.4), "y": (0.1, 0.1), "z": (0.5, 0.5)},
         {"v": (0.0, 0.0), "x": (0.4, 0.4), "y": (0.1, 0.1), "z": (0.5, 0.5)},
     )
     report = check_decoy_conditions(bounds)
-    assert not report.passed
-    assert any(":decoy-ratio-step:" in failure for failure in report.failures)
+    assert [f.split(": ")[0] for f in report.failures] == ["alice:intensity-intervals-disjoint", "bob:intensity-intervals-disjoint"]
 
 
 def test_exact_vacuum_satisfies_vacuum_ratio_by_convention(exact_ensemble):
@@ -183,14 +188,16 @@ def test_overlapping_decoy_intervals_fail():
     assert any(":intensity-intervals-disjoint:" in failure for failure in report.failures)
 
 
-def test_table_depth_follows_the_largest_interval_end():
+def test_table_depth_follows_the_vacuum_cap():
     low = coeff_bounds(SourceEnsemble.symmetric(SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7)))
     assert all(len(low.alice.lower[s]) == len(low.alice.upper[s]) == 3 for s in "vxyz")
-    high = PhotonCoeffBounds.from_intervals(
-        {"v": (0.0, 1e-6), "x": (0.5, 0.5), "y": (3.0, 3.3), "z": (0.4, 0.6)},
-        {"v": (0.0, 1e-6), "x": (0.5, 0.5), "y": (3.0, 3.0), "z": (0.4, 0.6)},
+    # The depth is max(2, ceil(vacuum_cap)), however far the other intervals reach.
+    bounds = PhotonCoeffBounds.from_intervals(
+        {"v": (0.0, 3.3), "x": (3.4, 3.5), "y": (5.0, 5.2), "z": (0.4, 0.6)},
+        {"v": (0.0, 1e-6), "x": (0.5, 0.5), "y": (3.0, 3.3), "z": (4.0, 4.6)},
     )
-    assert len(high.alice.lower["v"]) == 5 and len(high.bob.lower["v"]) == 4
+    for side, entries in ((bounds.alice, 5), (bounds.bob, 3)):
+        assert all(len(side.lower[s]) == len(side.upper[s]) == entries for s in "vxyz")
 
 
 @pytest.mark.parametrize("key", ["mu_y", "mu_z", "vacuum_cap"])
@@ -201,12 +208,22 @@ def test_interval_end_at_the_underflow_limit_rejected(key):
         SideSources(**{**values, key: source_model.MAX_INTENSITY})
 
 
-def test_widened_or_raw_interval_past_the_underflow_limit_rejected():
+def test_widened_or_raw_interval_past_the_underflow_limit_rejected(monkeypatch):
     with pytest.raises(ValueError, match="underflows"):  # mu_y 700 reaches 714 at the top of its interval
         SideSources(mu_x=0.1, mu_y=700.0, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, fluctuation=0.02)
-    intervals = {"v": (0.0, 0.0), "x": (0.1, 0.1), "y": (0.4, 1e9), "z": (0.5, 0.5)}
-    with pytest.raises(ValueError, match="underflows"):
-        PhotonCoeffBounds.from_intervals(intervals, intervals)
+    built = []
+    monkeypatch.setattr(source_model, "coeff_interval", lambda *args: built.append(args))
+    clean = {"v": (0.0, 0.0), "x": (0.1, 0.1), "y": (0.4, 0.4), "z": (0.5, 0.5)}
+    for source, interval, match in [
+        ("y", (0.4, 1e9), "underflows"),
+        ("y", (0.4, math.inf), "underflows"),
+        ("x", (math.nan, 0.1), "invalid intensity interval"),
+        ("z", (0.5, math.nan), "invalid intensity interval"),
+    ]:
+        intervals = {**clean, source: interval}
+        with pytest.raises(ValueError, match=match):
+            PhotonCoeffBounds.from_intervals(intervals, intervals)
+    assert built == []  # rejected before any coefficient is computed
 
 
 def test_vacuum_ratio_failing_beyond_depth_twenty_is_caught():
