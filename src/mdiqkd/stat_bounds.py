@@ -2,14 +2,16 @@
 
 Given an observed sum ``X`` of independent indicator variables and a per-use
 failure probability ``xi``, the expected value of the sum lies in
-``[X/(1+d1), X/(1-d2)]`` except with probability ``xi`` per side, where
-``d1 > 0`` and ``d2 in (0, 1)`` solve, in log form,
+``[X s_lo, X s_hi]`` except with probability ``xi`` per side, where ``s_lo``
+in (0, 1) and ``s_hi > 1`` are the two roots of
 
-    [d1 - (1+d1) ln(1+d1)] X / (1+d1) = ln(xi/2)
-    [-d2 - (1-d2) ln(1-d2)] X / (1-d2) = ln(xi/2)
+    s - ln s = 1 + eps,    eps = ln(2/xi) / X
 
-Both left sides are strictly decreasing in d, so the roots are found by
-bisection on a bracketing interval.
+(``-W_0`` and ``-W_-1`` of ``-e^(-1-eps)`` in Lambert-W terms).  With
+``t = ln s`` the equation reads ``expm1(t) - t = eps``, whose left side is
+convex with its minimum at ``t = 0``.  Newton's method started on the outer
+side of a root stays on that side, so both roots are found without a bracket,
+and each bound is then nudged outward past the rounding error of the solve.
 
 ``combo_lower`` / ``combo_upper`` bound nonnegative linear combinations
 ``sum_i c_i <X_i>`` jointly: sorting coefficients descending and telescoping
@@ -25,15 +27,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-_BRACKET_EDGE = 1e-12
-# Bisection stops once the bracket is this small relative to its end, and
-# gives up loudly after this many halvings.
-_REL_TOL = 1e-12
-_MAX_ITER = 200
+# Outward nudge of a bound, relative, per unit of ``2 + |t|``.  The solved
+# ``t`` is good to a few units of 2**-52 absolute, and ``exp`` turns the
+# rounding of ``t`` itself, about ``|t|`` such units, into relative error.
+# Half of it kept both bounds conservative in 15,000 random cases; a quarter
+# did not.
+_NUDGE = 4 * 2.0**-52
 
 
 class SolverError(RuntimeError):
-    """Raised when a bound equation cannot be solved to tolerance."""
+    """Raised by the slope search over H on a NaN or misplaced infinite slope, or a non-finite minimum.
+
+    The Chernoff envelopes never raise it.
+    """
 
 
 @dataclass(frozen=True)
@@ -62,94 +68,26 @@ class InvocationCounter:
         self.count += n
 
 
-def _bisect_decreasing(f, lo: float, hi: float) -> float:
-    """Root of a strictly decreasing ``f`` with ``f(lo) > 0 > f(hi)``.
+def _log_two_over(xi: float) -> float:
+    """``ln(2/xi)``, finite also where ``2/xi`` overflows."""
+    return math.log(2.0) - math.log(xi)
 
-    Returns the upper end of the final bracket, which errs on the large-d
-    (conservative) side of the bound.
+
+def _log_root(eps: float, t: float) -> float:
+    """Root of ``f(t) = expm1(t) - t = eps`` by Newton's method from ``t`` outside it.
+
+    From the outer side of a root of the convex ``f`` every Newton step moves
+    toward zero by less than the step before.  Once rounding breaks that, the
+    last iterate is within a few ulps of the root.
     """
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _REL_TOL * hi:
-            return hi
-    raise SolverError(f"bisection did not reach tolerance {_REL_TOL} within {_MAX_ITER} iterations")
-
-
-def lower_deviation(x: float, cfg: ChernoffConfig) -> float:
-    """Solve for the lower-envelope deviation d1 at observed count ``x > 0``."""
-    target = math.log(cfg.xi / 2.0)
-
-    def g(d: float) -> float:
-        return (d - (1.0 + d) * math.log1p(d)) * x / (1.0 + d) - target
-
-    lo = _BRACKET_EDGE
-    if g(lo) <= 0.0:
-        # Root below the bracket floor: x is astronomically large.  Using the
-        # floor shrinks the lower bound, which is the safe direction.
-        return lo
-    hi = 1.0
-    doublings = 0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise SolverError("could not bracket the lower-envelope deviation")
-    return _bisect_decreasing(g, lo, hi)
-
-
-def _upper_complement(x: float, cfg: ChernoffConfig) -> float:
-    """Solve for w = 1 - d2 at observed count ``x > 0``.
-
-    In terms of w the log-form equation reads ``x (1 - 1/w - ln w) =
-    ln(xi/2)`` with a strictly increasing left side.  Depending on the count,
-    the root sits arbitrarily close to w = 0 (tiny counts) or to w = 1 (large
-    counts); either way the small quantity is resolved by geometric bisection
-    in its own variable so it keeps full relative precision.  Bracket-end
-    choices always err toward smaller w, i.e. a larger (safe) upper bound.
-    """
-    target = math.log(cfg.xi / 2.0)
-
-    def g(w: float) -> float:
-        # Evaluate through the deviation d = 1 - w with log1p where w is
-        # near one: the direct w-form cancels catastrophically there.
-        d = 1.0 - w
-        log_w = math.log(w) if w < 0.5 else math.log1p(-d)
-        return (-d - w * log_w) * x / w - target
-
-    lo = _BRACKET_EDGE
-    hi = 1.0 - _BRACKET_EDGE
-    if g(hi) <= 0.0:
-        return hi  # deviation below the bracket floor; ceiling w is safe
-    if g(lo) > 0.0:
-        return lo  # deviation above the bracket ceiling; floor w is safe
-
-    if g(0.5) >= 0.0:
-        # Root at w <= 0.5: geometric bisection in w.
-        w_lo, w_hi = lo, 0.5
-        for _ in range(_MAX_ITER):
-            mid = math.sqrt(w_lo * w_hi)
-            if g(mid) > 0.0:
-                w_hi = mid
-            else:
-                w_lo = mid
-            if w_hi - w_lo <= _REL_TOL * w_lo:
-                return w_lo
-    else:
-        # Root at w > 0.5: geometric bisection in the deviation d = 1 - w.
-        d_lo, d_hi = _BRACKET_EDGE, 0.5
-        for _ in range(_MAX_ITER):
-            mid = math.sqrt(d_lo * d_hi)
-            if g(1.0 - mid) > 0.0:
-                d_lo = mid
-            else:
-                d_hi = mid
-            if d_hi - d_lo <= _REL_TOL * d_lo:
-                return 1.0 - d_hi
-    raise SolverError(f"bisection did not reach tolerance {_REL_TOL} within {_MAX_ITER} iterations")
+    last_gain = math.inf
+    while True:
+        g = math.expm1(t)
+        nxt = t - (g - t - eps) / g
+        gain = abs(t) - abs(nxt)
+        if not 0.0 < gain < last_gain:
+            return t
+        t, last_gain = nxt, gain
 
 
 def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
@@ -162,7 +100,11 @@ def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
         counter.bump()
     if x == 0:
         return 0.0
-    return x / (1.0 + lower_deviation(x, cfg))
+    eps = _log_two_over(cfg.xi) / x
+    # Outside the root: f(-1-eps) = eps + e^(-1-eps), and for eps < 1/2,
+    # f(-a) >= a^2/2 - a^3/6 >= eps at a = sqrt(2 eps) + eps.
+    t = _log_root(eps, -(eps + min(1.0, math.sqrt(2.0 * eps))))
+    return x * math.exp(t) * (1.0 - _NUDGE * (2.0 - t))
 
 
 def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
@@ -175,9 +117,14 @@ def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
         counter.bump()
     if x == 0:
         # Zero-observation tail: expectations above ln(2/xi) would have
-        # produced at least one count except with probability xi/2.
-        return math.log(2.0 / cfg.xi)
-    return x / _upper_complement(x, cfg)
+        # produced at least one count except with probability xi/2.  The
+        # nudge covers the rounding of the logarithms.
+        return _log_two_over(cfg.xi) * (1.0 + _NUDGE)
+    eps = _log_two_over(cfg.xi) / x
+    # Outside the root: f(t) >= t^2/2 for t >= 0, and f(ln(2 (1 + eps))) =
+    # 1 + 2 eps - ln(2 (1 + eps)) >= eps.
+    t = _log_root(eps, min(math.sqrt(2.0 * eps), math.log(2.0 * (1.0 + eps))))
+    return (x + x * math.expm1(t)) * (1.0 + _NUDGE * (2.0 + t))
 
 
 def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:

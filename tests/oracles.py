@@ -3,9 +3,7 @@
 Everything here is written straight-line from the defining formulas with its
 own arithmetic, so agreement is evidence rather than tautology.  The only
 package code used is raw observables and, in the model-decomposition oracles,
-the closed-form gain ``pair_yield`` that they take apart.  The exceptions are
-``upper_deviation``, the package's own upper-envelope root restated as a
-deviation so it can be checked against ``brentq_upper_deviation``, and
+the closed-form gain ``pair_yield`` that they take apart.  The exception is
 ``write_observables_csv``, the regression-fixture writer.
 """
 
@@ -19,7 +17,6 @@ from scipy.optimize import brentq
 from mdiqkd import ChannelParams, pair_yield
 from mdiqkd.channel_sim import PairObservables
 from mdiqkd.source_model import SOURCES
-from mdiqkd.stat_bounds import ChernoffConfig, _upper_complement
 
 
 def brentq_lower_deviation(x: float, xi: float) -> float:
@@ -43,11 +40,6 @@ def brentq_upper_deviation(x: float, xi: float) -> float:
         xtol=1e-15,
         rtol=8.882e-16,
     )
-
-
-def upper_deviation(x: float, cfg: ChernoffConfig) -> float:
-    """The package's upper-envelope deviation d2 at observed count ``x > 0``, for checking its root."""
-    return 1.0 - _upper_complement(x, cfg)
 
 
 def grid_scan_coeff_extrema(mu_lo: float, mu_hi: float, k: int, points: int = 100_000):

@@ -24,9 +24,8 @@ from mdiqkd import (
     validate_model,
 )
 from mdiqkd.cli import main as cli_main
-from mdiqkd.stat_bounds import lower_deviation
 
-from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, upper_deviation, vacuum_error_component
+from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
 
 
 def test_criterion_1_chernoff_round_trip():
@@ -35,8 +34,8 @@ def test_criterion_1_chernoff_round_trip():
         for xi in (1e-7, 1e-10):
             cfg = ChernoffConfig(xi=xi)
             target = math.log(xi / 2.0)
-            d1 = lower_deviation(x, cfg)
-            d2 = upper_deviation(x, cfg)
+            d1 = x / chernoff_lower(x, cfg) - 1.0
+            d2 = 1.0 - x / chernoff_upper(x, cfg)
             back1 = (d1 - (1 + d1) * math.log1p(d1)) * x / (1 + d1)
             back2 = (-d2 - (1 - d2) * math.log1p(-d2)) * x / (1 - d2)
             assert abs(back1 - target) <= 1e-9 * abs(target), (x, xi, back1, target)

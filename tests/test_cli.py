@@ -324,6 +324,20 @@ def test_scan_decoy_failure_exit_code_2_with_rate_message(tmp_path, capsys):
     assert rate_err.startswith("error: decoy conditions fail for these sources: ")
 
 
+@pytest.mark.parametrize("xi", ["1e-300", "1e-310", "5e-324"])
+def test_tiny_failure_probability_with_few_pairs_is_not_a_solver_failure(tmp_path, capsys, xi):
+    # At xi = 1e-300 and 10^6 pairs the lower-envelope deviation is about
+    # e^692; below about 1e-308, 2/xi overflows and xi/2 underflows.  The
+    # envelopes must still come out, not as exit 3 or a traceback.
+    reference = (REPO_ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
+    text = reference.replace("xi = 1e-7\n", f"xi = {xi}\n").replace("n_pairs = 1e11\n", "n_pairs = 1e6\n")
+    assert text != reference
+    assert main(["rate", "--config", str(write_config(tmp_path, text))]) == 0
+    captured = capsys.readouterr()
+    record = dict(line.split(" = ") for line in captured.out.strip().splitlines())
+    assert record["reason"] == "ok" and captured.err == ""
+
+
 def test_nan_rate_slope_exit_code_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mdiqkd.keyrate_core.RateCurve, "slope", lambda self, h: float("nan"))
     assert main(["rate", "--config", str(write_config(tmp_path))]) == 3
@@ -353,6 +367,12 @@ def test_scan_output_is_byte_stable(tmp_path, capsys):
 def test_reference_scan_matches_golden_output(capsys):
     assert main(["scan", "--config", str(REPO_ROOT / "configs" / "reference.cfg")]) == 0
     golden = (REPO_ROOT / "tests" / "data" / "reference_scan.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_reference_rate_matches_golden_output(capsys):
+    assert main(["rate", "--config", str(REPO_ROOT / "configs" / "reference.cfg")]) == 0
+    golden = (REPO_ROOT / "tests" / "data" / "rate_reference.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
 
 

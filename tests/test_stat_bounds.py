@@ -1,22 +1,27 @@
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from mdiqkd import (
     ChernoffConfig,
-    SolverError,
     chernoff_lower,
     chernoff_upper,
     combo_lower,
     combo_upper,
 )
-from mdiqkd import stat_bounds
-from mdiqkd.stat_bounds import InvocationCounter, lower_deviation
+from mdiqkd.stat_bounds import InvocationCounter
 
-from .oracles import brentq_lower_deviation, brentq_upper_deviation, upper_deviation
+from .oracles import brentq_lower_deviation, brentq_upper_deviation
 
 CFG = ChernoffConfig(xi=1e-7)
+
+
+def deviations(x: float, cfg: ChernoffConfig) -> tuple[float, float]:
+    """The envelope deviations d1, d2 read back from the public bounds at ``x > 0``."""
+    return x / chernoff_lower(x, cfg) - 1.0, 1.0 - x / chernoff_upper(x, cfg)
 
 
 def test_zero_counts_edge_cases():
@@ -36,8 +41,9 @@ def test_zero_observation_upper_is_small_count_limit():
 def test_reference_point_against_independent_solver():
     x, xi = 10**6, 1e-7
     cfg = ChernoffConfig(xi=xi)
-    assert lower_deviation(x, cfg) == pytest.approx(brentq_lower_deviation(x, xi), rel=1e-10)
-    assert upper_deviation(x, cfg) == pytest.approx(brentq_upper_deviation(x, xi), rel=1e-10)
+    d1, d2 = deviations(x, cfg)
+    assert d1 == pytest.approx(brentq_lower_deviation(x, xi), rel=1e-10)
+    assert d2 == pytest.approx(brentq_upper_deviation(x, xi), rel=1e-10)
     # Frozen values from the independent solver:
     assert chernoff_lower(x, cfg) == pytest.approx(994212.7121286959, rel=1e-10)
     assert chernoff_upper(x, cfg) == pytest.approx(1005809.7028533723, rel=1e-10)
@@ -45,7 +51,7 @@ def test_reference_point_against_independent_solver():
 
 def test_gaussian_regime_sanity():
     x, xi = 10**6, 1e-7
-    delta = lower_deviation(x, ChernoffConfig(xi=xi))
+    delta, _ = deviations(x, ChernoffConfig(xi=xi))
     approx = math.sqrt(2.0 * math.log(2.0 / xi) / x)
     assert abs(delta - approx) / approx <= 0.10
 
@@ -60,8 +66,7 @@ def test_bounds_bracket_the_observation(x):
 def test_round_trip_recovers_failure_probability(x, xi):
     cfg = ChernoffConfig(xi=xi)
     target = math.log(xi / 2.0)
-    d1 = lower_deviation(x, cfg)
-    d2 = upper_deviation(x, cfg)
+    d1, d2 = deviations(x, cfg)
     back1 = (d1 - (1 + d1) * math.log1p(d1)) * x / (1 + d1)
     back2 = (-d2 - (1 - d2) * math.log1p(-d2)) * x / (1 - d2)
     assert abs(back1 - target) <= 1e-9 * abs(target)
@@ -120,10 +125,31 @@ def test_negative_inputs_rejected():
         combo_upper([(0.1, -10.0)], CFG)
 
 
-def test_solver_failure_is_loud(monkeypatch):
-    monkeypatch.setattr(stat_bounds, "_MAX_ITER", 3)
-    with pytest.raises(SolverError):
-        lower_deviation(10**6, ChernoffConfig(xi=1e-7))
+def test_bounds_are_conservative_and_within_1e_12_of_exact_roots():
+    # Both envelopes are x s at the roots of s - ln s = 1 + ln(2/xi)/x.  In
+    # 50-digit arithmetic each returned s must lie on the outer side, where
+    # s - ln s >= the right side, and tightening it by 1e-12 relative must
+    # cross the root.  At x = 0 the upper bound is the tail ln(2/xi).
+    rng = random.Random(20261018)
+    cases = [(0, 1e-7), (0, 1e-300), (0, 5e-324), (0, 0.5)]
+    cases += [(rng.randint(1, 10**13), 10 ** rng.uniform(-300, math.log10(0.5))) for _ in range(2000)]
+    tighten = Decimal("1e-12")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for x, xi in cases:
+            cfg = ChernoffConfig(xi=xi)
+            log_two_over_xi = (2 / Decimal(xi)).ln()
+            lower, upper = chernoff_lower(x, cfg), chernoff_upper(x, cfg)
+            if x == 0:
+                assert lower == 0.0
+                assert log_two_over_xi <= Decimal(upper) < log_two_over_xi * (1 + tighten), (xi, upper)
+                continue
+            rhs = 1 + log_two_over_xi / x
+            for bound, tighter in ((lower, 1 + tighten), (upper, 1 - tighten)):
+                s = Decimal(bound) / x
+                assert s - s.ln() >= rhs, (x, xi, bound)
+                s *= tighter
+                assert s - s.ln() < rhs, (x, xi, bound)
 
 
 def test_disabled_mode_collapses_envelopes():
