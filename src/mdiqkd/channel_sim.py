@@ -17,9 +17,12 @@ counts fire each detector independently with probability ``p_d`` per gate.
 
 The closed-form gains below are the standard linear-optics expressions for
 this setup with phase-randomized weak coherent pulses.  They are not taken on
-faith: :func:`monte_carlo_yield` simulates the identical physics photon by
-photon, and the validation grid requires 3-sigma agreement before the model
-is used.
+faith: :func:`monte_carlo_yield` simulates the identical physics trial by
+trial, and the validation grid requires 3-sigma agreement before the model
+is used.  The simulation samples each trial's phase and bits, so it checks
+the closed form's phase integral and coincidence logic; the only fact the two
+share is that a threshold detector seeing mean photon number ``lambda``
+clicks with probability ``1 - (1 - p_d) e^-lambda``.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .source_model import SOURCES, SourceEnsemble
+from .source_model import SourceEnsemble
 
 # Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
 _CHUNK_SIZE = 1_000_000
 
 # Trials per draw block within a chunk: the detector intensities and the
-# Poisson and dark-count draws of one block take about 256 KB each.
+# click uniforms of one block take about 256 KB each.
 _BLOCK_SIZE = 8192
 
 # Threads that run Monte Carlo chunks at once.  Each chunk has its own seed
@@ -129,9 +132,10 @@ def pair_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams) -> t
     if basis == "X":
         y = (1.0 - p_d) * math.exp(-mu_p / 2.0)
         eps = p_d - (1.0 - p_d) * math.expm1(-mu_p / 2.0)  # = 1 - y, stably
-        bracket = _i0m1(2.0 * x) - 4.0 * y * _i0m1(x) + 2.0 * eps * eps
+        interference = _i0m1(2.0 * x)
+        bracket = interference - 4.0 * y * _i0m1(x) + 2.0 * eps * eps
         q = 2.0 * y * y * bracket
-        eq = e0 * q - 2.0 * (e0 - e_d) * y * y * _i0m1(2.0 * x)
+        eq = e0 * q - 2.0 * (e0 - e_d) * y * y * interference
     elif basis == "Z":
         silent = (1.0 - p_d) * math.exp(-mu_p)  # both spectator detectors stay quiet
         click_a = -math.expm1(-ea / 2.0) + p_d * math.exp(-ea / 2.0)  # 1 - (1-p_d) e^{-ea/2}
@@ -173,22 +177,28 @@ def monte_carlo_yield(
 
     Per trial: draw the relative phase between the two (independently
     phase-randomized) pulses and both encoded bits, propagate the coherent
-    amplitudes through the beam splitter, draw Poisson photon numbers at each
-    detector from the post-loss intensities, add dark counts, and classify the
-    coincidence pattern.  Trials are partitioned into fixed-size chunks with
-    seeds spawned per chunk, and chunks run on a small thread pool.  Results
-    depend only on ``(seed, trials)``, not on the number of threads, the
-    order in which chunks finish, or the block size below.
+    amplitudes through the beam splitter, let each detector click with
+    probability ``1 - (1 - p_d) e^-lambda`` at its post-loss mean photon
+    number ``lambda`` (at least one photon or a dark count), and classify the
+    coincidence pattern.  Given the trial's phase and bits the four
+    detectors click independently, so one uniform per detector has the same
+    distribution as a Poisson photon number plus a dark-count draw.
+
+    Trials are partitioned into fixed-size chunks with seeds spawned per
+    chunk, and chunks run on a small thread pool.  Results depend only on
+    ``(seed, trials)``, not on the number of threads, the order in which
+    chunks finish, or the block size below.
 
     The draws are part of that contract.  Each chunk of ``m`` trials makes
     these generator calls, in this order: ``uniform(0, 2 pi, m)`` for the
     phase, ``integers(0, 2, m)`` for Alice's bit and again for Bob's,
-    ``poisson`` on the ``(m, 4)`` detector intensities, ``random((m, 4))``
-    for dark counts, and ``random(n)`` for the misalignment flips of the
-    chunk's ``n`` successful trials.  The bit, Poisson and dark-count draws
-    are made in blocks of trials, one call per block on the same stream; a
-    generator consumes its stream in element order, so the blocks draw the
-    same numbers as one call would.  Changing any draw changes the counts.
+    ``random((m, 4))`` for the click uniforms (detector ``k`` of a trial
+    clicks where its uniform is at least its no-click probability), and
+    ``random(n)`` for the misalignment flips of the chunk's ``n`` successful
+    trials.  The bit and click draws are made in blocks of trials, one call
+    per block on the same stream; a generator consumes its stream in element
+    order, so the blocks draw the same numbers as one call would.  Changing
+    any draw changes the counts.
 
     :func:`validate_model` passes the runner of all its cells as
     ``_runner``, so that the chunks of later cells run while this call
@@ -287,10 +297,11 @@ def _chunk_job(index: int, seed: int, k: int, m: int, basis: str, ea: float, eb:
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
     """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
 
-    Every draw but the phases is made block by block, in the listed order,
-    through buffers reused across blocks.  A chunk holds ``cos(phi)`` and
-    one byte per trial for each bit, each click pattern and each test on
-    them, but never an ``(m, 4)`` array.
+    The bits and the click uniforms are drawn block by block, in the listed
+    order; each block's intensities are turned in place into no-click
+    probabilities and compared with its uniforms, in buffers reused across
+    blocks.  A chunk holds ``cos(phi)`` and one byte per trial for each bit,
+    each click pattern and each test on them, but never an ``(m, 4)`` array.
     """
     block = min(_BLOCK_SIZE, m)
     blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
@@ -308,19 +319,20 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
 
     lam = np.empty((4, block))
     scratch = np.empty(block)
+    uniform = np.empty((block, 4))
     clicks = np.empty((block, 4), dtype=bool)
     code = np.empty(m, dtype=np.uint8)  # bit k set when detector k fired
     for start, stop in blocks:
         n = stop - start
-        part = lam[:, :n]
-        _detector_intensities(part, scratch[:n], cos_phi[start:stop], same[start:stop], pattern[start:stop], basis, ea, eb)
-        np.greater(rng.poisson(part.T), 0, out=clicks[:n])
+        silent = lam[:, :n]
+        _detector_intensities(silent, scratch[:n], cos_phi[start:stop], same[start:stop], pattern[start:stop], basis, ea, eb)
+        # No photon arrives with probability e^-lambda, and no dark count
+        # fires with probability 1 - p_d.
+        np.negative(silent, out=silent)
+        np.exp(silent, out=silent)
+        silent *= 1.0 - params.p_d
+        np.greater_equal(rng.random(out=uniform[:n]), silent.T, out=clicks[:n])
         np.matmul(clicks[:n].view(np.uint8), _CLICK_WEIGHTS, out=code[start:stop])
-    dark = np.empty((block, 4))
-    for start, stop in blocks:
-        n = stop - start
-        np.less(rng.random(out=dark[:n]), params.p_d, out=clicks[:n])
-        code[start:stop] |= clicks[:n].view(np.uint8) @ _CLICK_WEIGHTS
 
     success = _SUCCESS.take(code)
     raw_error = same[success]  # every Z-basis success announces anticorrelated bits
@@ -382,7 +394,7 @@ class SourceCounts:
 
 @dataclass(frozen=True)
 class PairObservables:
-    """Counts and error counts for all sixteen two-pulse sources."""
+    """Counts and error counts for the two-pulse sources the analysis reads."""
 
     pairs: dict[tuple[str, str], SourceCounts]
     n_pairs: float
@@ -423,29 +435,33 @@ def simulation_intensity(side_sources, source: str) -> float:
     return {"x": side_sources.mu_x, "y": side_sources.mu_y, "z": side_sources.mu_z}[source]
 
 
+# The (Alice, Bob) sources whose observables the key-rate analysis reads,
+# with the basis each pair is measured in.
+_ANALYSED_PAIRS = (
+    ("v", "v", "X"),
+    ("v", "x", "X"),
+    ("x", "v", "X"),
+    ("x", "x", "X"),
+    ("v", "y", "X"),
+    ("y", "v", "X"),
+    ("y", "y", "X"),
+    ("z", "z", "Z"),
+)
+
+
 def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairObservables:
-    """Expected observables for every two-pulse source at typical intensities.
+    """Expected observables at typical intensities for the pairs the analysis reads.
 
     Counts are rounded to integers (round-half-even) since any real run
-    records integers.  Basis-mismatched pairs are generated with the X-basis
-    gain and a fully random error fraction; the analysis never reads them.
+    records integers.
     """
     pairs: dict[tuple[str, str], SourceCounts] = {}
-    for l in SOURCES:
-        for r in SOURCES:
-            emitted = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
-            mu_a = simulation_intensity(ensemble.alice, l)
-            mu_b = simulation_intensity(ensemble.bob, r)
-            if (l, r) == ("z", "z"):
-                q, eq = pair_yield(mu_a, mu_b, "Z", params)
-            elif l != "z" and r != "z":
-                q, eq = pair_yield(mu_a, mu_b, "X", params)
-            else:
-                q, _ = pair_yield(mu_a, mu_b, "X", params)
-                eq = params.e0 * q
-            counts = round(emitted * q)
-            errors = min(round(emitted * eq), counts)
-            pairs[(l, r)] = SourceCounts(emitted=emitted, counts=counts, errors=errors)
+    for l, r, basis in _ANALYSED_PAIRS:
+        emitted = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
+        q, eq = pair_yield(simulation_intensity(ensemble.alice, l), simulation_intensity(ensemble.bob, r), basis, params)
+        counts = round(emitted * q)
+        errors = min(round(emitted * eq), counts)
+        pairs[(l, r)] = SourceCounts(emitted=emitted, counts=counts, errors=errors)
     return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
 
 

@@ -24,6 +24,7 @@ the joint-constraint construction of Zhang et al., PRA 95, 012333 (2017).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -104,7 +105,9 @@ def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
     # Outside the root: f(-1-eps) = eps + e^(-1-eps), and for eps < 1/2,
     # f(-a) >= a^2/2 - a^3/6 >= eps at a = sqrt(2 eps) + eps.
     t = _log_root(eps, -(eps + min(1.0, math.sqrt(2.0 * eps))))
-    return x * math.exp(t) * (1.0 - _NUDGE * (2.0 - t))
+    bound = x * math.exp(t) * (1.0 - _NUDGE * (2.0 - t))
+    # The relative nudge means nothing below the smallest normal float.
+    return bound if bound >= sys.float_info.min else 0.0
 
 
 def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:

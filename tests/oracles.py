@@ -3,8 +3,10 @@
 Everything here is written straight-line from the defining formulas with its
 own arithmetic, so agreement is evidence rather than tautology.  The only
 package code used is raw observables and, in the model-decomposition oracles,
-the closed-form gain ``pair_yield`` that they take apart.  The exception is
-``write_observables_csv``, the regression-fixture writer.
+the closed-form gain ``pair_yield`` that they take apart.  The exceptions are
+``full_observables``, which extends the analysed table to all sixteen pairs
+with the package's own gains, and ``write_observables_csv``, the
+regression-fixture writer.
 """
 
 import csv
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
-from mdiqkd.channel_sim import PairObservables
+from mdiqkd.channel_sim import PairObservables, SourceCounts, simulation_intensity
 from mdiqkd.source_model import SOURCES
 
 
@@ -67,11 +69,10 @@ def plugin_asymptotic_rate(observables, side, f_ec: float) -> float:
     az1 = math.exp(-side.mu_z) * side.mu_z
 
     S, T = {}, {}
-    for l in "vxy":
-        for r in "vxy":
-            entry = observables.entry(l, r)
-            S[l + r] = entry.counts / entry.emitted
-            T[l + r] = entry.errors / entry.emitted
+    for pair in ("vv", "vx", "xv", "xx", "vy", "yv", "yy"):
+        entry = observables.entry(*pair)
+        S[pair] = entry.counts / entry.emitted
+        T[pair] = entry.errors / entry.emitted
 
     vac_err = ax[0] * T["vx"] + ax[0] * T["xv"] - ax[0] * ax[0] * T["vv"]
     ntil_xx = S["xx"] - 2.0 * vac_err
@@ -91,6 +92,27 @@ def plugin_asymptotic_rate(observables, side, f_ec: float) -> float:
     e_zz = zz.errors / zz.counts
     pz2 = zz.emitted / observables.n_pairs
     return pz2 * (az1 * az1 * s11 * (1.0 - h2(e11)) - f_ec * s_zz * h2(e_zz))
+
+
+def full_observables(ensemble, params: ChannelParams) -> PairObservables:
+    """Observables for all sixteen two-pulse sources, as the fixture records them.
+
+    Pairs within the x, y, v sources are measured in the X basis and z-z in
+    the Z basis, as in ``build_observables``.  A basis-mismatched pair (one
+    z source) gets the X-basis gain and a fully random error fraction ``e0``.
+    """
+    pairs = {}
+    for l in SOURCES:
+        for r in SOURCES:
+            emitted = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
+            mu_a = simulation_intensity(ensemble.alice, l)
+            mu_b = simulation_intensity(ensemble.bob, r)
+            q, eq = pair_yield(mu_a, mu_b, "Z" if (l, r) == ("z", "z") else "X", params)
+            if "z" in (l, r) and (l, r) != ("z", "z"):
+                eq = params.e0 * q
+            counts = round(emitted * q)
+            pairs[(l, r)] = SourceCounts(emitted=emitted, counts=counts, errors=min(round(emitted * eq), counts))
+    return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
 
 
 def write_observables_csv(observables: PairObservables, path: str | Path) -> None:

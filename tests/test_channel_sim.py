@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from pathlib import Path
@@ -15,9 +16,9 @@ from mdiqkd import (
     validate_model,
 )
 from mdiqkd import channel_sim
-from mdiqkd.channel_sim import _i0m1
+from mdiqkd.channel_sim import PairObservables, _i0m1
 
-from .oracles import single_photon_pair_truth, vacuum_error_component, write_observables_csv
+from .oracles import full_observables, single_photon_pair_truth, vacuum_error_component, write_observables_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -83,34 +84,35 @@ def test_monte_carlo_is_deterministic():
     assert (a.successes, a.errors) != (c.successes, c.errors)
 
 
-# (successes, errors) recorded from the photon-level simulation as first
-# written, with masked writes and per-column classification.  Any change to the
-# draws, their order or the classification moves these counts.
+# (successes, errors) recorded from the threshold-click kernel, which draws
+# one uniform per detector.  Any change to the draws, their order or the
+# classification moves these counts; test_golden_counts_agree_with_the_closed_form
+# checks them against the closed-form gains, which share no draw with them.
 MONTE_CARLO_GOLDEN = [
     # id, mu_a, mu_b, basis, ChannelParams overrides, trials, seed, successes, errors
-    ("x-equal", 0.3, 0.3, "X", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 28, 4),
-    ("z-equal", 0.3, 0.3, "Z", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 18, 3),
-    ("x-unequal", 0.5, 0.2, "X", {"p_d": 1e-2}, 20_000, 11, 97, 41),
-    ("z-unequal", 0.5, 0.35, "Z", {"p_d": 1e-2}, 20_000, 11, 78, 29),
-    ("x-zero-intensity", 0.0, 0.0, "X", {"p_d": 0.05}, 20_000, 3, 172, 82),
-    ("z-zero-intensity", 0.0, 0.0, "Z", {"p_d": 0.05}, 20_000, 3, 172, 80),
-    ("z-one-side-dark", 0.4, 0.0, "Z", {"p_d": 0.05}, 20_000, 5, 303, 143),
-    ("x-ed-0", 0.4, 0.4, "X", {"e_d": 0.0, "p_d": 0.02}, 20_000, 13, 168, 60),
-    ("z-ed-1", 0.4, 0.28, "Z", {"e_d": 1.0, "p_d": 0.02}, 20_000, 13, 119, 61),
-    ("x-pd-0", 0.6, 0.6, "X", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 134, 35),
-    ("z-pd-0", 0.6, 0.42, "Z", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 42, 4),
-    ("x-all-patterns", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 6568, 1881),
-    ("z-all-patterns", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 4023, 1755),
-    ("x-trials-1", 2.0, 2.0, "X", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 1, 1),
+    ("x-equal", 0.3, 0.3, "X", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 31, 8),
+    ("z-equal", 0.3, 0.3, "Z", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 13, 1),
+    ("x-unequal", 0.5, 0.2, "X", {"p_d": 1e-2}, 20_000, 11, 72, 28),
+    ("z-unequal", 0.5, 0.35, "Z", {"p_d": 1e-2}, 20_000, 11, 63, 29),
+    ("x-zero-intensity", 0.0, 0.0, "X", {"p_d": 0.05}, 20_000, 3, 187, 91),
+    ("z-zero-intensity", 0.0, 0.0, "Z", {"p_d": 0.05}, 20_000, 3, 187, 90),
+    ("z-one-side-dark", 0.4, 0.0, "Z", {"p_d": 0.05}, 20_000, 5, 268, 145),
+    ("x-ed-0", 0.4, 0.4, "X", {"e_d": 0.0, "p_d": 0.02}, 20_000, 13, 184, 70),
+    ("z-ed-1", 0.4, 0.28, "Z", {"e_d": 1.0, "p_d": 0.02}, 20_000, 13, 134, 92),
+    ("x-pd-0", 0.6, 0.6, "X", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 131, 50),
+    ("z-pd-0", 0.6, 0.42, "Z", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 52, 3),
+    ("x-all-patterns", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 6551, 1861),
+    ("z-all-patterns", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 4078, 1650),
+    ("x-trials-1", 2.0, 2.0, "X", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
     ("z-trials-1", 2.0, 2.0, "Z", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
-    # Recorded from the unblocked kernel, at trial counts that end on, just
-    # past and just short of a boundary of the 8192-trial draw blocks.
-    ("x-block-multiple", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 8083, 2407),
-    ("z-block-multiple", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 5059, 2051),
-    ("x-block-plus-one", 0.5, 0.35, "X", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 115, 42),
-    ("z-block-plus-one", 0.5, 0.35, "Z", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 88, 28),
-    ("x-block-minus-one", 0.8, 0.8, "X", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 1051, 356),
-    ("z-block-minus-one", 0.8, 0.8, "Z", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 716, 226),
+    # At trial counts that end on, just past and just short of a boundary of
+    # the 8192-trial draw blocks.
+    ("x-block-multiple", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 7853, 2323),
+    ("z-block-multiple", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 4991, 2151),
+    ("x-block-plus-one", 0.5, 0.35, "X", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 111, 45),
+    ("z-block-plus-one", 0.5, 0.35, "Z", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 88, 37),
+    ("x-block-minus-one", 0.8, 0.8, "X", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 1103, 356),
+    ("z-block-minus-one", 0.8, 0.8, "Z", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 681, 223),
 ]
 
 
@@ -123,11 +125,32 @@ def test_monte_carlo_counts_match_golden(mu_a, mu_b, basis, overrides, trials, s
     assert (result.successes, result.errors) == (successes, errors)
 
 
+@pytest.mark.parametrize(
+    "mu_a, mu_b, basis, overrides, trials, successes, errors",
+    [pytest.param(*case[1:6], *case[7:], id=case[0]) for case in MONTE_CARLO_GOLDEN if case[5] >= 8191],
+)
+def test_golden_counts_agree_with_the_closed_form(mu_a, mu_b, basis, overrides, trials, successes, errors):
+    # A stream-independent check of the recorded counts: each lies within 4
+    # binomial standard deviations of the closed-form expectation.
+    q, eq = pair_yield(mu_a, mu_b, basis, ChannelParams(**overrides))
+    for count, p in ((successes, q), (errors, eq)):
+        assert abs(count - p * trials) <= 4.0 * math.sqrt(p * (1.0 - p) * trials), (count, p * trials)
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
+@pytest.mark.parametrize("mu, seed", [(0.0, 1), (0.3, 2), (5.0, 3)])
+def test_every_detector_clicking_gives_no_success(basis, mu, seed):
+    # At p_d = 1 all four detectors click in every trial, and four clicks are
+    # never an accepted coincidence.
+    result = monte_carlo_yield(mu, mu, basis, ChannelParams(p_d=1.0), trials=20_000, seed=seed)
+    assert (result.successes, result.errors) == (0, 0)
+
+
 def test_monte_carlo_chunking_does_not_change_results(monkeypatch):
     # Three chunks, the last one short: the counts depend on (seed, trials) only.
     monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 10_000)
     params = ChannelParams(distance_km=5.0, p_d=1e-2)
-    for basis, counts in (("X", (113, 38)), ("Z", (90, 31))):
+    for basis, counts in (("X", (129, 44)), ("Z", (99, 32))):
         a = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
         b = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
         assert (a.successes, a.errors) == (b.successes, b.errors) == counts
@@ -265,13 +288,19 @@ def test_analytic_model_matches_monte_carlo(basis):
     assert row.ok, row
 
 
-def test_emitted_pairs_sum_to_total(noisy_ensemble, params_10km, observables_10km):
-    total = sum(entry.emitted for entry in observables_10km.pairs.values())
+def test_emitted_pairs_sum_to_total(noisy_ensemble, params_10km):
+    total = sum(entry.emitted for entry in full_observables(noisy_ensemble, params_10km).pairs.values())
     assert total == pytest.approx(params_10km.n_pairs, rel=1e-12)
 
 
-def test_all_sixteen_pairs_present_with_bases(observables_10km):
-    assert len(observables_10km.pairs) == 16
+def test_all_sixteen_pairs_present_with_bases(noisy_ensemble, params_10km, observables_10km):
+    # The package builds the eight pairs the analysis reads, each equal to
+    # its entry in the full sixteen-pair table.
+    full = full_observables(noisy_ensemble, params_10km)
+    assert len(full.pairs) == 16
+    assert set(observables_10km.pairs) == {("v", "v"), ("v", "x"), ("x", "v"), ("x", "x"), ("v", "y"), ("y", "v"), ("y", "y"), ("z", "z")}
+    for pair, entry in observables_10km.pairs.items():
+        assert entry == full.pairs[pair]
 
 
 def test_vacuum_pair_records_nothing_without_darks(noisy_ensemble):
@@ -285,10 +314,13 @@ def test_count_ordering_invariants(observables_10km):
         assert 0 <= entry.errors <= entry.counts <= entry.emitted
 
 
-def test_observables_regression_fixture(observables_10km, tmp_path):
+def test_observables_regression_fixture(noisy_ensemble, params_10km, observables_10km, tmp_path):
+    # The fixture holds all sixteen pairs; the ones the package builds must
+    # match it exactly.
     fixture = DATA_DIR / "observables_L10.csv"
     regenerated = tmp_path / "observables.csv"
-    write_observables_csv(observables_10km, regenerated)
+    full = full_observables(noisy_ensemble, params_10km)
+    write_observables_csv(PairObservables(pairs={**full.pairs, **observables_10km.pairs}, n_pairs=observables_10km.n_pairs), regenerated)
     assert regenerated.read_text() == fixture.read_text()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -150,6 +151,18 @@ def test_bounds_are_conservative_and_within_1e_12_of_exact_roots():
                 assert s - s.ln() >= rhs, (x, xi, bound)
                 s *= tighter
                 assert s - s.ln() < rhs, (x, xi, bound)
+
+
+@pytest.mark.parametrize("xi", [1e-310, 1e-315, 1e-320])
+def test_lower_bound_below_the_normal_range_is_zero(xi):
+    # There the outward nudge is lost to subnormal rounding, so a bound that
+    # small is returned as 0, which is sound.  Checked in 60 digits.
+    lower = chernoff_lower(1, ChernoffConfig(xi=xi))
+    assert lower == 0.0 or lower >= sys.float_info.min
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(lower)
+        assert s - s.ln() >= 1 + (2 / Decimal(xi)).ln(), (xi, lower)
 
 
 def test_disabled_mode_collapses_envelopes():
