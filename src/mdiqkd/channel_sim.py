@@ -22,14 +22,19 @@ trial, and the validation grid requires 3-sigma agreement before the model
 is used.  The simulation samples each trial's phase and bits, so it checks
 the closed form's phase integral and coincidence logic; the only fact the two
 share is that a threshold detector seeing mean photon number ``lambda``
-clicks with probability ``1 - (1 - p_d) e^-lambda``.
+clicks with probability ``1 - (1 - p_d) e^-lambda``.  Given a trial's bits,
+each detector's ``lambda`` is affine in ``cos(phi)``, read from one row of a
+per-pattern table; the chunks of trials run on a thread pool and are
+collected in the order they were submitted.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -51,7 +56,10 @@ _WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") 
 # 1V+2H (cross port).
 _CLICK_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
 _SUCCESS = np.isin(np.arange(16), [0b0011, 0b1100, 0b1001, 0b0110])
-_SAME_PORT = np.isin(np.arange(16), [0b0011, 0b1100])
+# Whether a success is an error before misalignment, by the announcements
+# above, indexed by 16 pattern + code with pattern = 2 bit_a + bit_b.
+_ERROR = {"Z": np.repeat([True, False, False, True], 16)}
+_ERROR["X"] = _ERROR["Z"] ^ np.tile(np.isin(np.arange(16), [0b0011, 0b1100]), 4)
 
 
 @dataclass(frozen=True)
@@ -219,14 +227,14 @@ def monte_carlo_yield(
 class _Runner:
     """Monte Carlo of ``(mu_a, mu_b, basis, params, trials, seed)`` cells on one thread pool.
 
-    Every ``(cell, chunk)`` job runs on the pool.  Jobs are made as they are
-    submitted, at most two per worker in flight, so neither the seeds nor the
-    futures of a huge run are built up front, and the jobs of later cells
-    start while an earlier cell is collected.  Chunk ``k`` of a cell draws
-    from ``SeedSequence(seed, spawn_key=(k,))``, which is
-    ``SeedSequence(seed).spawn(n)[k]``.  Worker threads run only
-    ``_chunk_counts`` and below; counts are added, and each cell's result
-    is returned in order, on the thread that calls :meth:`result`.
+    Cells are collected in the order they were given, so the futures of all
+    ``(cell, chunk)`` jobs wait in one window in submission order: each chunk
+    is popped from the head, and the window is refilled to two jobs per
+    worker.  Jobs are made only as they are submitted, and later cells' jobs
+    run while an earlier cell is collected.
+    Chunk ``k`` of a cell draws from ``SeedSequence(seed, spawn_key=(k,))``,
+    which is ``SeedSequence(seed).spawn(n)[k]``.  Worker threads run only
+    ``_chunk_counts`` and below.
     """
 
     def __init__(self, cells: list[tuple[float, float, str, ChannelParams, int, int]]) -> None:
@@ -234,13 +242,10 @@ class _Runner:
         # for the import.
         from concurrent.futures import ThreadPoolExecutor
 
-        self._cells = cells
-        self._jobs = self._make_jobs()
-        self._chunks_left = [len(range(0, cell[4], _CHUNK_SIZE)) for cell in cells]
-        self._totals = [[0, 0] for _ in cells]
-        self._in_flight: set = set()
-        self._next = 0
+        self._order = iter(cells)
         self._pool = ThreadPoolExecutor(max_workers=_WORKERS)
+        self._jobs = self._submit_jobs(cells)
+        self._window: deque = deque()
 
     def __enter__(self) -> _Runner:
         return self
@@ -250,32 +255,23 @@ class _Runner:
         # threads are joined either way.
         self._pool.shutdown(cancel_futures=True)
 
-    def _make_jobs(self):
-        for index, (mu_a, mu_b, basis, params, trials, seed) in enumerate(self._cells):
+    def _submit_jobs(self, cells):
+        for mu_a, mu_b, basis, params, trials, seed in cells:
             eta = side_transmittance(params)
             for k, first in enumerate(range(0, trials, _CHUNK_SIZE)):
-                yield index, seed, k, min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+                yield self._pool.submit(_chunk_counts, rng, min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params)
 
     def result(self, cell: tuple[float, float, str, ChannelParams, int, int]) -> MonteCarloYield:
         """The result of the next cell, which must be ``cell``."""
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        index = self._next
-        if index >= len(self._cells) or cell != self._cells[index]:
+        if cell != next(self._order, None):
             raise ValueError("Monte Carlo cells must be collected in the order they were given")
-        while self._chunks_left[index]:
-            while len(self._in_flight) < 2 * _WORKERS and (job := next(self._jobs, None)) is not None:
-                self._in_flight.add(self._pool.submit(_chunk_job, *job))
-            done, self._in_flight = wait(self._in_flight, return_when=FIRST_COMPLETED)
-            for future in done:
-                finished, (successes, errors) = future.result()
-                self._totals[finished][0] += successes
-                self._totals[finished][1] += errors
-                self._chunks_left[finished] -= 1
-        self._next += 1
-
-        successes, errors = self._totals[index]
         trials = cell[4]
+        counts = []
+        for _ in range(0, trials, _CHUNK_SIZE):
+            self._window.extend(islice(self._jobs, 2 * _WORKERS - len(self._window)))
+            counts.append(self._window.popleft().result())
+        successes, errors = map(sum, zip(*counts))
         q_hat = successes / trials
         eq_hat = errors / trials
         return MonteCarloYield(
@@ -289,94 +285,69 @@ class _Runner:
         )
 
 
-def _chunk_job(index: int, seed: int, k: int, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, tuple[int, int]]:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-    return index, _chunk_counts(rng, m, basis, ea, eb, params)
+def _intensity_table(basis: str, ea: float, eb: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each detector's mean photon number as ``offset + slope * cos(phi)``.
+
+    Two ``(4, 4)`` arrays, with rows indexed by the bit pattern
+    ``2 bit_a + bit_b`` and columns by detector (1H, 1V, 2H, 2V).
+    """
+    x = math.sqrt(ea * eb) / 2.0
+    mu_p = (ea + eb) / 2.0
+    if basis == "X":
+        # The H detectors of ports 1 and 2 see mu_p/2 +- x cos(phi); the V
+        # detectors see the same pair, swapped when the bits differ.
+        equal, unequal = (x, x, -x, -x), (x, -x, -x, x)
+        return np.full((4, 4), mu_p / 2.0), np.array((equal, unequal, unequal, equal))
+    # Equal bits interfere on the two detectors of their polarization; unequal
+    # bits put half of each party's intensity on both of its own.
+    half_a, half_b = ea / 2.0, eb / 2.0
+    offset = np.array(((mu_p, 0.0, mu_p, 0.0), (half_a, half_b, half_a, half_b), (half_b, half_a, half_b, half_a), (0.0, mu_p, 0.0, mu_p)))
+    slope = np.zeros((4, 4))
+    slope[0, 0::2] = slope[3, 1::2] = (2.0 * x, -2.0 * x)
+    return offset, slope
 
 
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
     """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
 
     The bits and the click uniforms are drawn block by block, in the listed
-    order; each block's intensities are turned in place into no-click
-    probabilities and compared with its uniforms, in buffers reused across
-    blocks.  A chunk holds ``cos(phi)`` and one byte per trial for each bit,
-    each click pattern and each test on them, but never an ``(m, 4)`` array.
+    order.  A block's intensities are the :func:`_intensity_table` rows of
+    its bit patterns, turned in place into no-click probabilities in
+    ``(block, 4)`` buffers reused across blocks; a chunk never holds an
+    ``(m, 4)`` array.  One ``_ERROR`` lookup classifies each success.
     """
     block = min(_BLOCK_SIZE, m)
     blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
     cos_phi = rng.uniform(0.0, 2.0 * np.pi, m)
     np.cos(cos_phi, out=cos_phi)
-    bit_a = np.empty(m, dtype=np.uint8)
-    bit_b = np.empty(m, dtype=np.uint8)
+    bit_a, bit_b = np.empty((2, m), dtype=np.uint8)
     for bits in (bit_a, bit_b):
         for start, stop in blocks:
             bits[start:stop] = rng.integers(0, 2, stop - start)
-    same = bit_a == bit_b
-    # Z basis: pattern = 2 bit_a + bit_b, 0 HH, 1 HV, 2 VH, 3 VV.
     pattern = np.left_shift(bit_a, 1, out=bit_a)
     pattern |= bit_b
 
-    lam = np.empty((4, block))
-    scratch = np.empty(block)
-    uniform = np.empty((block, 4))
+    offset, slope = _intensity_table(basis, ea, eb)
+    silent, uniform = np.empty((2, block, 4))
     clicks = np.empty((block, 4), dtype=bool)
     code = np.empty(m, dtype=np.uint8)  # bit k set when detector k fired
     for start, stop in blocks:
         n = stop - start
-        silent = lam[:, :n]
-        _detector_intensities(silent, scratch[:n], cos_phi[start:stop], same[start:stop], pattern[start:stop], basis, ea, eb)
+        lam = offset.take(pattern[start:stop], axis=0, out=silent[:n], mode="clip")
+        lam += np.multiply(slope.take(pattern[start:stop], axis=0, out=uniform[:n], mode="clip"), cos_phi[start:stop, None], out=uniform[:n])
         # No photon arrives with probability e^-lambda, and no dark count
         # fires with probability 1 - p_d.
-        np.negative(silent, out=silent)
-        np.exp(silent, out=silent)
-        silent *= 1.0 - params.p_d
-        np.greater_equal(rng.random(out=uniform[:n]), silent.T, out=clicks[:n])
+        np.exp(np.negative(lam, out=lam), out=lam)
+        lam *= 1.0 - params.p_d
+        np.greater_equal(rng.random(out=uniform[:n]), lam, out=clicks[:n])
         np.matmul(clicks[:n].view(np.uint8), _CLICK_WEIGHTS, out=code[start:stop])
 
     success = _SUCCESS.take(code)
-    raw_error = same[success]  # every Z-basis success announces anticorrelated bits
-    if basis == "X":
-        raw_error ^= _SAME_PORT.take(code[success])  # a same-port success announces equal bits
+    key = np.left_shift(pattern, 4, out=pattern)
+    key |= code
+    raw_error = _ERROR[basis].take(key[success])
     flipped = rng.random(raw_error.size) < params.e_d
     return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
-
-
-def _detector_intensities(lam: np.ndarray, scratch: np.ndarray, cos_phi: np.ndarray, same: np.ndarray, pattern: np.ndarray, basis: str, ea: float, eb: float) -> None:
-    """Write the mean photon numbers of one block of trials into ``lam``.
-
-    ``lam`` has one row per detector (1H, 1V, 2H, 2V).  Each is built as a
-    sum of ``mask * value`` terms of which exactly one is nonzero, so it is
-    the same float a per-trial branch would give, without branches or masked
-    writes.  ``scratch`` holds each term in turn.
-    """
-    x = math.sqrt(ea * eb) / 2.0
-    mu_p = (ea + eb) / 2.0
-    if basis == "X":
-        # The H detectors of ports 1 and 2 see base +- x cos(phi); the V
-        # detectors see the same pair, swapped when the bits differ.
-        np.multiply(x, cos_phi, out=scratch)
-        plus = np.add(mu_p / 2.0, scratch, out=lam[0])
-        minus = np.subtract(mu_p / 2.0, scratch, out=lam[2])
-        differ = ~same
-        for row, if_same, if_differ in ((1, plus, minus), (3, minus, plus)):
-            np.multiply(same, if_same, out=lam[row])
-            lam[row] += np.multiply(differ, if_differ, out=scratch)
-        return
-    # Equal bits interfere on the two detectors of their polarization; unequal
-    # bits put each party's half intensity on both detectors of its own
-    # polarization.
-    np.multiply(2.0 * x, cos_phi, out=scratch)
-    plus = np.add(mu_p, scratch, out=lam[0])
-    minus = np.subtract(mu_p, scratch, out=lam[2])
-    both_v = pattern == 3
-    np.multiply(both_v, plus, out=lam[1])
-    np.multiply(both_v, minus, out=lam[3])
-    both_h = pattern == 0
-    plus *= both_h
-    minus *= both_h
-    for first_row, at_hv, at_vh in ((0, ea / 2.0, eb / 2.0), (1, eb / 2.0, ea / 2.0)):
-        lam[first_row::2] += np.take(np.array((0.0, at_hv, at_vh, 0.0)), pattern, out=scratch)
 
 
 @dataclass(frozen=True)
@@ -546,19 +517,18 @@ def validate_model(
             cells.append((mu, mu, basis, run_params, trials, seed + 1000 * i + j))
     with _Runner(cells) as runner:
         mcs = [monte_carlo_yield(*cell, _runner=runner) for cell in cells]
-    rows = []
-    for (mu, _, basis, run_params, _, _), (q, eq), mc in zip(cells, analytic, mcs):
-        rows.append(
-            ValidationRow(
-                mu=mu,
-                distance_km=run_params.distance_km,
-                basis=basis,
-                analytic_gain=q,
-                mc_gain=mc.gain,
-                z_gain=_z_score(mc.gain, q, mc.gain_se, trials),
-                analytic_error_gain=eq,
-                mc_error_gain=mc.error_gain,
-                z_error=_z_score(mc.error_gain, eq, mc.error_se, trials),
-            )
+    rows = tuple(
+        ValidationRow(
+            mu=mu,
+            distance_km=run_params.distance_km,
+            basis=basis,
+            analytic_gain=q,
+            mc_gain=mc.gain,
+            z_gain=_z_score(mc.gain, q, mc.gain_se, trials),
+            analytic_error_gain=eq,
+            mc_error_gain=mc.error_gain,
+            z_error=_z_score(mc.error_gain, eq, mc.error_se, trials),
         )
-    return ValidationReport(rows=tuple(rows), trials=trials)
+        for (mu, _, basis, run_params, _, _), (q, eq), mc in zip(cells, analytic, mcs)
+    )
+    return ValidationReport(rows=rows, trials=trials)

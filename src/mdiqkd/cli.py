@@ -185,7 +185,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "distances", None):
         overrides["distances"] = args.distances
     if getattr(args, "optimize", None):
-        overrides["optimize"] = _parse_bool(args.optimize)
+        try:
+            overrides["optimize"] = _parse_bool(args.optimize)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --optimize: {exc}") from exc
     try:
         return RunConfig(**overrides)
     except TypeError as exc:
@@ -325,7 +328,7 @@ def cmd_scan(config: RunConfig, out: str | None) -> int:
 
 
 def cmd_optimize(config: RunConfig, out: str | None, eval_log: str | None) -> int:
-    distances = sorted(parse_distances(config.distances or f"{config.distance_km:g}"))
+    distances = sorted(parse_distances(config.distances)) if config.distances else [config.distance_km]
     rows = []
     log_rows = []
     for distance in distances:

@@ -9,6 +9,7 @@ with the package's own gains, and ``write_observables_csv``, the
 regression-fixture writer.
 """
 
+import cmath
 import csv
 import math
 from pathlib import Path
@@ -178,3 +179,51 @@ def single_photon_pair_truth(basis: str, params: ChannelParams, step: float = 4e
     if y11 <= 0.0:
         raise ValueError("single-photon-pair yield is not positive; channel too lossy to extract")
     return y11, max(ey11, 0.0) / y11
+
+
+# ---------------------------------------------------------------------------
+# Relay oracles for the Monte Carlo kernel: the optics from complex
+# amplitudes, and the announcement rules case by case.
+# ---------------------------------------------------------------------------
+
+DETECTORS = ("1H", "1V", "2H", "2V")
+
+
+def detector_intensities(basis: str, bit_a: int, bit_b: int, ea: float, eb: float, phi: float) -> list[float]:
+    """Mean photon numbers at detectors 1H, 1V, 2H, 2V.
+
+    Alice's and Bob's pulses arrive with mean photon numbers ``ea`` and
+    ``eb``, and Alice's carries the relative phase ``phi``.  A Z-basis bit is
+    H (0) or V (1); an X-basis bit is +45 degrees (0) or -45 degrees (1).
+    Per polarization component, the beam splitter sends ``(a + b)/sqrt 2``
+    to port 1 and ``(a - b)/sqrt 2`` to port 2.
+    """
+
+    def polarization(bit: int) -> tuple[float, float]:
+        if basis == "Z":
+            return (1.0, 0.0) if bit == 0 else (0.0, 1.0)
+        return (math.sqrt(0.5), math.sqrt(0.5)) if bit == 0 else (math.sqrt(0.5), -math.sqrt(0.5))
+
+    a = [math.sqrt(ea) * cmath.exp(1j * phi) * c for c in polarization(bit_a)]
+    b = [math.sqrt(eb) * c for c in polarization(bit_b)]
+    port_1 = [(a[k] + b[k]) / math.sqrt(2.0) for k in range(2)]
+    port_2 = [(a[k] - b[k]) / math.sqrt(2.0) for k in range(2)]
+    return [abs(amplitude) ** 2 for amplitude in port_1 + port_2]
+
+
+def announced_error(basis: str, bit_a: int, bit_b: int, clicked: set[str]) -> bool | None:
+    """Whether a trial whose ``clicked`` detectors fired is an error before misalignment.
+
+    ``None`` when the clicks are not an accepted coincidence.
+    """
+    if clicked == {"1H", "1V"} or clicked == {"2H", "2V"}:
+        same_port = True
+    elif clicked == {"1H", "2V"} or clicked == {"1V", "2H"}:
+        same_port = False
+    else:
+        return None
+    if basis == "Z":
+        return bit_a == bit_b  # every Z-basis success announces unequal bits
+    if same_port:
+        return bit_a != bit_b  # a same-port X-basis success announces equal bits
+    return bit_a == bit_b  # a cross-port X-basis success announces unequal bits

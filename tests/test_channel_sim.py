@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,15 @@ from mdiqkd import (
 from mdiqkd import channel_sim
 from mdiqkd.channel_sim import PairObservables, _i0m1
 
-from .oracles import full_observables, single_photon_pair_truth, vacuum_error_component, write_observables_csv
+from .oracles import (
+    DETECTORS,
+    announced_error,
+    detector_intensities,
+    full_observables,
+    single_photon_pair_truth,
+    vacuum_error_component,
+    write_observables_csv,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -144,6 +153,30 @@ def test_every_detector_clicking_gives_no_success(basis, mu, seed):
     # never an accepted coincidence.
     result = monte_carlo_yield(mu, mu, basis, ChannelParams(p_d=1.0), trials=20_000, seed=seed)
     assert (result.successes, result.errors) == (0, 0)
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
+def test_intensity_table_matches_beam_splitter_amplitudes(basis):
+    # Exact, unlike the statistical count tests: every row of the kernel's
+    # table against the optics, to 1e-15 of the total intensity (an entry
+    # can cancel to near zero, where a relative bound would not hold).
+    for ea, eb in ((0.3, 0.3), (0.7, 0.05), (0.0, 0.4), (1.3, 2.9)):
+        offset, slope = channel_sim._intensity_table(basis, ea, eb)
+        for phi, (bit_a, bit_b) in product(np.linspace(0.0, 2.0 * np.pi, 13), product((0, 1), repeat=2)):
+            pattern = 2 * bit_a + bit_b
+            kernel = offset[pattern] + slope[pattern] * math.cos(phi)
+            expected = detector_intensities(basis, bit_a, bit_b, ea, eb, float(phi))
+            assert kernel.tolist() == pytest.approx(expected, rel=1e-15, abs=1e-15 * (ea + eb)), (ea, eb, phi, pattern)
+
+
+def test_success_and_error_lookups_follow_the_announcement_rules():
+    assert channel_sim._CLICK_WEIGHTS.tolist() == [1, 2, 4, 8]  # bit k of a click code is detector k
+    for code, basis, (bit_a, bit_b) in product(range(16), ("X", "Z"), product((0, 1), repeat=2)):
+        clicked = {name for k, name in enumerate(DETECTORS) if code >> k & 1}
+        expected = announced_error(basis, bit_a, bit_b, clicked)
+        assert channel_sim._SUCCESS[code] == (expected is not None), clicked
+        if expected is not None:
+            assert channel_sim._ERROR[basis][16 * (2 * bit_a + bit_b) + code] == expected, (basis, bit_a, bit_b, clicked)
 
 
 def test_monte_carlo_chunking_does_not_change_results(monkeypatch):

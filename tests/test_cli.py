@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mdiqkd
+from mdiqkd import OptimizationProblem, optimize
 from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_config_file, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +154,14 @@ def test_bad_run_option_exit_code_2(tmp_path, capsys, command, line, fragment):
     assert "Traceback" not in err
 
 
+def test_bad_optimize_flag_exit_code_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["scan", "--config", str(config), "--optimize", "maybe"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad value for --optimize: expected on/off, got 'maybe'")
+    assert "Traceback" not in err
+
+
 def test_integer_keys_accept_whole_numbers_in_any_float_form(tmp_path):
     config = write_config(tmp_path, "mc_trials = 1e7\nbudget = 120.0\nrestarts = 4\nseed = 2E1\n")
     assert parse_config_file(config) == {"mc_trials": 10_000_000, "budget": 120, "restarts": 4, "seed": 20}
@@ -188,6 +197,19 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys\nimport mdiqkd.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_rate_leaves_thread_pool_unloaded(tmp_path):
+    src = str(Path(mdiqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = write_config(tmp_path)
+    code = (
+        "import sys\nimport mdiqkd.cli\n"
+        f"assert mdiqkd.cli.main(['rate', '--config', {str(config)!r}]) == 0\n"
+        "print('concurrent.futures' in sys.modules, file=sys.stderr)"
+    )
+    err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
+    assert err.strip() == "False"
 
 
 def test_optimize_leaves_scipy_unloaded(tmp_path):
@@ -370,6 +392,13 @@ def test_reference_scan_matches_golden_output(capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_reference_optimized_scan_matches_golden_output(capsys):
+    argv = ["scan", "--config", str(REPO_ROOT / "configs" / "reference.cfg"), "--distances", "10,25", "--optimize", "on"]
+    assert main(argv) == 0
+    golden = (REPO_ROOT / "tests" / "data" / "scan_optimize_reference.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def test_reference_rate_matches_golden_output(capsys):
     assert main(["rate", "--config", str(REPO_ROOT / "configs" / "reference.cfg")]) == 0
     golden = (REPO_ROOT / "tests" / "data" / "rate_reference.txt").read_text(encoding="utf-8")
@@ -419,6 +448,17 @@ def test_optimize_command_outputs_best_points(tmp_path, capsys):
     assert header == "distance_km,rate,mu_x,mu_y,mu_z,p_x,p_y,p_z"
     assert log.exists()
     assert len(log.read_text().splitlines()) > 5
+
+
+def test_optimize_without_distances_runs_at_the_configured_distance(tmp_path, capsys):
+    # 25.1234567 km, which the "%g" distance column shows as 25.1235.
+    config = write_config(tmp_path, "distance_km = 25.1234567\nbudget = 60\nrestarts = 2\n")
+    assert main(["optimize", "--config", str(config)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    run = RunConfig(distance_km=25.1234567, budget=60, restarts=2)
+    problem = OptimizationProblem(channel=run.channel_params(), vacuum_cap=run.vacuum_cap, fluctuation=run.fluctuation)
+    expected = optimize(problem, seed=run.seed, budget=run.budget, restarts=run.restarts)
+    assert row[:2] == ["25.1235", f"{expected.rate:.12e}"]
 
 
 def test_validate_model_zero_trials_exit_code_2(tmp_path, capsys):
