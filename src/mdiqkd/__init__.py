@@ -17,6 +17,7 @@ from .keyrate_core import (
     AnalysisInputs,
     KeyRateReport,
     RateCurve,
+    SolverError,
     binary_entropy,
     rate_function,
     secure_key_rate,
@@ -33,7 +34,6 @@ from .source_model import (
 )
 from .stat_bounds import (
     ChernoffConfig,
-    SolverError,
     chernoff_lower,
     chernoff_upper,
     combo_lower,

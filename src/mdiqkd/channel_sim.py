@@ -488,7 +488,6 @@ class ValidationRow:
 @dataclass(frozen=True)
 class ValidationReport:
     rows: tuple[ValidationRow, ...]
-    trials: int
 
     @property
     def passed(self) -> bool:
@@ -531,4 +530,4 @@ def validate_model(
         )
         for (mu, _, basis, run_params, _, _), (q, eq), mc in zip(cells, analytic, mcs)
     )
-    return ValidationReport(rows=rows, trials=trials)
+    return ValidationReport(rows=rows)

@@ -24,15 +24,14 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .channel_sim import ChannelParams, validate_model
-from .keyrate_core import AnalysisInputs, KeyRateReport, secure_key_rate
+from .keyrate_core import AnalysisInputs, KeyRateReport, SolverError, secure_key_rate
 from .optimizer import OptimizationProblem, OptimizationResult, optimize
 from .source_model import SideSources, SourceEnsemble
-from .stat_bounds import SolverError
 
 
 class ConfigError(ValueError):
@@ -118,6 +117,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def ensemble(self) -> SourceEnsemble:
+        """The configured sources, refused unless they pass the decoy conditions."""
         try:
             side = SideSources(
                 mu_x=self.mu_x,
@@ -132,7 +132,10 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return SourceEnsemble.symmetric(side)
+        ensemble = SourceEnsemble.symmetric(side)
+        if not ensemble.bounds.decoy.passed:
+            raise ConfigError(f"decoy conditions fail for these sources: {ensemble.bounds.decoy.summary()}")
+        return ensemble
 
     def canonical_text(self) -> str:
         parts = []
@@ -266,47 +269,39 @@ def _emit(text: str, out: str | None) -> None:
         _write(out, text)
 
 
-def _run_report(config: RunConfig, distance: float, ensemble: SourceEnsemble | None = None) -> KeyRateReport:
-    params = config.channel_params().at_distance(distance)
-    inputs = AnalysisInputs.from_simulation(config.ensemble() if ensemble is None else ensemble, params)
-    if not inputs.bounds.decoy.passed:
-        raise ConfigError(f"decoy conditions fail for these sources: {inputs.bounds.decoy.summary()}")
-    return secure_key_rate(inputs)
+def _report(ensemble: SourceEnsemble, params: ChannelParams) -> KeyRateReport:
+    return secure_key_rate(AnalysisInputs.from_simulation(ensemble, params))
 
 
-def _optimize(config: RunConfig, distance: float) -> OptimizationResult:
-    problem = OptimizationProblem(
-        channel=config.channel_params().at_distance(distance),
-        vacuum_cap=config.vacuum_cap,
-        fluctuation=config.fluctuation,
-    )
+def _optimize(config: RunConfig, params: ChannelParams) -> tuple[OptimizationProblem, OptimizationResult]:
     try:
-        return optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
+        problem = OptimizationProblem(channel=params, vacuum_cap=config.vacuum_cap, fluctuation=config.fluctuation)
+        return problem, optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def cmd_rate(config: RunConfig, out: str | None) -> int:
-    _emit(_run_report(config, config.distance_km).to_record(), out)
+    params = config.channel_params()
+    _emit(_report(config.ensemble(), params).to_record(), out)
     return 0
 
 
 def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
     rows = []
     mode = "optimized" if config.optimize else "fixed"
+    channel = config.channel_params()
     # The coefficient bounds depend only on the sources: one ensemble, and so
     # one table, serves every distance.
     ensemble = None if config.optimize else config.ensemble()
     for distance in distances:
+        params = channel.at_distance(distance)
         if config.optimize:
-            result = _optimize(config, distance)
-            mu_x, mu_y, mu_z, p_x, p_y, p_z = result.point
-            best = replace(
-                config, mu_x=mu_x, mu_y=mu_y, mu_z=mu_z, p_x=p_x, p_y=p_y, p_z=p_z, p_v=1.0 - p_x - p_y - p_z
-            )
-            report = _run_report(best, distance)
+            problem, result = _optimize(config, params)
+            # A positive rate needs sources, and an all-zero log's best is its first probe, DEFAULT_START.
+            report = _report(SourceEnsemble.symmetric(problem.sources(result.point)), params)
         else:
-            report = _run_report(config, distance, ensemble)
+            report = _report(ensemble, params)
         rows.append(
             [
                 f"{distance:g}",
@@ -332,7 +327,7 @@ def cmd_optimize(config: RunConfig, out: str | None, eval_log: str | None) -> in
     rows = []
     log_rows = []
     for distance in distances:
-        result = _optimize(config, distance)
+        _, result = _optimize(config, config.channel_params().at_distance(distance))
         rows.append([f"{distance:g}", _fmt(result.rate)] + [_fmt(v) for v in result.point])
         for point, rate in result.evaluations:
             log_rows.append([f"{distance:g}"] + [_fmt(v) for v in point] + [_fmt(rate)])

@@ -32,7 +32,7 @@ import numpy as np
 from . import stat_bounds
 from .channel_sim import ChannelParams, PairObservables, build_observables
 from .source_model import PhotonCoeffBounds, SourceEnsemble
-from .stat_bounds import ChernoffConfig, InvocationCounter, SolverError
+from .stat_bounds import ChernoffConfig, InvocationCounter
 
 # Slope search over H: the bracket width, relative to the interval's larger
 # end, at which it stops.
@@ -45,6 +45,10 @@ DECOY_FAILED = "decoy-conditions-failed: "
 
 class AnalysisInfeasible(ValueError):
     """Raised when the source configuration cannot support the bounds."""
+
+
+class SolverError(RuntimeError):
+    """Raised by the slope search over H on a NaN or misplaced infinite slope, or a non-finite minimum."""
 
 
 def _sigma_factors(bounds: PhotonCoeffBounds) -> tuple[float, float]:

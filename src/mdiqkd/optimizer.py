@@ -2,10 +2,10 @@
 
 The search space is six-dimensional and symmetric across the two sides:
 ``(mu_x, mu_y, mu_z, p_x, p_y, p_z)`` with the vacuum probability implied by
-normalization.  The rate landscape is piecewise smooth with hard feasibility
-cliffs (decoy-condition failures score zero), so the search runs a
-derivative-free simplex from several seeded random starts and keeps the best
-feasible point.
+normalization; :meth:`OptimizationProblem.sources` maps a point to sources.
+The rate landscape is piecewise smooth with hard cliffs (sources that fail the
+decoy conditions score zero), so the search runs a derivative-free simplex
+from several seeded random starts and keeps the best point.
 
 The simplex is an in-repo adaptive Nelder-Mead (Gao & Han, Comput. Optim.
 Appl. 51, 259 (2012)), so the probe sequence, and every output built from it,
@@ -44,11 +44,36 @@ class _BudgetSpent(Exception):
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Fixed experimental conditions the search runs under."""
+    """Fixed experimental conditions the search runs under.
+
+    Building one builds the sources at ``DEFAULT_START``, so a ``vacuum_cap``
+    or ``fluctuation`` that :class:`SideSources` refuses raises ``ValueError``.
+    """
 
     channel: ChannelParams
     vacuum_cap: float = 0.0
     fluctuation: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.sources(DEFAULT_START)
+
+    def sources(self, point) -> SideSources | None:
+        """One side's sources at ``(mu_x, mu_y, mu_z, p_x, p_y, p_z)``; None if ``p_v < _MIN_VACUUM_PROB`` or ``mu_x >= mu_y``."""
+        mu_x, mu_y, mu_z, p_x, p_y, p_z = (float(v) for v in point)
+        p_v = 1.0 - p_x - p_y - p_z
+        if p_v < _MIN_VACUUM_PROB or mu_x >= mu_y:
+            return None
+        return SideSources(
+            mu_x=mu_x,
+            mu_y=mu_y,
+            mu_z=mu_z,
+            p_v=p_v,
+            p_x=p_x,
+            p_y=p_y,
+            p_z=p_z,
+            vacuum_cap=self.vacuum_cap,
+            fluctuation=self.fluctuation,
+        )
 
 
 @dataclass(frozen=True)
@@ -58,40 +83,17 @@ class OptimizationResult:
     evaluations: tuple[tuple[tuple[float, ...], float], ...] = field(repr=False)
 
 
-def _ensemble_at(problem: OptimizationProblem, point: np.ndarray) -> SourceEnsemble | None:
-    mu_x, mu_y, mu_z, p_x, p_y, p_z = (float(v) for v in point)
-    p_v = 1.0 - p_x - p_y - p_z
-    if p_v < _MIN_VACUUM_PROB:
-        return None
-    # Fluctuation-widened decoy intervals must stay disjoint (so mu_x < mu_y);
-    # the box keeps mu_x and mu_z positive.
-    if mu_x * (1.0 + problem.fluctuation) >= mu_y * (1.0 - problem.fluctuation):
-        return None
-    side = SideSources(
-        mu_x=mu_x,
-        mu_y=mu_y,
-        mu_z=mu_z,
-        p_v=p_v,
-        p_x=p_x,
-        p_y=p_y,
-        p_z=p_z,
-        vacuum_cap=problem.vacuum_cap,
-        fluctuation=problem.fluctuation,
-    )
-    return SourceEnsemble.symmetric(side)
-
-
 def evaluate(problem: OptimizationProblem, point) -> float:
-    """Secure key rate at one parameter point; infeasible points score zero."""
+    """Secure key rate at one parameter point; one outside the box, without sources or failing the decoy conditions scores zero."""
     arr = np.asarray(point, dtype=float)
     if arr.shape != (6,):
         raise ValueError(f"expected a 6-vector (mu_x, mu_y, mu_z, p_x, p_y, p_z), got shape {arr.shape}")
     if not np.all((arr >= BOX_LOWER) & (arr <= BOX_UPPER)):  # NaN fails too
         return 0.0
-    ensemble = _ensemble_at(problem, arr)
-    if ensemble is None:
+    sources = problem.sources(arr)
+    if sources is None:
         return 0.0
-    return secure_key_rate(AnalysisInputs.from_simulation(ensemble, problem.channel)).rate
+    return secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(sources), problem.channel)).rate
 
 
 def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.ndarray:
@@ -103,11 +105,12 @@ def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.
         p_y = rng.uniform(0.03, 0.3)
         p_z = rng.uniform(0.3, 0.8)
         point = np.array([mu_x, mu_y, mu_z, p_x, p_y, p_z])
-        if 1.0 - p_x - p_y - p_z >= 0.02 and _ensemble_at(problem, point) is not None:
+        sources = problem.sources(point)
+        if sources is not None and sources.p_v >= 0.02 and SourceEnsemble.symmetric(sources).bounds.decoy.passed:
             return point
     raise ValueError(
         f"could not sample a feasible starting point: at fluctuation {problem.fluctuation:g} "
-        "the widened mu_x and mu_y intervals overlap at every sampled start"
+        "no random start passes the decoy conditions"
     )
 
 
@@ -195,8 +198,8 @@ def optimize(
     up to ``_START_PROBES`` random starts for a nonzero rate; those probes are
     evaluated and logged on top.  The returned point is the best over every
     evaluation made, so it dominates the whole log by construction.  Raises
-    ``ValueError`` on an invalid problem, and when no feasible random start
-    can be sampled.
+    ``ValueError`` on a budget or restart count below one, and when no random
+    start passes the decoy conditions.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")

@@ -36,13 +36,6 @@ from typing import Callable, Iterable, Sequence
 _NUDGE = 4 * 2.0**-52
 
 
-class SolverError(RuntimeError):
-    """Raised by the slope search over H on a NaN or misplaced infinite slope, or a non-finite minimum.
-
-    The Chernoff envelopes never raise it.
-    """
-
-
 @dataclass(frozen=True)
 class ChernoffConfig:
     """Failure probability per bound, and the switch to the infinite-data limit.
@@ -65,8 +58,8 @@ class InvocationCounter:
     def __init__(self) -> None:
         self.count = 0
 
-    def bump(self, n: int = 1) -> None:
-        self.count += n
+    def bump(self) -> None:
+        self.count += 1
 
 
 def _log_two_over(xi: float) -> float:

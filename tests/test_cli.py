@@ -191,6 +191,27 @@ def test_optimize_vacuum_cap_past_underflow_limit_exit_code_2(tmp_path, capsys):
     assert err.startswith("error: source v intensity interval ends at 800") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", ["", "restarts = 1\n"], ids=["default-restarts", "one-restart"])
+def test_optimize_fluctuation_at_or_above_one_exit_code_2(tmp_path, capsys, extra):
+    config = write_config(tmp_path, "fluctuation = 1.5\n" + extra)
+    assert main(["optimize", "--config", str(config), "--distances", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: fluctuation must lie in [0, 1), got 1.5\n" and captured.out == ""
+
+
+def test_optimized_scan_reports_zero_where_optimize_does(tmp_path, capsys):
+    # At fluctuation 0.8 every point fails the decoy conditions: both commands
+    # report a zero rate at DEFAULT_START rather than refusing the best point.
+    reference = (REPO_ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
+    config = write_config(tmp_path, reference.replace("fluctuation = 0.01\n", "fluctuation = 0.8\n"))
+    assert main(["optimize", "--config", str(config), "--distances", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[:2] == ["10", "0.000000000000e+00"]
+    assert main(["scan", "--config", str(config), "--distances", "10", "--optimize", "on"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "10,optimized,0.000000000000e+00,nan,0.000000000000e+00,nan"
+    assert captured.err == ""
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(mdiqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

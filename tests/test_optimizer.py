@@ -48,6 +48,21 @@ def test_point_shape_is_checked(problem_10km):
         evaluate(problem_10km, (0.1, 0.4, 0.5))
 
 
+@pytest.mark.parametrize("key, value", [("fluctuation", 1.5), ("fluctuation", float("nan")), ("vacuum_cap", -1.0)])
+def test_problem_rejects_sources_it_cannot_build(key, value):
+    with pytest.raises(ValueError, match=key):
+        OptimizationProblem(channel=ChannelParams(n_pairs=1e11, distance_km=10.0), **{key: value})
+
+
+def test_sources_map_points_and_refuse_what_side_sources_would(problem_10km):
+    side = problem_10km.sources(SANE_POINT)
+    assert (side.mu_x, side.mu_y, side.mu_z, side.p_x, side.p_y, side.p_z) == SANE_POINT
+    assert side.p_v == 1.0 - 0.1 - 0.1 - 0.7
+    assert problem_10km.sources((0.4, 0.1, 0.5, 0.1, 0.1, 0.7)) is None  # mu_x >= mu_y
+    assert problem_10km.sources((0.4, 0.4, 0.5, 0.1, 0.1, 0.7)) is None
+    assert problem_10km.sources((0.1, 0.4, 0.5, 0.1, 0.1, 0.7995)) is None  # p_v below the floor
+
+
 def test_optimize_is_deterministic(problem_25km):
     a = optimize(problem_25km, seed=5, budget=120, restarts=2)
     b = optimize(problem_25km, seed=5, budget=120, restarts=2)
