@@ -24,8 +24,9 @@ the closed form's phase integral and coincidence logic; the only fact the two
 share is that a threshold detector seeing mean photon number ``lambda``
 clicks with probability ``1 - (1 - p_d) e^-lambda``.  Given a trial's bits,
 each detector's ``lambda`` is affine in ``cos(phi)``, read from one row of a
-per-pattern table; the chunks of trials run on a thread pool and are
-collected in the order they were submitted.
+per-pattern table.  The chunks of trials run on a ``ThreadPoolExecutor``, and
+one generator yields each cell's counts in the order its chunks were
+submitted.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 
@@ -179,7 +181,7 @@ def monte_carlo_yield(
     trials: int,
     seed: int,
     *,
-    _runner: _Runner | None = None,
+    _counts: Iterator[tuple[int, int]] | None = None,
 ) -> MonteCarloYield:
     """Photon-level simulation of the relay measurement.
 
@@ -208,81 +210,66 @@ def monte_carlo_yield(
     order, so the blocks draw the same numbers as one call would.  Changing
     any draw changes the counts.
 
-    :func:`validate_model` passes the runner of all its cells as
-    ``_runner``, so that the chunks of later cells run while this call
-    waits for this cell's.
+    :func:`validate_model` passes the :func:`_cell_counts` of all its cells
+    as ``_counts``, whose next item is this cell's, so that the chunks of
+    later cells run while this call waits for this cell's.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
     _check_intensities(mu_a, mu_b)
-    cell = (mu_a, mu_b, basis, params, trials, seed)
-    if _runner is not None:
-        return _runner.result(cell)
-    with _Runner([cell]) as runner:
-        return runner.result(cell)
-
-
-class _Runner:
-    """Monte Carlo of ``(mu_a, mu_b, basis, params, trials, seed)`` cells on one thread pool.
-
-    Cells are collected in the order they were given, so the futures of all
-    ``(cell, chunk)`` jobs wait in one window in submission order: each chunk
-    is popped from the head, and the window is refilled to two jobs per
-    worker.  Jobs are made only as they are submitted, and later cells' jobs
-    run while an earlier cell is collected.
-    Chunk ``k`` of a cell draws from ``SeedSequence(seed, spawn_key=(k,))``,
-    which is ``SeedSequence(seed).spawn(n)[k]``.  Worker threads run only
-    ``_chunk_counts`` and below.
-    """
-
-    def __init__(self, cells: list[tuple[float, float, str, ChannelParams, int, int]]) -> None:
+    if _counts is None:
         # Imported here, so that commands without a Monte Carlo do not pay
         # for the import.
         from concurrent.futures import ThreadPoolExecutor
 
-        self._order = iter(cells)
-        self._pool = ThreadPoolExecutor(max_workers=_WORKERS)
-        self._jobs = self._submit_jobs(cells)
-        self._window: deque = deque()
+        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+            successes, errors = next(_cell_counts(pool, [(mu_a, mu_b, basis, params, trials, seed)]))
+    else:
+        successes, errors = next(_counts)
+    q_hat = successes / trials
+    eq_hat = errors / trials
+    return MonteCarloYield(
+        gain=q_hat,
+        error_gain=eq_hat,
+        gain_se=math.sqrt(q_hat * (1.0 - q_hat) / trials),
+        error_se=math.sqrt(eq_hat * (1.0 - eq_hat) / trials),
+        trials=trials,
+        successes=successes,
+        errors=errors,
+    )
 
-    def __enter__(self) -> _Runner:
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        # After a failed chunk, jobs not yet started are dropped; the
-        # threads are joined either way.
-        self._pool.shutdown(cancel_futures=True)
+def _cell_counts(pool, cells: list[tuple[float, float, str, ChannelParams, int, int]]) -> Iterator[tuple[int, int]]:
+    """``(successes, errors)`` of each ``(mu_a, mu_b, basis, params, trials, seed)`` cell, in order.
 
-    def _submit_jobs(self, cells):
-        for mu_a, mu_b, basis, params, trials, seed in cells:
-            eta = side_transmittance(params)
-            for k, first in enumerate(range(0, trials, _CHUNK_SIZE)):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-                yield self._pool.submit(_chunk_counts, rng, min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params)
-
-    def result(self, cell: tuple[float, float, str, ChannelParams, int, int]) -> MonteCarloYield:
-        """The result of the next cell, which must be ``cell``."""
-        if cell != next(self._order, None):
-            raise ValueError("Monte Carlo cells must be collected in the order they were given")
-        trials = cell[4]
-        counts = []
-        for _ in range(0, trials, _CHUNK_SIZE):
-            self._window.extend(islice(self._jobs, 2 * _WORKERS - len(self._window)))
-            counts.append(self._window.popleft().result())
-        successes, errors = map(sum, zip(*counts))
-        q_hat = successes / trials
-        eq_hat = errors / trials
-        return MonteCarloYield(
-            gain=q_hat,
-            error_gain=eq_hat,
-            gain_se=math.sqrt(q_hat * (1.0 - q_hat) / trials),
-            error_se=math.sqrt(eq_hat * (1.0 - eq_hat) / trials),
-            trials=trials,
-            successes=successes,
-            errors=errors,
-        )
+    The futures of all ``(cell, chunk)`` jobs wait in one window in
+    submission order: each chunk is popped from the head, and the window is
+    refilled to two jobs per worker.  Jobs are made only as they are
+    submitted, and later cells' jobs run while an earlier cell is collected.
+    Chunk ``k`` of a cell draws from ``SeedSequence(seed, spawn_key=(k,))``,
+    which is ``SeedSequence(seed).spawn(n)[k]``.  Worker threads run only
+    ``_chunk_counts`` and below.  After a failed chunk, the jobs in the
+    window that have not started are cancelled.
+    """
+    jobs = (
+        pool.submit(_chunk_counts, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params)
+        for mu_a, mu_b, basis, params, trials, seed in cells
+        for eta in (side_transmittance(params),)
+        for k, first in enumerate(range(0, trials, _CHUNK_SIZE))
+    )
+    window: deque = deque()
+    try:
+        for cell in cells:
+            counts = []
+            for _ in range(0, cell[4], _CHUNK_SIZE):
+                window.extend(islice(jobs, 2 * _WORKERS - len(window)))
+                counts.append(window.popleft().result())
+            yield tuple(map(sum, zip(*counts)))
+    finally:
+        for job in window:
+            job.cancel()
 
 
 def _intensity_table(basis: str, ea: float, eb: float) -> tuple[np.ndarray, np.ndarray]:
@@ -503,19 +490,24 @@ def validate_model(
     """Compare closed-form gains against the photon-level simulation.
 
     Each cell's simulation is one :func:`monte_carlo_yield` call on the
-    calling thread.  The calls share one runner, so the cells' chunks run
-    on the thread pool together.
+    calling thread.  The calls read one :func:`_cell_counts` on one thread
+    pool, so the cells' chunks run on it together.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not grid:
+        raise ValueError("the validation grid must hold at least one (mu, distance_km) point")
     cells, analytic = [], []
     for i, (mu, distance) in enumerate(grid):
         for j, basis in enumerate(("X", "Z")):
             run_params = params.at_distance(distance)
             analytic.append(pair_yield(mu, mu, basis, run_params))
             cells.append((mu, mu, basis, run_params, trials, seed + 1000 * i + j))
-    with _Runner(cells) as runner:
-        mcs = [monte_carlo_yield(*cell, _runner=runner) for cell in cells]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        counts = _cell_counts(pool, cells)
+        mcs = [monte_carlo_yield(*cell, _counts=counts) for cell in cells]
     rows = tuple(
         ValidationRow(
             mu=mu,

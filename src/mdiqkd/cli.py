@@ -185,9 +185,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     overrides = parse_config_file(args.config)
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "distances", None):
+    # A given flag overrides the config, so an empty one is an error, not a fallback.
+    if getattr(args, "distances", None) is not None:
+        if not args.distances.strip():
+            raise ConfigError("bad value for --distances: no distances given")
         overrides["distances"] = args.distances
-    if getattr(args, "optimize", None):
+    if getattr(args, "optimize", None) is not None:
         try:
             overrides["optimize"] = _parse_bool(args.optimize)
         except ValueError as exc:

@@ -255,6 +255,66 @@ def test_worker_error_propagates_and_threads_are_joined(monkeypatch):
     assert 1 <= len(calls) <= 2 * channel_sim._WORKERS
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_validation_cells_get_their_own_counts(monkeypatch, workers):
+    # Three chunks per cell, the last one short, so the window holds chunks
+    # of several cells at once; each cell must still get its own counts.
+    monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 1000)
+    monkeypatch.setattr(channel_sim, "_WORKERS", workers)
+    params, trials, seed = ChannelParams(eta_d=1.0, p_d=1e-2), 2500, 17
+    grid = ((0.2, 0.0), (0.5, 20.0), (0.05, 40.0))
+    seen = []
+    original = channel_sim.monte_carlo_yield
+
+    def record(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(channel_sim, "monte_carlo_yield", record)
+    threads_before = threading.active_count()
+    validate_model(params, trials=trials, seed=seed, grid=grid)
+    assert threading.active_count() == threads_before
+    expected = [
+        original(mu, mu, basis, params.at_distance(distance), trials, seed + 1000 * i + j)
+        for i, (mu, distance) in enumerate(grid)
+        for j, basis in enumerate(("X", "Z"))
+    ]
+    assert threading.active_count() == threads_before
+    assert [(mc.successes, mc.errors) for mc in seen] == [(mc.successes, mc.errors) for mc in expected]
+    assert len(set((mc.successes, mc.errors) for mc in expected)) == len(expected)
+
+
+def test_empty_validation_grid_is_rejected():
+    with pytest.raises(ValueError, match="at least one"):
+        validate_model(ChannelParams(), trials=100, seed=1, grid=())
+
+
+def test_failed_chunk_cancels_the_jobs_not_started(monkeypatch):
+    # A pool that starts nothing, so which jobs were cancelled is certain:
+    # the first job has failed, and the rest of the window waits.
+    from concurrent.futures import Future
+
+    failure = RuntimeError("chunk failed")
+
+    class IdlePool:
+        def __init__(self):
+            self.jobs = []
+
+        def submit(self, *args):
+            self.jobs.append(Future())
+            if len(self.jobs) == 1:
+                self.jobs[0].set_exception(failure)
+            return self.jobs[-1]
+
+    monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 1)
+    monkeypatch.setattr(channel_sim, "_WORKERS", 2)
+    pool = IdlePool()
+    with pytest.raises(RuntimeError) as caught:
+        next(channel_sim._cell_counts(pool, [(0.1, 0.1, "X", ChannelParams(), 10, 1)]))
+    assert caught.value is failure
+    assert len(pool.jobs) == 4 and all(job.cancelled() for job in pool.jobs[1:])
+
+
 def test_worker_count_is_capped_at_four():
     assert 1 <= channel_sim._WORKERS <= 4
 

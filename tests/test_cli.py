@@ -162,6 +162,26 @@ def test_bad_optimize_flag_exit_code_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, extra, fragment",
+    [
+        pytest.param(["scan", "--optimize", ""], "distances = 10\n", "bad value for --optimize: expected on/off, got ''", id="scan-optimize"),
+        pytest.param(["scan", "--distances", ""], "distances = 10\n", "bad value for --distances: no distances given", id="scan-distances"),
+        pytest.param(["scan", "--distances", " "], "distances = 10\n", "bad value for --distances: no distances given", id="scan-distances-blank"),
+        pytest.param(["optimize", "--distances", ""], "distances = 10\n", "bad value for --distances: no distances given", id="optimize-distances"),
+        pytest.param(["optimize", "--distances", ""], "", "bad value for --distances: no distances given", id="optimize-distance_km"),
+    ],
+)
+def test_empty_flag_value_exit_code_2(tmp_path, capsys, argv, extra, fragment):
+    # An empty flag is an override, not a fallback to the config's distances
+    # or, for optimize, to its distance_km.
+    config = write_config(tmp_path, "distance_km = 10\nbudget = 12\nrestarts = 1\n" + extra)
+    assert main(argv[:1] + ["--config", str(config)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + fragment)
+    assert "Traceback" not in err
+
+
 def test_integer_keys_accept_whole_numbers_in_any_float_form(tmp_path):
     config = write_config(tmp_path, "mc_trials = 1e7\nbudget = 120.0\nrestarts = 4\nseed = 2E1\n")
     assert parse_config_file(config) == {"mc_trials": 10_000_000, "budget": 120, "restarts": 4, "seed": 20}
