@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -152,18 +153,18 @@ _PARSERS = {"float": float, "int": _parse_int, "bool": _parse_bool, "str": str}
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Read a flat key = value file; unknown keys and bad values are errors."""
+    """Read a flat key = value file; ``#`` starts a comment; unknown keys and bad values are errors."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # an editor's byte-order mark is not part of the first key
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     overrides: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()  # no value contains '#'
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -276,38 +277,46 @@ def _report(ensemble: SourceEnsemble, params: ChannelParams) -> KeyRateReport:
     return secure_key_rate(AnalysisInputs.from_simulation(ensemble, params))
 
 
-def _optimize(config: RunConfig, params: ChannelParams) -> tuple[OptimizationProblem, OptimizationResult]:
-    try:
-        problem = OptimizationProblem(channel=params, vacuum_cap=config.vacuum_cap, fluctuation=config.fluctuation)
-        return problem, optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _per_distance(
+    config: RunConfig, distances: list[float], search: bool
+) -> Iterator[tuple[ChannelParams, SourceEnsemble, OptimizationResult | None]]:
+    """Yield each distance's channel, sources and search result, in the order given.
+
+    Without a search the configured sources, built and decoy-checked once,
+    serve every distance (the coefficient bounds depend only on the sources)
+    and the result is None. With one, the sources are the best point's.
+    """
+    channel = config.channel_params()
+    ensemble = None if search else config.ensemble()
+    for distance in distances:
+        params = channel.at_distance(0.0 if distance == 0 else distance)  # so -0 prints as "0"
+        if not search:
+            yield params, ensemble, None
+            continue
+        try:
+            problem = OptimizationProblem(channel=params, vacuum_cap=config.vacuum_cap, fluctuation=config.fluctuation)
+            result = optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # A positive rate needs sources, and an all-zero log's best is its first probe, DEFAULT_START.
+        yield params, SourceEnsemble.symmetric(problem.sources(result.point)), result
 
 
-def cmd_rate(config: RunConfig, out: str | None) -> int:
-    params = config.channel_params()
-    _emit(_report(config.ensemble(), params).to_record(), out)
+def cmd_rate(config: RunConfig, args: argparse.Namespace) -> int:
+    for params, ensemble, _ in _per_distance(config, [config.distance_km], search=False):
+        _emit(_report(ensemble, params).to_record(), args.out)
     return 0
 
 
-def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
-    rows = []
+def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
+    distances = sorted(parse_distances(config.distances))
     mode = "optimized" if config.optimize else "fixed"
-    channel = config.channel_params()
-    # The coefficient bounds depend only on the sources: one ensemble, and so
-    # one table, serves every distance.
-    ensemble = None if config.optimize else config.ensemble()
-    for distance in distances:
-        params = channel.at_distance(distance)
-        if config.optimize:
-            problem, result = _optimize(config, params)
-            # A positive rate needs sources, and an all-zero log's best is its first probe, DEFAULT_START.
-            report = _report(SourceEnsemble.symmetric(problem.sources(result.point)), params)
-        else:
-            report = _report(ensemble, params)
+    rows = []
+    for params, ensemble, _ in _per_distance(config, distances, search=config.optimize):
+        report = _report(ensemble, params)
         rows.append(
             [
-                f"{distance:g}",
+                f"{params.distance_km:g}",
                 mode,
                 _fmt(report.rate),
                 _fmt(report.h_star),
@@ -315,34 +324,29 @@ def _scan_rows(config: RunConfig, distances: list[float]) -> list[list[str]]:
                 _fmt(report.e11_at_min),
             ]
         )
-    return rows
-
-
-def cmd_scan(config: RunConfig, out: str | None) -> int:
-    distances = sorted(parse_distances(config.distances))
     header = ["distance_km", "mode", "rate", "h_star", "s11_lower", "e11_upper"]
-    _emit(_csv(config, "scan", header, _scan_rows(config, distances)), out)
+    _emit(_csv(config, "scan", header, rows), args.out)
     return 0
 
 
-def cmd_optimize(config: RunConfig, out: str | None, eval_log: str | None) -> int:
+def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
     distances = sorted(parse_distances(config.distances)) if config.distances else [config.distance_km]
     rows = []
     log_rows = []
-    for distance in distances:
-        _, result = _optimize(config, config.channel_params().at_distance(distance))
-        rows.append([f"{distance:g}", _fmt(result.rate)] + [_fmt(v) for v in result.point])
+    for params, _, result in _per_distance(config, distances, search=True):
+        distance = f"{params.distance_km:g}"
+        rows.append([distance, _fmt(result.rate)] + [_fmt(v) for v in result.point])
         for point, rate in result.evaluations:
-            log_rows.append([f"{distance:g}"] + [_fmt(v) for v in point] + [_fmt(rate)])
+            log_rows.append([distance] + [_fmt(v) for v in point] + [_fmt(rate)])
     header = ["distance_km", "rate", "mu_x", "mu_y", "mu_z", "p_x", "p_y", "p_z"]
-    _emit(_csv(config, "optimize", header, rows), out)
-    if eval_log:
+    _emit(_csv(config, "optimize", header, rows), args.out)
+    if args.eval_log:
         log_header = ["distance_km", "mu_x", "mu_y", "mu_z", "p_x", "p_y", "p_z", "rate"]
-        _write(eval_log, _csv(config, "optimize-eval-log", log_header, log_rows))
+        _write(args.eval_log, _csv(config, "optimize-eval-log", log_header, log_rows))
     return 0
 
 
-def cmd_validate_model(config: RunConfig, out: str | None) -> int:
+def cmd_validate_model(config: RunConfig, args: argparse.Namespace) -> int:
     params = config.channel_params()
     report = validate_model(params, trials=config.mc_trials, seed=config.seed)
     header = ["mu", "distance_km", "basis", "analytic_gain", "mc_gain", "z_gain", "analytic_error_gain", "mc_error_gain", "z_error", "ok"]
@@ -361,7 +365,7 @@ def cmd_validate_model(config: RunConfig, out: str | None) -> int:
         ]
         for r in report.rows
     ]
-    _emit(_csv(config, "validate-model", header, rows), out)
+    _emit(_csv(config, "validate-model", header, rows), args.out)
     if report.passed:
         print(f"model validation PASSED ({len(report.rows)} checks, {config.mc_trials} trials each)")
         return 0
@@ -373,8 +377,9 @@ def cmd_validate_model(config: RunConfig, out: str | None) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdiqkd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("rate", "scan", "optimize", "validate-model"):
+    for name, run in (("rate", cmd_rate), ("scan", cmd_scan), ("optimize", cmd_optimize), ("validate-model", cmd_validate_model)):
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the key = value configuration file")
         p.add_argument("--out", default=None, help="write the command's output to this path")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
@@ -391,16 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args)
-        if args.command == "rate":
-            return cmd_rate(config, args.out)
-        if args.command == "scan":
-            return cmd_scan(config, args.out)
-        if args.command == "optimize":
-            return cmd_optimize(config, args.out, args.eval_log)
-        if args.command == "validate-model":
-            return cmd_validate_model(config, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(load_config(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -290,6 +290,21 @@ def test_unknown_key_rejected_with_line_number(tmp_path, capsys):
     assert "mu_q" in err and ":2:" in err
 
 
+def test_config_with_byte_order_mark_is_read(tmp_path, capsys):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbfmu_x = 0.05\n")
+    assert parse_config_file(config) == {"mu_x": 0.05}
+    assert main(["rate", "--config", str(config)]) == 0
+
+
+def test_inline_comment_is_ignored(tmp_path, capsys):
+    config = write_config(tmp_path, "mu_x = 0.1 # weak decoy\ndistances = 0:10:5# km\n")
+    assert parse_config_file(config) == {"mu_x": 0.1, "distances": "0:10:5"}
+    config = write_config(tmp_path, "mu_x # = 0.1\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.endswith(":2: expected 'key = value', got 'mu_x # = 0.1'\n")
+
+
 def test_bad_value_rejected_with_line_number(tmp_path, capsys):
     config = write_config(tmp_path, "mu_x = fast\n")
     assert main(["rate", "--config", str(config)]) == 2
@@ -301,13 +316,17 @@ def test_missing_config_file_exit_code_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["config-not-utf8", "config-is-directory", "out-in-missing-directory", "eval-log-in-missing-directory"])
+@pytest.mark.parametrize(
+    "case", ["config-not-utf8", "config-bom-not-utf8", "config-is-directory", "out-in-missing-directory", "eval-log-in-missing-directory"]
+)
 def test_unreadable_or_unwritable_path_exit_code_2(tmp_path, capsys, case):
     config = write_config(tmp_path, "budget = 20\nrestarts = 2\n")
     (tmp_path / "latin1.cfg").write_bytes(b"mu_x = 0.1\xff\n")
+    (tmp_path / "bom-latin1.cfg").write_bytes(b"\xef\xbb\xbfmu_x = 0.1\xff\n")
     missing = str(tmp_path / "missing" / "out.csv")
     argv = {
         "config-not-utf8": ["rate", "--config", str(tmp_path / "latin1.cfg")],
+        "config-bom-not-utf8": ["rate", "--config", str(tmp_path / "bom-latin1.cfg")],
         "config-is-directory": ["rate", "--config", str(tmp_path)],
         "out-in-missing-directory": ["rate", "--config", str(config), "--out", missing],
         "eval-log-in-missing-directory": ["optimize", "--config", str(config), "--distances", "10", "--eval-log", missing],
@@ -406,6 +425,49 @@ def test_nan_rate_slope_exit_code_3(tmp_path, capsys, monkeypatch):
     assert main(["rate", "--config", str(write_config(tmp_path))]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure: candidate-rate slope is nan") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, fragment",
+    [
+        pytest.param("scan", "distances = nan\n", "bad distances 'nan'", id="scan-distances"),
+        pytest.param("scan", "distances = 10\n", "xi must lie in (0, 1)", id="scan-channel"),
+        pytest.param("rate", "", "xi must lie in (0, 1)", id="rate-channel"),
+    ],
+)
+def test_distances_then_channel_then_sources_error_first(tmp_path, capsys, command, extra, fragment):
+    config = write_config(tmp_path, "xi = 0\nmu_x = 0.4\nmu_y = 0.1\n" + extra)
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + fragment)
+
+
+@pytest.mark.parametrize("sources", ["mu_x = 0.4\nmu_y = 0.1\n", "mu_x = 0.3\nmu_y = 0.4\nfluctuation = 0.2\n"], ids=["swapped", "overlapping"])
+def test_search_does_not_gate_on_the_configured_sources(tmp_path, capsys, sources):
+    # The configured sources fail the decoy conditions; only the fixed scan uses them.
+    config = write_config(tmp_path, sources + "budget = 12\nrestarts = 1\n")
+    assert main(["scan", "--config", str(config), "--distances", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: decoy ")
+    assert main(["optimize", "--config", str(config), "--distances", "10"]) == 0
+    assert main(["scan", "--config", str(config), "--distances", "10", "--optimize", "on"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        pytest.param(["scan", "--distances={zero},5"], "", id="scan"),
+        pytest.param(["scan", "--distances={zero},5", "--optimize", "on"], "budget = 12\nrestarts = 1\n", id="scan-optimize"),
+        pytest.param(["optimize", "--distances={zero}"], "budget = 12\nrestarts = 1\n", id="optimize"),
+        pytest.param(["optimize"], "distance_km = {zero}\nbudget = 12\nrestarts = 1\n", id="optimize-distance_km"),
+    ],
+)
+def test_minus_zero_distance_prints_as_zero(tmp_path, capsys, argv, extra):
+    rows = {}
+    for zero in ("-0", "0"):
+        config = write_config(tmp_path, extra.format(zero=zero))
+        assert main([argv[0], "--config", str(config)] + [arg.format(zero=zero) for arg in argv[1:]]) == 0
+        rows[zero] = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows["-0"] == rows["0"] and rows["0"][1].startswith("0,")
 
 
 def test_scan_rates_non_increasing_with_distance(tmp_path, capsys):
