@@ -347,7 +347,8 @@ class SourceCounts:
 
     @property
     def rate(self) -> float:
-        return self.counts / self.emitted
+        """Counts per expected emission; 0 where none is expected, and so none counted."""
+        return self.counts / self.emitted if self.emitted else 0.0
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.
             return point
     raise ValueError(
         f"could not sample a feasible starting point: at fluctuation {problem.fluctuation:g} "
-        "no random start passes the decoy conditions"
+        f"and vacuum cap {problem.vacuum_cap:g} no random start passes the decoy conditions"
     )
 
 

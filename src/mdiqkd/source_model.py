@@ -137,10 +137,9 @@ class SideCoeffBounds:
     """Worst-case photon-number coefficient bounds for one side.
 
     ``lower[l][k]`` / ``upper[l][k]`` bound the k-photon coefficient of source
-    ``l`` over that source's intensity interval, for k = 0 .. K with
-    ``K = max(2, ceil(vacuum_cap))``: the rate reads k = 0, 1, 2, and the
-    vacuum ratio of :func:`check_decoy_conditions` reads k = 2 .. K, beyond
-    which it follows in closed form.
+    ``l`` over that source's intensity interval, for k = 0, 1, 2: the rate
+    reads nothing else, and :func:`check_decoy_conditions` decides every
+    k >= 2 from the k = 2 entries.
     """
 
     intervals: dict[str, tuple[float, float]]
@@ -161,21 +160,6 @@ class PhotonCoeffBounds:
     alice: SideCoeffBounds
     bob: SideCoeffBounds
 
-    @classmethod
-    def from_intervals(
-        cls,
-        alice_intervals: dict[str, tuple[float, float]],
-        bob_intervals: dict[str, tuple[float, float]],
-    ) -> "PhotonCoeffBounds":
-        """Build bounds directly from per-source intensity intervals.
-
-        Lets callers evaluate the decoy conditions for configurations that a
-        validated :class:`SourceEnsemble` would refuse (e.g. swapped decoys).
-        Equal intervals, as in a symmetric ensemble, share one table.
-        """
-        alice = _side_bounds(alice_intervals)
-        return cls(alice=alice, bob=alice if bob_intervals == alice_intervals else _side_bounds(bob_intervals))
-
     @cached_property
     def decoy(self) -> DecoyConditionReport:
         """The decoy-condition verdict on these bounds, computed once per table."""
@@ -192,25 +176,22 @@ def _check_interval(source: str, mu_lo: float, mu_hi: float) -> None:
         )
 
 
-def _side_bounds(intervals: dict[str, tuple[float, float]]) -> SideCoeffBounds:
-    for source, (mu_lo, mu_hi) in intervals.items():
-        _check_interval(source, mu_lo, mu_hi)
-    depth = max(2, math.ceil(intervals["v"][1]))
+def _side_bounds(side: SideSources) -> SideCoeffBounds:
+    """The k = 0, 1, 2 table of one side, on the intervals its :class:`SideSources` has checked."""
+    intervals = {s: side.intensity_interval(s) for s in SOURCES}
     lower: dict[str, tuple[float, ...]] = {}
     upper: dict[str, tuple[float, ...]] = {}
     for source, (mu_lo, mu_hi) in intervals.items():
-        pairs = [coeff_interval(mu_lo, mu_hi, k) for k in range(depth + 1)]
+        pairs = [coeff_interval(mu_lo, mu_hi, k) for k in range(3)]
         lower[source] = tuple(p[0] for p in pairs)
         upper[source] = tuple(p[1] for p in pairs)
-    return SideCoeffBounds(intervals=dict(intervals), lower=lower, upper=upper)
+    return SideCoeffBounds(intervals=intervals, lower=lower, upper=upper)
 
 
 def coeff_bounds(ensemble: SourceEnsemble) -> PhotonCoeffBounds:
-    """Worst-case coefficient bounds for every source of both sides."""
-    return PhotonCoeffBounds.from_intervals(
-        {s: ensemble.alice.intensity_interval(s) for s in SOURCES},
-        {s: ensemble.bob.intensity_interval(s) for s in SOURCES},
-    )
+    """Worst-case coefficient bounds for every source of both sides; equal sides share one table."""
+    alice = _side_bounds(ensemble.alice)
+    return PhotonCoeffBounds(alice=alice, bob=alice if ensemble.bob == ensemble.alice else _side_bounds(ensemble.bob))
 
 
 @dataclass(frozen=True)
@@ -238,32 +219,28 @@ class DecoyConditionReport:
 def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
     """Verify the ratio conditions the single-photon estimates rest on, for every k >= 2.
 
-    Checked per side, with ``P_k(mu) = e^-mu mu^k / k!``:
+    Checked per side, with ``P_k(mu) = e^-mu mu^k / k!``.  Both conditions
+    read a lower bound over an upper bound, which is the minimum, over every
+    s in the numerator's interval and t in the denominator's, of
+    ``P_k(s)/P_k(t) = e^(t - s) (s/t)^k``.  Where every such pair has
+    s >= t, each of these ratios does not decrease in k, and so neither does
+    their minimum:
 
     * the x and y intensity intervals must be disjoint (x strictly below y).
       That alone certifies the decoy ratio chain ``a_k^{y,L}/a_k^{x,U} >=
-      a_2^{y,L}/a_2^{x,U} >= a_1^{y,L}/a_1^{x,U}`` for every k >= 2.  A
-      lower bound over an upper bound is the minimum, over every pair x, y
-      drawn from the two intervals, of ``P_k(y)/P_k(x) = e^(x - y) (y/x)^k``.
-      With y > x each of these ratios does not decrease in k, so neither does
-      their minimum.
-    * vacuum ratio: ``a_k^{l,L}/a_1^{l,U} >= a_k^{v,U}/a_1^{v,U}`` for
-      l = x, y.  When ``a_1^{v,U} = 0`` the vacuum source is exactly vacuum
-      and the condition holds by convention (every downstream use enters
-      through factors that vanish with it).
-
-    The vacuum ratio is checked at k = 2 .. K from the table, with
-    ``K = max(2, ceil(c))`` and c the vacuum cap, and every k > K follows.
-    ``P_k`` increases on ``[0, k]``, so for k >= max(1, c) the bound
-    ``a_k^{v,U}`` is ``P_k(c)`` and the condition reads
-    ``min_l e^(c - l) (l/c)^k >= a_1^{l,U}/a_1^{v,U}``, the minimum taken
-    over l's interval, with a right side fixed in k.  For ``l_lo >= c`` every
-    term of that minimum, and so the minimum, does not decrease in k, so the
-    condition at k = K holds for every k > K.  For ``l_lo < c`` the term at
-    ``l_lo`` falls to zero, so the condition fails at some k unless
-    ``a_1^{l,U} = 0``.  That k grows like ``1/log(c/l_lo)``, past any fixed
-    depth and past the point where both products underflow to zero and
-    compare equal, so this case is decided by comparing ``l_lo`` with c.
+      a_2^{y,L}/a_2^{x,U} >= a_1^{y,L}/a_1^{x,U}`` for every k >= 2.
+    * vacuum ratio: ``a_k^{l,L}/a_k^{v,U} >= a_1^{l,U}/a_1^{v,U}`` for
+      l = x, y, with a right side fixed in k.  For a decoy whose interval
+      starts at or above the vacuum cap c, t ranges over (0, c] (``P_k(0)``
+      is 0) and s/t >= 1, so the check at k = 2 decides every k >= 2.  For
+      one that starts below c, the term at its lower end and t = c falls to
+      zero, so the condition fails at some k unless ``a_1^{l,U} = 0``.  That
+      k grows like ``1/log(c/l_lo)``, past any fixed depth and past the
+      point where both products underflow to zero and compare equal, so
+      this case is decided by comparing ``l_lo`` with c.  When
+      ``a_1^{v,U} = 0`` the vacuum source is exactly vacuum and the
+      condition holds by convention (every downstream use enters through
+      factors that vanish with it).
     """
     failures: list[str] = []
     for side_name, sb in (("alice", bounds.alice), ("bob", bounds.bob)):
@@ -277,17 +254,9 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
 
         a1v_hi = sb.hi("v", 1)
         if a1v_hi != 0.0:
-            bad = next(
-                (
-                    (source, k)
-                    for source in ("x", "y")
-                    for k in range(2, len(sb.lower["v"]))  # k = 2 .. K
-                    if sb.lo(source, k) * a1v_hi < sb.hi(source, 1) * sb.hi("v", k)
-                ),
-                None,
-            )
+            bad = next((s for s in ("x", "y") if sb.lo(s, 2) * a1v_hi < sb.hi(s, 1) * sb.hi("v", 2)), None)
             if bad is not None:
-                failures.append(f"{side_name}:vacuum-ratio: source {bad[0]} violates the vacuum ratio at k={bad[1]}")
+                failures.append(f"{side_name}:vacuum-ratio: source {bad} violates the vacuum ratio at k=2")
             else:
                 cap = sb.intervals["v"][1]
                 tail = next((s for s in ("x", "y") if sb.intervals[s][0] < cap and sb.hi(s, 1) > 0.0), None)

@@ -277,6 +277,43 @@ def test_underflowing_contamination_denominator_is_zero_rate_not_traceback(tmp_p
     assert "Traceback" not in captured.err
 
 
+def _reference_with(tmp_path, *replacements):
+    text = (REPO_ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    return write_config(tmp_path, text)
+
+
+def test_pair_with_zero_expected_emissions_is_zero_rate_not_traceback(tmp_path, capsys):
+    # p_v p_v = 1e-330 underflows to 0, so the v-v pair expects no emissions.
+    config = _reference_with(tmp_path, ("p_v = 0.146\n", "p_v = 1e-165\n"), ("p_z = 0.625\n", "p_z = 0.771\n"))
+    assert main(["rate", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    fields = dict(line.split(" = ") for line in captured.out.strip().splitlines())
+    assert float(fields["rate"]) == 0.0
+    assert fields["reason"] == "infeasible: no expected emissions from source pair v-v; p_v p_v n_pairs underflows to zero"
+    assert captured.err == ""
+    assert main(["scan", "--config", str(config), "--distances", "0,10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-2:] == [
+        f"{d},fixed,0.000000000000e+00,nan,0.000000000000e+00,nan" for d in (0, 10)
+    ]
+    assert captured.err == ""
+
+
+def test_optimize_without_feasible_start_names_the_vacuum_cap(tmp_path, capsys):
+    # Random starts draw mu_x below 0.25, so every x interval starts below the cap 3.
+    config = _reference_with(tmp_path, ("vacuum_cap = 1e-6\n", "vacuum_cap = 3\n"))
+    assert main(["optimize", "--config", str(config), "--distances", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: could not sample a feasible starting point: at fluctuation 0.01 and vacuum cap 3 "
+        "no random start passes the decoy conditions\n"
+    )
+    assert captured.out == ""
+
+
 def test_removed_h_grid_key_rejected(tmp_path, capsys):
     config = write_config(tmp_path, "h_grid = 1001\n")
     assert main(["rate", "--config", str(config)]) == 2

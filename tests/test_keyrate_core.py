@@ -11,7 +11,6 @@ from mdiqkd import (
     AnalysisInputs,
     ChannelParams,
     ChernoffConfig,
-    PhotonCoeffBounds,
     SideSources,
     SolverError,
     SourceEnsemble,
@@ -71,6 +70,19 @@ def test_sigma_monotone_in_vacuum_cap():
         x_total, _ = _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
         values.append(x_total)
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("key, other, pair", [("p_v", "p_z", "v-v"), ("p_x", "p_z", "x-x"), ("p_y", "p_z", "y-y"), ("p_z", "p_v", "z-z")])
+def test_pair_with_zero_expected_emissions_is_zero_report(sweep_side, params_10km, key, other, pair):
+    # The key's square, 1e-330, underflows to 0, so that pair expects no emissions.
+    side = replace(sweep_side, **{key: 1e-165, other: getattr(sweep_side, other) + getattr(sweep_side, key)})
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params_10km)
+    assert inputs.observables.emitted(*pair.split("-")) == 0.0
+    report = secure_key_rate(inputs)
+    assert report.rate == 0.0 and math.isfinite(report.signal_rate)
+    assert report.reason == f"infeasible: no expected emissions from source pair {pair}; {key} {key} n_pairs underflows to zero"
+    with pytest.raises(AnalysisInfeasible, match="no expected emissions"):
+        rate_function(inputs)
 
 
 def test_sigma_infeasible_when_vacuum_too_unstable():
@@ -189,10 +201,9 @@ def test_s11_zero_when_combinations_cancel(inputs_10km):
 
 
 def test_s11_rejects_degenerate_denominator(inputs_10km):
-    bounds = PhotonCoeffBounds.from_intervals(
-        {"v": (0.0, 0.0), "x": (0.4, 0.4), "y": (0.1, 0.1), "z": (0.5, 0.5)},
-        {"v": (0.0, 0.0), "x": (0.4, 0.4), "y": (0.1, 0.1), "z": (0.5, 0.5)},
-    )
+    # x spans [0.24, 0.36] and y [0.32, 0.48]: they overlap.
+    side = SideSources(mu_x=0.3, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, fluctuation=0.2)
+    bounds = coeff_bounds(SourceEnsemble.symmetric(side))
     with pytest.raises(AnalysisInfeasible, match="denominator"):
         rate_function(replace(inputs_10km, bounds=bounds))
 
