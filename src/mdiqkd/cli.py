@@ -196,10 +196,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             overrides["optimize"] = _parse_bool(args.optimize)
         except ValueError as exc:
             raise ConfigError(f"bad value for --optimize: {exc}") from exc
-    try:
-        return RunConfig(**overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**overrides)
 
 
 # Most points an A:B:STEP range may expand to; a longer range is a

@@ -175,27 +175,27 @@ class RateCurve:
     pz2: float
     correction: float  # f_ec * S_zz * H2(E_zz), from observed values
 
+    def _at(self, h):
+        """``(s11, e11, R)`` at scalars or arrays h."""
+        h = np.asarray(h, dtype=float)
+        s11 = np.maximum((self.s_plus - self.s_minus - self.c_y * h) / self.denominator, 0.0)
+        safe = np.where(s11 > 0.0, s11, 1.0)
+        # minimum/maximum rather than np.clip: same values, cheaper on small arrays.
+        e11 = np.where(s11 > 0.0, np.minimum(np.maximum((self.txx_upper - h / 2.0) / (self.beta * safe), 0.0), 1.0), np.nan)
+        # Phase error at or beyond one half, or undefined, leaves nothing to distill.
+        privacy = np.where(e11 < 0.5, 1.0 - _binary_entropy_arr(e11), 0.0)
+        return s11, e11, self.pz2 * (self.gamma * s11 * privacy - self.correction)
+
     def s11(self, h):
         """Single-photon-pair yield floor; affine and decreasing in h, clamped at zero."""
-        return np.maximum((self.s_plus - self.s_minus - self.c_y * np.asarray(h, dtype=float)) / self.denominator, 0.0)
+        return self._at(h)[0]
 
     def e11(self, h):
         """Phase-error ceiling clipped to [0, 1]; NaN where the yield floor vanishes."""
-        h_arr = np.asarray(h, dtype=float)
-        return self._e11(h_arr, self.s11(h_arr))
-
-    def _e11(self, h, s11):
-        safe = np.where(s11 > 0.0, s11, 1.0)
-        # minimum/maximum rather than np.clip: same values, cheaper on small arrays.
-        return np.where(s11 > 0.0, np.minimum(np.maximum((self.txx_upper - h / 2.0) / (self.beta * safe), 0.0), 1.0), np.nan)
+        return self._at(h)[1]
 
     def __call__(self, h):
-        h_arr = np.asarray(h, dtype=float)
-        s11 = self.s11(h_arr)
-        e11 = self._e11(h_arr, s11)
-        # Phase error at or beyond one half, or undefined, leaves nothing to distill.
-        privacy = np.where(e11 < 0.5, 1.0 - _binary_entropy_arr(e11), 0.0)
-        return self.pz2 * (self.gamma * s11 * privacy - self.correction)
+        return self._at(h)[2]
 
     def slope(self, h: float) -> float:
         """Exact ``dR/dh`` at a scalar h.
@@ -284,7 +284,12 @@ def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateC
         raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
     sigma_x, sigma_y = _sigma_factors(inputs.bounds)
     curve = _curve(inputs, sigma_y, counter)
-    return curve, _h_lower(inputs, sigma_x, counter), 2.0 * curve.txx_upper
+    h_lower, h_upper = _h_lower(inputs, sigma_x, counter), 2.0 * curve.txx_upper
+    # Emissions near the float minimum give count weights near its maximum.  s11 is affine in h, so it is
+    # finite on the interval if it is at both ends; Python floats overflow without numpy's warning.
+    if not all(math.isfinite((curve.s_plus - curve.s_minus - curve.c_y * h) / curve.denominator) for h in (h_lower, h_upper)):
+        raise AnalysisInfeasible(f"single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]")
+    return curve, h_lower, h_upper
 
 
 def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
@@ -338,8 +343,8 @@ def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> Key
     )
 
 
-def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, float, int]:
-    """Minimum of the candidate rate on ``[lo, hi]`` as ``(h, rate, slope evaluations)``.
+def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, float, float, float, int]:
+    """Minimum of the candidate rate on ``[lo, hi]`` as ``(h, s11, e11, rate, slope evaluations)``.
 
     Exact because ``R(h)`` is convex there.  ``s11(h)`` and
     ``u(h) = txx_upper - h/2`` are affine in h, and ``u >= 0`` on the interval
@@ -348,10 +353,13 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
     non-increasing, so it is jointly convex (Boyd & Vandenberghe, *Convex
     Optimization*, section 3.2.6); it is also non-decreasing in s, so clamping
     s11 at zero keeps it convex.  Its slope :meth:`RateCurve.slope` is
-    therefore non-decreasing: an end whose slope points inward is the minimum,
-    and otherwise bisection on the slope's sign keeps a minimizer inside the
-    bracket down to ``_REL_TOL`` of the interval's larger end, about 40 halvings.
-    The lower of ``R`` at the final bracket's two ends is reported.
+    therefore non-decreasing, and never negative at ``hi``: ``u(hi) = 0`` makes
+    it 0 where s11 is clamped and otherwise infinite with the sign of ``-e'``,
+    and ``s11(hi) > 0`` means ``A > 2 c_y txx_upper``, so ``e' < 0``.  So ``lo``
+    is the minimum where its slope is not negative; otherwise bisection on the
+    slope's sign keeps a minimizer in ``[lo, hi]`` down to ``_REL_TOL`` of the
+    larger end, about 40 halvings.  The one final bracket, ``[lo, lo]`` in the
+    first case, gives the lower of ``R`` at its ends from one curve evaluation.
 
     A NaN slope, or an infinite one anywhere but at ``hi`` (where ``e = 0``),
     raises :class:`SolverError` rather than steering the search.
@@ -366,22 +374,19 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
             raise SolverError(f"candidate-rate slope is {value!r} at h = {h!r} in [{lo!r}, {hi!r}]")
         return value
 
-    if slope(lo) >= 0.0:
-        return lo, float(curve(lo)), samples
-    if slope(hi) < 0.0:
-        return hi, float(curve(hi)), samples
-    left, right = lo, hi
-    tol = _REL_TOL * max(abs(lo), abs(hi))
-    while right - left > tol:
-        mid = 0.5 * (left + right)
-        if slope(mid) < 0.0:
-            left = mid
-        else:
-            right = mid
-    rate_left, rate_right = float(curve(left)), float(curve(right))
-    if rate_right < rate_left:
-        return right, rate_right, samples
-    return left, rate_left, samples
+    left = right = lo
+    if slope(lo) < 0.0:
+        right = hi
+        tol = _REL_TOL * max(abs(lo), abs(hi))
+        while right - left > tol:
+            mid = 0.5 * (left + right)
+            if slope(mid) < 0.0:
+                left = mid
+            else:
+                right = mid
+    s11, e11, rate = curve._at(np.array([left, right]))
+    end = 1 if rate[1] < rate[0] else 0
+    return (left, right)[end], float(s11[end]), float(e11[end]), float(rate[end]), samples
 
 
 def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
@@ -406,7 +411,7 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     if h_lo > h_hi:
         return _zero_report("h-range-empty", obs, counter.count)
 
-    best_h, best_rate, samples = _convex_minimum(curve, h_lo, h_hi)
+    best_h, s11, e11, best_rate, samples = _convex_minimum(curve, h_lo, h_hi)
     if not math.isfinite(best_rate):
         raise SolverError(f"candidate rate is not finite at its minimum (h = {best_h!r}, rate = {best_rate!r})")
 
@@ -415,8 +420,8 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
         h_lower=h_lo,
         h_upper=h_hi,
         h_star=best_h,
-        s11_at_min=float(curve.s11(best_h)),
-        e11_at_min=float(curve.e11(best_h)),
+        s11_at_min=s11,
+        e11_at_min=e11,
         signal_rate=obs.signal_rate,
         signal_error_rate=obs.signal_error_rate,
         chernoff_invocations=counter.count,

@@ -102,7 +102,12 @@ class SideSources:
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"source probabilities must sum to 1, got {total!r}")
         for source in SOURCES:
-            _check_interval(source, *self.intensity_interval(source))
+            mu_hi = self.intensity_interval(source)[1]
+            if not mu_hi < MAX_INTENSITY:
+                raise ValueError(
+                    f"source {source} intensity interval ends at {mu_hi:g}, not below {MAX_INTENSITY:.6g}, "
+                    "where the zero-photon coefficient e^-mu underflows"
+                )
 
     def probability(self, source: str) -> float:
         return {"v": self.p_v, "x": self.p_x, "y": self.p_y, "z": self.p_z}[source]
@@ -164,16 +169,6 @@ class PhotonCoeffBounds:
     def decoy(self) -> DecoyConditionReport:
         """The decoy-condition verdict on these bounds, computed once per table."""
         return check_decoy_conditions(self)
-
-
-def _check_interval(source: str, mu_lo: float, mu_hi: float) -> None:
-    if not 0.0 <= mu_lo <= mu_hi:
-        raise ValueError(f"source {source}: invalid intensity interval [{mu_lo}, {mu_hi}]")
-    if not mu_hi < MAX_INTENSITY:
-        raise ValueError(
-            f"source {source} intensity interval ends at {mu_hi:g}, not below {MAX_INTENSITY:.6g}, "
-            "where the zero-photon coefficient e^-mu underflows"
-        )
 
 
 def _side_bounds(side: SideSources) -> SideCoeffBounds:

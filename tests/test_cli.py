@@ -302,6 +302,17 @@ def test_pair_with_zero_expected_emissions_is_zero_rate_not_traceback(tmp_path, 
     assert captured.err == ""
 
 
+def test_subnormal_expected_emissions_is_zero_rate_without_warning(tmp_path, capsys):
+    # p_v p_v n_pairs is about 1e-309, a subnormal whose count weight makes s11 overflow.
+    config = _reference_with(tmp_path, ("p_v = 0.146\n", "p_v = 1e-160\n"), ("p_z = 0.625\n", "p_z = 0.771\n"))
+    assert main(["rate", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    fields = dict(line.split(" = ") for line in captured.out.strip().splitlines())
+    assert float(fields["rate"]) == 0.0
+    assert fields["reason"].startswith("infeasible: single-photon yield floor s11 overflows on H in [0, ")
+    assert captured.err == ""
+
+
 def test_optimize_without_feasible_start_names_the_vacuum_cap(tmp_path, capsys):
     # Random starts draw mu_x below 0.25, so every x interval starts below the cap 3.
     config = _reference_with(tmp_path, ("vacuum_cap = 1e-6\n", "vacuum_cap = 3\n"))
@@ -318,6 +329,26 @@ def test_removed_h_grid_key_rejected(tmp_path, capsys):
     config = write_config(tmp_path, "h_grid = 1001\n")
     assert main(["rate", "--config", str(config)]) == 2
     assert "unknown key 'h_grid'" in capsys.readouterr().err
+
+
+def test_duplicate_key_rejected_with_line_number(tmp_path, capsys):
+    config = write_config(tmp_path, "mu_x = 0.1\nmu_x = 0.2\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.endswith(":3: duplicate key 'mu_x'\n")
+
+
+def test_seed_flag_overrides_the_config(tmp_path, capsys):
+    config = write_config(tmp_path, "seed = 5\n")
+    assert main(["scan", "--config", str(config), "--distances", "10", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "# seed=7" in out and "# seed=5" not in out
+
+
+def test_optimize_off_in_the_config_runs_a_fixed_scan(tmp_path, capsys):
+    config = write_config(tmp_path, "optimize = off\ndistances = 10\n")
+    assert parse_config_file(config) == {"optimize": False, "distances": "10"}
+    assert main(["scan", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("10,fixed,")
 
 
 def test_unknown_key_rejected_with_line_number(tmp_path, capsys):
@@ -382,8 +413,9 @@ def test_distance_parsing():
         parse_distances(f"0:{MAX_RANGE_POINTS}:1")
     with pytest.raises(ConfigError):
         parse_distances("10:0:5")
-    with pytest.raises(ConfigError):
-        parse_distances("")
+    for spec in ("", "0:10", "0:10:0", ",", "-5"):
+        with pytest.raises(ConfigError):
+            parse_distances(spec)
 
 
 def test_scan_single_distance_matches_rate(tmp_path, capsys):
@@ -605,6 +637,14 @@ def test_validate_model_zero_trials_exit_code_2(tmp_path, capsys):
     config = write_config(tmp_path, "mc_trials = 0\n")
     assert main(["validate-model", "--config", str(config)]) == 2
     assert "mc_trials" in capsys.readouterr().err
+
+
+def test_validate_model_disagreement_exit_code_1(tmp_path, capsys, monkeypatch):
+    # An analytic model that predicts a gain of one half cannot agree with the simulation.
+    monkeypatch.setattr(mdiqkd.channel_sim, "pair_yield", lambda *args: (0.5, 0.25))
+    config = write_config(tmp_path, "mc_trials = 1000\n")
+    assert main(["validate-model", "--config", str(config)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("model validation FAILED (")
 
 
 def test_validate_model_small_run_passes(tmp_path, capsys):

@@ -85,6 +85,20 @@ def test_pair_with_zero_expected_emissions_is_zero_report(sweep_side, params_10k
         rate_function(inputs)
 
 
+@pytest.mark.parametrize("key, value", [("p_v", 1e-160), ("p_y", 1e-160), ("p_x", 1e-158), ("p_x", 1e-161)])
+def test_tiny_expected_emissions_overflowing_the_yield_floor_is_zero_report(sweep_side, params_10km, key, value):
+    # p_v = 1e-160 leaves about 1e-309 expected v-v emissions, a subnormal whose
+    # count weight drives s11(0) past the float range; p_x = 1e-158 does the
+    # same to s11(h_upper), and p_x = 1e-161 makes h_upper infinite.
+    side = replace(sweep_side, **{key: value, "p_z": sweep_side.p_z + getattr(sweep_side, key)})
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params_10km)
+    report = secure_key_rate(inputs)
+    assert report.rate == 0.0
+    assert report.reason.startswith("infeasible: single-photon yield floor s11 overflows on H in [")
+    with pytest.raises(AnalysisInfeasible, match="s11 overflows"):
+        rate_function(inputs)
+
+
 def test_sigma_infeasible_when_vacuum_too_unstable():
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=0.09)
     with pytest.raises(AnalysisInfeasible, match="contamination"):
@@ -182,6 +196,20 @@ def test_h_interval_contains_model_truth(noisy_side, inputs_10km, params_10km):
     _, h_lo, h_hi = rate_function(inputs_10km)
     h_true = 2.0 * vacuum_error_component(noisy_side.mu_x, noisy_side.mu_x, params_10km)
     assert h_lo <= h_true <= h_hi
+
+
+def test_empty_h_range_is_zero_report(sweep_side, params_10km):
+    # Every v-x and x-v detection an error and no x-x error puts h_lower above h_upper.
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(replace(sweep_side, fluctuation=0.01)), params_10km)
+    pairs = dict(inputs.observables.pairs)
+    for pair in (("v", "x"), ("x", "v")):
+        pairs[pair] = replace(pairs[pair], errors=pairs[pair].counts)
+    pairs["x", "x"] = replace(pairs["x", "x"], errors=0)
+    inputs = replace(inputs, observables=PairObservables(pairs=pairs, n_pairs=inputs.observables.n_pairs))
+    _, h_lo, h_hi = rate_function(inputs)
+    assert h_lo > h_hi
+    report = secure_key_rate(inputs)
+    assert report.rate == 0.0 and report.reason == "h-range-empty" and math.isnan(report.h_star)
 
 
 # --- pointwise bound formulas ------------------------------------------------
@@ -397,7 +425,7 @@ def _interior_minimum_curve(draw):
 def test_slope_search_finds_interior_minima(case):
     curve, lo, hi = case
     assert curve.slope(hi) == math.inf
-    h, rate, samples = _convex_minimum(curve, lo, hi)
+    h, _, _, rate, samples = _convex_minimum(curve, lo, hi)
     assert lo < h < hi
     assert samples <= 2 + 64
     grid = curve(np.linspace(lo, hi, 20001))
@@ -409,7 +437,7 @@ def test_slope_search_does_not_stop_at_top_where_e11_vanishes():
     # +inf.  Reading phi'(0) as 0 makes the top look like a descent end and
     # returns it, nearly doubling this curve's rate.
     curve = _TRAP_CURVE
-    h, rate, _ = _convex_minimum(curve, 0.0, 0.8)
+    h, _, _, rate, _ = _convex_minimum(curve, 0.0, 0.8)
     assert curve.slope(0.0) < 0.0 and curve.slope(0.8) == math.inf
     assert h == pytest.approx(0.7052640621, abs=1e-9)
     assert rate == pytest.approx(0.0258292843, abs=1e-9)
