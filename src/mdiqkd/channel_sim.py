@@ -40,7 +40,7 @@ from itertools import islice
 
 import numpy as np
 
-from .source_model import SourceEnsemble
+from .source_model import SOURCES, SourceEnsemble
 
 # Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
 _CHUNK_SIZE = 1_000_000
@@ -408,19 +408,34 @@ _ANALYSED_PAIRS = (
 )
 
 
+def _side_table(side_sources) -> dict[str, tuple[float, float]]:
+    """``(probability, simulation intensity)`` of each of one side's sources."""
+    return {s: (side_sources.probability(s), simulation_intensity(side_sources, s)) for s in SOURCES}
+
+
 def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairObservables:
     """Expected observables at typical intensities for the pairs the analysis reads.
 
     Counts are rounded to integers (round-half-even) since any real run
-    records integers.
+    records integers.  An X-basis yield is symmetric in the two intensities
+    bit for bit, so pairs with swapped intensities, such as v-x and x-v of
+    symmetric sources, share one :func:`pair_yield` call.  A Z-basis yield
+    is not: its two click factors multiply in the order of the arguments.
     """
+    alice = _side_table(ensemble.alice)
+    bob = alice if ensemble.bob is ensemble.alice else _side_table(ensemble.bob)
+    yields: dict[tuple[str, float, float], tuple[float, float]] = {}
     pairs: dict[tuple[str, str], SourceCounts] = {}
     for l, r, basis in _ANALYSED_PAIRS:
-        emitted = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
-        q, eq = pair_yield(simulation_intensity(ensemble.alice, l), simulation_intensity(ensemble.bob, r), basis, params)
+        (p_l, mu_l), (p_r, mu_r) = alice[l], bob[r]
+        key = (basis, min(mu_l, mu_r), max(mu_l, mu_r)) if basis == "X" else (basis, mu_l, mu_r)
+        if key not in yields:
+            yields[key] = pair_yield(mu_l, mu_r, basis, params)
+        q, eq = yields[key]
+        emitted = p_l * p_r * params.n_pairs
         counts = round(emitted * q)
         errors = min(round(emitted * eq), counts)
-        pairs[(l, r)] = SourceCounts(emitted=emitted, counts=counts, errors=errors)
+        pairs[(l, r)] = SourceCounts(emitted, counts, errors)
     return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
 
 

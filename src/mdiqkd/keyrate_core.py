@@ -144,10 +144,13 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-# The curve's array form.  The error-correction term keeps the scalar form:
-# np.log2 and math.log2 differ in the last bit for about 0.1 % of x, and with
-# this form there the rate changed at full precision on 3 of the 1,664 probes
-# behind tests/data/optimize_reference_evals.csv (numpy 2.4.6).
+# The curve's array form, for the public API and dense scans.  The search
+# reads the scalar form through RateCurve._point, and so does the
+# error-correction term.  np.log2 and math.log2 differ in the last bit for
+# about 0.1 % of x, so R from this form can differ from the search's in its
+# last bits: by 2 to 4 ulp on 3 of the 1,664 probes behind
+# tests/data/optimize_reference_evals.csv (numpy 2.4.6), none at the 12
+# digits it prints.
 def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     inside = (x > 0.0) & (x < 1.0)
@@ -160,9 +163,11 @@ def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
 class RateCurve:
     """Candidate rate ``R(h)`` with its yield floor and phase-error ceiling.
 
-    Holds the H-independent pieces; every method accepts scalars or arrays
-    of nuisance values, and calling the curve gives ``R(h)`` (raw; may be
-    negative).
+    Holds the H-independent pieces.  Calling the curve gives ``R(h)`` (raw;
+    may be negative); it and :meth:`s11` and :meth:`e11` accept scalars or
+    arrays of nuisance values, for the public API and dense scans.  The
+    search over H reads Python floats instead: :meth:`slope`, and
+    :meth:`_point` at the end of its final bracket.
     """
 
     s_plus: float
@@ -197,6 +202,29 @@ class RateCurve:
     def __call__(self, h):
         return self._at(h)[2]
 
+    def _yield_and_error(self, h: float) -> tuple[float, float]:
+        """``(s, e)`` at a scalar h: the yield floor before its clamp at zero, and ``e11``.
+
+        ``e11`` is NaN unless ``s > 0``.  Both match :meth:`_at` bit for bit.
+        """
+        s = (self.s_plus - self.s_minus - self.c_y * h) / self.denominator
+        if not s > 0.0:
+            return s, math.nan
+        # max/min in this order keep a NaN quotient NaN; adding 0.0 turns -0.0 into 0.0, as np.maximum does.
+        return s, min(max((self.txx_upper - h / 2.0) / (self.beta * s), 0.0), 1.0) + 0.0
+
+    def _point(self, h: float) -> tuple[float, float, float]:
+        """``(s11, e11, R)`` at a scalar h, as Python floats.
+
+        s11 and e11 equal :meth:`_at`'s bit for bit.  R can differ from it in
+        its last bits where ``math.log2`` and ``np.log2`` differ in theirs.
+        """
+        s, e = self._yield_and_error(h)
+        s11 = max(s, 0.0) + 0.0  # as np.maximum: NaN stays NaN, -0.0 becomes 0.0
+        # Phase error at or beyond one half, or undefined, leaves nothing to distill.
+        privacy = 1.0 - binary_entropy(e) if e < 0.5 else 0.0
+        return s11, e, self.pz2 * (self.gamma * s11 * privacy - self.correction)
+
     def slope(self, h: float) -> float:
         """Exact ``dR/dh`` at a scalar h.
 
@@ -210,14 +238,10 @@ class RateCurve:
         when ``e' = 0``, the sign that sends a search away from that end.
         A NaN in h or in a field the slope uses gives NaN, not an exception.
         """
+        s, e = self._yield_and_error(h)
+        if s <= 0.0 or e >= 0.5:
+            return 0.0
         a = self.s_plus - self.s_minus
-        s = (a - self.c_y * h) / self.denominator
-        if s <= 0.0:
-            return 0.0
-        # max/min in this order keep a NaN quotient NaN.
-        e = min(max((self.txx_upper - h / 2.0) / (self.beta * s), 0.0), 1.0)
-        if e >= 0.5:
-            return 0.0
         e_prime = self.denominator * (self.c_y * self.txx_upper - a / 2.0) / (self.beta * (a - self.c_y * h) ** 2)
         if e == 0.0:
             return -math.inf if e_prime > 0.0 else math.inf
@@ -359,7 +383,8 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
     is the minimum where its slope is not negative; otherwise bisection on the
     slope's sign keeps a minimizer in ``[lo, hi]`` down to ``_REL_TOL`` of the
     larger end, about 40 halvings.  The one final bracket, ``[lo, lo]`` in the
-    first case, gives the lower of ``R`` at its ends from one curve evaluation.
+    first case, gives the lower of ``R`` at its ends, read from
+    :meth:`RateCurve._point` once per distinct end.
 
     A NaN slope, or an infinite one anywhere but at ``hi`` (where ``e = 0``),
     raises :class:`SolverError` rather than steering the search.
@@ -384,9 +409,12 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
                 left = mid
             else:
                 right = mid
-    s11, e11, rate = curve._at(np.array([left, right]))
-    end = 1 if rate[1] < rate[0] else 0
-    return (left, right)[end], float(s11[end]), float(e11[end]), float(rate[end]), samples
+    h, point = left, curve._point(left)
+    if right != left:
+        other = curve._point(right)
+        if other[2] < point[2]:
+            h, point = right, other
+    return (h, *point, samples)
 
 
 def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:

@@ -25,6 +25,7 @@ from .source_model import SideSources, SourceEnsemble
 # Box constraints for (mu_x, mu_y, mu_z, p_x, p_y, p_z).
 BOX_LOWER = np.array([1e-4, 2e-3, 1e-3, 1e-3, 1e-3, 1e-3])
 BOX_UPPER = np.array([1.0, 1.0, 1.0, 0.98, 0.98, 0.98])
+_BOX_LOWER, _BOX_UPPER = BOX_LOWER.tolist(), BOX_UPPER.tolist()  # as Python floats, for one probe's check
 _MIN_VACUUM_PROB = 1e-3
 
 # Deterministic first start; the remaining restarts probe random feasible
@@ -88,9 +89,10 @@ def evaluate(problem: OptimizationProblem, point) -> float:
     arr = np.asarray(point, dtype=float)
     if arr.shape != (6,):
         raise ValueError(f"expected a 6-vector (mu_x, mu_y, mu_z, p_x, p_y, p_z), got shape {arr.shape}")
-    if not np.all((arr >= BOX_LOWER) & (arr <= BOX_UPPER)):  # NaN fails too
+    values = arr.tolist()
+    if not all(lo <= v <= hi for lo, v, hi in zip(_BOX_LOWER, values, _BOX_UPPER)):  # NaN fails too
         return 0.0
-    sources = problem.sources(arr)
+    sources = problem.sources(values)
     if sources is None:
         return 0.0
     return secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(sources), problem.channel)).rate

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 SOURCES = ("v", "x", "y", "z")
@@ -28,12 +28,16 @@ MAX_INTENSITY = -math.log(sys.float_info.min)
 
 _PROB_TOL = 1e-12
 
+# lgamma(3) = log 2!, which is not math.log(2.0): the two differ in the last bit.
+_LGAMMA_3 = math.lgamma(3.0)
+
 
 def poisson_coeff(mu: float, k: int) -> float:
     """Probability that a phase-randomized WCS pulse of intensity ``mu`` carries ``k`` photons.
 
-    Evaluated in log space so large ``k`` neither overflows the factorial nor
-    underflows prematurely.
+    ``exp(k log mu - mu - lgamma(k + 1))``, so large ``k`` neither overflows
+    the factorial nor underflows prematurely.  The k = 1 and k = 2 forms
+    drop the ``k *`` and call no ``lgamma``, with the same result bit for bit.
     """
     if not (0 <= k < math.inf and k == int(k)):
         raise ValueError(f"photon number must be a nonnegative integer, got {k!r}")
@@ -44,6 +48,10 @@ def poisson_coeff(mu: float, k: int) -> float:
         return 1.0 if k == 0 else 0.0
     if k == 0:
         return math.exp(-mu)
+    if k == 1:
+        return math.exp(math.log(mu) - mu)  # lgamma(2.0) is exactly 0.0
+    if k == 2:
+        return math.exp(2 * math.log(mu) - mu - _LGAMMA_3)
     return math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
 
 
@@ -55,10 +63,11 @@ def coeff_interval(mu_lo: float, mu_hi: float, k: int) -> tuple[float, float]:
     """
     if not 0.0 <= mu_lo <= mu_hi < math.inf:
         raise ValueError(f"invalid intensity interval [{mu_lo}, {mu_hi}]")
-    candidates = [poisson_coeff(mu_lo, k), poisson_coeff(mu_hi, k)]
+    at_lo, at_hi = poisson_coeff(mu_lo, k), poisson_coeff(mu_hi, k)
     if mu_lo < k < mu_hi:
-        candidates.append(poisson_coeff(float(k), k))
-    return min(candidates), max(candidates)
+        peak = poisson_coeff(float(k), k)
+        return min(at_lo, at_hi, peak), max(at_lo, at_hi, peak)
+    return (at_lo, at_hi) if at_lo <= at_hi else (at_hi, at_lo)
 
 
 @dataclass(frozen=True)
@@ -81,9 +90,10 @@ class SideSources:
     fluctuation: float = 0.0
 
     def __post_init__(self) -> None:
-        for f_ in fields(self):
-            if not math.isfinite(getattr(self, f_.name)):
-                raise ValueError(f"{f_.name} must be finite, got {getattr(self, f_.name)}")
+        # Here vars(self) holds exactly the fields, in order; reading it is cheaper than fields().
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.mu_x < self.mu_y):
             raise ValueError(
                 f"decoy intensities must satisfy 0 < mu_x < mu_y, got mu_x={self.mu_x}, mu_y={self.mu_y}"
@@ -177,9 +187,7 @@ def _side_bounds(side: SideSources) -> SideCoeffBounds:
     lower: dict[str, tuple[float, ...]] = {}
     upper: dict[str, tuple[float, ...]] = {}
     for source, (mu_lo, mu_hi) in intervals.items():
-        pairs = [coeff_interval(mu_lo, mu_hi, k) for k in range(3)]
-        lower[source] = tuple(p[0] for p in pairs)
-        upper[source] = tuple(p[1] for p in pairs)
+        lower[source], upper[source] = zip(*(coeff_interval(mu_lo, mu_hi, k) for k in range(3)))
     return SideCoeffBounds(intervals=intervals, lower=lower, upper=upper)
 
 

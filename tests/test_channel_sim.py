@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import i0
 
 from mdiqkd import (
     ChannelParams,
+    SideSources,
+    SourceEnsemble,
     build_observables,
     monte_carlo_yield,
     pair_yield,
@@ -394,6 +398,59 @@ def test_all_sixteen_pairs_present_with_bases(noisy_ensemble, params_10km, obser
     assert set(observables_10km.pairs) == {("v", "v"), ("v", "x"), ("x", "v"), ("x", "x"), ("v", "y"), ("y", "v"), ("y", "y"), ("z", "z")}
     for pair, entry in observables_10km.pairs.items():
         assert entry == full.pairs[pair]
+
+
+_INTENSITY = st.just(0.0) | st.floats(-9.0, 0.5).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_INTENSITY, _INTENSITY, st.floats(0.0, 200.0), st.floats(0.0, 1e-3), st.floats(0.0, 0.1))
+def test_x_basis_yield_is_bit_symmetric(mu_a, mu_b, distance, p_d, e_d):
+    # build_observables shares one call between swapped X-basis intensities on this.
+    params = ChannelParams(p_d=p_d, e_d=e_d, distance_km=distance)
+    forward, backward = pair_yield(mu_a, mu_b, "X", params), pair_yield(mu_b, mu_a, "X", params)
+    assert [v.hex() for v in forward] == [v.hex() for v in backward]
+
+
+def _recorded_pair_yield_calls(monkeypatch) -> list[tuple]:
+    calls = []
+    true_pair_yield = channel_sim.pair_yield
+
+    def recorded(*args):
+        calls.append(args)
+        return true_pair_yield(*args)
+
+    monkeypatch.setattr(channel_sim, "pair_yield", recorded)
+    return calls
+
+
+# Differs from the fixtures' sides in every intensity and probability.
+_OTHER_SIDE = SideSources(mu_x=0.12, mu_y=0.35, mu_z=0.45, p_v=0.15, p_x=0.1, p_y=0.05, p_z=0.7, vacuum_cap=2e-6, fluctuation=0.02)
+
+
+@pytest.mark.parametrize("symmetric, calls_made", [(True, 6), (False, 8)], ids=["symmetric", "asymmetric"])
+def test_observables_share_only_mirrored_x_basis_yields(monkeypatch, noisy_side, params_10km, symmetric, calls_made):
+    # Symmetric sources: v-x and x-v share a call, and so do v-y and y-v.
+    ensemble = SourceEnsemble(alice=noisy_side, bob=noisy_side if symmetric else _OTHER_SIDE)
+    calls = _recorded_pair_yield_calls(monkeypatch)
+    observables = build_observables(ensemble, params_10km)
+    assert len(calls) == calls_made
+    monkeypatch.undo()
+    full = full_observables(ensemble, params_10km)
+    for pair, entry in observables.pairs.items():
+        assert entry == full.pairs[pair]
+
+
+def test_z_basis_yield_is_not_shared_across_swapped_intensities(monkeypatch, params_10km):
+    # The Z-basis gain multiplies its two click factors in argument order, so
+    # swapping unequal intensities moves its last bit here.
+    a, b = 0.07745773842747755, 0.2664509487769251
+    assert pair_yield(a, b, "Z", params_10km) != pair_yield(b, a, "Z", params_10km)
+    side = SideSources(mu_x=a, mu_y=b, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7)
+    monkeypatch.setattr(channel_sim, "_ANALYSED_PAIRS", (("x", "y", "Z"), ("y", "x", "Z")))
+    calls = _recorded_pair_yield_calls(monkeypatch)
+    build_observables(SourceEnsemble.symmetric(side), params_10km)
+    assert [call[:3] for call in calls] == [(a, b, "Z"), (b, a, "Z")]
 
 
 def test_vacuum_pair_records_nothing_without_darks(noisy_ensemble):

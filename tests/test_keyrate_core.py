@@ -472,6 +472,82 @@ def test_slope_of_nan_curve_is_nan(inputs_10km):
     assert math.isnan(curve.slope(math.nan))
 
 
+def _assert_point_matches_array(curve: RateCurve, h: float) -> None:
+    """``RateCurve._point`` against the array ``_at``: s11 and e11 bit for bit, R up to log2's last bit."""
+    s11, e11, rate = curve._point(h)
+    array_s11, array_e11, array_rate = (float(v[0]) for v in curve._at(np.array([h])))
+    # float.hex tells -0.0 from 0.0, and reads "nan" for every NaN.
+    assert (s11.hex(), e11.hex()) == (array_s11.hex(), array_e11.hex())
+    logs_agree = not 0.0 < e11 < 0.5 or all(math.log2(x) == float(np.log2(np.array([x]))[0]) for x in (e11, 1.0 - e11))
+    if logs_agree:
+        assert rate.hex() == array_rate.hex()
+    else:
+        # A last-bit change in log2 moves 1 - H2(e) by about an ulp of 1, so
+        # R by about an ulp of pz2 gamma s11; R itself can nearly cancel.
+        assert abs(rate - array_rate) <= 2.0 * math.ulp(curve.pz2 * curve.gamma * s11)
+
+
+@st.composite
+def _curve_and_h(draw):
+    """A random rate curve and an h around its interval ``[0, 2 txx_upper]``.
+
+    ``c_y`` puts the zero of the yield floor anywhere from a fifth of the
+    interval to three times it, and ``beta`` sets ``e11(0)`` from 1e-3 to 10,
+    so an h drawn past both ends reaches every branch: s11 clamped, e11 at 0,
+    inside (0, 1/2), and at or beyond 1/2.
+    """
+    log_uniform = lambda lo, hi: 10.0 ** draw(st.floats(lo, hi))
+    a, txx_upper, denominator = log_uniform(-6.0, 0.0), log_uniform(-8.0, 0.0), log_uniform(-3.0, 0.0)
+    s_minus = a * draw(st.floats(0.0, 3.0))
+    curve = RateCurve(
+        s_plus=s_minus + a,
+        s_minus=s_minus,
+        txx_upper=txx_upper,
+        c_y=a / (2.0 * txx_upper * draw(st.floats(0.2, 3.0))),
+        denominator=denominator,
+        beta=txx_upper * denominator / (a * log_uniform(-3.0, 1.0)),
+        gamma=log_uniform(-3.0, 0.0),
+        pz2=draw(st.floats(0.01, 1.0)),
+        correction=log_uniform(-12.0, -3.0),
+    )
+    return curve, draw(st.floats(-0.2, 2.5)) * 2.0 * txx_upper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_curve_and_h())
+def test_scalar_point_matches_array_form(case):
+    _assert_point_matches_array(*case)
+
+
+# h = 0, s11 = 1 and beta = 1, so e11 = txx_upper.
+_UNIT_CURVE = RateCurve(
+    s_plus=1.0, s_minus=0.0, txx_upper=0.1, c_y=1.0, denominator=1.0, beta=1.0, gamma=1.0, pz2=1.0, correction=0.1
+)
+
+
+@pytest.mark.parametrize(
+    "changes, h",
+    [
+        ({"s_minus": 1.0}, 0.5),  # s11 clamped: e11 NaN, R = -pz2 correction
+        ({"s_plus": -0.0, "s_minus": 0.0}, 0.0),  # s11 numerator -0.0
+        ({"txx_upper": -0.0}, 0.0),  # e11 numerator -0.0
+        ({"txx_upper": 0.25}, 0.5),  # e11 = 0 at h = 2 txx_upper
+        ({"txx_upper": 0.5}, 0.0),  # e11 = 1/2
+        ({"txx_upper": 3.0}, 0.0),  # e11 clipped at 1
+        ({"txx_upper": math.nan}, 0.0),  # NaN quotient with s11 > 0
+        ({"txx_upper": 0.18123377742646968}, 0.0),  # log2(e11) differs in the last bit on numpy 2.4.6
+    ],
+    ids=["s11-clamped", "s11-minus-zero", "e11-minus-zero", "e11-zero", "e11-half", "e11-one", "nan-quotient", "log2-last-bit"],
+)
+def test_scalar_point_edge_cases_match_array_form(changes, h):
+    curve = replace(_UNIT_CURVE, **changes)
+    _assert_point_matches_array(curve, h)
+    s11, e11, rate = curve._point(h)
+    if s11 == 0.0:
+        assert math.copysign(1.0, s11) == 1.0 and math.isnan(e11) and rate == -curve.pz2 * curve.correction
+    assert math.copysign(1.0, e11) == 1.0 or math.isnan(e11)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_random_setup(), st.floats(0.0, 0.05), st.floats(0.0, 50.0), st.floats(0.0, 2.0))
 def test_rate_monotone_in_fluctuation_distance_and_data(setup, more_fluctuation, more_km, more_decades):

@@ -40,6 +40,25 @@ def test_log_space_survives_large_k():
     assert value == pytest.approx(7.510739438659514e-23, rel=1e-12)
 
 
+_LOG_UNIFORM_MU = st.floats(-8.0, math.log10(300.0)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_LOG_UNIFORM_MU, st.sampled_from([1, 2]))
+def test_k_one_and_two_equal_the_log_space_form_bit_for_bit(mu, k):
+    # The goldens rest on this: the k = 1 and k = 2 forms drop only exact
+    # steps (1 * log mu, and subtracting lgamma(2) = 0) and hoist lgamma(3).
+    assert poisson_coeff(mu, k).hex() == _brute_force_coeffs(mu, mu, k)[0].hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_LOG_UNIFORM_MU, st.floats(0.0, 3.0), st.integers(0, 3))
+def test_coeff_interval_equals_brute_force_bit_for_bit(mu_lo, width, k):
+    assert [v.hex() for v in coeff_interval(mu_lo, mu_lo * (1.0 + width), k)] == [
+        v.hex() for v in _brute_force_coeffs(mu_lo, mu_lo * (1.0 + width), k)
+    ]
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         poisson_coeff(-0.1, 0)
