@@ -36,11 +36,14 @@ import os
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from itertools import islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .source_model import SOURCES, SourceEnsemble
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
 _CHUNK_SIZE = 1_000_000
@@ -52,16 +55,6 @@ _BLOCK_SIZE = 8192
 # Threads that run Monte Carlo chunks at once.  Each chunk has its own seed
 # and counts add up as integers, so the counts do not depend on this.
 _WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4)
-
-# A trial's clicks as a 4-bit code, bit k set when detector k (1H, 1V, 2H,
-# 2V) fired.  Accepted coincidences are 1H+1V, 2H+2V (same port) and 1H+2V,
-# 1V+2H (cross port).
-_CLICK_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
-_SUCCESS = np.isin(np.arange(16), [0b0011, 0b1100, 0b1001, 0b0110])
-# Whether a success is an error before misalignment, by the announcements
-# above, indexed by 16 pattern + code with pattern = 2 bit_a + bit_b.
-_ERROR = {"Z": np.repeat([True, False, False, True], 16)}
-_ERROR["X"] = _ERROR["Z"] ^ np.tile(np.isin(np.arange(16), [0b0011, 0b1100]), 4)
 
 
 @dataclass(frozen=True)
@@ -253,6 +246,8 @@ def _cell_counts(pool, cells: list[tuple[float, float, str, ChannelParams, int, 
     ``_chunk_counts`` and below.  After a failed chunk, the jobs in the
     window that have not started are cancelled.
     """
+    import numpy as np
+
     jobs = (
         pool.submit(_chunk_counts, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params)
         for mu_a, mu_b, basis, params, trials, seed in cells
@@ -272,12 +267,30 @@ def _cell_counts(pool, cells: list[tuple[float, float, str, ChannelParams, int, 
             job.cancel()
 
 
+@cache
+def _lookup_tables() -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """``(click weights, success, error)`` lookups, built once on first use.
+
+    A trial's clicks form a 4-bit code, bit k set when detector k (1H, 1V, 2H,
+    2V) fired; successes are 1H+1V, 2H+2V (same port) and 1H+2V, 1V+2H (cross
+    port).  ``error[basis]``, indexed by 16 pattern + code with pattern =
+    2 bit_a + bit_b, says whether a success is an error before misalignment.
+    """
+    import numpy as np
+
+    error = {"Z": np.repeat([True, False, False, True], 16)}
+    error["X"] = error["Z"] ^ np.tile(np.isin(np.arange(16), [0b0011, 0b1100]), 4)
+    return np.array([1, 2, 4, 8], dtype=np.uint8), np.isin(np.arange(16), [0b0011, 0b1100, 0b1001, 0b0110]), error
+
+
 def _intensity_table(basis: str, ea: float, eb: float) -> tuple[np.ndarray, np.ndarray]:
     """Each detector's mean photon number as ``offset + slope * cos(phi)``.
 
     Two ``(4, 4)`` arrays, with rows indexed by the bit pattern
     ``2 bit_a + bit_b`` and columns by detector (1H, 1V, 2H, 2V).
     """
+    import numpy as np
+
     x = math.sqrt(ea * eb) / 2.0
     mu_p = (ea + eb) / 2.0
     if basis == "X":
@@ -301,8 +314,12 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     order.  A block's intensities are the :func:`_intensity_table` rows of
     its bit patterns, turned in place into no-click probabilities in
     ``(block, 4)`` buffers reused across blocks; a chunk never holds an
-    ``(m, 4)`` array.  One ``_ERROR`` lookup classifies each success.
+    ``(m, 4)`` array.  One error lookup of :func:`_lookup_tables` classifies
+    each success.
     """
+    import numpy as np
+
+    click_weights, success_of, error_of = _lookup_tables()
     block = min(_BLOCK_SIZE, m)
     blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
     cos_phi = rng.uniform(0.0, 2.0 * np.pi, m)
@@ -327,12 +344,12 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
         np.exp(np.negative(lam, out=lam), out=lam)
         lam *= 1.0 - params.p_d
         np.greater_equal(rng.random(out=uniform[:n]), lam, out=clicks[:n])
-        np.matmul(clicks[:n].view(np.uint8), _CLICK_WEIGHTS, out=code[start:stop])
+        np.matmul(clicks[:n].view(np.uint8), click_weights, out=code[start:stop])
 
-    success = _SUCCESS.take(code)
+    success = success_of.take(code)
     key = np.left_shift(pattern, 4, out=pattern)
     key |= code
-    raw_error = _ERROR[basis].take(key[success])
+    raw_error = error_of[basis].take(key[success])
     flipped = rng.random(raw_error.size) < params.e_d
     return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
 

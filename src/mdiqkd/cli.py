@@ -27,12 +27,15 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .channel_sim import ChannelParams, validate_model
 from .keyrate_core import AnalysisInputs, KeyRateReport, SolverError, secure_key_rate
-from .optimizer import OptimizationProblem, OptimizationResult, optimize
 from .source_model import SideSources, SourceEnsemble
+
+if TYPE_CHECKING:
+    from .optimizer import OptimizationResult
 
 
 class ConfigError(ValueError):
@@ -285,6 +288,8 @@ def _per_distance(
     """
     channel = config.channel_params()
     ensemble = None if search else config.ensemble()
+    if search:
+        from .optimizer import OptimizationProblem, optimize  # numpy, paid only by a search
     for distance in distances:
         params = channel.at_distance(0.0 if distance == 0 else distance)  # so -0 prints as "0"
         if not search:

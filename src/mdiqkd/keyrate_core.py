@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import stat_bounds
 from .channel_sim import ChannelParams, PairObservables, build_observables
 from .source_model import PhotonCoeffBounds, SourceEnsemble
@@ -144,14 +142,15 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-# The curve's array form, for the public API and dense scans.  The search
-# reads the scalar form through RateCurve._point, and so does the
-# error-correction term.  np.log2 and math.log2 differ in the last bit for
-# about 0.1 % of x, so R from this form can differ from the search's in its
-# last bits: by 2 to 4 ulp on 3 of the 1,664 probes behind
-# tests/data/optimize_reference_evals.csv (numpy 2.4.6), none at the 12
-# digits it prints.
-def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
+# The curve's array form, for dense scans.  The search and a scalar read of
+# the curve go through RateCurve._point, and so does the error-correction
+# term.  np.log2 and math.log2 differ in the last bit for about 0.1 % of x, so
+# R from this form can differ from the search's in its last bits: by 2 to 4
+# ulp on 3 of the 1,664 probes behind tests/data/optimize_reference_evals.csv
+# (numpy 2.4.6), none at the 12 digits it prints.
+def _binary_entropy_arr(x):
+    import numpy as np
+
     out = np.zeros_like(x)
     inside = (x > 0.0) & (x < 1.0)
     xi = x[inside]
@@ -164,10 +163,10 @@ class RateCurve:
     """Candidate rate ``R(h)`` with its yield floor and phase-error ceiling.
 
     Holds the H-independent pieces.  Calling the curve gives ``R(h)`` (raw;
-    may be negative); it and :meth:`s11` and :meth:`e11` accept scalars or
-    arrays of nuisance values, for the public API and dense scans.  The
-    search over H reads Python floats instead: :meth:`slope`, and
-    :meth:`_point` at the end of its final bracket.
+    may be negative); it and :meth:`s11` and :meth:`e11` accept a Python
+    scalar, read through :meth:`_point` as the search reads it, or an array
+    of nuisance values for dense scans.  The search over H reads
+    :meth:`slope`, and :meth:`_point` at the ends of its final bracket.
     """
 
     s_plus: float
@@ -181,7 +180,11 @@ class RateCurve:
     correction: float  # f_ec * S_zz * H2(E_zz), from observed values
 
     def _at(self, h):
-        """``(s11, e11, R)`` at scalars or arrays h."""
+        """``(s11, e11, R)`` at a Python scalar h, as :meth:`_point` gives it, or at an array h."""
+        if isinstance(h, (int, float)):
+            return self._point(float(h))
+        import numpy as np
+
         h = np.asarray(h, dtype=float)
         s11 = np.maximum((self.s_plus - self.s_minus - self.c_y * h) / self.denominator, 0.0)
         safe = np.where(s11 > 0.0, s11, 1.0)
@@ -205,7 +208,7 @@ class RateCurve:
     def _yield_and_error(self, h: float) -> tuple[float, float]:
         """``(s, e)`` at a scalar h: the yield floor before its clamp at zero, and ``e11``.
 
-        ``e11`` is NaN unless ``s > 0``.  Both match :meth:`_at` bit for bit.
+        ``e11`` is NaN unless ``s > 0``.  Both match the array form of :meth:`_at` bit for bit.
         """
         s = (self.s_plus - self.s_minus - self.c_y * h) / self.denominator
         if not s > 0.0:
@@ -216,8 +219,8 @@ class RateCurve:
     def _point(self, h: float) -> tuple[float, float, float]:
         """``(s11, e11, R)`` at a scalar h, as Python floats.
 
-        s11 and e11 equal :meth:`_at`'s bit for bit.  R can differ from it in
-        its last bits where ``math.log2`` and ``np.log2`` differ in theirs.
+        s11 and e11 equal the array form's bit for bit.  R can differ from it
+        in its last bits where ``math.log2`` and ``np.log2`` differ in theirs.
         """
         s, e = self._yield_and_error(h)
         s11 = max(s, 0.0) + 0.0  # as np.maximum: NaN stays NaN, -0.0 becomes 0.0

@@ -174,13 +174,14 @@ def test_intensity_table_matches_beam_splitter_amplitudes(basis):
 
 
 def test_success_and_error_lookups_follow_the_announcement_rules():
-    assert channel_sim._CLICK_WEIGHTS.tolist() == [1, 2, 4, 8]  # bit k of a click code is detector k
+    click_weights, success, error = channel_sim._lookup_tables()
+    assert click_weights.tolist() == [1, 2, 4, 8]  # bit k of a click code is detector k
     for code, basis, (bit_a, bit_b) in product(range(16), ("X", "Z"), product((0, 1), repeat=2)):
         clicked = {name for k, name in enumerate(DETECTORS) if code >> k & 1}
         expected = announced_error(basis, bit_a, bit_b, clicked)
-        assert channel_sim._SUCCESS[code] == (expected is not None), clicked
+        assert success[code] == (expected is not None), clicked
         if expected is not None:
-            assert channel_sim._ERROR[basis][16 * (2 * bit_a + bit_b) + code] == expected, (basis, bit_a, bit_b, clicked)
+            assert error[basis][16 * (2 * bit_a + bit_b) + code] == expected, (basis, bit_a, bit_b, clicked)
 
 
 def test_monte_carlo_chunking_does_not_change_results(monkeypatch):

@@ -241,16 +241,20 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_rate_leaves_thread_pool_unloaded(tmp_path):
+    # rate and a fixed scan run in math alone; numpy and the thread pool are
+    # imported only by the commands that search or simulate.
     src = str(Path(mdiqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    config = write_config(tmp_path)
+    config = str(write_config(tmp_path))
+    commands = [["rate", "--config", config], ["scan", "--config", config, "--distances", "0:80:5"]]
     code = (
         "import sys\nimport mdiqkd.cli\n"
-        f"assert mdiqkd.cli.main(['rate', '--config', {str(config)!r}]) == 0\n"
-        "print('concurrent.futures' in sys.modules, file=sys.stderr)"
+        f"for argv in {commands!r}:\n"
+        "    assert mdiqkd.cli.main(argv) == 0\n"
+        "    print(argv[0], [m for m in ('numpy', 'concurrent.futures') if m in sys.modules], file=sys.stderr)"
     )
     err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
-    assert err.strip() == "False"
+    assert err.splitlines() == ["rate []", "scan []"]
 
 
 def test_optimize_leaves_scipy_unloaded(tmp_path):

@@ -320,6 +320,23 @@ def test_secure_key_rate_exact_point_regression(exact_ensemble):
     assert report.h_lower <= report.h_star <= report.h_upper
 
 
+def test_scalar_curve_reads_equal_the_report():
+    # At this h_star np.log2 and math.log2 differ in a last bit (numpy 2.4.6):
+    # an array read gives R = 8.372558804600281e-06, the report 8.372558804600285e-06.
+    side = SideSources(
+        mu_x=0.029402065625609205, mu_y=0.24782890145267464, mu_z=0.49845826533741716,
+        p_v=0.1160079533570384, p_x=0.17361507795288614, p_y=0.03987794442653649, p_z=0.670499024263539,
+        vacuum_cap=1e-06, fluctuation=0.029888849922980916,
+    )
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), ChannelParams(n_pairs=4993756114984.6875, distance_km=49))
+    report = secure_key_rate(inputs)
+    curve, _, _ = rate_function(inputs)
+    assert report.reason == "ok" and report.rate > 0.0
+    h = report.h_star
+    assert (curve(h), curve.s11(h), curve.e11(h)) == (report.rate, report.s11_at_min, report.e11_at_min)
+    assert all(type(v) is float for v in (curve(h), curve.s11(h), curve.e11(h)))
+
+
 def test_secure_key_rate_handles_single_point_interval(inputs_10km):
     silent = AnalysisInputs(
         bounds=inputs_10km.bounds,
