@@ -32,6 +32,7 @@ submitted.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import deque
 from collections.abc import Iterator
@@ -166,6 +167,13 @@ class MonteCarloYield:
     errors: int
 
 
+def _check_run(trials: int, seed: int) -> None:
+    """Raise ``ValueError`` unless ``trials`` is an integer of at least 1 and ``seed`` one of at least 0."""
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def monte_carlo_yield(
     mu_a: float,
     mu_b: float,
@@ -207,8 +215,7 @@ def monte_carlo_yield(
     as ``_counts``, whose next item is this cell's, so that the chunks of
     later cells run while this call waits for this cell's.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_run(trials, seed)
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
     _check_intensities(mu_a, mu_b)
@@ -526,8 +533,7 @@ def validate_model(
     calling thread.  The calls read one :func:`_cell_counts` on one thread
     pool, so the cells' chunks run on it together.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_run(trials, seed)
     if not grid:
         raise ValueError("the validation grid must hold at least one (mu, distance_km) point")
     cells, analytic = [], []

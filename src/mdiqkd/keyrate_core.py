@@ -19,7 +19,8 @@ the telescoping combination bounds rather than term by term (Zhang et al.,
 PRA 95, 012333 (2017)); the groups are those of the four-intensity joint
 constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  The Z-basis
 single-photon yield is estimated by its X-basis bound.  :class:`RateCurve` is
-the one implementation of ``s11(H)``, ``e11(H)`` and ``R(H)``.
+the one implementation of ``s11(H)``, ``e11(H)`` and ``R(H)``, apart from an
+array form of ``R`` kept for dense-grid checks.
 """
 
 from __future__ import annotations
@@ -142,30 +143,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-# The curve's array form, for dense scans.  The search and a scalar read of
-# the curve go through RateCurve._point, and so does the error-correction
-# term.  np.log2 and math.log2 differ in the last bit for about 0.1 % of x, so
-# R from this form can differ from the search's in its last bits: by 2 to 4
-# ulp on 3 of the 1,664 probes behind tests/data/optimize_reference_evals.csv
-# (numpy 2.4.6), none at the 12 digits it prints.
-def _binary_entropy_arr(x):
-    import numpy as np
-
-    out = np.zeros_like(x)
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    out[inside] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    return out
-
-
 @dataclass(frozen=True)
 class RateCurve:
     """Candidate rate ``R(h)`` with its yield floor and phase-error ceiling.
 
-    Holds the H-independent pieces.  Calling the curve gives ``R(h)`` (raw;
-    may be negative); it and :meth:`s11` and :meth:`e11` accept a Python
-    scalar, read through :meth:`_point` as the search reads it, or an array
-    of nuisance values for dense scans.  The search over H reads
+    Holds the H-independent pieces.  :meth:`s11`, :meth:`e11` and a call of
+    the curve at a Python scalar h read :meth:`_point`, as the search reads
+    it, and give Python floats.  Calling the curve at an array of nuisance
+    values gives ``R`` alone, for dense-grid checks.  The search over H reads
     :meth:`slope`, and :meth:`_point` at the ends of its final bracket.
     """
 
@@ -179,51 +164,54 @@ class RateCurve:
     pz2: float
     correction: float  # f_ec * S_zz * H2(E_zz), from observed values
 
-    def _at(self, h):
-        """``(s11, e11, R)`` at a Python scalar h, as :meth:`_point` gives it, or at an array h."""
+    def _scalar_point(self, h: float) -> tuple[float, float, float]:
+        """:meth:`_point` at a Python scalar h (``int`` or ``float``); anything else raises :class:`TypeError`."""
+        if not isinstance(h, (int, float)):
+            raise TypeError(f"s11 and e11 take a Python scalar h, not {type(h).__name__}; an array read of the curve gives R only")
+        return self._point(float(h))
+
+    def s11(self, h: float) -> float:
+        """Single-photon-pair yield floor; affine and decreasing in h, clamped at zero."""
+        return self._scalar_point(h)[0]
+
+    def e11(self, h: float) -> float:
+        """Phase-error ceiling clipped to [0, 1]; NaN where the yield floor vanishes."""
+        return self._scalar_point(h)[1]
+
+    def __call__(self, h):
+        """``R(h)`` (raw; may be negative): a float at a Python scalar h, as :meth:`_point` gives it, else an array.
+
+        ``np.log2`` and ``math.log2`` differ in the last bit for about 0.1 % of
+        arguments, so an array read can differ from :meth:`_point` in its last
+        bits: by 2 to 4 ulp on 3 of the 1,664 reference probes (numpy 2.4.6).
+        """
         if isinstance(h, (int, float)):
-            return self._point(float(h))
+            return self._point(float(h))[2]
         import numpy as np
 
         h = np.asarray(h, dtype=float)
         s11 = np.maximum((self.s_plus - self.s_minus - self.c_y * h) / self.denominator, 0.0)
-        safe = np.where(s11 > 0.0, s11, 1.0)
-        # minimum/maximum rather than np.clip: same values, cheaper on small arrays.
-        e11 = np.where(s11 > 0.0, np.minimum(np.maximum((self.txx_upper - h / 2.0) / (self.beta * safe), 0.0), 1.0), np.nan)
-        # Phase error at or beyond one half, or undefined, leaves nothing to distill.
-        privacy = np.where(e11 < 0.5, 1.0 - _binary_entropy_arr(e11), 0.0)
-        return s11, e11, self.pz2 * (self.gamma * s11 * privacy - self.correction)
-
-    def s11(self, h):
-        """Single-photon-pair yield floor; affine and decreasing in h, clamped at zero."""
-        return self._at(h)[0]
-
-    def e11(self, h):
-        """Phase-error ceiling clipped to [0, 1]; NaN where the yield floor vanishes."""
-        return self._at(h)[1]
-
-    def __call__(self, h):
-        return self._at(h)[2]
+        positive = s11 > 0.0
+        e11 = np.minimum(np.maximum((self.txx_upper - h / 2.0) / (self.beta * np.where(positive, s11, 1.0)), 0.0), 1.0)
+        # Phase error at or beyond one half, or undefined, leaves nothing to distill; H2(0) = 0.
+        privacy = np.where(positive & (e11 < 0.5), 1.0, 0.0)
+        inside = positive & (e11 > 0.0) & (e11 < 0.5)
+        e = e11[inside]
+        privacy[inside] = 1.0 - (-e * np.log2(e) - (1.0 - e) * np.log2(1.0 - e))
+        return self.pz2 * (self.gamma * s11 * privacy - self.correction)
 
     def _yield_and_error(self, h: float) -> tuple[float, float]:
-        """``(s, e)`` at a scalar h: the yield floor before its clamp at zero, and ``e11``.
-
-        ``e11`` is NaN unless ``s > 0``.  Both match the array form of :meth:`_at` bit for bit.
-        """
+        """``(s, e)`` at a scalar h: the yield floor before its clamp at zero, and ``e11`` (NaN unless ``s > 0``)."""
         s = (self.s_plus - self.s_minus - self.c_y * h) / self.denominator
         if not s > 0.0:
             return s, math.nan
-        # max/min in this order keep a NaN quotient NaN; adding 0.0 turns -0.0 into 0.0, as np.maximum does.
+        # max/min in this order keep a NaN quotient NaN; adding 0.0 turns -0.0 into 0.0.
         return s, min(max((self.txx_upper - h / 2.0) / (self.beta * s), 0.0), 1.0) + 0.0
 
     def _point(self, h: float) -> tuple[float, float, float]:
-        """``(s11, e11, R)`` at a scalar h, as Python floats.
-
-        s11 and e11 equal the array form's bit for bit.  R can differ from it
-        in its last bits where ``math.log2`` and ``np.log2`` differ in theirs.
-        """
+        """``(s11, e11, R)`` at a scalar h, as Python floats."""
         s, e = self._yield_and_error(h)
-        s11 = max(s, 0.0) + 0.0  # as np.maximum: NaN stays NaN, -0.0 becomes 0.0
+        s11 = max(s, 0.0) + 0.0  # NaN stays NaN, -0.0 becomes 0.0
         # Phase error at or beyond one half, or undefined, leaves nothing to distill.
         privacy = 1.0 - binary_entropy(e) if e < 0.5 else 0.0
         return s11, e, self.pz2 * (self.gamma * s11 * privacy - self.correction)
@@ -313,8 +301,8 @@ def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateC
     curve = _curve(inputs, sigma_y, counter)
     h_lower, h_upper = _h_lower(inputs, sigma_x, counter), 2.0 * curve.txx_upper
     # Emissions near the float minimum give count weights near its maximum.  s11 is affine in h, so it is
-    # finite on the interval if it is at both ends; Python floats overflow without numpy's warning.
-    if not all(math.isfinite((curve.s_plus - curve.s_minus - curve.c_y * h) / curve.denominator) for h in (h_lower, h_upper)):
+    # finite on the interval if it is at both ends.
+    if not all(math.isfinite(curve._yield_and_error(h)[0]) for h in (h_lower, h_upper)):
         raise AnalysisInfeasible(f"single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]")
     return curve, h_lower, h_upper
 

@@ -192,9 +192,9 @@ def _side_bounds(side: SideSources) -> SideCoeffBounds:
 
 
 def coeff_bounds(ensemble: SourceEnsemble) -> PhotonCoeffBounds:
-    """Worst-case coefficient bounds for every source of both sides; equal sides share one table."""
+    """Worst-case coefficient bounds for every source of both sides; sides given as one object share one table."""
     alice = _side_bounds(ensemble.alice)
-    return PhotonCoeffBounds(alice=alice, bob=alice if ensemble.bob == ensemble.alice else _side_bounds(ensemble.bob))
+    return PhotonCoeffBounds(alice=alice, bob=alice if ensemble.bob is ensemble.alice else _side_bounds(ensemble.bob))
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,8 @@ def _log_root(eps: float, t: float) -> float:
 
 def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
     """Lower bound on the expectation behind an observed count ``x``."""
-    if x < 0:
-        raise ValueError(f"observed count must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"observed count must be finite and nonnegative, got {x}")
     if cfg.disabled:
         return float(x)
     if counter is not None:
@@ -105,8 +105,8 @@ def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
 
 def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
     """Upper bound on the expectation behind an observed count ``x``."""
-    if x < 0:
-        raise ValueError(f"observed count must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"observed count must be finite and nonnegative, got {x}")
     if cfg.disabled:
         return float(x)
     if counter is not None:
@@ -128,8 +128,8 @@ def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, 
     for c, x in terms:
         if c < 0:
             raise ValueError(f"combination coefficients must be nonnegative, got {c}")
-        if x < 0:
-            raise ValueError(f"observed counts must be nonnegative, got {x}")
+        if not 0 <= x < math.inf:
+            raise ValueError(f"observed counts must be finite and nonnegative, got {x}")
         out.append((float(c), float(x)))
     if not out:
         raise ValueError("at least one (coefficient, count) term is required")

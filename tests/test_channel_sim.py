@@ -294,6 +294,19 @@ def test_empty_validation_grid_is_rejected():
         validate_model(ChannelParams(), trials=100, seed=1, grid=())
 
 
+@pytest.mark.parametrize(
+    "trials, seed, name",
+    [(0, 1, "trials"), (1e5, 1, "trials"), (2.5, 1, "trials"), ("100", 1, "trials"), (100, -1, "seed"), (100, 1.5, "seed"), (100, None, "seed")],
+)
+def test_trials_and_seed_must_be_integers_in_range(trials, seed, name):
+    # Rejected before any chunk is drawn, with the argument named.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        monte_carlo_yield(0.1, 0.1, "X", ChannelParams(), trials=trials, seed=seed)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+        validate_model(ChannelParams(), trials=trials, seed=seed, grid=((0.1, 0.0),))
+    assert monte_carlo_yield(0.1, 0.1, "X", ChannelParams(), trials=np.int64(100), seed=np.int64(1)).trials == 100
+
+
 def test_failed_chunk_cancels_the_jobs_not_started(monkeypatch):
     # A pool that starts nothing, so which jobs were cancelled is certain:
     # the first job has failed, and the rest of the window waits.

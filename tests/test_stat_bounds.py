@@ -124,6 +124,15 @@ def test_negative_inputs_rejected():
         combo_lower([(-0.1, 10.0)], CFG)
     with pytest.raises(ValueError):
         combo_upper([(0.1, -10.0)], CFG)
+    # Non-finite counts too, also where a zero coefficient leaves them out of every pooled bound.
+    for count in (math.nan, math.inf):
+        for cfg in (CFG, ChernoffConfig(xi=CFG.xi, disabled=True)):
+            for bound in (chernoff_lower, chernoff_upper):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    bound(count, cfg)
+            for combo in (combo_lower, combo_upper):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    combo([(1.0, 10.0), (0.0, count)], cfg)
 
 
 def test_bounds_are_conservative_and_within_1e_12_of_exact_roots():
