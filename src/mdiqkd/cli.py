@@ -27,7 +27,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from . import __version__
 from .channel_sim import ChannelParams, validate_model
@@ -40,6 +40,11 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """Invalid configuration file or option."""
+
+
+# The one config key named otherwise than the library field it sets.
+_KEY_OF_FIELD = {"f_ec": "f"}
+_Built = TypeVar("_Built", ChannelParams, SideSources)
 
 
 def _parse_bool(text: str) -> bool:
@@ -70,14 +75,14 @@ class RunConfig:
     reference experimental parameter set)."""
 
     # channel / detector
-    e0: float = 0.5
-    e_d: float = 0.015
-    p_d: float = 6.02e-6
-    eta_d: float = 0.145
-    alpha_f: float = 0.2
-    f: float = 1.16
-    xi: float = 1e-7
-    n_pairs: float = 1e11
+    e0: float = ChannelParams.e0
+    e_d: float = ChannelParams.e_d
+    p_d: float = ChannelParams.p_d
+    eta_d: float = ChannelParams.eta_d
+    alpha_f: float = ChannelParams.alpha_f
+    f: float = ChannelParams.f_ec
+    xi: float = ChannelParams.xi
+    n_pairs: float = ChannelParams.n_pairs
     distance_km: float = 10.0
     # sources (symmetric across sides)
     mu_x: float = 0.1
@@ -104,39 +109,20 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
-    def channel_params(self) -> ChannelParams:
+    def _build(self, cls: type[_Built]) -> _Built:
+        """One library dataclass from the config keys of its fields; its errors name the config key."""
         try:
-            return ChannelParams(
-                e0=self.e0,
-                e_d=self.e_d,
-                p_d=self.p_d,
-                eta_d=self.eta_d,
-                alpha_f=self.alpha_f,
-                f_ec=self.f,
-                xi=self.xi,
-                n_pairs=self.n_pairs,
-                distance_km=self.distance_km,
-            )
+            return cls(**{f_.name: getattr(self, _KEY_OF_FIELD.get(f_.name, f_.name)) for f_ in fields(cls)})
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            name, sep, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)}{sep}{rest}") from exc
+
+    def channel_params(self) -> ChannelParams:
+        return self._build(ChannelParams)
 
     def ensemble(self) -> SourceEnsemble:
         """The configured sources, refused unless they pass the decoy conditions."""
-        try:
-            side = SideSources(
-                mu_x=self.mu_x,
-                mu_y=self.mu_y,
-                mu_z=self.mu_z,
-                p_v=self.p_v,
-                p_x=self.p_x,
-                p_y=self.p_y,
-                p_z=self.p_z,
-                vacuum_cap=self.vacuum_cap,
-                fluctuation=self.fluctuation,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        ensemble = SourceEnsemble.symmetric(side)
+        ensemble = SourceEnsemble.symmetric(self._build(SideSources))
         if not ensemble.bounds.decoy.passed:
             raise ConfigError(f"decoy conditions fail for these sources: {ensemble.bounds.decoy.summary()}")
         return ensemble
@@ -187,7 +173,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     overrides = parse_config_file(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     # A given flag overrides the config, so an empty one is an error, not a fallback.
     if getattr(args, "distances", None) is not None:
@@ -244,6 +230,12 @@ def parse_distances(spec: str) -> list[float]:
 
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
+
+
+def _record(report: KeyRateReport) -> str:
+    """The ``rate`` output: one ``name = value`` line per report field, in field order."""
+    values = ((f_.name, getattr(report, f_.name)) for f_ in fields(report))
+    return "".join(f"{name} = {_fmt(v) if isinstance(v, float) else v}\n" for name, v in values)
 
 
 def _provenance_lines(config: RunConfig, command: str) -> list[str]:
@@ -306,7 +298,7 @@ def _per_distance(
 
 def cmd_rate(config: RunConfig, args: argparse.Namespace) -> int:
     for params, ensemble, _ in _per_distance(config, [config.distance_km], search=False):
-        _emit(_report(ensemble, params).to_record(), args.out)
+        _emit(_record(_report(ensemble, params)), args.out)
     return 0
 
 

@@ -26,7 +26,7 @@ array form of ``R`` kept for dense-grid checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import stat_bounds
 from .channel_sim import ChannelParams, PairObservables, build_observables
@@ -83,7 +83,7 @@ class AnalysisInputs:
     bounds: PhotonCoeffBounds
     observables: PairObservables
     chernoff: ChernoffConfig
-    f_ec: float = 1.16
+    f_ec: float
 
     @classmethod
     def from_simulation(cls, ensemble: SourceEnsemble, params: ChannelParams) -> "AnalysisInputs":
@@ -331,16 +331,6 @@ class KeyRateReport:
     chernoff_invocations: int
     reason: str
     trace_samples: int = 0  # slope evaluations of the minimum over H
-
-    def to_record(self) -> str:
-        lines = []
-        for f_ in fields(self):
-            value = getattr(self, f_.name)
-            if isinstance(value, float):
-                lines.append(f"{f_.name} = {value:.12e}")
-            else:
-                lines.append(f"{f_.name} = {value}")
-        return "\n".join(lines) + "\n"
 
 
 def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> KeyRateReport:

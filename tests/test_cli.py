@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mdiqkd
-from mdiqkd import OptimizationProblem, optimize
+from mdiqkd import ChannelParams, OptimizationProblem, SideSources, optimize
 from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_config_file, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +52,30 @@ def test_zero_failure_probability_exit_code_2(tmp_path, capsys):
     config = write_config(tmp_path, "xi = 0\n")
     assert main(["rate", "--config", str(config)]) == 2
     assert "xi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [("0.5", "must be at least 1, got 0.5"), ("nan", "must be finite, got nan")])
+def test_channel_error_names_the_config_key(tmp_path, capsys, value, message):
+    config = write_config(tmp_path, f"f = {value}\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: f {message}\n"
+
+
+def test_every_library_field_has_a_config_key():
+    keys = {f.name for f in fields(RunConfig)}
+    for cls in (ChannelParams, SideSources):
+        for field in fields(cls):
+            key = {"f_ec": "f"}.get(field.name, field.name)  # the one key named otherwise than its field
+            assert key in keys, f"{cls.__name__}.{field.name} has no config key"
+
+
+def test_config_keys_reach_their_library_fields():
+    channel = dict(e0=0.25, e_d=0.02, p_d=1e-6, eta_d=0.5, alpha_f=0.3, xi=1e-8, n_pairs=1e12, distance_km=7.0)
+    side = dict(mu_x=0.05, mu_y=0.3, mu_z=0.6, p_v=0.2, p_x=0.15, p_y=0.05, p_z=0.6, vacuum_cap=1e-5, fluctuation=0.01)
+    config = RunConfig(f=1.2, **channel, **side)
+    assert config.channel_params() == ChannelParams(f_ec=1.2, **channel)
+    assert config.ensemble().alice == SideSources(**side)
+    assert RunConfig().channel_params() == ChannelParams(distance_km=10.0)
 
 
 @pytest.mark.parametrize("key, value", NON_FINITE_CASES)
@@ -579,6 +603,24 @@ def test_reference_rate_matches_golden_output(capsys):
     assert main(["rate", "--config", str(REPO_ROOT / "configs" / "reference.cfg")]) == 0
     golden = (REPO_ROOT / "tests" / "data" / "rate_reference.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_report_record_has_all_fields(capsys):
+    assert main(["rate", "--config", str(REPO_ROOT / "configs" / "reference.cfg")]) == 0
+    names = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == [
+        "rate",
+        "h_lower",
+        "h_upper",
+        "h_star",
+        "s11_at_min",
+        "e11_at_min",
+        "signal_rate",
+        "signal_error_rate",
+        "chernoff_invocations",
+        "reason",
+        "trace_samples",
+    ]
 
 
 def test_reference_validation_matches_golden_output(tmp_path, capsys):

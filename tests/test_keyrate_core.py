@@ -664,24 +664,6 @@ def test_sigma_infeasibility_reported_not_raised():
     assert report.reason.startswith("infeasible")
 
 
-def test_report_record_has_all_fields(inputs_10km):
-    record = secure_key_rate(inputs_10km).to_record()
-    for name in (
-        "rate",
-        "h_lower",
-        "h_upper",
-        "h_star",
-        "s11_at_min",
-        "e11_at_min",
-        "signal_rate",
-        "signal_error_rate",
-        "chernoff_invocations",
-        "reason",
-        "trace_samples",
-    ):
-        assert f"{name} = " in record
-
-
 # --- monotone degradation ------------------------------------------------------
 
 
