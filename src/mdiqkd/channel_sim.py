@@ -103,13 +103,13 @@ def side_transmittance(params: ChannelParams) -> float:
 def _i0m1(z: float) -> float:
     """I0(z) - 1 from its power series, whose terms are all positive.
 
-    No term cancels, so the sum keeps full relative precision at every z,
-    including small z where ``I0(z) - 1`` computed directly would not.
+    Unlike ``I0(z) - 1`` computed directly, no term cancels; the sum runs until a
+    term no longer raises it (a NaN stops it too), keeping full relative precision.
     """
     term = z * z / 4.0
     total = 0.0
     m = 1
-    while term > 1e-20 * (total or 1.0):
+    while total + term > total:
         total += term
         m += 1
         term *= z * z / (4.0 * m * m)

@@ -108,6 +108,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        # Every value is checked for every command; ensemble() adds the decoy conditions, which a search skips.
+        if self.distances:
+            parse_distances(self.distances)
+        self._build(ChannelParams)
+        self._build(SideSources)
 
     def _build(self, cls: type[_Built]) -> _Built:
         """One library dataclass from the config keys of its fields; its errors name the config key."""

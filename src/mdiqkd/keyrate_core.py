@@ -33,10 +33,6 @@ from .channel_sim import ChannelParams, PairObservables, build_observables
 from .source_model import PhotonCoeffBounds, SourceEnsemble
 from .stat_bounds import ChernoffConfig, InvocationCounter
 
-# Slope search over H: the bracket width, relative to the interval's larger
-# end, at which it stops.
-_REL_TOL = 1e-12
-
 # Reason prefix of a report refused because the decoy conditions fail; the
 # failing checks' summary follows it.
 DECOY_FAILED = "decoy-conditions-failed: "
@@ -362,10 +358,10 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
     it 0 where s11 is clamped and otherwise infinite with the sign of ``-e'``,
     and ``s11(hi) > 0`` means ``A > 2 c_y txx_upper``, so ``e' < 0``.  So ``lo``
     is the minimum where its slope is not negative; otherwise bisection on the
-    slope's sign keeps a minimizer in ``[lo, hi]`` down to ``_REL_TOL`` of the
-    larger end, about 40 halvings.  The one final bracket, ``[lo, lo]`` in the
-    first case, gives the lower of ``R`` at its ends, read from
-    :meth:`RateCurve._point` once per distinct end.
+    slope's sign keeps a minimizer in ``[lo, hi]`` until its ends are adjacent
+    floats; each step strictly narrows it, so the loop ends.  The one final
+    bracket, ``[lo, lo]`` in the first case, gives the lower of ``R`` at its
+    ends, read from :meth:`RateCurve._point` once per distinct end.
 
     A NaN slope, or an infinite one anywhere but at ``hi`` (where ``e = 0``),
     raises :class:`SolverError` rather than steering the search.
@@ -383,9 +379,7 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
     left = right = lo
     if slope(lo) < 0.0:
         right = hi
-        tol = _REL_TOL * max(abs(lo), abs(hi))
-        while right - left > tol:
-            mid = 0.5 * (left + right)
+        while left < (mid := 0.5 * (left + right)) < right:
             if slope(mid) < 0.0:
                 left = mid
             else:

@@ -2,8 +2,9 @@
 
 Everything here is written straight-line from the defining formulas with its
 own arithmetic, so agreement is evidence rather than tautology.  The only
-package code used is raw observables and, in the model-decomposition oracles,
-the closed-form gain ``pair_yield`` that they take apart.  The exceptions are
+package code used is raw observables, a rate curve's fields, and, in the
+model-decomposition oracles, the closed-form gain ``pair_yield`` that they
+take apart.  The exceptions are
 ``full_observables``, which extends the analysed table to all sixteen pairs
 with the package's own gains, and ``write_observables_csv``, the
 regression-fixture writer.
@@ -93,6 +94,26 @@ def plugin_asymptotic_rate(observables, side, f_ec: float) -> float:
     e_zz = zz.errors / zz.counts
     pz2 = zz.emitted / observables.n_pairs
     return pz2 * (az1 * az1 * s11 * (1.0 - h2(e11)) - f_ec * s_zz * h2(e_zz))
+
+
+def dense_rate(curve, h: np.ndarray) -> np.ndarray:
+    """Candidate rate R at every nuisance value in ``h``, from the fields of a ``RateCurve`` only.
+
+    The yield floor ``s11 = max((s_plus - s_minus - c_y h) / denominator, 0)``
+    and the phase-error ceiling ``e11 = (txx_upper - h/2) / (beta s11)``,
+    clipped to [0, 1], give ``R = pz2 (gamma s11 (1 - H2(e11)) - correction)``,
+    where the privacy term ``s11 (1 - H2(e11))`` is zero once ``s11 = 0`` or
+    ``e11 >= 1/2``.  H2 is taken in natural logs, unlike the package.
+    """
+    h = np.asarray(h, dtype=float)
+    s11 = np.maximum((curve.s_plus - curve.s_minus - curve.c_y * h) / curve.denominator, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # e11 is meaningless where s11 = 0
+        e11 = np.clip((curve.txx_upper - 0.5 * h) / (curve.beta * s11), 0.0, 1.0)
+    inside = (s11 > 0.0) & (e11 > 0.0) & (e11 < 0.5)
+    e = np.where(inside, e11, 0.25)
+    entropy = np.where(inside, -(e * np.log(e) + (1.0 - e) * np.log1p(-e)) / math.log(2.0), 0.0)
+    privacy = np.where((s11 > 0.0) & (e11 < 0.5), 1.0 - entropy, 0.0)
+    return curve.pz2 * (curve.gamma * s11 * privacy - curve.correction)
 
 
 def full_observables(ensemble, params: ChannelParams) -> PairObservables:

@@ -25,7 +25,7 @@ from mdiqkd import (
 )
 from mdiqkd.cli import main as cli_main
 
-from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
+from .oracles import dense_rate, plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
 
 
 def test_criterion_1_chernoff_round_trip():
@@ -170,8 +170,8 @@ def test_criterion_7_minimizer_fidelity(sweep_side, exact_ensemble):
     for ensemble, params in fixtures:
         inputs = AnalysisInputs.from_simulation(ensemble, params)
         report = secure_key_rate(inputs)
-        rate, h_lo, h_hi = rate_function(inputs)
-        brute = float(np.min(rate(np.linspace(h_lo, h_hi, 1_000_000))))
+        curve, h_lo, h_hi = rate_function(inputs)
+        brute = float(np.min(dense_rate(curve, np.linspace(h_lo, h_hi, 1_000_000))))
         assert report.rate > 0.0
         diff = abs(report.rate - brute)
         worst = max(worst, diff)

@@ -48,6 +48,11 @@ def test_i0m1_series_matches_bessel_oracle_at_large_argument():
         assert _i0m1(float(z)) == pytest.approx(float(i0(z)) - 1.0, rel=1e-12)
 
 
+def test_i0m1_keeps_relative_precision_at_tiny_argument():
+    # I0(z) - 1 = z^2/4 (1 + z^2/16 + ...); no tolerance on the terms cuts it to 0.
+    assert _i0m1(1e-11) == pytest.approx(2.5e-23, rel=1e-15, abs=0.0)
+
+
 def test_transmittance_exact_arithmetic():
     params = ChannelParams(alpha_f=0.2, eta_d=0.145, distance_km=100.0)
     assert side_transmittance(params) == pytest.approx(0.0145, rel=1e-12)

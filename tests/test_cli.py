@@ -538,15 +538,38 @@ def test_distances_then_channel_then_sources_error_first(tmp_path, capsys, comma
     assert capsys.readouterr().err.startswith("error: " + fragment)
 
 
-@pytest.mark.parametrize("sources", ["mu_x = 0.4\nmu_y = 0.1\n", "mu_x = 0.3\nmu_y = 0.4\nfluctuation = 0.2\n"], ids=["swapped", "overlapping"])
+@pytest.mark.parametrize("sources", ["mu_x = 0.3\nmu_y = 0.4\nfluctuation = 0.2\n"], ids=["overlapping"])
 def test_search_does_not_gate_on_the_configured_sources(tmp_path, capsys, sources):
-    # The configured sources fail the decoy conditions; only the fixed scan uses them.
+    # The configured sources are valid values but fail the decoy conditions; only the fixed scan uses them.
     config = write_config(tmp_path, sources + "budget = 12\nrestarts = 1\n")
     assert main(["scan", "--config", str(config), "--distances", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: decoy ")
     assert main(["optimize", "--config", str(config), "--distances", "10"]) == 0
     assert main(["scan", "--config", str(config), "--distances", "10", "--optimize", "on"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, lines, key",
+    [
+        ("validate-model", "mu_x = nan\n", "mu_x"),
+        ("validate-model", "p_v = -1\n", "p_v"),
+        ("validate-model", "mu_x = 0.5\nmu_y = 0.1\n", "mu_x"),
+        ("optimize", "mu_x = nan\n", "mu_x"),
+        ("optimize", "p_v = -1\n", "p_v"),
+        ("optimize", "mu_x = 0.4\nmu_y = 0.1\n", "mu_x"),
+        ("rate", "distances = abc\n", "distances"),
+        ("validate-model", "distances = abc\n", "distances"),
+    ],
+    ids=["validate-nan", "validate-negative-p_v", "validate-swapped", "optimize-nan", "optimize-negative-p_v", "optimize-swapped", "rate-distances", "validate-distances"],
+)
+def test_every_command_checks_every_config_value(tmp_path, capsys, command, lines, key):
+    # A command that does not read a key still refuses a bad value for it.
+    config = write_config(tmp_path, lines + "mc_trials = 1000\nbudget = 12\nrestarts = 1\n")
+    assert main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and key in captured.err.splitlines()[0]
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

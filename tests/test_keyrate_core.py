@@ -26,7 +26,7 @@ from mdiqkd import source_model
 from mdiqkd.channel_sim import PairObservables
 from mdiqkd.keyrate_core import RateCurve, _convex_minimum, _sigma_factors
 
-from .oracles import plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
+from .oracles import dense_rate, plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
 
 
 def _with_errors_zeroed(observables: PairObservables) -> PairObservables:
@@ -355,7 +355,7 @@ def test_secure_key_rate_handles_single_point_interval(inputs_10km):
 def test_refinement_never_worse_than_grid(inputs_10km):
     report = secure_key_rate(inputs_10km)
     rate, h_lo, h_hi = rate_function(inputs_10km)
-    grid_min = float(np.min(rate(np.linspace(h_lo, h_hi, 41))))
+    grid_min = float(np.min(dense_rate(rate, np.linspace(h_lo, h_hi, 41))))
     assert float(rate(report.h_star)) <= grid_min + 1e-18
 
 
@@ -395,7 +395,7 @@ def test_convex_search_never_above_dense_grid(inputs):
     assert report.h_lower <= report.h_star <= report.h_upper
     assert report.trace_samples <= 1 + 8 * 65
     rate, h_lo, h_hi = rate_function(inputs)
-    grid_min = float(np.min(rate(np.linspace(h_lo, h_hi, 20001))))
+    grid_min = float(np.min(dense_rate(rate, np.linspace(h_lo, h_hi, 20001))))
     assert report.rate <= max(0.0, grid_min) + 1e-12
 
 
@@ -446,7 +446,7 @@ def test_slope_search_finds_interior_minima(case):
     h, _, _, rate, samples = _convex_minimum(curve, lo, hi)
     assert lo < h < hi
     assert samples <= 2 + 64
-    grid = curve(np.linspace(lo, hi, 20001))
+    grid = dense_rate(curve, np.linspace(lo, hi, 20001))
     assert rate <= float(np.min(grid)) + 1e-12 * float(np.max(np.abs(grid)))
 
 
@@ -460,7 +460,19 @@ def test_slope_search_does_not_stop_at_top_where_e11_vanishes():
     assert h == pytest.approx(0.7052640621, abs=1e-9)
     assert rate == pytest.approx(0.0258292843, abs=1e-9)
     assert float(curve(0.8)) == pytest.approx(0.05, rel=1e-12)
-    assert rate <= float(np.min(curve(np.linspace(0.0, 0.8, 20001))))
+    assert rate <= float(np.min(dense_rate(curve, np.linspace(0.0, 0.8, 20001))))
+
+
+def test_bisection_ends_on_adjacent_floats(noisy_ensemble, monkeypatch):
+    # At 60 km the slope at h_lower is negative, so the search bisects; it
+    # stops only when no float lies between the ends it reads R at.
+    inputs = AnalysisInputs.from_simulation(noisy_ensemble, ChannelParams(n_pairs=1e11, distance_km=60.0))
+    read, point = [], RateCurve._point
+    monkeypatch.setattr(RateCurve, "_point", lambda self, h: read.append(h) or point(self, h))
+    report = secure_key_rate(inputs)
+    assert report.trace_samples > 1
+    left, right = read
+    assert math.nextafter(left, math.inf) == right
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
@@ -538,6 +550,16 @@ def test_scalar_point_matches_array_form(case):
     s11, e11 = curve.s11(h), curve.e11(h)
     assert s11 >= 0.0 and math.copysign(1.0, s11) == 1.0
     assert math.isnan(e11) if s11 == 0.0 else 0.0 <= e11 <= 1.0 and math.copysign(1.0, e11) == 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_curve_and_h())
+def test_dense_rate_oracle_matches_point(case):
+    # The dense-grid checks read R from the oracle; it must be R.
+    curve, h = case
+    s11, _, rate = curve._point(h)
+    scale = curve.pz2 * (curve.gamma * s11 + curve.correction)
+    assert float(dense_rate(curve, np.array([h]))[0]) == pytest.approx(rate, rel=0.0, abs=1e-12 * scale)
 
 
 # h = 0, s11 = 1 and beta = 1, so e11 = txx_upper.
