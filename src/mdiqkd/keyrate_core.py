@@ -213,28 +213,25 @@ class RateCurve:
         return s11, e, self.pz2 * (self.gamma * s11 * privacy - self.correction)
 
     def slope(self, h: float) -> float:
-        """Exact ``dR/dh`` at a scalar h.
+        """Exact ``dR/dh`` at a scalar h; it depends on h only through ``e = e11(h)``.
 
-        With ``A = s_plus - s_minus``, ``s = s11(h)``, ``e = e11(h)`` and
-        ``phi(e) = 1 - H2(e)`` it is ``pz2 gamma (s' phi(e) + s phi'(e) e')``,
-        where ``s' = -c_y/denominator``, ``phi'(e) = log2(e/(1-e))`` and
-        ``e' = denominator (c_y txx_upper - A/2) / (beta (A - c_y h)^2)``.
+        R is ``pz2 gamma s phi(e)`` less a constant, with ``s = s11(h)`` and
+        ``phi(e) = 1 - H2(e)``.  Since ``s' = -c_y/denominator`` and
+        ``s e' = -1/(2 beta) + (c_y/denominator) e``, the product rule gives
+        ``-pz2 gamma ((c_y/denominator) (1 + log2(1-e)) + log2(e/(1-e)) / (2 beta))``.
         It is 0 where ``s11`` is clamped to zero or ``e >= 1/2``, since R is
-        flat there.  At ``e = 0`` (``h = h_upper``) ``phi'(0) = -inf``, so the
-        one-sided slope is infinite with the sign of ``-e'``; it is ``+inf``
-        when ``e' = 0``, the sign that sends a search away from that end.
-        A NaN in h or in a field the slope uses gives NaN, not an exception.
+        flat there, and ``+inf`` at ``e = 0`` (``h = h_upper``).  A NaN in h
+        or in a field the slope uses gives NaN, not an exception.
         """
         s, e = self._yield_and_error(h)
         if s <= 0.0 or e >= 0.5:
             return 0.0
-        a = self.s_plus - self.s_minus
-        e_prime = self.denominator * (self.c_y * self.txx_upper - a / 2.0) / (self.beta * (a - self.c_y * h) ** 2)
         if e == 0.0:
-            return -math.inf if e_prime > 0.0 else math.inf
-        log_e, log_not_e = math.log2(e), math.log2(1.0 - e)
-        phi = 1.0 + e * log_e + (1.0 - e) * log_not_e  # 1 - H2(e), NaN-safe unlike binary_entropy
-        return self.pz2 * self.gamma * (-self.c_y / self.denominator * phi + s * (log_e - log_not_e) * e_prime)
+            return math.inf
+        log_not_e = math.log2(1.0 - e)
+        return -self.pz2 * self.gamma * (
+            self.c_y / self.denominator * (1.0 + log_not_e) + (math.log2(e) - log_not_e) / (2.0 * self.beta)
+        )
 
 
 def _curve(inputs: AnalysisInputs, sigma_y: float, counter: InvocationCounter) -> RateCurve:
@@ -355,13 +352,12 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
     Optimization*, section 3.2.6); it is also non-decreasing in s, so clamping
     s11 at zero keeps it convex.  Its slope :meth:`RateCurve.slope` is
     therefore non-decreasing, and never negative at ``hi``: ``u(hi) = 0`` makes
-    it 0 where s11 is clamped and otherwise infinite with the sign of ``-e'``,
-    and ``s11(hi) > 0`` means ``A > 2 c_y txx_upper``, so ``e' < 0``.  So ``lo``
-    is the minimum where its slope is not negative; otherwise bisection on the
-    slope's sign keeps a minimizer in ``[lo, hi]`` until its ends are adjacent
-    floats; each step strictly narrows it, so the loop ends.  The one final
-    bracket, ``[lo, lo]`` in the first case, gives the lower of ``R`` at its
-    ends, read from :meth:`RateCurve._point` once per distinct end.
+    it 0 where s11 is clamped and otherwise ``+inf``, since ``e11(hi) = 0``.
+    So ``lo`` is the minimum where its slope is not negative; otherwise
+    bisection on the slope's sign keeps a minimizer in ``[lo, hi]`` until its
+    ends are adjacent floats; each step strictly narrows it, so the loop ends.
+    The one final bracket, ``[lo, lo]`` in the first case, gives the lower of
+    ``R`` at its ends, read from :meth:`RateCurve._point` once per distinct end.
 
     A NaN slope, or an infinite one anywhere but at ``hi`` (where ``e = 0``),
     raises :class:`SolverError` rather than steering the search.

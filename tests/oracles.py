@@ -116,6 +116,26 @@ def dense_rate(curve, h: np.ndarray) -> np.ndarray:
     return curve.pz2 * (curve.gamma * s11 * privacy - curve.correction)
 
 
+def product_rule_slope(curve, h: float) -> tuple[float, float]:
+    """``dR/dh`` of a ``RateCurve`` by the product rule, and the larger magnitude of its two terms.
+
+    Valid where ``s11 > 0`` and ``0 < e11 < 1/2``.  With ``A = s_plus - s_minus``,
+    ``s = (A - c_y h) / denominator`` and ``e = (txx_upper - h/2) / (beta s)``,
+    the slope is ``pz2 gamma (s' phi(e) + s phi'(e) e')``, where
+    ``s' = -c_y/denominator``, ``phi(e) = 1 - H2(e)``, ``phi'(e) = log2(e/(1-e))``
+    and ``e' = denominator (c_y txx_upper - A/2) / (beta (A - c_y h)^2)``.
+    """
+    a = curve.s_plus - curve.s_minus
+    s = (a - curve.c_y * h) / curve.denominator
+    e = (curve.txx_upper - 0.5 * h) / (curve.beta * s)
+    e_prime = curve.denominator * (curve.c_y * curve.txx_upper - 0.5 * a) / (curve.beta * (a - curve.c_y * h) ** 2)
+    phi = 1.0 + (e * math.log(e) + (1.0 - e) * math.log1p(-e)) / math.log(2.0)
+    scale = curve.pz2 * curve.gamma
+    yield_term = scale * -curve.c_y / curve.denominator * phi
+    error_term = scale * s * (math.log(e) - math.log1p(-e)) / math.log(2.0) * e_prime
+    return yield_term + error_term, max(abs(yield_term), abs(error_term))
+
+
 def full_observables(ensemble, params: ChannelParams) -> PairObservables:
     """Observables for all sixteen two-pulse sources, as the fixture records them.
 

@@ -45,7 +45,7 @@ def test_i0m1_series_matches_bessel_oracle_at_large_argument():
     # Below 0.5 the series is what the gains use; above it, where direct
     # subtraction no longer cancels, it must still agree with a library I0.
     for z in np.linspace(0.5, 700.0, 2001):
-        assert _i0m1(float(z)) == pytest.approx(float(i0(z)) - 1.0, rel=1e-12)
+        assert _i0m1(float(z)) == pytest.approx(float(i0(z)) - 1.0, rel=1e-12, abs=0.0)
 
 
 def test_i0m1_keeps_relative_precision_at_tiny_argument():
@@ -55,9 +55,9 @@ def test_i0m1_keeps_relative_precision_at_tiny_argument():
 
 def test_transmittance_exact_arithmetic():
     params = ChannelParams(alpha_f=0.2, eta_d=0.145, distance_km=100.0)
-    assert side_transmittance(params) == pytest.approx(0.0145, rel=1e-12)
+    assert side_transmittance(params) == pytest.approx(0.0145, rel=1e-12, abs=0.0)
     params = ChannelParams(alpha_f=0.2, eta_d=0.4, distance_km=50.0)
-    assert side_transmittance(params) == pytest.approx(0.4 * 10 ** (-0.5), rel=1e-12)
+    assert side_transmittance(params) == pytest.approx(0.4 * 10 ** (-0.5), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("basis", ["X", "Z"])
@@ -71,14 +71,14 @@ def test_dark_counts_alone_are_uncorrelated():
     params = ChannelParams(p_d=1e-5)
     q, eq = pair_yield(0.0, 0.0, "X", params)
     assert q > 0.0
-    assert eq / q == pytest.approx(params.e0, rel=1e-9)
+    assert eq / q == pytest.approx(params.e0, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("basis", ["X", "Z"])
 def test_error_ratio_tends_to_one_half_at_vanishing_intensity(basis):
     params = ChannelParams(p_d=6.02e-6)
     q, eq = pair_yield(1e-9, 1e-9, basis, params)
-    assert eq / q == pytest.approx(0.5, rel=1e-3)
+    assert eq / q == pytest.approx(0.5, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("basis", ["X", "Z"])
@@ -390,6 +390,15 @@ def test_bad_intensities_raise_one_clear_error(monkeypatch, mu_a, mu_b):
             monte_carlo_yield(mu_a, mu_b, basis, params, trials=10, seed=1)
 
 
+@pytest.mark.parametrize("basis", ["x", "Y", ""])
+def test_unknown_basis_rejected(basis):
+    params = ChannelParams()
+    with pytest.raises(ValueError, match="basis must be 'X' or 'Z'"):
+        pair_yield(0.1, 0.1, basis, params)
+    with pytest.raises(ValueError, match="basis must be 'X' or 'Z'"):
+        monte_carlo_yield(0.1, 0.1, basis, params, trials=10, seed=1)
+
+
 def test_monte_carlo_exact_zero_without_light_or_darks():
     params = ChannelParams(p_d=0.0)
     result = monte_carlo_yield(0.0, 0.0, "X", params, trials=10_000, seed=3)
@@ -406,7 +415,7 @@ def test_analytic_model_matches_monte_carlo(basis):
 
 def test_emitted_pairs_sum_to_total(noisy_ensemble, params_10km):
     total = sum(entry.emitted for entry in full_observables(noisy_ensemble, params_10km).pairs.values())
-    assert total == pytest.approx(params_10km.n_pairs, rel=1e-12)
+    assert total == pytest.approx(params_10km.n_pairs, rel=1e-12, abs=0.0)
 
 
 def test_all_sixteen_pairs_present_with_bases(noisy_ensemble, params_10km, observables_10km):
@@ -519,22 +528,22 @@ def test_single_photon_truth_ideal_detector_has_no_error():
     params = ChannelParams(p_d=0.0, e_d=0.0, distance_km=10.0)
     y11, e11 = single_photon_pair_truth("X", params)
     eta = side_transmittance(params)
-    assert y11 == pytest.approx(eta * eta / 2.0, rel=1e-6)
+    assert y11 == pytest.approx(eta * eta / 2.0, rel=1e-6, abs=0.0)
     assert e11 <= 1e-7  # extraction noise floor; physically zero
 
 
 def test_single_photon_truth_misalignment_sets_error_floor():
     params = ChannelParams(p_d=0.0, e_d=0.015, distance_km=10.0)
     _, e11 = single_photon_pair_truth("X", params)
-    assert e11 == pytest.approx(0.015, rel=1e-4)
+    assert e11 == pytest.approx(0.015, rel=1e-4, abs=0.0)
 
 
 def test_single_photon_truth_step_insensitive():
     params = ChannelParams(distance_km=25.0)
     y_a, e_a = single_photon_pair_truth("X", params, step=4e-3)
     y_b, e_b = single_photon_pair_truth("X", params, step=2e-3)
-    assert y_a == pytest.approx(y_b, rel=1e-7)
-    assert e_a == pytest.approx(e_b, rel=1e-5)
+    assert y_a == pytest.approx(y_b, rel=1e-7, abs=0.0)
+    assert e_a == pytest.approx(e_b, rel=1e-5, abs=0.0)
 
 
 def test_validation_report_catches_corrupted_model(monkeypatch):

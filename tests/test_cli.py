@@ -54,11 +54,24 @@ def test_zero_failure_probability_exit_code_2(tmp_path, capsys):
     assert "xi" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value, message", [("0.5", "must be at least 1, got 0.5"), ("nan", "must be finite, got nan")])
-def test_channel_error_names_the_config_key(tmp_path, capsys, value, message):
-    config = write_config(tmp_path, f"f = {value}\n")
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param("f", "0.5", "must be at least 1, got 0.5", id="0.5-must be at least 1, got 0.5"),
+        pytest.param("f", "nan", "must be finite, got nan", id="nan-must be finite, got nan"),
+        pytest.param("e0", "1.5", "must lie in [0, 1], got 1.5", id="e0-above-one"),
+        pytest.param("e_d", "-0.1", "must lie in [0, 1], got -0.1", id="e_d-negative"),
+        pytest.param("p_d", "2", "must lie in [0, 1], got 2.0", id="p_d-above-one"),
+        pytest.param("eta_d", "1.01", "must lie in [0, 1], got 1.01", id="eta_d-above-one"),
+        pytest.param("alpha_f", "-0.2", "must be nonnegative, got -0.2", id="alpha_f-negative"),
+        pytest.param("n_pairs", "0.5", "must be at least 1, got 0.5", id="n_pairs-below-one"),
+        pytest.param("distance_km", "-1", "must be nonnegative, got -1.0", id="distance_km-negative"),
+    ],
+)
+def test_channel_error_names_the_config_key(tmp_path, capsys, key, value, message):
+    config = write_config(tmp_path, f"{key} = {value}\n")
     assert main(["rate", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == f"error: f {message}\n"
+    assert capsys.readouterr().err == f"error: {key} {message}\n"
 
 
 def test_every_library_field_has_a_config_key():
@@ -456,7 +469,7 @@ def test_scan_single_distance_matches_rate(tmp_path, capsys):
     scan_out = capsys.readouterr().out
     data_row = scan_out.strip().splitlines()[-1].split(",")
     assert data_row[0] == "10" and data_row[1] == "fixed"
-    assert float(data_row[2]) == pytest.approx(float(rate_value), rel=1e-12)
+    assert float(data_row[2]) == pytest.approx(float(rate_value), rel=1e-12, abs=0.0)
 
 
 def test_scan_builds_coefficient_bounds_once(tmp_path, capsys, monkeypatch):
@@ -560,8 +573,12 @@ def test_search_does_not_gate_on_the_configured_sources(tmp_path, capsys, source
         ("optimize", "mu_x = 0.4\nmu_y = 0.1\n", "mu_x"),
         ("rate", "distances = abc\n", "distances"),
         ("validate-model", "distances = abc\n", "distances"),
+        ("rate", "mu_z = 0\n", "mu_z"),
     ],
-    ids=["validate-nan", "validate-negative-p_v", "validate-swapped", "optimize-nan", "optimize-negative-p_v", "optimize-swapped", "rate-distances", "validate-distances"],
+    ids=[
+        "validate-nan", "validate-negative-p_v", "validate-swapped", "optimize-nan", "optimize-negative-p_v",
+        "optimize-swapped", "rate-distances", "validate-distances", "rate-zero-mu_z",
+    ],
 )
 def test_every_command_checks_every_config_value(tmp_path, capsys, command, lines, key):
     # A command that does not read a key still refuses a bad value for it.
@@ -714,6 +731,20 @@ def test_validate_model_disagreement_exit_code_1(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path, "mc_trials = 1000\n")
     assert main(["validate-model", "--config", str(config)]) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("model validation FAILED (")
+
+
+def test_validate_model_without_clicks_scores_zero_and_passes(tmp_path, capsys):
+    # No light reaches a detector and none clicks in the dark, so every gain is 0
+    # in the model and the simulation, both standard errors are 0, and so is z.
+    config = write_config(tmp_path, "eta_d = 0\np_d = 0\nmc_trials = 1000\n")
+    assert main(["validate-model", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[4].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[5:-1]]
+    assert len(rows) == 20 and lines[-1].startswith("model validation PASSED")
+    for row in rows:
+        assert [float(row[key]) for key in ("analytic_gain", "mc_gain", "analytic_error_gain", "mc_error_gain")] == [0.0] * 4
+        assert (row["z_gain"], row["z_error"], row["ok"]) == ("0.000", "0.000", "1")
 
 
 def test_validate_model_small_run_passes(tmp_path, capsys):

@@ -26,7 +26,13 @@ from mdiqkd import source_model
 from mdiqkd.channel_sim import PairObservables
 from mdiqkd.keyrate_core import RateCurve, _convex_minimum, _sigma_factors
 
-from .oracles import dense_rate, plugin_asymptotic_rate, single_photon_pair_truth, vacuum_error_component
+from .oracles import (
+    dense_rate,
+    plugin_asymptotic_rate,
+    product_rule_slope,
+    single_photon_pair_truth,
+    vacuum_error_component,
+)
 
 
 def _with_errors_zeroed(observables: PairObservables) -> PairObservables:
@@ -60,7 +66,7 @@ def test_sigma_reference_value():
     # cap / mu_x = 1e-5 per side.
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=1e-6)
     x_total, _ = _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
-    assert x_total == pytest.approx(2e-5, rel=1e-12)
+    assert x_total == pytest.approx(2e-5, rel=1e-12, abs=0.0)
 
 
 def test_sigma_monotone_in_vacuum_cap():
@@ -140,8 +146,8 @@ def test_collapsed_bounds_reproduce_plugin_values(exact_ensemble, exact_side):
         a0y * obs.entry("v", "y").rate + a0y * obs.entry("y", "v").rate
     )
     expected_minus = a1x * a2x * (obs.entry("y", "y").rate + a0y * a0y * obs.entry("v", "v").rate)
-    assert curve.s_plus == pytest.approx(expected_plus, rel=1e-12)
-    assert curve.s_minus == pytest.approx(expected_minus, rel=1e-12)
+    assert curve.s_plus == pytest.approx(expected_plus, rel=1e-12, abs=0.0)
+    assert curve.s_minus == pytest.approx(expected_minus, rel=1e-12, abs=0.0)
 
 
 def test_finite_data_bounds_bracket_plugin_values(inputs_10km):
@@ -220,7 +226,7 @@ def test_s11_is_affine_and_decreasing_in_h(inputs_10km):
     values = [curve.s11(h) for h in (0.0, 1e-5, 2e-5, 3e-5)]
     assert all(a > b for a, b in zip(values, values[1:]))
     deltas = [b - a for a, b in zip(values, values[1:])]
-    assert all(d == pytest.approx(deltas[0], rel=1e-9) for d in deltas)
+    assert all(d == pytest.approx(deltas[0], rel=1e-9, abs=0.0) for d in deltas)
 
 
 def test_s11_zero_when_combinations_cancel(inputs_10km):
@@ -266,7 +272,7 @@ def test_binary_entropy_reference_points():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     # H2(0.11), 25 significant digits: 0.4999159581645279956404996
-    assert binary_entropy(0.11) == pytest.approx(0.4999159581645279956404996, rel=1e-12)
+    assert binary_entropy(0.11) == pytest.approx(0.4999159581645279956404996, rel=1e-12, abs=0.0)
 
 
 def test_binary_entropy_domain():
@@ -286,7 +292,7 @@ def test_rate_with_no_single_photon_floor_is_pure_cost(inputs_10km):
     pz2 = obs.emitted("z", "z") / obs.n_pairs
     expected = -pz2 * inputs_10km.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
     curve, _, _ = rate_function(inputs_10km)
-    assert float(curve(1.0)) == pytest.approx(expected, rel=1e-12)
+    assert float(curve(1.0)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
@@ -294,27 +300,29 @@ def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
     inputs = AnalysisInputs.from_simulation(exact_ensemble, params)
     curve, _, _ = rate_function(inputs)
     a, b = inputs.bounds.alice, inputs.bounds.bob
-    # Just below the h where s11 reaches zero: s11 is tiny but positive, so
-    # only the correction cost remains.
+    # Just below the h where s11 reaches zero: s11 is tiny but positive.  The
+    # probe lies above h_upper, so e11 clips to 0 and the privacy term is the
+    # whole tiny yield floor, pz2 gamma s11.
     h_zero = (curve.s_plus - curve.s_minus) / (a.lo("y", 1) * b.lo("y", 2))
     probe = h_zero * (1.0 - 1e-9)
-    assert curve.s11(probe) > 0.0
+    assert curve.s11(probe) > 0.0 and curve.e11(probe) == 0.0
     obs = inputs.observables
     pz2 = obs.emitted("z", "z") / obs.n_pairs
     cost = pz2 * inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
-    assert float(curve(probe)) == pytest.approx(-cost, rel=1e-9)
-    # The probe lies above h_upper, where e11 clips to 0; with the error
-    # ceiling raised, e11 saturates instead and the privacy term is exactly 0.
+    privacy = pz2 * curve.gamma * curve.s11(probe)
+    assert float(curve(probe)) == pytest.approx(-cost + privacy, rel=1e-12, abs=0.0)
+    # With the error ceiling raised, e11 saturates instead and the privacy
+    # term is exactly 0, leaving only the correction cost.
     saturated = replace(curve, txx_upper=probe)
     assert saturated.e11(probe) == 1.0
-    assert float(saturated(probe)) == pytest.approx(-cost, rel=1e-12)
+    assert float(saturated(probe)) == pytest.approx(-cost, rel=1e-12, abs=0.0)
 
 
 def test_secure_key_rate_exact_point_regression(exact_ensemble):
     params = ChannelParams(n_pairs=1e11, distance_km=10.0)
     report = secure_key_rate(AnalysisInputs.from_simulation(exact_ensemble, params))
     assert report.reason == "ok"
-    assert report.rate == pytest.approx(7.245334874083355e-06, rel=1e-10)
+    assert report.rate == pytest.approx(7.245334874083355e-06, rel=1e-10, abs=0.0)
     assert report.h_star == report.h_lower
     assert report.chernoff_invocations == 7
     assert 0.0 < report.e11_at_min < 0.5
@@ -459,7 +467,7 @@ def test_slope_search_does_not_stop_at_top_where_e11_vanishes():
     assert curve.slope(0.0) < 0.0 and curve.slope(0.8) == math.inf
     assert h == pytest.approx(0.7052640621, abs=1e-9)
     assert rate == pytest.approx(0.0258292843, abs=1e-9)
-    assert float(curve(0.8)) == pytest.approx(0.05, rel=1e-12)
+    assert float(curve(0.8)) == pytest.approx(0.05, rel=1e-12, abs=0.0)
     assert rate <= float(np.min(dense_rate(curve, np.linspace(0.0, 0.8, 20001))))
 
 
@@ -484,7 +492,18 @@ def test_slope_matches_central_difference(inputs_10km, fraction):
         h = lo + fraction * (hi - lo)
         step = 1e-6 * (hi - lo)
         difference = (float(curve(h + step)) - float(curve(h - step))) / (2.0 * step)
-        assert curve.slope(h) == pytest.approx(difference, rel=1e-6)
+        assert curve.slope(h) == pytest.approx(difference, rel=1e-6, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_interior_minimum_curve(), st.floats(0.0, 1.0, exclude_max=True))
+def test_slope_matches_product_rule_reference(case, fraction):
+    # The closed form in e11 alone against pz2 gamma (s' phi(e) + s phi'(e) e').
+    curve, lo, hi = case
+    h = lo + fraction * (hi - lo)
+    assume(curve.s11(h) > 0.0 and 0.0 < curve.e11(h) < 0.5)
+    reference, scale = product_rule_slope(curve, h)
+    assert abs(curve.slope(h) - reference) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("bad_slope", [math.nan, -math.inf, math.inf], ids=["nan", "minus-inf", "plus-inf"])
@@ -657,7 +676,7 @@ def test_collapse_matches_straight_line_oracle(exact_ensemble, exact_side):
         inputs = replace(inputs, chernoff=replace(inputs.chernoff, disabled=True))
         report = secure_key_rate(inputs)
         oracle = plugin_asymptotic_rate(inputs.observables, exact_side, params.f_ec)
-        assert report.rate == pytest.approx(oracle, rel=1e-9)
+        assert report.rate == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
 def test_decoy_failure_reported_not_raised():

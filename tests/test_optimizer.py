@@ -40,7 +40,7 @@ def test_out_of_box_points_score_zero(problem_10km):
 def test_sane_point_rate_regression(problem_10km):
     rate = evaluate(problem_10km, SANE_POINT)
     assert rate > 0.0
-    assert rate == pytest.approx(7.245334874083355e-06, rel=1e-10)
+    assert rate == pytest.approx(7.245334874083355e-06, rel=1e-10, abs=0.0)
 
 
 def test_point_shape_is_checked(problem_10km):
@@ -52,6 +52,12 @@ def test_point_shape_is_checked(problem_10km):
 def test_problem_rejects_sources_it_cannot_build(key, value):
     with pytest.raises(ValueError, match=key):
         OptimizationProblem(channel=ChannelParams(n_pairs=1e11, distance_km=10.0), **{key: value})
+
+
+@pytest.mark.parametrize("key", ["budget", "restarts"])
+def test_optimize_rejects_budget_or_restarts_below_one(problem_10km, key):
+    with pytest.raises(ValueError, match=f"^{key} must be at least 1, got 0$"):
+        optimize(problem_10km, **{key: 0})
 
 
 def test_sources_map_points_and_refuse_what_side_sources_would(problem_10km):

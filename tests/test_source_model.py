@@ -37,7 +37,7 @@ def test_single_photon_reference_value():
 def test_log_space_survives_large_k():
     # exp(-5) 5^40 / 40! = 7.510739438659513847547913e-23
     value = poisson_coeff(5.0, 40)
-    assert value == pytest.approx(7.510739438659514e-23, rel=1e-12)
+    assert value == pytest.approx(7.510739438659514e-23, rel=1e-12, abs=0.0)
 
 
 _LOG_UNIFORM_MU = st.floats(-8.0, math.log10(300.0)).map(lambda e: 10.0**e)
@@ -82,20 +82,20 @@ def test_zero_width_interval_is_degenerate():
 def test_vacuum_interval_zero_photon_bounds():
     lo, hi = coeff_interval(0.0, 1e-3, 0)
     assert hi == 1.0
-    assert lo == pytest.approx(math.exp(-1e-3), rel=1e-15)
+    assert lo == pytest.approx(math.exp(-1e-3), rel=1e-15, abs=0.0)
 
 
 def test_vacuum_interval_one_photon_bounds():
     lo, hi = coeff_interval(0.0, 1e-3, 1)
     assert lo == 0.0
     # mu e^-mu at mu = 1e-3: 0.0009990004998333749916680554
-    assert hi == pytest.approx(0.0009990004998333749916680554, rel=1e-14)
+    assert hi == pytest.approx(0.0009990004998333749916680554, rel=1e-14, abs=0.0)
 
 
 def test_interior_critical_point():
     # mu_y = 1, 10% fluctuation: the one-photon coefficient peaks at mu = 1.
     lo, hi = coeff_interval(0.9, 1.1, 1)
-    assert hi == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert hi == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0.0)
     assert lo == min(poisson_coeff(0.9, 1), poisson_coeff(1.1, 1))
     scan_lo, scan_hi = grid_scan_coeff_extrema(0.9, 1.1, 1)
     assert lo <= scan_lo + 1e-12 and hi >= scan_hi - 1e-12

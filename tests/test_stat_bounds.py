@@ -27,7 +27,7 @@ def deviations(x: float, cfg: ChernoffConfig) -> tuple[float, float]:
 
 def test_zero_counts_edge_cases():
     assert chernoff_lower(0, CFG) == 0.0
-    assert chernoff_upper(0, CFG) == pytest.approx(math.log(2.0 / CFG.xi), rel=1e-15)
+    assert chernoff_upper(0, CFG) == pytest.approx(math.log(2.0 / CFG.xi), rel=1e-15, abs=0.0)
 
 
 def test_zero_observation_upper_is_small_count_limit():
@@ -43,11 +43,11 @@ def test_reference_point_against_independent_solver():
     x, xi = 10**6, 1e-7
     cfg = ChernoffConfig(xi=xi)
     d1, d2 = deviations(x, cfg)
-    assert d1 == pytest.approx(brentq_lower_deviation(x, xi), rel=1e-10)
-    assert d2 == pytest.approx(brentq_upper_deviation(x, xi), rel=1e-10)
+    assert d1 == pytest.approx(brentq_lower_deviation(x, xi), rel=1e-10, abs=0.0)
+    assert d2 == pytest.approx(brentq_upper_deviation(x, xi), rel=1e-10, abs=0.0)
     # Frozen values from the independent solver:
-    assert chernoff_lower(x, cfg) == pytest.approx(994212.7121286959, rel=1e-10)
-    assert chernoff_upper(x, cfg) == pytest.approx(1005809.7028533723, rel=1e-10)
+    assert chernoff_lower(x, cfg) == pytest.approx(994212.7121286959, rel=1e-10, abs=0.0)
+    assert chernoff_upper(x, cfg) == pytest.approx(1005809.7028533723, rel=1e-10, abs=0.0)
 
 
 def test_gaussian_regime_sanity():
@@ -92,14 +92,14 @@ def test_pooled_counts_dominate_split_counts():
 
 
 def test_single_term_reduces_to_plain_bound():
-    assert combo_lower([(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_lower(1000, CFG), rel=1e-14)
-    assert combo_upper([(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_upper(1000, CFG), rel=1e-14)
+    assert combo_lower([(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_lower(1000, CFG), rel=1e-14, abs=0.0)
+    assert combo_upper([(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_upper(1000, CFG), rel=1e-14, abs=0.0)
 
 
 def test_equal_coefficients_collapse_to_pooled_bound():
     terms = [(0.2, 500.0), (0.2, 1500.0)]
-    assert combo_lower(terms, CFG) == pytest.approx(0.2 * chernoff_lower(2000, CFG), rel=1e-14)
-    assert combo_upper(terms, CFG) == pytest.approx(0.2 * chernoff_upper(2000, CFG), rel=1e-14)
+    assert combo_lower(terms, CFG) == pytest.approx(0.2 * chernoff_lower(2000, CFG), rel=1e-14, abs=0.0)
+    assert combo_upper(terms, CFG) == pytest.approx(0.2 * chernoff_upper(2000, CFG), rel=1e-14, abs=0.0)
 
 
 def test_joint_bounds_dominate_per_term_bounds():
@@ -133,6 +133,18 @@ def test_negative_inputs_rejected():
             for combo in (combo_lower, combo_upper):
                 with pytest.raises(ValueError, match="finite and nonnegative"):
                     combo([(1.0, 10.0), (0.0, count)], cfg)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1.0, -1e-7, 2.0])
+def test_failure_probability_outside_unit_interval_rejected(xi):
+    with pytest.raises(ValueError, match="failure probability must lie in"):
+        ChernoffConfig(xi=xi)
+
+
+@pytest.mark.parametrize("combo", [combo_lower, combo_upper])
+def test_combination_without_terms_rejected(combo):
+    with pytest.raises(ValueError, match="at least one"):
+        combo([], CFG)
 
 
 def test_bounds_are_conservative_and_within_1e_12_of_exact_roots():
@@ -179,7 +191,7 @@ def test_disabled_mode_collapses_envelopes():
     counter = InvocationCounter()
     assert chernoff_lower(123, cfg, counter) == 123.0
     assert chernoff_upper(123, cfg, counter) == 123.0
-    assert combo_lower([(2.0, 10.0), (1.0, 5.0)], cfg, counter) == pytest.approx(25.0, rel=1e-15)
+    assert combo_lower([(2.0, 10.0), (1.0, 5.0)], cfg, counter) == pytest.approx(25.0, rel=1e-15, abs=0.0)
     assert counter.count == 0  # no statistical claims consumed
 
 
