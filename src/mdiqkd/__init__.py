@@ -1,8 +1,8 @@
 """Finite-data secure key rates for four-intensity MDI-QKD with source errors.
 
 Each public name is imported from its module the first time it is read
-(PEP 562), so a command loads only the modules it runs: ``rate`` and a fixed
-``scan`` never import numpy.
+(PEP 562), so a command loads only the modules it runs: only
+``validate-model`` imports numpy, for the Monte Carlo.
 """
 
 from importlib import import_module

@@ -286,7 +286,7 @@ def _per_distance(
     channel = config.channel_params()
     ensemble = None if search else config.ensemble()
     if search:
-        from .optimizer import OptimizationProblem, optimize  # numpy, paid only by a search
+        from .optimizer import OptimizationProblem, optimize  # loaded only by a search
     for distance in distances:
         params = channel.at_distance(0.0 if distance == 0 else distance)  # so -0 prints as "0"
         if not search:

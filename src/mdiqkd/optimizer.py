@@ -8,30 +8,31 @@ decoy conditions score zero), so the search runs a derivative-free simplex
 from several seeded random starts and keeps the best point.
 
 The simplex is an in-repo adaptive Nelder-Mead (Gao & Han, Comput. Optim.
-Appl. 51, 259 (2012)), so the probe sequence, and every output built from it,
-depends only on numpy and not on an installed optimization library.
+Appl. 51, 259 (2012)) on Python floats, and the random starts come from
+string-seeded ``random.Random`` draws, so the probe sequence, and every output
+built from it, is the same on every CPU and needs neither numpy nor an
+installed optimization library.
 """
 
 from __future__ import annotations
 
+import numbers
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .channel_sim import ChannelParams
 from .keyrate_core import AnalysisInputs, secure_key_rate
 from .source_model import SideSources, SourceEnsemble
 
 # Box constraints for (mu_x, mu_y, mu_z, p_x, p_y, p_z).
-BOX_LOWER = np.array([1e-4, 2e-3, 1e-3, 1e-3, 1e-3, 1e-3])
-BOX_UPPER = np.array([1.0, 1.0, 1.0, 0.98, 0.98, 0.98])
-_BOX_LOWER, _BOX_UPPER = BOX_LOWER.tolist(), BOX_UPPER.tolist()  # as Python floats, for one probe's check
+BOX_LOWER = (1e-4, 2e-3, 1e-3, 1e-3, 1e-3, 1e-3)
+BOX_UPPER = (1.0, 1.0, 1.0, 0.98, 0.98, 0.98)
 _MIN_VACUUM_PROB = 1e-3
 
 # Deterministic first start; the remaining restarts probe random feasible
 # points and prefer ones with a nonzero rate (the landscape is a plateau of
 # zeros outside the living region, which a simplex cannot climb).
-DEFAULT_START = np.array([0.03, 0.25, 0.45, 0.18, 0.05, 0.6])
+DEFAULT_START = (0.03, 0.25, 0.45, 0.18, 0.05, 0.6)
 _START_PROBES = 40
 
 # Simplex stopping tolerances on vertex spread and on value spread.
@@ -85,12 +86,17 @@ class OptimizationResult:
 
 
 def evaluate(problem: OptimizationProblem, point) -> float:
-    """Secure key rate at one parameter point; one outside the box, without sources or failing the decoy conditions scores zero."""
-    arr = np.asarray(point, dtype=float)
-    if arr.shape != (6,):
-        raise ValueError(f"expected a 6-vector (mu_x, mu_y, mu_z, p_x, p_y, p_z), got shape {arr.shape}")
-    values = arr.tolist()
-    if not all(lo <= v <= hi for lo, v, hi in zip(_BOX_LOWER, values, _BOX_UPPER)):  # NaN fails too
+    """Secure key rate at one parameter point; one outside the box, without sources or failing the decoy conditions scores zero.
+
+    ``point`` is any sequence of six real numbers; anything else raises ``ValueError``.
+    """
+    try:
+        values = tuple(point)
+    except TypeError:
+        values = ()
+    if len(values) != 6 or not all(isinstance(v, numbers.Real) for v in values):
+        raise ValueError(f"expected six real numbers (mu_x, mu_y, mu_z, p_x, p_y, p_z), got {point!r}")
+    if not all(lo <= v <= hi for lo, v, hi in zip(BOX_LOWER, values, BOX_UPPER)):  # NaN fails too
         return 0.0
     sources = problem.sources(values)
     if sources is None:
@@ -98,7 +104,7 @@ def evaluate(problem: OptimizationProblem, point) -> float:
     return secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(sources), problem.channel)).rate
 
 
-def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.ndarray:
+def _random_start(problem: OptimizationProblem, rng: random.Random) -> tuple[float, ...]:
     for _ in range(1000):
         mu_x = rng.uniform(0.01, 0.25)
         mu_y = rng.uniform(mu_x * 2.0 + 0.05, min(1.0, mu_x * 2.0 + 0.7))
@@ -106,7 +112,7 @@ def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.
         p_x = rng.uniform(0.03, 0.3)
         p_y = rng.uniform(0.03, 0.3)
         p_z = rng.uniform(0.3, 0.8)
-        point = np.array([mu_x, mu_y, mu_z, p_x, p_y, p_z])
+        point = (mu_x, mu_y, mu_z, p_x, p_y, p_z)
         sources = problem.sources(point)
         if sources is not None and sources.p_v >= 0.02 and SourceEnsemble.symmetric(sources).bounds.decoy.passed:
             return point
@@ -116,71 +122,80 @@ def _random_start(problem: OptimizationProblem, rng: np.random.Generator) -> np.
     )
 
 
+def _clip(x) -> tuple[float, ...]:
+    return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, BOX_LOWER, BOX_UPPER))
+
+
 def _nelder_mead(func, x0, maxfev: int) -> None:
     """Minimize ``func`` over the box by adaptive Nelder-Mead, calling it at most ``maxfev`` times.
 
     Gao & Han's dimension-adapted coefficients, a 5 % initial simplex
     reflected into the box, every trial vertex clipped to the box, and a stop
     once the vertex spread is within ``_XATOL`` and the value spread within
-    ``_FATOL``.  Each operation, its order and the re-sort after every step
-    are fixed, so the calls are byte-stable; ``tests/test_optimizer.py``
-    checks them bit for bit against a reference implementation, including
-    budgets that run out inside an expansion or a shrink.  ``func`` receives
-    copies and the caller records what it needs, so nothing is returned.
+    ``_FATOL``.  The vertices are sorted by value before every step, stably,
+    so tied values keep the lower vertex index first.  Each operation and its
+    order are fixed, so the calls are byte-stable; ``tests/test_optimizer.py``
+    checks them bit for bit against a numpy reference implementation,
+    including budgets that run out inside an expansion or a shrink.  ``func``
+    receives each vertex as a tuple of floats and the caller records what it
+    needs, so nothing is returned.
     """
     calls = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: tuple[float, ...]) -> float:
         nonlocal calls
         if calls >= maxfev:
             raise _BudgetSpent
         calls += 1
-        return func(np.copy(x))
+        return func(x)
 
     n = len(BOX_LOWER)
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    x0 = np.clip(np.asarray(x0, dtype=float), BOX_LOWER, BOX_UPPER)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    # A vertex past the upper bound is reflected inside, so clipping cannot fold it back onto x0.
-    sim = np.clip(np.where(sim > BOX_UPPER, 2 * BOX_UPPER - sim, sim), BOX_LOWER, BOX_UPPER)
-    fsim = np.full(n + 1, np.inf)
+    x0 = _clip(float(v) for v in x0)
+    sim = [x0]
+    for k, hi in enumerate(BOX_UPPER):
+        v = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+        # A vertex past the upper bound is reflected inside, so clipping cannot fold it back onto x0.
+        sim.append(_clip(x0[:k] + (2 * hi - v if v > hi else v,) + x0[k + 1 :]))
+    fsim = []
     try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-        # Sorted twice before the first step: argsort is not stable, so the
-        # second sort can reorder ties, and the reference makes both.
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        for x in sim:
+            fsim.append(f(x))
         while True:
-            order = np.argsort(fsim)
-            sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-            if np.max(np.abs(sim[1:] - sim[0])) <= _XATOL and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL:
+            order = sorted(range(n + 1), key=fsim.__getitem__)
+            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+            best, worst = sim[0], sim[-1]
+            flat = all(abs(fsim[0] - v) <= _FATOL for v in fsim[1:])
+            if flat and all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best)):
                 return
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = np.clip((1 + rho) * xbar - rho * sim[-1], BOX_LOWER, BOX_UPPER)
+            xbar = best
+            for x in sim[1:-1]:
+                xbar = tuple(a + b for a, b in zip(xbar, x))
+            xbar = tuple(a / n for a in xbar)
+            # (1 + c) xbar - c worst: along the line from the worst vertex through the centroid.
+            along = lambda c: _clip((1 + c) * a - c * w for a, w in zip(xbar, worst))
+            xr = along(rho)
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], BOX_LOWER, BOX_UPPER)
+                xe = along(rho * chi)
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], BOX_LOWER, BOX_UPPER)
+                    xc = along(psi * rho)
                     fxc = f(xc)
                     shrink = not fxc <= fxr
                 else:  # inside contraction
-                    xc = np.clip((1 - psi) * xbar + psi * sim[-1], BOX_LOWER, BOX_UPPER)
+                    xc = along(-psi)
                     fxc = f(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), BOX_LOWER, BOX_UPPER)
+                        sim[j] = _clip(b + sigma * (x - b) for b, x in zip(best, sim[j]))
                         fsim[j] = f(sim[j])
     except _BudgetSpent:
         return
@@ -210,18 +225,18 @@ def optimize(
 
     log: list[tuple[tuple[float, ...], float]] = []
 
-    def logged_rate(point: np.ndarray) -> float:
+    def logged_rate(point: tuple[float, ...]) -> float:
         rate = evaluate(problem, point)
-        log.append((tuple(float(v) for v in point), rate))
+        log.append((point, rate))
         return rate
 
     per_restart = max(budget // restarts, 10)
-    root = np.random.SeedSequence(seed)
-    for index, child in enumerate(root.spawn(restarts)):
-        rng = np.random.default_rng(child)
-        if index == 0:
-            start = DEFAULT_START.copy()
+    for restart in range(restarts):
+        if restart == 0:
+            start = DEFAULT_START
         else:
+            # A string seed is hashed with SHA-512, so the draws are the same on every platform.
+            rng = random.Random(f"{seed}/{restart}")
             start = _random_start(problem, rng)
             for _ in range(_START_PROBES):
                 if logged_rate(start) > 0.0:

@@ -2,9 +2,9 @@
 
 Everything here is written straight-line from the defining formulas with its
 own arithmetic, so agreement is evidence rather than tautology.  The only
-package code used is raw observables, a rate curve's fields, and, in the
-model-decomposition oracles, the closed-form gain ``pair_yield`` that they
-take apart.  The exceptions are
+package code used is raw observables, a rate curve's fields, the search box,
+and, in the model-decomposition oracles, the closed-form gain ``pair_yield``
+that they take apart.  The exceptions are
 ``full_observables``, which extends the analysed table to all sixteen pairs
 with the package's own gains, and ``write_observables_csv``, the
 regression-fixture writer.
@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
 from mdiqkd.channel_sim import PairObservables, SourceCounts, simulation_intensity
+from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
 from mdiqkd.source_model import SOURCES
 
 
@@ -134,6 +135,75 @@ def product_rule_slope(curve, h: float) -> tuple[float, float]:
     yield_term = scale * -curve.c_y / curve.denominator * phi
     error_term = scale * s * (math.log(e) - math.log1p(-e)) / math.log(2.0) * e_prime
     return yield_term + error_term, max(abs(yield_term), abs(error_term))
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def nelder_mead(func, x0, maxfev: int) -> None:
+    """Adaptive Nelder-Mead over the search box on numpy arrays, calling ``func`` at most ``maxfev`` times.
+
+    The same steps as ``mdiqkd.optimizer._nelder_mead``, written with numpy
+    vector arithmetic: Gao & Han's coefficients, a 5 % initial simplex whose
+    vertices past the upper bound are reflected inside, every trial vertex
+    clipped to the box, and a stop once the vertex spread is within 1e-4 and
+    the value spread within 1e-12.  The vertices are ordered once before
+    every step by a stable argsort.  ``func`` receives each vertex as a tuple
+    of floats.
+    """
+    lower, upper = np.array(BOX_LOWER), np.array(BOX_UPPER)
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(tuple(x.tolist()))
+
+    n = len(lower)
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+        while True:
+            order = np.argsort(fsim, kind="stable")
+            sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+            if np.max(np.abs(sim[1:] - sim[0])) <= 1e-4 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12:
+                return
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                        fsim[j] = f(sim[j])
+    except _BudgetSpent:
+        return
 
 
 def full_observables(ensemble, params: ChannelParams) -> PairObservables:

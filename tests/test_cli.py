@@ -277,13 +277,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
-def test_rate_leaves_thread_pool_unloaded(tmp_path):
-    # rate and a fixed scan run in math alone; numpy and the thread pool are
-    # imported only by the commands that search or simulate.
+def test_rate_scan_and_optimize_leave_numpy_and_thread_pool_unloaded(tmp_path):
+    # rate, scan and the search run in math alone; numpy and the thread pool
+    # are imported only by validate-model, which simulates.
     src = str(Path(mdiqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config = str(write_config(tmp_path))
-    commands = [["rate", "--config", config], ["scan", "--config", config, "--distances", "0:80:5"]]
+    commands = [
+        ["rate", "--config", config],
+        ["scan", "--config", config, "--distances", "0:80:5"],
+        ["optimize", "--config", config, "--distances", "10"],
+        ["scan", "--config", config, "--distances", "10", "--optimize", "on"],
+    ]
     code = (
         "import sys\nimport mdiqkd.cli\n"
         f"for argv in {commands!r}:\n"
@@ -291,7 +296,7 @@ def test_rate_leaves_thread_pool_unloaded(tmp_path):
         "    print(argv[0], [m for m in ('numpy', 'concurrent.futures') if m in sys.modules], file=sys.stderr)"
     )
     err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
-    assert err.splitlines() == ["rate []", "scan []"]
+    assert err.splitlines() == ["rate []", "scan []", "optimize []", "scan []"]
 
 
 def test_optimize_leaves_scipy_unloaded(tmp_path):

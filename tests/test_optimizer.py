@@ -1,4 +1,5 @@
 import inspect
+import random
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from mdiqkd import ChannelParams, OptimizationProblem, evaluate, optimize, optimizer
 from mdiqkd.cli import RunConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START
+from tests import oracles
 
 SANE_POINT = (0.1, 0.4, 0.5, 0.1, 0.1, 0.7)
+SANE_RATE = pytest.approx(7.245334874083355e-06, rel=1e-10, abs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +43,32 @@ def test_out_of_box_points_score_zero(problem_10km):
 def test_sane_point_rate_regression(problem_10km):
     rate = evaluate(problem_10km, SANE_POINT)
     assert rate > 0.0
-    assert rate == pytest.approx(7.245334874083355e-06, rel=1e-10, abs=0.0)
+    assert rate == SANE_RATE
 
 
-def test_point_shape_is_checked(problem_10km):
-    with pytest.raises(ValueError):
-        evaluate(problem_10km, (0.1, 0.4, 0.5))
+@pytest.mark.parametrize(
+    "point, rate",
+    [
+        pytest.param(SANE_POINT, SANE_RATE, id="tuple"),
+        pytest.param(list(SANE_POINT), SANE_RATE, id="list"),
+        pytest.param(np.array(SANE_POINT), SANE_RATE, id="array"),
+        pytest.param(np.array([0.1, 0.4, float("nan"), 0.1, 0.1, 0.7]), 0.0, id="nan"),
+        pytest.param((0.1, 0.4, 1.5, 0.1, 0.1, 0.7), 0.0, id="above-box"),
+        pytest.param((0.1, 0.4, 0.5), None, id="short"),
+        pytest.param(SANE_POINT + (0.1,), None, id="long"),
+        pytest.param(np.array(SANE_POINT).reshape(6, 1), None, id="nested"),
+        pytest.param("0.1234", None, id="string"),
+        pytest.param([str(v) for v in SANE_POINT], None, id="strings"),
+        pytest.param(0.5, None, id="scalar"),
+    ],
+)
+def test_point_shape_is_checked(problem_10km, point, rate):
+    # Any sequence of six real numbers is a point; None marks an input that is not one.
+    if rate is None:
+        with pytest.raises(ValueError, match="^expected six real numbers"):
+            evaluate(problem_10km, point)
+    else:
+        assert evaluate(problem_10km, point) == rate
 
 
 @pytest.mark.parametrize("key, value", [("fluctuation", 1.5), ("fluctuation", float("nan")), ("vacuum_cap", -1.0)])
@@ -125,23 +148,43 @@ def test_each_restart_gets_budget_share_floored_at_ten_simplex_calls(problem_10k
     assert caps == [10] * 8 + [25] * 4
 
 
+def test_random_starts_are_pinned(problem_10km):
+    # Drawn by random.Random from the string "seed/restart", so no numpy or CPU feature moves them.
+    start = optimizer._random_start(problem_10km, random.Random("1/1"))
+    assert [v.hex() for v in start] == [
+        "0x1.7614d83f7d697p-5",
+        "0x1.2cb78936a6da2p-2",
+        "0x1.1f53e7fd1e038p-1",
+        "0x1.71ae0e277504fp-3",
+        "0x1.07a729b714daap-4",
+        "0x1.b462d36138ce9p-2",
+    ]
+    # The first probe of restart 1 is that start: 10 simplex calls of restart 0 come first.
+    assert optimize(problem_10km, seed=1, budget=20, restarts=2).evaluations[10][0] == start
+
+
 def _recording(objective):
     calls = []
 
     def func(x):
-        calls.append(x.copy())
+        calls.append(x)
         return objective(x)
 
     return func, calls
 
 
+def _in_box(x) -> bool:
+    return all(lo <= v <= hi for lo, v, hi in zip(BOX_LOWER, x, BOX_UPPER))
+
+
 def test_simplex_stops_on_tolerances_inside_box_on_convex_quadratic():
     target = np.array([0.2, 0.5, 0.4, 0.3, 0.2, 0.4])
-    quadratic = lambda x: float(np.sum((x - target) ** 2))
+    quadratic = lambda x: float(np.sum((np.asarray(x) - target) ** 2))
     func, calls = _recording(quadratic)
     optimizer._nelder_mead(func, DEFAULT_START, 10_000)
     assert 7 < len(calls) < 10_000  # stopped on xatol/fatol, not on the budget
-    assert all(np.all((x >= BOX_LOWER) & (x <= BOX_UPPER)) for x in calls)
+    assert all(isinstance(x, tuple) and all(type(v) is float for v in x) for x in calls)
+    assert all(_in_box(x) for x in calls)
     assert min(quadratic(x) for x in calls) < 1e-7
     # A larger budget changes nothing once the tolerances stop the search.
     again, more_calls = _recording(quadratic)
@@ -150,27 +193,27 @@ def test_simplex_stops_on_tolerances_inside_box_on_convex_quadratic():
 
 
 def test_simplex_stays_in_box_when_minimum_lies_outside():
-    target = BOX_UPPER + 0.5  # every step pushes past the upper bounds
-    func, calls = _recording(lambda x: float(np.sum((x - target) ** 2)))
+    target = np.array(BOX_UPPER) + 0.5  # every step pushes past the upper bounds
+    func, calls = _recording(lambda x: float(np.sum((np.asarray(x) - target) ** 2)))
     optimizer._nelder_mead(func, DEFAULT_START, 10_000)
     assert 7 < len(calls) < 10_000
-    assert all(np.all((x >= BOX_LOWER) & (x <= BOX_UPPER)) for x in calls)
-    assert any(np.any(x == BOX_UPPER) for x in calls)
+    assert all(_in_box(x) for x in calls)
+    assert any(v == hi for x in calls for v, hi in zip(x, BOX_UPPER))
 
 
 @pytest.mark.parametrize("maxfev", [1, 6, 7, 8, 9, 12, 37])
 def test_simplex_never_exceeds_its_budget(maxfev):
     # A flat-bottomed bowl keeps the simplex busy well past these budgets.
-    func, calls = _recording(lambda x: float(np.sum(np.abs(x - 0.5))))
+    func, calls = _recording(lambda x: float(np.sum(np.abs(np.asarray(x) - 0.5))))
     optimizer._nelder_mead(func, DEFAULT_START, maxfev)
     assert len(calls) == maxfev
 
 
-def _reference_nelder_mead(func, x0, maxfev):
+def _scipy_nelder_mead(func, x0, maxfev):
     from scipy.optimize import Bounds, minimize  # callers skip when scipy is missing
 
     minimize(
-        func,
+        lambda x: func(tuple(x.tolist())),
         x0,
         method="Nelder-Mead",
         bounds=Bounds(BOX_LOWER, BOX_UPPER),
@@ -178,48 +221,66 @@ def _reference_nelder_mead(func, x0, maxfev):
     )
 
 
+def _log_bytes(problem, simplex, monkeypatch, seed, budget, restarts):
+    monkeypatch.setattr(optimizer, "_nelder_mead", simplex)
+    result = optimize(problem, seed=seed, budget=budget, restarts=restarts)
+    assert any(rate > 0.0 for _, rate in result.evaluations)
+    return np.array([point + (rate,) for point, rate in result.evaluations]).tobytes()
+
+
 # (seed, distance_km, fluctuation, budget, restarts).  The budgets cut every
 # restart short; for several restarts the cut lands inside a multi-call step
-# (an expansion, a contraction after its reflection, or a shrink).
+# (an expansion, a contraction after its reflection, or a shrink).  At 60 km
+# seeds 42 and 43 probe nothing but the zero plateau, so that case takes 44.
 DIFFERENTIAL_CASES = [
     (1, 0.0, 0.01, 37, 3),
     (7, 25.0, 0.05, 37, 3),
-    (42, 60.0, 0.01, 120, 2),
+    (44, 60.0, 0.01, 120, 2),
     (1234, 45.0, 0.0, 60, 5),
     (99, 10.0, 0.02, 400, 4),
 ]
 
 
-@pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", DIFFERENTIAL_CASES)
-def test_simplex_matches_reference_implementation_bit_for_bit(monkeypatch, seed, distance, fluctuation, budget, restarts):
-    pytest.importorskip("scipy.optimize")
-    problem = OptimizationProblem(
+def _differential_problem(distance, fluctuation):
+    return OptimizationProblem(
         channel=ChannelParams(n_pairs=1e11, distance_km=distance), vacuum_cap=1e-6, fluctuation=fluctuation
     )
-    shipped = optimize(problem, seed=seed, budget=budget, restarts=restarts)
-    monkeypatch.setattr(optimizer, "_nelder_mead", _reference_nelder_mead)
-    reference = optimize(problem, seed=seed, budget=budget, restarts=restarts)
-    as_bytes = lambda result: np.array([point + (rate,) for point, rate in result.evaluations]).tobytes()
-    assert as_bytes(shipped) == as_bytes(reference)
-    assert any(rate > 0.0 for _, rate in shipped.evaluations)
+
+
+@pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", DIFFERENTIAL_CASES)
+def test_simplex_matches_reference_implementation_bit_for_bit(monkeypatch, seed, distance, fluctuation, budget, restarts):
+    problem = _differential_problem(distance, fluctuation)
+    run = lambda simplex: _log_bytes(problem, simplex, monkeypatch, seed, budget, restarts)
+    assert run(optimizer._nelder_mead) == run(oracles.nelder_mead)
+
+
+# scipy sorts the vertices with numpy's default argsort, whose order of tied
+# values depends on the CPU's vector extensions.  On an AVX-512 host it leaves
+# the log of (7, 25 km, 0.05), whose zero plateau ties vertices, so only the
+# other cases are compared with it.
+@pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", [c for c in DIFFERENTIAL_CASES if c[0] != 7])
+def test_simplex_matches_scipy_on_the_cases_it_reproduces(monkeypatch, seed, distance, fluctuation, budget, restarts):
+    pytest.importorskip("scipy.optimize")
+    problem = _differential_problem(distance, fluctuation)
+    run = lambda simplex: _log_bytes(problem, simplex, monkeypatch, seed, budget, restarts)
+    assert run(optimizer._nelder_mead) == run(_scipy_nelder_mead)
 
 
 # Staircase objectives tie often, which exercises every tie-break comparison.
 STAIRCASES = {
-    "coarse": lambda x: float(np.sum(np.round(4.0 * x))),
+    "coarse": lambda x: float(np.sum(np.round(4.0 * np.asarray(x)))),
     "plateau": lambda x: 0.0 if x[0] > 0.05 else -float(np.round(x[1], 2)),
-    "bowl": lambda x: float(np.round(np.sum((x - 0.3) ** 2), 3)),
+    "bowl": lambda x: float(np.round(np.sum((np.asarray(x) - 0.3) ** 2), 3)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STAIRCASES))
 @pytest.mark.parametrize("maxfev", [9, 37, 400])
 def test_simplex_matches_reference_on_tied_objectives(name, maxfev):
-    pytest.importorskip("scipy.optimize")
     starts = np.random.default_rng(2012).uniform(BOX_LOWER, BOX_UPPER, size=(8, 6))
     for start in starts:
         shipped, shipped_calls = _recording(STAIRCASES[name])
         reference, reference_calls = _recording(STAIRCASES[name])
         optimizer._nelder_mead(shipped, start, maxfev)
-        _reference_nelder_mead(reference, start, maxfev)
+        oracles.nelder_mead(reference, start, maxfev)
         assert np.array(shipped_calls).tobytes() == np.array(reference_calls).tobytes()
