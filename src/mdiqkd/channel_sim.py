@@ -385,15 +385,6 @@ class PairObservables:
     def entry(self, alice_source: str, bob_source: str) -> SourceCounts:
         return self.pairs[(alice_source, bob_source)]
 
-    def emitted(self, alice_source: str, bob_source: str) -> float:
-        return self.pairs[(alice_source, bob_source)].emitted
-
-    def counts(self, alice_source: str, bob_source: str) -> int:
-        return self.pairs[(alice_source, bob_source)].counts
-
-    def errors(self, alice_source: str, bob_source: str) -> int:
-        return self.pairs[(alice_source, bob_source)].errors
-
     @property
     def signal_rate(self) -> float:
         """Observed counting rate of the signal-signal source."""

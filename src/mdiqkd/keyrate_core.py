@@ -17,10 +17,11 @@ Every expected counting rate entering those formulas is replaced by its
 Chernoff envelope, with positively-combined groups bounded jointly through
 the telescoping combination bounds rather than term by term (Zhang et al.,
 PRA 95, 012333 (2017)); the groups are those of the four-intensity joint
-constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  The Z-basis
-single-photon yield is estimated by its X-basis bound.  :class:`RateCurve` is
-the one implementation of ``s11(H)``, ``e11(H)`` and ``R(H)``, apart from an
-array form of ``R`` kept for dense-grid checks.
+constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  Every term of those
+groups, with its weight, is formed in one function, :func:`_terms`.  The
+Z-basis single-photon yield is estimated by its X-basis bound.
+:class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
+``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ from dataclasses import dataclass
 
 from . import stat_bounds
 from .channel_sim import ChannelParams, PairObservables, build_observables
-from .source_model import PhotonCoeffBounds, SourceEnsemble
+from .source_model import PhotonCoeffBounds, SideCoeffBounds, SourceEnsemble
 from .stat_bounds import ChernoffConfig, InvocationCounter
-
-# Reason prefix of a report refused because the decoy conditions fail; the
-# failing checks' summary follows it.
-DECOY_FAILED = "decoy-conditions-failed: "
 
 
 class AnalysisInfeasible(ValueError):
@@ -96,6 +93,25 @@ class AnalysisInputs:
         )
 
 
+def _terms(obs: PairObservables, column: str, *weighted: tuple[float, str, str]) -> list[tuple[float, float]]:
+    """Combination terms ``(weight / emitted, float(count))``, one per ``(weight, l, r)``, counting field ``column`` of pair l-r."""
+    terms = []
+    for weight, l, r in weighted:
+        entry = obs.entry(l, r)
+        terms.append((weight / entry.emitted, float(getattr(entry, column))))
+    return terms
+
+
+def _vacuum_ratio(side: SideCoeffBounds, basis: str) -> float:
+    """``l_0^L / v_0^U`` of one side: its basis source's zero-photon floor over the vacuum source's ceiling."""
+    return side.lo(basis, 0) / side.hi("v", 0)
+
+
+def _pair_vacuum_ratio(a: SideCoeffBounds, b: SideCoeffBounds, basis: str) -> float:
+    """``a_0^U b_0^U / (a_v0^L b_v0^L)`` of the basis-basis pair: its zero-photon ceiling over the vacuum pair's floor."""
+    return a.hi(basis, 0) * b.hi(basis, 0) / (a.lo("v", 0) * b.lo("v", 0))
+
+
 def _h_lower(inputs: AnalysisInputs, sigma_x: float, counter: InvocationCounter) -> float:
     """Lower end of the admissible interval for the vacuum-error nuisance H.
 
@@ -109,21 +125,12 @@ def _h_lower(inputs: AnalysisInputs, sigma_x: float, counter: InvocationCounter)
     cfg = inputs.chernoff
 
     positive = stat_bounds.combo_lower(
-        [
-            ((a.lo("x", 0) / a.hi("v", 0)) / obs.emitted("v", "x"), float(obs.errors("v", "x"))),
-            ((b.lo("x", 0) / b.hi("v", 0)) / obs.emitted("x", "v"), float(obs.errors("x", "v"))),
-        ],
+        _terms(obs, "errors", (_vacuum_ratio(a, "x"), "v", "x"), (_vacuum_ratio(b, "x"), "x", "v")),
         cfg,
         counter,
     )
     negative = stat_bounds.combo_upper(
-        [
-            (
-                (a.hi("x", 0) * b.hi("x", 0) / (a.lo("v", 0) * b.lo("v", 0))) / obs.emitted("v", "v"),
-                float(obs.errors("v", "v")),
-            ),
-            (sigma_x / obs.emitted("x", "x"), float(obs.errors("x", "x"))),
-        ],
+        _terms(obs, "errors", (_pair_vacuum_ratio(a, b, "x"), "v", "v"), (sigma_x, "x", "x")),
         cfg,
         counter,
     )
@@ -251,35 +258,33 @@ def _curve(inputs: AnalysisInputs, sigma_y: float, counter: InvocationCounter) -
             "single-photon denominator is not positive; decoy intensities too close for the bound"
         )
     scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y)
+    c_y = a.lo("y", 1) * b.lo("y", 2)
     s_plus = stat_bounds.combo_lower(
-        [
-            (a.lo("y", 1) * b.lo("y", 2) / obs.emitted("x", "x"), float(obs.counts("x", "x"))),
-            (scale * (a.lo("y", 0) / a.hi("v", 0)) / obs.emitted("v", "y"), float(obs.counts("v", "y"))),
-            (scale * (b.lo("y", 0) / b.hi("v", 0)) / obs.emitted("y", "v"), float(obs.counts("y", "v"))),
-        ],
+        _terms(
+            obs,
+            "counts",
+            (c_y, "x", "x"),
+            (scale * _vacuum_ratio(a, "y"), "v", "y"),
+            (scale * _vacuum_ratio(b, "y"), "y", "v"),
+        ),
         cfg,
         counter,
     )
     s_minus = stat_bounds.combo_upper(
-        [
-            (scale / obs.emitted("y", "y"), float(obs.counts("y", "y"))),
-            (
-                scale * (a.hi("y", 0) * b.hi("y", 0) / (a.lo("v", 0) * b.lo("v", 0))) / obs.emitted("v", "v"),
-                float(obs.counts("v", "v")),
-            ),
-        ],
+        _terms(obs, "counts", (scale, "y", "y"), (scale * _pair_vacuum_ratio(a, b, "y"), "v", "v")),
         cfg,
         counter,
     )
+    xx = obs.entry("x", "x")
     return RateCurve(
         s_plus=s_plus,
         s_minus=s_minus,
-        txx_upper=stat_bounds.chernoff_upper(obs.errors("x", "x"), cfg, counter) / obs.emitted("x", "x"),
-        c_y=a.lo("y", 1) * b.lo("y", 2),
+        txx_upper=stat_bounds.chernoff_upper(xx.errors, cfg, counter) / xx.emitted,
+        c_y=c_y,
         denominator=denominator,
         beta=a.lo("x", 1) * b.lo("x", 1),
         gamma=a.lo("z", 1) * b.lo("z", 1),
-        pz2=obs.emitted("z", "z") / obs.n_pairs,
+        pz2=obs.entry("z", "z").emitted / obs.n_pairs,
         correction=inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate),
     )
 
@@ -399,7 +404,7 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     obs = inputs.observables
     decoy = inputs.bounds.decoy
     if not decoy.passed:
-        return _zero_report(DECOY_FAILED + decoy.summary(), obs)
+        return _zero_report(f"decoy-conditions-failed: {decoy.summary()}", obs)
 
     counter = InvocationCounter()
     try:

@@ -154,7 +154,7 @@ def _nelder_mead(func, x0, maxfev: int) -> None:
     x0 = _clip(float(v) for v in x0)
     sim = [x0]
     for k, hi in enumerate(BOX_UPPER):
-        v = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+        v = (1 + 0.05) * x0[k]
         # A vertex past the upper bound is reflected inside, so clipping cannot fold it back onto x0.
         sim.append(_clip(x0[:k] + (2 * hi - v if v > hi else v,) + x0[k + 1 :]))
     fsim = []

@@ -484,7 +484,7 @@ def test_z_basis_yield_is_not_shared_across_swapped_intensities(monkeypatch, par
 def test_vacuum_pair_records_nothing_without_darks(noisy_ensemble):
     params = ChannelParams(p_d=0.0, distance_km=0.0, n_pairs=1e11)
     observables = build_observables(noisy_ensemble, params)
-    assert observables.counts("v", "v") == 0
+    assert observables.entry("v", "v").counts == 0
 
 
 def test_count_ordering_invariants(observables_10km):

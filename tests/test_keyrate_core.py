@@ -83,7 +83,7 @@ def test_pair_with_zero_expected_emissions_is_zero_report(sweep_side, params_10k
     # The key's square, 1e-330, underflows to 0, so that pair expects no emissions.
     side = replace(sweep_side, **{key: 1e-165, other: getattr(sweep_side, other) + getattr(sweep_side, key)})
     inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params_10km)
-    assert inputs.observables.emitted(*pair.split("-")) == 0.0
+    assert inputs.observables.entry(*pair.split("-")).emitted == 0.0
     report = secure_key_rate(inputs)
     assert report.rate == 0.0 and math.isfinite(report.signal_rate)
     assert report.reason == f"infeasible: no expected emissions from source pair {pair}; {key} {key} n_pairs underflows to zero"
@@ -119,11 +119,11 @@ def test_envelope_relative_width_shrinks_with_more_data(inputs_10km):
     cfg = inputs_10km.chernoff
     scaled = _scaled(inputs_10km.observables, 100.0)
     for pair in (("v", "v"), ("v", "x"), ("x", "v"), ("v", "y"), ("y", "v"), ("x", "x"), ("y", "y")):
-        counts = inputs_10km.observables.counts(*pair)
+        counts = inputs_10km.observables.entry(*pair).counts
         if counts == 0:
             continue
         rel = (chernoff_upper(counts, cfg) - chernoff_lower(counts, cfg)) / counts
-        counts_scaled = scaled.counts(*pair)
+        counts_scaled = scaled.entry(*pair).counts
         rel_scaled = (chernoff_upper(counts_scaled, cfg) - chernoff_lower(counts_scaled, cfg)) / counts_scaled
         assert rel_scaled < rel
 
@@ -166,13 +166,13 @@ def test_finite_data_bounds_bracket_plugin_values(inputs_10km):
 def test_joint_splus_dominates_per_term_composition(inputs_10km):
     _, y_total = _sigma_factors(inputs_10km.bounds)
     a, b = inputs_10km.bounds.alice, inputs_10km.bounds.bob
-    obs = inputs_10km.observables
+    xx, vy, yv = (inputs_10km.observables.entry(*pair) for pair in (("x", "x"), ("v", "y"), ("y", "v")))
     cfg = inputs_10km.chernoff
     scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - y_total)
     per_term = (
-        a.lo("y", 1) * b.lo("y", 2) / obs.emitted("x", "x") * chernoff_lower(obs.counts("x", "x"), cfg)
-        + scale * (a.lo("y", 0) / a.hi("v", 0)) / obs.emitted("v", "y") * chernoff_lower(obs.counts("v", "y"), cfg)
-        + scale * (b.lo("y", 0) / b.hi("v", 0)) / obs.emitted("y", "v") * chernoff_lower(obs.counts("y", "v"), cfg)
+        a.lo("y", 1) * b.lo("y", 2) / xx.emitted * chernoff_lower(xx.counts, cfg)
+        + scale * (a.lo("y", 0) / a.hi("v", 0)) / vy.emitted * chernoff_lower(vy.counts, cfg)
+        + scale * (b.lo("y", 0) / b.hi("v", 0)) / yv.emitted * chernoff_lower(yv.counts, cfg)
     )
     curve, _, _ = rate_function(inputs_10km)
     assert curve.s_plus >= per_term - 1e-15
@@ -289,7 +289,7 @@ def test_rate_with_no_single_photon_floor_is_pure_cost(inputs_10km):
     # Far beyond the admissible interval s11 clamps to zero and only the
     # error-correction cost remains.
     obs = inputs_10km.observables
-    pz2 = obs.emitted("z", "z") / obs.n_pairs
+    pz2 = obs.entry("z", "z").emitted / obs.n_pairs
     expected = -pz2 * inputs_10km.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
     curve, _, _ = rate_function(inputs_10km)
     assert float(curve(1.0)) == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -307,7 +307,7 @@ def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
     probe = h_zero * (1.0 - 1e-9)
     assert curve.s11(probe) > 0.0 and curve.e11(probe) == 0.0
     obs = inputs.observables
-    pz2 = obs.emitted("z", "z") / obs.n_pairs
+    pz2 = obs.entry("z", "z").emitted / obs.n_pairs
     cost = pz2 * inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
     privacy = pz2 * curve.gamma * curve.s11(probe)
     assert float(curve(probe)) == pytest.approx(-cost + privacy, rel=1e-12, abs=0.0)
@@ -327,6 +327,38 @@ def test_secure_key_rate_exact_point_regression(exact_ensemble):
     assert report.chernoff_invocations == 7
     assert 0.0 < report.e11_at_min < 0.5
     assert report.h_lower <= report.h_star <= report.h_upper
+
+
+_SIDE_A = SideSources(
+    mu_x=0.028, mu_y=0.248, mu_z=0.459, p_v=0.146, p_x=0.189, p_y=0.04, p_z=0.625, vacuum_cap=1e-6, fluctuation=0.01
+)
+_SIDE_B = SideSources(
+    mu_x=0.04, mu_y=0.3, mu_z=0.5, p_v=0.15, p_x=0.15, p_y=0.05, p_z=0.65, vacuum_cap=2e-6, fluctuation=0.02
+)
+
+
+@pytest.mark.parametrize(
+    "alice, bob, distance_km, expected",
+    [
+        # (rate, h_lower, h_upper, s11_at_min, e11_at_min)
+        (_SIDE_A, _SIDE_B, 0.0, (6.392200160402921e-05, 1.1593456350742413e-05, 1.3469198014669568e-05, 0.00952361661386507, 0.09690023252347142)),
+        (_SIDE_A, _SIDE_B, 10.0, (2.7304623018368993e-05, 7.239544955751564e-06, 8.623970189659635e-06, 0.00599803661462264, 0.11355704746007572)),
+        # Negative at its minimum, so clamped to 0 with reason ok.
+        (_SIDE_A, _SIDE_B, 30.0, (0.0, 2.7922372985393187e-06, 3.571007265294252e-06, 0.0023846847259216784, 0.1606689378625578)),
+        (_SIDE_B, _SIDE_A, 0.0, (7.407864906987617e-05, 1.1593456350742413e-05, 1.3469198014669568e-05, 0.009861041797301476, 0.09358449982439593)),
+        (_SIDE_B, _SIDE_A, 10.0, (3.3722162140298705e-05, 7.239544955751564e-06, 8.623970189659635e-06, 0.006217983510548724, 0.10954022752850107)),
+        (_SIDE_B, _SIDE_A, 30.0, (1.3981635214117903e-06, 2.7922372985393187e-06, 3.571007265294252e-06, 0.0024773853229502177, 0.1546569112610344)),
+    ],
+)
+def test_secure_key_rate_asymmetric_sources_regression(alice, bob, distance_km, expected):
+    # With a is not b, each single-side ratio term must take its own side's bounds:
+    # reading Bob's for Alice's, or the reverse, in any one of them moves these values.
+    params = ChannelParams(distance_km=distance_km)
+    report = secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble(alice=alice, bob=bob), params))
+    assert report.reason == "ok"
+    assert report.chernoff_invocations == 10
+    got = (report.rate, report.h_lower, report.h_upper, report.s11_at_min, report.e11_at_min)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_scalar_curve_reads_equal_the_report():
