@@ -36,12 +36,12 @@ import numbers
 import os
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .source_model import SOURCES, SourceEnsemble
+from .source_model import _INTENSITY, SOURCES, SourceEnsemble
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,7 +60,11 @@ _WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") 
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Experiment-level parameters (symmetric channel, identical detectors)."""
+    """Experiment-level parameters (symmetric channel, identical detectors).
+
+    Each instance holds its :func:`side_transmittance`, computed once when it
+    is made; it is not a field.
+    """
 
     e0: float = 0.5  # error rate of vacuous counts
     e_d: float = 0.015  # misalignment probability
@@ -73,9 +77,10 @@ class ChannelParams:
     distance_km: float = 0.0  # Alice-Bob distance
 
     def __post_init__(self) -> None:
-        for f_ in fields(self):
-            if not math.isfinite(getattr(self, f_.name)):
-                raise ValueError(f"{f_.name} must be finite, got {getattr(self, f_.name)}")
+        # Here vars(self) holds exactly the fields, in order; reading it is cheaper than fields().
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("e0", "e_d", "p_d", "eta_d"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -90,9 +95,22 @@ class ChannelParams:
             raise ValueError(f"distance_km must be nonnegative, got {self.distance_km}")
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be at least 1, got {self.f_ec}")
+        object.__setattr__(self, "_transmittance", side_transmittance(self))
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
-        return replace(self, distance_km=distance_km)
+        """These parameters at another distance; equal to ``dataclasses.replace(self, distance_km=distance_km)``.
+
+        The other fields were checked when ``self`` was made, so only the
+        distance is checked again, with the errors of :meth:`__post_init__`.
+        """
+        if not math.isfinite(distance_km):
+            raise ValueError(f"distance_km must be finite, got {distance_km}")
+        if distance_km < 0.0:
+            raise ValueError(f"distance_km must be nonnegative, got {distance_km}")
+        moved = object.__new__(type(self))
+        vars(moved).update(vars(self), distance_km=distance_km)
+        object.__setattr__(moved, "_transmittance", side_transmittance(moved))
+        return moved
 
 
 def side_transmittance(params: ChannelParams) -> float:
@@ -127,7 +145,7 @@ def pair_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams) -> t
     Returns ``(Q, EQ)`` clamped to ``0 <= EQ <= Q <= 1``.
     """
     _check_intensities(mu_a, mu_b)
-    eta = side_transmittance(params)
+    eta = params._transmittance
     ea, eb = eta * mu_a, eta * mu_b
     x = math.sqrt(ea * eb) / 2.0
     mu_p = (ea + eb) / 2.0
@@ -258,7 +276,7 @@ def _cell_counts(pool, cells: list[tuple[float, float, str, ChannelParams, int, 
     jobs = (
         pool.submit(_chunk_counts, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params)
         for mu_a, mu_b, basis, params, trials, seed in cells
-        for eta in (side_transmittance(params),)
+        for eta in (params._transmittance,)
         for k, first in enumerate(range(0, trials, _CHUNK_SIZE))
     )
     window: deque = deque()
@@ -406,7 +424,7 @@ def simulation_intensity(side_sources, source: str) -> float:
     """
     if source == "v":
         return side_sources.vacuum_cap / 2.0
-    return {"x": side_sources.mu_x, "y": side_sources.mu_y, "z": side_sources.mu_z}[source]
+    return getattr(side_sources, _INTENSITY[source])
 
 
 # The (Alice, Bob) sources whose observables the key-rate analysis reads,
@@ -433,20 +451,19 @@ def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairOb
 
     Counts are rounded to integers (round-half-even) since any real run
     records integers.  An X-basis yield is symmetric in the two intensities
-    bit for bit, so pairs with swapped intensities, such as v-x and x-v of
-    symmetric sources, share one :func:`pair_yield` call.  A Z-basis yield
-    is not: its two click factors multiply in the order of the arguments.
+    bit for bit, so on sides given as one object a pair and its mirror, such
+    as v-x and x-v, share one :func:`pair_yield` call.  A Z-basis yield is
+    not: its two click factors multiply in the order of the arguments.
     """
     alice = _side_table(ensemble.alice)
-    bob = alice if ensemble.bob is ensemble.alice else _side_table(ensemble.bob)
-    yields: dict[tuple[str, float, float], tuple[float, float]] = {}
+    shared = ensemble.bob is ensemble.alice
+    bob = alice if shared else _side_table(ensemble.bob)
+    yields: dict[tuple[str, str, str], tuple[float, float]] = {}
     pairs: dict[tuple[str, str], SourceCounts] = {}
     for l, r, basis in _ANALYSED_PAIRS:
         (p_l, mu_l), (p_r, mu_r) = alice[l], bob[r]
-        key = (basis, min(mu_l, mu_r), max(mu_l, mu_r)) if basis == "X" else (basis, mu_l, mu_r)
-        if key not in yields:
-            yields[key] = pair_yield(mu_l, mu_r, basis, params)
-        q, eq = yields[key]
+        mirror = yields.get((r, l, basis)) if shared and basis == "X" else None
+        q, eq = yields[(l, r, basis)] = pair_yield(mu_l, mu_r, basis, params) if mirror is None else mirror
         emitted = p_l * p_r * params.n_pairs
         counts = round(emitted * q)
         errors = min(round(emitted * eq), counts)

@@ -291,10 +291,9 @@ def _curve(inputs: AnalysisInputs, sigma_y: float, counter: InvocationCounter) -
 
 def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateCurve, float, float]:
     """``(curve, h_lower, h_upper)``, with every Chernoff bound solved once."""
-    empty = next((pair for pair, entry in inputs.observables.pairs.items() if not entry.emitted > 0.0), None)
-    if empty is not None:
-        l, r = empty
-        raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
+    for (l, r), entry in inputs.observables.pairs.items():
+        if not entry.emitted > 0.0:
+            raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
     sigma_x, sigma_y = _sigma_factors(inputs.bounds)
     curve = _curve(inputs, sigma_y, counter)
     h_lower, h_upper = _h_lower(inputs, sigma_x, counter), 2.0 * curve.txx_upper

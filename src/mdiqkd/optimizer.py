@@ -94,17 +94,24 @@ def evaluate(problem: OptimizationProblem, point) -> float:
         values = tuple(point)
     except TypeError:
         values = ()
-    if len(values) != 6 or not all(isinstance(v, numbers.Real) for v in values):
+    # A float is a Real; the check of the ABC is kept for the other types.
+    if len(values) != 6 or not all(type(v) is float or isinstance(v, numbers.Real) for v in values):
         raise ValueError(f"expected six real numbers (mu_x, mu_y, mu_z, p_x, p_y, p_z), got {point!r}")
     if not all(lo <= v <= hi for lo, v, hi in zip(BOX_LOWER, values, BOX_UPPER)):  # NaN fails too
         return 0.0
     sources = problem.sources(values)
     if sources is None:
         return 0.0
-    return secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(sources), problem.channel)).rate
+    return _score(problem, SourceEnsemble.symmetric(sources))
 
 
-def _random_start(problem: OptimizationProblem, rng: random.Random) -> tuple[float, ...]:
+def _score(problem: OptimizationProblem, ensemble: SourceEnsemble) -> float:
+    """Secure key rate of ``ensemble`` under the problem's channel."""
+    return secure_key_rate(AnalysisInputs.from_simulation(ensemble, problem.channel)).rate
+
+
+def _random_start(problem: OptimizationProblem, rng: random.Random) -> tuple[tuple[float, ...], SourceEnsemble]:
+    """A random point inside the box whose sources pass the decoy conditions, with those sources."""
     for _ in range(1000):
         mu_x = rng.uniform(0.01, 0.25)
         mu_y = rng.uniform(mu_x * 2.0 + 0.05, min(1.0, mu_x * 2.0 + 0.7))
@@ -114,8 +121,10 @@ def _random_start(problem: OptimizationProblem, rng: random.Random) -> tuple[flo
         p_z = rng.uniform(0.3, 0.8)
         point = (mu_x, mu_y, mu_z, p_x, p_y, p_z)
         sources = problem.sources(point)
-        if sources is not None and sources.p_v >= 0.02 and SourceEnsemble.symmetric(sources).bounds.decoy.passed:
-            return point
+        if sources is not None and sources.p_v >= 0.02:
+            ensemble = SourceEnsemble.symmetric(sources)
+            if ensemble.bounds.decoy.passed:
+                return point, ensemble
     raise ValueError(
         f"could not sample a feasible starting point: at fluctuation {problem.fluctuation:g} "
         f"and vacuum cap {problem.vacuum_cap:g} no random start passes the decoy conditions"
@@ -225,8 +234,7 @@ def optimize(
 
     log: list[tuple[tuple[float, ...], float]] = []
 
-    def logged_rate(point: tuple[float, ...]) -> float:
-        rate = evaluate(problem, point)
+    def logged(point: tuple[float, ...], rate: float) -> float:
         log.append((point, rate))
         return rate
 
@@ -237,12 +245,13 @@ def optimize(
         else:
             # A string seed is hashed with SHA-512, so the draws are the same on every platform.
             rng = random.Random(f"{seed}/{restart}")
-            start = _random_start(problem, rng)
+            # A start lies in the box and its sources are checked, so it is scored as evaluate would score it.
+            start, ensemble = _random_start(problem, rng)
             for _ in range(_START_PROBES):
-                if logged_rate(start) > 0.0:
+                if logged(start, _score(problem, ensemble)) > 0.0:
                     break
-                start = _random_start(problem, rng)
-        _nelder_mead(lambda point: -logged_rate(point), start, per_restart)
+                start, ensemble = _random_start(problem, rng)
+        _nelder_mead(lambda point: -logged(point, evaluate(problem, point)), start, per_restart)
 
     best_point, best_rate = max(log, key=lambda entry: entry[1])
     return OptimizationResult(point=best_point, rate=best_rate, evaluations=tuple(log))

@@ -18,9 +18,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 SOURCES = ("v", "x", "y", "z")
+
+# The field holding each source's emission probability, and each fluctuating source's nominal intensity.
+_PROBABILITY = {"v": "p_v", "x": "p_x", "y": "p_y", "z": "p_z"}
+_INTENSITY = {"x": "mu_x", "y": "mu_y", "z": "mu_z"}
 
 # Every intensity interval must end below this: at or above it the
 # zero-photon coefficient e^-mu underflows the smallest normal float.
@@ -38,12 +41,15 @@ def poisson_coeff(mu: float, k: int) -> float:
     ``exp(k log mu - mu - lgamma(k + 1))``, so large ``k`` neither overflows
     the factorial nor underflows prematurely.  The k = 1 and k = 2 forms
     drop the ``k *`` and call no ``lgamma``, with the same result bit for bit.
+    A ``k`` that is not a plain ``int`` (a bool, or a whole float) counts as
+    its integer value.
     """
-    if not (0 <= k < math.inf and k == int(k)):
-        raise ValueError(f"photon number must be a nonnegative integer, got {k!r}")
+    if type(k) is not int or k < 0:
+        if not (0 <= k < math.inf and k == int(k)):
+            raise ValueError(f"photon number must be a nonnegative integer, got {k!r}")
+        k = int(k)
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"intensity must be finite and nonnegative, got {mu!r}")
-    k = int(k)
     if mu == 0.0:
         return 1.0 if k == 0 else 0.0
     if k == 0:
@@ -104,9 +110,8 @@ class SideSources:
             raise ValueError(f"vacuum_cap must be nonnegative, got {self.vacuum_cap}")
         if not (0.0 <= self.fluctuation < 1.0):
             raise ValueError(f"fluctuation must lie in [0, 1), got {self.fluctuation}")
-        probs = {"p_v": self.p_v, "p_x": self.p_x, "p_y": self.p_y, "p_z": self.p_z}
-        for name, p in probs.items():
-            if p <= 0.0:
+        for name in _PROBABILITY.values():
+            if (p := getattr(self, name)) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {p}")
         total = self.p_v + self.p_x + self.p_y + self.p_z
         if abs(total - 1.0) > _PROB_TOL:
@@ -120,31 +125,34 @@ class SideSources:
                 )
 
     def probability(self, source: str) -> float:
-        return {"v": self.p_v, "x": self.p_x, "y": self.p_y, "z": self.p_z}[source]
+        return getattr(self, _PROBABILITY[source])
 
     def intensity_interval(self, source: str) -> tuple[float, float]:
         """Admissible per-pulse intensity range of one source."""
         if source == "v":
             return 0.0, self.vacuum_cap
-        mu = {"x": self.mu_x, "y": self.mu_y, "z": self.mu_z}[source]
+        mu = getattr(self, _INTENSITY[source])
         return mu * (1.0 - self.fluctuation), mu * (1.0 + self.fluctuation)
 
 
 @dataclass(frozen=True)
 class SourceEnsemble:
-    """Source configurations of both sides."""
+    """Source configurations of both sides.
+
+    ``bounds``, the worst-case coefficient bounds of these sources, is built
+    once per ensemble, when it is made.  It is not a field, so equality,
+    hashing and ``repr`` see the sources alone.
+    """
 
     alice: SideSources
     bob: SideSources
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bounds", coeff_bounds(self))
+
     @classmethod
     def symmetric(cls, side: SideSources) -> "SourceEnsemble":
         return cls(alice=side, bob=side)
-
-    @cached_property
-    def bounds(self) -> PhotonCoeffBounds:
-        """The worst-case coefficient bounds of these sources, built once per ensemble."""
-        return coeff_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -170,15 +178,18 @@ class SideCoeffBounds:
 
 @dataclass(frozen=True)
 class PhotonCoeffBounds:
-    """Coefficient bounds for both sides (Alice's are the a's, Bob's the b's)."""
+    """Coefficient bounds for both sides (Alice's are the a's, Bob's the b's).
+
+    ``decoy``, the decoy-condition verdict on these bounds, is computed once
+    per coefficient table, when the table is made; like ``bounds`` of
+    :class:`SourceEnsemble` it is not a field.
+    """
 
     alice: SideCoeffBounds
     bob: SideCoeffBounds
 
-    @cached_property
-    def decoy(self) -> DecoyConditionReport:
-        """The decoy-condition verdict on these bounds, computed once per table."""
-        return check_decoy_conditions(self)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "decoy", check_decoy_conditions(self))
 
 
 def _side_bounds(side: SideSources) -> SideCoeffBounds:
@@ -187,7 +198,10 @@ def _side_bounds(side: SideSources) -> SideCoeffBounds:
     lower: dict[str, tuple[float, ...]] = {}
     upper: dict[str, tuple[float, ...]] = {}
     for source, (mu_lo, mu_hi) in intervals.items():
-        lower[source], upper[source] = zip(*(coeff_interval(mu_lo, mu_hi, k) for k in range(3)))
+        (lo0, hi0), (lo1, hi1), (lo2, hi2) = (
+            coeff_interval(mu_lo, mu_hi, 0), coeff_interval(mu_lo, mu_hi, 1), coeff_interval(mu_lo, mu_hi, 2)
+        )
+        lower[source], upper[source] = (lo0, lo1, lo2), (hi0, hi1, hi2)
     return SideCoeffBounds(intervals=intervals, lower=lower, upper=upper)
 
 
@@ -244,29 +258,36 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
       ``a_1^{v,U} = 0`` the vacuum source is exactly vacuum and the
       condition holds by convention (every downstream use enters through
       factors that vanish with it).
+
+    Sides given as one object, as in :func:`coeff_bounds`, are checked once.
     """
+    alice = _side_failures(bounds.alice)
+    bob = alice if bounds.bob is bounds.alice else _side_failures(bounds.bob)
+    return DecoyConditionReport(failures=tuple([f"alice:{f}" for f in alice] + [f"bob:{f}" for f in bob]))
+
+
+def _side_failures(sb: SideCoeffBounds) -> list[str]:
+    """The ``check: detail`` failures of one side, for :func:`check_decoy_conditions`."""
     failures: list[str] = []
-    for side_name, sb in (("alice", bounds.alice), ("bob", bounds.bob)):
-        x_lo, x_hi = sb.intervals["x"]
-        y_lo, y_hi = sb.intervals["y"]
-        if not x_hi < y_lo:
-            failures.append(
-                f"{side_name}:intensity-intervals-disjoint: "
-                f"x interval [{x_lo:g}, {x_hi:g}] overlaps y interval [{y_lo:g}, {y_hi:g}]"
-            )
+    x_lo, x_hi = sb.intervals["x"]
+    y_lo, y_hi = sb.intervals["y"]
+    if not x_hi < y_lo:
+        failures.append(
+            "intensity-intervals-disjoint: "
+            f"x interval [{x_lo:g}, {x_hi:g}] overlaps y interval [{y_lo:g}, {y_hi:g}]"
+        )
 
-        a1v_hi = sb.hi("v", 1)
-        if a1v_hi != 0.0:
-            bad = next((s for s in ("x", "y") if sb.lo(s, 2) * a1v_hi < sb.hi(s, 1) * sb.hi("v", 2)), None)
-            if bad is not None:
-                failures.append(f"{side_name}:vacuum-ratio: source {bad} violates the vacuum ratio at k=2")
-            else:
-                cap = sb.intervals["v"][1]
-                tail = next((s for s in ("x", "y") if sb.intervals[s][0] < cap and sb.hi(s, 1) > 0.0), None)
-                if tail is not None:
-                    failures.append(
-                        f"{side_name}:vacuum-ratio: source {tail} violates the vacuum ratio at large k: "
-                        f"its interval starts at {sb.intervals[tail][0]:g}, below the vacuum cap {cap:g}"
-                    )
-
-    return DecoyConditionReport(failures=tuple(failures))
+    a1v_hi = sb.hi("v", 1)
+    if a1v_hi != 0.0:
+        bad = next((s for s in ("x", "y") if sb.lo(s, 2) * a1v_hi < sb.hi(s, 1) * sb.hi("v", 2)), None)
+        if bad is not None:
+            failures.append(f"vacuum-ratio: source {bad} violates the vacuum ratio at k=2")
+        else:
+            cap = sb.intervals["v"][1]
+            tail = next((s for s in ("x", "y") if sb.intervals[s][0] < cap and sb.hi(s, 1) > 0.0), None)
+            if tail is not None:
+                failures.append(
+                    f"vacuum-ratio: source {tail} violates the vacuum ratio at large k: "
+                    f"its interval starts at {sb.intervals[tail][0]:g}, below the vacuum cap {cap:g}"
+                )
+    return failures

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 # Outward nudge of a bound, relative, per unit of ``2 + |t|``.  The solved
@@ -41,7 +43,9 @@ class ChernoffConfig:
     """Failure probability per bound, and the switch to the infinite-data limit.
 
     ``disabled=True`` collapses every envelope onto the observed value, which
-    turns the finite-data analysis into its infinite-data limit.
+    turns the finite-data analysis into its infinite-data limit.  Each
+    instance holds ``ln(2/xi)``, which every bound reads, computed once when
+    it is made; it is not a field.
     """
 
     xi: float
@@ -50,21 +54,15 @@ class ChernoffConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.xi < 1.0):
             raise ValueError(f"failure probability must lie in (0, 1), got {self.xi}")
+        # ln(2/xi), finite also where 2/xi overflows.
+        object.__setattr__(self, "_log_two_over_xi", math.log(2.0) - math.log(self.xi))
 
 
 class InvocationCounter:
-    """Tallies Chernoff uses so a caller can budget failure probability."""
+    """Tallies Chernoff uses, in ``count``, so a caller can budget failure probability."""
 
     def __init__(self) -> None:
         self.count = 0
-
-    def bump(self) -> None:
-        self.count += 1
-
-
-def _log_two_over(xi: float) -> float:
-    """``ln(2/xi)``, finite also where ``2/xi`` overflows."""
-    return math.log(2.0) - math.log(xi)
 
 
 def _log_root(eps: float, t: float) -> float:
@@ -91,10 +89,10 @@ def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
     if cfg.disabled:
         return float(x)
     if counter is not None:
-        counter.bump()
+        counter.count += 1
     if x == 0:
         return 0.0
-    eps = _log_two_over(cfg.xi) / x
+    eps = cfg._log_two_over_xi / x
     # Outside the root: f(-1-eps) = eps + e^(-1-eps), and for eps < 1/2,
     # f(-a) >= a^2/2 - a^3/6 >= eps at a = sqrt(2 eps) + eps.
     t = _log_root(eps, -(eps + min(1.0, math.sqrt(2.0 * eps))))
@@ -110,27 +108,29 @@ def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
     if cfg.disabled:
         return float(x)
     if counter is not None:
-        counter.bump()
+        counter.count += 1
     if x == 0:
         # Zero-observation tail: expectations above ln(2/xi) would have
         # produced at least one count except with probability xi/2.  The
         # nudge covers the rounding of the logarithms.
-        return _log_two_over(cfg.xi) * (1.0 + _NUDGE)
-    eps = _log_two_over(cfg.xi) / x
+        return cfg._log_two_over_xi * (1.0 + _NUDGE)
+    eps = cfg._log_two_over_xi / x
     # Outside the root: f(t) >= t^2/2 for t >= 0, and f(ln(2 (1 + eps))) =
     # 1 + 2 eps - ln(2 (1 + eps)) >= eps.
     t = _log_root(eps, min(math.sqrt(2.0 * eps), math.log(2.0 * (1.0 + eps))))
     return (x + x * math.expm1(t)) * (1.0 + _NUDGE * (2.0 + t))
 
 
-def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, float, float]]:
+    """``(-c, c, x)`` of each term as floats; ``-c`` is the sort key of :func:`_telescope`."""
     out = []
     for c, x in terms:
         if c < 0:
             raise ValueError(f"combination coefficients must be nonnegative, got {c}")
         if not 0 <= x < math.inf:
             raise ValueError(f"observed counts must be finite and nonnegative, got {x}")
-        out.append((float(c), float(x)))
+        c = float(c)
+        out.append((-c, c, float(x)))
     if not out:
         raise ValueError("at least one (coefficient, count) term is required")
     return out
@@ -146,14 +146,14 @@ def _telescope(
 
     Each level pools every count whose coefficient is at least that level's,
     weighted by the drop to the next coefficient; ties collapse into a single
-    pooled bound.
+    pooled bound.  The last level drops to zero.
     """
-    ts = sorted(_validated_terms(terms), key=lambda t: -t[0])
+    levels = sorted(_validated_terms(terms), key=itemgetter(0))
+    levels.append((0.0, 0.0, 0.0))
     total = 0.0
     cum = 0.0
-    for i, (c, x) in enumerate(ts):
+    for (_, c, x), (_, c_next, _) in pairwise(levels):
         cum += x
-        c_next = ts[i + 1][0] if i + 1 < len(ts) else 0.0
         if c > c_next:
             total += (c - c_next) * bound(cum, cfg, counter)
     return total

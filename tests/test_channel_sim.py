@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -79,6 +80,27 @@ def test_error_ratio_tends_to_one_half_at_vanishing_intensity(basis):
     params = ChannelParams(p_d=6.02e-6)
     q, eq = pair_yield(1e-9, 1e-9, basis, params)
     assert eq / q == pytest.approx(0.5, rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("distance", [-1.0, -1e-300, -1, math.nan, math.inf, -math.inf])
+def test_at_distance_rejects_what_the_constructor_rejects(distance):
+    with pytest.raises(ValueError) as built:
+        ChannelParams(eta_d=0.3, distance_km=distance)
+    with pytest.raises(ValueError) as moved:
+        ChannelParams(eta_d=0.3, distance_km=40.0).at_distance(distance)
+    assert str(moved.value) == str(built.value)
+
+
+@pytest.mark.parametrize("distance", [0, 0.0, -0.0, 7.5, 25, 150.0, 1e300])
+def test_at_distance_equals_replace(distance):
+    params = ChannelParams(eta_d=0.3, alpha_f=0.17, p_d=1e-5, distance_km=40.0)
+    moved, replaced = params.at_distance(distance), replace(params, distance_km=distance)
+    # vars() holds the fields and the transmittance pair_yield reads.
+    assert moved == replaced and vars(moved) == vars(replaced)
+    assert type(moved.distance_km) is type(distance) and params.distance_km == 40.0
+    assert side_transmittance(moved).hex() == side_transmittance(replaced).hex()
+    for basis in ("X", "Z"):
+        assert pair_yield(0.3, 0.2, basis, moved) == pair_yield(0.3, 0.2, basis, replaced)
 
 
 @pytest.mark.parametrize("basis", ["X", "Z"])

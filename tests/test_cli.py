@@ -685,6 +685,21 @@ def test_reference_optimize_matches_golden_output(tmp_path, capsys):
     assert log.read_bytes() == (REPO_ROOT / "tests" / "data" / "optimize_reference_evals.csv").read_bytes()
 
 
+def test_reference_scan_over_the_benchmark_range_matches_golden_output(capsys):
+    # Every kilometre to 150 km, past where the fixed sources' rate reaches zero.
+    assert main(["scan", "--config", str(REPO_ROOT / "configs" / "reference.cfg"), "--distances", "0:150:1"]) == 0
+    assert capsys.readouterr().out == (REPO_ROOT / "tests" / "data" / "reference_scan_0_150.csv").read_text(encoding="utf-8")
+
+
+def test_reference_optimize_on_the_zero_plateau_matches_golden_eval_log(tmp_path, capsys):
+    # At 70 km no start finds a positive rate, so every random restart logs all its start probes.
+    reference = (REPO_ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8")
+    config = write_config(tmp_path, reference + "budget = 160\nrestarts = 4\n")
+    log = tmp_path / "evals.csv"
+    assert main(["optimize", "--config", str(config), "--distances", "70", "--eval-log", str(log)]) == 0
+    assert log.read_bytes() == (REPO_ROOT / "tests" / "data" / "optimize_plateau_reference_evals.csv").read_bytes()
+
+
 def test_scan_provenance_headers(tmp_path, capsys):
     config = write_config(tmp_path, "")
     assert main(["scan", "--config", str(config), "--distances", "0,5"]) == 0

@@ -1,10 +1,11 @@
 import inspect
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mdiqkd import ChannelParams, OptimizationProblem, evaluate, optimize, optimizer
+from mdiqkd import ChannelParams, OptimizationProblem, SourceEnsemble, evaluate, optimize, optimizer, source_model
 from mdiqkd.cli import RunConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START
 from tests import oracles
@@ -52,6 +53,14 @@ def test_sane_point_rate_regression(problem_10km):
         pytest.param(SANE_POINT, SANE_RATE, id="tuple"),
         pytest.param(list(SANE_POINT), SANE_RATE, id="list"),
         pytest.param(np.array(SANE_POINT), SANE_RATE, id="array"),
+        # Each real type other than float scores as a float of its value.
+        pytest.param(np.array(SANE_POINT, dtype=np.float32), float.fromhex("0x1.e639703257f15p-18"), id="float32-array"),
+        pytest.param(
+            (Fraction(1, 10), Fraction(2, 5), Fraction(1, 2), Fraction(1, 10), Fraction(1, 10), Fraction(7, 10)),
+            float.fromhex("0x1.e639e7c3c8c95p-18"),
+            id="fractions",
+        ),
+        pytest.param((0.1, 1, 0.5, 0.1, 0.1, 0.7), 0.0, id="int"),
         pytest.param(np.array([0.1, 0.4, float("nan"), 0.1, 0.1, 0.7]), 0.0, id="nan"),
         pytest.param((0.1, 0.4, 1.5, 0.1, 0.1, 0.7), 0.0, id="above-box"),
         pytest.param((0.1, 0.4, 0.5), None, id="short"),
@@ -60,6 +69,7 @@ def test_sane_point_rate_regression(problem_10km):
         pytest.param("0.1234", None, id="string"),
         pytest.param([str(v) for v in SANE_POINT], None, id="strings"),
         pytest.param(0.5, None, id="scalar"),
+        pytest.param(SANE_POINT[:5] + (0.7 + 0j,), None, id="complex"),
     ],
 )
 def test_point_shape_is_checked(problem_10km, point, rate):
@@ -69,6 +79,23 @@ def test_point_shape_is_checked(problem_10km, point, rate):
             evaluate(problem_10km, point)
     else:
         assert evaluate(problem_10km, point) == rate
+
+
+def test_optimize_builds_each_table_once_per_ensemble(monkeypatch):
+    # Without intensity errors or a vacuum cap every random start passes the
+    # decoy conditions, and at 10 km a restart finds a positive start long
+    # before its 40 start probes run out, so every ensemble the search makes
+    # belongs to one logged probe with sources: a simplex vertex, or a start
+    # that is checked and then scored.
+    problem = OptimizationProblem(channel=ChannelParams(n_pairs=1e11, distance_km=10.0))
+    calls = {"coeff_bounds": 0, "check_decoy_conditions": 0}
+    for name in calls:
+        counted = getattr(source_model, name)
+        monkeypatch.setattr(source_model, name, lambda arg, name=name, counted=counted: calls.update({name: calls[name] + 1}) or counted(arg))
+    result = optimize(problem, seed=1, budget=60, restarts=3)
+    assert 3 * 20 < len(result.evaluations) < 3 * 20 + 40  # 20 simplex calls per restart, and some starts
+    made = sum(1 for point, _ in result.evaluations if problem.sources(point) is not None)
+    assert calls == {"coeff_bounds": made, "check_decoy_conditions": made}
 
 
 @pytest.mark.parametrize("key, value", [("fluctuation", 1.5), ("fluctuation", float("nan")), ("vacuum_cap", -1.0)])
@@ -150,7 +177,8 @@ def test_each_restart_gets_budget_share_floored_at_ten_simplex_calls(problem_10k
 
 def test_random_starts_are_pinned(problem_10km):
     # Drawn by random.Random from the string "seed/restart", so no numpy or CPU feature moves them.
-    start = optimizer._random_start(problem_10km, random.Random("1/1"))
+    start, ensemble = optimizer._random_start(problem_10km, random.Random("1/1"))
+    assert ensemble == SourceEnsemble.symmetric(problem_10km.sources(start))
     assert [v.hex() for v in start] == [
         "0x1.7614d83f7d697p-5",
         "0x1.2cb78936a6da2p-2",

@@ -59,6 +59,18 @@ def test_coeff_interval_equals_brute_force_bit_for_bit(mu_lo, width, k):
     ]
 
 
+@pytest.mark.parametrize("k, same_as", [(2.0, 2), (0.0, 0), (True, 1), (False, 0)])
+def test_whole_photon_number_of_another_type_counts_as_its_int(k, same_as):
+    assert poisson_coeff(0.3, k).hex() == poisson_coeff(0.3, same_as).hex()
+
+
+@pytest.mark.parametrize("k", [-1, -1.0, 1.5, math.inf, math.nan])
+def test_photon_number_error_names_the_value(k):
+    with pytest.raises(ValueError) as error:
+        poisson_coeff(0.3, k)
+    assert str(error.value) == f"photon number must be a nonnegative integer, got {k!r}"
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         poisson_coeff(-0.1, 0)
