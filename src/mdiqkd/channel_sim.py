@@ -53,9 +53,15 @@ _CHUNK_SIZE = 1_000_000
 # click uniforms of one block take about 256 KB each.
 _BLOCK_SIZE = 8192
 
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 # Threads that run Monte Carlo chunks at once.  Each chunk has its own seed
 # and counts add up as integers, so the counts do not depend on this.
-_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4)
+_WORKERS = min(_usable_cores(), 4)
 
 
 @dataclass(frozen=True)

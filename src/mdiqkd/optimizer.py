@@ -12,15 +12,22 @@ Appl. 51, 259 (2012)) on Python floats, and the random starts come from
 string-seeded ``random.Random`` draws, so the probe sequence, and every output
 built from it, is the same on every CPU and needs neither numpy nor an
 installed optimization library.
+
+The restarts are independent, so they run on ``min(cores, restarts)``
+processes: this one and ``os.fork`` children, with the logs joined in restart
+order.  No output depends on that count; with one core they run in a plain
+loop here.  A tracer that rebinds this package's functions counts only the
+restarts run in this process.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
 import random
 from dataclasses import dataclass, field
 
-from .channel_sim import ChannelParams
+from .channel_sim import ChannelParams, _usable_cores
 from .keyrate_core import AnalysisInputs, secure_key_rate
 from .source_model import SideSources, SourceEnsemble
 
@@ -38,6 +45,12 @@ _START_PROBES = 40
 # Simplex stopping tolerances on vertex spread and on value spread.
 _XATOL = 1e-4
 _FATOL = 1e-12
+
+# Pipe capacity asked for per forked worker.  A child that fills its pipe
+# waits until this process has run its own restarts and reads it; at about
+# 70 pickled bytes a probe, 1 MiB holds some 15,000 probes, where the default
+# 64 KiB holds under 1,000.
+_PIPE_BYTES = 1 << 20
 
 
 class _BudgetSpent(Exception):
@@ -222,36 +235,139 @@ def optimize(
     rate evaluations, so the simplex calls stay within ``budget`` only when
     ``budget >= 10 * restarts``.  Every restart after the first also probes
     up to ``_START_PROBES`` random starts for a nonzero rate; those probes are
-    evaluated and logged on top.  The returned point is the best over every
-    evaluation made, so it dominates the whole log by construction.  Raises
-    ``ValueError`` on a budget or restart count below one, and when no random
-    start passes the decoy conditions.
+    evaluated and logged on top.  The log is every restart's probes in restart
+    order, and the returned point is the first best over it, so it dominates
+    the whole log by construction.  The restarts run on ``min(cores, restarts)``
+    processes (see :func:`_forked`); the result does not depend on that count.
+    Raises ``ValueError`` on a budget or restart count below one, and when no
+    random start passes the decoy conditions.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
 
+    per_restart = max(budget // restarts, 10)
+    run = lambda restart: _restart(problem, seed, restart, per_restart)
+    workers = min(_usable_cores(), restarts) if hasattr(os, "fork") else 1
+    logs = [run(restart) for restart in range(restarts)] if workers == 1 else _forked(run, restarts, workers)
+    log = [entry for restart_log in logs for entry in restart_log]
+    best_point, best_rate = max(log, key=lambda entry: entry[1])
+    return OptimizationResult(point=best_point, rate=best_rate, evaluations=tuple(log))
+
+
+def _restart(problem: OptimizationProblem, seed: int, restart: int, maxfev: int) -> list[tuple[tuple[float, ...], float]]:
+    """The probes of one restart in order: its start probes, then its simplex calls."""
     log: list[tuple[tuple[float, ...], float]] = []
 
     def logged(point: tuple[float, ...], rate: float) -> float:
         log.append((point, rate))
         return rate
 
-    per_restart = max(budget // restarts, 10)
-    for restart in range(restarts):
-        if restart == 0:
-            start = DEFAULT_START
-        else:
-            # A string seed is hashed with SHA-512, so the draws are the same on every platform.
-            rng = random.Random(f"{seed}/{restart}")
-            # A start lies in the box and its sources are checked, so it is scored as evaluate would score it.
+    if restart == 0:
+        start = DEFAULT_START
+    else:
+        # A string seed is hashed with SHA-512, so the draws are the same on every platform.
+        rng = random.Random(f"{seed}/{restart}")
+        # A start lies in the box and its sources are checked, so it is scored as evaluate would score it.
+        start, ensemble = _random_start(problem, rng)
+        for _ in range(_START_PROBES):
+            if logged(start, _score(problem, ensemble)) > 0.0:
+                break
             start, ensemble = _random_start(problem, rng)
-            for _ in range(_START_PROBES):
-                if logged(start, _score(problem, ensemble)) > 0.0:
-                    break
-                start, ensemble = _random_start(problem, rng)
-        _nelder_mead(lambda point: -logged(point, evaluate(problem, point)), start, per_restart)
+    _nelder_mead(lambda point: -logged(point, evaluate(problem, point)), start, maxfev)
+    return log
 
-    best_point, best_rate = max(log, key=lambda entry: entry[1])
-    return OptimizationResult(point=best_point, rate=best_rate, evaluations=tuple(log))
+
+def _forked(run, restarts: int, workers: int) -> list:
+    """``[run(r) for r in range(restarts)]``, with worker ``w`` running restarts ``w, w + workers, ...``.
+
+    Worker 0 is this process, so a tracer installed here sees every layer; the
+    others are forked children.  A child sends each restart's log, or the
+    exception the restart raised, back over a pipe in restart order, and
+    stops at its first exception.  The exception of the lowest failing
+    restart is raised, as the loop in one process would raise it.  Once a
+    restart fails, only lower restarts are read from the children, and then
+    they are killed.  Every child is reaped before this returns or raises.
+    """
+    import fcntl
+    import pickle
+    import signal
+
+    logs: list = [None] * restarts
+    failed: dict[int, BaseException] = {}
+    lost: dict[int, int] = {}  # restart -> pid of the child that ended without sending it
+    children: list[tuple[int, int, object]] = []  # (worker, pid, read end of its pipe)
+    status: dict[int, int] = {}
+    finished = False  # every child has sent all of its restarts
+    try:
+        for worker in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:  # Linux only; elsewhere a child whose pipe fills waits for the read
+                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except (AttributeError, OSError):
+                pass
+            pipe = os.fdopen(read_end, "rb")
+            try:
+                pid = os.fork()
+            except BaseException:
+                pipe.close()
+                os.close(write_end)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    pipe.close()
+                    with os.fdopen(write_end, "wb") as out:
+                        for restart in range(worker, restarts, workers):
+                            try:
+                                payload = run(restart)
+                            except Exception as exc:
+                                payload = exc
+                            out.write(pickle.dumps(payload))
+                            out.flush()
+                            if isinstance(payload, Exception):
+                                break
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children.append((worker, pid, pipe))
+
+        limit = restarts  # the lowest failed restart: none from there on can change the outcome
+        for restart in range(0, restarts, workers):
+            try:
+                logs[restart] = run(restart)
+            except Exception as exc:
+                failed[restart] = exc
+                limit = restart
+                break
+        for worker, pid, pipe in children:
+            for restart in range(worker, limit, workers):
+                try:
+                    payload = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child ended before sending it whole
+                    payload = None
+                if isinstance(payload, list):
+                    logs[restart] = payload
+                    continue
+                if payload is None:
+                    lost[restart] = pid
+                else:
+                    failed[restart] = payload
+                limit = restart
+                break
+        finished = not (failed or lost)
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            status[pid] = os.waitpid(pid, 0)[1]
+
+    for restart, pid in lost.items():
+        code = os.waitstatus_to_exitcode(status[pid])
+        failed[restart] = RuntimeError(f"search worker {pid} ended with exit code {code} before sending restart {restart}")
+    if failed:
+        raise failed[min(failed)]
+    return logs

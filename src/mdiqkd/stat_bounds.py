@@ -125,7 +125,7 @@ def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, 
     """``(-c, c, x)`` of each term as floats; ``-c`` is the sort key of :func:`_telescope`."""
     out = []
     for c, x in terms:
-        if c < 0:
+        if not c >= 0:  # NaN fails too
             raise ValueError(f"combination coefficients must be nonnegative, got {c}")
         if not 0 <= x < math.inf:
             raise ValueError(f"observed counts must be finite and nonnegative, got {x}")

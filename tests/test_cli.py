@@ -279,7 +279,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_rate_scan_and_optimize_leave_numpy_and_thread_pool_unloaded(tmp_path):
     # rate, scan and the search run in math alone; numpy and the thread pool
-    # are imported only by validate-model, which simulates.
+    # are imported only by validate-model, which simulates.  A search forks
+    # its workers itself, without multiprocessing.
     src = str(Path(mdiqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config = str(write_config(tmp_path))
@@ -293,7 +294,7 @@ def test_rate_scan_and_optimize_leave_numpy_and_thread_pool_unloaded(tmp_path):
         "import sys\nimport mdiqkd.cli\n"
         f"for argv in {commands!r}:\n"
         "    assert mdiqkd.cli.main(argv) == 0\n"
-        "    print(argv[0], [m for m in ('numpy', 'concurrent.futures') if m in sys.modules], file=sys.stderr)"
+        "    print(argv[0], [m for m in ('numpy', 'concurrent.futures', 'multiprocessing') if m in sys.modules], file=sys.stderr)"
     )
     err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
     assert err.splitlines() == ["rate []", "scan []", "optimize []", "scan []"]

@@ -1,17 +1,32 @@
+import contextlib
 import inspect
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mdiqkd import ChannelParams, OptimizationProblem, SourceEnsemble, evaluate, optimize, optimizer, source_model
+from mdiqkd import ChannelParams, OptimizationProblem, SolverError, SourceEnsemble, evaluate, optimize, optimizer, source_model
+from mdiqkd.channel_sim import _usable_cores
 from mdiqkd.cli import RunConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START
 from tests import oracles
 
 SANE_POINT = (0.1, 0.4, 0.5, 0.1, 0.1, 0.7)
 SANE_RATE = pytest.approx(7.245334874083355e-06, rel=1e-10, abs=0.0)
+CORES = _usable_cores()
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Pin this process to one CPU, so optimize runs every restart in process."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +107,8 @@ def test_optimize_builds_each_table_once_per_ensemble(monkeypatch):
     for name in calls:
         counted = getattr(source_model, name)
         monkeypatch.setattr(source_model, name, lambda arg, name=name, counted=counted: calls.update({name: calls[name] + 1}) or counted(arg))
-    result = optimize(problem, seed=1, budget=60, restarts=3)
+    with one_cpu():  # a forked worker's calls are not counted here
+        result = optimize(problem, seed=1, budget=60, restarts=3)
     assert 3 * 20 < len(result.evaluations) < 3 * 20 + 40  # 20 simplex calls per restart, and some starts
     made = sum(1 for point, _ in result.evaluations if problem.sources(point) is not None)
     assert calls == {"coeff_bounds": made, "check_decoy_conditions": made}
@@ -170,8 +186,9 @@ def test_each_restart_gets_budget_share_floored_at_ten_simplex_calls(problem_10k
     caps = []
     simplex = optimizer._nelder_mead
     monkeypatch.setattr(optimizer, "_nelder_mead", lambda func, x0, maxfev: caps.append(maxfev) or simplex(func, x0, maxfev))
-    optimize(problem_10km, budget=12, restarts=8)
-    optimize(problem_10km, budget=100, restarts=4)
+    with one_cpu():  # a forked worker's calls are not counted here
+        optimize(problem_10km, budget=12, restarts=8)
+        optimize(problem_10km, budget=100, restarts=4)
     assert caps == [10] * 8 + [25] * 4
 
 
@@ -280,6 +297,117 @@ def test_simplex_matches_reference_implementation_bit_for_bit(monkeypatch, seed,
     problem = _differential_problem(distance, fluctuation)
     run = lambda simplex: _log_bytes(problem, simplex, monkeypatch, seed, budget, restarts)
     assert run(optimizer._nelder_mead) == run(oracles.nelder_mead)
+
+
+needs_two_cpus = pytest.mark.skipif(CORES < 2, reason="one usable CPU: optimize never forks")
+
+
+def _hex(result):
+    return (
+        [v.hex() for v in result.point],
+        result.rate.hex(),
+        [([v.hex() for v in point], rate.hex()) for point, rate in result.evaluations],
+    )
+
+
+def _pinned_then_free(call, monkeypatch):
+    """``call()`` on one CPU and then on all of them, with the workers forked by each."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    with one_cpu():
+        alone = call()
+    alone_forks = len(forks)
+    free = call()
+    with pytest.raises(ChildProcessError):  # every worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
+    return alone, free, (alone_forks, len(forks) - alone_forks)
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no exception")
+
+
+# (seed, distance_km, fluctuation, budget, restarts): the differential cases,
+# the zero-plateau golden at 70 km, a budget below 10 * restarts, and fewer,
+# as many and more restarts than usable CPUs.
+WORKER_CASES = [
+    *DIFFERENTIAL_CASES,
+    (1, 70.0, 0.01, 160, 4),
+    (1, 25.0, 0.01, 12, 8),
+    *((3, 10.0, 0.01, 60, restarts) for restarts in sorted({1, CORES - 1, CORES, CORES + 1} - {0})),
+]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", WORKER_CASES)
+def test_search_is_the_same_bit_for_bit_on_one_cpu_and_on_all(monkeypatch, seed, distance, fluctuation, budget, restarts):
+    problem = _differential_problem(distance, fluctuation)
+    run = lambda: _hex(optimize(problem, seed=seed, budget=budget, restarts=restarts))
+    alone, free, forks = _pinned_then_free(run, monkeypatch)
+    assert alone == free
+    assert forks == (0, min(CORES, restarts) - 1)
+
+
+@needs_two_cpus
+def test_search_without_a_feasible_start_raises_the_same_error_on_any_worker_count(monkeypatch):
+    problem = _differential_problem(10.0, 0.97)
+    alone, free, forks = _pinned_then_free(lambda: _raised(lambda: optimize(problem, budget=80, restarts=4)), monkeypatch)
+    assert alone == free
+    assert alone[0] is ValueError and alone[1].startswith("could not sample a feasible starting point")
+    assert forks == (0, min(CORES, 4) - 1)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failing", [{0}, {0, 1}, {1}, {1, 2, 3}, {2, 3}, {3}])
+def test_the_lowest_failing_restart_raises_on_any_worker_count(problem_10km, monkeypatch, failing):
+    # Restart r > 0 first draws from random.Random(f"1/{r}"), so that draw
+    # names it; restart 0 is the simplex from DEFAULT_START.  With two
+    # workers, say, this process runs restarts 0 and 2, and a child 1 and 3.
+    named = {random.Random(f"1/{r}").random(): r for r in range(1, 4)}
+    random_start, simplex = optimizer._random_start, optimizer._nelder_mead
+
+    def start(problem, rng):
+        peek = random.Random()
+        peek.setstate(rng.getstate())
+        restart = named.get(peek.random())
+        if restart in failing:
+            raise ValueError(f"no start for restart {restart}")
+        return random_start(problem, rng)
+
+    def nelder_mead(func, x0, maxfev):
+        if x0 == DEFAULT_START and 0 in failing:
+            raise SolverError("restart 0 failed")
+        simplex(func, x0, maxfev)
+
+    monkeypatch.setattr(optimizer, "_random_start", start)
+    monkeypatch.setattr(optimizer, "_nelder_mead", nelder_mead)
+    alone, free, forks = _pinned_then_free(lambda: _raised(lambda: optimize(problem_10km, budget=80, restarts=4)), monkeypatch)
+    assert alone == free
+    lowest = min(failing)
+    assert alone == ((SolverError, "restart 0 failed") if lowest == 0 else (ValueError, f"no start for restart {lowest}"))
+    assert forks == (0, min(CORES, 4) - 1)
+
+
+@needs_two_cpus
+def test_a_worker_that_dies_is_reported_and_reaped(problem_10km, monkeypatch):
+    parent = os.getpid()
+    random_start = optimizer._random_start
+
+    def start(problem, rng):
+        if os.getpid() != parent:
+            os._exit(7)
+        return random_start(problem, rng)
+
+    monkeypatch.setattr(optimizer, "_random_start", start)
+    with pytest.raises(RuntimeError, match=r"^search worker \d+ ended with exit code 7 before sending restart 1$"):
+        optimize(problem_10km, budget=40, restarts=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # scipy sorts the vertices with numpy's default argsort, whose order of tied

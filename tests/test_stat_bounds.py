@@ -135,6 +135,14 @@ def test_negative_inputs_rejected():
                     combo([(1.0, 10.0), (0.0, count)], cfg)
 
 
+@pytest.mark.parametrize("combo", [combo_lower, combo_upper])
+def test_nan_coefficient_rejected(combo):
+    # A NaN passes `c < 0`; in the telescope it then dropped its own term and the one sorted before it.
+    for terms in ([(math.nan, 5000.0)], [(1.0, 5000.0), (math.nan, 7000.0)]):
+        with pytest.raises(ValueError, match="^combination coefficients must be nonnegative, got nan$"):
+            combo(terms, ChernoffConfig(xi=1e-7))
+
+
 @pytest.mark.parametrize("xi", [0.0, 1.0, -1e-7, 2.0])
 def test_failure_probability_outside_unit_interval_rejected(xi):
     with pytest.raises(ValueError, match="failure probability must lie in"):
