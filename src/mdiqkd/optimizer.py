@@ -13,11 +13,12 @@ string-seeded ``random.Random`` draws, so the probe sequence, and every output
 built from it, is the same on every CPU and needs neither numpy nor an
 installed optimization library.
 
-The restarts are independent, so they run on ``min(cores, restarts)``
-processes: this one and ``os.fork`` children, with the logs joined in restart
-order.  No output depends on that count; with one core they run in a plain
-loop here.  A tracer that rebinds this package's functions counts only the
-restarts run in this process.
+The restarts are independent, so on Linux they run on ``min(cores,
+restarts)`` processes: this one and ``os.fork`` children, with the logs joined
+in restart order.  No output depends on that count; with one core, or on a
+platform without ``os.sched_getaffinity``, they run in a plain loop here.  A
+tracer that rebinds this package's functions counts only the restarts run in
+this process.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ _START_PROBES = 40
 # Simplex stopping tolerances on vertex spread and on value spread.
 _XATOL = 1e-4
 _FATOL = 1e-12
-
-# Pipe capacity asked for per forked worker.  A child that fills its pipe
-# waits until this process has run its own restarts and reads it; at about
-# 70 pickled bytes a probe, 1 MiB holds some 15,000 probes, where the default
-# 64 KiB holds under 1,000.
-_PIPE_BYTES = 1 << 20
 
 
 class _BudgetSpent(Exception):
@@ -238,7 +233,8 @@ def optimize(
     evaluated and logged on top.  The log is every restart's probes in restart
     order, and the returned point is the first best over it, so it dominates
     the whole log by construction.  The restarts run on ``min(cores, restarts)``
-    processes (see :func:`_forked`); the result does not depend on that count.
+    processes on Linux (see :func:`_forked`); the result does not depend on
+    that count.
     Raises ``ValueError`` on a budget or restart count below one, and when no
     random start passes the decoy conditions.
     """
@@ -249,7 +245,9 @@ def optimize(
 
     per_restart = max(budget // restarts, 10)
     run = lambda restart: _restart(problem, seed, restart, per_restart)
-    workers = min(_usable_cores(), restarts) if hasattr(os, "fork") else 1
+    # Fork only where the OS keeps an affinity set (Linux).  Elsewhere, as on
+    # macOS, system libraries may start threads that a forked child cannot use.
+    workers = min(_usable_cores(), restarts) if hasattr(os, "sched_getaffinity") else 1
     logs = [run(restart) for restart in range(restarts)] if workers == 1 else _forked(run, restarts, workers)
     log = [entry for restart_log in logs for entry in restart_log]
     best_point, best_rate = max(log, key=lambda entry: entry[1])
@@ -285,12 +283,12 @@ def _forked(run, restarts: int, workers: int) -> list:
     Worker 0 is this process, so a tracer installed here sees every layer; the
     others are forked children.  A child sends each restart's log, or the
     exception the restart raised, back over a pipe in restart order, and
-    stops at its first exception.  The exception of the lowest failing
+    stops at its first exception; one whose pipe fills waits until this process
+    has run its own restarts and reads it.  The exception of the lowest failing
     restart is raised, as the loop in one process would raise it.  Once a
     restart fails, only lower restarts are read from the children, and then
     they are killed.  Every child is reaped before this returns or raises.
     """
-    import fcntl
     import pickle
     import signal
 
@@ -303,10 +301,6 @@ def _forked(run, restarts: int, workers: int) -> list:
     try:
         for worker in range(1, workers):
             read_end, write_end = os.pipe()
-            try:  # Linux only; elsewhere a child whose pipe fills waits for the read
-                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-            except (AttributeError, OSError):
-                pass
             pipe = os.fdopen(read_end, "rb")
             try:
                 pid = os.fork()
