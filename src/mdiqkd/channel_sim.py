@@ -41,7 +41,8 @@ from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .source_model import _INTENSITY, SOURCES, SourceEnsemble
+from .source_model import SourceEnsemble
+from .stat_bounds import ChernoffConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,8 +69,9 @@ _WORKERS = min(_usable_cores(), 4)
 class ChannelParams:
     """Experiment-level parameters (symmetric channel, identical detectors).
 
-    Each instance holds its :func:`side_transmittance`, computed once when it
-    is made; it is not a field.
+    Each instance holds its :func:`side_transmittance` and the
+    :class:`ChernoffConfig` of its ``xi``, computed once when it is made;
+    neither is a field.
     """
 
     e0: float = 0.5  # error rate of vacuous counts
@@ -102,12 +104,14 @@ class ChannelParams:
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be at least 1, got {self.f_ec}")
         object.__setattr__(self, "_transmittance", side_transmittance(self))
+        object.__setattr__(self, "_chernoff", ChernoffConfig(xi=self.xi))
 
     def at_distance(self, distance_km: float) -> "ChannelParams":
         """These parameters at another distance; equal to ``dataclasses.replace(self, distance_km=distance_km)``.
 
         The other fields were checked when ``self`` was made, so only the
-        distance is checked again, with the errors of :meth:`__post_init__`.
+        distance is checked again, with the errors of :meth:`__post_init__`,
+        and the copy shares the Chernoff configuration of ``self``.
         """
         if not math.isfinite(distance_km):
             raise ValueError(f"distance_km must be finite, got {distance_km}")
@@ -385,6 +389,20 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
 
 
+def _frozen(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass ``cls`` without ``__post_init__``, given every field.
+
+    The instance's ``__dict__`` is filled in one update, as
+    :meth:`ChannelParams.at_distance` fills it, instead of by one
+    ``object.__setattr__`` per field, so it stays frozen and compares, hashes
+    and prints as the constructor's.  The analysis builds its records per
+    distance through this.
+    """
+    record = object.__new__(cls)
+    vars(record).update(fields)
+    return record
+
+
 @dataclass(frozen=True)
 class SourceCounts:
     """Counts recorded for one two-pulse source."""
@@ -421,60 +439,29 @@ class PairObservables:
         return zz.errors / zz.counts if zz.counts else 0.0
 
 
-def simulation_intensity(side_sources, source: str) -> float:
-    """Intensity at which observables are generated for one source.
-
-    Fluctuating sources emit at their nominal midpoint; the unstable vacuum
-    source at half its cap.  The analysis side keeps using full worst-case
-    intervals regardless.
-    """
-    if source == "v":
-        return side_sources.vacuum_cap / 2.0
-    return getattr(side_sources, _INTENSITY[source])
-
-
-# The (Alice, Bob) sources whose observables the key-rate analysis reads,
-# with the basis each pair is measured in.
-_ANALYSED_PAIRS = (
-    ("v", "v", "X"),
-    ("v", "x", "X"),
-    ("x", "v", "X"),
-    ("x", "x", "X"),
-    ("v", "y", "X"),
-    ("y", "v", "X"),
-    ("y", "y", "X"),
-    ("z", "z", "Z"),
-)
-
-
-def _side_table(side_sources) -> dict[str, tuple[float, float]]:
-    """``(probability, simulation intensity)`` of each of one side's sources."""
-    return {s: (side_sources.probability(s), simulation_intensity(side_sources, s)) for s in SOURCES}
-
-
 def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairObservables:
     """Expected observables at typical intensities for the pairs the analysis reads.
 
-    Counts are rounded to integers (round-half-even) since any real run
-    records integers.  An X-basis yield is symmetric in the two intensities
-    bit for bit, so on sides given as one object a pair and its mirror, such
-    as v-x and x-v, share one :func:`pair_yield` call.  A Z-basis yield is
-    not: its two click factors multiply in the order of the arguments.
+    The pairs, their intensities and their probability products come from
+    ``ensemble.pair_table``.  Counts are rounded to integers
+    (round-half-even) since any real run records integers.  An X-basis yield
+    is symmetric in the two intensities bit for bit, so on sides given as one
+    object a pair and its mirror, such as v-x and x-v, share one
+    :func:`pair_yield` call.  A Z-basis yield is not: its two click factors
+    multiply in the order of the arguments.
     """
-    alice = _side_table(ensemble.alice)
     shared = ensemble.bob is ensemble.alice
-    bob = alice if shared else _side_table(ensemble.bob)
+    n_pairs = params.n_pairs
     yields: dict[tuple[str, str, str], tuple[float, float]] = {}
     pairs: dict[tuple[str, str], SourceCounts] = {}
-    for l, r, basis in _ANALYSED_PAIRS:
-        (p_l, mu_l), (p_r, mu_r) = alice[l], bob[r]
+    for l, r, basis, mu_l, mu_r, p_lr in ensemble.pair_table:
         mirror = yields.get((r, l, basis)) if shared and basis == "X" else None
         q, eq = yields[(l, r, basis)] = pair_yield(mu_l, mu_r, basis, params) if mirror is None else mirror
-        emitted = p_l * p_r * params.n_pairs
+        emitted = p_lr * n_pairs
         counts = round(emitted * q)
         errors = min(round(emitted * eq), counts)
-        pairs[(l, r)] = SourceCounts(emitted, counts, errors)
-    return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
+        pairs[(l, r)] = _frozen(SourceCounts, emitted=emitted, counts=counts, errors=errors)
+    return _frozen(PairObservables, pairs=pairs, n_pairs=float(n_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ Chernoff envelope, with positively-combined groups bounded jointly through
 the telescoping combination bounds rather than term by term (Zhang et al.,
 PRA 95, 012333 (2017)); the groups are those of the four-intensity joint
 constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  Every term of those
-groups, with its weight, is formed in one function, :func:`_terms`.  The
-Z-basis single-photon yield is estimated by its X-basis bound.
+groups is formed in one function, :func:`_terms`, from weights that depend on
+the coefficient table alone, held by it as
+:class:`~mdiqkd.source_model.AnalysisFactors`.  The Z-basis single-photon
+yield is estimated by its X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
 ``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
 """
@@ -30,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 from . import stat_bounds
-from .channel_sim import ChannelParams, PairObservables, build_observables
-from .source_model import PhotonCoeffBounds, SideCoeffBounds, SourceEnsemble
+from .channel_sim import ChannelParams, PairObservables, _frozen, build_observables
+from .source_model import AnalysisFactors, PhotonCoeffBounds, SourceEnsemble
 from .stat_bounds import ChernoffConfig, InvocationCounter
 
 
@@ -41,32 +43,6 @@ class AnalysisInfeasible(ValueError):
 
 class SolverError(RuntimeError):
     """Raised by the slope search over H on a NaN or misplaced infinite slope, or a non-finite minimum."""
-
-
-def _sigma_factors(bounds: PhotonCoeffBounds) -> tuple[float, float]:
-    """Vacuum-contamination factors ``(x_total, y_total)`` from worst-case coefficient bounds.
-
-    Each factor measures how much of a decoy source's zero-photon statistics
-    the unstable vacuum source's one-photon component could fake; the bounds
-    built on them require each per-basis sum, Alice's factor plus Bob's, to
-    stay below one.  Also guards the vacuum-vacuum denominator
-    ``a0_v^L b0_v^L`` that the yield and H bounds divide by.  The products
-    themselves are checked, since two tiny positive bounds can multiply to
-    zero.
-    """
-    a, b = bounds.alice, bounds.bob
-    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
-    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
-    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
-        raise AnalysisInfeasible("zero denominator in contamination factors; coefficient bounds degenerate")
-    x_total = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
-    y_total = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
-    if x_total >= 1.0 or y_total >= 1.0:
-        raise AnalysisInfeasible(
-            f"vacuum contamination too large (x: {x_total:.3g}, y: {y_total:.3g}); "
-            "bounds require each sum below 1"
-        )
-    return x_total, y_total
 
 
 @dataclass(frozen=True)
@@ -83,12 +59,14 @@ class AnalysisInputs:
         """Wire the ensemble's own coefficient bounds to its simulated observables.
 
         The bounds are ``ensemble.bounds``, built once per ensemble, so a
-        distance scan over one ensemble shares a single table.
+        distance scan over one ensemble shares a single table, and the
+        Chernoff configuration is the one ``params`` holds.
         """
-        return cls(
+        return _frozen(
+            cls,
             bounds=ensemble.bounds,
             observables=build_observables(ensemble, params),
-            chernoff=ChernoffConfig(xi=params.xi),
+            chernoff=params._chernoff,
             f_ec=params.f_ec,
         )
 
@@ -102,17 +80,7 @@ def _terms(obs: PairObservables, column: str, *weighted: tuple[float, str, str])
     return terms
 
 
-def _vacuum_ratio(side: SideCoeffBounds, basis: str) -> float:
-    """``l_0^L / v_0^U`` of one side: its basis source's zero-photon floor over the vacuum source's ceiling."""
-    return side.lo(basis, 0) / side.hi("v", 0)
-
-
-def _pair_vacuum_ratio(a: SideCoeffBounds, b: SideCoeffBounds, basis: str) -> float:
-    """``a_0^U b_0^U / (a_v0^L b_v0^L)`` of the basis-basis pair: its zero-photon ceiling over the vacuum pair's floor."""
-    return a.hi(basis, 0) * b.hi(basis, 0) / (a.lo("v", 0) * b.lo("v", 0))
-
-
-def _h_lower(inputs: AnalysisInputs, sigma_x: float, counter: InvocationCounter) -> float:
+def _h_lower(inputs: AnalysisInputs, f: AnalysisFactors, counter: InvocationCounter) -> float:
     """Lower end of the admissible interval for the vacuum-error nuisance H.
 
     Jointly lower-bounds the positive group (v-x, x-v) and jointly
@@ -120,21 +88,20 @@ def _h_lower(inputs: AnalysisInputs, sigma_x: float, counter: InvocationCounter)
     is a physical error fraction.  The upper end is twice the x-x error-rate
     envelope, ``2 txx_upper`` of the rate curve.
     """
-    a, b = inputs.bounds.alice, inputs.bounds.bob
     obs = inputs.observables
     cfg = inputs.chernoff
 
     positive = stat_bounds.combo_lower(
-        _terms(obs, "errors", (_vacuum_ratio(a, "x"), "v", "x"), (_vacuum_ratio(b, "x"), "x", "v")),
+        _terms(obs, "errors", (f.alice_vacuum_x, "v", "x"), (f.bob_vacuum_x, "x", "v")),
         cfg,
         counter,
     )
     negative = stat_bounds.combo_upper(
-        _terms(obs, "errors", (_pair_vacuum_ratio(a, b, "x"), "v", "v"), (sigma_x, "x", "x")),
+        _terms(obs, "errors", (f.pair_vacuum_x, "v", "v"), (f.sigma_x, "x", "x")),
         cfg,
         counter,
     )
-    return max(0.0, 2.0 * (positive - negative) / (1.0 - sigma_x))
+    return max(0.0, 2.0 * (positive - negative) / (1.0 - f.sigma_x))
 
 
 def binary_entropy(x: float) -> float:
@@ -241,49 +208,37 @@ class RateCurve:
         )
 
 
-def _curve(inputs: AnalysisInputs, sigma_y: float, counter: InvocationCounter) -> RateCurve:
+def _curve(inputs: AnalysisInputs, f: AnalysisFactors, counter: InvocationCounter) -> RateCurve:
     """The rate curve.
 
     ``s_plus`` jointly lower-bounds the positive yield group
     ``c_y <S_xx> + K (a0_ratio <S_vy> + b0_ratio <S_yv>)`` and ``s_minus``
     jointly upper-bounds the subtracted y-y and vacuum-vacuum group, with
-    ``K = a1_x^U b2_x^U / (1 - sigma_y)``.
+    ``K = f.scale``.
     """
-    a, b = inputs.bounds.alice, inputs.bounds.bob
     obs = inputs.observables
     cfg = inputs.chernoff
-    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
-    if denominator <= 0.0:
-        raise AnalysisInfeasible(
-            "single-photon denominator is not positive; decoy intensities too close for the bound"
-        )
-    scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y)
-    c_y = a.lo("y", 1) * b.lo("y", 2)
+    scale = f.scale
     s_plus = stat_bounds.combo_lower(
-        _terms(
-            obs,
-            "counts",
-            (c_y, "x", "x"),
-            (scale * _vacuum_ratio(a, "y"), "v", "y"),
-            (scale * _vacuum_ratio(b, "y"), "y", "v"),
-        ),
+        _terms(obs, "counts", (f.c_y, "x", "x"), (scale * f.alice_vacuum_y, "v", "y"), (scale * f.bob_vacuum_y, "y", "v")),
         cfg,
         counter,
     )
     s_minus = stat_bounds.combo_upper(
-        _terms(obs, "counts", (scale, "y", "y"), (scale * _pair_vacuum_ratio(a, b, "y"), "v", "v")),
+        _terms(obs, "counts", (scale, "y", "y"), (scale * f.pair_vacuum_y, "v", "v")),
         cfg,
         counter,
     )
     xx = obs.entry("x", "x")
-    return RateCurve(
+    return _frozen(
+        RateCurve,
         s_plus=s_plus,
         s_minus=s_minus,
         txx_upper=stat_bounds.chernoff_upper(xx.errors, cfg, counter) / xx.emitted,
-        c_y=c_y,
-        denominator=denominator,
-        beta=a.lo("x", 1) * b.lo("x", 1),
-        gamma=a.lo("z", 1) * b.lo("z", 1),
+        c_y=f.c_y,
+        denominator=f.denominator,
+        beta=f.beta,
+        gamma=f.gamma,
         pz2=obs.entry("z", "z").emitted / obs.n_pairs,
         correction=inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate),
     )
@@ -294,9 +249,11 @@ def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateC
     for (l, r), entry in inputs.observables.pairs.items():
         if not entry.emitted > 0.0:
             raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
-    sigma_x, sigma_y = _sigma_factors(inputs.bounds)
-    curve = _curve(inputs, sigma_y, counter)
-    h_lower, h_upper = _h_lower(inputs, sigma_x, counter), 2.0 * curve.txx_upper
+    factors = inputs.bounds.factors
+    if factors.infeasible:
+        raise AnalysisInfeasible(factors.infeasible)
+    curve = _curve(inputs, factors, counter)
+    h_lower, h_upper = _h_lower(inputs, factors, counter), 2.0 * curve.txx_upper
     # Emissions near the float minimum give count weights near its maximum.  s11 is affine in h, so it is
     # finite on the interval if it is at both ends.
     if not all(math.isfinite(curve._yield_and_error(h)[0]) for h in (h_lower, h_upper)):
@@ -331,7 +288,8 @@ class KeyRateReport:
 
 
 def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> KeyRateReport:
-    return KeyRateReport(
+    return _frozen(
+        KeyRateReport,
         rate=0.0,
         h_lower=math.nan,
         h_upper=math.nan,
@@ -342,6 +300,7 @@ def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> Key
         signal_error_rate=obs.signal_error_rate,
         chernoff_invocations=invocations,
         reason=reason,
+        trace_samples=0,
     )
 
 
@@ -418,7 +377,8 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     if not math.isfinite(best_rate):
         raise SolverError(f"candidate rate is not finite at its minimum (h = {best_h!r}, rate = {best_rate!r})")
 
-    return KeyRateReport(
+    return _frozen(
+        KeyRateReport,
         rate=max(0.0, best_rate),
         h_lower=h_lo,
         h_upper=h_hi,

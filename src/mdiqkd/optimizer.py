@@ -281,10 +281,11 @@ def _forked(run, restarts: int, workers: int) -> list:
     """``[run(r) for r in range(restarts)]``, with worker ``w`` running restarts ``w, w + workers, ...``.
 
     Worker 0 is this process, so a tracer installed here sees every layer; the
-    others are forked children.  A child sends each restart's log, or the
-    exception the restart raised, back over a pipe in restart order, and
-    stops at its first exception; one whose pipe fills waits until this process
-    has run its own restarts and reads it.  The exception of the lowest failing
+    others are forked children.  A child sends each restart's result as
+    ``(True, result)``, or the exception the restart raised as
+    ``(False, exception)``, back over a pipe in restart order, and stops at
+    its first exception; one whose pipe fills waits until this process has
+    run its own restarts and reads it.  The exception of the lowest failing
     restart is raised, as the loop in one process would raise it.  Once a
     restart fails, only lower restarts are read from the children, and then
     they are killed.  Every child is reaped before this returns or raises.
@@ -315,12 +316,12 @@ def _forked(run, restarts: int, workers: int) -> list:
                     with os.fdopen(write_end, "wb") as out:
                         for restart in range(worker, restarts, workers):
                             try:
-                                payload = run(restart)
+                                payload = (True, run(restart))
                             except Exception as exc:
-                                payload = exc
+                                payload = (False, exc)
                             out.write(pickle.dumps(payload))
                             out.flush()
-                            if isinstance(payload, Exception):
+                            if not payload[0]:
                                 break
                     code = 0
                 finally:
@@ -339,15 +340,13 @@ def _forked(run, restarts: int, workers: int) -> list:
         for worker, pid, pipe in children:
             for restart in range(worker, limit, workers):
                 try:
-                    payload = pickle.load(pipe)
+                    ok, payload = pickle.load(pipe)
                 except (EOFError, pickle.UnpicklingError):  # the child ended before sending it whole
-                    payload = None
-                if isinstance(payload, list):
-                    logs[restart] = payload
-                    continue
-                if payload is None:
                     lost[restart] = pid
                 else:
+                    if ok:
+                        logs[restart] = payload
+                        continue
                     failed[restart] = payload
                 limit = restart
                 break

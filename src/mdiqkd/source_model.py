@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SOURCES = ("v", "x", "y", "z")
 
@@ -135,13 +136,46 @@ class SideSources:
         return mu * (1.0 - self.fluctuation), mu * (1.0 + self.fluctuation)
 
 
+def simulation_intensity(side_sources: SideSources, source: str) -> float:
+    """Intensity at which observables are generated for one source.
+
+    Fluctuating sources emit at their nominal midpoint; the unstable vacuum
+    source at half its cap.  The analysis side keeps using full worst-case
+    intervals regardless.
+    """
+    if source == "v":
+        return side_sources.vacuum_cap / 2.0
+    return getattr(side_sources, _INTENSITY[source])
+
+
+def _source_table(side_sources: SideSources) -> dict[str, tuple[float, float]]:
+    """``(probability, simulation intensity)`` of each of one side's sources."""
+    return {s: (side_sources.probability(s), simulation_intensity(side_sources, s)) for s in SOURCES}
+
+
+# The (Alice, Bob) sources whose observables the key-rate analysis reads,
+# with the basis each pair is measured in.
+_ANALYSED_PAIRS = (
+    ("v", "v", "X"),
+    ("v", "x", "X"),
+    ("x", "v", "X"),
+    ("x", "x", "X"),
+    ("v", "y", "X"),
+    ("y", "v", "X"),
+    ("y", "y", "X"),
+    ("z", "z", "Z"),
+)
+
+
 @dataclass(frozen=True)
 class SourceEnsemble:
     """Source configurations of both sides.
 
-    ``bounds``, the worst-case coefficient bounds of these sources, is built
-    once per ensemble, when it is made.  It is not a field, so equality,
-    hashing and ``repr`` see the sources alone.
+    Two values are built once per ensemble, when it is made: ``bounds``, the
+    worst-case coefficient bounds of these sources, and ``pair_table``, the
+    ``(l, r, basis, mu_l, mu_r, p_l p_r)`` of each analysed pair, with the
+    simulation intensities of :func:`simulation_intensity`.  Neither is a
+    field, so equality, hashing and ``repr`` see the sources alone.
     """
 
     alice: SideSources
@@ -149,6 +183,10 @@ class SourceEnsemble:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bounds", coeff_bounds(self))
+        alice = _source_table(self.alice)
+        bob = alice if self.bob is self.alice else _source_table(self.bob)
+        table = tuple((l, r, basis, alice[l][1], bob[r][1], alice[l][0] * bob[r][0]) for l, r, basis in _ANALYSED_PAIRS)
+        object.__setattr__(self, "pair_table", table)
 
     @classmethod
     def symmetric(cls, side: SideSources) -> "SourceEnsemble":
@@ -180,9 +218,10 @@ class SideCoeffBounds:
 class PhotonCoeffBounds:
     """Coefficient bounds for both sides (Alice's are the a's, Bob's the b's).
 
-    ``decoy``, the decoy-condition verdict on these bounds, is computed once
+    ``decoy``, the decoy-condition verdict on these bounds, and ``factors``,
+    the :class:`AnalysisFactors` of the key-rate analysis, are computed once
     per coefficient table, when the table is made; like ``bounds`` of
-    :class:`SourceEnsemble` it is not a field.
+    :class:`SourceEnsemble` neither is a field.
     """
 
     alice: SideCoeffBounds
@@ -190,6 +229,93 @@ class PhotonCoeffBounds:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "decoy", check_decoy_conditions(self))
+        object.__setattr__(self, "factors", _analysis_factors(self))
+
+
+class AnalysisFactors(NamedTuple):
+    """The factors of the key-rate analysis that a coefficient table alone fixes.
+
+    ``infeasible`` says why the table cannot support the single-photon
+    bounds, and is empty where it can; the other fields are NaN where it
+    cannot.  ``sigma_x`` and ``sigma_y`` are the vacuum-contamination factors;
+    ``denominator`` that of the yield floor ``s11``; ``scale`` is
+    ``a1_x^U b2_x^U / (1 - sigma_y)``; ``c_y`` is ``a1_y^L b2_y^L``, the
+    coefficient of h in the ``s11`` numerator; ``beta`` is ``a1_x^L b1_x^L``
+    and ``gamma`` is ``a1_z^L b1_z^L``.  The ``*_vacuum_*`` fields are the
+    ratios of :func:`_vacuum_ratio` and :func:`_pair_vacuum_ratio`.
+
+    A named tuple, not a frozen dataclass: the optimizer makes a table at
+    every probe, and a tuple is built, and its class made at import, in a
+    fraction of the time.
+    """
+
+    infeasible: str
+    sigma_x: float = math.nan
+    sigma_y: float = math.nan
+    denominator: float = math.nan
+    scale: float = math.nan
+    c_y: float = math.nan
+    beta: float = math.nan
+    gamma: float = math.nan
+    alice_vacuum_x: float = math.nan
+    bob_vacuum_x: float = math.nan
+    pair_vacuum_x: float = math.nan
+    alice_vacuum_y: float = math.nan
+    bob_vacuum_y: float = math.nan
+    pair_vacuum_y: float = math.nan
+
+
+def _vacuum_ratio(side: SideCoeffBounds, basis: str) -> float:
+    """``l_0^L / v_0^U`` of one side: its basis source's zero-photon floor over the vacuum source's ceiling."""
+    return side.lo(basis, 0) / side.hi("v", 0)
+
+
+def _pair_vacuum_ratio(a: SideCoeffBounds, b: SideCoeffBounds, basis: str) -> float:
+    """``a_0^U b_0^U / (a_v0^L b_v0^L)`` of the basis-basis pair: its zero-photon ceiling over the vacuum pair's floor."""
+    return a.hi(basis, 0) * b.hi(basis, 0) / (a.lo("v", 0) * b.lo("v", 0))
+
+
+def _analysis_factors(bounds: PhotonCoeffBounds) -> AnalysisFactors:
+    """The :class:`AnalysisFactors` of a table, checked in order: the contamination factors, then the denominator.
+
+    Each contamination factor measures how much of a decoy source's
+    zero-photon statistics the unstable vacuum source's one-photon component
+    could fake; the bounds built on them require each per-basis sum, Alice's
+    factor plus Bob's, to stay below one.  The first check also guards the
+    vacuum-vacuum denominator ``a0_v^L b0_v^L`` that the yield and H bounds
+    divide by.  The products themselves are checked, since two tiny positive
+    bounds can multiply to zero.
+    """
+    a, b = bounds.alice, bounds.bob
+    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
+    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
+    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
+        return AnalysisFactors("zero denominator in contamination factors; coefficient bounds degenerate")
+    sigma_x = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
+    sigma_y = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
+    if sigma_x >= 1.0 or sigma_y >= 1.0:
+        return AnalysisFactors(
+            f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
+        )
+    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
+    if denominator <= 0.0:
+        return AnalysisFactors("single-photon denominator is not positive; decoy intensities too close for the bound")
+    return AnalysisFactors(
+        infeasible="",
+        sigma_x=sigma_x,
+        sigma_y=sigma_y,
+        denominator=denominator,
+        scale=a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y),
+        c_y=a.lo("y", 1) * b.lo("y", 2),
+        beta=a.lo("x", 1) * b.lo("x", 1),
+        gamma=a.lo("z", 1) * b.lo("z", 1),
+        alice_vacuum_x=_vacuum_ratio(a, "x"),
+        bob_vacuum_x=_vacuum_ratio(b, "x"),
+        pair_vacuum_x=_pair_vacuum_ratio(a, b, "x"),
+        alice_vacuum_y=_vacuum_ratio(a, "y"),
+        bob_vacuum_y=_vacuum_ratio(b, "y"),
+        pair_vacuum_y=_pair_vacuum_ratio(a, b, "y"),
+    )
 
 
 def _side_bounds(side: SideSources) -> SideCoeffBounds:

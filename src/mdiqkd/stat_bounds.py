@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import pairwise
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -146,16 +145,20 @@ def _telescope(
 
     Each level pools every count whose coefficient is at least that level's,
     weighted by the drop to the next coefficient; ties collapse into a single
-    pooled bound.  The last level drops to zero.
+    pooled bound.  A level is closed when the coefficient drops, before the
+    next count joins the pool, and the last level drops to zero.
     """
     levels = sorted(_validated_terms(terms), key=itemgetter(0))
-    levels.append((0.0, 0.0, 0.0))
     total = 0.0
     cum = 0.0
-    for (_, c, x), (_, c_next, _) in pairwise(levels):
-        cum += x
+    c = levels[0][1]
+    for _, c_next, x in levels:
         if c > c_next:
             total += (c - c_next) * bound(cum, cfg, counter)
+            c = c_next
+        cum += x
+    if c > 0.0:
+        total += c * bound(cum, cfg, counter)
     return total
 
 

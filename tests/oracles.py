@@ -19,9 +19,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
-from mdiqkd.channel_sim import PairObservables, SourceCounts, simulation_intensity
+from mdiqkd.channel_sim import PairObservables, SourceCounts
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
-from mdiqkd.source_model import SOURCES
+from mdiqkd.source_model import SOURCES, simulation_intensity
 
 
 def brentq_lower_deviation(x: float, xi: float) -> float:

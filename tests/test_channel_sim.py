@@ -21,7 +21,7 @@ from mdiqkd import (
     side_transmittance,
     validate_model,
 )
-from mdiqkd import channel_sim
+from mdiqkd import channel_sim, source_model
 from mdiqkd.channel_sim import PairObservables, _i0m1
 
 from .oracles import (
@@ -497,7 +497,7 @@ def test_z_basis_yield_is_not_shared_across_swapped_intensities(monkeypatch, par
     a, b = 0.07745773842747755, 0.2664509487769251
     assert pair_yield(a, b, "Z", params_10km) != pair_yield(b, a, "Z", params_10km)
     side = SideSources(mu_x=a, mu_y=b, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7)
-    monkeypatch.setattr(channel_sim, "_ANALYSED_PAIRS", (("x", "y", "Z"), ("y", "x", "Z")))
+    monkeypatch.setattr(source_model, "_ANALYSED_PAIRS", (("x", "y", "Z"), ("y", "x", "Z")))
     calls = _recorded_pair_yield_calls(monkeypatch)
     build_observables(SourceEnsemble.symmetric(side), params_10km)
     assert [call[:3] for call in calls] == [(a, b, "Z"), (b, a, "Z")]
@@ -527,7 +527,7 @@ def test_observables_regression_fixture(noisy_ensemble, params_10km, observables
 def test_fixture_counts_agree_with_monte_carlo(noisy_ensemble, params_10km, observables_10km):
     # Spot-check three pairs of the stored table against the photon-level
     # simulation; expected counts must sit within 3 sigma of the MC rate.
-    from mdiqkd.channel_sim import simulation_intensity
+    from mdiqkd.source_model import simulation_intensity
 
     trials = 2_000_000
     for i, (l, r, basis) in enumerate([("x", "x", "X"), ("v", "y", "X"), ("z", "z", "Z")]):

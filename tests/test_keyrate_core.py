@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -22,9 +22,9 @@ from mdiqkd import (
     rate_function,
     secure_key_rate,
 )
-from mdiqkd import source_model
+from mdiqkd import channel_sim, source_model
 from mdiqkd.channel_sim import PairObservables
-from mdiqkd.keyrate_core import RateCurve, _convex_minimum, _sigma_factors
+from mdiqkd.keyrate_core import KeyRateReport, RateCurve, _convex_minimum
 
 from .oracles import (
     dense_rate,
@@ -57,15 +57,15 @@ def _scaled(observables: PairObservables, factor: float) -> PairObservables:
 
 
 def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
-    x_total, y_total = _sigma_factors(coeff_bounds(exact_ensemble))
-    assert x_total == y_total == 0.0
+    factors = coeff_bounds(exact_ensemble).factors
+    assert factors.sigma_x == factors.sigma_y == 0.0
 
 
 def test_sigma_reference_value():
     # cap 1e-6 with mu_x = 0.1 and no fluctuation: everything cancels except
     # cap / mu_x = 1e-5 per side.
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=1e-6)
-    x_total, _ = _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
+    x_total = coeff_bounds(SourceEnsemble.symmetric(side)).factors.sigma_x
     assert x_total == pytest.approx(2e-5, rel=1e-12, abs=0.0)
 
 
@@ -73,8 +73,7 @@ def test_sigma_monotone_in_vacuum_cap():
     values = []
     for cap in (0.0, 1e-6, 1e-4, 1e-2):
         side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=cap)
-        x_total, _ = _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
-        values.append(x_total)
+        values.append(coeff_bounds(SourceEnsemble.symmetric(side)).factors.sigma_x)
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -105,10 +104,12 @@ def test_tiny_expected_emissions_overflowing_the_yield_floor_is_zero_report(swee
         rate_function(inputs)
 
 
-def test_sigma_infeasible_when_vacuum_too_unstable():
+def test_sigma_infeasible_when_vacuum_too_unstable(params_10km):
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=0.09)
+    ensemble = SourceEnsemble.symmetric(side)
+    assert ensemble.bounds.factors.infeasible.startswith("vacuum contamination too large")
     with pytest.raises(AnalysisInfeasible, match="contamination"):
-        _sigma_factors(coeff_bounds(SourceEnsemble.symmetric(side)))
+        rate_function(AnalysisInputs.from_simulation(ensemble, params_10km))
 
 
 # --- envelopes --------------------------------------------------------------
@@ -164,7 +165,7 @@ def test_finite_data_bounds_bracket_plugin_values(inputs_10km):
 
 
 def test_joint_splus_dominates_per_term_composition(inputs_10km):
-    _, y_total = _sigma_factors(inputs_10km.bounds)
+    y_total = inputs_10km.bounds.factors.sigma_y
     a, b = inputs_10km.bounds.alice, inputs_10km.bounds.bob
     xx, vy, yv = (inputs_10km.observables.entry(*pair) for pair in (("x", "x"), ("v", "y"), ("y", "v")))
     cfg = inputs_10km.chernoff
@@ -774,3 +775,153 @@ def test_rate_degrades_with_stricter_failure_probability(sweep_side):
         for xi in (1e-7, 1e-10)
     ]
     assert rates[1] <= rates[0]
+
+
+# --- a scan's shared sources and channel ------------------------------------
+
+
+def _exact(report: KeyRateReport) -> list:
+    """Every field of a report, each float by ``float.hex``."""
+    return [v.hex() if isinstance(v, float) else v for v in (getattr(report, f.name) for f in fields(report))]
+
+
+def _scan_matches_fresh_runs(side: SideSources, distances: list[float], **channel) -> set[str]:
+    """Check a scan over one ensemble and one channel against a fresh ensemble and channel at each distance; its reasons."""
+    ensemble = SourceEnsemble.symmetric(side)
+    scanned = ChannelParams(**channel)
+    reasons = set()
+    for distance in distances:
+        report = secure_key_rate(AnalysisInputs.from_simulation(ensemble, scanned.at_distance(distance)))
+        fresh = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(replace(side)), ChannelParams(**channel, distance_km=distance))
+        assert _exact(report) == _exact(secure_key_rate(fresh))
+        reasons.add(report.reason)
+    return reasons
+
+
+@st.composite
+def _random_scan(draw):
+    """Random valid sources, channel keys, a second ``xi`` and distances in any order, repeats included."""
+    mu_x = 10.0 ** draw(st.floats(-2.5, -0.3))
+    p_x, p_y, p_z = draw(st.floats(0.01, 0.4)), draw(st.floats(0.01, 0.4)), draw(st.floats(0.1, 0.8))
+    assume(p_x + p_y + p_z < 0.99)
+    side = SideSources(
+        mu_x=mu_x,
+        mu_y=mu_x * draw(st.floats(1.5, 20.0)),
+        mu_z=draw(st.floats(0.05, 1.0)),
+        p_v=1.0 - p_x - p_y - p_z,
+        p_x=p_x,
+        p_y=p_y,
+        p_z=p_z,
+        vacuum_cap=draw(st.sampled_from([0.0, mu_x * 10.0 ** draw(st.floats(-7.0, 0.0))])),
+        fluctuation=draw(st.floats(0.0, 0.2)),
+    )
+    channel = {"n_pairs": 10.0 ** draw(st.floats(6.0, 14.0)), "xi": 10.0 ** draw(st.floats(-15.0, -1.0))}
+    xi = 10.0 ** draw(st.floats(-15.0, -1.0))
+    distances = draw(st.lists(st.floats(0.0, 150.0), min_size=1, max_size=6))
+    return side, channel, xi, distances
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_random_scan())
+def test_a_scan_that_reuses_its_sources_and_channel_reports_as_fresh_ones_do(scan):
+    side, channel, xi, distances = scan
+    _scan_matches_fresh_runs(side, distances, **channel)
+    # replace() makes the channel anew, with the Chernoff configuration of the new xi.
+    moved = replace(ChannelParams(**channel), xi=xi)
+    assert moved._chernoff == ChernoffConfig(xi=xi) and moved._chernoff._log_two_over_xi == ChernoffConfig(xi=xi)._log_two_over_xi
+    _scan_matches_fresh_runs(side, distances, **{**channel, "xi": xi})
+
+
+def test_at_distance_shares_the_chernoff_config_and_replace_makes_its_own(sweep_side):
+    channel = ChannelParams(n_pairs=1e11, xi=1e-7)
+    assert channel.at_distance(20.0)._chernoff is channel._chernoff
+    moved = replace(channel.at_distance(20.0), xi=1e-3)
+    assert moved._chernoff is not channel._chernoff and moved._chernoff.xi == 1e-3
+    ensemble = SourceEnsemble.symmetric(sweep_side)
+    rate = lambda params: secure_key_rate(AnalysisInputs.from_simulation(ensemble, params)).rate
+    assert rate(moved) == rate(ChannelParams(n_pairs=1e11, xi=1e-3, distance_km=20.0)) > rate(channel.at_distance(20.0)) > 0.0
+
+
+_CORNERS = {
+    "contamination": (
+        SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=0.06),
+        "infeasible: vacuum contamination too large (x: 1.2, y: 0.3)",
+    ),
+    # The denominator underflows to zero: a1_y^L is about 700 e^-700.
+    "denominator": (
+        SideSources(mu_x=0.1, mu_y=700.0, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7),
+        "infeasible: single-photon denominator is not positive",
+    ),
+    "emissions": (
+        SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=1e-165, p_x=0.1, p_y=0.1, p_z=0.8),
+        "infeasible: no expected emissions from source pair v-v",
+    ),
+    "overflow": (
+        SideSources(mu_x=0.028, mu_y=0.248, mu_z=0.459, p_v=1e-160, p_x=0.189, p_y=0.04, p_z=0.771),
+        "infeasible: single-photon yield floor s11 overflows",
+    ),
+    "decoy": (
+        SideSources(mu_x=0.3, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, fluctuation=0.2),
+        "decoy-conditions-failed: alice:intensity-intervals-disjoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("corner", sorted(_CORNERS))
+def test_a_scan_that_reuses_its_sources_reports_each_infeasibility_as_fresh_ones_do(corner):
+    side, reason = _CORNERS[corner]
+    reasons = _scan_matches_fresh_runs(side, [0.0, 50.0, 25.0, 0.0, 150.0], n_pairs=1e11)
+    assert reasons and all(r.startswith(reason) for r in reasons)
+
+
+def test_a_scan_that_reuses_its_sources_reports_an_empty_h_range_as_fresh_ones_do(monkeypatch, sweep_side):
+    # Every X-basis detection with exactly one vacuum side an error, and no x-x
+    # error, puts h_lower above h_upper (as in test_empty_h_range_is_zero_report).
+    honest = channel_sim.pair_yield
+
+    def pair_yield(mu_a, mu_b, basis, params):
+        q, eq = honest(mu_a, mu_b, basis, params)
+        if basis == "X" and (mu_a == 0.0) != (mu_b == 0.0):
+            return q, q
+        return (q, 0.0) if basis == "X" and mu_a == mu_b == sweep_side.mu_x else (q, eq)
+
+    monkeypatch.setattr(channel_sim, "pair_yield", pair_yield)
+    side = replace(sweep_side, vacuum_cap=0.0)
+    assert _scan_matches_fresh_runs(side, [0.0, 50.0, 25.0, 0.0], n_pairs=1e11) == {"h-range-empty"}
+
+
+# --- records built per distance ---------------------------------------------
+
+
+def _records(inputs: AnalysisInputs) -> dict[str, object]:
+    """Each kind of record the analysis builds per distance, as built on the way to a report."""
+    decoy_failed = SourceEnsemble.symmetric(_CORNERS["decoy"][0])
+    return {
+        "SourceCounts": inputs.observables.entry("x", "x"),
+        "PairObservables": inputs.observables,
+        "AnalysisInputs": inputs,
+        "RateCurve": rate_function(inputs)[0],
+        "KeyRateReport": secure_key_rate(inputs),
+        "KeyRateReport-zero": secure_key_rate(AnalysisInputs.from_simulation(decoy_failed, ChannelParams())),
+    }
+
+
+def _hash_or_error(record) -> object:
+    try:
+        return hash(record)
+    except TypeError as exc:  # a record holding a dict
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["SourceCounts", "PairObservables", "AnalysisInputs", "RateCurve", "KeyRateReport", "KeyRateReport-zero"])
+def test_a_record_built_in_one_update_is_the_constructors(inputs_10km, kind):
+    record = _records(inputs_10km)[kind]
+    cls = type(record)
+    assert cls.__name__ == kind.split("-")[0]
+    assert not hasattr(cls, "__post_init__")  # which the one update would skip
+    built = cls(**{f.name: getattr(record, f.name) for f in fields(cls)})
+    assert record == built and repr(record) == repr(built) and vars(record) == vars(built)
+    assert _hash_or_error(record) == _hash_or_error(built)
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))

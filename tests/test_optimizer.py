@@ -1,35 +1,27 @@
-import contextlib
 import inspect
+import json
 import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdiqkd import ChannelParams, OptimizationProblem, SolverError, SourceEnsemble, evaluate, optimize, optimizer, source_model
+from mdiqkd import ChannelParams, OptimizationProblem, SourceEnsemble, evaluate, optimize, optimizer, source_model
 from mdiqkd.channel_sim import _usable_cores
 from mdiqkd.cli import RunConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START
 from tests import oracles
+from tests.fresh_forks import one_cpu, search_problem
 
 SANE_POINT = (0.1, 0.4, 0.5, 0.1, 0.1, 0.7)
 SANE_RATE = pytest.approx(7.245334874083355e-06, rel=1e-10, abs=0.0)
 CORES = _usable_cores()
-
-
-@contextlib.contextmanager
-def one_cpu():
-    """Pin this process to one CPU, so optimize runs every restart in process."""
-    if not hasattr(os, "sched_setaffinity"):  # optimize forks only where it can read the affinity set
-        yield
-        return
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, cpus)
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -289,15 +281,9 @@ DIFFERENTIAL_CASES = [
 ]
 
 
-def _differential_problem(distance, fluctuation):
-    return OptimizationProblem(
-        channel=ChannelParams(n_pairs=1e11, distance_km=distance), vacuum_cap=1e-6, fluctuation=fluctuation
-    )
-
-
 @pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", DIFFERENTIAL_CASES)
 def test_simplex_matches_reference_implementation_bit_for_bit(monkeypatch, seed, distance, fluctuation, budget, restarts):
-    problem = _differential_problem(distance, fluctuation)
+    problem = search_problem(distance, fluctuation)
     run = lambda simplex: _log_bytes(problem, simplex, monkeypatch, seed, budget, restarts)
     assert run(optimizer._nelder_mead) == run(oracles.nelder_mead)
 
@@ -307,34 +293,13 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
-def _hex(result):
-    return (
-        [v.hex() for v in result.point],
-        result.rate.hex(),
-        [([v.hex() for v in point], rate.hex()) for point, rate in result.evaluations],
-    )
-
-
-def _pinned_then_free(call, monkeypatch):
-    """``call()`` on one CPU and then on all of them, with the workers forked by each."""
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    with one_cpu():
-        alone = call()
-    alone_forks = len(forks)
-    free = call()
-    with pytest.raises(ChildProcessError):  # every worker has been reaped
-        os.waitpid(-1, os.WNOHANG)
-    return alone, free, (alone_forks, len(forks) - alone_forks)
-
-
-def _raised(call):
-    try:
-        call()
-    except Exception as exc:
-        return type(exc), str(exc)
-    raise AssertionError("no exception")
+def _fresh(case: str, *args):
+    """The JSON result of ``tests.fresh_forks`` case ``case`` on ``args``, run in a fresh interpreter without numpy."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-X", "dev", "-W", "error", "-m", "tests.fresh_forks", case, json.dumps(args)]
+    done = subprocess.run(command, cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 # (seed, distance_km, fluctuation, budget, restarts): the differential cases,
@@ -350,69 +315,49 @@ WORKER_CASES = [
 
 @needs_two_cpus
 @pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", WORKER_CASES)
-def test_search_is_the_same_bit_for_bit_on_one_cpu_and_on_all(monkeypatch, seed, distance, fluctuation, budget, restarts):
-    problem = _differential_problem(distance, fluctuation)
-    run = lambda: _hex(optimize(problem, seed=seed, budget=budget, restarts=restarts))
-    alone, free, forks = _pinned_then_free(run, monkeypatch)
-    assert alone == free
-    assert forks == (0, min(CORES, restarts) - 1)
+def test_search_is_the_same_bit_for_bit_on_one_cpu_and_on_all(seed, distance, fluctuation, budget, restarts):
+    run = _fresh("search", seed, distance, fluctuation, budget, restarts)
+    assert run["alone"] == run["free"]
+    assert run["forks"] == [0, min(CORES, restarts) - 1]
+    assert run["reaped"]
 
 
 @needs_two_cpus
-def test_search_without_a_feasible_start_raises_the_same_error_on_any_worker_count(monkeypatch):
-    problem = _differential_problem(10.0, 0.97)
-    alone, free, forks = _pinned_then_free(lambda: _raised(lambda: optimize(problem, budget=80, restarts=4)), monkeypatch)
-    assert alone == free
-    assert alone[0] is ValueError and alone[1].startswith("could not sample a feasible starting point")
-    assert forks == (0, min(CORES, 4) - 1)
+def test_search_without_a_feasible_start_raises_the_same_error_on_any_worker_count():
+    run = _fresh("no_feasible_start")
+    assert run["alone"] == run["free"]
+    assert run["alone"][0] == "ValueError" and run["alone"][1].startswith("could not sample a feasible starting point")
+    assert run["forks"] == [0, min(CORES, 4) - 1]
+    assert run["reaped"]
 
 
 @needs_two_cpus
 @pytest.mark.parametrize("failing", [{0}, {0, 1}, {1}, {1, 2, 3}, {2, 3}, {3}])
-def test_the_lowest_failing_restart_raises_on_any_worker_count(problem_10km, monkeypatch, failing):
-    # Restart r > 0 first draws from random.Random(f"1/{r}"), so that draw
-    # names it; restart 0 is the simplex from DEFAULT_START.  With two
-    # workers, say, this process runs restarts 0 and 2, and a child 1 and 3.
-    named = {random.Random(f"1/{r}").random(): r for r in range(1, 4)}
-    random_start, simplex = optimizer._random_start, optimizer._nelder_mead
-
-    def start(problem, rng):
-        peek = random.Random()
-        peek.setstate(rng.getstate())
-        restart = named.get(peek.random())
-        if restart in failing:
-            raise ValueError(f"no start for restart {restart}")
-        return random_start(problem, rng)
-
-    def nelder_mead(func, x0, maxfev):
-        if x0 == DEFAULT_START and 0 in failing:
-            raise SolverError("restart 0 failed")
-        simplex(func, x0, maxfev)
-
-    monkeypatch.setattr(optimizer, "_random_start", start)
-    monkeypatch.setattr(optimizer, "_nelder_mead", nelder_mead)
-    alone, free, forks = _pinned_then_free(lambda: _raised(lambda: optimize(problem_10km, budget=80, restarts=4)), monkeypatch)
-    assert alone == free
+def test_the_lowest_failing_restart_raises_on_any_worker_count(failing):
+    run = _fresh("lowest_failing", sorted(failing))
+    assert run["alone"] == run["free"]
     lowest = min(failing)
-    assert alone == ((SolverError, "restart 0 failed") if lowest == 0 else (ValueError, f"no start for restart {lowest}"))
-    assert forks == (0, min(CORES, 4) - 1)
+    assert run["alone"] == (["SolverError", "restart 0 failed"] if lowest == 0 else ["ValueError", f"no start for restart {lowest}"])
+    assert run["forks"] == [0, min(CORES, 4) - 1]
+    assert run["reaped"]
 
 
 @needs_two_cpus
-def test_a_worker_that_dies_is_reported_and_reaped(problem_10km, monkeypatch):
-    parent = os.getpid()
-    random_start = optimizer._random_start
+def test_a_worker_that_dies_is_reported_and_reaped():
+    run = _fresh("dying_worker")
+    assert run["error"][0] == "RuntimeError"
+    assert re.fullmatch(r"search worker \d+ ended with exit code 7 before sending restart 1", run["error"][1])
+    assert run["forks"] == 1 and run["reaped"]
 
-    def start(problem, rng):
-        if os.getpid() != parent:
-            os._exit(7)
-        return random_start(problem, rng)
 
-    monkeypatch.setattr(optimizer, "_random_start", start)
-    with pytest.raises(RuntimeError, match=r"^search worker \d+ ended with exit code 7 before sending restart 1$"):
-        optimize(problem_10km, budget=40, restarts=2)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@needs_two_cpus
+@pytest.mark.parametrize("kind", ["int", "tuple", "none", "exception"])
+def test_forked_workers_return_any_result_as_the_loop_does(kind):
+    # Each payload is tagged as a result or a raised exception, so a result
+    # that is not a list, None or an exception instance among them, is a result.
+    run = _fresh("forked", kind, 4, 2)
+    assert run["forked"] == run["loop"]
+    assert run["forks"] == 1 and run["reaped"]
 
 
 # scipy sorts the vertices with numpy's default argsort, whose order of tied
@@ -422,7 +367,7 @@ def test_a_worker_that_dies_is_reported_and_reaped(problem_10km, monkeypatch):
 @pytest.mark.parametrize("seed, distance, fluctuation, budget, restarts", [c for c in DIFFERENTIAL_CASES if c[0] != 7])
 def test_simplex_matches_scipy_on_the_cases_it_reproduces(monkeypatch, seed, distance, fluctuation, budget, restarts):
     pytest.importorskip("scipy.optimize")
-    problem = _differential_problem(distance, fluctuation)
+    problem = search_problem(distance, fluctuation)
     run = lambda simplex: _log_bytes(problem, simplex, monkeypatch, seed, budget, restarts)
     assert run(optimizer._nelder_mead) == run(_scipy_nelder_mead)
 
