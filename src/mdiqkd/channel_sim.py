@@ -24,9 +24,12 @@ the closed form's phase integral and coincidence logic; the only fact the two
 share is that a threshold detector seeing mean photon number ``lambda``
 clicks with probability ``1 - (1 - p_d) e^-lambda``.  Given a trial's bits,
 each detector's ``lambda`` is affine in ``cos(phi)``, read from one row of a
-per-pattern table.  The chunks of trials run on a ``ThreadPoolExecutor``, and
-one generator yields each cell's counts in the order its chunks were
-submitted.
+per-pattern table.  No ``lambda`` exceeds its entry's ``offset + |slope|``,
+so a trial whose click uniforms all lie below the no-click probabilities of
+that bound clicks nowhere; the simulation skips the physics of such trials,
+but none of their draws, so its counts are those of computing every trial.
+The chunks of trials run on a ``ThreadPoolExecutor``, and one generator
+yields each cell's counts in the order its chunks were submitted.
 """
 
 from __future__ import annotations
@@ -239,6 +242,12 @@ def monte_carlo_yield(
     order, so the blocks draw the same numbers as one call would.  Changing
     any draw changes the counts.
 
+    A detector's no-click probability never lies below its
+    :func:`_no_click_floor`, so a trial whose four uniforms lie below their
+    floors has no click, and its cosine, intensities and ``exp`` are never
+    computed; every other trial runs the same float operations on the same
+    values.  This cannot change a count: it skips work, not draws.
+
     :func:`validate_model` passes the :func:`_cell_counts` of all its cells
     as ``_counts``, whose next item is this cell's, so that the chunks of
     later cells run while this call waits for this cell's.
@@ -303,19 +312,33 @@ def _cell_counts(pool, cells: list[tuple[float, float, str, ChannelParams, int, 
 
 
 @cache
-def _lookup_tables() -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """``(click weights, success, error)`` lookups, built once on first use.
+def _lookup_tables() -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``(success, error)`` lookups, built once on first use.
 
     A trial's clicks form a 4-bit code, bit k set when detector k (1H, 1V, 2H,
-    2V) fired; successes are 1H+1V, 2H+2V (same port) and 1H+2V, 1V+2H (cross
-    port).  ``error[basis]``, indexed by 16 pattern + code with pattern =
-    2 bit_a + bit_b, says whether a success is an error before misalignment.
+    2V) fired (see :func:`_click_codes`); successes are 1H+1V, 2H+2V (same
+    port) and 1H+2V, 1V+2H (cross port).  ``error[basis]``, indexed by
+    16 pattern + code with pattern = 2 bit_a + bit_b, says whether a success
+    is an error before misalignment.
     """
     import numpy as np
 
     error = {"Z": np.repeat([True, False, False, True], 16)}
     error["X"] = error["Z"] ^ np.tile(np.isin(np.arange(16), [0b0011, 0b1100]), 4)
-    return np.array([1, 2, 4, 8], dtype=np.uint8), np.isin(np.arange(16), [0b0011, 0b1100, 0b1001, 0b0110]), error
+    return np.isin(np.arange(16), [0b0011, 0b1100, 0b1001, 0b0110]), error
+
+
+def _click_codes(clicks: np.ndarray) -> np.ndarray:
+    """The click code of each row of a C-contiguous ``(n, 4)`` bool array: bit k set where column k is.
+
+    A row read as one little-endian uint32 holds column k in bit 8k.  The
+    product with ``2^24 + 2^17 + 2^10 + 2^3`` moves that bit to bit 24 + k;
+    every other term lands in a distinct bit below 20 or at bit 32 and above,
+    so nothing carries into the top byte, which is the code.
+    """
+    import numpy as np
+
+    return (clicks.view("<u4")[:, 0] * np.uint32(0x01020408)) >> np.uint32(24)
 
 
 def _intensity_table(basis: str, ea: float, eb: float) -> tuple[np.ndarray, np.ndarray]:
@@ -342,23 +365,45 @@ def _intensity_table(basis: str, ea: float, eb: float) -> tuple[np.ndarray, np.n
     return offset, slope
 
 
+def _no_click_floor(offset: np.ndarray, slope: np.ndarray, keep: float) -> np.ndarray:
+    """Per ``(pattern, detector)`` entry of the table ``(offset, slope)``, a floor under every no-click probability ``keep e^-lambda``.
+
+    The floor is ``keep e^-top (1 - 2^-40)`` with ``top = offset + |slope|``:
+    since ``|cos| <= 1`` and rounding is monotone, no computed
+    ``lambda = offset + slope cos`` exceeds ``top``, and the ``2^-40``
+    shading covers the rounding of ``exp`` and the products many times over.
+    A floor below ``2^-53`` is 0, since there ``exp`` may be subnormal, with
+    no relative error bound, and only a uniform of 0 lies below it anyway.
+    """
+    import numpy as np
+
+    floor = keep * np.exp(-(offset + np.abs(slope))) * (1.0 - 2.0**-40)
+    floor[floor < 2.0**-53] = 0.0
+    return floor
+
+
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
     """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
 
     The bits and the click uniforms are drawn block by block, in the listed
-    order.  A block's intensities are the :func:`_intensity_table` rows of
-    its bit patterns, turned in place into no-click probabilities in
-    ``(block, 4)`` buffers reused across blocks; a chunk never holds an
-    ``(m, 4)`` array.  One error lookup of :func:`_lookup_tables` classifies
-    each success.
+    order.  A trial whose four click uniforms all lie below the
+    :func:`_no_click_floor` of its bit pattern clicks nowhere.  Only the
+    other, hot, trials of a block get their cosine, their
+    :func:`_intensity_table` rows, ``exp``, the comparison and the
+    :func:`_lookup_tables` lookups: the float operations of every trial on
+    the same values, each on a contiguous array, so the counts are those of
+    computing every trial.  The hot rows are picked out only where the
+    expected hot fraction, one minus the mean over the four patterns of the
+    product of their floors, is at most one half; elsewhere the index is the
+    whole block, as a view.  Intensities go to ``(block, 4)`` buffers reused
+    across blocks.
     """
     import numpy as np
 
-    click_weights, success_of, error_of = _lookup_tables()
+    success_of, error_of = _lookup_tables()
     block = min(_BLOCK_SIZE, m)
     blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
-    cos_phi = rng.uniform(0.0, 2.0 * np.pi, m)
-    np.cos(cos_phi, out=cos_phi)
+    phase = rng.uniform(0.0, 2.0 * np.pi, m)
     bit_a, bit_b = np.empty((2, m), dtype=np.uint8)
     for bits in (bit_a, bit_b):
         for start, stop in blocks:
@@ -367,24 +412,33 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     pattern |= bit_b
 
     offset, slope = _intensity_table(basis, ea, eb)
-    silent, uniform = np.empty((2, block, 4))
-    clicks = np.empty((block, 4), dtype=bool)
-    code = np.empty(m, dtype=np.uint8)  # bit k set when detector k fired
+    # No photon arrives with probability e^-lambda, and no dark count fires
+    # with probability 1 - p_d.
+    keep = 1.0 - params.p_d
+    floor = _no_click_floor(offset, slope, keep)
+    sparse = floor.prod(axis=1).mean() >= 0.5
+    silent, spare, uniform = np.empty((3, block, 4))
+    above = np.empty((block, 4), dtype=bool)
+    raw_errors = []
     for start, stop in blocks:
         n = stop - start
-        lam = offset.take(pattern[start:stop], axis=0, out=silent[:n], mode="clip")
-        lam += np.multiply(slope.take(pattern[start:stop], axis=0, out=uniform[:n], mode="clip"), cos_phi[start:stop, None], out=uniform[:n])
-        # No photon arrives with probability e^-lambda, and no dark count
-        # fires with probability 1 - p_d.
+        u = rng.random(out=uniform[:n])
+        if sparse:
+            floors = floor.take(pattern[start:stop], axis=0, out=silent[:n], mode="clip")
+            rows = np.flatnonzero(_click_codes(np.greater_equal(u, floors, out=above[:n])))
+        else:
+            rows = slice(None)
+        hot, cos_phi = pattern[start:stop][rows], phase[start:stop][rows]
+        k = hot.size
+        lam = offset.take(hot, axis=0, out=silent[:k], mode="clip")
+        lam += np.multiply(slope.take(hot, axis=0, out=spare[:k], mode="clip"), np.cos(cos_phi, out=cos_phi)[:, None], out=spare[:k])
         np.exp(np.negative(lam, out=lam), out=lam)
-        lam *= 1.0 - params.p_d
-        np.greater_equal(rng.random(out=uniform[:n]), lam, out=clicks[:n])
-        np.matmul(clicks[:n].view(np.uint8), click_weights, out=code[start:stop])
+        lam *= keep
+        code = _click_codes(np.greater_equal(u[rows], lam, out=above[:k]))  # bit j set when detector j fired
+        key = np.left_shift(hot, 4) | code
+        raw_errors.append(error_of[basis].take(key[success_of.take(code)]))
 
-    success = success_of.take(code)
-    key = np.left_shift(pattern, 4, out=pattern)
-    key |= code
-    raw_error = error_of[basis].take(key[success])
+    raw_error = np.concatenate(raw_errors)
     flipped = rng.random(raw_error.size) < params.e_d
     return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
 

@@ -284,11 +284,14 @@ def _forked(run, restarts: int, workers: int) -> list:
     others are forked children.  A child sends each restart's result as
     ``(True, result)``, or the exception the restart raised as
     ``(False, exception)``, back over a pipe in restart order, and stops at
-    its first exception; one whose pipe fills waits until this process has
-    run its own restarts and reads it.  The exception of the lowest failing
-    restart is raised, as the loop in one process would raise it.  Once a
-    restart fails, only lower restarts are read from the children, and then
-    they are killed.  Every child is reaped before this returns or raises.
+    its first exception.  A result that cannot be pickled is sent as the
+    exception that pickling raised, and an exception that cannot be pickled
+    and unpickled as a ``RuntimeError`` with its type and message.  A child
+    whose pipe fills waits until this process has run its own restarts and
+    reads it.  The exception of the lowest failing restart is raised, as the
+    loop in one process would raise it.  Once a restart fails, only lower
+    restarts are read from the children, and then they are killed.  Every
+    child is reaped before this returns or raises.
     """
     import pickle
     import signal
@@ -316,12 +319,12 @@ def _forked(run, restarts: int, workers: int) -> list:
                     with os.fdopen(write_end, "wb") as out:
                         for restart in range(worker, restarts, workers):
                             try:
-                                payload = (True, run(restart))
+                                ok, data = True, pickle.dumps((True, run(restart)))
                             except Exception as exc:
-                                payload = (False, exc)
-                            out.write(pickle.dumps(payload))
+                                ok, data = False, _pickled_error(exc)
+                            out.write(data)
                             out.flush()
-                            if not payload[0]:
+                            if not ok:
                                 break
                     code = 0
                 finally:
@@ -364,3 +367,15 @@ def _forked(run, restarts: int, workers: int) -> list:
     if failed:
         raise failed[min(failed)]
     return logs
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """``(False, exc)`` pickled, or, where ``exc`` does not survive the round trip, a ``RuntimeError`` with its type and message."""
+    import pickle
+
+    try:
+        data = pickle.dumps((False, exc))
+        pickle.loads(data)  # an exception whose __init__ takes other arguments pickles, but does not load
+        return data
+    except Exception:
+        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))

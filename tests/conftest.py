@@ -1,3 +1,9 @@
+import os
+
+# Before anything imports numpy: an OpenBLAS thread would make every in-process
+# optimize test fork from a process of two threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 from mdiqkd import AnalysisInputs, ChannelParams, SideSources, SourceEnsemble, build_observables

@@ -3,9 +3,10 @@
 ``optimize`` forks a worker per usable CPU.  A process that forks should have
 one thread, since a forked child can deadlock on a lock another thread held,
 and CPython 3.12 and later warn on ``os.fork()`` where there are more.
-Importing numpy starts a BLAS thread, and the tier-1 process imports numpy, so
-``tests/test_optimizer.py`` runs each case that forks here instead.  From the
-repository root,
+Importing numpy starts a BLAS thread unless ``OPENBLAS_NUM_THREADS`` is 1,
+which ``tests/conftest.py`` sets for the tier-1 process; still,
+``tests/test_optimizer.py`` runs each case that counts forks here, where no
+numpy can start one.  From the repository root,
 
     python -m tests.fresh_forks CASE 'JSON LIST OF ARGUMENTS'
 
@@ -179,7 +180,47 @@ def forked(kind: str, restarts: int, workers: int) -> dict:
     return {"forked": repr(result), "loop": repr([run(r) for r in range(restarts)]), "forks": len(forks), "reaped": _reaped()}
 
 
-CASES = {case.__name__: case for case in (search, no_feasible_start, lowest_failing, dying_worker, forked)}
+class _Unloadable(Exception):
+    """An exception that pickles but does not unpickle: its ``__init__`` takes two arguments and passes one on."""
+
+    def __init__(self, restart, why):
+        super().__init__(f"restart {restart}: {why}")
+
+
+def _failing(make):
+    """A restart that returns its number, except that restart 1 raises ``make(1)``."""
+
+    def run(restart):
+        if restart == 1:
+            raise make(restart)
+        return restart
+
+    return run
+
+
+def _hooked(restart):
+    exc = ValueError(f"restart {restart} failed")
+    exc.hook = lambda: None  # an attribute pickle cannot write
+    return exc
+
+
+# Restart 1 of these runs in the forked child of :func:`unpicklable`, and what
+# it ends in cannot be sent back as it is.
+_UNPICKLABLE = {
+    "result": lambda restart: lambda: restart,
+    "exception": _failing(_hooked),
+    "unloadable": _failing(lambda restart: _Unloadable(restart, "no start")),
+}
+
+
+def unpicklable(kind: str) -> dict:
+    """The error of ``optimizer._forked`` over 2 restarts on 2 workers whose restart 1 ends in ``_UNPICKLABLE[kind]``."""
+    with _counted_forks() as forks:
+        error = _raised(lambda: optimizer._forked(_UNPICKLABLE[kind], 2, 2))
+    return {"error": error, "forks": len(forks), "reaped": _reaped()}
+
+
+CASES = {case.__name__: case for case in (search, no_feasible_start, lowest_failing, dying_worker, forked, unpicklable)}
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ package code used is raw observables, a rate curve's fields, the search box,
 and, in the model-decomposition oracles, the closed-form gain ``pair_yield``
 that they take apart.  The exceptions are
 ``full_observables``, which extends the analysed table to all sixteen pairs
-with the package's own gains, and ``write_observables_csv``, the
-regression-fixture writer.
+with the package's own gains, ``write_observables_csv``, the
+regression-fixture writer, and ``unfiltered_chunk_counts``, the Monte Carlo
+kernel kept as it was before it skipped trials that cannot click, which reads
+the package's lookup and intensity tables.
 """
 
 import cmath
@@ -19,7 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
-from mdiqkd.channel_sim import PairObservables, SourceCounts
+from mdiqkd import channel_sim
+from mdiqkd.channel_sim import _BLOCK_SIZE, PairObservables, SourceCounts, _intensity_table
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
 from mdiqkd.source_model import SOURCES, simulation_intensity
 
@@ -338,3 +341,54 @@ def announced_error(basis: str, bit_a: int, bit_b: int, clicked: set[str]) -> bo
     if same_port:
         return bit_a != bit_b  # a same-port X-basis success announces equal bits
     return bit_a == bit_b  # a cross-port X-basis success announces unequal bits
+
+
+def _lookup_tables():
+    """The package's success and error lookups, after click weights 1, 2, 4, 8: a click code has bit k set where detector k fired."""
+    return (np.array([1, 2, 4, 8], dtype=np.uint8), *channel_sim._lookup_tables())
+
+
+def unfiltered_chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
+    """The Monte Carlo kernel as it was before it skipped trials that cannot click.
+
+    Every trial gets its cosine, its intensity-table rows, ``exp`` and the
+    comparison with its click uniforms; the generator calls and their order
+    are those listed in :func:`mdiqkd.channel_sim.monte_carlo_yield`.  The
+    body is kept as it was, so the shipped kernel's counts are checked
+    against it cell by cell.
+    """
+    import numpy as np
+
+    click_weights, success_of, error_of = _lookup_tables()
+    block = min(_BLOCK_SIZE, m)
+    blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
+    cos_phi = rng.uniform(0.0, 2.0 * np.pi, m)
+    np.cos(cos_phi, out=cos_phi)
+    bit_a, bit_b = np.empty((2, m), dtype=np.uint8)
+    for bits in (bit_a, bit_b):
+        for start, stop in blocks:
+            bits[start:stop] = rng.integers(0, 2, stop - start)
+    pattern = np.left_shift(bit_a, 1, out=bit_a)
+    pattern |= bit_b
+
+    offset, slope = _intensity_table(basis, ea, eb)
+    silent, uniform = np.empty((2, block, 4))
+    clicks = np.empty((block, 4), dtype=bool)
+    code = np.empty(m, dtype=np.uint8)  # bit k set when detector k fired
+    for start, stop in blocks:
+        n = stop - start
+        lam = offset.take(pattern[start:stop], axis=0, out=silent[:n], mode="clip")
+        lam += np.multiply(slope.take(pattern[start:stop], axis=0, out=uniform[:n], mode="clip"), cos_phi[start:stop, None], out=uniform[:n])
+        # No photon arrives with probability e^-lambda, and no dark count
+        # fires with probability 1 - p_d.
+        np.exp(np.negative(lam, out=lam), out=lam)
+        lam *= 1.0 - params.p_d
+        np.greater_equal(rng.random(out=uniform[:n]), lam, out=clicks[:n])
+        np.matmul(clicks[:n].view(np.uint8), click_weights, out=code[start:stop])
+
+    success = success_of.take(code)
+    key = np.left_shift(pattern, 4, out=pattern)
+    key |= code
+    raw_error = error_of[basis].take(key[success])
+    flipped = rng.random(raw_error.size) < params.e_d
+    return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))

@@ -30,6 +30,7 @@ from .oracles import (
     detector_intensities,
     full_observables,
     single_photon_pair_truth,
+    unfiltered_chunk_counts,
     vacuum_error_component,
     write_observables_csv,
 )
@@ -200,9 +201,48 @@ def test_intensity_table_matches_beam_splitter_amplitudes(basis):
             assert kernel.tolist() == pytest.approx(expected, rel=1e-15, abs=1e-15 * (ea + eb)), (ea, eb, phi, pattern)
 
 
+@pytest.mark.parametrize("basis", ["X", "Z"])
+def test_no_click_floor_lies_below_every_no_click_probability(basis):
+    # The kernel's own float operations for each row of the table, over a
+    # phase grid whose cosine reaches 1 and -1 exactly.
+    cos_phi = np.cos(np.append(np.linspace(0.0, 2.0 * np.pi, 2001), np.pi))
+    assert cos_phi.max() == 1.0 and cos_phi.min() == -1.0
+    # The last two reach subnormal and underflowing no-click probabilities.
+    intensities = ((0.0, 0.0), (1e-7, 3e-6), (0.07, 0.07), (0.7, 0.05), (0.0, 0.4), (1.3, 2.9), (5.0, 5.0), (730.0, 725.0), (1500.0, 3.0))
+    for (ea, eb), p_d in product(intensities, (0.0, 6.02e-6, 0.2, 1.0)):
+        offset, slope = channel_sim._intensity_table(basis, ea, eb)
+        keep = 1.0 - p_d
+        floor = channel_sim._no_click_floor(offset, slope, keep)
+        for pattern in range(4):
+            lam = offset[pattern] + slope[pattern] * cos_phi[:, None]
+            no_click = np.exp(np.negative(lam)) * keep
+            assert (floor[pattern] <= no_click).all(), (ea, eb, p_d, pattern)
+            assert (floor[pattern] < no_click)[no_click > 0].all(), (ea, eb, p_d, pattern)
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    mu_a=st.floats(0.0, 5.0),
+    mu_b=st.floats(0.0, 5.0),
+    eta_d=st.floats(0.0, 1.0),
+    distance=st.floats(0.0, 200.0),
+    p_d=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(1.0)),
+    seed=st.integers(0, 2**64 - 1),
+    m=st.sampled_from([1, 8191, 8192, 8193, 3 * 8192 + 1]),
+)
+def test_kernel_counts_match_the_kernel_that_computes_every_trial(basis, mu_a, mu_b, eta_d, distance, p_d, seed, m):
+    # Trials under the no-click floor skip the physics; the counts must not move.
+    params = ChannelParams(eta_d=eta_d, p_d=p_d, distance_km=distance)
+    eta = params._transmittance
+    run = lambda kernel: kernel(np.random.default_rng(seed), m, basis, eta * mu_a, eta * mu_b, params)
+    assert run(channel_sim._chunk_counts) == run(unfiltered_chunk_counts)
+
+
 def test_success_and_error_lookups_follow_the_announcement_rules():
-    click_weights, success, error = channel_sim._lookup_tables()
-    assert click_weights.tolist() == [1, 2, 4, 8]  # bit k of a click code is detector k
+    success, error = channel_sim._lookup_tables()
+    clicks = np.array([[code >> k & 1 for k in range(4)] for code in range(16)], dtype=bool)
+    assert channel_sim._click_codes(clicks).tolist() == list(range(16))  # bit k of a click code is detector k
     for code, basis, (bit_a, bit_b) in product(range(16), ("X", "Z"), product((0, 1), repeat=2)):
         clicked = {name for k, name in enumerate(DETECTORS) if code >> k & 1}
         expected = announced_error(basis, bit_a, bit_b, clicked)
@@ -221,7 +261,7 @@ def test_monte_carlo_chunking_does_not_change_results(monkeypatch):
         assert (a.successes, a.errors) == (b.successes, b.errors) == counts
 
 
-@pytest.mark.parametrize("block_size", [7, 1000])
+@pytest.mark.parametrize("block_size", [1, 7, 1000])
 def test_monte_carlo_counts_do_not_depend_on_block_size(monkeypatch, block_size):
     monkeypatch.setattr(channel_sim, "_BLOCK_SIZE", block_size)
     for _, mu_a, mu_b, basis, overrides, trials, seed, successes, errors in MONTE_CARLO_GOLDEN[-6:]:

@@ -342,6 +342,14 @@ def test_the_lowest_failing_restart_raises_on_any_worker_count(failing):
     assert run["reaped"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread entries to count")
+def test_the_test_process_forks_from_one_thread():
+    # conftest.py keeps numpy's BLAS from starting a thread, so the in-process
+    # optimize tests fork from a process of one thread.
+    assert "numpy" in sys.modules
+    assert len(os.listdir("/proc/self/task")) == 1
+
+
 @needs_two_cpus
 def test_a_worker_that_dies_is_reported_and_reaped():
     run = _fresh("dying_worker")
@@ -357,6 +365,22 @@ def test_forked_workers_return_any_result_as_the_loop_does(kind):
     # that is not a list, None or an exception instance among them, is a result.
     run = _fresh("forked", kind, 4, 2)
     assert run["forked"] == run["loop"]
+    assert run["forks"] == 1 and run["reaped"]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        # The error pickle raised on the result, whose type and wording vary across Python versions.
+        pytest.param("result", r"(AttributeError|PicklingError): .*pickle.*", id="result"),
+        pytest.param("exception", r"RuntimeError: ValueError: restart 1 failed", id="exception"),
+        pytest.param("unloadable", r"RuntimeError: _Unloadable: restart 1: no start", id="unloadable"),
+    ],
+)
+def test_a_restart_whose_outcome_cannot_be_pickled_reports_why(kind, expected):
+    run = _fresh("unpicklable", kind)
+    assert re.fullmatch(expected, ": ".join(run["error"])), run["error"]
     assert run["forks"] == 1 and run["reaped"]
 
 
