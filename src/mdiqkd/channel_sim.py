@@ -450,7 +450,10 @@ def _frozen(cls, **fields):
     :meth:`ChannelParams.at_distance` fills it, instead of by one
     ``object.__setattr__`` per field, so it stays frozen and compares, hashes
     and prints as the constructor's.  The analysis builds its records per
-    distance through this.
+    distance through this.  A name that is not a field, such as the
+    ensemble :meth:`~mdiqkd.keyrate_core.AnalysisInputs.from_simulation`
+    stores, is set the same way and is seen by neither comparison, hashing
+    nor ``repr``.
     """
     record = object.__new__(cls)
     vars(record).update(fields)
@@ -458,64 +461,54 @@ def _frozen(cls, **fields):
 
 
 @dataclass(frozen=True)
-class SourceCounts:
-    """Counts recorded for one two-pulse source."""
-
-    emitted: float  # expected emitted pairs p_l p_r N_t
-    counts: int
-    errors: int
-
-    @property
-    def rate(self) -> float:
-        """Counts per expected emission; 0 where none is expected, and so none counted."""
-        return self.counts / self.emitted if self.emitted else 0.0
-
-
-@dataclass(frozen=True)
 class PairObservables:
-    """Counts and error counts for the two-pulse sources the analysis reads."""
+    """Counts and error counts of the two-pulse sources the analysis reads, by pair ``(l, r)``.
 
-    pairs: dict[tuple[str, str], SourceCounts]
+    ``emitted`` holds the expected emitted pairs ``p_l p_r N_t`` of each pair;
+    the analysis reads that pair's counts only where it expects emissions.
+    """
+
+    emitted: dict[tuple[str, str], float]
+    counts: dict[tuple[str, str], int]
+    errors: dict[tuple[str, str], int]
     n_pairs: float
-
-    def entry(self, alice_source: str, bob_source: str) -> SourceCounts:
-        return self.pairs[(alice_source, bob_source)]
 
     @property
     def signal_rate(self) -> float:
-        """Observed counting rate of the signal-signal source."""
-        return self.entry("z", "z").rate
+        """Observed counting rate of the signal-signal source; 0 where it expects no emissions, and so has no counts."""
+        emitted = self.emitted["z", "z"]
+        return self.counts["z", "z"] / emitted if emitted else 0.0
 
     @property
     def signal_error_rate(self) -> float:
         """Observed error fraction among signal-signal counts."""
-        zz = self.entry("z", "z")
-        return zz.errors / zz.counts if zz.counts else 0.0
+        counts = self.counts["z", "z"]
+        return self.errors["z", "z"] / counts if counts else 0.0
 
 
 def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairObservables:
     """Expected observables at typical intensities for the pairs the analysis reads.
 
-    The pairs, their intensities and their probability products come from
-    ``ensemble.pair_table``.  Counts are rounded to integers
-    (round-half-even) since any real run records integers.  An X-basis yield
-    is symmetric in the two intensities bit for bit, so on sides given as one
-    object a pair and its mirror, such as v-x and x-v, share one
-    :func:`pair_yield` call.  A Z-basis yield is not: its two click factors
-    multiply in the order of the arguments.
+    The pairs, their intensities, their expected emissions and their mirrors
+    come from the ensemble's
+    :meth:`~mdiqkd.source_model.SourceEnsemble.emissions`, which every
+    distance at these ``n_pairs`` shares, so only the counts are made here;
+    ``emitted`` is its ``expected``.  Counts are rounded to integers (round-half-even) since any real
+    run records integers.  An X-basis yield is symmetric in the two
+    intensities bit for bit, so a pair and its mirror, such as v-x and x-v,
+    share one :func:`pair_yield` call.  A Z-basis yield is not: its two click
+    factors multiply in the order of the arguments.
     """
-    shared = ensemble.bob is ensemble.alice
-    n_pairs = params.n_pairs
-    yields: dict[tuple[str, str, str], tuple[float, float]] = {}
-    pairs: dict[tuple[str, str], SourceCounts] = {}
-    for l, r, basis, mu_l, mu_r, p_lr in ensemble.pair_table:
-        mirror = yields.get((r, l, basis)) if shared and basis == "X" else None
-        q, eq = yields[(l, r, basis)] = pair_yield(mu_l, mu_r, basis, params) if mirror is None else mirror
-        emitted = p_lr * n_pairs
-        counts = round(emitted * q)
-        errors = min(round(emitted * eq), counts)
-        pairs[(l, r)] = _frozen(SourceCounts, emitted=emitted, counts=counts, errors=errors)
-    return _frozen(PairObservables, pairs=pairs, n_pairs=float(n_pairs))
+    yields: list[tuple[float, float]] = []
+    counts: dict[tuple[str, str], int] = {}
+    errors: dict[tuple[str, str], int] = {}
+    emissions = ensemble.emissions(params.n_pairs)
+    for pair, basis, mu_l, mu_r, expected, mirror in emissions.table:
+        q, eq = yields[mirror] if mirror >= 0 and basis == "X" else pair_yield(mu_l, mu_r, basis, params)
+        yields.append((q, eq))
+        count = counts[pair] = round(expected * q)
+        errors[pair] = min(round(expected * eq), count)
+    return _frozen(PairObservables, emitted=emissions.expected, counts=counts, errors=errors, n_pairs=float(params.n_pairs))
 
 
 # ---------------------------------------------------------------------------

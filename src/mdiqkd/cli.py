@@ -24,8 +24,9 @@ import argparse
 import hashlib
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar
 
@@ -373,12 +374,16 @@ def cmd_validate_model(config: RunConfig, args: argparse.Namespace) -> int:
     return 1
 
 
+def _commands() -> dict[str, Callable[[RunConfig, argparse.Namespace], int]]:
+    """Each command's name and the function that runs it, read at each call, so that a rebound ``cmd_*`` is the one run."""
+    return {"rate": cmd_rate, "scan": cmd_scan, "optimize": cmd_optimize, "validate-model": cmd_validate_model}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdiqkd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, run in (("rate", cmd_rate), ("scan", cmd_scan), ("optimize", cmd_optimize), ("validate-model", cmd_validate_model)):
+    for name in _commands():
         p = sub.add_parser(name)
-        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="path to the key = value configuration file")
         p.add_argument("--out", default=None, help="write the command's output to this path")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
@@ -391,11 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built at its first call and kept: argparse takes most of a short command's time to build one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.run(load_config(args), args)
+        return _commands()[args.command](load_config(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,14 @@ Chernoff envelope, with positively-combined groups bounded jointly through
 the telescoping combination bounds rather than term by term (Zhang et al.,
 PRA 95, 012333 (2017)); the groups are those of the four-intensity joint
 constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  Every term of those
-groups is formed in one function, :func:`_terms`, from weights that depend on
-the coefficient table alone, held by it as
-:class:`~mdiqkd.source_model.AnalysisFactors`.  The Z-basis single-photon
-yield is estimated by its X-basis bound.
+groups is formed in one function, :func:`~mdiqkd.source_model.analysis_terms`,
+from weights that depend on the coefficient table alone, held by it as
+:class:`~mdiqkd.source_model.AnalysisFactors`, over the expected emissions.
+Those terms, with the emission fraction ``pz2`` and the feasibility verdict,
+depend on the sources and ``n_pairs`` alone, so a source ensemble builds them
+once per ``n_pairs`` and every distance of a scan shares them; a distance
+makes only its counts, their Chernoff bounds and the minimum over H.  The
+Z-basis single-photon yield is estimated by its X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
 ``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
 """
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 from . import stat_bounds
 from .channel_sim import ChannelParams, PairObservables, _frozen, build_observables
-from .source_model import AnalysisFactors, PhotonCoeffBounds, SourceEnsemble
+from .source_model import AnalysisTerms, PhotonCoeffBounds, SourceEnsemble, analysis_terms
 from .stat_bounds import ChernoffConfig, InvocationCounter
 
 
@@ -47,20 +51,32 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnalysisInputs:
-    """Everything the finite-data analysis consumes."""
+    """Everything the finite-data analysis consumes.
+
+    The analysis reads the :class:`~mdiqkd.source_model.AnalysisTerms` of
+    ``bounds`` over the expected emissions of ``observables``.  Inputs made
+    by :meth:`from_simulation` also hold their ensemble, which is not a
+    field, and read its terms, built once per ``n_pairs``; inputs made any
+    other way, by the constructor or :func:`dataclasses.replace`, build
+    their own at each analysis.
+    """
 
     bounds: PhotonCoeffBounds
     observables: PairObservables
     chernoff: ChernoffConfig
     f_ec: float
 
+    _ensemble = None  # not a field: the ensemble of from_simulation, whose terms the analysis reads
+
     @classmethod
     def from_simulation(cls, ensemble: SourceEnsemble, params: ChannelParams) -> "AnalysisInputs":
         """Wire the ensemble's own coefficient bounds to its simulated observables.
 
         The bounds are ``ensemble.bounds``, built once per ensemble, so a
-        distance scan over one ensemble shares a single table, and the
-        Chernoff configuration is the one ``params`` holds.
+        distance scan over one ensemble shares a single table, the Chernoff
+        configuration is the one ``params`` holds, and the analysis reads
+        ``ensemble.analysis_terms``, built at the first analysis at these
+        ``n_pairs``.
         """
         return _frozen(
             cls,
@@ -68,19 +84,24 @@ class AnalysisInputs:
             observables=build_observables(ensemble, params),
             chernoff=params._chernoff,
             f_ec=params.f_ec,
+            _ensemble=ensemble,
         )
 
 
-def _terms(obs: PairObservables, column: str, *weighted: tuple[float, str, str]) -> list[tuple[float, float]]:
-    """Combination terms ``(weight / emitted, float(count))``, one per ``(weight, l, r)``, counting field ``column`` of pair l-r."""
-    terms = []
-    for weight, l, r in weighted:
-        entry = obs.entry(l, r)
-        terms.append((weight / entry.emitted, float(getattr(entry, column))))
-    return terms
+def _fixed_terms(inputs: AnalysisInputs) -> AnalysisTerms:
+    """The terms of the inputs' ensemble at their ``n_pairs``, or, for inputs made by hand, of their own bounds and emissions."""
+    obs = inputs.observables
+    if inputs._ensemble is not None:
+        return inputs._ensemble.analysis_terms(obs.n_pairs)
+    return analysis_terms(inputs.bounds.factors, obs.emitted, obs.n_pairs)
 
 
-def _h_lower(inputs: AnalysisInputs, f: AnalysisFactors, counter: InvocationCounter) -> float:
+def _group(terms: tuple[tuple[float, tuple[str, str]], ...], column: dict[tuple[str, str], int]) -> list[tuple[float, float]]:
+    """``(coefficient, float(count))`` of each term of a combination group, with the count of its pair in ``column``."""
+    return [(c, float(column[pair])) for c, pair in terms]
+
+
+def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCounter) -> float:
     """Lower end of the admissible interval for the vacuum-error nuisance H.
 
     Jointly lower-bounds the positive group (v-x, x-v) and jointly
@@ -88,20 +109,11 @@ def _h_lower(inputs: AnalysisInputs, f: AnalysisFactors, counter: InvocationCoun
     is a physical error fraction.  The upper end is twice the x-x error-rate
     envelope, ``2 txx_upper`` of the rate curve.
     """
-    obs = inputs.observables
+    errors = inputs.observables.errors
     cfg = inputs.chernoff
-
-    positive = stat_bounds.combo_lower(
-        _terms(obs, "errors", (f.alice_vacuum_x, "v", "x"), (f.bob_vacuum_x, "x", "v")),
-        cfg,
-        counter,
-    )
-    negative = stat_bounds.combo_upper(
-        _terms(obs, "errors", (f.pair_vacuum_x, "v", "v"), (f.sigma_x, "x", "x")),
-        cfg,
-        counter,
-    )
-    return max(0.0, 2.0 * (positive - negative) / (1.0 - f.sigma_x))
+    positive = stat_bounds.combo_lower(_group(terms.error_plus, errors), cfg, counter)
+    negative = stat_bounds.combo_upper(_group(terms.error_minus, errors), cfg, counter)
+    return max(0.0, 2.0 * (positive - negative) / (1.0 - inputs.bounds.factors.sigma_x))
 
 
 def binary_entropy(x: float) -> float:
@@ -208,7 +220,7 @@ class RateCurve:
         )
 
 
-def _curve(inputs: AnalysisInputs, f: AnalysisFactors, counter: InvocationCounter) -> RateCurve:
+def _curve(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCounter) -> RateCurve:
     """The rate curve.
 
     ``s_plus`` jointly lower-bounds the positive yield group
@@ -218,42 +230,28 @@ def _curve(inputs: AnalysisInputs, f: AnalysisFactors, counter: InvocationCounte
     """
     obs = inputs.observables
     cfg = inputs.chernoff
-    scale = f.scale
-    s_plus = stat_bounds.combo_lower(
-        _terms(obs, "counts", (f.c_y, "x", "x"), (scale * f.alice_vacuum_y, "v", "y"), (scale * f.bob_vacuum_y, "y", "v")),
-        cfg,
-        counter,
-    )
-    s_minus = stat_bounds.combo_upper(
-        _terms(obs, "counts", (scale, "y", "y"), (scale * f.pair_vacuum_y, "v", "v")),
-        cfg,
-        counter,
-    )
-    xx = obs.entry("x", "x")
+    f = inputs.bounds.factors
     return _frozen(
         RateCurve,
-        s_plus=s_plus,
-        s_minus=s_minus,
-        txx_upper=stat_bounds.chernoff_upper(xx.errors, cfg, counter) / xx.emitted,
+        s_plus=stat_bounds.combo_lower(_group(terms.yield_plus, obs.counts), cfg, counter),
+        s_minus=stat_bounds.combo_upper(_group(terms.yield_minus, obs.counts), cfg, counter),
+        txx_upper=stat_bounds.chernoff_upper(obs.errors["x", "x"], cfg, counter) / obs.emitted["x", "x"],
         c_y=f.c_y,
         denominator=f.denominator,
         beta=f.beta,
         gamma=f.gamma,
-        pz2=obs.entry("z", "z").emitted / obs.n_pairs,
+        pz2=terms.pz2,
         correction=inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate),
     )
 
 
 def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateCurve, float, float]:
     """``(curve, h_lower, h_upper)``, with every Chernoff bound solved once."""
-    for (l, r), entry in inputs.observables.pairs.items():
-        if not entry.emitted > 0.0:
-            raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
-    factors = inputs.bounds.factors
-    if factors.infeasible:
-        raise AnalysisInfeasible(factors.infeasible)
-    curve = _curve(inputs, factors, counter)
-    h_lower, h_upper = _h_lower(inputs, factors, counter), 2.0 * curve.txx_upper
+    terms = _fixed_terms(inputs)
+    if terms.infeasible:
+        raise AnalysisInfeasible(terms.infeasible)
+    curve = _curve(inputs, terms, counter)
+    h_lower, h_upper = _h_lower(inputs, terms, counter), 2.0 * curve.txx_upper
     # Emissions near the float minimum give count weights near its maximum.  s11 is affine in h, so it is
     # finite on the interval if it is at both ends.
     if not all(math.isfinite(curve._yield_and_error(h)[0]) for h in (h_lower, h_upper)):

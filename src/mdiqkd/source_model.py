@@ -174,8 +174,10 @@ class SourceEnsemble:
     Two values are built once per ensemble, when it is made: ``bounds``, the
     worst-case coefficient bounds of these sources, and ``pair_table``, the
     ``(l, r, basis, mu_l, mu_r, p_l p_r)`` of each analysed pair, with the
-    simulation intensities of :func:`simulation_intensity`.  Neither is a
-    field, so equality, hashing and ``repr`` see the sources alone.
+    simulation intensities of :func:`simulation_intensity`.  Two more are
+    built once per ``n_pairs``, when first read, and kept: :meth:`emissions`
+    and :meth:`analysis_terms`.  None is a field, so equality, hashing and
+    ``repr`` see the sources alone.
     """
 
     alice: SideSources
@@ -187,10 +189,36 @@ class SourceEnsemble:
         bob = alice if self.bob is self.alice else _source_table(self.bob)
         table = tuple((l, r, basis, alice[l][1], bob[r][1], alice[l][0] * bob[r][0]) for l, r, basis in _ANALYSED_PAIRS)
         object.__setattr__(self, "pair_table", table)
+        object.__setattr__(self, "_emissions", {})
+        object.__setattr__(self, "_terms", {})
 
     @classmethod
     def symmetric(cls, side: SideSources) -> "SourceEnsemble":
         return cls(alice=side, bob=side)
+
+    def emissions(self, n_pairs: float) -> "Emissions":
+        """The :class:`Emissions` of these sources at ``n_pairs``, built at the first call for it and shared by every caller."""
+        emissions = self._emissions.get(n_pairs)
+        if emissions is None:
+            shared = self.bob is self.alice
+            expected: dict[Pair, float] = {}
+            index: dict[Pair, int] = {}
+            table = []
+            for l, r, basis, mu_l, mu_r, p_lr in self.pair_table:
+                pair = (l, r)
+                mirror = index.get((r, l), -1) if shared else -1
+                index[pair] = len(table)
+                expected[pair] = p_lr * n_pairs
+                table.append((pair, basis, mu_l, mu_r, expected[pair], mirror))
+            emissions = self._emissions[n_pairs] = Emissions(expected, tuple(table))
+        return emissions
+
+    def analysis_terms(self, n_pairs: float) -> "AnalysisTerms":
+        """The :func:`analysis_terms` of these sources' bounds and expected emissions, built once per ``n_pairs``."""
+        terms = self._terms.get(n_pairs)
+        if terms is None:
+            terms = self._terms[n_pairs] = analysis_terms(self.bounds.factors, self.emissions(n_pairs).expected, float(n_pairs))
+        return terms
 
 
 @dataclass(frozen=True)
@@ -315,6 +343,82 @@ def _analysis_factors(bounds: PhotonCoeffBounds) -> AnalysisFactors:
         alice_vacuum_y=_vacuum_ratio(a, "y"),
         bob_vacuum_y=_vacuum_ratio(b, "y"),
         pair_vacuum_y=_pair_vacuum_ratio(a, b, "y"),
+    )
+
+
+Pair = tuple[str, str]
+
+
+class Emissions(NamedTuple):
+    """What an ensemble's analysed pairs emit at one ``n_pairs``.
+
+    ``expected`` holds the expected emitted pairs ``p_l p_r n_pairs`` of each
+    pair ``(l, r)``, in ``pair_table`` order; do not modify it.  ``table``
+    holds the ``(pair, basis, mu_l, mu_r, expected, mirror)`` of each entry of
+    ``pair_table``, where ``mirror`` is the index of the earlier entry r-l on
+    sides given as one object, whose intensities are this entry's swapped,
+    else -1.
+    """
+
+    expected: dict[Pair, float]
+    table: tuple[tuple[Pair, str, float, float, float, int], ...]
+
+
+class AnalysisTerms(NamedTuple):
+    """What the key-rate analysis reads of a coefficient table and the expected emissions, apart from the counts.
+
+    ``infeasible`` says why the analysis cannot run, and is empty where it
+    can: a pair with no expected emissions, or the table's own
+    :attr:`AnalysisFactors.infeasible`.  ``pz2`` is the z-z emission
+    fraction.  Each group is a
+    tuple of ``(coefficient, (l, r))`` terms, one per count of pair l-r that
+    the group combines, each coefficient a weight of :class:`AnalysisFactors`
+    over the pair's expected emissions:
+
+    * ``yield_plus``, counts: ``c_y <S_xx> + K (a0_ratio <S_vy> + b0_ratio <S_yv>)``
+    * ``yield_minus``, counts: ``K (<S_yy> + ab0_ratio <S_vv>)``
+    * ``error_plus``, errors: ``a0_ratio <T_vx> + b0_ratio <T_xv>``
+    * ``error_minus``, errors: ``ab0_ratio <T_vv> + sigma_x <T_xx>``
+
+    with ``K = scale`` and the vacuum ratios of the y basis in the yield
+    groups and of the x basis in the error groups.  The terms keep the order
+    of these formulas: :func:`~mdiqkd.stat_bounds.combo_lower` and
+    :func:`~mdiqkd.stat_bounds.combo_upper` sort any terms by coefficient,
+    stably, into their telescoping order, and name the first bad count in
+    the order given.
+    """
+
+    infeasible: str
+    pz2: float = math.nan
+    yield_plus: tuple[tuple[float, Pair], ...] = ()
+    yield_minus: tuple[tuple[float, Pair], ...] = ()
+    error_plus: tuple[tuple[float, Pair], ...] = ()
+    error_minus: tuple[tuple[float, Pair], ...] = ()
+
+
+_VV, _VX, _XV, _XX, _VY, _YV, _YY, _ZZ = (("v", "v"), ("v", "x"), ("x", "v"), ("x", "x"), ("v", "y"), ("y", "v"), ("y", "y"), ("z", "z"))
+
+
+def analysis_terms(factors: AnalysisFactors, emitted: dict[Pair, float], n_pairs: float) -> AnalysisTerms:
+    """The :class:`AnalysisTerms` of a table's factors and of the expected emissions ``emitted`` of each pair.
+
+    Every pair in ``emitted`` must expect emissions, checked in its order,
+    and then the factors must be feasible; the first failure is the verdict.
+    """
+    for (l, r), expected in emitted.items():
+        if not expected > 0.0:
+            return AnalysisTerms(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
+    if factors.infeasible:
+        return AnalysisTerms(factors.infeasible)
+    f, scale, e = factors, factors.scale, emitted
+    # Each term is (weight / expected emissions of its pair, pair).
+    return AnalysisTerms(
+        infeasible="",
+        pz2=e[_ZZ] / n_pairs,
+        yield_plus=((f.c_y / e[_XX], _XX), (scale * f.alice_vacuum_y / e[_VY], _VY), (scale * f.bob_vacuum_y / e[_YV], _YV)),
+        yield_minus=((scale / e[_YY], _YY), (scale * f.pair_vacuum_y / e[_VV], _VV)),
+        error_plus=((f.alice_vacuum_x / e[_VX], _VX), (f.bob_vacuum_x / e[_XV], _XV)),
+        error_minus=((f.pair_vacuum_x / e[_VV], _VV), (f.sigma_x / e[_XX], _XX)),
     )
 
 

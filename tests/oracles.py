@@ -7,22 +7,29 @@ and, in the model-decomposition oracles, the closed-form gain ``pair_yield``
 that they take apart.  The exceptions are
 ``full_observables``, which extends the analysed table to all sixteen pairs
 with the package's own gains, ``write_observables_csv``, the
-regression-fixture writer, and ``unfiltered_chunk_counts``, the Monte Carlo
+regression-fixture writer, ``unfiltered_chunk_counts``, the Monte Carlo
 kernel kept as it was before it skipped trials that cannot click, which reads
-the package's lookup and intensity tables.
+the package's lookup and intensity tables, and ``record_secure_key_rate``,
+the per-distance analysis kept as it was before a source ensemble built its
+combination terms once per ``n_pairs``, which reads the package's gains,
+Chernoff bounds, rate curve and minimum over H.
 """
 
 import cmath
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
-from mdiqkd import channel_sim
-from mdiqkd.channel_sim import _BLOCK_SIZE, PairObservables, SourceCounts, _intensity_table
+from mdiqkd import channel_sim, stat_bounds
+from mdiqkd.channel_sim import _BLOCK_SIZE, PairObservables, _frozen, _intensity_table
+from mdiqkd.keyrate_core import AnalysisInfeasible, KeyRateReport, RateCurve, SolverError, _convex_minimum, binary_entropy
+from mdiqkd.source_model import AnalysisFactors, PhotonCoeffBounds, SourceEnsemble
+from mdiqkd.stat_bounds import ChernoffConfig, InvocationCounter
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
 from mdiqkd.source_model import SOURCES, simulation_intensity
 
@@ -76,9 +83,9 @@ def plugin_asymptotic_rate(observables, side, f_ec: float) -> float:
 
     S, T = {}, {}
     for pair in ("vv", "vx", "xv", "xx", "vy", "yv", "yy"):
-        entry = observables.entry(*pair)
-        S[pair] = entry.counts / entry.emitted
-        T[pair] = entry.errors / entry.emitted
+        key = tuple(pair)
+        S[pair] = observables.counts[key] / observables.emitted[key]
+        T[pair] = observables.errors[key] / observables.emitted[key]
 
     vac_err = ax[0] * T["vx"] + ax[0] * T["xv"] - ax[0] * ax[0] * T["vv"]
     ntil_xx = S["xx"] - 2.0 * vac_err
@@ -93,10 +100,10 @@ def plugin_asymptotic_rate(observables, side, f_ec: float) -> float:
             return 0.0
         return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
-    zz = observables.entry("z", "z")
-    s_zz = zz.counts / zz.emitted
-    e_zz = zz.errors / zz.counts
-    pz2 = zz.emitted / observables.n_pairs
+    zz = ("z", "z")
+    s_zz = observables.counts[zz] / observables.emitted[zz]
+    e_zz = observables.errors[zz] / observables.counts[zz]
+    pz2 = observables.emitted[zz] / observables.n_pairs
     return pz2 * (az1 * az1 * s11 * (1.0 - h2(e11)) - f_ec * s_zz * h2(e_zz))
 
 
@@ -216,18 +223,18 @@ def full_observables(ensemble, params: ChannelParams) -> PairObservables:
     the Z basis, as in ``build_observables``.  A basis-mismatched pair (one
     z source) gets the X-basis gain and a fully random error fraction ``e0``.
     """
-    pairs = {}
+    emitted, counts, errors = {}, {}, {}
     for l in SOURCES:
         for r in SOURCES:
-            emitted = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
+            expected = emitted[l, r] = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
             mu_a = simulation_intensity(ensemble.alice, l)
             mu_b = simulation_intensity(ensemble.bob, r)
             q, eq = pair_yield(mu_a, mu_b, "Z" if (l, r) == ("z", "z") else "X", params)
             if "z" in (l, r) and (l, r) != ("z", "z"):
                 eq = params.e0 * q
-            counts = round(emitted * q)
-            pairs[(l, r)] = SourceCounts(emitted=emitted, counts=counts, errors=min(round(emitted * eq), counts))
-    return PairObservables(pairs=pairs, n_pairs=float(params.n_pairs))
+            count = counts[l, r] = round(expected * q)
+            errors[l, r] = min(round(expected * eq), count)
+    return PairObservables(emitted=emitted, counts=counts, errors=errors, n_pairs=float(params.n_pairs))
 
 
 def write_observables_csv(observables: PairObservables, path: str | Path) -> None:
@@ -239,10 +246,10 @@ def write_observables_csv(observables: PairObservables, path: str | Path) -> Non
         writer.writerow(["l", "r", "basis", "emitted", "counts", "errors"])
         for l in SOURCES:
             for r in SOURCES:
-                e = observables.entry(l, r)
                 # z-z is the Z basis, any other pair with a z is basis-mismatched.
                 basis = "Z" if (l, r) == ("z", "z") else "mixed" if "z" in (l, r) else "X"
-                writer.writerow([l, r, basis, repr(e.emitted), e.counts, e.errors])
+                pair = (l, r)
+                writer.writerow([l, r, basis, repr(observables.emitted[pair]), observables.counts[pair], observables.errors[pair]])
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +399,213 @@ def unfiltered_chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: fl
     raw_error = error_of[basis].take(key[success])
     flipped = rng.random(raw_error.size) < params.e_d
     return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
+
+
+# ---------------------------------------------------------------------------
+# The per-distance analysis as it was before a source ensemble built its
+# combination terms once per n_pairs: one SourceCounts record per pair, every
+# term formed from the records at each distance, and the emission check run
+# at each analysis.  The functions are copied unchanged, apart from their
+# names, without their docstrings; the new path must give every report field
+# bit for bit as this does.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SourceCounts:
+    """Counts recorded for one two-pulse source."""
+
+    emitted: float  # expected emitted pairs p_l p_r N_t
+    counts: int
+    errors: int
+
+    @property
+    def rate(self) -> float:
+        """Counts per expected emission; 0 where none is expected, and so none counted."""
+        return self.counts / self.emitted if self.emitted else 0.0
+
+
+@dataclass(frozen=True)
+class RecordObservables:
+    """Counts and error counts for the two-pulse sources the analysis reads."""
+
+    pairs: dict[tuple[str, str], SourceCounts]
+    n_pairs: float
+
+    def entry(self, alice_source: str, bob_source: str) -> SourceCounts:
+        return self.pairs[(alice_source, bob_source)]
+
+    @property
+    def signal_rate(self) -> float:
+        """Observed counting rate of the signal-signal source."""
+        return self.entry("z", "z").rate
+
+    @property
+    def signal_error_rate(self) -> float:
+        """Observed error fraction among signal-signal counts."""
+        zz = self.entry("z", "z")
+        return zz.errors / zz.counts if zz.counts else 0.0
+
+
+@dataclass(frozen=True)
+class RecordInputs:
+    """Everything the finite-data analysis consumes."""
+
+    bounds: PhotonCoeffBounds
+    observables: RecordObservables
+    chernoff: ChernoffConfig
+    f_ec: float
+
+    @classmethod
+    def from_simulation(cls, ensemble: SourceEnsemble, params: ChannelParams) -> "RecordInputs":
+        return _frozen(
+            cls,
+            bounds=ensemble.bounds,
+            observables=record_build_observables(ensemble, params),
+            chernoff=params._chernoff,
+            f_ec=params.f_ec,
+        )
+
+
+def record_observables(observables: PairObservables) -> RecordObservables:
+    """The per-pair records of a package observables table."""
+    pairs = {
+        pair: SourceCounts(emitted=expected, counts=observables.counts[pair], errors=observables.errors[pair])
+        for pair, expected in observables.emitted.items()
+    }
+    return RecordObservables(pairs=pairs, n_pairs=observables.n_pairs)
+
+
+def record_build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> RecordObservables:
+    shared = ensemble.bob is ensemble.alice
+    n_pairs = params.n_pairs
+    yields: dict[tuple[str, str, str], tuple[float, float]] = {}
+    pairs: dict[tuple[str, str], SourceCounts] = {}
+    for l, r, basis, mu_l, mu_r, p_lr in ensemble.pair_table:
+        mirror = yields.get((r, l, basis)) if shared and basis == "X" else None
+        q, eq = yields[(l, r, basis)] = pair_yield(mu_l, mu_r, basis, params) if mirror is None else mirror
+        emitted = p_lr * n_pairs
+        counts = round(emitted * q)
+        errors = min(round(emitted * eq), counts)
+        pairs[(l, r)] = _frozen(SourceCounts, emitted=emitted, counts=counts, errors=errors)
+    return _frozen(RecordObservables, pairs=pairs, n_pairs=float(n_pairs))
+
+
+def _record_terms(obs: RecordObservables, column: str, *weighted: tuple[float, str, str]) -> list[tuple[float, float]]:
+    terms = []
+    for weight, l, r in weighted:
+        entry = obs.entry(l, r)
+        terms.append((weight / entry.emitted, float(getattr(entry, column))))
+    return terms
+
+
+def _record_h_lower(inputs: RecordInputs, f: AnalysisFactors, counter: InvocationCounter) -> float:
+    obs = inputs.observables
+    cfg = inputs.chernoff
+
+    positive = stat_bounds.combo_lower(
+        _record_terms(obs, "errors", (f.alice_vacuum_x, "v", "x"), (f.bob_vacuum_x, "x", "v")),
+        cfg,
+        counter,
+    )
+    negative = stat_bounds.combo_upper(
+        _record_terms(obs, "errors", (f.pair_vacuum_x, "v", "v"), (f.sigma_x, "x", "x")),
+        cfg,
+        counter,
+    )
+    return max(0.0, 2.0 * (positive - negative) / (1.0 - f.sigma_x))
+
+
+def _record_curve(inputs: RecordInputs, f: AnalysisFactors, counter: InvocationCounter) -> RateCurve:
+    obs = inputs.observables
+    cfg = inputs.chernoff
+    scale = f.scale
+    s_plus = stat_bounds.combo_lower(
+        _record_terms(obs, "counts", (f.c_y, "x", "x"), (scale * f.alice_vacuum_y, "v", "y"), (scale * f.bob_vacuum_y, "y", "v")),
+        cfg,
+        counter,
+    )
+    s_minus = stat_bounds.combo_upper(
+        _record_terms(obs, "counts", (scale, "y", "y"), (scale * f.pair_vacuum_y, "v", "v")),
+        cfg,
+        counter,
+    )
+    xx = obs.entry("x", "x")
+    return _frozen(
+        RateCurve,
+        s_plus=s_plus,
+        s_minus=s_minus,
+        txx_upper=stat_bounds.chernoff_upper(xx.errors, cfg, counter) / xx.emitted,
+        c_y=f.c_y,
+        denominator=f.denominator,
+        beta=f.beta,
+        gamma=f.gamma,
+        pz2=obs.entry("z", "z").emitted / obs.n_pairs,
+        correction=inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate),
+    )
+
+
+def _record_analysis(inputs: RecordInputs, counter: InvocationCounter) -> tuple[RateCurve, float, float]:
+    for (l, r), entry in inputs.observables.pairs.items():
+        if not entry.emitted > 0.0:
+            raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
+    factors = inputs.bounds.factors
+    if factors.infeasible:
+        raise AnalysisInfeasible(factors.infeasible)
+    curve = _record_curve(inputs, factors, counter)
+    h_lower, h_upper = _record_h_lower(inputs, factors, counter), 2.0 * curve.txx_upper
+    if not all(math.isfinite(curve._yield_and_error(h)[0]) for h in (h_lower, h_upper)):
+        raise AnalysisInfeasible(f"single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]")
+    return curve, h_lower, h_upper
+
+
+def _record_zero_report(reason: str, obs: RecordObservables, invocations: int = 0) -> KeyRateReport:
+    return _frozen(
+        KeyRateReport,
+        rate=0.0,
+        h_lower=math.nan,
+        h_upper=math.nan,
+        h_star=math.nan,
+        s11_at_min=0.0,
+        e11_at_min=math.nan,
+        signal_rate=obs.signal_rate,
+        signal_error_rate=obs.signal_error_rate,
+        chernoff_invocations=invocations,
+        reason=reason,
+        trace_samples=0,
+    )
+
+
+def record_secure_key_rate(inputs: RecordInputs) -> KeyRateReport:
+    obs = inputs.observables
+    decoy = inputs.bounds.decoy
+    if not decoy.passed:
+        return _record_zero_report(f"decoy-conditions-failed: {decoy.summary()}", obs)
+
+    counter = InvocationCounter()
+    try:
+        curve, h_lo, h_hi = _record_analysis(inputs, counter)
+    except AnalysisInfeasible as exc:
+        return _record_zero_report(f"infeasible: {exc}", obs, counter.count)
+
+    if h_lo > h_hi:
+        return _record_zero_report("h-range-empty", obs, counter.count)
+
+    best_h, s11, e11, best_rate, samples = _convex_minimum(curve, h_lo, h_hi)
+    if not math.isfinite(best_rate):
+        raise SolverError(f"candidate rate is not finite at its minimum (h = {best_h!r}, rate = {best_rate!r})")
+
+    return _frozen(
+        KeyRateReport,
+        rate=max(0.0, best_rate),
+        h_lower=h_lo,
+        h_upper=h_hi,
+        h_star=best_h,
+        s11_at_min=s11,
+        e11_at_min=e11,
+        signal_rate=obs.signal_rate,
+        signal_error_rate=obs.signal_error_rate,
+        chernoff_invocations=counter.count,
+        reason="ok",
+        trace_samples=samples,
+    )

@@ -475,8 +475,13 @@ def test_analytic_model_matches_monte_carlo(basis):
     assert row.ok, row
 
 
+def _entry(observables: PairObservables, pair: tuple[str, str]) -> tuple[float, int, int]:
+    """``(emitted, counts, errors)`` of one pair."""
+    return observables.emitted[pair], observables.counts[pair], observables.errors[pair]
+
+
 def test_emitted_pairs_sum_to_total(noisy_ensemble, params_10km):
-    total = sum(entry.emitted for entry in full_observables(noisy_ensemble, params_10km).pairs.values())
+    total = sum(full_observables(noisy_ensemble, params_10km).emitted.values())
     assert total == pytest.approx(params_10km.n_pairs, rel=1e-12, abs=0.0)
 
 
@@ -484,10 +489,22 @@ def test_all_sixteen_pairs_present_with_bases(noisy_ensemble, params_10km, obser
     # The package builds the eight pairs the analysis reads, each equal to
     # its entry in the full sixteen-pair table.
     full = full_observables(noisy_ensemble, params_10km)
-    assert len(full.pairs) == 16
-    assert set(observables_10km.pairs) == {("v", "v"), ("v", "x"), ("x", "v"), ("x", "x"), ("v", "y"), ("y", "v"), ("y", "y"), ("z", "z")}
-    for pair, entry in observables_10km.pairs.items():
-        assert entry == full.pairs[pair]
+    assert len(full.emitted) == len(full.counts) == len(full.errors) == 16
+    analysed = [("v", "v"), ("v", "x"), ("x", "v"), ("x", "x"), ("v", "y"), ("y", "v"), ("y", "y"), ("z", "z")]
+    for table in (observables_10km.emitted, observables_10km.counts, observables_10km.errors):
+        assert list(table) == analysed
+    for pair in analysed:
+        assert _entry(observables_10km, pair) == _entry(full, pair)
+
+
+def test_a_distance_shares_its_ensembles_emissions_and_builds_its_own_counts(noisy_ensemble, params_10km):
+    # The expected emissions depend on the sources and n_pairs alone.
+    near, far = (build_observables(noisy_ensemble, params_10km.at_distance(d)) for d in (10.0, 60.0))
+    assert near.emitted is far.emitted is noisy_ensemble.emissions(params_10km.n_pairs).expected
+    assert near.counts is not far.counts and near.counts != far.counts
+    more = build_observables(noisy_ensemble, replace(params_10km, n_pairs=1e12))
+    assert more.emitted is noisy_ensemble.emissions(1e12).expected is not near.emitted
+    assert more.emitted == {(l, r): p_lr * 1e12 for l, r, _, _, _, p_lr in noisy_ensemble.pair_table}
 
 
 _INTENSITY = st.just(0.0) | st.floats(-9.0, 0.5).map(lambda e: 10.0**e)
@@ -527,8 +544,8 @@ def test_observables_share_only_mirrored_x_basis_yields(monkeypatch, noisy_side,
     assert len(calls) == calls_made
     monkeypatch.undo()
     full = full_observables(ensemble, params_10km)
-    for pair, entry in observables.pairs.items():
-        assert entry == full.pairs[pair]
+    for pair in observables.emitted:
+        assert _entry(observables, pair) == _entry(full, pair)
 
 
 def test_z_basis_yield_is_not_shared_across_swapped_intensities(monkeypatch, params_10km):
@@ -546,12 +563,13 @@ def test_z_basis_yield_is_not_shared_across_swapped_intensities(monkeypatch, par
 def test_vacuum_pair_records_nothing_without_darks(noisy_ensemble):
     params = ChannelParams(p_d=0.0, distance_km=0.0, n_pairs=1e11)
     observables = build_observables(noisy_ensemble, params)
-    assert observables.entry("v", "v").counts == 0
+    assert observables.counts["v", "v"] == 0
 
 
 def test_count_ordering_invariants(observables_10km):
-    for entry in observables_10km.pairs.values():
-        assert 0 <= entry.errors <= entry.counts <= entry.emitted
+    for pair in observables_10km.emitted:
+        emitted, counts, errors = _entry(observables_10km, pair)
+        assert 0 <= errors <= counts <= emitted
 
 
 def test_observables_regression_fixture(noisy_ensemble, params_10km, observables_10km, tmp_path):
@@ -560,7 +578,13 @@ def test_observables_regression_fixture(noisy_ensemble, params_10km, observables
     fixture = DATA_DIR / "observables_L10.csv"
     regenerated = tmp_path / "observables.csv"
     full = full_observables(noisy_ensemble, params_10km)
-    write_observables_csv(PairObservables(pairs={**full.pairs, **observables_10km.pairs}, n_pairs=observables_10km.n_pairs), regenerated)
+    merged = PairObservables(
+        emitted={**full.emitted, **observables_10km.emitted},
+        counts={**full.counts, **observables_10km.counts},
+        errors={**full.errors, **observables_10km.errors},
+        n_pairs=observables_10km.n_pairs,
+    )
+    write_observables_csv(merged, regenerated)
     assert regenerated.read_text() == fixture.read_text()
 
 
@@ -571,12 +595,12 @@ def test_fixture_counts_agree_with_monte_carlo(noisy_ensemble, params_10km, obse
 
     trials = 2_000_000
     for i, (l, r, basis) in enumerate([("x", "x", "X"), ("v", "y", "X"), ("z", "z", "Z")]):
-        entry = observables_10km.entry(l, r)
+        emitted, counts, errors = _entry(observables_10km, (l, r))
         mu_a = simulation_intensity(noisy_ensemble.alice, l)
         mu_b = simulation_intensity(noisy_ensemble.bob, r)
         mc = monte_carlo_yield(mu_a, mu_b, basis, params_10km, trials=trials, seed=500 + i)
-        assert abs(mc.gain - entry.counts / entry.emitted) <= 3.0 * mc.gain_se
-        assert abs(mc.error_gain - entry.errors / entry.emitted) <= 3.0 * mc.error_se
+        assert abs(mc.gain - counts / emitted) <= 3.0 * mc.gain_se
+        assert abs(mc.error_gain - errors / emitted) <= 3.0 * mc.error_se
 
 
 def test_vacuum_error_component_is_small_part_of_total():

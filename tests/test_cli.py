@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mdiqkd
-from mdiqkd import ChannelParams, OptimizationProblem, SideSources, optimize
+from mdiqkd import ChannelParams, OptimizationProblem, SideSources, cli, optimize
 from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_config_file, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -772,3 +772,43 @@ def test_validate_model_small_run_passes(tmp_path, capsys):
     config = write_config(tmp_path, "mc_trials = 200000\nseed = 4\n")
     assert main(["validate-model", "--config", str(config)]) == 0
     assert "PASSED" in capsys.readouterr().out
+
+
+def test_calls_of_main_in_one_process_give_what_separate_processes_give(tmp_path, capsys, monkeypatch):
+    # The parser is built at the first call and kept; a bad option between
+    # commands must leave nothing behind for the next call.
+    config = str(write_config(tmp_path, "distance_km = 10\nbudget = 12\nrestarts = 1\n"))
+    calls = [
+        ["rate", "--config", config],
+        ["scan", "--config", config, "--bogus"],
+        ["scan", "--config", config, "--distances", "0,20"],
+        ["optimize", "--config", config, "--seed", "x"],
+        ["optimize", "--config", config, "--seed", "3"],
+        ["scan", "--help"],
+        ["rate", "--config", config, "--out", str(tmp_path / "report.txt")],
+    ]
+    monkeypatch.setenv("COLUMNS", "100")  # the help text wraps at the terminal width
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = str(Path(mdiqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys\nfrom mdiqkd.cli import main\nsys.exit(main(sys.argv[1:]))"
+    separate = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [call[0] for call in in_process] == [0, 2, 0, 2, 0, 0, 0]
+    assert in_process == separate
+
+
+def test_main_runs_the_command_function_bound_at_the_call(tmp_path, monkeypatch):
+    config = str(write_config(tmp_path))
+    assert main(["scan", "--config", config, "--distances", "10"]) == 0  # builds the parser
+    monkeypatch.setattr(cli, "cmd_scan", lambda config, args: 7)
+    assert main(["scan", "--config", config, "--distances", "10"]) == 7

@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdiqkd import (
+    pair_yield,
     AnalysisInfeasible,
     AnalysisInputs,
     ChannelParams,
@@ -27,30 +29,33 @@ from mdiqkd.channel_sim import PairObservables
 from mdiqkd.keyrate_core import KeyRateReport, RateCurve, _convex_minimum
 
 from .oracles import (
+    RecordInputs,
     dense_rate,
     plugin_asymptotic_rate,
     product_rule_slope,
+    record_observables,
+    record_secure_key_rate,
     single_photon_pair_truth,
     vacuum_error_component,
 )
 
 
 def _with_errors_zeroed(observables: PairObservables) -> PairObservables:
-    pairs = {key: replace(entry, errors=0) for key, entry in observables.pairs.items()}
-    return PairObservables(pairs=pairs, n_pairs=observables.n_pairs)
+    return replace(observables, errors=dict.fromkeys(observables.errors, 0))
 
 
 def _scaled(observables: PairObservables, factor: float) -> PairObservables:
-    pairs = {
-        key: replace(
-            entry,
-            emitted=entry.emitted * factor,
-            counts=int(entry.counts * factor),
-            errors=int(entry.errors * factor),
-        )
-        for key, entry in observables.pairs.items()
-    }
-    return PairObservables(pairs=pairs, n_pairs=observables.n_pairs * factor)
+    return PairObservables(
+        emitted={pair: e * factor for pair, e in observables.emitted.items()},
+        counts={pair: int(c * factor) for pair, c in observables.counts.items()},
+        errors={pair: int(e * factor) for pair, e in observables.errors.items()},
+        n_pairs=observables.n_pairs * factor,
+    )
+
+
+def _rate(observables: PairObservables, l: str, r: str) -> float:
+    """Counts per expected emission of pair l-r."""
+    return observables.counts[l, r] / observables.emitted[l, r]
 
 
 # --- contamination factors -------------------------------------------------
@@ -82,7 +87,7 @@ def test_pair_with_zero_expected_emissions_is_zero_report(sweep_side, params_10k
     # The key's square, 1e-330, underflows to 0, so that pair expects no emissions.
     side = replace(sweep_side, **{key: 1e-165, other: getattr(sweep_side, other) + getattr(sweep_side, key)})
     inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params_10km)
-    assert inputs.observables.entry(*pair.split("-")).emitted == 0.0
+    assert inputs.observables.emitted[tuple(pair.split("-"))] == 0.0
     report = secure_key_rate(inputs)
     assert report.rate == 0.0 and math.isfinite(report.signal_rate)
     assert report.reason == f"infeasible: no expected emissions from source pair {pair}; {key} {key} n_pairs underflows to zero"
@@ -120,11 +125,11 @@ def test_envelope_relative_width_shrinks_with_more_data(inputs_10km):
     cfg = inputs_10km.chernoff
     scaled = _scaled(inputs_10km.observables, 100.0)
     for pair in (("v", "v"), ("v", "x"), ("x", "v"), ("v", "y"), ("y", "v"), ("x", "x"), ("y", "y")):
-        counts = inputs_10km.observables.entry(*pair).counts
+        counts = inputs_10km.observables.counts[pair]
         if counts == 0:
             continue
         rel = (chernoff_upper(counts, cfg) - chernoff_lower(counts, cfg)) / counts
-        counts_scaled = scaled.entry(*pair).counts
+        counts_scaled = scaled.counts[pair]
         rel_scaled = (chernoff_upper(counts_scaled, cfg) - chernoff_lower(counts_scaled, cfg)) / counts_scaled
         assert rel_scaled < rel
 
@@ -143,10 +148,8 @@ def test_collapsed_bounds_reproduce_plugin_values(exact_ensemble, exact_side):
     a1x = math.exp(-0.1) * 0.1
     a2x = math.exp(-0.1) * 0.005
     a0y = math.exp(-0.4)
-    expected_plus = a1y * a2y * obs.entry("x", "x").rate + a1x * a2x * (
-        a0y * obs.entry("v", "y").rate + a0y * obs.entry("y", "v").rate
-    )
-    expected_minus = a1x * a2x * (obs.entry("y", "y").rate + a0y * a0y * obs.entry("v", "v").rate)
+    expected_plus = a1y * a2y * _rate(obs, "x", "x") + a1x * a2x * (a0y * _rate(obs, "v", "y") + a0y * _rate(obs, "y", "v"))
+    expected_minus = a1x * a2x * (_rate(obs, "y", "y") + a0y * a0y * _rate(obs, "v", "v"))
     assert curve.s_plus == pytest.approx(expected_plus, rel=1e-12, abs=0.0)
     assert curve.s_minus == pytest.approx(expected_minus, rel=1e-12, abs=0.0)
 
@@ -167,13 +170,16 @@ def test_finite_data_bounds_bracket_plugin_values(inputs_10km):
 def test_joint_splus_dominates_per_term_composition(inputs_10km):
     y_total = inputs_10km.bounds.factors.sigma_y
     a, b = inputs_10km.bounds.alice, inputs_10km.bounds.bob
-    xx, vy, yv = (inputs_10km.observables.entry(*pair) for pair in (("x", "x"), ("v", "y"), ("y", "v")))
-    cfg = inputs_10km.chernoff
+    obs, cfg = inputs_10km.observables, inputs_10km.chernoff
+
+    def bound(l: str, r: str) -> float:
+        return chernoff_lower(obs.counts[l, r], cfg) / obs.emitted[l, r]
+
     scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - y_total)
     per_term = (
-        a.lo("y", 1) * b.lo("y", 2) / xx.emitted * chernoff_lower(xx.counts, cfg)
-        + scale * (a.lo("y", 0) / a.hi("v", 0)) / vy.emitted * chernoff_lower(vy.counts, cfg)
-        + scale * (b.lo("y", 0) / b.hi("v", 0)) / yv.emitted * chernoff_lower(yv.counts, cfg)
+        a.lo("y", 1) * b.lo("y", 2) * bound("x", "x")
+        + scale * (a.lo("y", 0) / a.hi("v", 0)) * bound("v", "y")
+        + scale * (b.lo("y", 0) / b.hi("v", 0)) * bound("y", "v")
     )
     curve, _, _ = rate_function(inputs_10km)
     assert curve.s_plus >= per_term - 1e-15
@@ -208,11 +214,9 @@ def test_h_interval_contains_model_truth(noisy_side, inputs_10km, params_10km):
 def test_empty_h_range_is_zero_report(sweep_side, params_10km):
     # Every v-x and x-v detection an error and no x-x error puts h_lower above h_upper.
     inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(replace(sweep_side, fluctuation=0.01)), params_10km)
-    pairs = dict(inputs.observables.pairs)
-    for pair in (("v", "x"), ("x", "v")):
-        pairs[pair] = replace(pairs[pair], errors=pairs[pair].counts)
-    pairs["x", "x"] = replace(pairs["x", "x"], errors=0)
-    inputs = replace(inputs, observables=PairObservables(pairs=pairs, n_pairs=inputs.observables.n_pairs))
+    obs = inputs.observables
+    errors = {**obs.errors, ("v", "x"): obs.counts["v", "x"], ("x", "v"): obs.counts["x", "v"], ("x", "x"): 0}
+    inputs = replace(inputs, observables=replace(obs, errors=errors))
     _, h_lo, h_hi = rate_function(inputs)
     assert h_lo > h_hi
     report = secure_key_rate(inputs)
@@ -290,7 +294,7 @@ def test_rate_with_no_single_photon_floor_is_pure_cost(inputs_10km):
     # Far beyond the admissible interval s11 clamps to zero and only the
     # error-correction cost remains.
     obs = inputs_10km.observables
-    pz2 = obs.entry("z", "z").emitted / obs.n_pairs
+    pz2 = obs.emitted["z", "z"] / obs.n_pairs
     expected = -pz2 * inputs_10km.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
     curve, _, _ = rate_function(inputs_10km)
     assert float(curve(1.0)) == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -308,7 +312,7 @@ def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
     probe = h_zero * (1.0 - 1e-9)
     assert curve.s11(probe) > 0.0 and curve.e11(probe) == 0.0
     obs = inputs.observables
-    pz2 = obs.entry("z", "z").emitted / obs.n_pairs
+    pz2 = obs.emitted["z", "z"] / obs.n_pairs
     cost = pz2 * inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
     privacy = pz2 * curve.gamma * curve.s11(probe)
     assert float(curve(probe)) == pytest.approx(-cost + privacy, rel=1e-12, abs=0.0)
@@ -897,7 +901,6 @@ def _records(inputs: AnalysisInputs) -> dict[str, object]:
     """Each kind of record the analysis builds per distance, as built on the way to a report."""
     decoy_failed = SourceEnsemble.symmetric(_CORNERS["decoy"][0])
     return {
-        "SourceCounts": inputs.observables.entry("x", "x"),
         "PairObservables": inputs.observables,
         "AnalysisInputs": inputs,
         "RateCurve": rate_function(inputs)[0],
@@ -913,15 +916,198 @@ def _hash_or_error(record) -> object:
         return str(exc)
 
 
-@pytest.mark.parametrize("kind", ["SourceCounts", "PairObservables", "AnalysisInputs", "RateCurve", "KeyRateReport", "KeyRateReport-zero"])
+@pytest.mark.parametrize("kind", ["PairObservables", "AnalysisInputs", "RateCurve", "KeyRateReport", "KeyRateReport-zero"])
 def test_a_record_built_in_one_update_is_the_constructors(inputs_10km, kind):
     record = _records(inputs_10km)[kind]
     cls = type(record)
     assert cls.__name__ == kind.split("-")[0]
     assert not hasattr(cls, "__post_init__")  # which the one update would skip
     built = cls(**{f.name: getattr(record, f.name) for f in fields(cls)})
-    assert record == built and repr(record) == repr(built) and vars(record) == vars(built)
+    # Inputs from from_simulation also hold their ensemble, which is not a field; the constructor's hold none.
+    not_fields = {"_ensemble"} if kind == "AnalysisInputs" else set()
+    assert record == built and repr(record) == repr(built)
+    assert {k: v for k, v in vars(record).items() if k not in not_fields} == vars(built)
     assert _hash_or_error(record) == _hash_or_error(built)
     for f in fields(cls):
         with pytest.raises(FrozenInstanceError):
             setattr(record, f.name, getattr(record, f.name))
+
+
+# --- terms built once per ensemble and n_pairs ---------------------------------
+
+
+def _counted_terms(monkeypatch) -> list[float]:
+    """The n_pairs of each call of ``source_model.analysis_terms`` from here on."""
+    calls = []
+    honest = source_model.analysis_terms
+
+    def counted(factors, emitted, n_pairs):
+        calls.append(n_pairs)
+        return honest(factors, emitted, n_pairs)
+
+    monkeypatch.setattr(source_model, "analysis_terms", counted)
+    return calls
+
+
+def test_an_ensemble_builds_its_terms_once_per_n_pairs(monkeypatch, sweep_side):
+    calls = _counted_terms(monkeypatch)
+    ensemble = SourceEnsemble.symmetric(sweep_side)
+    channel = ChannelParams(n_pairs=1e11)
+    for params in (channel.at_distance(d) for d in (30.0, 0.0, 30.0, 150.0)):
+        secure_key_rate(AnalysisInputs.from_simulation(ensemble, params))
+    assert calls == [1e11]
+    secure_key_rate(AnalysisInputs.from_simulation(ensemble, replace(channel, n_pairs=1e9)))
+    assert calls == [1e11, 1e9]
+
+
+def test_sources_that_fail_the_decoy_conditions_build_no_terms(monkeypatch):
+    calls = _counted_terms(monkeypatch)
+    report = secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble.symmetric(_CORNERS["decoy"][0]), ChannelParams()))
+    assert report.reason.startswith("decoy-conditions-failed") and calls == []
+
+
+def test_inputs_made_by_hand_read_their_own_bounds_and_observables(inputs_10km, sweep_side):
+    # Inputs made by the constructor or by replace hold no ensemble, so they read neither its bounds nor its emissions.
+    assert replace(inputs_10km, f_ec=inputs_10km.f_ec)._ensemble is None
+    other = SourceEnsemble.symmetric(sweep_side).bounds
+    by_hand = replace(inputs_10km, bounds=other, observables=_scaled(inputs_10km.observables, 10.0))
+    curve, _, _ = rate_function(by_hand)
+    obs = by_hand.observables
+    assert curve.c_y == other.factors.c_y != inputs_10km.bounds.factors.c_y
+    assert curve.txx_upper == chernoff_upper(obs.errors["x", "x"], by_hand.chernoff) / obs.emitted["x", "x"]
+
+
+# --- the shared terms against the per-distance records ------------------------
+
+
+def _outcome(analyse, inputs) -> object:
+    """The report of ``analyse(inputs)`` by :func:`_exact`, or the type and text of what it raised."""
+    try:
+        return _exact(analyse(inputs))
+    except (ValueError, SolverError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _doctored(observables: PairObservables, how: str) -> PairObservables:
+    """Observables changed by hand: every detection an error, none, an empty H range, or ten times the data."""
+    counts, errors = observables.counts, observables.errors
+    if how == "all-errors":
+        return replace(observables, errors=dict(counts))
+    if how == "no-errors":
+        return replace(observables, errors=dict.fromkeys(errors, 0))
+    if how == "h-range-empty":
+        return replace(observables, errors={**errors, ("v", "x"): counts["v", "x"], ("x", "v"): counts["x", "v"], ("x", "x"): 0})
+    return _scaled(observables, 10.0)
+
+
+def _reason(outcome: object) -> str:
+    return outcome[-2] if isinstance(outcome, list) else outcome[0]
+
+
+def _matches_the_record_path(
+    ensemble: SourceEnsemble, channel: ChannelParams, distances: list[float], how: str = "scaled"
+) -> tuple[set[str], set[str]]:
+    """Check each distance's report, and those of inputs made by hand from it, against the per-distance records.
+
+    Returns the reasons of the distances' reports, and those of the inputs made by hand.
+    """
+    reasons, by_hand_reasons = set(), set()
+    for distance in distances:
+        params = channel.at_distance(distance)
+        inputs = AnalysisInputs.from_simulation(ensemble, params)
+        expected = _outcome(record_secure_key_rate, RecordInputs.from_simulation(ensemble, params))
+        assert _outcome(secure_key_rate, inputs) == expected
+        reasons.add(_reason(expected))
+        disabled = ChernoffConfig(xi=channel.xi, disabled=True)
+        for by_hand in (replace(inputs, chernoff=disabled), replace(inputs, observables=_doctored(inputs.observables, how))):
+            records = RecordInputs(by_hand.bounds, record_observables(by_hand.observables), by_hand.chernoff, by_hand.f_ec)
+            expected = _outcome(record_secure_key_rate, records)
+            assert _outcome(secure_key_rate, by_hand) == expected
+            by_hand_reasons.add(_reason(expected))
+    return reasons, by_hand_reasons
+
+
+@st.composite
+def _random_side(draw) -> SideSources:
+    mu_x = 10.0 ** draw(st.floats(-2.5, -0.3))
+    p_x, p_y, p_z = draw(st.floats(0.01, 0.4)), draw(st.floats(0.01, 0.4)), draw(st.floats(0.1, 0.8))
+    assume(p_x + p_y + p_z < 0.99)
+    return SideSources(
+        mu_x=mu_x,
+        mu_y=mu_x * draw(st.floats(1.5, 20.0)),
+        mu_z=draw(st.floats(0.05, 1.0)),
+        p_v=1.0 - p_x - p_y - p_z,
+        p_x=p_x,
+        p_y=p_y,
+        p_z=p_z,
+        vacuum_cap=draw(st.floats(0.0, 1e-3)),
+        fluctuation=draw(st.floats(0.0, 0.3)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    _random_side(),
+    st.none() | _random_side(),
+    st.floats(6.0, 24.0),
+    st.floats(-300.0, math.log10(0.5)),
+    st.lists(st.floats(0.0, 200.0), min_size=1, max_size=5),
+    st.sampled_from(["all-errors", "no-errors", "h-range-empty", "scaled"]),
+)
+def test_the_shared_terms_give_the_per_distance_records_reports_bit_for_bit(alice, bob, log_n, log_xi, distances, how):
+    # Past 2**53 counts, a pooled sum taken in another order can move a bound's
+    # last bits, so n_pairs runs to 1e24; bob None is a symmetric ensemble.
+    ensemble = SourceEnsemble(alice=alice, bob=alice if bob is None else bob)
+    channel = ChannelParams(n_pairs=10.0**log_n, xi=10.0**log_xi)
+    _matches_the_record_path(ensemble, channel, distances, how)
+
+
+@pytest.mark.parametrize("corner", sorted(_CORNERS))
+def test_the_shared_terms_report_each_infeasibility_as_the_per_distance_records_do(corner):
+    side, reason = _CORNERS[corner]
+    reasons, _ = _matches_the_record_path(SourceEnsemble.symmetric(side), ChannelParams(n_pairs=1e11), [0.0, 50.0, 25.0, 0.0, 150.0])
+    assert reasons and all(r.startswith(reason) for r in reasons)
+
+
+def test_the_shared_terms_report_an_empty_h_range_as_the_per_distance_records_do(sweep_side):
+    ensemble = SourceEnsemble.symmetric(replace(sweep_side, fluctuation=0.01))
+    reasons, by_hand = _matches_the_record_path(ensemble, ChannelParams(n_pairs=1e11), [10.0, 40.0], "h-range-empty")
+    assert reasons == {"ok"} and "h-range-empty" in by_hand
+
+
+# --- soundness at the corners of every source error ----------------------------
+
+
+def _corner_observables(ensemble: SourceEnsemble, params: ChannelParams, alice: dict, bob: dict) -> PairObservables:
+    """Observables of the ensemble's pairs with each source at the given intensity, rounded as build_observables rounds."""
+    emitted = ensemble.emissions(params.n_pairs).expected
+    counts, errors = {}, {}
+    for l, r, basis, _, _, _ in ensemble.pair_table:
+        q, eq = pair_yield(alice[l], bob[r], basis, params)
+        count = counts[l, r] = round(emitted[l, r] * q)
+        errors[l, r] = min(round(emitted[l, r] * eq), count)
+    return PairObservables(emitted=dict(emitted), counts=counts, errors=errors, n_pairs=float(params.n_pairs))
+
+
+@pytest.mark.parametrize("fluctuation", [0.01, 0.05])
+def test_bounds_hold_at_every_corner_of_the_source_errors(sweep_side, fluctuation):
+    # The analysis knows only each source's interval.  Each side's x, y and z
+    # sources sit at either end of theirs, and the vacuum source at 0 or at its
+    # cap, Alice and Bob independently: 256 patterns, analysed with the nominal
+    # sources' bounds.  The true H comes from the actual x intensities.
+    side = replace(sweep_side, fluctuation=fluctuation)
+    ensemble = SourceEnsemble.symmetric(side)
+    ends = {s: side.intensity_interval(s) for s in ("v", "x", "y", "z")}
+    corners = [dict(zip(("v", "x", "y", "z"), pick)) for pick in product(*(ends[s] for s in ("v", "x", "y", "z")))]
+    for distance in (0.0, 30.0, 60.0):
+        params = ChannelParams(n_pairs=1e11, distance_km=distance)
+        y11, e11 = single_photon_pair_truth("X", params)
+        for alice, bob in product(corners, corners):
+            inputs = AnalysisInputs(ensemble.bounds, _corner_observables(ensemble, params, alice, bob), params._chernoff, params.f_ec)
+            curve, h_lo, h_hi = rate_function(inputs)
+            h_true = 2.0 * vacuum_error_component(alice["x"], bob["x"], params)
+            case = (distance, alice, bob)
+            assert h_lo <= h_true <= h_hi, case
+            assert curve.s11(h_true) <= y11, case
+            if curve.s11(h_true) > 0.0:
+                assert curve.e11(h_true) >= e11, case

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from mdiqkd import cli
+from mdiqkd import AnalysisInputs, cli, secure_key_rate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +42,29 @@ def test_every_traced_target_resolves_to_a_callable(traced_modules):
     assert tracer.Tracer().absent == []
 
 
+# Calls per traced layer of a scan at 10 and 40 km with configs/reference.cfg:
+# one ensemble, and at each distance one observables table with six gains
+# (v-x and x-v, v-y and y-v share one each) and four combination bounds.  The
+# Chernoff calls are the two reports' chernoff_invocations.
+_SCAN_CALLS = {
+    "channel_sim.build_observables": 2,
+    "keyrate_core.from_simulation": 2,
+    "keyrate_core.secure_key_rate": 2,
+    "stat_bounds.combo": 8,
+    "channel_sim.pair_yield": 12,
+    "source_model.coeff_bounds": 1,
+    "source_model.check_decoy_conditions": 1,
+}
+
+
+def _chernoff_invocations(config: Path, distances: list[float]) -> int:
+    """The summed ``chernoff_invocations`` of the reports a scan of ``config`` makes at ``distances``."""
+    run = cli.RunConfig(**cli.parse_config_file(config))
+    ensemble, channel = run.ensemble(), run.channel_params()
+    reports = [secure_key_rate(AnalysisInputs.from_simulation(ensemble, channel.at_distance(d))) for d in distances]
+    return sum(report.chernoff_invocations for report in reports)
+
+
 @pytest.mark.parametrize(
     "workload, argv, extra",
     [
@@ -60,3 +83,7 @@ def test_every_layer_of_a_workload_is_traced(traced_modules, tmp_path, capsys, w
         traced.uninstall()
     summary = traced.summary(1)
     assert [layer for layer in LAYERS_RUN[workload] if not summary[layer]["calls"]] == []
+    if workload == "sweep":
+        # The bench's per-layer metrics compare across changes only while each layer runs as often per task.
+        expected = {**_SCAN_CALLS, "stat_bounds.chernoff": _chernoff_invocations(config, [10.0, 40.0])}
+        assert {layer: summary[layer]["calls"] for layer in expected} == expected
