@@ -489,26 +489,27 @@ class PairObservables:
 def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairObservables:
     """Expected observables at typical intensities for the pairs the analysis reads.
 
-    The pairs, their intensities, their expected emissions and their mirrors
-    come from the ensemble's
+    The pairs, their intensities and their mirrors come from the ensemble's
+    ``pair_table``, and ``emitted`` is its
     :meth:`~mdiqkd.source_model.SourceEnsemble.emissions`, which every
-    distance at these ``n_pairs`` shares, so only the counts are made here;
-    ``emitted`` is its ``expected``.  Counts are rounded to integers (round-half-even) since any real
-    run records integers.  An X-basis yield is symmetric in the two
-    intensities bit for bit, so a pair and its mirror, such as v-x and x-v,
-    share one :func:`pair_yield` call.  A Z-basis yield is not: its two click
-    factors multiply in the order of the arguments.
+    distance at these ``n_pairs`` shares, so only the counts are made here.
+    Counts are rounded to integers (round-half-even) since any real run
+    records integers.  An X-basis yield is symmetric in the two intensities
+    bit for bit, so a pair and its mirror, such as v-x and x-v, share one
+    :func:`pair_yield` call.  A Z-basis yield is not: its two click factors
+    multiply in the order of the arguments.
     """
     yields: list[tuple[float, float]] = []
     counts: dict[tuple[str, str], int] = {}
     errors: dict[tuple[str, str], int] = {}
-    emissions = ensemble.emissions(params.n_pairs)
-    for pair, basis, mu_l, mu_r, expected, mirror in emissions.table:
+    emitted = ensemble.emissions(params.n_pairs)
+    for pair, basis, mu_l, mu_r, _, mirror in ensemble.pair_table:
         q, eq = yields[mirror] if mirror >= 0 and basis == "X" else pair_yield(mu_l, mu_r, basis, params)
         yields.append((q, eq))
+        expected = emitted[pair]
         count = counts[pair] = round(expected * q)
         errors[pair] = min(round(expected * eq), count)
-    return _frozen(PairObservables, emitted=emissions.expected, counts=counts, errors=errors, n_pairs=float(params.n_pairs))
+    return _frozen(PairObservables, emitted=emitted, counts=counts, errors=errors, n_pairs=float(params.n_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ the telescoping combination bounds rather than term by term (Zhang et al.,
 PRA 95, 012333 (2017)); the groups are those of the four-intensity joint
 constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  Every term of those
 groups is formed in one function, :func:`~mdiqkd.source_model.analysis_terms`,
-from weights that depend on the coefficient table alone, held by it as
-:class:`~mdiqkd.source_model.AnalysisFactors`, over the expected emissions.
-Those terms, with the emission fraction ``pz2`` and the feasibility verdict,
-depend on the sources and ``n_pairs`` alone, so a source ensemble builds them
-once per ``n_pairs`` and every distance of a scan shares them; a distance
-makes only its counts, their Chernoff bounds and the minimum over H.  The
-Z-basis single-photon yield is estimated by its X-basis bound.
+as a weight of the coefficient table over the expected emissions.  Those
+terms, with the constants of ``s11(H)`` and ``e11(H)``, the emission fraction
+``pz2`` and the feasibility verdict, depend on the sources and ``n_pairs``
+alone, so a source ensemble builds them once per ``n_pairs`` and every
+distance of a scan shares them; a distance makes only its counts, their
+Chernoff bounds and the minimum over H.  The Z-basis single-photon yield is
+estimated by its X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
 ``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
 """
@@ -93,7 +93,7 @@ def _fixed_terms(inputs: AnalysisInputs) -> AnalysisTerms:
     obs = inputs.observables
     if inputs._ensemble is not None:
         return inputs._ensemble.analysis_terms(obs.n_pairs)
-    return analysis_terms(inputs.bounds.factors, obs.emitted, obs.n_pairs)
+    return analysis_terms(inputs.bounds, obs.emitted, obs.n_pairs)
 
 
 def _group(terms: tuple[tuple[float, tuple[str, str]], ...], column: dict[tuple[str, str], int]) -> list[tuple[float, float]]:
@@ -113,7 +113,7 @@ def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCo
     cfg = inputs.chernoff
     positive = stat_bounds.combo_lower(_group(terms.error_plus, errors), cfg, counter)
     negative = stat_bounds.combo_upper(_group(terms.error_minus, errors), cfg, counter)
-    return max(0.0, 2.0 * (positive - negative) / (1.0 - inputs.bounds.factors.sigma_x))
+    return max(0.0, 2.0 * (positive - negative) / (1.0 - terms.sigma_x))
 
 
 def binary_entropy(x: float) -> float:
@@ -226,20 +226,19 @@ def _curve(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCoun
     ``s_plus`` jointly lower-bounds the positive yield group
     ``c_y <S_xx> + K (a0_ratio <S_vy> + b0_ratio <S_yv>)`` and ``s_minus``
     jointly upper-bounds the subtracted y-y and vacuum-vacuum group, with
-    ``K = f.scale``.
+    ``K`` of :class:`~mdiqkd.source_model.AnalysisTerms`.
     """
     obs = inputs.observables
     cfg = inputs.chernoff
-    f = inputs.bounds.factors
     return _frozen(
         RateCurve,
         s_plus=stat_bounds.combo_lower(_group(terms.yield_plus, obs.counts), cfg, counter),
         s_minus=stat_bounds.combo_upper(_group(terms.yield_minus, obs.counts), cfg, counter),
         txx_upper=stat_bounds.chernoff_upper(obs.errors["x", "x"], cfg, counter) / obs.emitted["x", "x"],
-        c_y=f.c_y,
-        denominator=f.denominator,
-        beta=f.beta,
-        gamma=f.gamma,
+        c_y=terms.c_y,
+        denominator=terms.denominator,
+        beta=terms.beta,
+        gamma=terms.gamma,
         pz2=terms.pz2,
         correction=inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate),
     )

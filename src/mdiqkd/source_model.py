@@ -166,6 +166,8 @@ _ANALYSED_PAIRS = (
     ("z", "z", "Z"),
 )
 
+Pair = tuple[str, str]
+
 
 @dataclass(frozen=True)
 class SourceEnsemble:
@@ -173,11 +175,13 @@ class SourceEnsemble:
 
     Two values are built once per ensemble, when it is made: ``bounds``, the
     worst-case coefficient bounds of these sources, and ``pair_table``, the
-    ``(l, r, basis, mu_l, mu_r, p_l p_r)`` of each analysed pair, with the
-    simulation intensities of :func:`simulation_intensity`.  Two more are
-    built once per ``n_pairs``, when first read, and kept: :meth:`emissions`
-    and :meth:`analysis_terms`.  None is a field, so equality, hashing and
-    ``repr`` see the sources alone.
+    ``(pair, basis, mu_l, mu_r, p_l p_r, mirror)`` of each analysed pair
+    ``(l, r)``, with the simulation intensities of
+    :func:`simulation_intensity`.  ``mirror`` is the index of the earlier
+    entry r-l on sides given as one object, whose intensities are this
+    entry's swapped, else -1.  Two more are built once per ``n_pairs``, when
+    first read, and kept: :meth:`emissions` and :meth:`analysis_terms`.  None
+    is a field, so equality, hashing and ``repr`` see the sources alone.
     """
 
     alice: SideSources
@@ -185,10 +189,16 @@ class SourceEnsemble:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bounds", coeff_bounds(self))
+        shared = self.bob is self.alice
         alice = _source_table(self.alice)
-        bob = alice if self.bob is self.alice else _source_table(self.bob)
-        table = tuple((l, r, basis, alice[l][1], bob[r][1], alice[l][0] * bob[r][0]) for l, r, basis in _ANALYSED_PAIRS)
-        object.__setattr__(self, "pair_table", table)
+        bob = alice if shared else _source_table(self.bob)
+        index: dict[Pair, int] = {}
+        table = []
+        for l, r, basis in _ANALYSED_PAIRS:
+            mirror = index.get((r, l), -1) if shared else -1
+            index[l, r] = len(table)
+            table.append(((l, r), basis, alice[l][1], bob[r][1], alice[l][0] * bob[r][0], mirror))
+        object.__setattr__(self, "pair_table", tuple(table))
         object.__setattr__(self, "_emissions", {})
         object.__setattr__(self, "_terms", {})
 
@@ -196,28 +206,22 @@ class SourceEnsemble:
     def symmetric(cls, side: SideSources) -> "SourceEnsemble":
         return cls(alice=side, bob=side)
 
-    def emissions(self, n_pairs: float) -> "Emissions":
-        """The :class:`Emissions` of these sources at ``n_pairs``, built at the first call for it and shared by every caller."""
-        emissions = self._emissions.get(n_pairs)
-        if emissions is None:
-            shared = self.bob is self.alice
-            expected: dict[Pair, float] = {}
-            index: dict[Pair, int] = {}
-            table = []
-            for l, r, basis, mu_l, mu_r, p_lr in self.pair_table:
-                pair = (l, r)
-                mirror = index.get((r, l), -1) if shared else -1
-                index[pair] = len(table)
-                expected[pair] = p_lr * n_pairs
-                table.append((pair, basis, mu_l, mu_r, expected[pair], mirror))
-            emissions = self._emissions[n_pairs] = Emissions(expected, tuple(table))
-        return emissions
+    def emissions(self, n_pairs: float) -> dict[Pair, float]:
+        """The expected emitted pairs ``p_l p_r n_pairs`` of each analysed pair, in ``pair_table`` order.
+
+        Built at the first call for these ``n_pairs`` and shared by every
+        caller, so do not modify it.
+        """
+        emitted = self._emissions.get(n_pairs)
+        if emitted is None:
+            emitted = self._emissions[n_pairs] = {pair: p_lr * n_pairs for pair, _, _, _, p_lr, _ in self.pair_table}
+        return emitted
 
     def analysis_terms(self, n_pairs: float) -> "AnalysisTerms":
         """The :func:`analysis_terms` of these sources' bounds and expected emissions, built once per ``n_pairs``."""
         terms = self._terms.get(n_pairs)
         if terms is None:
-            terms = self._terms[n_pairs] = analysis_terms(self.bounds.factors, self.emissions(n_pairs).expected, float(n_pairs))
+            terms = self._terms[n_pairs] = analysis_terms(self.bounds, self.emissions(n_pairs), float(n_pairs))
         return terms
 
 
@@ -246,10 +250,9 @@ class SideCoeffBounds:
 class PhotonCoeffBounds:
     """Coefficient bounds for both sides (Alice's are the a's, Bob's the b's).
 
-    ``decoy``, the decoy-condition verdict on these bounds, and ``factors``,
-    the :class:`AnalysisFactors` of the key-rate analysis, are computed once
+    ``decoy``, the decoy-condition verdict on these bounds, is computed once
     per coefficient table, when the table is made; like ``bounds`` of
-    :class:`SourceEnsemble` neither is a field.
+    :class:`SourceEnsemble` it is not a field.
     """
 
     alice: SideCoeffBounds
@@ -257,40 +260,6 @@ class PhotonCoeffBounds:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "decoy", check_decoy_conditions(self))
-        object.__setattr__(self, "factors", _analysis_factors(self))
-
-
-class AnalysisFactors(NamedTuple):
-    """The factors of the key-rate analysis that a coefficient table alone fixes.
-
-    ``infeasible`` says why the table cannot support the single-photon
-    bounds, and is empty where it can; the other fields are NaN where it
-    cannot.  ``sigma_x`` and ``sigma_y`` are the vacuum-contamination factors;
-    ``denominator`` that of the yield floor ``s11``; ``scale`` is
-    ``a1_x^U b2_x^U / (1 - sigma_y)``; ``c_y`` is ``a1_y^L b2_y^L``, the
-    coefficient of h in the ``s11`` numerator; ``beta`` is ``a1_x^L b1_x^L``
-    and ``gamma`` is ``a1_z^L b1_z^L``.  The ``*_vacuum_*`` fields are the
-    ratios of :func:`_vacuum_ratio` and :func:`_pair_vacuum_ratio`.
-
-    A named tuple, not a frozen dataclass: the optimizer makes a table at
-    every probe, and a tuple is built, and its class made at import, in a
-    fraction of the time.
-    """
-
-    infeasible: str
-    sigma_x: float = math.nan
-    sigma_y: float = math.nan
-    denominator: float = math.nan
-    scale: float = math.nan
-    c_y: float = math.nan
-    beta: float = math.nan
-    gamma: float = math.nan
-    alice_vacuum_x: float = math.nan
-    bob_vacuum_x: float = math.nan
-    pair_vacuum_x: float = math.nan
-    alice_vacuum_y: float = math.nan
-    bob_vacuum_y: float = math.nan
-    pair_vacuum_y: float = math.nan
 
 
 def _vacuum_ratio(side: SideCoeffBounds, basis: str) -> float:
@@ -303,93 +272,45 @@ def _pair_vacuum_ratio(a: SideCoeffBounds, b: SideCoeffBounds, basis: str) -> fl
     return a.hi(basis, 0) * b.hi(basis, 0) / (a.lo("v", 0) * b.lo("v", 0))
 
 
-def _analysis_factors(bounds: PhotonCoeffBounds) -> AnalysisFactors:
-    """The :class:`AnalysisFactors` of a table, checked in order: the contamination factors, then the denominator.
-
-    Each contamination factor measures how much of a decoy source's
-    zero-photon statistics the unstable vacuum source's one-photon component
-    could fake; the bounds built on them require each per-basis sum, Alice's
-    factor plus Bob's, to stay below one.  The first check also guards the
-    vacuum-vacuum denominator ``a0_v^L b0_v^L`` that the yield and H bounds
-    divide by.  The products themselves are checked, since two tiny positive
-    bounds can multiply to zero.
-    """
-    a, b = bounds.alice, bounds.bob
-    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
-    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
-    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
-        return AnalysisFactors("zero denominator in contamination factors; coefficient bounds degenerate")
-    sigma_x = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
-    sigma_y = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
-    if sigma_x >= 1.0 or sigma_y >= 1.0:
-        return AnalysisFactors(
-            f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
-        )
-    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
-    if denominator <= 0.0:
-        return AnalysisFactors("single-photon denominator is not positive; decoy intensities too close for the bound")
-    return AnalysisFactors(
-        infeasible="",
-        sigma_x=sigma_x,
-        sigma_y=sigma_y,
-        denominator=denominator,
-        scale=a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y),
-        c_y=a.lo("y", 1) * b.lo("y", 2),
-        beta=a.lo("x", 1) * b.lo("x", 1),
-        gamma=a.lo("z", 1) * b.lo("z", 1),
-        alice_vacuum_x=_vacuum_ratio(a, "x"),
-        bob_vacuum_x=_vacuum_ratio(b, "x"),
-        pair_vacuum_x=_pair_vacuum_ratio(a, b, "x"),
-        alice_vacuum_y=_vacuum_ratio(a, "y"),
-        bob_vacuum_y=_vacuum_ratio(b, "y"),
-        pair_vacuum_y=_pair_vacuum_ratio(a, b, "y"),
-    )
-
-
-Pair = tuple[str, str]
-
-
-class Emissions(NamedTuple):
-    """What an ensemble's analysed pairs emit at one ``n_pairs``.
-
-    ``expected`` holds the expected emitted pairs ``p_l p_r n_pairs`` of each
-    pair ``(l, r)``, in ``pair_table`` order; do not modify it.  ``table``
-    holds the ``(pair, basis, mu_l, mu_r, expected, mirror)`` of each entry of
-    ``pair_table``, where ``mirror`` is the index of the earlier entry r-l on
-    sides given as one object, whose intensities are this entry's swapped,
-    else -1.
-    """
-
-    expected: dict[Pair, float]
-    table: tuple[tuple[Pair, str, float, float, float, int], ...]
-
-
 class AnalysisTerms(NamedTuple):
     """What the key-rate analysis reads of a coefficient table and the expected emissions, apart from the counts.
 
     ``infeasible`` says why the analysis cannot run, and is empty where it
-    can: a pair with no expected emissions, or the table's own
-    :attr:`AnalysisFactors.infeasible`.  ``pz2`` is the z-z emission
-    fraction.  Each group is a
+    can; every other field is NaN or empty where it cannot.  ``pz2`` is the
+    z-z emission fraction.  ``sigma_x`` is the x-basis vacuum-contamination
+    factor, ``denominator`` that of the yield floor ``s11``, ``c_y`` is
+    ``a1_y^L b2_y^L``, the coefficient of h in the ``s11`` numerator, ``beta``
+    is ``a1_x^L b1_x^L`` and ``gamma`` is ``a1_z^L b1_z^L``.  Each group is a
     tuple of ``(coefficient, (l, r))`` terms, one per count of pair l-r that
-    the group combines, each coefficient a weight of :class:`AnalysisFactors`
-    over the pair's expected emissions:
+    the group combines, each coefficient a weight over the pair's expected
+    emissions:
 
     * ``yield_plus``, counts: ``c_y <S_xx> + K (a0_ratio <S_vy> + b0_ratio <S_yv>)``
     * ``yield_minus``, counts: ``K (<S_yy> + ab0_ratio <S_vv>)``
     * ``error_plus``, errors: ``a0_ratio <T_vx> + b0_ratio <T_xv>``
     * ``error_minus``, errors: ``ab0_ratio <T_vv> + sigma_x <T_xx>``
 
-    with ``K = scale`` and the vacuum ratios of the y basis in the yield
-    groups and of the x basis in the error groups.  The terms keep the order
-    of these formulas: :func:`~mdiqkd.stat_bounds.combo_lower` and
+    with ``K = a1_x^U b2_x^U / (1 - sigma_y)``, the vacuum ratios of
+    :func:`_vacuum_ratio` and :func:`_pair_vacuum_ratio`, those of the y basis
+    in the yield groups and of the x basis in the error groups, and the pair
+    names read with the a side first.  The terms keep the order of these
+    formulas: :func:`~mdiqkd.stat_bounds.combo_lower` and
     :func:`~mdiqkd.stat_bounds.combo_upper` sort any terms by coefficient,
     stably, into their telescoping order, and name the first bad count in
     the order given.
+
+    A named tuple, not a frozen dataclass: the optimizer builds terms at
+    every probe, and a tuple is built, and its class made at import, in a
+    fraction of the time.
     """
 
     infeasible: str
     pz2: float = math.nan
+    sigma_x: float = math.nan
+    denominator: float = math.nan
+    c_y: float = math.nan
+    beta: float = math.nan
+    gamma: float = math.nan
     yield_plus: tuple[tuple[float, Pair], ...] = ()
     yield_minus: tuple[tuple[float, Pair], ...] = ()
     error_plus: tuple[tuple[float, Pair], ...] = ()
@@ -399,26 +320,65 @@ class AnalysisTerms(NamedTuple):
 _VV, _VX, _XV, _XX, _VY, _YV, _YY, _ZZ = (("v", "v"), ("v", "x"), ("x", "v"), ("x", "x"), ("v", "y"), ("y", "v"), ("y", "y"), ("z", "z"))
 
 
-def analysis_terms(factors: AnalysisFactors, emitted: dict[Pair, float], n_pairs: float) -> AnalysisTerms:
-    """The :class:`AnalysisTerms` of a table's factors and of the expected emissions ``emitted`` of each pair.
+def analysis_terms(bounds: PhotonCoeffBounds, emitted: dict[Pair, float], n_pairs: float) -> AnalysisTerms:
+    """The :class:`AnalysisTerms` of a coefficient table and of the expected emissions ``emitted`` of each pair.
 
-    Every pair in ``emitted`` must expect emissions, checked in its order,
-    and then the factors must be feasible; the first failure is the verdict.
+    Checked in order, and the first failure is the verdict: every pair in
+    ``emitted`` must expect emissions, in its order; then the contamination
+    factors, then the denominator.  Each contamination factor measures how
+    much of a decoy source's zero-photon statistics the unstable vacuum
+    source's one-photon component could fake; the bounds built on them
+    require each per-basis sum, Alice's factor plus Bob's, to stay below one.
+    The first factor check also guards the vacuum-vacuum denominator
+    ``a0_v^L b0_v^L`` that the yield and H bounds divide by.  The products
+    themselves are checked, since two tiny positive bounds can multiply to
+    zero.
+
+    The yield floor eliminates the one-two yield ``Y_12`` and drops ``Y_21``,
+    whose weight has the sign of ``r12 - r21``, with
+    ``r12 = (a1_y^L / a1_x^U)(b2_y^L / b2_x^U)`` and
+    ``r21 = (a2_y^L / a2_x^U)(b1_y^L / b1_x^U)``.  So it holds only where
+    ``r21 >= r12``.  Where ``r21 < r12`` every term is built with Bob's table
+    as the a side, and with the v-x/x-v and v-y/y-v pairs exchanged, which
+    eliminates ``Y_21`` and drops ``Y_12`` instead.  On sides with one table
+    the two products are equal bit for bit, so nothing is exchanged.
     """
     for (l, r), expected in emitted.items():
         if not expected > 0.0:
             return AnalysisTerms(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
-    if factors.infeasible:
-        return AnalysisTerms(factors.infeasible)
-    f, scale, e = factors, factors.scale, emitted
+    a, b = bounds.alice, bounds.bob
+    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
+    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
+    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
+        return AnalysisTerms("zero denominator in contamination factors; coefficient bounds degenerate")
+    sigma_x = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
+    sigma_y = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
+    if sigma_x >= 1.0 or sigma_y >= 1.0:
+        return AnalysisTerms(
+            f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
+        )
+    vx, xv, vy, yv = _VX, _XV, _VY, _YV
+    r12 = (a.lo("y", 1) / a.hi("x", 1)) * (b.lo("y", 2) / b.hi("x", 2))
+    r21 = (a.lo("y", 2) / a.hi("x", 2)) * (b.lo("y", 1) / b.hi("x", 1))
+    if r21 < r12:
+        a, b, vx, xv, vy, yv = b, a, _XV, _VX, _YV, _VY
+    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
+    if denominator <= 0.0:
+        return AnalysisTerms("single-photon denominator is not positive; decoy intensities too close for the bound")
+    scale, c_y, e = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y), a.lo("y", 1) * b.lo("y", 2), emitted
     # Each term is (weight / expected emissions of its pair, pair).
     return AnalysisTerms(
         infeasible="",
         pz2=e[_ZZ] / n_pairs,
-        yield_plus=((f.c_y / e[_XX], _XX), (scale * f.alice_vacuum_y / e[_VY], _VY), (scale * f.bob_vacuum_y / e[_YV], _YV)),
-        yield_minus=((scale / e[_YY], _YY), (scale * f.pair_vacuum_y / e[_VV], _VV)),
-        error_plus=((f.alice_vacuum_x / e[_VX], _VX), (f.bob_vacuum_x / e[_XV], _XV)),
-        error_minus=((f.pair_vacuum_x / e[_VV], _VV), (f.sigma_x / e[_XX], _XX)),
+        sigma_x=sigma_x,
+        denominator=denominator,
+        c_y=c_y,
+        beta=a.lo("x", 1) * b.lo("x", 1),
+        gamma=a.lo("z", 1) * b.lo("z", 1),
+        yield_plus=((c_y / e[_XX], _XX), (scale * _vacuum_ratio(a, "y") / e[vy], vy), (scale * _vacuum_ratio(b, "y") / e[yv], yv)),
+        yield_minus=((scale / e[_YY], _YY), (scale * _pair_vacuum_ratio(a, b, "y") / e[_VV], _VV)),
+        error_plus=((_vacuum_ratio(a, "x") / e[vx], vx), (_vacuum_ratio(b, "x") / e[xv], xv)),
+        error_minus=((_pair_vacuum_ratio(a, b, "x") / e[_VV], _VV), (sigma_x / e[_XX], _XX)),
     )
 
 

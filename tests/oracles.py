@@ -11,8 +11,9 @@ regression-fixture writer, ``unfiltered_chunk_counts``, the Monte Carlo
 kernel kept as it was before it skipped trials that cannot click, which reads
 the package's lookup and intensity tables, and ``record_secure_key_rate``,
 the per-distance analysis kept as it was before a source ensemble built its
-combination terms once per ``n_pairs``, which reads the package's gains,
-Chernoff bounds, rate curve and minimum over H.
+combination terms once per ``n_pairs``, with its own copy of the factors a
+coefficient table fixes, which reads the package's gains, Chernoff bounds,
+rate curve and minimum over H.
 """
 
 import cmath
@@ -20,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,7 +30,7 @@ from mdiqkd import ChannelParams, pair_yield
 from mdiqkd import channel_sim, stat_bounds
 from mdiqkd.channel_sim import _BLOCK_SIZE, PairObservables, _frozen, _intensity_table
 from mdiqkd.keyrate_core import AnalysisInfeasible, KeyRateReport, RateCurve, SolverError, _convex_minimum, binary_entropy
-from mdiqkd.source_model import AnalysisFactors, PhotonCoeffBounds, SourceEnsemble
+from mdiqkd.source_model import PhotonCoeffBounds, SourceEnsemble
 from mdiqkd.stat_bounds import ChernoffConfig, InvocationCounter
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
 from mdiqkd.source_model import SOURCES, simulation_intensity
@@ -481,7 +483,7 @@ def record_build_observables(ensemble: SourceEnsemble, params: ChannelParams) ->
     n_pairs = params.n_pairs
     yields: dict[tuple[str, str, str], tuple[float, float]] = {}
     pairs: dict[tuple[str, str], SourceCounts] = {}
-    for l, r, basis, mu_l, mu_r, p_lr in ensemble.pair_table:
+    for (l, r), basis, mu_l, mu_r, p_lr, _ in ensemble.pair_table:
         mirror = yields.get((r, l, basis)) if shared and basis == "X" else None
         q, eq = yields[(l, r, basis)] = pair_yield(mu_l, mu_r, basis, params) if mirror is None else mirror
         emitted = p_lr * n_pairs
@@ -499,12 +501,60 @@ def _record_terms(obs: RecordObservables, column: str, *weighted: tuple[float, s
     return terms
 
 
-def _record_h_lower(inputs: RecordInputs, f: AnalysisFactors, counter: InvocationCounter) -> float:
+def _record_factors(bounds: PhotonCoeffBounds) -> SimpleNamespace:
+    """The factors of the analysis that a coefficient table alone fixes, checked in order: the contamination factors, then the denominator.
+
+    ``infeasible`` says why the table cannot support the bounds, and is empty
+    where it can.  The yield floor drops the two-one yield, which is sound
+    only where ``r21 >= r12``; elsewhere the factors are formed with Bob's
+    table as the a side.  ``vx`` and ``vy`` name the pairs in which the a side
+    sends vacuum and the other x or y.
+    """
+    a, b = bounds.alice, bounds.bob
+    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
+    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
+    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
+        return SimpleNamespace(infeasible="zero denominator in contamination factors; coefficient bounds degenerate")
+    sigma_x = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
+    sigma_y = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
+    if sigma_x >= 1.0 or sigma_y >= 1.0:
+        return SimpleNamespace(
+            infeasible=f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
+        )
+    vx, vy = ("v", "x"), ("v", "y")
+    r12 = (a.lo("y", 1) / a.hi("x", 1)) * (b.lo("y", 2) / b.hi("x", 2))
+    r21 = (a.lo("y", 2) / a.hi("x", 2)) * (b.lo("y", 1) / b.hi("x", 1))
+    if r21 < r12:
+        a, b, vx, vy = b, a, ("x", "v"), ("y", "v")
+    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
+    if denominator <= 0.0:
+        return SimpleNamespace(infeasible="single-photon denominator is not positive; decoy intensities too close for the bound")
+    return SimpleNamespace(
+        infeasible="",
+        vx=vx,
+        vy=vy,
+        sigma_x=sigma_x,
+        sigma_y=sigma_y,
+        denominator=denominator,
+        scale=a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y),
+        c_y=a.lo("y", 1) * b.lo("y", 2),
+        beta=a.lo("x", 1) * b.lo("x", 1),
+        gamma=a.lo("z", 1) * b.lo("z", 1),
+        a_vacuum_x=a.lo("x", 0) / a.hi("v", 0),
+        b_vacuum_x=b.lo("x", 0) / b.hi("v", 0),
+        pair_vacuum_x=a.hi("x", 0) * b.hi("x", 0) / (a.lo("v", 0) * b.lo("v", 0)),
+        a_vacuum_y=a.lo("y", 0) / a.hi("v", 0),
+        b_vacuum_y=b.lo("y", 0) / b.hi("v", 0),
+        pair_vacuum_y=a.hi("y", 0) * b.hi("y", 0) / (a.lo("v", 0) * b.lo("v", 0)),
+    )
+
+
+def _record_h_lower(inputs: RecordInputs, f: SimpleNamespace, counter: InvocationCounter) -> float:
     obs = inputs.observables
     cfg = inputs.chernoff
 
     positive = stat_bounds.combo_lower(
-        _record_terms(obs, "errors", (f.alice_vacuum_x, "v", "x"), (f.bob_vacuum_x, "x", "v")),
+        _record_terms(obs, "errors", (f.a_vacuum_x, *f.vx), (f.b_vacuum_x, *f.vx[::-1])),
         cfg,
         counter,
     )
@@ -516,12 +566,12 @@ def _record_h_lower(inputs: RecordInputs, f: AnalysisFactors, counter: Invocatio
     return max(0.0, 2.0 * (positive - negative) / (1.0 - f.sigma_x))
 
 
-def _record_curve(inputs: RecordInputs, f: AnalysisFactors, counter: InvocationCounter) -> RateCurve:
+def _record_curve(inputs: RecordInputs, f: SimpleNamespace, counter: InvocationCounter) -> RateCurve:
     obs = inputs.observables
     cfg = inputs.chernoff
     scale = f.scale
     s_plus = stat_bounds.combo_lower(
-        _record_terms(obs, "counts", (f.c_y, "x", "x"), (scale * f.alice_vacuum_y, "v", "y"), (scale * f.bob_vacuum_y, "y", "v")),
+        _record_terms(obs, "counts", (f.c_y, "x", "x"), (scale * f.a_vacuum_y, *f.vy), (scale * f.b_vacuum_y, *f.vy[::-1])),
         cfg,
         counter,
     )
@@ -549,7 +599,7 @@ def _record_analysis(inputs: RecordInputs, counter: InvocationCounter) -> tuple[
     for (l, r), entry in inputs.observables.pairs.items():
         if not entry.emitted > 0.0:
             raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
-    factors = inputs.bounds.factors
+    factors = _record_factors(inputs.bounds)
     if factors.infeasible:
         raise AnalysisInfeasible(factors.infeasible)
     curve = _record_curve(inputs, factors, counter)

@@ -500,11 +500,11 @@ def test_all_sixteen_pairs_present_with_bases(noisy_ensemble, params_10km, obser
 def test_a_distance_shares_its_ensembles_emissions_and_builds_its_own_counts(noisy_ensemble, params_10km):
     # The expected emissions depend on the sources and n_pairs alone.
     near, far = (build_observables(noisy_ensemble, params_10km.at_distance(d)) for d in (10.0, 60.0))
-    assert near.emitted is far.emitted is noisy_ensemble.emissions(params_10km.n_pairs).expected
+    assert near.emitted is far.emitted is noisy_ensemble.emissions(params_10km.n_pairs)
     assert near.counts is not far.counts and near.counts != far.counts
     more = build_observables(noisy_ensemble, replace(params_10km, n_pairs=1e12))
-    assert more.emitted is noisy_ensemble.emissions(1e12).expected is not near.emitted
-    assert more.emitted == {(l, r): p_lr * 1e12 for l, r, _, _, _, p_lr in noisy_ensemble.pair_table}
+    assert more.emitted is noisy_ensemble.emissions(1e12) is not near.emitted
+    assert more.emitted == {pair: p_lr * 1e12 for pair, _, _, _, p_lr, _ in noisy_ensemble.pair_table}
 
 
 _INTENSITY = st.just(0.0) | st.floats(-9.0, 0.5).map(lambda e: 10.0**e)

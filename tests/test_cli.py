@@ -1,13 +1,13 @@
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import mdiqkd
-from mdiqkd import ChannelParams, OptimizationProblem, SideSources, cli, optimize
+from mdiqkd import AnalysisInputs, ChannelParams, OptimizationProblem, SideSources, cli, optimize, secure_key_rate
 from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_config_file, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -690,6 +690,24 @@ def test_reference_scan_over_the_benchmark_range_matches_golden_output(capsys):
     # Every kilometre to 150 km, past where the fixed sources' rate reaches zero.
     assert main(["scan", "--config", str(REPO_ROOT / "configs" / "reference.cfg"), "--distances", "0:150:1"]) == 0
     assert capsys.readouterr().out == (REPO_ROOT / "tests" / "data" / "reference_scan_0_150.csv").read_text(encoding="utf-8")
+
+
+def test_most_minima_over_h_of_the_reference_scans_end_at_h_lower_after_one_slope_evaluation():
+    # The README's count, over every kilometre to 150 km at fluctuation 0, 0.01 and 0.05: 433 of the
+    # 453 minima end at h_lower after one slope evaluation, and each other one bisects in 52-54.
+    run = RunConfig(**parse_config_file(REPO_ROOT / "configs" / "reference.cfg"))
+    channel, at_h_lower, bisections = run.channel_params(), 0, []
+    for fluctuation in (0.0, 0.01, 0.05):
+        ensemble = replace(run, fluctuation=fluctuation).ensemble()
+        for distance in range(151):
+            report = secure_key_rate(AnalysisInputs.from_simulation(ensemble, channel.at_distance(float(distance))))
+            assert report.reason == "ok"
+            if report.trace_samples == 1 and report.h_star == report.h_lower:
+                at_h_lower += 1
+            else:
+                bisections.append(report.trace_samples)
+    assert at_h_lower == 433 and len(bisections) == 20
+    assert min(bisections) >= 52 and max(bisections) <= 54
 
 
 def test_reference_optimize_on_the_zero_plateau_matches_golden_eval_log(tmp_path, capsys):

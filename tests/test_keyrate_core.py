@@ -61,16 +61,23 @@ def _rate(observables: PairObservables, l: str, r: str) -> float:
 # --- contamination factors -------------------------------------------------
 
 
+def _sigma_y(bounds) -> float:
+    """The y-basis contamination factor of a table, by hand; the terms hold it only inside ``K``."""
+    return sum(side.hi("y", 0) * side.hi("v", 1) / (side.lo("v", 0) * side.lo("y", 1)) for side in (bounds.alice, bounds.bob))
+
+
 def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
-    factors = coeff_bounds(exact_ensemble).factors
-    assert factors.sigma_x == factors.sigma_y == 0.0
+    terms, a = exact_ensemble.analysis_terms(1e11), exact_ensemble.bounds.alice
+    assert terms.sigma_x == _sigma_y(exact_ensemble.bounds) == 0.0
+    # So K = a1_x^U b2_x^U / (1 - sigma_y) is the product itself, bit for bit.
+    assert terms.yield_minus[0] == (a.hi("x", 1) * a.hi("x", 2) / exact_ensemble.emissions(1e11)["y", "y"], ("y", "y"))
 
 
 def test_sigma_reference_value():
     # cap 1e-6 with mu_x = 0.1 and no fluctuation: everything cancels except
     # cap / mu_x = 1e-5 per side.
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=1e-6)
-    x_total = coeff_bounds(SourceEnsemble.symmetric(side)).factors.sigma_x
+    x_total = SourceEnsemble.symmetric(side).analysis_terms(1e11).sigma_x
     assert x_total == pytest.approx(2e-5, rel=1e-12, abs=0.0)
 
 
@@ -78,7 +85,7 @@ def test_sigma_monotone_in_vacuum_cap():
     values = []
     for cap in (0.0, 1e-6, 1e-4, 1e-2):
         side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=cap)
-        values.append(coeff_bounds(SourceEnsemble.symmetric(side)).factors.sigma_x)
+        values.append(SourceEnsemble.symmetric(side).analysis_terms(1e11).sigma_x)
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -112,7 +119,7 @@ def test_tiny_expected_emissions_overflowing_the_yield_floor_is_zero_report(swee
 def test_sigma_infeasible_when_vacuum_too_unstable(params_10km):
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=0.09)
     ensemble = SourceEnsemble.symmetric(side)
-    assert ensemble.bounds.factors.infeasible.startswith("vacuum contamination too large")
+    assert ensemble.analysis_terms(params_10km.n_pairs).infeasible.startswith("vacuum contamination too large")
     with pytest.raises(AnalysisInfeasible, match="contamination"):
         rate_function(AnalysisInputs.from_simulation(ensemble, params_10km))
 
@@ -168,7 +175,7 @@ def test_finite_data_bounds_bracket_plugin_values(inputs_10km):
 
 
 def test_joint_splus_dominates_per_term_composition(inputs_10km):
-    y_total = inputs_10km.bounds.factors.sigma_y
+    y_total = _sigma_y(inputs_10km.bounds)
     a, b = inputs_10km.bounds.alice, inputs_10km.bounds.bob
     obs, cfg = inputs_10km.observables, inputs_10km.chernoff
 
@@ -350,9 +357,11 @@ _SIDE_B = SideSources(
         (_SIDE_A, _SIDE_B, 10.0, (2.7304623018368993e-05, 7.239544955751564e-06, 8.623970189659635e-06, 0.00599803661462264, 0.11355704746007572)),
         # Negative at its minimum, so clamped to 0 with reason ok.
         (_SIDE_A, _SIDE_B, 30.0, (0.0, 2.7922372985393187e-06, 3.571007265294252e-06, 0.0023846847259216784, 0.1606689378625578)),
-        (_SIDE_B, _SIDE_A, 0.0, (7.407864906987617e-05, 1.1593456350742413e-05, 1.3469198014669568e-05, 0.009861041797301476, 0.09358449982439593)),
-        (_SIDE_B, _SIDE_A, 10.0, (3.3722162140298705e-05, 7.239544955751564e-06, 8.623970189659635e-06, 0.006217983510548724, 0.10954022752850107)),
-        (_SIDE_B, _SIDE_A, 30.0, (1.3981635214117903e-06, 2.7922372985393187e-06, 3.571007265294252e-06, 0.0024773853229502177, 0.1546569112610344)),
+        # Here r21 < r12, so the analysis takes Bob's table as its a side: the
+        # rows of (A, B), apart from the last bits of the Z-basis gains.
+        (_SIDE_B, _SIDE_A, 0.0, (6.392200160402921e-05, 1.1593456350742413e-05, 1.3469198014669568e-05, 0.00952361661386507, 0.09690023252347142)),
+        (_SIDE_B, _SIDE_A, 10.0, (2.7304623018368993e-05, 7.239544955751564e-06, 8.623970189659635e-06, 0.00599803661462264, 0.11355704746007572)),
+        (_SIDE_B, _SIDE_A, 30.0, (0.0, 2.7922372985393187e-06, 3.571007265294252e-06, 0.0023846847259216784, 0.1606689378625578)),
     ],
 )
 def test_secure_key_rate_asymmetric_sources_regression(alice, bob, distance_km, expected):
@@ -941,9 +950,9 @@ def _counted_terms(monkeypatch) -> list[float]:
     calls = []
     honest = source_model.analysis_terms
 
-    def counted(factors, emitted, n_pairs):
+    def counted(bounds, emitted, n_pairs):
         calls.append(n_pairs)
-        return honest(factors, emitted, n_pairs)
+        return honest(bounds, emitted, n_pairs)
 
     monkeypatch.setattr(source_model, "analysis_terms", counted)
     return calls
@@ -973,7 +982,11 @@ def test_inputs_made_by_hand_read_their_own_bounds_and_observables(inputs_10km, 
     by_hand = replace(inputs_10km, bounds=other, observables=_scaled(inputs_10km.observables, 10.0))
     curve, _, _ = rate_function(by_hand)
     obs = by_hand.observables
-    assert curve.c_y == other.factors.c_y != inputs_10km.bounds.factors.c_y
+
+    def c_y(bounds) -> float:
+        return bounds.alice.lo("y", 1) * bounds.bob.lo("y", 2)
+
+    assert curve.c_y == c_y(other) != c_y(inputs_10km.bounds)
     assert curve.txx_upper == chernoff_upper(obs.errors["x", "x"], by_hand.chernoff) / obs.emitted["x", "x"]
 
 
@@ -1075,18 +1088,35 @@ def test_the_shared_terms_report_an_empty_h_range_as_the_per_distance_records_do
     assert reasons == {"ok"} and "h-range-empty" in by_hand
 
 
-# --- soundness at the corners of every source error ----------------------------
+# --- soundness under every source error ---------------------------------------
 
 
-def _corner_observables(ensemble: SourceEnsemble, params: ChannelParams, alice: dict, bob: dict) -> PairObservables:
+def _observables_at(ensemble: SourceEnsemble, params: ChannelParams, alice: dict, bob: dict) -> PairObservables:
     """Observables of the ensemble's pairs with each source at the given intensity, rounded as build_observables rounds."""
-    emitted = ensemble.emissions(params.n_pairs).expected
+    emitted = ensemble.emissions(params.n_pairs)
     counts, errors = {}, {}
-    for l, r, basis, _, _, _ in ensemble.pair_table:
+    for (l, r), basis, _, _, _, _ in ensemble.pair_table:
         q, eq = pair_yield(alice[l], bob[r], basis, params)
         count = counts[l, r] = round(emitted[l, r] * q)
         errors[l, r] = min(round(emitted[l, r] * eq), count)
     return PairObservables(emitted=dict(emitted), counts=counts, errors=errors, n_pairs=float(params.n_pairs))
+
+
+def _assert_sound(ensemble: SourceEnsemble, params: ChannelParams, alice: dict, bob: dict, truth: tuple[float, float]) -> None:
+    """The nominal sources' bounds, read on observables made at the given intensities, hold the true H, ``Y11`` and ``e11``.
+
+    The true H comes from the actual x intensities.  ``e11`` is checked only
+    where the yield floor is positive, since it is NaN where the floor is clamped.
+    """
+    y11, e11 = truth
+    inputs = AnalysisInputs(ensemble.bounds, _observables_at(ensemble, params, alice, bob), params._chernoff, params.f_ec)
+    curve, h_lo, h_hi = rate_function(inputs)
+    h_true = 2.0 * vacuum_error_component(alice["x"], bob["x"], params)
+    case = (params.n_pairs, params.distance_km, alice, bob)
+    assert h_lo <= h_true <= h_hi, case
+    assert curve.s11(h_true) <= y11, case
+    if curve.s11(h_true) > 0.0:
+        assert curve.e11(h_true) >= e11, case
 
 
 @pytest.mark.parametrize("fluctuation", [0.01, 0.05])
@@ -1094,20 +1124,63 @@ def test_bounds_hold_at_every_corner_of_the_source_errors(sweep_side, fluctuatio
     # The analysis knows only each source's interval.  Each side's x, y and z
     # sources sit at either end of theirs, and the vacuum source at 0 or at its
     # cap, Alice and Bob independently: 256 patterns, analysed with the nominal
-    # sources' bounds.  The true H comes from the actual x intensities.
+    # sources' bounds.
     side = replace(sweep_side, fluctuation=fluctuation)
     ensemble = SourceEnsemble.symmetric(side)
     ends = {s: side.intensity_interval(s) for s in ("v", "x", "y", "z")}
     corners = [dict(zip(("v", "x", "y", "z"), pick)) for pick in product(*(ends[s] for s in ("v", "x", "y", "z")))]
     for distance in (0.0, 30.0, 60.0):
         params = ChannelParams(n_pairs=1e11, distance_km=distance)
-        y11, e11 = single_photon_pair_truth("X", params)
+        truth = single_photon_pair_truth("X", params)
         for alice, bob in product(corners, corners):
-            inputs = AnalysisInputs(ensemble.bounds, _corner_observables(ensemble, params, alice, bob), params._chernoff, params.f_ec)
-            curve, h_lo, h_hi = rate_function(inputs)
-            h_true = 2.0 * vacuum_error_component(alice["x"], bob["x"], params)
-            case = (distance, alice, bob)
-            assert h_lo <= h_true <= h_hi, case
-            assert curve.s11(h_true) <= y11, case
-            if curve.s11(h_true) > 0.0:
-                assert curve.e11(h_true) >= e11, case
+            _assert_sound(ensemble, params, alice, bob, truth)
+
+
+# Analysed without the exchange of sides, this pair's yield floor is 1.17 times the true Y11.
+_FLOOR_BREAKER = (
+    SideSources(mu_x=0.21, mu_y=0.4, mu_z=0.66, p_v=0.15, p_x=0.38, p_y=0.14, p_z=0.33, vacuum_cap=6e-4, fluctuation=0.066),
+    SideSources(mu_x=0.032, mu_y=0.58, mu_z=0.67, p_v=0.23, p_x=0.18, p_y=0.34, p_z=0.25, vacuum_cap=7.3e-4, fluctuation=0.016),
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    _random_side(),
+    _random_side(),
+    st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    st.floats(11.0, 20.0),
+    st.floats(0.0, 60.0),
+)
+@example(*_FLOOR_BREAKER, [0.5] * 8, 19.5, 42.0)
+def test_bounds_hold_for_independent_sides_with_each_source_anywhere_in_its_interval(alice, bob, where, log_n, distance):
+    # Each source of each side emits at one fixed intensity, the point ``where``
+    # of its interval ([0, cap] for the vacuum source); the analysis reads the
+    # nominal sources' bounds.
+    ensemble = SourceEnsemble(alice=alice, bob=bob)
+    assume(ensemble.bounds.decoy.passed)
+    params = ChannelParams(n_pairs=10.0**log_n, distance_km=distance)
+    points = iter(where)
+    alice_at, bob_at = (
+        {s: lo + (hi - lo) * next(points) for s in ("v", "x", "y", "z") for lo, hi in (side.intensity_interval(s),)}
+        for side in (alice, bob)
+    )
+    try:
+        _assert_sound(ensemble, params, alice_at, bob_at, single_photon_pair_truth("X", params))
+    except AnalysisInfeasible:
+        assume(False)
+
+
+@pytest.mark.parametrize("distance_km", [0.0, 30.0, 60.0])
+@pytest.mark.parametrize("sides", [(_SIDE_A, _SIDE_B), _FLOOR_BREAKER], ids=["regression", "floor-breaker"])
+def test_naming_the_other_side_alice_gives_the_same_report(sides, distance_km):
+    # The analysis picks which side's two-photon yield to eliminate from the
+    # tables, not from who is called Alice.  Only the Z-basis gains multiply
+    # their two click factors in argument order.
+    params = ChannelParams(n_pairs=1e13, distance_km=distance_km)
+    forward, backward = (
+        secure_key_rate(AnalysisInputs.from_simulation(SourceEnsemble(alice=a, bob=b), params)) for a, b in (sides, sides[::-1])
+    )
+    assert forward.reason == backward.reason == "ok"
+    assert forward.chernoff_invocations == backward.chernoff_invocations
+    for name in ("rate", "h_lower", "h_upper", "h_star", "s11_at_min", "e11_at_min", "signal_rate", "signal_error_rate"):
+        assert getattr(backward, name) == pytest.approx(getattr(forward, name), rel=1e-12, abs=0.0, nan_ok=True), name
