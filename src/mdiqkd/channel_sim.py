@@ -28,6 +28,10 @@ per-pattern table.  No ``lambda`` exceeds its entry's ``offset + |slope|``,
 so a trial whose click uniforms all lie below the no-click probabilities of
 that bound clicks nowhere; the simulation skips the physics of such trials,
 but none of their draws, so its counts are those of computing every trial.
+Its draws are fixed as ``uniform``, ``integers`` and ``random`` calls; it
+makes them as ``random`` and ``bit_generator.random_raw`` calls, which read
+the same stream of the same PCG64 generator more cheaply (see
+:func:`monte_carlo_yield`), so the counts do not move.
 The chunks of trials run on a ``ThreadPoolExecutor``, and one generator
 yields each cell's counts in the order its chunks were submitted.
 """
@@ -54,8 +58,8 @@ if TYPE_CHECKING:
 _CHUNK_SIZE = 1_000_000
 
 # Trials per draw block within a chunk: the detector intensities and the
-# click uniforms of one block take about 256 KB each.
-_BLOCK_SIZE = 8192
+# click uniforms of one block take 512 KB each, and its raw bit draws 128 KB.
+_BLOCK_SIZE = 16384
 
 
 def _usable_cores() -> int:
@@ -199,9 +203,12 @@ class MonteCarloYield:
 
 
 def _check_run(trials: int, seed: int) -> None:
-    """Raise ``ValueError`` unless ``trials`` is an integer of at least 1 and ``seed`` one of at least 0."""
+    """Raise ``ValueError`` unless ``trials`` is an integer of at least 1 and ``seed`` one of at least 0.
+
+    A bool is refused: ``True`` is an ``Integral`` of value 1, but no count.
+    """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
-        if not (isinstance(value, numbers.Integral) and value >= least):
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
             raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
@@ -231,16 +238,30 @@ def monte_carlo_yield(
     ``(seed, trials)``, not on the number of threads, the order in which
     chunks finish, or the block size below.
 
-    The draws are part of that contract.  Each chunk of ``m`` trials makes
-    these generator calls, in this order: ``uniform(0, 2 pi, m)`` for the
-    phase, ``integers(0, 2, m)`` for Alice's bit and again for Bob's,
-    ``random((m, 4))`` for the click uniforms (detector ``k`` of a trial
-    clicks where its uniform is at least its no-click probability), and
-    ``random(n)`` for the misalignment flips of the chunk's ``n`` successful
-    trials.  The bit and click draws are made in blocks of trials, one call
-    per block on the same stream; a generator consumes its stream in element
-    order, so the blocks draw the same numbers as one call would.  Changing
-    any draw changes the counts.
+    The draws are part of that contract.  Each chunk of ``m`` trials reads
+    its generator's stream as these calls would, in this order:
+    ``uniform(0, 2 pi, m)`` for the phase, ``integers(0, 2, m)`` for Alice's
+    bit and again for Bob's, ``random((m, 4))`` for the click uniforms
+    (detector ``k`` of a trial clicks where its uniform is at least its
+    no-click probability), and ``random(n)`` for the misalignment flips of
+    the chunk's ``n`` successful trials.  Changing any draw changes the
+    counts.
+
+    The phase and bits are read through cheaper calls that give the same
+    values.  ``uniform(0, 2 pi, m)`` is ``0.0 + 2 pi y`` for the doubles
+    ``y`` of ``random(m)``, and ``0.0 + x == x`` for ``x >= 0``; so the
+    phase is drawn by ``random(m)``, and only the phases of trials that can
+    click are multiplied by ``2 pi``.  ``integers(0, 2)`` makes each bit by
+    Lemire's method from one 32-bit draw; with a range of 2 it never
+    rejects, and the bit is the draw's top bit.  PCG64 serves 32-bit draws
+    as the low and then the high half of each 64-bit output.  So the ``2m``
+    bits are the top bits of the halves of ``m`` outputs of
+    ``bit_generator.random_raw``, read by shifts, not by the host's byte
+    order.  Each chunk's generator is new, so no half is buffered before
+    the bits or left after them.  The bit and click draws are made in
+    blocks of trials, one call per block on the same stream; a generator
+    consumes its stream in element order, so the blocks draw the same
+    numbers as one call would.
 
     A detector's no-click probability never lies below its
     :func:`_no_click_floor`, so a trial whose four uniforms lie below their
@@ -385,11 +406,13 @@ def _no_click_floor(offset: np.ndarray, slope: np.ndarray, keep: float) -> np.nd
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
     """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
 
-    The bits and the click uniforms are drawn block by block, in the listed
-    order.  A trial whose four click uniforms all lie below the
-    :func:`_no_click_floor` of its bit pattern clicks nowhere.  Only the
-    other, hot, trials of a block get their cosine, their
-    :func:`_intensity_table` rows, ``exp``, the comparison and the
+    The phase is drawn by ``random(m)``, the bits block by block by
+    ``random_raw`` into one ``2m``-byte buffer, and the click uniforms block
+    by block, in the listed order.  A trial whose four click uniforms all
+    lie below the :func:`_no_click_floor` of its bit pattern clicks
+    nowhere.  Only the other, hot, trials of a block get their phase scaled
+    by ``2 pi``, its cosine, their :func:`_intensity_table` rows, ``exp``,
+    the comparison and the
     :func:`_lookup_tables` lookups: the float operations of every trial on
     the same values, each on a contiguous array, so the counts are those of
     computing every trial.  The hot rows are picked out only where the
@@ -403,13 +426,17 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     success_of, error_of = _lookup_tables()
     block = min(_BLOCK_SIZE, m)
     blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
-    phase = rng.uniform(0.0, 2.0 * np.pi, m)
-    bit_a, bit_b = np.empty((2, m), dtype=np.uint8)
-    for bits in (bit_a, bit_b):
-        for start, stop in blocks:
-            bits[start:stop] = rng.integers(0, 2, stop - start)
-    pattern = np.left_shift(bit_a, 1, out=bit_a)
-    pattern |= bit_b
+    phase = rng.random(m)  # times 2 pi, on the hot rows only, is uniform(0, 2 pi, m)
+    # Row t holds the top bits of the low and the high half of raw output t:
+    # the 2m halves, read in order, are Alice's m bits and then Bob's.
+    halves = np.empty((m, 2), dtype=np.uint8)
+    for start, stop in blocks:
+        raw = rng.bit_generator.random_raw(stop - start)
+        halves[start:stop, 0] = raw >> 31 & 1
+        halves[start:stop, 1] = raw >> 63
+    bits = halves.reshape(2 * m)
+    pattern = np.left_shift(bits[:m], 1, out=bits[:m])
+    pattern |= bits[m:]
 
     offset, slope = _intensity_table(basis, ea, eb)
     # No photon arrives with probability e^-lambda, and no dark count fires
@@ -430,8 +457,9 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
             rows = slice(None)
         hot, cos_phi = pattern[start:stop][rows], phase[start:stop][rows]
         k = hot.size
+        np.cos(np.multiply(cos_phi, 2.0 * math.pi, out=cos_phi), out=cos_phi)
         lam = offset.take(hot, axis=0, out=silent[:k], mode="clip")
-        lam += np.multiply(slope.take(hot, axis=0, out=spare[:k], mode="clip"), np.cos(cos_phi, out=cos_phi)[:, None], out=spare[:k])
+        lam += np.multiply(slope.take(hot, axis=0, out=spare[:k], mode="clip"), cos_phi[:, None], out=spare[:k])
         np.exp(np.negative(lam, out=lam), out=lam)
         lam *= keep
         code = _click_codes(np.greater_equal(u[rows], lam, out=above[:k]))  # bit j set when detector j fired

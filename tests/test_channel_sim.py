@@ -147,7 +147,16 @@ MONTE_CARLO_GOLDEN = [
     ("x-trials-1", 2.0, 2.0, "X", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
     ("z-trials-1", 2.0, 2.0, "Z", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
     # At trial counts that end on, just past and just short of a boundary of
-    # the 8192-trial draw blocks.
+    # the kernel's 16384-trial draw blocks.
+    ("x-block16k-minus-one", 0.6, 0.45, "X", {"eta_d": 0.7, "p_d": 0.03}, 16384 - 1, 47, 1755, 544),
+    ("z-block16k-minus-one", 0.6, 0.45, "Z", {"eta_d": 0.7, "p_d": 0.03}, 16384 - 1, 47, 1010, 251),
+    ("x-block16k-multiple", 1.2, 1.2, "X", {"distance_km": 20.0, "p_d": 0.1}, 2 * 16384, 53, 2119, 984),
+    ("z-block16k-multiple", 1.2, 1.2, "Z", {"distance_km": 20.0, "p_d": 0.1}, 2 * 16384, 53, 1982, 938),
+    ("x-block16k-plus-one", 0.3, 0.9, "X", {"p_d": 0.01, "e_d": 0.05}, 2 * 16384 + 1, 59, 354, 135),
+    ("z-block16k-plus-one", 0.3, 0.9, "Z", {"p_d": 0.01, "e_d": 0.05}, 2 * 16384 + 1, 59, 190, 60),
+    # The same around multiples of 8192, half the block size, where a
+    # chunk's draws end inside a block.  The last six cases also run at
+    # other block sizes below.
     ("x-block-multiple", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 7853, 2323),
     ("z-block-multiple", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 4991, 2151),
     ("x-block-plus-one", 0.5, 0.35, "X", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 111, 45),
@@ -229,7 +238,7 @@ def test_no_click_floor_lies_below_every_no_click_probability(basis):
     distance=st.floats(0.0, 200.0),
     p_d=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(1.0)),
     seed=st.integers(0, 2**64 - 1),
-    m=st.sampled_from([1, 8191, 8192, 8193, 3 * 8192 + 1]),
+    m=st.sampled_from([1, 8191, 8192, 8193, 3 * 8192 + 1, 16383, 16384, 16385, 2 * 16384 + 1]),
 )
 def test_kernel_counts_match_the_kernel_that_computes_every_trial(basis, mu_a, mu_b, eta_d, distance, p_d, seed, m):
     # Trials under the no-click floor skip the physics; the counts must not move.
@@ -237,6 +246,28 @@ def test_kernel_counts_match_the_kernel_that_computes_every_trial(basis, mu_a, m
     eta = params._transmittance
     run = lambda kernel: kernel(np.random.default_rng(seed), m, basis, eta * mu_a, eta * mu_b, params)
     assert run(channel_sim._chunk_counts) == run(unfiltered_chunk_counts)
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
+@pytest.mark.parametrize("m", [1, 7, 8191, 8192, 8193, 16383, 16384, 16385, 2 * 16384 + 1])
+def test_kernel_reads_the_stream_of_the_contract_calls(basis, m):
+    # Equal counts could hide a kernel that draws more or less than the
+    # listed calls: after a chunk, its generator must stand where a twin
+    # stands that made those calls.  The stale 32-bit half that integers
+    # leaves is never read while has_uint32 is 0, so it is not compared.
+    params = ChannelParams(eta_d=1.0, p_d=0.2)
+    rng, twin = np.random.default_rng(m), np.random.default_rng(m)
+    successes, _ = channel_sim._chunk_counts(rng, m, basis, 1.5, 0.9, params)
+    sizes = [min(channel_sim._BLOCK_SIZE, m - start) for start in range(0, m, channel_sim._BLOCK_SIZE)]
+    twin.uniform(0.0, 2.0 * np.pi, m)
+    for _ in ("alice", "bob"):
+        for n in sizes:
+            twin.integers(0, 2, n)
+    for n in sizes:
+        twin.random((n, 4))
+    twin.random(successes)
+    state, expected = rng.bit_generator.state, twin.bit_generator.state
+    assert (state["state"], state["has_uint32"]) == (expected["state"], expected["has_uint32"])
 
 
 def test_success_and_error_lookups_follow_the_announcement_rules():
@@ -363,7 +394,18 @@ def test_empty_validation_grid_is_rejected():
 
 @pytest.mark.parametrize(
     "trials, seed, name",
-    [(0, 1, "trials"), (1e5, 1, "trials"), (2.5, 1, "trials"), ("100", 1, "trials"), (100, -1, "seed"), (100, 1.5, "seed"), (100, None, "seed")],
+    [
+        (0, 1, "trials"),
+        (1e5, 1, "trials"),
+        (2.5, 1, "trials"),
+        ("100", 1, "trials"),
+        (True, False, "trials"),
+        (100, -1, "seed"),
+        (100, 1.5, "seed"),
+        (100, None, "seed"),
+        (100, False, "seed"),
+        (100, True, "seed"),
+    ],
 )
 def test_trials_and_seed_must_be_integers_in_range(trials, seed, name):
     # Rejected before any chunk is drawn, with the argument named.
