@@ -14,6 +14,8 @@ and an anticorrelated one that they should differ; in the Z basis every
 successful pattern announces anticorrelated bits.  Misalignment flips the
 correct/error classification of an event with probability ``e_d``; dark
 counts fire each detector independently with probability ``p_d`` per gate.
+A count with no signal photon carries a random bit, so it errs with
+probability 1/2; the physics fixes that rate, and no parameter sets it.
 
 The closed-form gains below are the standard linear-optics expressions for
 this setup with phase-randomized weak coherent pulses.  They are not taken on
@@ -34,6 +36,11 @@ the same stream of the same PCG64 generator more cheaply (see
 :func:`monte_carlo_yield`), so the counts do not move.
 The chunks of trials run on a ``ThreadPoolExecutor``, and one generator
 yields each cell's counts in the order its chunks were submitted.
+
+The closed form is also checked where the validation grid, whose cells have
+equal intensities, does not reach: the tests compare every analysed pair of
+random ensembles, unequal intensities included, with a phase quadrature of
+the same relay optics, to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -81,7 +88,6 @@ class ChannelParams:
     neither is a field.
     """
 
-    e0: float = 0.5  # error rate of vacuous counts
     e_d: float = 0.015  # misalignment probability
     p_d: float = 6.02e-6  # dark count rate per detector per gate
     eta_d: float = 0.145  # detector efficiency
@@ -96,7 +102,7 @@ class ChannelParams:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("e0", "e_d", "p_d", "eta_d"):
+        for name in ("e_d", "p_d", "eta_d"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -159,14 +165,17 @@ def _check_intensities(mu_a: float, mu_b: float) -> None:
 def pair_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams) -> tuple[float, float]:
     """Gain and error-gain per emitted pulse pair at the given intensities.
 
-    Returns ``(Q, EQ)`` clamped to ``0 <= EQ <= Q <= 1``.
+    Returns ``(Q, EQ)`` clamped to ``0 <= EQ <= Q <= 1``.  A count with no
+    signal photon errs with probability 1/2, fixed by the relay.  The tests
+    check both against a phase quadrature of the relay optics to 1e-12
+    relative; :func:`validate_model` checks equal intensities at 3 sigma.
     """
     _check_intensities(mu_a, mu_b)
     eta = params._transmittance
     ea, eb = eta * mu_a, eta * mu_b
     x = math.sqrt(ea * eb) / 2.0
     mu_p = (ea + eb) / 2.0
-    p_d, e0, e_d = params.p_d, params.e0, params.e_d
+    p_d, e_d = params.p_d, params.e_d
 
     if basis == "X":
         y = (1.0 - p_d) * math.exp(-mu_p / 2.0)
@@ -174,7 +183,9 @@ def pair_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams) -> t
         interference = _i0m1(2.0 * x)
         bracket = interference - 4.0 * y * _i0m1(x) + 2.0 * eps * eps
         q = 2.0 * y * y * bracket
-        eq = e0 * q - 2.0 * (e0 - e_d) * y * y * interference
+        # A count the interference term does not tie to the bits, such as one
+        # with no signal photon, carries a random bit: it errs with probability 1/2.
+        eq = 0.5 * q - 2.0 * (0.5 - e_d) * y * y * interference
     elif basis == "Z":
         silent = (1.0 - p_d) * math.exp(-mu_p)  # both spectator detectors stay quiet
         click_a = -math.expm1(-ea / 2.0) + p_d * math.exp(-ea / 2.0)  # 1 - (1-p_d) e^{-ea/2}

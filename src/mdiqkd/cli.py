@@ -76,7 +76,6 @@ class RunConfig:
     reference experimental parameter set)."""
 
     # channel / detector
-    e0: float = ChannelParams.e0
     e_d: float = ChannelParams.e_d
     p_d: float = ChannelParams.p_d
     eta_d: float = ChannelParams.eta_d

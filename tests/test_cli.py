@@ -59,7 +59,6 @@ def test_zero_failure_probability_exit_code_2(tmp_path, capsys):
     [
         pytest.param("f", "0.5", "must be at least 1, got 0.5", id="0.5-must be at least 1, got 0.5"),
         pytest.param("f", "nan", "must be finite, got nan", id="nan-must be finite, got nan"),
-        pytest.param("e0", "1.5", "must lie in [0, 1], got 1.5", id="e0-above-one"),
         pytest.param("e_d", "-0.1", "must lie in [0, 1], got -0.1", id="e_d-negative"),
         pytest.param("p_d", "2", "must lie in [0, 1], got 2.0", id="p_d-above-one"),
         pytest.param("eta_d", "1.01", "must lie in [0, 1], got 1.01", id="eta_d-above-one"),
@@ -78,12 +77,12 @@ def test_every_library_field_has_a_config_key():
     keys = {f.name for f in fields(RunConfig)}
     for cls in (ChannelParams, SideSources):
         for field in fields(cls):
-            key = {"f_ec": "f"}.get(field.name, field.name)  # the one key named otherwise than its field
+            key = cli._KEY_OF_FIELD.get(field.name, field.name)
             assert key in keys, f"{cls.__name__}.{field.name} has no config key"
 
 
 def test_config_keys_reach_their_library_fields():
-    channel = dict(e0=0.25, e_d=0.02, p_d=1e-6, eta_d=0.5, alpha_f=0.3, xi=1e-8, n_pairs=1e12, distance_km=7.0)
+    channel = dict(e_d=0.02, p_d=1e-6, eta_d=0.5, alpha_f=0.3, xi=1e-8, n_pairs=1e12, distance_km=7.0)
     side = dict(mu_x=0.05, mu_y=0.3, mu_z=0.6, p_v=0.2, p_x=0.15, p_y=0.05, p_z=0.6, vacuum_cap=1e-5, fluctuation=0.01)
     config = RunConfig(f=1.2, **channel, **side)
     assert config.channel_params() == ChannelParams(f_ec=1.2, **channel)
@@ -376,6 +375,13 @@ def test_removed_h_grid_key_rejected(tmp_path, capsys):
     config = write_config(tmp_path, "h_grid = 1001\n")
     assert main(["rate", "--config", str(config)]) == 2
     assert "unknown key 'h_grid'" in capsys.readouterr().err
+
+
+def test_removed_e0_key_rejected(tmp_path, capsys):
+    # The relay fixes the error rate of counts with no signal photon at 1/2.
+    config = write_config(tmp_path, "e0 = 0.5\n")
+    assert main(["rate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}:2: unknown key 'e0'\n"
 
 
 def test_duplicate_key_rejected_with_line_number(tmp_path, capsys):
