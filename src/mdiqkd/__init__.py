@@ -17,7 +17,7 @@ _EXPORTS = {
         ("keyrate_core", "AnalysisInfeasible AnalysisInputs KeyRateReport RateCurve SolverError binary_entropy rate_function secure_key_rate"),
         ("optimizer", "OptimizationProblem OptimizationResult evaluate optimize"),
         ("source_model", "DecoyConditionReport PhotonCoeffBounds SideSources SourceEnsemble check_decoy_conditions coeff_bounds poisson_coeff"),
-        ("stat_bounds", "ChernoffConfig chernoff_lower chernoff_upper combo_lower combo_upper"),
+        ("stat_bounds", "ChernoffConfig chernoff_lower chernoff_upper combo_group combo_lower combo_upper"),
     )
     for name in names.split()
 }

@@ -19,12 +19,13 @@ the telescoping combination bounds rather than term by term (Zhang et al.,
 PRA 95, 012333 (2017)); the groups are those of the four-intensity joint
 constraints of Zhou, Yu & Wang, PRA 93, 042324 (2016).  Every term of those
 groups is formed in one function, :func:`~mdiqkd.source_model.analysis_terms`,
-as a weight of the coefficient table over the expected emissions.  Those
-terms, with the constants of ``s11(H)`` and ``e11(H)``, the emission fraction
-``pz2`` and the feasibility verdict, depend on the sources and ``n_pairs``
-alone, so a source ensemble builds them once per ``n_pairs`` and every
-distance of a scan shares them; a distance makes only its counts, their
-Chernoff bounds and the minimum over H.  The Z-basis single-photon yield is
+as a weight of the coefficient table over the expected emissions, and each
+group is built there into its telescope.  Those groups, with the constants of
+``s11(H)`` and ``e11(H)``, the emission fraction ``pz2`` and the feasibility
+verdict, depend on the sources and ``n_pairs`` alone, so a source ensemble
+builds them once per ``n_pairs`` and every distance of a scan shares them; a
+distance makes only its counts, pools and bounds them, and finds the minimum
+over H.  The Z-basis single-photon yield is
 estimated by its X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
 ``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
@@ -96,11 +97,6 @@ def _fixed_terms(inputs: AnalysisInputs) -> AnalysisTerms:
     return analysis_terms(inputs.bounds, obs.emitted, obs.n_pairs)
 
 
-def _group(terms: tuple[tuple[float, tuple[str, str]], ...], column: dict[tuple[str, str], int]) -> list[tuple[float, float]]:
-    """``(coefficient, float(count))`` of each term of a combination group, with the count of its pair in ``column``."""
-    return [(c, float(column[pair])) for c, pair in terms]
-
-
 def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCounter) -> float:
     """Lower end of the admissible interval for the vacuum-error nuisance H.
 
@@ -111,8 +107,8 @@ def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCo
     """
     errors = inputs.observables.errors
     cfg = inputs.chernoff
-    positive = stat_bounds.combo_lower(_group(terms.error_plus, errors), cfg, counter)
-    negative = stat_bounds.combo_upper(_group(terms.error_minus, errors), cfg, counter)
+    positive = stat_bounds.combo_lower(terms.error_plus, errors, cfg, counter)
+    negative = stat_bounds.combo_upper(terms.error_minus, errors, cfg, counter)
     return max(0.0, 2.0 * (positive - negative) / (1.0 - terms.sigma_x))
 
 
@@ -232,8 +228,8 @@ def _curve(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCoun
     cfg = inputs.chernoff
     return _frozen(
         RateCurve,
-        s_plus=stat_bounds.combo_lower(_group(terms.yield_plus, obs.counts), cfg, counter),
-        s_minus=stat_bounds.combo_upper(_group(terms.yield_minus, obs.counts), cfg, counter),
+        s_plus=stat_bounds.combo_lower(terms.yield_plus, obs.counts, cfg, counter),
+        s_minus=stat_bounds.combo_upper(terms.yield_minus, obs.counts, cfg, counter),
         txx_upper=stat_bounds.chernoff_upper(obs.errors["x", "x"], cfg, counter) / obs.emitted["x", "x"],
         c_y=terms.c_y,
         denominator=terms.denominator,

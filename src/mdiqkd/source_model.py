@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .stat_bounds import ComboGroup, combo_group
+
 SOURCES = ("v", "x", "y", "z")
 
 # The field holding each source's emission probability, and each fluctuating source's nominal intensity.
@@ -276,14 +278,14 @@ class AnalysisTerms(NamedTuple):
     """What the key-rate analysis reads of a coefficient table and the expected emissions, apart from the counts.
 
     ``infeasible`` says why the analysis cannot run, and is empty where it
-    can; every other field is NaN or empty where it cannot.  ``pz2`` is the
+    can; every other field is NaN or None where it cannot.  ``pz2`` is the
     z-z emission fraction.  ``sigma_x`` is the x-basis vacuum-contamination
     factor, ``denominator`` that of the yield floor ``s11``, ``c_y`` is
     ``a1_y^L b2_y^L``, the coefficient of h in the ``s11`` numerator, ``beta``
     is ``a1_x^L b1_x^L`` and ``gamma`` is ``a1_z^L b1_z^L``.  Each group is a
-    tuple of ``(coefficient, (l, r))`` terms, one per count of pair l-r that
-    the group combines, each coefficient a weight over the pair's expected
-    emissions:
+    :class:`~mdiqkd.stat_bounds.ComboGroup` of ``(coefficient, (l, r))``
+    terms, one per count of pair l-r that the group combines, each
+    coefficient a weight over the pair's expected emissions:
 
     * ``yield_plus``, counts: ``c_y <S_xx> + K (a0_ratio <S_vy> + b0_ratio <S_yv>)``
     * ``yield_minus``, counts: ``K (<S_yy> + ab0_ratio <S_vv>)``
@@ -293,11 +295,12 @@ class AnalysisTerms(NamedTuple):
     with ``K = a1_x^U b2_x^U / (1 - sigma_y)``, the vacuum ratios of
     :func:`_vacuum_ratio` and :func:`_pair_vacuum_ratio`, those of the y basis
     in the yield groups and of the x basis in the error groups, and the pair
-    names read with the a side first.  The terms keep the order of these
-    formulas: :func:`~mdiqkd.stat_bounds.combo_lower` and
-    :func:`~mdiqkd.stat_bounds.combo_upper` sort any terms by coefficient,
-    stably, into their telescoping order, and name the first bad count in
-    the order given.
+    names read with the a side first.  Each group is built into its
+    telescope here, once: its coefficients checked and sorted and the weight
+    of each level computed, so :func:`~mdiqkd.stat_bounds.combo_lower` and
+    :func:`~mdiqkd.stat_bounds.combo_upper` only check, pool and bound the
+    counts of a distance.  The terms keep the order of these formulas, in
+    which a bound names the first bad count.
 
     A named tuple, not a frozen dataclass: the optimizer builds terms at
     every probe, and a tuple is built, and its class made at import, in a
@@ -311,10 +314,10 @@ class AnalysisTerms(NamedTuple):
     c_y: float = math.nan
     beta: float = math.nan
     gamma: float = math.nan
-    yield_plus: tuple[tuple[float, Pair], ...] = ()
-    yield_minus: tuple[tuple[float, Pair], ...] = ()
-    error_plus: tuple[tuple[float, Pair], ...] = ()
-    error_minus: tuple[tuple[float, Pair], ...] = ()
+    yield_plus: ComboGroup | None = None
+    yield_minus: ComboGroup | None = None
+    error_plus: ComboGroup | None = None
+    error_minus: ComboGroup | None = None
 
 
 _VV, _VX, _XV, _XX, _VY, _YV, _YY, _ZZ = (("v", "v"), ("v", "x"), ("x", "v"), ("x", "x"), ("v", "y"), ("y", "v"), ("y", "y"), ("z", "z"))
@@ -375,10 +378,10 @@ def analysis_terms(bounds: PhotonCoeffBounds, emitted: dict[Pair, float], n_pair
         c_y=c_y,
         beta=a.lo("x", 1) * b.lo("x", 1),
         gamma=a.lo("z", 1) * b.lo("z", 1),
-        yield_plus=((c_y / e[_XX], _XX), (scale * _vacuum_ratio(a, "y") / e[vy], vy), (scale * _vacuum_ratio(b, "y") / e[yv], yv)),
-        yield_minus=((scale / e[_YY], _YY), (scale * _pair_vacuum_ratio(a, b, "y") / e[_VV], _VV)),
-        error_plus=((_vacuum_ratio(a, "x") / e[vx], vx), (_vacuum_ratio(b, "x") / e[xv], xv)),
-        error_minus=((_pair_vacuum_ratio(a, b, "x") / e[_VV], _VV), (sigma_x / e[_XX], _XX)),
+        yield_plus=combo_group(((c_y / e[_XX], _XX), (scale * _vacuum_ratio(a, "y") / e[vy], vy), (scale * _vacuum_ratio(b, "y") / e[yv], yv))),
+        yield_minus=combo_group(((scale / e[_YY], _YY), (scale * _pair_vacuum_ratio(a, b, "y") / e[_VV], _VV))),
+        error_plus=combo_group(((_vacuum_ratio(a, "x") / e[vx], vx), (_vacuum_ratio(b, "x") / e[xv], xv))),
+        error_minus=combo_group(((_pair_vacuum_ratio(a, b, "x") / e[_VV], _VV), (sigma_x / e[_XX], _XX))),
     )
 
 

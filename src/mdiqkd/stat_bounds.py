@@ -19,6 +19,11 @@ over partial sums of the observed counts turns the combination into a
 positive-weight sum of Chernoff bounds on pooled counts, which is never looser
 (and usually strictly tighter) than bounding every term separately.  This is
 the joint-constraint construction of Zhang et al., PRA 95, 012333 (2017).
+The coefficients of a combination are fixed before any count is seen, so
+:func:`combo_group` builds its telescope once: it checks each coefficient,
+sorts them into telescope order and computes the weight of each level.  A
+bound then takes that :class:`ComboGroup` with the counts, checks each count,
+pools them level by level and solves one Chernoff bound per level.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 # Outward nudge of a bound, relative, per unit of ``2 + |t|``.  The solved
 # ``t`` is good to a few units of 2**-52 absolute, and ``exp`` turns the
@@ -120,64 +125,93 @@ def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
     return (x + x * math.expm1(t)) * (1.0 + _NUDGE * (2.0 + t))
 
 
-def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, float, float]]:
-    """``(-c, c, x)`` of each term as floats; ``-c`` is the sort key of :func:`_telescope`."""
-    out = []
-    for c, x in terms:
+class ComboGroup(NamedTuple):
+    """A combination ``sum_i c_i <X_i>`` built into its telescope by :func:`combo_group`.
+
+    ``terms`` holds each ``(coefficient, key)`` in the order given, the
+    coefficient as a float; a key is what the counts are indexed by.
+    ``levels`` holds the ``(weight, keys)`` of each level in telescope order:
+    the keys whose counts join the pool at that level, and the weight of the
+    bound on the pool once they have joined.  Terms with a zero coefficient
+    join no level.
+    """
+
+    terms: tuple[tuple[float, Hashable], ...]
+    levels: tuple[tuple[float, tuple[Hashable, ...]], ...]
+
+
+def combo_group(terms: Iterable[tuple[float, Hashable]]) -> ComboGroup:
+    """The :class:`ComboGroup` of ``(coefficient, key)`` terms.
+
+    Coefficients are sorted descending, stably, and each level pools every
+    count whose coefficient is at least that level's, weighted by the drop to
+    the next coefficient; ties collapse into a single level.  A level is
+    closed when the coefficient drops, before the next count joins the pool,
+    and the last level drops to zero.
+    """
+    given = []
+    for c, key in terms:
         if not c >= 0:  # NaN fails too
             raise ValueError(f"combination coefficients must be nonnegative, got {c}")
-        if not 0 <= x < math.inf:
-            raise ValueError(f"observed counts must be finite and nonnegative, got {x}")
-        c = float(c)
-        out.append((-c, c, float(x)))
-    if not out:
-        raise ValueError("at least one (coefficient, count) term is required")
-    return out
+        given.append((float(c), key))
+    if not given:
+        raise ValueError("at least one (coefficient, key) term is required")
+    levels = []
+    joining: list[Hashable] = []
+    ordered = sorted(given, key=itemgetter(0), reverse=True)
+    c = ordered[0][0]
+    for c_next, key in ordered:
+        if c > c_next:
+            levels.append((c - c_next, tuple(joining)))
+            joining = []
+            c = c_next
+        joining.append(key)
+    if c > 0.0:
+        levels.append((c, tuple(joining)))
+    return ComboGroup(tuple(given), tuple(levels))
 
 
 def _telescope(
-    terms: Sequence[tuple[float, float]],
+    group: ComboGroup,
+    counts: Mapping[Hashable, float],
     bound: Callable[[float, ChernoffConfig, InvocationCounter | None], float],
     cfg: ChernoffConfig,
     counter: InvocationCounter | None,
 ) -> float:
-    """``sum_i c_i <X_i>`` bounded by ``bound`` on coefficient-sorted partial sums.
+    """``sum_i c_i <X_i>`` of ``group`` bounded by ``bound`` on its pooled counts, level by level.
 
-    Each level pools every count whose coefficient is at least that level's,
-    weighted by the drop to the next coefficient; ties collapse into a single
-    pooled bound.  A level is closed when the coefficient drops, before the
-    next count joins the pool, and the last level drops to zero.
+    Every count is checked, in the order of the terms, before any is bounded.
     """
-    levels = sorted(_validated_terms(terms), key=itemgetter(0))
-    total = 0.0
-    cum = 0.0
-    c = levels[0][1]
-    for _, c_next, x in levels:
-        if c > c_next:
-            total += (c - c_next) * bound(cum, cfg, counter)
-            c = c_next
-        cum += x
-    if c > 0.0:
-        total += c * bound(cum, cfg, counter)
+    for _, key in group.terms:
+        x = counts[key]
+        if not 0 <= x < math.inf:
+            raise ValueError(f"observed counts must be finite and nonnegative, got {x}")
+    total = cum = 0.0
+    for weight, keys in group.levels:
+        for key in keys:
+            cum += counts[key]
+        total += weight * bound(cum, cfg, counter)
     return total
 
 
 def combo_lower(
-    terms: Sequence[tuple[float, float]],
+    group: ComboGroup,
+    counts: Mapping[Hashable, float],
     cfg: ChernoffConfig,
     counter: InvocationCounter | None = None,
 ) -> float:
-    """Joint lower bound on ``sum_i c_i <X_i>`` from observed counts.
+    """Joint lower bound on ``sum_i c_i <X_i>`` of ``group``, each ``X_i`` read as ``counts[key_i]``.
 
     Equal coefficients reduce exactly to ``c * chernoff_lower(sum X_i)``.
     """
-    return _telescope(terms, chernoff_lower, cfg, counter)
+    return _telescope(group, counts, chernoff_lower, cfg, counter)
 
 
 def combo_upper(
-    terms: Sequence[tuple[float, float]],
+    group: ComboGroup,
+    counts: Mapping[Hashable, float],
     cfg: ChernoffConfig,
     counter: InvocationCounter | None = None,
 ) -> float:
-    """Joint upper bound on ``sum_i c_i <X_i>``; the same telescoping as :func:`combo_lower`."""
-    return _telescope(terms, chernoff_upper, cfg, counter)
+    """Joint upper bound on ``sum_i c_i <X_i>``; the same telescope as :func:`combo_lower`."""
+    return _telescope(group, counts, chernoff_upper, cfg, counter)

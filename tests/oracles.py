@@ -12,16 +12,21 @@ kernel kept as it was before it skipped trials that cannot click, which reads
 the package's lookup and intensity tables, and ``record_secure_key_rate``,
 the per-distance analysis kept as it was before a source ensemble built its
 combination terms once per ``n_pairs``, with its own copy of the factors a
-coefficient table fixes, which reads the package's gains, Chernoff bounds,
-rate curve and minimum over H.
+coefficient table fixes and of the combination bounds as they were before
+their groups were built once (``record_combo_lower`` and
+``record_combo_upper``, which sort and telescope ``(coefficient, count)``
+terms at each call), which reads the package's gains, Chernoff bounds, rate
+curve and minimum over H.
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -583,16 +588,68 @@ def _record_factors(bounds: PhotonCoeffBounds) -> SimpleNamespace:
     )
 
 
+def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, float, float]]:
+    """``(-c, c, x)`` of each term as floats; ``-c`` is the sort key of :func:`_telescope`."""
+    out = []
+    for c, x in terms:
+        if not c >= 0:  # NaN fails too
+            raise ValueError(f"combination coefficients must be nonnegative, got {c}")
+        if not 0 <= x < math.inf:
+            raise ValueError(f"observed counts must be finite and nonnegative, got {x}")
+        c = float(c)
+        out.append((-c, c, float(x)))
+    if not out:
+        raise ValueError("at least one (coefficient, count) term is required")
+    return out
+
+
+def _telescope(
+    terms: Sequence[tuple[float, float]],
+    bound: Callable[[float, ChernoffConfig, InvocationCounter | None], float],
+    cfg: ChernoffConfig,
+    counter: InvocationCounter | None,
+) -> float:
+    """``sum_i c_i <X_i>`` bounded by ``bound`` on coefficient-sorted partial sums.
+
+    Each level pools every count whose coefficient is at least that level's,
+    weighted by the drop to the next coefficient; ties collapse into a single
+    pooled bound.  A level is closed when the coefficient drops, before the
+    next count joins the pool, and the last level drops to zero.
+    """
+    levels = sorted(_validated_terms(terms), key=itemgetter(0))
+    total = 0.0
+    cum = 0.0
+    c = levels[0][1]
+    for _, c_next, x in levels:
+        if c > c_next:
+            total += (c - c_next) * bound(cum, cfg, counter)
+            c = c_next
+        cum += x
+    if c > 0.0:
+        total += c * bound(cum, cfg, counter)
+    return total
+
+
+def record_combo_lower(terms: Sequence[tuple[float, float]], cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
+    """Joint lower bound on ``sum_i c_i <X_i>`` from ``(coefficient, count)`` terms, sorted and telescoped at each call."""
+    return _telescope(terms, stat_bounds.chernoff_lower, cfg, counter)
+
+
+def record_combo_upper(terms: Sequence[tuple[float, float]], cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
+    """Joint upper bound on ``sum_i c_i <X_i>``; the same telescoping as :func:`record_combo_lower`."""
+    return _telescope(terms, stat_bounds.chernoff_upper, cfg, counter)
+
+
 def _record_h_lower(inputs: RecordInputs, f: SimpleNamespace, counter: InvocationCounter) -> float:
     obs = inputs.observables
     cfg = inputs.chernoff
 
-    positive = stat_bounds.combo_lower(
+    positive = record_combo_lower(
         _record_terms(obs, "errors", (f.a_vacuum_x, *f.vx), (f.b_vacuum_x, *f.vx[::-1])),
         cfg,
         counter,
     )
-    negative = stat_bounds.combo_upper(
+    negative = record_combo_upper(
         _record_terms(obs, "errors", (f.pair_vacuum_x, "v", "v"), (f.sigma_x, "x", "x")),
         cfg,
         counter,
@@ -604,12 +661,12 @@ def _record_curve(inputs: RecordInputs, f: SimpleNamespace, counter: InvocationC
     obs = inputs.observables
     cfg = inputs.chernoff
     scale = f.scale
-    s_plus = stat_bounds.combo_lower(
+    s_plus = record_combo_lower(
         _record_terms(obs, "counts", (f.c_y, "x", "x"), (scale * f.a_vacuum_y, *f.vy), (scale * f.b_vacuum_y, *f.vy[::-1])),
         cfg,
         counter,
     )
-    s_minus = stat_bounds.combo_upper(
+    s_minus = record_combo_upper(
         _record_terms(obs, "counts", (scale, "y", "y"), (scale * f.pair_vacuum_y, "v", "v")),
         cfg,
         counter,

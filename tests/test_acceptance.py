@@ -17,6 +17,7 @@ from mdiqkd import (
     SourceEnsemble,
     chernoff_lower,
     chernoff_upper,
+    combo_group,
     combo_lower,
     combo_upper,
     rate_function,
@@ -55,9 +56,10 @@ def test_criterion_2_joint_bound_dominance():
         coefficients = np.round(10 ** rng.uniform(-2, 1, n), 6)
         counts = np.floor(10 ** rng.uniform(0, 6, n))
         terms = list(zip(coefficients, counts))
-        joint_lower = combo_lower(terms, cfg)
+        group = combo_group([(c, i) for i, c in enumerate(coefficients)])
+        joint_lower = combo_lower(group, counts, cfg)
         split_lower = sum(c * chernoff_lower(x, cfg) for c, x in terms)
-        joint_upper = combo_upper(terms, cfg)
+        joint_upper = combo_upper(group, counts, cfg)
         split_upper = sum(c * chernoff_upper(x, cfg) for c, x in terms)
         assert joint_lower >= split_lower - 1e-9 * max(split_lower, 1.0)
         assert joint_upper <= split_upper + 1e-9 * max(split_upper, 1.0)

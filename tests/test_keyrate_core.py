@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import product
 
@@ -70,7 +72,7 @@ def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
     terms, a = exact_ensemble.analysis_terms(1e11), exact_ensemble.bounds.alice
     assert terms.sigma_x == _sigma_y(exact_ensemble.bounds) == 0.0
     # So K = a1_x^U b2_x^U / (1 - sigma_y) is the product itself, bit for bit.
-    assert terms.yield_minus[0] == (a.hi("x", 1) * a.hi("x", 2) / exact_ensemble.emissions(1e11)["y", "y"], ("y", "y"))
+    assert terms.yield_minus.terms[0] == (a.hi("x", 1) * a.hi("x", 2) / exact_ensemble.emissions(1e11)["y", "y"], ("y", "y"))
 
 
 def test_sigma_reference_value():
@@ -967,6 +969,21 @@ def test_an_ensemble_builds_its_terms_once_per_n_pairs(monkeypatch, sweep_side):
     assert calls == [1e11]
     secure_key_rate(AnalysisInputs.from_simulation(ensemble, replace(channel, n_pairs=1e9)))
     assert calls == [1e11, 1e9]
+
+
+def test_nothing_global_keeps_an_analysed_ensemble_alive(sweep_side):
+    # The built terms and groups live on the ensemble alone, so dropping it frees them.
+    ensemble = SourceEnsemble.symmetric(sweep_side)
+    channel = ChannelParams(n_pairs=1e11)
+    for distance in (0.0, 30.0):
+        inputs = AnalysisInputs.from_simulation(ensemble, channel.at_distance(distance))
+        assert secure_key_rate(inputs).reason == "ok"
+        rate_function(inputs)
+    assert ensemble._terms
+    alive = weakref.ref(ensemble)
+    del ensemble, inputs
+    gc.collect()
+    assert alive() is None
 
 
 def test_sources_that_fail_the_decoy_conditions_build_no_terms(monkeypatch):

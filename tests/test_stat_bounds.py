@@ -5,19 +5,27 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdiqkd import (
     ChernoffConfig,
     chernoff_lower,
     chernoff_upper,
+    combo_group,
     combo_lower,
     combo_upper,
 )
 from mdiqkd.stat_bounds import InvocationCounter
 
-from .oracles import brentq_lower_deviation, brentq_upper_deviation
+from .oracles import brentq_lower_deviation, brentq_upper_deviation, record_combo_lower, record_combo_upper
 
 CFG = ChernoffConfig(xi=1e-7)
+
+
+def joint(combo, terms, cfg, counter=None) -> float:
+    """``combo`` of ``(coefficient, count)`` terms, through a group keyed by each term's position."""
+    return combo(combo_group([(c, i) for i, (c, _) in enumerate(terms)]), [x for _, x in terms], cfg, counter)
 
 
 def deviations(x: float, cfg: ChernoffConfig) -> tuple[float, float]:
@@ -92,14 +100,14 @@ def test_pooled_counts_dominate_split_counts():
 
 
 def test_single_term_reduces_to_plain_bound():
-    assert combo_lower([(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_lower(1000, CFG), rel=1e-14, abs=0.0)
-    assert combo_upper([(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_upper(1000, CFG), rel=1e-14, abs=0.0)
+    assert joint(combo_lower, [(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_lower(1000, CFG), rel=1e-14, abs=0.0)
+    assert joint(combo_upper, [(0.3, 1000.0)], CFG) == pytest.approx(0.3 * chernoff_upper(1000, CFG), rel=1e-14, abs=0.0)
 
 
 def test_equal_coefficients_collapse_to_pooled_bound():
     terms = [(0.2, 500.0), (0.2, 1500.0)]
-    assert combo_lower(terms, CFG) == pytest.approx(0.2 * chernoff_lower(2000, CFG), rel=1e-14, abs=0.0)
-    assert combo_upper(terms, CFG) == pytest.approx(0.2 * chernoff_upper(2000, CFG), rel=1e-14, abs=0.0)
+    assert joint(combo_lower, terms, CFG) == pytest.approx(0.2 * chernoff_lower(2000, CFG), rel=1e-14, abs=0.0)
+    assert joint(combo_upper, terms, CFG) == pytest.approx(0.2 * chernoff_upper(2000, CFG), rel=1e-14, abs=0.0)
 
 
 def test_joint_bounds_dominate_per_term_bounds():
@@ -109,21 +117,33 @@ def test_joint_bounds_dominate_per_term_bounds():
         coeffs = rng.uniform(0.1, 5.0, n)
         counts = np.floor(10 ** rng.uniform(0, 6, n))
         terms = list(zip(coeffs, counts))
-        joint_lo = combo_lower(terms, CFG)
+        joint_lo = joint(combo_lower, terms, CFG)
         split_lo = sum(c * chernoff_lower(x, CFG) for c, x in terms)
-        joint_hi = combo_upper(terms, CFG)
+        joint_hi = joint(combo_upper, terms, CFG)
         split_hi = sum(c * chernoff_upper(x, CFG) for c, x in terms)
         assert joint_lo >= split_lo - 1e-9 * max(split_lo, 1.0)
         assert joint_hi <= split_hi + 1e-9 * max(split_hi, 1.0)
 
 
+def test_group_levels_are_sorted_pooled_and_weighted_once():
+    # Stable descending order; ties share a level; a zero coefficient joins none.
+    group = combo_group([(1.0, "a"), (0.0, "b"), (2.0, "c"), (1, "d")])
+    assert group.terms == ((1.0, "a"), (0.0, "b"), (2.0, "c"), (1.0, "d"))
+    assert type(group.terms[3][0]) is float
+    assert group.levels == ((1.0, ("c",)), (1.0, ("a", "d")))
+    assert combo_group([(0.0, "a"), (-0.0, "b")]).levels == ()
+    assert combo_lower(combo_group([(0.0, "a")]), {"a": 5}, CFG) == 0.0
+
+
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         chernoff_lower(-1, CFG)
+    # A coefficient is refused when its group is built, before any count is seen.
+    for c in (-0.1, -math.inf):
+        with pytest.raises(ValueError, match=f"^combination coefficients must be nonnegative, got {c}$"):
+            combo_group([(1.0, "a"), (c, "b")])
     with pytest.raises(ValueError):
-        combo_lower([(-0.1, 10.0)], CFG)
-    with pytest.raises(ValueError):
-        combo_upper([(0.1, -10.0)], CFG)
+        joint(combo_upper, [(0.1, -10.0)], CFG)
     # Non-finite counts too, also where a zero coefficient leaves them out of every pooled bound.
     for count in (math.nan, math.inf):
         for cfg in (CFG, ChernoffConfig(xi=CFG.xi, disabled=True)):
@@ -132,7 +152,7 @@ def test_negative_inputs_rejected():
                     bound(count, cfg)
             for combo in (combo_lower, combo_upper):
                 with pytest.raises(ValueError, match="finite and nonnegative"):
-                    combo([(1.0, 10.0), (0.0, count)], cfg)
+                    joint(combo, [(1.0, 10.0), (0.0, count)], cfg)
 
 
 @pytest.mark.parametrize("combo", [combo_lower, combo_upper])
@@ -140,7 +160,22 @@ def test_nan_coefficient_rejected(combo):
     # A NaN passes `c < 0`; in the telescope it then dropped its own term and the one sorted before it.
     for terms in ([(math.nan, 5000.0)], [(1.0, 5000.0), (math.nan, 7000.0)]):
         with pytest.raises(ValueError, match="^combination coefficients must be nonnegative, got nan$"):
-            combo(terms, ChernoffConfig(xi=1e-7))
+            joint(combo, terms, ChernoffConfig(xi=1e-7))
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+@pytest.mark.parametrize("combo", [combo_lower, combo_upper])
+def test_bad_count_refused_at_each_call_naming_the_first_in_the_order_given(combo, disabled):
+    # "c" sorts first in the telescope and "b" joins no level, but "b" comes first in the order given.
+    group = combo_group([(1.0, "a"), (0.0, "b"), (2.0, "c")])
+    cfg = ChernoffConfig(xi=1e-7, disabled=disabled)
+    for bad, worse in ((math.nan, -1.0), (math.inf, math.nan), (-1.0, math.inf), (-5, -1)):
+        counter = InvocationCounter()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^observed counts must be finite and nonnegative, got {bad}$"):
+                combo(group, {"a": 10, "b": bad, "c": worse}, cfg, counter)
+        assert counter.count == 0  # refused before any bound is solved
+    assert combo(group, {"a": 10, "b": 0, "c": 3}, cfg) > 0.0
 
 
 @pytest.mark.parametrize("xi", [0.0, 1.0, -1e-7, 2.0])
@@ -151,8 +186,10 @@ def test_failure_probability_outside_unit_interval_rejected(xi):
 
 @pytest.mark.parametrize("combo", [combo_lower, combo_upper])
 def test_combination_without_terms_rejected(combo):
-    with pytest.raises(ValueError, match="at least one"):
-        combo([], CFG)
+    # Refused when the group is built, so no call sees it.
+    for empty in ([], iter(())):
+        with pytest.raises(ValueError, match="^at least one"):
+            combo(combo_group(empty), [], CFG)
 
 
 def test_bounds_are_conservative_and_within_1e_12_of_exact_roots():
@@ -199,7 +236,7 @@ def test_disabled_mode_collapses_envelopes():
     counter = InvocationCounter()
     assert chernoff_lower(123, cfg, counter) == 123.0
     assert chernoff_upper(123, cfg, counter) == 123.0
-    assert combo_lower([(2.0, 10.0), (1.0, 5.0)], cfg, counter) == pytest.approx(25.0, rel=1e-15, abs=0.0)
+    assert joint(combo_lower, [(2.0, 10.0), (1.0, 5.0)], cfg, counter) == pytest.approx(25.0, rel=1e-15, abs=0.0)
     assert counter.count == 0  # no statistical claims consumed
 
 
@@ -207,5 +244,27 @@ def test_invocation_counter_tracks_uses():
     counter = InvocationCounter()
     chernoff_lower(10, CFG, counter)
     chernoff_upper(10, CFG, counter)
-    combo_lower([(2.0, 10.0), (1.0, 5.0)], CFG, counter)  # two distinct levels
+    joint(combo_lower, [(2.0, 10.0), (1.0, 5.0)], CFG, counter)  # two distinct levels
     assert counter.count == 4
+
+
+# Coefficients drawn from a few fixed values tie often, zero among them.
+_COEFFICIENTS = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.floats(0.0, 1e6))
+_COUNTS = st.one_of(st.integers(0, 10**13), st.floats(0.0, 1e13))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    terms=st.lists(st.tuples(_COEFFICIENTS, _COUNTS), min_size=1, max_size=4),
+    xi=st.floats(1e-300, 0.5),
+    disabled=st.booleans(),
+)
+def test_built_groups_match_the_per_call_telescope(terms, xi, disabled):
+    # The record bounds sort and telescope (coefficient, count) terms at every call.
+    cfg = ChernoffConfig(xi=xi, disabled=disabled)
+    group = combo_group([(c, i) for i, (c, _) in enumerate(terms)])
+    counts = [x for _, x in terms]
+    for combo, record in ((combo_lower, record_combo_lower), (combo_upper, record_combo_upper)):
+        counter, record_counter = InvocationCounter(), InvocationCounter()
+        assert float.hex(combo(group, counts, cfg, counter)) == float.hex(record(terms, cfg, record_counter))
+        assert counter.count == record_counter.count
