@@ -489,10 +489,9 @@ def _frozen(cls, **fields):
     :meth:`ChannelParams.at_distance` fills it, instead of by one
     ``object.__setattr__`` per field, so it stays frozen and compares, hashes
     and prints as the constructor's.  The analysis builds its records per
-    distance through this.  A name that is not a field, such as the
-    ensemble :meth:`~mdiqkd.keyrate_core.AnalysisInputs.from_simulation`
-    stores, is set the same way and is seen by neither comparison, hashing
-    nor ``repr``.
+    distance through this.  It is given the fields alone: a name that is not
+    a field would be seen by neither comparison, hashing nor ``repr``, and
+    :func:`dataclasses.replace` would drop it.
     """
     record = object.__new__(cls)
     vars(record).update(fields)

@@ -22,11 +22,15 @@ groups is formed in one function, :func:`~mdiqkd.source_model.analysis_terms`,
 as a weight of the coefficient table over the expected emissions, and each
 group is built there into its telescope.  Those groups, with the constants of
 ``s11(H)`` and ``e11(H)``, the emission fraction ``pz2`` and the feasibility
-verdict, depend on the sources and ``n_pairs`` alone, so a source ensemble
-builds them once per ``n_pairs`` and every distance of a scan shares them; a
-distance makes only its counts, pools and bounds them, and finds the minimum
-over H.  The Z-basis single-photon yield is
-estimated by its X-basis bound.
+verdict, depend on the sources and the expected emissions alone, so the
+coefficient table keeps them per ``n_pairs``
+(:meth:`~mdiqkd.source_model.PhotonCoeffBounds.analysis_terms`) and every
+distance of a scan shares them; a distance makes only its counts, pools and
+bounds them, and finds the minimum over H.  The analysis solves one Chernoff
+bound per telescope level of the four groups and one on the x-x errors, so
+the number of estimates its failure probability is a union bound over is
+read off the terms.  The Z-basis single-photon yield is estimated by its
+X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
 ``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
 """
@@ -38,8 +42,8 @@ from dataclasses import dataclass
 
 from . import stat_bounds
 from .channel_sim import ChannelParams, PairObservables, _frozen, build_observables
-from .source_model import AnalysisTerms, PhotonCoeffBounds, SourceEnsemble, analysis_terms
-from .stat_bounds import ChernoffConfig, InvocationCounter
+from .source_model import AnalysisTerms, PhotonCoeffBounds, SourceEnsemble
+from .stat_bounds import ChernoffConfig
 
 
 class AnalysisInfeasible(ValueError):
@@ -55,11 +59,9 @@ class AnalysisInputs:
     """Everything the finite-data analysis consumes.
 
     The analysis reads the :class:`~mdiqkd.source_model.AnalysisTerms` of
-    ``bounds`` over the expected emissions of ``observables``.  Inputs made
-    by :meth:`from_simulation` also hold their ensemble, which is not a
-    field, and read its terms, built once per ``n_pairs``; inputs made any
-    other way, by the constructor or :func:`dataclasses.replace`, build
-    their own at each analysis.
+    ``bounds`` over the expected emissions of ``observables``, which the
+    table keeps per ``n_pairs`` and builds again only for another emissions
+    dict, however the inputs were made.
     """
 
     bounds: PhotonCoeffBounds
@@ -67,17 +69,15 @@ class AnalysisInputs:
     chernoff: ChernoffConfig
     f_ec: float
 
-    _ensemble = None  # not a field: the ensemble of from_simulation, whose terms the analysis reads
-
     @classmethod
     def from_simulation(cls, ensemble: SourceEnsemble, params: ChannelParams) -> "AnalysisInputs":
         """Wire the ensemble's own coefficient bounds to its simulated observables.
 
-        The bounds are ``ensemble.bounds``, built once per ensemble, so a
-        distance scan over one ensemble shares a single table, the Chernoff
-        configuration is the one ``params`` holds, and the analysis reads
-        ``ensemble.analysis_terms``, built at the first analysis at these
-        ``n_pairs``.
+        The bounds are ``ensemble.bounds``, built once per ensemble, and the
+        emissions its :meth:`~mdiqkd.source_model.SourceEnsemble.emissions`,
+        so a distance scan over one ensemble shares a single table and the
+        terms it builds at the first analysis at these ``n_pairs``.  The
+        Chernoff configuration is the one ``params`` holds.
         """
         return _frozen(
             cls,
@@ -85,19 +85,10 @@ class AnalysisInputs:
             observables=build_observables(ensemble, params),
             chernoff=params._chernoff,
             f_ec=params.f_ec,
-            _ensemble=ensemble,
         )
 
 
-def _fixed_terms(inputs: AnalysisInputs) -> AnalysisTerms:
-    """The terms of the inputs' ensemble at their ``n_pairs``, or, for inputs made by hand, of their own bounds and emissions."""
-    obs = inputs.observables
-    if inputs._ensemble is not None:
-        return inputs._ensemble.analysis_terms(obs.n_pairs)
-    return analysis_terms(inputs.bounds, obs.emitted, obs.n_pairs)
-
-
-def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCounter) -> float:
+def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms) -> float:
     """Lower end of the admissible interval for the vacuum-error nuisance H.
 
     Jointly lower-bounds the positive group (v-x, x-v) and jointly
@@ -107,8 +98,8 @@ def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCo
     """
     errors = inputs.observables.errors
     cfg = inputs.chernoff
-    positive = stat_bounds.combo_lower(terms.error_plus, errors, cfg, counter)
-    negative = stat_bounds.combo_upper(terms.error_minus, errors, cfg, counter)
+    positive = stat_bounds.combo_lower(terms.error_plus, errors, cfg)
+    negative = stat_bounds.combo_upper(terms.error_minus, errors, cfg)
     return max(0.0, 2.0 * (positive - negative) / (1.0 - terms.sigma_x))
 
 
@@ -216,7 +207,7 @@ class RateCurve:
         )
 
 
-def _curve(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCounter) -> RateCurve:
+def _curve(inputs: AnalysisInputs, terms: AnalysisTerms) -> RateCurve:
     """The rate curve.
 
     ``s_plus`` jointly lower-bounds the positive yield group
@@ -228,9 +219,9 @@ def _curve(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCoun
     cfg = inputs.chernoff
     return _frozen(
         RateCurve,
-        s_plus=stat_bounds.combo_lower(terms.yield_plus, obs.counts, cfg, counter),
-        s_minus=stat_bounds.combo_upper(terms.yield_minus, obs.counts, cfg, counter),
-        txx_upper=stat_bounds.chernoff_upper(obs.errors["x", "x"], cfg, counter) / obs.emitted["x", "x"],
+        s_plus=stat_bounds.combo_lower(terms.yield_plus, obs.counts, cfg),
+        s_minus=stat_bounds.combo_upper(terms.yield_minus, obs.counts, cfg),
+        txx_upper=stat_bounds.chernoff_upper(obs.errors["x", "x"], cfg) / obs.emitted["x", "x"],
         c_y=terms.c_y,
         denominator=terms.denominator,
         beta=terms.beta,
@@ -240,27 +231,26 @@ def _curve(inputs: AnalysisInputs, terms: AnalysisTerms, counter: InvocationCoun
     )
 
 
-def _analysis(inputs: AnalysisInputs, counter: InvocationCounter) -> tuple[RateCurve, float, float]:
-    """``(curve, h_lower, h_upper)``, with every Chernoff bound solved once."""
-    terms = _fixed_terms(inputs)
+def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
+    """The candidate-rate curve and the admissible H interval.
+
+    Returns ``(curve, h_lower, h_upper)``, with every Chernoff bound solved
+    once: the curve :func:`secure_key_rate` minimizes, for diagnostics and
+    dense scans.  Raises :class:`AnalysisInfeasible` where the terms are
+    infeasible, before any bound, or where the yield floor overflows, after
+    every bound.
+    """
+    obs = inputs.observables
+    terms = inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs)
     if terms.infeasible:
         raise AnalysisInfeasible(terms.infeasible)
-    curve = _curve(inputs, terms, counter)
-    h_lower, h_upper = _h_lower(inputs, terms, counter), 2.0 * curve.txx_upper
+    curve = _curve(inputs, terms)
+    h_lower, h_upper = _h_lower(inputs, terms), 2.0 * curve.txx_upper
     # Emissions near the float minimum give count weights near its maximum.  s11 is affine in h, so it is
     # finite on the interval if it is at both ends.
     if not all(math.isfinite(curve._yield_and_error(h)[0]) for h in (h_lower, h_upper)):
         raise AnalysisInfeasible(f"single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]")
     return curve, h_lower, h_upper
-
-
-def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
-    """The candidate-rate curve and the admissible H interval.
-
-    Returns ``(curve, h_lower, h_upper)``: the curve :func:`secure_key_rate`
-    minimizes, for diagnostics and dense scans.
-    """
-    return _analysis(inputs, InvocationCounter())
 
 
 @dataclass(frozen=True)
@@ -351,20 +341,26 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     code rather than exceptions; a merely unprofitable configuration reports
     ``reason="ok"`` with the rate clamped at zero.  A minimum that is not
     finite raises :class:`SolverError` instead of being clamped.
+
+    ``chernoff_invocations`` is read off the terms, as the module says; it
+    is 0 where the Chernoff configuration is disabled or the terms
+    themselves are infeasible, since the analysis then solves no bound.
     """
     obs = inputs.observables
     decoy = inputs.bounds.decoy
     if not decoy.passed:
         return _zero_report(f"decoy-conditions-failed: {decoy.summary()}", obs)
 
-    counter = InvocationCounter()
+    terms = inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs)
+    groups = (terms.yield_plus, terms.yield_minus, terms.error_plus, terms.error_minus)
+    invocations = 0 if terms.infeasible or inputs.chernoff.disabled else 1 + sum(len(group.levels) for group in groups)
     try:
-        curve, h_lo, h_hi = _analysis(inputs, counter)
+        curve, h_lo, h_hi = rate_function(inputs)
     except AnalysisInfeasible as exc:
-        return _zero_report(f"infeasible: {exc}", obs, counter.count)
+        return _zero_report(f"infeasible: {exc}", obs, invocations)
 
     if h_lo > h_hi:
-        return _zero_report("h-range-empty", obs, counter.count)
+        return _zero_report("h-range-empty", obs, invocations)
 
     best_h, s11, e11, best_rate, samples = _convex_minimum(curve, h_lo, h_hi)
     if not math.isfinite(best_rate):
@@ -380,7 +376,7 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
         e11_at_min=e11,
         signal_rate=obs.signal_rate,
         signal_error_rate=obs.signal_error_rate,
-        chernoff_invocations=counter.count,
+        chernoff_invocations=invocations,
         reason="ok",
         trace_samples=samples,
     )

@@ -235,9 +235,13 @@ def optimize(
     the whole log by construction.  The restarts run on ``min(cores, restarts)``
     processes on Linux (see :func:`_forked`); the result does not depend on
     that count.
-    Raises ``ValueError`` on a budget or restart count below one, and when no
-    random start passes the decoy conditions.
+    Raises ``ValueError`` on a seed, budget or restart count that is not an
+    integer (a bool is none), on a budget or restart count below one, and
+    when no random start passes the decoy conditions.
     """
+    for name, value in (("seed", seed), ("budget", budget), ("restarts", restarts)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if restarts < 1:

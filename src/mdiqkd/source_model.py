@@ -181,9 +181,10 @@ class SourceEnsemble:
     ``(l, r)``, with the simulation intensities of
     :func:`simulation_intensity`.  ``mirror`` is the index of the earlier
     entry r-l on sides given as one object, whose intensities are this
-    entry's swapped, else -1.  Two more are built once per ``n_pairs``, when
-    first read, and kept: :meth:`emissions` and :meth:`analysis_terms`.  None
-    is a field, so equality, hashing and ``repr`` see the sources alone.
+    entry's swapped, else -1.  :meth:`emissions` is built once per
+    ``n_pairs``, when first read, and kept; ``bounds`` keeps the analysis
+    terms it builds over them (:meth:`PhotonCoeffBounds.analysis_terms`).
+    None is a field, so equality, hashing and ``repr`` see the sources alone.
     """
 
     alice: SideSources
@@ -202,7 +203,6 @@ class SourceEnsemble:
             table.append(((l, r), basis, alice[l][1], bob[r][1], alice[l][0] * bob[r][0], mirror))
         object.__setattr__(self, "pair_table", tuple(table))
         object.__setattr__(self, "_emissions", {})
-        object.__setattr__(self, "_terms", {})
 
     @classmethod
     def symmetric(cls, side: SideSources) -> "SourceEnsemble":
@@ -218,13 +218,6 @@ class SourceEnsemble:
         if emitted is None:
             emitted = self._emissions[n_pairs] = {pair: p_lr * n_pairs for pair, _, _, _, p_lr, _ in self.pair_table}
         return emitted
-
-    def analysis_terms(self, n_pairs: float) -> "AnalysisTerms":
-        """The :func:`analysis_terms` of these sources' bounds and expected emissions, built once per ``n_pairs``."""
-        terms = self._terms.get(n_pairs)
-        if terms is None:
-            terms = self._terms[n_pairs] = analysis_terms(self.bounds, self.emissions(n_pairs), float(n_pairs))
-        return terms
 
 
 @dataclass(frozen=True)
@@ -253,8 +246,9 @@ class PhotonCoeffBounds:
     """Coefficient bounds for both sides (Alice's are the a's, Bob's the b's).
 
     ``decoy``, the decoy-condition verdict on these bounds, is computed once
-    per coefficient table, when the table is made; like ``bounds`` of
-    :class:`SourceEnsemble` it is not a field.
+    per coefficient table, when the table is made.  The table also keeps the
+    terms :meth:`analysis_terms` builds, per ``n_pairs``.  Like ``bounds`` of
+    :class:`SourceEnsemble` neither is a field.
     """
 
     alice: SideCoeffBounds
@@ -262,6 +256,21 @@ class PhotonCoeffBounds:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "decoy", check_decoy_conditions(self))
+        object.__setattr__(self, "_terms", {})
+
+    def analysis_terms(self, emitted: dict[Pair, float], n_pairs: float) -> "AnalysisTerms":
+        """The :func:`analysis_terms` of this table over the expected emissions ``emitted``.
+
+        Kept per ``n_pairs`` with the dict they were built from, and built
+        again only when given another dict.  Every distance of a scan reads
+        its ensemble's :meth:`SourceEnsemble.emissions`, one dict per
+        ``n_pairs``, so a scan builds its terms once; a dict changed in place
+        after its terms were built is not seen.
+        """
+        kept = self._terms.get(n_pairs)
+        if kept is None or kept[0] is not emitted:
+            kept = self._terms[n_pairs] = (emitted, analysis_terms(self, emitted, n_pairs))
+        return kept[1]
 
 
 def _vacuum_ratio(side: SideCoeffBounds, basis: str) -> float:

@@ -23,7 +23,11 @@ The coefficients of a combination are fixed before any count is seen, so
 :func:`combo_group` builds its telescope once: it checks each coefficient,
 sorts them into telescope order and computes the weight of each level.  A
 bound then takes that :class:`ComboGroup` with the counts, checks each count,
-pools them level by level and solves one Chernoff bound per level.
+pools them level by level and solves one Chernoff bound per level.  So how
+many bounds a combination solves is the number of levels of its group, fixed
+before any count is seen, or none where ``ChernoffConfig.disabled`` is set; a
+caller that budgets failure probability reads it there, and no bound counts
+its own calls.
 """
 
 from __future__ import annotations
@@ -62,13 +66,6 @@ class ChernoffConfig:
         object.__setattr__(self, "_log_two_over_xi", math.log(2.0) - math.log(self.xi))
 
 
-class InvocationCounter:
-    """Tallies Chernoff uses, in ``count``, so a caller can budget failure probability."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
 def _log_root(eps: float, t: float) -> float:
     """Root of ``f(t) = expm1(t) - t = eps`` by Newton's method from ``t`` outside it.
 
@@ -86,14 +83,12 @@ def _log_root(eps: float, t: float) -> float:
         t, last_gain = nxt, gain
 
 
-def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
+def chernoff_lower(x: float, cfg: ChernoffConfig) -> float:
     """Lower bound on the expectation behind an observed count ``x``."""
     if not 0 <= x < math.inf:
         raise ValueError(f"observed count must be finite and nonnegative, got {x}")
     if cfg.disabled:
         return float(x)
-    if counter is not None:
-        counter.count += 1
     if x == 0:
         return 0.0
     eps = cfg._log_two_over_xi / x
@@ -105,14 +100,12 @@ def chernoff_lower(x: float, cfg: ChernoffConfig, counter: InvocationCounter | N
     return bound if bound >= sys.float_info.min else 0.0
 
 
-def chernoff_upper(x: float, cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
+def chernoff_upper(x: float, cfg: ChernoffConfig) -> float:
     """Upper bound on the expectation behind an observed count ``x``."""
     if not 0 <= x < math.inf:
         raise ValueError(f"observed count must be finite and nonnegative, got {x}")
     if cfg.disabled:
         return float(x)
-    if counter is not None:
-        counter.count += 1
     if x == 0:
         # Zero-observation tail: expectations above ln(2/xi) would have
         # produced at least one count except with probability xi/2.  The
@@ -174,9 +167,8 @@ def combo_group(terms: Iterable[tuple[float, Hashable]]) -> ComboGroup:
 def _telescope(
     group: ComboGroup,
     counts: Mapping[Hashable, float],
-    bound: Callable[[float, ChernoffConfig, InvocationCounter | None], float],
+    bound: Callable[[float, ChernoffConfig], float],
     cfg: ChernoffConfig,
-    counter: InvocationCounter | None,
 ) -> float:
     """``sum_i c_i <X_i>`` of ``group`` bounded by ``bound`` on its pooled counts, level by level.
 
@@ -190,28 +182,18 @@ def _telescope(
     for weight, keys in group.levels:
         for key in keys:
             cum += counts[key]
-        total += weight * bound(cum, cfg, counter)
+        total += weight * bound(cum, cfg)
     return total
 
 
-def combo_lower(
-    group: ComboGroup,
-    counts: Mapping[Hashable, float],
-    cfg: ChernoffConfig,
-    counter: InvocationCounter | None = None,
-) -> float:
+def combo_lower(group: ComboGroup, counts: Mapping[Hashable, float], cfg: ChernoffConfig) -> float:
     """Joint lower bound on ``sum_i c_i <X_i>`` of ``group``, each ``X_i`` read as ``counts[key_i]``.
 
     Equal coefficients reduce exactly to ``c * chernoff_lower(sum X_i)``.
     """
-    return _telescope(group, counts, chernoff_lower, cfg, counter)
+    return _telescope(group, counts, chernoff_lower, cfg)
 
 
-def combo_upper(
-    group: ComboGroup,
-    counts: Mapping[Hashable, float],
-    cfg: ChernoffConfig,
-    counter: InvocationCounter | None = None,
-) -> float:
+def combo_upper(group: ComboGroup, counts: Mapping[Hashable, float], cfg: ChernoffConfig) -> float:
     """Joint upper bound on ``sum_i c_i <X_i>``; the same telescope as :func:`combo_lower`."""
-    return _telescope(group, counts, chernoff_upper, cfg, counter)
+    return _telescope(group, counts, chernoff_upper, cfg)

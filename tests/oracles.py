@@ -16,19 +16,24 @@ coefficient table fixes and of the combination bounds as they were before
 their groups were built once (``record_combo_lower`` and
 ``record_combo_upper``, which sort and telescope ``(coefficient, count)``
 terms at each call), which reads the package's gains, Chernoff bounds, rate
-curve and minimum over H.
+curve and minimum over H.  That path counts each Chernoff bound it solves
+(``InvocationCounter``), where the package reads its count off the terms;
+``counted_chernoff_solves`` counts the package's own solves by rebinding its
+two Chernoff bounds.
 """
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
@@ -36,7 +41,7 @@ from mdiqkd import channel_sim, stat_bounds
 from mdiqkd.channel_sim import _BLOCK_SIZE, PairObservables, _frozen, _intensity_table
 from mdiqkd.keyrate_core import AnalysisInfeasible, KeyRateReport, RateCurve, SolverError, _convex_minimum, binary_entropy
 from mdiqkd.source_model import PhotonCoeffBounds, SourceEnsemble
-from mdiqkd.stat_bounds import ChernoffConfig, InvocationCounter
+from mdiqkd.stat_bounds import ChernoffConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
 from mdiqkd.source_model import SOURCES, simulation_intensity
 
@@ -603,9 +608,37 @@ def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, 
     return out
 
 
+class InvocationCounter:
+    """Tallies, in ``count``, the Chernoff bounds solved: calls that return with a configuration not disabled."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def solved(self, bound: Callable[[float, ChernoffConfig], float], x: float, cfg: ChernoffConfig) -> float:
+        """``bound(x, cfg)``, counted."""
+        value = bound(x, cfg)
+        self.count += not cfg.disabled
+        return value
+
+
+@contextmanager
+def counted_chernoff_solves() -> Iterator[InvocationCounter]:
+    """While open, count the bounds solved through ``stat_bounds.chernoff_lower`` and ``chernoff_upper``.
+
+    The combination bounds and the analysis look those names up at each call,
+    so their solves are counted too, and so are the record path's.
+    """
+    counter = InvocationCounter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("chernoff_lower", "chernoff_upper"):
+            honest = getattr(stat_bounds, name)
+            patch.setattr(stat_bounds, name, lambda x, cfg, honest=honest: counter.solved(honest, x, cfg))
+        yield counter
+
+
 def _telescope(
     terms: Sequence[tuple[float, float]],
-    bound: Callable[[float, ChernoffConfig, InvocationCounter | None], float],
+    bound: Callable[[float, ChernoffConfig], float],
     cfg: ChernoffConfig,
     counter: InvocationCounter | None,
 ) -> float:
@@ -617,16 +650,17 @@ def _telescope(
     next count joins the pool, and the last level drops to zero.
     """
     levels = sorted(_validated_terms(terms), key=itemgetter(0))
+    counter = counter or InvocationCounter()
     total = 0.0
     cum = 0.0
     c = levels[0][1]
     for _, c_next, x in levels:
         if c > c_next:
-            total += (c - c_next) * bound(cum, cfg, counter)
+            total += (c - c_next) * counter.solved(bound, cum, cfg)
             c = c_next
         cum += x
     if c > 0.0:
-        total += c * bound(cum, cfg, counter)
+        total += c * counter.solved(bound, cum, cfg)
     return total
 
 
@@ -676,7 +710,7 @@ def _record_curve(inputs: RecordInputs, f: SimpleNamespace, counter: InvocationC
         RateCurve,
         s_plus=s_plus,
         s_minus=s_minus,
-        txx_upper=stat_bounds.chernoff_upper(xx.errors, cfg, counter) / xx.emitted,
+        txx_upper=counter.solved(stat_bounds.chernoff_upper, xx.errors, cfg) / xx.emitted,
         c_y=f.c_y,
         denominator=f.denominator,
         beta=f.beta,

@@ -32,6 +32,7 @@ from mdiqkd.keyrate_core import KeyRateReport, RateCurve, _convex_minimum
 
 from .oracles import (
     RecordInputs,
+    counted_chernoff_solves,
     dense_rate,
     plugin_asymptotic_rate,
     product_rule_slope,
@@ -68,8 +69,13 @@ def _sigma_y(bounds) -> float:
     return sum(side.hi("y", 0) * side.hi("v", 1) / (side.lo("v", 0) * side.lo("y", 1)) for side in (bounds.alice, bounds.bob))
 
 
+def _terms(ensemble: SourceEnsemble, n_pairs: float):
+    """The analysis terms the ensemble's table keeps over its emissions at ``n_pairs``."""
+    return ensemble.bounds.analysis_terms(ensemble.emissions(n_pairs), n_pairs)
+
+
 def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
-    terms, a = exact_ensemble.analysis_terms(1e11), exact_ensemble.bounds.alice
+    terms, a = _terms(exact_ensemble, 1e11), exact_ensemble.bounds.alice
     assert terms.sigma_x == _sigma_y(exact_ensemble.bounds) == 0.0
     # So K = a1_x^U b2_x^U / (1 - sigma_y) is the product itself, bit for bit.
     assert terms.yield_minus.terms[0] == (a.hi("x", 1) * a.hi("x", 2) / exact_ensemble.emissions(1e11)["y", "y"], ("y", "y"))
@@ -79,7 +85,7 @@ def test_sigma_reference_value():
     # cap 1e-6 with mu_x = 0.1 and no fluctuation: everything cancels except
     # cap / mu_x = 1e-5 per side.
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=1e-6)
-    x_total = SourceEnsemble.symmetric(side).analysis_terms(1e11).sigma_x
+    x_total = _terms(SourceEnsemble.symmetric(side), 1e11).sigma_x
     assert x_total == pytest.approx(2e-5, rel=1e-12, abs=0.0)
 
 
@@ -87,7 +93,7 @@ def test_sigma_monotone_in_vacuum_cap():
     values = []
     for cap in (0.0, 1e-6, 1e-4, 1e-2):
         side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=cap)
-        values.append(SourceEnsemble.symmetric(side).analysis_terms(1e11).sigma_x)
+        values.append(_terms(SourceEnsemble.symmetric(side), 1e11).sigma_x)
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -121,7 +127,7 @@ def test_tiny_expected_emissions_overflowing_the_yield_floor_is_zero_report(swee
 def test_sigma_infeasible_when_vacuum_too_unstable(params_10km):
     side = SideSources(mu_x=0.1, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, vacuum_cap=0.09)
     ensemble = SourceEnsemble.symmetric(side)
-    assert ensemble.analysis_terms(params_10km.n_pairs).infeasible.startswith("vacuum contamination too large")
+    assert _terms(ensemble, params_10km.n_pairs).infeasible.startswith("vacuum contamination too large")
     with pytest.raises(AnalysisInfeasible, match="contamination"):
         rate_function(AnalysisInputs.from_simulation(ensemble, params_10km))
 
@@ -934,10 +940,8 @@ def test_a_record_built_in_one_update_is_the_constructors(inputs_10km, kind):
     assert cls.__name__ == kind.split("-")[0]
     assert not hasattr(cls, "__post_init__")  # which the one update would skip
     built = cls(**{f.name: getattr(record, f.name) for f in fields(cls)})
-    # Inputs from from_simulation also hold their ensemble, which is not a field; the constructor's hold none.
-    not_fields = {"_ensemble"} if kind == "AnalysisInputs" else set()
     assert record == built and repr(record) == repr(built)
-    assert {k: v for k, v in vars(record).items() if k not in not_fields} == vars(built)
+    assert vars(record) == vars(built)
     assert _hash_or_error(record) == _hash_or_error(built)
     for f in fields(cls):
         with pytest.raises(FrozenInstanceError):
@@ -961,6 +965,7 @@ def _counted_terms(monkeypatch) -> list[float]:
 
 
 def test_an_ensemble_builds_its_terms_once_per_n_pairs(monkeypatch, sweep_side):
+    # Its table keeps them, with the ensemble's emissions at these n_pairs, which every distance shares.
     calls = _counted_terms(monkeypatch)
     ensemble = SourceEnsemble.symmetric(sweep_side)
     channel = ChannelParams(n_pairs=1e11)
@@ -972,14 +977,14 @@ def test_an_ensemble_builds_its_terms_once_per_n_pairs(monkeypatch, sweep_side):
 
 
 def test_nothing_global_keeps_an_analysed_ensemble_alive(sweep_side):
-    # The built terms and groups live on the ensemble alone, so dropping it frees them.
+    # The built terms and groups live on the ensemble's table alone, so dropping it frees them.
     ensemble = SourceEnsemble.symmetric(sweep_side)
     channel = ChannelParams(n_pairs=1e11)
     for distance in (0.0, 30.0):
         inputs = AnalysisInputs.from_simulation(ensemble, channel.at_distance(distance))
         assert secure_key_rate(inputs).reason == "ok"
         rate_function(inputs)
-    assert ensemble._terms
+    assert ensemble.bounds._terms
     alive = weakref.ref(ensemble)
     del ensemble, inputs
     gc.collect()
@@ -992,19 +997,32 @@ def test_sources_that_fail_the_decoy_conditions_build_no_terms(monkeypatch):
     assert report.reason.startswith("decoy-conditions-failed") and calls == []
 
 
-def test_inputs_made_by_hand_read_their_own_bounds_and_observables(inputs_10km, sweep_side):
-    # Inputs made by the constructor or by replace hold no ensemble, so they read neither its bounds nor its emissions.
-    assert replace(inputs_10km, f_ec=inputs_10km.f_ec)._ensemble is None
+def test_inputs_made_by_hand_read_their_own_bounds_and_observables(monkeypatch, noisy_ensemble, params_10km, sweep_side):
+    # Inputs made by replace take the path of from_simulation: their table's terms over their own emissions.
+    inputs = AnalysisInputs.from_simulation(noisy_ensemble, params_10km)
+    assert vars(inputs).keys() == {f.name for f in fields(AnalysisInputs)}
+    rate_function(inputs)
+    calls = _counted_terms(monkeypatch)
+    doctored = replace(inputs, observables=_doctored(inputs.observables, "all-errors"))
+    assert doctored.observables.emitted is inputs.observables.emitted
+    assert rate_function(doctored)[1] > rate_function(inputs)[1]  # h_lower reads the doctored errors
+    assert calls == []  # the same table and emissions: no new terms
+    # Other bounds build their own terms, and so does a new emitted dict, even one equal to the last.
     other = SourceEnsemble.symmetric(sweep_side).bounds
-    by_hand = replace(inputs_10km, bounds=other, observables=_scaled(inputs_10km.observables, 10.0))
+    by_hand = replace(inputs, bounds=other, observables=_scaled(inputs.observables, 10.0))
     curve, _, _ = rate_function(by_hand)
     obs = by_hand.observables
+    assert calls == [obs.n_pairs]
 
     def c_y(bounds) -> float:
         return bounds.alice.lo("y", 1) * bounds.bob.lo("y", 2)
 
-    assert curve.c_y == c_y(other) != c_y(inputs_10km.bounds)
+    assert curve.c_y == c_y(other) != c_y(inputs.bounds)
     assert curve.txx_upper == chernoff_upper(obs.errors["x", "x"], by_hand.chernoff) / obs.emitted["x", "x"]
+    copied = replace(inputs, observables=replace(inputs.observables, emitted=dict(inputs.observables.emitted)))
+    assert rate_function(copied)[0] == rate_function(inputs)[0]
+    # The table keeps one dict per n_pairs, so the copy's terms displace those of the original, which builds them again.
+    assert calls == [obs.n_pairs, params_10km.n_pairs, params_10km.n_pairs]
 
 
 # --- the shared terms against the per-distance records ------------------------
@@ -1103,6 +1121,54 @@ def test_the_shared_terms_report_an_empty_h_range_as_the_per_distance_records_do
     ensemble = SourceEnsemble.symmetric(replace(sweep_side, fluctuation=0.01))
     reasons, by_hand = _matches_the_record_path(ensemble, ChannelParams(n_pairs=1e11), [10.0, 40.0], "h-range-empty")
     assert reasons == {"ok"} and "h-range-empty" in by_hand
+
+
+# --- the Chernoff count read off the terms --------------------------------------
+
+
+def _reason_kind(reason: str) -> str:
+    """The reason code, with an infeasibility split by whether it is found before any bound or after every one."""
+    kind = reason.split(":")[0]
+    if kind == "infeasible":
+        kind += " after every bound" if "s11 overflows" in reason else " before any bound"
+    return kind
+
+
+def test_the_chernoff_count_read_off_the_terms_is_the_bounds_solved(sweep_side):
+    # Over random two-sided ensembles, the corners of every infeasibility and
+    # each doctored observables, with the envelopes on and collapsed.
+    reached = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([side for side, _ in _CORNERS.values()]) | _random_side(),
+        st.none() | _random_side(),
+        st.booleans(),
+        st.sampled_from(["as-simulated", "all-errors", "no-errors", "h-range-empty", "scaled"]),
+        st.floats(0.0, 200.0),
+    )
+    @example(sweep_side, None, False, "as-simulated", 10.0)
+    @example(replace(sweep_side, fluctuation=0.01), None, False, "h-range-empty", 10.0)
+    @example(_CORNERS["contamination"][0], None, False, "as-simulated", 10.0)
+    @example(_CORNERS["overflow"][0], None, False, "as-simulated", 10.0)
+    @example(_CORNERS["decoy"][0], None, False, "as-simulated", 10.0)
+    def solved(alice, bob, disabled, how, distance):
+        params = ChannelParams(n_pairs=1e11, distance_km=distance)
+        inputs = AnalysisInputs.from_simulation(SourceEnsemble(alice=alice, bob=alice if bob is None else bob), params)
+        observables = inputs.observables if how == "as-simulated" else _doctored(inputs.observables, how)
+        inputs = replace(inputs, chernoff=ChernoffConfig(xi=params.xi, disabled=disabled), observables=observables)
+        with counted_chernoff_solves() as counter:
+            report = secure_key_rate(inputs)
+        assert report.chernoff_invocations == counter.count
+        kind = _reason_kind(report.reason)
+        if kind in ("decoy-conditions-failed", "infeasible before any bound") or disabled:
+            assert report.chernoff_invocations == 0
+        else:
+            assert report.chernoff_invocations > 0
+        reached.add(kind)
+
+    solved()
+    assert reached >= {"ok", "h-range-empty", "infeasible before any bound", "infeasible after every bound", "decoy-conditions-failed"}
 
 
 # --- soundness under every source error ---------------------------------------

@@ -121,6 +121,16 @@ def test_optimize_rejects_budget_or_restarts_below_one(problem_10km, key):
         optimize(problem_10km, **{key: 0})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("restarts", 2.5), ("restarts", True), ("budget", 60.0), ("budget", False), ("seed", True), ("seed", 1.0), ("seed", "1")],
+)
+def test_optimize_refuses_a_seed_or_count_that_is_not_an_integer(problem_10km, key, value):
+    # A bool is refused too: restarts=True would run once, and seed=True search another stream than seed=1.
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+        optimize(problem_10km, **{key: value})
+
+
 def test_sources_map_points_and_refuse_what_side_sources_would(problem_10km):
     side = problem_10km.sources(SANE_POINT)
     assert (side.mu_x, side.mu_y, side.mu_z, side.p_x, side.p_y, side.p_z) == SANE_POINT

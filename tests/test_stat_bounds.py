@@ -16,16 +16,23 @@ from mdiqkd import (
     combo_lower,
     combo_upper,
 )
-from mdiqkd.stat_bounds import InvocationCounter
+from mdiqkd import stat_bounds
 
-from .oracles import brentq_lower_deviation, brentq_upper_deviation, record_combo_lower, record_combo_upper
+from .oracles import (
+    InvocationCounter,
+    brentq_lower_deviation,
+    brentq_upper_deviation,
+    counted_chernoff_solves,
+    record_combo_lower,
+    record_combo_upper,
+)
 
 CFG = ChernoffConfig(xi=1e-7)
 
 
-def joint(combo, terms, cfg, counter=None) -> float:
+def joint(combo, terms, cfg) -> float:
     """``combo`` of ``(coefficient, count)`` terms, through a group keyed by each term's position."""
-    return combo(combo_group([(c, i) for i, (c, _) in enumerate(terms)]), [x for _, x in terms], cfg, counter)
+    return combo(combo_group([(c, i) for i, (c, _) in enumerate(terms)]), [x for _, x in terms], cfg)
 
 
 def deviations(x: float, cfg: ChernoffConfig) -> tuple[float, float]:
@@ -170,10 +177,10 @@ def test_bad_count_refused_at_each_call_naming_the_first_in_the_order_given(comb
     group = combo_group([(1.0, "a"), (0.0, "b"), (2.0, "c")])
     cfg = ChernoffConfig(xi=1e-7, disabled=disabled)
     for bad, worse in ((math.nan, -1.0), (math.inf, math.nan), (-1.0, math.inf), (-5, -1)):
-        counter = InvocationCounter()
-        for _ in range(2):
-            with pytest.raises(ValueError, match=f"^observed counts must be finite and nonnegative, got {bad}$"):
-                combo(group, {"a": 10, "b": bad, "c": worse}, cfg, counter)
+        with counted_chernoff_solves() as counter:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^observed counts must be finite and nonnegative, got {bad}$"):
+                    combo(group, {"a": 10, "b": bad, "c": worse}, cfg)
         assert counter.count == 0  # refused before any bound is solved
     assert combo(group, {"a": 10, "b": 0, "c": 3}, cfg) > 0.0
 
@@ -233,19 +240,11 @@ def test_lower_bound_below_the_normal_range_is_zero(xi):
 
 def test_disabled_mode_collapses_envelopes():
     cfg = ChernoffConfig(xi=1e-7, disabled=True)
-    counter = InvocationCounter()
-    assert chernoff_lower(123, cfg, counter) == 123.0
-    assert chernoff_upper(123, cfg, counter) == 123.0
-    assert joint(combo_lower, [(2.0, 10.0), (1.0, 5.0)], cfg, counter) == pytest.approx(25.0, rel=1e-15, abs=0.0)
+    with counted_chernoff_solves() as counter:
+        assert stat_bounds.chernoff_lower(123, cfg) == 123.0
+        assert stat_bounds.chernoff_upper(123, cfg) == 123.0
+        assert joint(combo_lower, [(2.0, 10.0), (1.0, 5.0)], cfg) == pytest.approx(25.0, rel=1e-15, abs=0.0)
     assert counter.count == 0  # no statistical claims consumed
-
-
-def test_invocation_counter_tracks_uses():
-    counter = InvocationCounter()
-    chernoff_lower(10, CFG, counter)
-    chernoff_upper(10, CFG, counter)
-    joint(combo_lower, [(2.0, 10.0), (1.0, 5.0)], CFG, counter)  # two distinct levels
-    assert counter.count == 4
 
 
 # Coefficients drawn from a few fixed values tie often, zero among them.
@@ -265,6 +264,8 @@ def test_built_groups_match_the_per_call_telescope(terms, xi, disabled):
     group = combo_group([(c, i) for i, (c, _) in enumerate(terms)])
     counts = [x for _, x in terms]
     for combo, record in ((combo_lower, record_combo_lower), (combo_upper, record_combo_upper)):
-        counter, record_counter = InvocationCounter(), InvocationCounter()
-        assert float.hex(combo(group, counts, cfg, counter)) == float.hex(record(terms, cfg, record_counter))
-        assert counter.count == record_counter.count
+        record_counter = InvocationCounter()
+        expected = record(terms, cfg, record_counter)
+        with counted_chernoff_solves() as counter:
+            assert float.hex(combo(group, counts, cfg)) == float.hex(expected)
+        assert counter.count == record_counter.count == (0 if disabled else len(group.levels))
