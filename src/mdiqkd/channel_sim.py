@@ -213,12 +213,12 @@ class MonteCarloYield:
     errors: int
 
 
-def _check_run(trials: int, seed: int) -> None:
-    """Raise ``ValueError`` unless ``trials`` is an integer of at least 1 and ``seed`` one of at least 0.
+def _check_run(*checks: tuple[str, object, int]) -> None:
+    """Raise ``ValueError`` unless each ``(name, value, least)`` has an integer ``value`` of at least ``least``.
 
     A bool is refused: ``True`` is an ``Integral`` of value 1, but no count.
     """
-    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+    for name, value, least in checks:
         if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
             raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
@@ -284,7 +284,7 @@ def monte_carlo_yield(
     as ``_counts``, whose next item is this cell's, so that the chunks of
     later cells run while this call waits for this cell's.
     """
-    _check_run(trials, seed)
+    _check_run(("trials", trials, 1), ("seed", seed, 0))
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
     _check_intensities(mu_a, mu_b)
@@ -502,8 +502,9 @@ def _frozen(cls, **fields):
 class PairObservables:
     """Counts and error counts of the two-pulse sources the analysis reads, by pair ``(l, r)``.
 
-    ``emitted`` holds the expected emitted pairs ``p_l p_r N_t`` of each pair;
-    the analysis reads that pair's counts only where it expects emissions.
+    ``emitted`` holds the expected emitted pairs ``p_l p_r N_t`` of each pair,
+    one dict per record; the analysis reads that pair's counts only where it
+    expects emissions.
     """
 
     emitted: dict[tuple[str, str], float]
@@ -527,24 +528,23 @@ class PairObservables:
 def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairObservables:
     """Expected observables at typical intensities for the pairs the analysis reads.
 
-    The pairs, their intensities and their mirrors come from the ensemble's
-    ``pair_table``, and ``emitted`` is its
-    :meth:`~mdiqkd.source_model.SourceEnsemble.emissions`, which every
-    distance at these ``n_pairs`` shares, so only the counts are made here.
-    Counts are rounded to integers (round-half-even) since any real run
-    records integers.  An X-basis yield is symmetric in the two intensities
-    bit for bit, so a pair and its mirror, such as v-x and x-v, share one
+    The pairs, their intensities, their ``p_l p_r`` and their mirrors come
+    from the ensemble's ``pair_table``; each pair's expected emissions are
+    ``p_l p_r n_pairs``, in a dict of this distance's own.  Counts are
+    rounded to integers (round-half-even) since any real run records
+    integers.  An X-basis yield is symmetric in the two intensities bit for
+    bit, so a pair and its mirror, such as v-x and x-v, share one
     :func:`pair_yield` call.  A Z-basis yield is not: its two click factors
     multiply in the order of the arguments.
     """
     yields: list[tuple[float, float]] = []
     counts: dict[tuple[str, str], int] = {}
     errors: dict[tuple[str, str], int] = {}
-    emitted = ensemble.emissions(params.n_pairs)
-    for pair, basis, mu_l, mu_r, _, mirror in ensemble.pair_table:
+    emitted: dict[tuple[str, str], float] = {}
+    for pair, basis, mu_l, mu_r, p_lr, mirror in ensemble.pair_table:
         q, eq = yields[mirror] if mirror >= 0 and basis == "X" else pair_yield(mu_l, mu_r, basis, params)
         yields.append((q, eq))
-        expected = emitted[pair]
+        expected = emitted[pair] = p_lr * params.n_pairs
         count = counts[pair] = round(expected * q)
         errors[pair] = min(round(expected * eq), count)
     return _frozen(PairObservables, emitted=emitted, counts=counts, errors=errors, n_pairs=float(params.n_pairs))
@@ -620,7 +620,7 @@ def validate_model(
     calling thread.  The calls read one :func:`_cell_counts` on one thread
     pool, so the cells' chunks run on it together.
     """
-    _check_run(trials, seed)
+    _check_run(("trials", trials, 1), ("seed", seed, 0))
     if not grid:
         raise ValueError("the validation grid must hold at least one (mu, distance_km) point")
     cells, analytic = [], []

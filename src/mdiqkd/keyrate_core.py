@@ -23,13 +23,14 @@ as a weight of the coefficient table over the expected emissions, and each
 group is built there into its telescope.  Those groups, with the constants of
 ``s11(H)`` and ``e11(H)``, the emission fraction ``pz2`` and the feasibility
 verdict, depend on the sources and the expected emissions alone, so the
-coefficient table keeps them per ``n_pairs``
-(:meth:`~mdiqkd.source_model.PhotonCoeffBounds.analysis_terms`) and every
-distance of a scan shares them; a distance makes only its counts, pools and
-bounds them, and finds the minimum over H.  The analysis solves one Chernoff
-bound per telescope level of the four groups and one on the x-x errors, so
-the number of estimates its failure probability is a union bound over is
-read off the terms.  The Z-basis single-photon yield is estimated by its
+coefficient table keeps the last it built, with the ``n_pairs`` and emissions
+they were built over
+(:meth:`~mdiqkd.source_model.PhotonCoeffBounds.analysis_terms`), and every
+distance of a scan, whose emissions are equal, reads them; a distance makes
+only its counts, pools and bounds them, and finds the minimum over H.  The
+analysis solves one Chernoff bound per telescope level of the four groups
+and one on the x-x errors, so the number of estimates its failure
+probability is a union bound over is read off the terms.  The Z-basis single-photon yield is estimated by its
 X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
 ``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
@@ -59,9 +60,9 @@ class AnalysisInputs:
     """Everything the finite-data analysis consumes.
 
     The analysis reads the :class:`~mdiqkd.source_model.AnalysisTerms` of
-    ``bounds`` over the expected emissions of ``observables``, which the
-    table keeps per ``n_pairs`` and builds again only for another emissions
-    dict, however the inputs were made.
+    ``bounds`` over the expected emissions and ``n_pairs`` of
+    ``observables``, which the table builds again whenever either differs
+    from those of its last terms, however the inputs were made.
     """
 
     bounds: PhotonCoeffBounds
@@ -73,11 +74,10 @@ class AnalysisInputs:
     def from_simulation(cls, ensemble: SourceEnsemble, params: ChannelParams) -> "AnalysisInputs":
         """Wire the ensemble's own coefficient bounds to its simulated observables.
 
-        The bounds are ``ensemble.bounds``, built once per ensemble, and the
-        emissions its :meth:`~mdiqkd.source_model.SourceEnsemble.emissions`,
-        so a distance scan over one ensemble shares a single table and the
-        terms it builds at the first analysis at these ``n_pairs``.  The
-        Chernoff configuration is the one ``params`` holds.
+        The bounds are ``ensemble.bounds``, built once per ensemble, so a
+        distance scan over one ensemble shares a single table, and the terms
+        it builds at the first analysis at these ``n_pairs``.  The Chernoff
+        configuration is the one ``params`` holds.
         """
         return _frozen(
             cls,

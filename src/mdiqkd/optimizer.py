@@ -28,7 +28,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .channel_sim import ChannelParams, _usable_cores
+from .channel_sim import ChannelParams, _check_run, _usable_cores
 from .keyrate_core import AnalysisInputs, secure_key_rate
 from .source_model import SideSources, SourceEnsemble
 
@@ -235,17 +235,11 @@ def optimize(
     the whole log by construction.  The restarts run on ``min(cores, restarts)``
     processes on Linux (see :func:`_forked`); the result does not depend on
     that count.
-    Raises ``ValueError`` on a seed, budget or restart count that is not an
-    integer (a bool is none), on a budget or restart count below one, and
-    when no random start passes the decoy conditions.
+    Raises ``ValueError`` on a seed that is not an integer of at least 0 (a
+    bool is none), a budget or restart count that is not one of at least 1,
+    and when no random start passes the decoy conditions.
     """
-    for name, value in (("seed", seed), ("budget", budget), ("restarts", restarts)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    _check_run(("seed", seed, 0), ("budget", budget, 1), ("restarts", restarts, 1))
 
     per_restart = max(budget // restarts, 10)
     run = lambda restart: _restart(problem, seed, restart, per_restart)

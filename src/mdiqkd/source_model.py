@@ -181,10 +181,8 @@ class SourceEnsemble:
     ``(l, r)``, with the simulation intensities of
     :func:`simulation_intensity`.  ``mirror`` is the index of the earlier
     entry r-l on sides given as one object, whose intensities are this
-    entry's swapped, else -1.  :meth:`emissions` is built once per
-    ``n_pairs``, when first read, and kept; ``bounds`` keeps the analysis
-    terms it builds over them (:meth:`PhotonCoeffBounds.analysis_terms`).
-    None is a field, so equality, hashing and ``repr`` see the sources alone.
+    entry's swapped, else -1.  Neither is a field, so equality, hashing and
+    ``repr`` see the sources alone.
     """
 
     alice: SideSources
@@ -202,22 +200,10 @@ class SourceEnsemble:
             index[l, r] = len(table)
             table.append(((l, r), basis, alice[l][1], bob[r][1], alice[l][0] * bob[r][0], mirror))
         object.__setattr__(self, "pair_table", tuple(table))
-        object.__setattr__(self, "_emissions", {})
 
     @classmethod
     def symmetric(cls, side: SideSources) -> "SourceEnsemble":
         return cls(alice=side, bob=side)
-
-    def emissions(self, n_pairs: float) -> dict[Pair, float]:
-        """The expected emitted pairs ``p_l p_r n_pairs`` of each analysed pair, in ``pair_table`` order.
-
-        Built at the first call for these ``n_pairs`` and shared by every
-        caller, so do not modify it.
-        """
-        emitted = self._emissions.get(n_pairs)
-        if emitted is None:
-            emitted = self._emissions[n_pairs] = {pair: p_lr * n_pairs for pair, _, _, _, p_lr, _ in self.pair_table}
-        return emitted
 
 
 @dataclass(frozen=True)
@@ -247,7 +233,7 @@ class PhotonCoeffBounds:
 
     ``decoy``, the decoy-condition verdict on these bounds, is computed once
     per coefficient table, when the table is made.  The table also keeps the
-    terms :meth:`analysis_terms` builds, per ``n_pairs``.  Like ``bounds`` of
+    terms :meth:`analysis_terms` built last.  Like ``bounds`` of
     :class:`SourceEnsemble` neither is a field.
     """
 
@@ -256,21 +242,24 @@ class PhotonCoeffBounds:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "decoy", check_decoy_conditions(self))
-        object.__setattr__(self, "_terms", {})
+        object.__setattr__(self, "_terms", (None, None, None))
 
     def analysis_terms(self, emitted: dict[Pair, float], n_pairs: float) -> "AnalysisTerms":
         """The :func:`analysis_terms` of this table over the expected emissions ``emitted``.
 
-        Kept per ``n_pairs`` with the dict they were built from, and built
-        again only when given another dict.  Every distance of a scan reads
-        its ensemble's :meth:`SourceEnsemble.emissions`, one dict per
-        ``n_pairs``, so a scan builds its terms once; a dict changed in place
-        after its terms were built is not seen.
+        The table keeps one slot: the ``n_pairs``, a copy of ``emitted`` and
+        the terms built over them.  The terms are read again while both
+        compare equal, so every distance of a scan reads the terms its first
+        distance built, and a dict changed in place or another ``n_pairs``
+        builds them anew.  Equality ignores the order of ``emitted``, which
+        decides only which pair an infeasible verdict names first; a kept
+        verdict's pair expects no emissions in an equal dict either.
         """
-        kept = self._terms.get(n_pairs)
-        if kept is None or kept[0] is not emitted:
-            kept = self._terms[n_pairs] = (emitted, analysis_terms(self, emitted, n_pairs))
-        return kept[1]
+        kept_n, kept_emitted, terms = self._terms
+        if kept_n != n_pairs or kept_emitted != emitted:
+            terms = analysis_terms(self, emitted, n_pairs)
+            object.__setattr__(self, "_terms", (n_pairs, dict(emitted), terms))
+        return terms
 
 
 def _vacuum_ratio(side: SideCoeffBounds, basis: str) -> float:

@@ -556,14 +556,18 @@ def test_all_sixteen_pairs_present_with_bases(noisy_ensemble, params_10km, obser
         assert _entry(observables_10km, pair) == _entry(full, pair)
 
 
-def test_a_distance_shares_its_ensembles_emissions_and_builds_its_own_counts(noisy_ensemble, params_10km):
-    # The expected emissions depend on the sources and n_pairs alone.
+def test_a_distance_builds_its_own_emissions_and_counts(noisy_ensemble, noisy_side, sweep_side, params_10km):
+    # The expected emissions are p_l p_r n_pairs of the pair table, bit for bit, in a dict of each distance's own.
     near, far = (build_observables(noisy_ensemble, params_10km.at_distance(d)) for d in (10.0, 60.0))
-    assert near.emitted is far.emitted is noisy_ensemble.emissions(params_10km.n_pairs)
+    assert near.emitted is not far.emitted and near.emitted == far.emitted
     assert near.counts is not far.counts and near.counts != far.counts
-    more = build_observables(noisy_ensemble, replace(params_10km, n_pairs=1e12))
-    assert more.emitted is noisy_ensemble.emissions(1e12) is not near.emitted
-    assert more.emitted == {pair: p_lr * 1e12 for pair, _, _, _, p_lr, _ in noisy_ensemble.pair_table}
+    two_sided = SourceEnsemble(alice=noisy_side, bob=sweep_side)
+    for ensemble, n_pairs in product((noisy_ensemble, two_sided), (params_10km.n_pairs, 1e12)):
+        emitted = build_observables(ensemble, replace(params_10km, n_pairs=n_pairs)).emitted
+        expected = [(pair, (p_lr * n_pairs).hex()) for pair, _, _, _, p_lr, _ in ensemble.pair_table]
+        assert [(pair, value.hex()) for pair, value in emitted.items()] == expected
+    # The pair table's p_l p_r of two sides is each side's own probability product.
+    assert dict(expected)["v", "y"] == (noisy_side.p_v * sweep_side.p_y * 1e12).hex()
 
 
 _INTENSITY = st.just(0.0) | st.floats(-9.0, 0.5).map(lambda e: 10.0**e)

@@ -19,6 +19,7 @@ from mdiqkd import (
     SolverError,
     SourceEnsemble,
     binary_entropy,
+    build_observables,
     check_decoy_conditions,
     chernoff_lower,
     chernoff_upper,
@@ -69,16 +70,21 @@ def _sigma_y(bounds) -> float:
     return sum(side.hi("y", 0) * side.hi("v", 1) / (side.lo("v", 0) * side.lo("y", 1)) for side in (bounds.alice, bounds.bob))
 
 
+def _emitted(ensemble: SourceEnsemble, n_pairs: float) -> dict:
+    """The expected emissions of the ensemble's observables at ``n_pairs``."""
+    return build_observables(ensemble, ChannelParams(n_pairs=n_pairs)).emitted
+
+
 def _terms(ensemble: SourceEnsemble, n_pairs: float):
-    """The analysis terms the ensemble's table keeps over its emissions at ``n_pairs``."""
-    return ensemble.bounds.analysis_terms(ensemble.emissions(n_pairs), n_pairs)
+    """The analysis terms the ensemble's table builds over its emissions at ``n_pairs``."""
+    return ensemble.bounds.analysis_terms(_emitted(ensemble, n_pairs), n_pairs)
 
 
 def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
     terms, a = _terms(exact_ensemble, 1e11), exact_ensemble.bounds.alice
     assert terms.sigma_x == _sigma_y(exact_ensemble.bounds) == 0.0
     # So K = a1_x^U b2_x^U / (1 - sigma_y) is the product itself, bit for bit.
-    assert terms.yield_minus.terms[0] == (a.hi("x", 1) * a.hi("x", 2) / exact_ensemble.emissions(1e11)["y", "y"], ("y", "y"))
+    assert terms.yield_minus.terms[0] == (a.hi("x", 1) * a.hi("x", 2) / _emitted(exact_ensemble, 1e11)["y", "y"], ("y", "y"))
 
 
 def test_sigma_reference_value():
@@ -948,7 +954,7 @@ def test_a_record_built_in_one_update_is_the_constructors(inputs_10km, kind):
             setattr(record, f.name, getattr(record, f.name))
 
 
-# --- terms built once per ensemble and n_pairs ---------------------------------
+# --- terms built once per table, n_pairs and emissions --------------------------
 
 
 def _counted_terms(monkeypatch) -> list[float]:
@@ -965,7 +971,7 @@ def _counted_terms(monkeypatch) -> list[float]:
 
 
 def test_an_ensemble_builds_its_terms_once_per_n_pairs(monkeypatch, sweep_side):
-    # Its table keeps them, with the ensemble's emissions at these n_pairs, which every distance shares.
+    # Its table keeps them with the n_pairs and emissions they were built over, and every distance's emissions are equal.
     calls = _counted_terms(monkeypatch)
     ensemble = SourceEnsemble.symmetric(sweep_side)
     channel = ChannelParams(n_pairs=1e11)
@@ -984,7 +990,9 @@ def test_nothing_global_keeps_an_analysed_ensemble_alive(sweep_side):
         inputs = AnalysisInputs.from_simulation(ensemble, channel.at_distance(distance))
         assert secure_key_rate(inputs).reason == "ok"
         rate_function(inputs)
-    assert ensemble.bounds._terms
+    n_pairs, emitted, terms = ensemble.bounds._terms
+    assert n_pairs == 1e11 and emitted == inputs.observables.emitted and emitted is not inputs.observables.emitted
+    assert terms.infeasible == "" and terms.yield_plus.levels
     alive = weakref.ref(ensemble)
     del ensemble, inputs
     gc.collect()
@@ -1007,7 +1015,7 @@ def test_inputs_made_by_hand_read_their_own_bounds_and_observables(monkeypatch, 
     assert doctored.observables.emitted is inputs.observables.emitted
     assert rate_function(doctored)[1] > rate_function(inputs)[1]  # h_lower reads the doctored errors
     assert calls == []  # the same table and emissions: no new terms
-    # Other bounds build their own terms, and so does a new emitted dict, even one equal to the last.
+    # Other bounds build their own terms.
     other = SourceEnsemble.symmetric(sweep_side).bounds
     by_hand = replace(inputs, bounds=other, observables=_scaled(inputs.observables, 10.0))
     curve, _, _ = rate_function(by_hand)
@@ -1021,8 +1029,33 @@ def test_inputs_made_by_hand_read_their_own_bounds_and_observables(monkeypatch, 
     assert curve.txx_upper == chernoff_upper(obs.errors["x", "x"], by_hand.chernoff) / obs.emitted["x", "x"]
     copied = replace(inputs, observables=replace(inputs.observables, emitted=dict(inputs.observables.emitted)))
     assert rate_function(copied)[0] == rate_function(inputs)[0]
-    # The table keeps one dict per n_pairs, so the copy's terms displace those of the original, which builds them again.
-    assert calls == [obs.n_pairs, params_10km.n_pairs, params_10km.n_pairs]
+    # The table compares the emissions by value, so an equal copy reads the original's terms, and builds none.
+    assert calls == [obs.n_pairs]
+
+
+def test_emissions_changed_in_place_are_analysed_as_a_fresh_table_would(sweep_side):
+    # The table compares a copy of the emissions it built over, so it sees the change;
+    # and each distance holds its own emissions, so the change stays at that distance.
+    ensemble = SourceEnsemble.symmetric(sweep_side)
+    channel = ChannelParams(n_pairs=1e11)
+    near, far = (AnalysisInputs.from_simulation(ensemble, channel.at_distance(d)) for d in (20.0, 40.0))
+    before, far_emitted = secure_key_rate(near), dict(far.observables.emitted)
+    near.observables.emitted["v", "y"] /= 2.0
+    fresh = replace(near, bounds=SourceEnsemble.symmetric(sweep_side).bounds)
+    assert secure_key_rate(near) == secure_key_rate(fresh) != before
+    assert far.observables.emitted == far_emitted
+    assert secure_key_rate(far) == secure_key_rate(replace(far, bounds=SourceEnsemble.symmetric(sweep_side).bounds))
+
+
+def test_an_equal_copy_of_the_emissions_reads_the_terms_of_the_original(monkeypatch, sweep_side):
+    # Equality ignores the order of the pairs, so a reversed copy reads them too.
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(sweep_side), ChannelParams(n_pairs=1e11, distance_km=20.0))
+    emitted = inputs.observables.emitted
+    copied, reversed_ = (replace(inputs, observables=replace(inputs.observables, emitted=e)) for e in (dict(emitted), dict(reversed(emitted.items()))))
+    calls = _counted_terms(monkeypatch)
+    reports = [secure_key_rate(each) for each in (inputs, copied, inputs, reversed_, copied)]
+    assert calls == [1e11]
+    assert all(report == reports[0] for report in reports)
 
 
 # --- the shared terms against the per-distance records ------------------------
@@ -1176,13 +1209,13 @@ def test_the_chernoff_count_read_off_the_terms_is_the_bounds_solved(sweep_side):
 
 def _observables_at(ensemble: SourceEnsemble, params: ChannelParams, alice: dict, bob: dict) -> PairObservables:
     """Observables of the ensemble's pairs with each source at the given intensity, rounded as build_observables rounds."""
-    emitted = ensemble.emissions(params.n_pairs)
+    emitted = build_observables(ensemble, params).emitted
     counts, errors = {}, {}
     for (l, r), basis, _, _, _, _ in ensemble.pair_table:
         q, eq = pair_yield(alice[l], bob[r], basis, params)
         count = counts[l, r] = round(emitted[l, r] * q)
         errors[l, r] = min(round(emitted[l, r] * eq), count)
-    return PairObservables(emitted=dict(emitted), counts=counts, errors=errors, n_pairs=float(params.n_pairs))
+    return PairObservables(emitted=emitted, counts=counts, errors=errors, n_pairs=float(params.n_pairs))
 
 
 def _assert_sound(ensemble: SourceEnsemble, params: ChannelParams, alice: dict, bob: dict, truth: tuple[float, float]) -> None:

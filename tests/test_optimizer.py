@@ -117,8 +117,14 @@ def test_problem_rejects_sources_it_cannot_build(key, value):
 
 @pytest.mark.parametrize("key", ["budget", "restarts"])
 def test_optimize_rejects_budget_or_restarts_below_one(problem_10km, key):
-    with pytest.raises(ValueError, match=f"^{key} must be at least 1, got 0$"):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer of at least 1, got 0$"):
         optimize(problem_10km, **{key: 0})
+
+
+def test_optimize_refuses_a_negative_seed(problem_10km):
+    # As the CLI and the Monte Carlo do: no seed below 0 exists.
+    with pytest.raises(ValueError, match="^seed must be an integer of at least 0, got -1$"):
+        optimize(problem_10km, seed=-1, budget=20, restarts=2)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +133,8 @@ def test_optimize_rejects_budget_or_restarts_below_one(problem_10km, key):
 )
 def test_optimize_refuses_a_seed_or_count_that_is_not_an_integer(problem_10km, key, value):
     # A bool is refused too: restarts=True would run once, and seed=True search another stream than seed=1.
-    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+    least = 0 if key == "seed" else 1
+    with pytest.raises(ValueError, match=f"^{key} must be an integer of at least {least}, got {re.escape(repr(value))}$"):
         optimize(problem_10km, **{key: value})
 
 
