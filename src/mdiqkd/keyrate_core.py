@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from . import stat_bounds
-from .channel_sim import ChannelParams, PairObservables, _frozen, build_observables
+from .channel_sim import ChannelParams, PairObservables, _clamp, _frozen, build_observables
 from .source_model import AnalysisTerms, PhotonCoeffBounds, SourceEnsemble
 from .stat_bounds import ChernoffConfig
 
@@ -100,7 +100,8 @@ def _h_lower(inputs: AnalysisInputs, terms: AnalysisTerms) -> float:
     cfg = inputs.chernoff
     positive = stat_bounds.combo_lower(terms.error_plus, errors, cfg)
     negative = stat_bounds.combo_upper(terms.error_minus, errors, cfg)
-    return max(0.0, 2.0 * (positive - negative) / (1.0 - terms.sigma_x))
+    h = 2.0 * (positive - negative) / (1.0 - terms.sigma_x)
+    return h if h > 0.0 else 0.0  # NaN gives 0.0
 
 
 def binary_entropy(x: float) -> float:
@@ -174,13 +175,13 @@ class RateCurve:
         s = (self.s_plus - self.s_minus - self.c_y * h) / self.denominator
         if not s > 0.0:
             return s, math.nan
-        # max/min in this order keep a NaN quotient NaN; adding 0.0 turns -0.0 into 0.0.
-        return s, min(max((self.txx_upper - h / 2.0) / (self.beta * s), 0.0), 1.0) + 0.0
+        # The clamp returns a NaN quotient as it is; adding 0.0 turns -0.0 into 0.0.
+        return s, _clamp((self.txx_upper - h / 2.0) / (self.beta * s), 0.0, 1.0) + 0.0
 
     def _point(self, h: float) -> tuple[float, float, float]:
         """``(s11, e11, R)`` at a scalar h, as Python floats."""
         s, e = self._yield_and_error(h)
-        s11 = max(s, 0.0) + 0.0  # NaN stays NaN, -0.0 becomes 0.0
+        s11 = (0.0 if 0.0 > s else s) + 0.0  # NaN stays NaN, -0.0 becomes 0.0
         # Phase error at or beyond one half, or undefined, leaves nothing to distill.
         privacy = 1.0 - binary_entropy(e) if e < 0.5 else 0.0
         return s11, e, self.pz2 * (self.gamma * s11 * privacy - self.correction)
@@ -241,14 +242,18 @@ def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
     every bound.
     """
     obs = inputs.observables
-    terms = inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs)
+    return _rate_function(inputs, inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs))
+
+
+def _rate_function(inputs: AnalysisInputs, terms: AnalysisTerms) -> tuple[RateCurve, float, float]:
+    """:func:`rate_function` of ``inputs`` over ``terms``, which the caller read once off their table."""
     if terms.infeasible:
         raise AnalysisInfeasible(terms.infeasible)
     curve = _curve(inputs, terms)
     h_lower, h_upper = _h_lower(inputs, terms), 2.0 * curve.txx_upper
     # Emissions near the float minimum give count weights near its maximum.  s11 is affine in h, so it is
     # finite on the interval if it is at both ends.
-    if not all(math.isfinite(curve._yield_and_error(h)[0]) for h in (h_lower, h_upper)):
+    if not (math.isfinite(curve._yield_and_error(h_lower)[0]) and math.isfinite(curve._yield_and_error(h_upper)[0])):
         raise AnalysisInfeasible(f"single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]")
     return curve, h_lower, h_upper
 
@@ -352,10 +357,11 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
         return _zero_report(f"decoy-conditions-failed: {decoy.summary()}", obs)
 
     terms = inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs)
-    groups = (terms.yield_plus, terms.yield_minus, terms.error_plus, terms.error_minus)
-    invocations = 0 if terms.infeasible or inputs.chernoff.disabled else 1 + sum(len(group.levels) for group in groups)
+    invocations = 0
+    if not (terms.infeasible or inputs.chernoff.disabled):
+        invocations = 1 + len(terms.yield_plus.levels) + len(terms.yield_minus.levels) + len(terms.error_plus.levels) + len(terms.error_minus.levels)
     try:
-        curve, h_lo, h_hi = rate_function(inputs)
+        curve, h_lo, h_hi = _rate_function(inputs, terms)
     except AnalysisInfeasible as exc:
         return _zero_report(f"infeasible: {exc}", obs, invocations)
 
@@ -368,7 +374,7 @@ def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
 
     return _frozen(
         KeyRateReport,
-        rate=max(0.0, best_rate),
+        rate=best_rate if best_rate > 0.0 else 0.0,
         h_lower=h_lo,
         h_upper=h_hi,
         h_star=best_h,

@@ -28,7 +28,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .channel_sim import ChannelParams, _check_run, _usable_cores
+from .channel_sim import ChannelParams, _check_run, _clamp, _usable_cores
 from .keyrate_core import AnalysisInputs, secure_key_rate
 from .source_model import SideSources, SourceEnsemble
 
@@ -140,7 +140,7 @@ def _random_start(problem: OptimizationProblem, rng: random.Random) -> tuple[tup
 
 
 def _clip(x) -> tuple[float, ...]:
-    return tuple(min(max(v, lo), hi) for v, lo, hi in zip(x, BOX_LOWER, BOX_UPPER))
+    return tuple(_clamp(v, lo, hi) for v, lo, hi in zip(x, BOX_LOWER, BOX_UPPER))
 
 
 def _nelder_mead(func, x0, maxfev: int) -> None:

@@ -94,7 +94,8 @@ def chernoff_lower(x: float, cfg: ChernoffConfig) -> float:
     eps = cfg._log_two_over_xi / x
     # Outside the root: f(-1-eps) = eps + e^(-1-eps), and for eps < 1/2,
     # f(-a) >= a^2/2 - a^3/6 >= eps at a = sqrt(2 eps) + eps.
-    t = _log_root(eps, -(eps + min(1.0, math.sqrt(2.0 * eps))))
+    root = math.sqrt(2.0 * eps)
+    t = _log_root(eps, -(eps + (root if root < 1.0 else 1.0)))
     bound = x * math.exp(t) * (1.0 - _NUDGE * (2.0 - t))
     # The relative nudge means nothing below the smallest normal float.
     return bound if bound >= sys.float_info.min else 0.0
@@ -114,7 +115,8 @@ def chernoff_upper(x: float, cfg: ChernoffConfig) -> float:
     eps = cfg._log_two_over_xi / x
     # Outside the root: f(t) >= t^2/2 for t >= 0, and f(ln(2 (1 + eps))) =
     # 1 + 2 eps - ln(2 (1 + eps)) >= eps.
-    t = _log_root(eps, min(math.sqrt(2.0 * eps), math.log(2.0 * (1.0 + eps))))
+    root, log_start = math.sqrt(2.0 * eps), math.log(2.0 * (1.0 + eps))
+    t = _log_root(eps, log_start if log_start < root else root)
     return (x + x * math.expm1(t)) * (1.0 + _NUDGE * (2.0 + t))
 
 

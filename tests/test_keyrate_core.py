@@ -1058,6 +1058,41 @@ def test_an_equal_copy_of_the_emissions_reads_the_terms_of_the_original(monkeypa
     assert all(report == reports[0] for report in reports)
 
 
+def _analysis_inputs(case: str, sweep_side: SideSources) -> AnalysisInputs:
+    """Inputs whose report has the reason ``case``, one of ``_reason_kind``'s kinds."""
+    channel = ChannelParams(n_pairs=1e11, distance_km=10.0)
+    if case == "h-range-empty":
+        # As in test_empty_h_range_is_zero_report.
+        inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(replace(sweep_side, fluctuation=0.01)), channel)
+        obs = inputs.observables
+        errors = {**obs.errors, ("v", "x"): obs.counts["v", "x"], ("x", "v"): obs.counts["x", "v"], ("x", "x"): 0}
+        return replace(inputs, observables=replace(obs, errors=errors))
+    corner = {"ok": sweep_side, "infeasible before any bound": _CORNERS["contamination"][0], "infeasible after every bound": _CORNERS["overflow"][0]}
+    return AnalysisInputs.from_simulation(SourceEnsemble.symmetric(corner[case]), channel)
+
+
+@pytest.mark.parametrize("case", ["ok", "infeasible before any bound", "infeasible after every bound", "h-range-empty"])
+def test_one_analysis_reads_its_terms_once(monkeypatch, sweep_side, case):
+    # The table compares its kept emissions with those given at every read, so a
+    # report or a curve reads them once and hands them down.
+    inputs = _analysis_inputs(case, sweep_side)
+    reads = []
+    honest = source_model.PhotonCoeffBounds.analysis_terms
+
+    def counted(bounds, emitted, n_pairs):
+        reads.append(n_pairs)
+        return honest(bounds, emitted, n_pairs)
+
+    monkeypatch.setattr(source_model.PhotonCoeffBounds, "analysis_terms", counted)
+    assert _reason_kind(secure_key_rate(inputs).reason) == case
+    assert reads == [1e11]
+    try:
+        rate_function(inputs)
+    except AnalysisInfeasible:
+        assert case.startswith("infeasible")
+    assert reads == [1e11, 1e11]
+
+
 # --- the shared terms against the per-distance records ------------------------
 
 
