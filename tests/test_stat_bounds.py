@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from mdiqkd import (
     ChernoffConfig,
@@ -269,3 +270,82 @@ def test_built_groups_match_the_per_call_telescope(terms, xi, disabled):
         with counted_chernoff_solves() as counter:
             assert float.hex(combo(group, counts, cfg)) == float.hex(expected)
         assert counter.count == record_counter.count == (0 if disabled else len(group.levels))
+
+
+def _first_count(above, lo: int) -> int:
+    """The least integer count from ``lo`` up where the nondecreasing ``above(k)`` holds; false at ``lo``."""
+    step = 1
+    while not above(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("xi", [1e-7, 1e-3, 0.05, 0.5])
+def test_each_envelope_misses_a_poisson_mean_with_probability_at_most_half_xi(xi):
+    # Exact coverage of X ~ Poisson(mu): both envelopes grow with the count, so
+    # each misses mu exactly beyond one threshold count, found by bisection.
+    # The lower envelope misses where chernoff_lower(X) > mu, the upper where
+    # chernoff_upper(X) < mu.  Measured worst cases over these 400 means: the
+    # lower side at most 0.14 xi, at means near 1, and the upper at most 0.48 xi,
+    # at means 1.4-17 and xi = 0.5.
+    cfg = ChernoffConfig(xi=xi)
+    means = np.geomspace(0.5, 1e7, 400)
+    first_above = [_first_count(lambda k: chernoff_lower(k, cfg) > mu, math.floor(mu)) for mu in means]
+    lower_miss = poisson.sf(np.array(first_above) - 1, means)
+    # No count is below the mean where even chernoff_upper(0) = ln(2/xi) is not.
+    last_below = [
+        _first_count(lambda k: chernoff_upper(k, cfg) >= mu, 0) - 1 if chernoff_upper(0, cfg) < mu else -1 for mu in means
+    ]
+    upper_miss = poisson.cdf(np.array(last_below), means)
+    assert lower_miss.max() <= xi / 2.0, means[lower_miss.argmax()]
+    assert upper_miss.max() <= xi / 2.0, means[upper_miss.argmax()]
+
+
+_CUT_OFFS = (stat_bounds._HALLEY_FROM, stat_bounds._NEWTON_FROM)
+
+
+@pytest.mark.parametrize("xi", [0.5, 1e-3, 1e-7, 1e-300])
+def test_bounds_do_not_decrease_as_the_count_grows_across_each_cut_off(xi):
+    # The root's method changes where eps = ln(2/xi) / x crosses a cut-off, so
+    # a window of counts around each, and random counts, each against the next.
+    cfg = ChernoffConfig(xi=xi)
+    counts = set()
+    for cut_off in _CUT_OFFS:
+        middle = round(cfg._log_two_over_xi / cut_off)
+        counts.update(range(max(0, middle - 200), middle + 200))
+    rng = random.Random(20261020)
+    counts.update(rng.randint(1, 10**14) for _ in range(1000))
+    for x in counts:
+        assert chernoff_lower(x, cfg) <= chernoff_lower(x + 1, cfg), x
+        assert chernoff_upper(x, cfg) <= chernoff_upper(x + 1, cfg), x
+
+
+def test_bounds_lie_outside_the_exact_roots_in_each_eps_range_and_at_each_cut_off():
+    # In 50 digits, against ln(2/xi) of the float xi: s - ln s falls below 1 and
+    # rises above it, so a bound x s lies outside its root exactly where
+    # s - ln s >= 1 + ln(2/xi) / x.  Counts x = ln(2/xi) / eps at eps drawn
+    # log-uniformly in each range (series, series and Halley step, Newton), and
+    # the integer counts within 20 of each cut-off, at each xi: over 20,000 in all.
+    ranges = ((1e-16, _CUT_OFFS[0]), _CUT_OFFS, (_CUT_OFFS[1], 1e4))
+    rng = random.Random(20261020)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        checked = 0
+        for xi in (0.5, 0.05, 1e-3, 1e-7, 1e-10, 1e-20, 1e-50, 1e-100, 1e-300):
+            cfg = ChernoffConfig(xi=xi)
+            log_two_over_xi = (2 / Decimal(xi)).ln()
+            counts = [cfg._log_two_over_xi / (lo * (hi / lo) ** rng.random()) for lo, hi in ranges for _ in range(740)]
+            for cut_off in _CUT_OFFS:
+                middle = round(cfg._log_two_over_xi / cut_off)
+                counts += range(max(1, middle - 20), middle + 21)
+            for x in counts:
+                rhs = 1 + log_two_over_xi / Decimal(x)
+                for bound in (chernoff_lower(x, cfg), chernoff_upper(x, cfg)):
+                    s = Decimal(bound) / Decimal(x)
+                    assert s - s.ln() >= rhs, (x, xi, bound)
+                checked += 1
+    assert checked > 20_000
