@@ -146,14 +146,18 @@ def _i0m1(z: float) -> float:
 
     Unlike ``I0(z) - 1`` computed directly, no term cancels; the sum runs until a
     term no longer raises it (a NaN stops it too), keeping full relative precision.
+    The sum starts at the first term, and is 0 where that term is zero or NaN.
     """
-    term = z * z / 4.0
-    total = 0.0
-    m = 1
+    zz = z * z
+    total = zz / 4.0
+    if not total > 0.0:
+        return 0.0
+    term = total * (zz / 16.0)  # term m is term m - 1 times zz / (4 m^2), here m = 2
+    m = 2
     while total + term > total:
         total += term
         m += 1
-        term *= z * z / (4.0 * m * m)
+        term *= zz / (4.0 * m * m)
     return total
 
 
@@ -189,7 +193,7 @@ def pair_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams) -> t
     elif basis == "Z":
         silent = (1.0 - p_d) * math.exp(-mu_p)  # both spectator detectors stay quiet
         click_a = -math.expm1(-ea / 2.0) + p_d * math.exp(-ea / 2.0)  # 1 - (1-p_d) e^{-ea/2}
-        click_b = -math.expm1(-eb / 2.0) + p_d * math.exp(-eb / 2.0)
+        click_b = click_a if eb == ea else -math.expm1(-eb / 2.0) + p_d * math.exp(-eb / 2.0)
         q_correct = 2.0 * (1.0 - p_d) * silent * click_a * click_b
         q_dark = 2.0 * p_d * (1.0 - p_d) * silent * (_i0m1(2.0 * x) + p_d - (1.0 - p_d) * math.expm1(-mu_p))
         q = q_correct + q_dark
@@ -553,14 +557,15 @@ def build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> PairOb
     counts: dict[tuple[str, str], int] = {}
     errors: dict[tuple[str, str], int] = {}
     emitted: dict[tuple[str, str], float] = {}
+    n_pairs = params.n_pairs
     for pair, basis, mu_l, mu_r, p_lr, mirror in ensemble.pair_table:
         q, eq = yields[mirror] if mirror >= 0 and basis == "X" else pair_yield(mu_l, mu_r, basis, params)
         yields.append((q, eq))
-        expected = emitted[pair] = p_lr * params.n_pairs
+        expected = emitted[pair] = p_lr * n_pairs
         count = counts[pair] = round(expected * q)
         error = round(expected * eq)
         errors[pair] = count if count < error else error
-    return _frozen(PairObservables, emitted=emitted, counts=counts, errors=errors, n_pairs=float(params.n_pairs))
+    return _frozen(PairObservables, emitted=emitted, counts=counts, errors=errors, n_pairs=float(n_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,21 @@ Each range adds its own:
   the upper side ``nu <= 3u + u t``, and with ``X + X expm1(t)`` the bound
   errs by at most ``13u + u t``.
 * No count.  The tail ``ln(2/xi) (1 + 2^-50)`` exceeds ``ln(2/xi)`` by
-  ``8u``, against ``4u`` for the logarithms and the product.
+  ``8u``, against ``4u`` for the logarithms and the product.  Where Newton's
+  upper start ``ln(2 (1 + eps))`` overflows, at positive counts ``x < 2
+  ln(2/xi) / DBL_MAX``, the upper bound overflows too and the tail replaces
+  it, soundly: ``s_hi <= 2 (1 + eps)`` gives ``x s_hi <= ln(2/xi) + x (1 +
+  ln 2 + ln(1 + ln(2/xi)/x))``, and below ``x = 1e-305`` the second term is
+  under ``1e-300``, far inside the tail's spare ``4u ln(2/xi)``.
+
+Newton's method serves only counts below ``2 ln(2/xi)``, and a scan meets the
+same few integer counts there again and again.  So each
+:class:`ChernoffConfig` keeps the bound of each integer count it has solved
+there, one dict per side, and returns it when the count comes again: each
+such count is solved once per configuration.  A count that is not an integer
+is solved each time.  An entry is only ever added, holding the bits any solve
+of its count gives, so threads that share a configuration at worst solve a
+count twice.
 
 Against 40-digit roots, in 35,000 random cases and the counts next to
 each cut-off, the worst inward error found before the margin was ``2.5 u``
@@ -107,6 +121,7 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 _MARGIN = 2.0**-50
 _HALLEY_FROM = 2e-3
 _NEWTON_FROM = 0.5
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -115,8 +130,13 @@ class ChernoffConfig:
 
     ``disabled=True`` collapses every envelope onto the observed value, which
     turns the finite-data analysis into its infinite-data limit.  Each
-    instance holds ``ln(2/xi)``, which every bound reads, computed once when
-    it is made; it is not a field.
+    instance holds ``ln(2/xi)``, which every bound reads, and the upper
+    bound of a zero count, both computed once when it is made.  It also keeps
+    the lower and upper bound of each integer count below ``2 ln(2/xi)`` it
+    has been asked for, so that each is solved once per configuration; at
+    most ``2 ln(2/xi)`` counts a side.  None of these is a field, so they
+    change neither equality, hashing nor ``repr``, and
+    :func:`dataclasses.replace` starts with none solved.
     """
 
     xi: float
@@ -127,6 +147,11 @@ class ChernoffConfig:
             raise ValueError(f"failure probability must lie in (0, 1), got {self.xi}")
         # ln(2/xi), finite also where 2/xi overflows.
         object.__setattr__(self, "_log_two_over_xi", math.log(2.0) - math.log(self.xi))
+        # Zero-observation tail: expectations above ln(2/xi) would have
+        # produced at least one count except with probability xi/2.
+        object.__setattr__(self, "_zero_count_upper", self._log_two_over_xi * (1.0 + _MARGIN))
+        object.__setattr__(self, "_lower_solved", {})
+        object.__setattr__(self, "_upper_solved", {})
 
 
 def _branch_root(eps: float, p: float) -> float:
@@ -172,13 +197,18 @@ def chernoff_lower(x: float, cfg: ChernoffConfig) -> float:
     if eps < _NEWTON_FROM:
         t = _branch_root(eps, -math.sqrt(2.0 * eps))
         bound = x + x * (t + eps)
+    elif x in cfg._lower_solved:
+        return cfg._lower_solved[x]
     else:
         # Outside the root: f(-1-eps) = eps + e^(-1-eps).
         t = _log_root(eps, -(eps + 1.0))
         bound = x * math.exp(t)
     bound *= 1.0 - _MARGIN * (2.0 - t)
     # The relative margin means nothing below the smallest normal float.
-    return bound if bound >= sys.float_info.min else 0.0
+    bound = bound if bound >= _SMALLEST_NORMAL else 0.0
+    if eps >= _NEWTON_FROM and x % 1.0 == 0.0:
+        cfg._lower_solved[x] = float(bound)
+    return bound
 
 
 def chernoff_upper(x: float, cfg: ChernoffConfig) -> float:
@@ -188,21 +218,27 @@ def chernoff_upper(x: float, cfg: ChernoffConfig) -> float:
     if cfg.disabled:
         return float(x)
     if x == 0:
-        # Zero-observation tail: expectations above ln(2/xi) would have
-        # produced at least one count except with probability xi/2.
-        return cfg._log_two_over_xi * (1.0 + _MARGIN)
+        return cfg._zero_count_upper
     eps = cfg._log_two_over_xi / x
-    root = math.sqrt(2.0 * eps)
     if eps < _NEWTON_FROM:
-        t = _branch_root(eps, root)
+        t = _branch_root(eps, math.sqrt(2.0 * eps))
         bound = x + x * (t + eps)
+    elif x in cfg._upper_solved:
+        return cfg._upper_solved[x]
     else:
         # Outside the root: f(t) >= t^2/2 for t >= 0, and f(ln(2 (1 + eps))) =
         # 1 + 2 eps - ln(2 (1 + eps)) >= eps.
         log_start = math.log(2.0 * (1.0 + eps))
+        root = math.sqrt(2.0 * eps)
         t = _log_root(eps, log_start if log_start < root else root)
         bound = x + x * math.expm1(t)
-    return bound * (1.0 + _MARGIN * (2.0 + t))
+        if bound == math.inf:
+            # A count so small that this start overflows (module docstring).
+            return cfg._zero_count_upper
+    bound *= 1.0 + _MARGIN * (2.0 + t)
+    if eps >= _NEWTON_FROM and x % 1.0 == 0.0:
+        cfg._upper_solved[x] = float(bound)
+    return bound
 
 
 class ComboGroup(NamedTuple):

@@ -57,6 +57,26 @@ def test_i0m1_keeps_relative_precision_at_tiny_argument():
     assert _i0m1(1e-11) == pytest.approx(2.5e-23, rel=1e-15, abs=0.0)
 
 
+def _i0m1_from_zero(z: float) -> float:
+    """The series loop ``_i0m1`` replaced: from an empty sum, squaring ``z`` at each term."""
+    term = z * z / 4.0
+    total = 0.0
+    m = 1
+    while total + term > total:
+        total += term
+        m += 1
+        term *= z * z / (4.0 * m * m)
+    return total
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-162, 1.5e-162, sys.float_info.min, math.nan, math.inf, -math.inf]))
+def test_i0m1_keeps_the_bits_of_the_loop_from_an_empty_sum(z):
+    # The first term is taken before the loop, and zero or NaN ends it there as
+    # the loop's first test did; a first term that underflows to 0 included.
+    assert float.hex(_i0m1(z)) == float.hex(_i0m1_from_zero(z))
+
+
 def test_transmittance_exact_arithmetic():
     params = ChannelParams(alpha_f=0.2, eta_d=0.145, distance_km=100.0)
     assert side_transmittance(params) == pytest.approx(0.0145, rel=1e-12, abs=0.0)

@@ -135,6 +135,7 @@ def test_chernoff_newton_starts_pick_as_min_did(monkeypatch, bound, x):
 
 # Each function that runs once or more per distance of a scan or per probe of a search.
 _PER_DISTANCE = [
+    channel_sim._i0m1,
     channel_sim.pair_yield,
     channel_sim.build_observables,
     stat_bounds.chernoff_lower,

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,10 +6,12 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdiqkd
 from mdiqkd import AnalysisInputs, ChannelParams, OptimizationProblem, SideSources, cli, optimize, secure_key_rate
-from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_config_file, parse_distances, ConfigError, RunConfig
+from mdiqkd.cli import MAX_RANGE_POINTS, _fmt, main, parse_config_file, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("float", "int")]
@@ -836,3 +839,22 @@ def test_main_runs_the_command_function_bound_at_the_call(tmp_path, monkeypatch)
     assert main(["scan", "--config", config, "--distances", "10"]) == 0  # builds the parser
     monkeypatch.setattr(cli, "cmd_scan", lambda config, args: 7)
     assert main(["scan", "--config", config, "--distances", "10"]) == 7
+
+
+_EDGES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, 1e16, 1e-5, 0.5]
+_DOUBLE = st.floats() | st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300) | st.sampled_from(_EDGES)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(_DOUBLE, min_size=10, max_size=10), st.sampled_from(["fixed", "optimized", "X", "Z"]), st.booleans())
+def test_one_format_per_row_prints_each_field_as_its_own_format(values, text, ok):
+    # Each row's %-format against the f"{v:g}", f"{v:.3f}" and _fmt(v) fields
+    # it replaced, joined by commas: NaN, infinities, signed zeros and
+    # subnormals included.
+    d, *v = values
+    scan = [f"{d:g}", text, *map(_fmt, v[:4])]
+    assert cli._SCAN_ROW % (d, text, *v[:4]) == ",".join(scan)
+    optimize_row = [f"{d:g}", *map(_fmt, v[:7])]
+    assert cli._OPTIMIZE_ROW % (d, *v[:7]) == ",".join(optimize_row)
+    validate = [f"{d:g}", f"{v[0]:g}", text, _fmt(v[1]), _fmt(v[2]), f"{v[3]:.3f}", _fmt(v[4]), _fmt(v[5]), f"{v[6]:.3f}", "1" if ok else "0"]
+    assert cli._VALIDATE_ROW % (d, v[0], text, v[1], v[2], v[3], v[4], v[5], v[6], ok) == ",".join(validate)

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -349,3 +351,138 @@ def test_bounds_lie_outside_the_exact_roots_in_each_eps_range_and_at_each_cut_of
                     assert s - s.ln() >= rhs, (x, xi, bound)
                 checked += 1
     assert checked > 20_000
+
+
+# --- small counts solved once per configuration ----------------------------------------
+
+
+def _newton_counts(cfg: ChernoffConfig) -> int:
+    """``floor(2 ln(2/xi))``: the most integer counts with ``eps = ln(2/xi)/x`` at or above ``_NEWTON_FROM``."""
+    return math.floor(cfg._log_two_over_xi / stat_bounds._NEWTON_FROM)
+
+
+@pytest.mark.parametrize("xi", [1e-7, 1e-3, 0.05, 0.5])
+def test_each_small_integer_count_is_solved_once_with_the_bits_of_a_fresh_solve(monkeypatch, xi):
+    # Every integer count up to 3 past the Newton range, on each side: the
+    # first call, a repeat and the count as a float each give the bits of a
+    # solve on a configuration that has solved nothing, and only the first
+    # call reaches Newton's method.
+    solves = []
+    honest = stat_bounds._log_root
+    monkeypatch.setattr(stat_bounds, "_log_root", lambda eps, t: solves.append(eps) or honest(eps, t))
+    cfg = ChernoffConfig(xi=xi)
+    kept = _newton_counts(cfg)
+    for bound in (chernoff_lower, chernoff_upper):
+        for k in range(1, kept + 4):
+            fresh = float.hex(bound(k, ChernoffConfig(xi=xi)))
+            del solves[:]
+            first = float.hex(bound(k, cfg))
+            solved = len(solves)
+            assert (first, float.hex(bound(k, cfg)), float.hex(bound(float(k), cfg))) == (fresh,) * 3, (bound, k)
+            assert len(solves) == solved <= 1, (bound, k)
+    assert 1 <= len(cfg._lower_solved) <= kept and 1 <= len(cfg._upper_solved) <= kept
+    assert all(type(v) is float for v in [*cfg._lower_solved.values(), *cfg._upper_solved.values()])
+
+
+@pytest.mark.parametrize("xi", [1e-7, 1e-3, 0.05, 0.5])
+def test_a_full_pass_keeps_at_most_the_newton_counts(xi):
+    cfg = ChernoffConfig(xi=xi)
+    for k in range(0, 4 * _newton_counts(cfg) + 10):
+        chernoff_lower(k, cfg)
+        chernoff_upper(k, cfg)
+    assert len(cfg._lower_solved) <= _newton_counts(cfg) and len(cfg._upper_solved) <= _newton_counts(cfg)
+
+
+def test_a_count_that_is_not_an_integer_keeps_nothing():
+    cfg = ChernoffConfig(xi=1e-7)
+    for k in (1, 5, 33):
+        chernoff_lower(k, cfg)
+        chernoff_upper(k, cfg)
+    kept = dict(cfg._lower_solved), dict(cfg._upper_solved)
+    # Counts in the Newton range that are not integers, below the normal range
+    # included, a zero count, and the configuration switched off.
+    for x in (0.5, 2.5, 7.25, 33.000001, 1e-300, 5e-324, 0, 0.0):
+        chernoff_lower(x, cfg)
+        chernoff_upper(x, cfg)
+    for k in (1, 5, 33):
+        chernoff_lower(k, dataclasses.replace(cfg, disabled=True))
+    assert (cfg._lower_solved, cfg._upper_solved) == kept
+
+
+def test_solved_counts_change_neither_equality_hash_nor_repr():
+    used, fresh = ChernoffConfig(xi=1e-7), ChernoffConfig(xi=1e-7)
+    before = hash(used), repr(used)
+    for k in range(1, 40):
+        chernoff_lower(k, used)
+        chernoff_upper(k, used)
+    assert used._lower_solved and used._upper_solved
+    assert used == fresh and (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
+    copy = dataclasses.replace(used)
+    assert copy == used and copy._lower_solved == {} and copy._upper_solved == {}
+
+
+def test_threads_sharing_a_configuration_read_the_bits_of_a_serial_pass():
+    # More threads than cores, switching often, each bounding every count of
+    # the Newton range on both sides, half of them from the top down; every
+    # result and the kept dicts must equal those of one serial pass on a
+    # configuration of its own.
+    xi, counts = 1e-7, range(1, 40)
+    serial = ChernoffConfig(xi=xi)
+    expected = [(float.hex(chernoff_lower(k, serial)), float.hex(chernoff_upper(k, serial))) for k in counts]
+    shared = ChernoffConfig(xi=xi)
+    results: list[list[tuple[str, str]]] = []
+
+    def work(order):
+        seen = {k: (float.hex(chernoff_lower(k, shared)), float.hex(chernoff_upper(k, shared))) for k in order}
+        results.append([seen[k] for k in counts])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(counts[:: 1 if i % 2 else -1],)) for i in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+    assert (shared._lower_solved, shared._upper_solved) == (serial._lower_solved, serial._upper_solved)
+
+
+# --- counts too small for Newton's upper start ------------------------------------------
+
+
+def _decimal_upper_root(x: float, xi: float) -> Decimal:
+    """``x s`` at the root ``s > 1`` of ``s - ln s = 1 + ln(2/xi)/x``, in the current context.
+
+    From ``s = 1 + eps`` below it, ``s <- 1 + eps + ln s`` rises to the root,
+    by a factor ``1/s`` of the distance at each step.
+    """
+    eps = (2 / Decimal(xi)).ln() / Decimal(x)
+    s = 1 + eps
+    for _ in range(60):
+        s = 1 + eps + s.ln()
+    return Decimal(x) * s
+
+
+@pytest.mark.parametrize("xi", [1e-7, 1e-300])
+def test_upper_bound_of_a_count_too_small_for_newton_is_finite_and_sound(xi):
+    # Below 2 ln(2/xi) / DBL_MAX the Newton start ln(2 (1 + eps)) overflows,
+    # and below ln(2/xi) / DBL_MAX eps itself; those counts take the
+    # zero-count tail, at or above the 50-digit root, and no larger count
+    # falls below it.  (Far below a count of 1 the bound need not grow with
+    # the count: its margin 2^-50 (2 + ln s) shrinks as ln s does, by more than
+    # the root grows, so 1e-300 gets a bound 1e-13 relative above 1e-250's.)
+    cfg = ChernoffConfig(xi=xi)
+    tiny = [5e-324, 1e-320, 1e-310, 1e-307, 1e-306, 1e-300]
+    uppers = [chernoff_upper(x, cfg) for x in tiny]
+    assert all(math.isfinite(u) for u in uppers), uppers
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for x, upper in zip(tiny, uppers):
+            assert Decimal(upper) >= _decimal_upper_root(x, xi), (x, upper)
+    tail = chernoff_upper(0.0, cfg)
+    assert all(tail <= chernoff_upper(x, cfg) for x in [*tiny, 1e-250, 1e-100, 1e-10, 1.0])
+    assert chernoff_upper(5e-324, cfg) == tail
