@@ -491,9 +491,9 @@ def _clamp(v: float, lo: float, hi: float) -> float:
     Both builtins keep their first argument unless the second compares
     strictly past it, and so does this: a NaN ``v`` comes back as itself, and
     ``-0.0`` against a bound of ``0.0`` stays ``-0.0``.  The per-distance
-    analysis and the search clamp through it, since on Python 3.11.7
-    ``min(max(v, 0.0), 1.0)`` costs about 287 ns, this call 58 ns and the two
-    comparisons written inline 26 ns.
+    analysis clamps through it, and the search's ``_clip`` writes its two
+    comparisons inline, since on Python 3.11.7 ``min(max(v, 0.0), 1.0)``
+    costs about 287 ns, this call 58 ns and the two comparisons inline 26 ns.
     """
     return lo if lo > v else hi if hi < v else v
 

@@ -28,7 +28,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .channel_sim import ChannelParams, _check_run, _clamp, _usable_cores
+from .channel_sim import ChannelParams, _check_run, _usable_cores
 from .keyrate_core import AnalysisInputs, secure_key_rate
 from .source_model import SideSources, SourceEnsemble
 
@@ -69,21 +69,12 @@ class OptimizationProblem:
 
     def sources(self, point) -> SideSources | None:
         """One side's sources at ``(mu_x, mu_y, mu_z, p_x, p_y, p_z)``; None if ``p_v < _MIN_VACUUM_PROB`` or ``mu_x >= mu_y``."""
-        mu_x, mu_y, mu_z, p_x, p_y, p_z = (float(v) for v in point)
+        mu_x, mu_y, mu_z, p_x, p_y, p_z = map(float, point)
         p_v = 1.0 - p_x - p_y - p_z
         if p_v < _MIN_VACUUM_PROB or mu_x >= mu_y:
             return None
-        return SideSources(
-            mu_x=mu_x,
-            mu_y=mu_y,
-            mu_z=mu_z,
-            p_v=p_v,
-            p_x=p_x,
-            p_y=p_y,
-            p_z=p_z,
-            vacuum_cap=self.vacuum_cap,
-            fluctuation=self.fluctuation,
-        )
+        # By position, in the order of the fields: that skips matching nine keywords at every probe.
+        return SideSources(mu_x, mu_y, mu_z, p_v, p_x, p_y, p_z, self.vacuum_cap, self.fluctuation)
 
 
 @dataclass(frozen=True)
@@ -102,10 +93,18 @@ def evaluate(problem: OptimizationProblem, point) -> float:
         values = tuple(point)
     except TypeError:
         values = ()
-    # A float is a Real; the check of the ABC is kept for the other types.
-    if len(values) != 6 or not all(type(v) is float or isinstance(v, numbers.Real) for v in values):
+    # One pass checks each value's type, then its box.  A float is a Real;
+    # the check of the ABC is kept for the other types.
+    real, inside = len(values) == 6, True
+    for lo, v, hi in zip(BOX_LOWER, values, BOX_UPPER):
+        if type(v) is not float and not isinstance(v, numbers.Real):
+            real = False
+            break
+        if not lo <= v <= hi:  # NaN fails too
+            inside = False
+    if not real:
         raise ValueError(f"expected six real numbers (mu_x, mu_y, mu_z, p_x, p_y, p_z), got {point!r}")
-    if not all(lo <= v <= hi for lo, v, hi in zip(BOX_LOWER, values, BOX_UPPER)):  # NaN fails too
+    if not inside:
         return 0.0
     sources = problem.sources(values)
     if sources is None:
@@ -140,7 +139,8 @@ def _random_start(problem: OptimizationProblem, rng: random.Random) -> tuple[tup
 
 
 def _clip(x) -> tuple[float, ...]:
-    return tuple(_clamp(v, lo, hi) for v, lo, hi in zip(x, BOX_LOWER, BOX_UPPER))
+    """``x`` clamped into the box, each coordinate as :func:`~mdiqkd.channel_sim._clamp` clamps it."""
+    return tuple(lo if lo > v else hi if hi < v else v for v, lo, hi in zip(x, BOX_LOWER, BOX_UPPER))
 
 
 def _nelder_mead(func, x0, maxfev: int) -> None:
@@ -185,10 +185,9 @@ def _nelder_mead(func, x0, maxfev: int) -> None:
             flat = all(abs(fsim[0] - v) <= _FATOL for v in fsim[1:])
             if flat and all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best)):
                 return
-            xbar = best
-            for x in sim[1:-1]:
-                xbar = tuple(a + b for a, b in zip(xbar, x))
-            xbar = tuple(a / n for a in xbar)
+            # The centroid of all but the worst vertex, summed left to right: sum() compensates on Python >= 3.12.
+            # Those are n = 6 vertices, one per coordinate of the box; another box dimension fails this unpack.
+            xbar = tuple((a + b + c + d + e + g) / n for a, b, c, d, e, g in zip(*sim[:-1]))
             # (1 + c) xbar - c worst: along the line from the worst vertex through the centroid.
             along = lambda c: _clip((1 + c) * a - c * w for a, w in zip(xbar, worst))
             xr = along(rho)

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .stat_bounds import ComboGroup, combo_group
 
 SOURCES = ("v", "x", "y", "z")
-
-# The field holding each source's emission probability, and each fluctuating source's nominal intensity.
-_PROBABILITY = {"v": "p_v", "x": "p_x", "y": "p_y", "z": "p_z"}
-_INTENSITY = {"x": "mu_x", "y": "mu_y", "z": "mu_z"}
 
 # Every intensity interval must end below this: at or above it the
 # zero-photon coefficient e^-mu underflows the smallest normal float.
@@ -64,19 +61,31 @@ def poisson_coeff(mu: float, k: int) -> float:
     return math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
 
 
-def coeff_interval(mu_lo: float, mu_hi: float, k: int) -> tuple[float, float]:
-    """Exact min/max of the k-photon Poisson coefficient over ``mu in [mu_lo, mu_hi]``.
+def coeff_rows(mu_lo: float, mu_hi: float, ks: Iterable[int] = (0, 1, 2)) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Exact minima and maxima of the k-photon Poisson coefficients over ``mu in [mu_lo, mu_hi]``, one per k of ``ks``.
 
-    The coefficient is unimodal in ``mu`` with its single maximum at ``mu = k``,
-    so the extrema sit at the interval endpoints or at that interior point.
+    The interval is checked once.  Each coefficient is unimodal in ``mu`` with
+    its single maximum at ``mu = k``, so its extrema sit at the interval
+    endpoints or at that interior point.  They are picked by comparisons,
+    with the bits ``min`` and ``max`` of those values give: no coefficient
+    is NaN or ``-0.0``, so values that tie have the same bits.
     """
     if not 0.0 <= mu_lo <= mu_hi < math.inf:
         raise ValueError(f"invalid intensity interval [{mu_lo}, {mu_hi}]")
-    at_lo, at_hi = poisson_coeff(mu_lo, k), poisson_coeff(mu_hi, k)
-    if mu_lo < k < mu_hi:
-        peak = poisson_coeff(float(k), k)
-        return min(at_lo, at_hi, peak), max(at_lo, at_hi, peak)
-    return (at_lo, at_hi) if at_lo <= at_hi else (at_hi, at_lo)
+    lower, upper = [], []
+    for k in ks:
+        lo, hi = poisson_coeff(mu_lo, k), poisson_coeff(mu_hi, k)
+        if hi < lo:
+            lo, hi = hi, lo
+        if mu_lo < k < mu_hi:
+            peak = poisson_coeff(float(k), k)
+            if peak < lo:
+                lo = peak
+            if peak > hi:
+                hi = peak
+        lower.append(lo)
+        upper.append(hi)
+    return tuple(lower), tuple(upper)
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,15 @@ class SideSources:
     ``vacuum_cap`` bounds the unstable vacuum source's intensity from above;
     ``fluctuation`` is the relative amplitude of the multiplicative intensity
     error on the x/y/z sources.
+
+    Two dicts are built once, when the sources are made and checked, each
+    keyed by source in the order of ``SOURCES``: ``intervals``, the
+    admissible per-pulse intensity range ``(lo, hi)`` of each source, and
+    ``table``, its ``(probability, simulation intensity)``.  Observables are
+    generated at the simulation intensity: a fluctuating source's nominal
+    midpoint, and half the cap for the unstable vacuum source, while the
+    analysis reads the full worst-case intervals.  Neither dict is a field,
+    so equality, hashing and ``repr`` see the fields alone.
     """
 
     mu_x: float
@@ -103,72 +121,69 @@ class SideSources:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not (0.0 < self.mu_x < self.mu_y):
-            raise ValueError(
-                f"decoy intensities must satisfy 0 < mu_x < mu_y, got mu_x={self.mu_x}, mu_y={self.mu_y}"
-            )
-        if self.mu_z <= 0.0:
-            raise ValueError(f"signal intensity mu_z must be positive, got {self.mu_z}")
-        if self.vacuum_cap < 0.0:
-            raise ValueError(f"vacuum_cap must be nonnegative, got {self.vacuum_cap}")
-        if not (0.0 <= self.fluctuation < 1.0):
-            raise ValueError(f"fluctuation must lie in [0, 1), got {self.fluctuation}")
-        for name in _PROBABILITY.values():
-            if (p := getattr(self, name)) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {p}")
-        total = self.p_v + self.p_x + self.p_y + self.p_z
+        mu_x, mu_y, mu_z, p_v, p_x, p_y, p_z, cap, fluctuation = vars(self).values()
+        if not (0.0 < mu_x < mu_y):
+            raise ValueError(f"decoy intensities must satisfy 0 < mu_x < mu_y, got mu_x={mu_x}, mu_y={mu_y}")
+        if mu_z <= 0.0:
+            raise ValueError(f"signal intensity mu_z must be positive, got {mu_z}")
+        if cap < 0.0:
+            raise ValueError(f"vacuum_cap must be nonnegative, got {cap}")
+        if not (0.0 <= fluctuation < 1.0):
+            raise ValueError(f"fluctuation must lie in [0, 1), got {fluctuation}")
+        table = {"v": (p_v, cap / 2.0), "x": (p_x, mu_x), "y": (p_y, mu_y), "z": (p_z, mu_z)}
+        for source, (p, _) in table.items():
+            if p <= 0.0:
+                raise ValueError(f"p_{source} must be positive, got {p}")
+        total = p_v + p_x + p_y + p_z
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"source probabilities must sum to 1, got {total!r}")
-        for source in SOURCES:
-            mu_hi = self.intensity_interval(source)[1]
+        down, up = 1.0 - fluctuation, 1.0 + fluctuation
+        intervals = {"v": (0.0, cap), "x": (mu_x * down, mu_x * up), "y": (mu_y * down, mu_y * up), "z": (mu_z * down, mu_z * up)}
+        for source, (_, mu_hi) in intervals.items():
             if not mu_hi < MAX_INTENSITY:
                 raise ValueError(
                     f"source {source} intensity interval ends at {mu_hi:g}, not below {MAX_INTENSITY:.6g}, "
                     "where the zero-photon coefficient e^-mu underflows"
                 )
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "table", table)
 
     def probability(self, source: str) -> float:
-        return getattr(self, _PROBABILITY[source])
+        return self.table[source][0]
 
     def intensity_interval(self, source: str) -> tuple[float, float]:
         """Admissible per-pulse intensity range of one source."""
-        if source == "v":
-            return 0.0, self.vacuum_cap
-        mu = getattr(self, _INTENSITY[source])
-        return mu * (1.0 - self.fluctuation), mu * (1.0 + self.fluctuation)
+        return self.intervals[source]
 
 
-def simulation_intensity(side_sources: SideSources, source: str) -> float:
-    """Intensity at which observables are generated for one source.
-
-    Fluctuating sources emit at their nominal midpoint; the unstable vacuum
-    source at half its cap.  The analysis side keeps using full worst-case
-    intervals regardless.
-    """
-    if source == "v":
-        return side_sources.vacuum_cap / 2.0
-    return getattr(side_sources, _INTENSITY[source])
+Pair = tuple[str, str]
 
 
-def _source_table(side_sources: SideSources) -> dict[str, tuple[float, float]]:
-    """``(probability, simulation intensity)`` of each of one side's sources."""
-    return {s: (side_sources.probability(s), simulation_intensity(side_sources, s)) for s in SOURCES}
+def _with_mirrors(pairs: Iterable[tuple[str, str, str]]) -> tuple[tuple[Pair, str, int], ...]:
+    """Each ``(l, r, basis)`` of ``pairs`` as ``((l, r), basis, mirror)``, ``mirror`` the index of the earlier pair r-l, else -1."""
+    index: dict[Pair, int] = {}
+    rows = []
+    for l, r, basis in pairs:
+        mirror = index.get((r, l), -1)
+        index[l, r] = len(rows)
+        rows.append(((l, r), basis, mirror))
+    return tuple(rows)
 
 
 # The (Alice, Bob) sources whose observables the key-rate analysis reads,
-# with the basis each pair is measured in.
-_ANALYSED_PAIRS = (
-    ("v", "v", "X"),
-    ("v", "x", "X"),
-    ("x", "v", "X"),
-    ("x", "x", "X"),
-    ("v", "y", "X"),
-    ("y", "v", "X"),
-    ("y", "y", "X"),
-    ("z", "z", "Z"),
+# with the basis each pair is measured in and, derived here once, its mirror.
+_ANALYSED_PAIRS = _with_mirrors(
+    (
+        ("v", "v", "X"),
+        ("v", "x", "X"),
+        ("x", "v", "X"),
+        ("x", "x", "X"),
+        ("v", "y", "X"),
+        ("y", "v", "X"),
+        ("y", "y", "X"),
+        ("z", "z", "Z"),
+    )
 )
-
-Pair = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -178,11 +193,10 @@ class SourceEnsemble:
     Two values are built once per ensemble, when it is made: ``bounds``, the
     worst-case coefficient bounds of these sources, and ``pair_table``, the
     ``(pair, basis, mu_l, mu_r, p_l p_r, mirror)`` of each analysed pair
-    ``(l, r)``, with the simulation intensities of
-    :func:`simulation_intensity`.  ``mirror`` is the index of the earlier
-    entry r-l on sides given as one object, whose intensities are this
-    entry's swapped, else -1.  Neither is a field, so equality, hashing and
-    ``repr`` see the sources alone.
+    ``(l, r)``, read off each side's ``table``.  ``mirror`` is the index of
+    the earlier entry r-l on sides given as one object, whose intensities
+    are this entry's swapped, else -1.  Neither is a field, so equality,
+    hashing and ``repr`` see the sources alone.
     """
 
     alice: SideSources
@@ -191,14 +205,11 @@ class SourceEnsemble:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bounds", coeff_bounds(self))
         shared = self.bob is self.alice
-        alice = _source_table(self.alice)
-        bob = alice if shared else _source_table(self.bob)
-        index: dict[Pair, int] = {}
+        alice, bob = self.alice.table, self.bob.table
         table = []
-        for l, r, basis in _ANALYSED_PAIRS:
-            mirror = index.get((r, l), -1) if shared else -1
-            index[l, r] = len(table)
-            table.append(((l, r), basis, alice[l][1], bob[r][1], alice[l][0] * bob[r][0], mirror))
+        for pair, basis, mirror in _ANALYSED_PAIRS:
+            (p_l, mu_l), (p_r, mu_r) = alice[pair[0]], bob[pair[1]]
+            table.append((pair, basis, mu_l, mu_r, p_l * p_r, mirror if shared else -1))
         object.__setattr__(self, "pair_table", tuple(table))
 
     @classmethod
@@ -262,16 +273,6 @@ class PhotonCoeffBounds:
         return terms
 
 
-def _vacuum_ratio(side: SideCoeffBounds, basis: str) -> float:
-    """``l_0^L / v_0^U`` of one side: its basis source's zero-photon floor over the vacuum source's ceiling."""
-    return side.lo(basis, 0) / side.hi("v", 0)
-
-
-def _pair_vacuum_ratio(a: SideCoeffBounds, b: SideCoeffBounds, basis: str) -> float:
-    """``a_0^U b_0^U / (a_v0^L b_v0^L)`` of the basis-basis pair: its zero-photon ceiling over the vacuum pair's floor."""
-    return a.hi(basis, 0) * b.hi(basis, 0) / (a.lo("v", 0) * b.lo("v", 0))
-
-
 class AnalysisTerms(NamedTuple):
     """What the key-rate analysis reads of a coefficient table and the expected emissions, apart from the counts.
 
@@ -290,10 +291,13 @@ class AnalysisTerms(NamedTuple):
     * ``error_plus``, errors: ``a0_ratio <T_vx> + b0_ratio <T_xv>``
     * ``error_minus``, errors: ``ab0_ratio <T_vv> + sigma_x <T_xx>``
 
-    with ``K = a1_x^U b2_x^U / (1 - sigma_y)``, the vacuum ratios of
-    :func:`_vacuum_ratio` and :func:`_pair_vacuum_ratio`, those of the y basis
-    in the yield groups and of the x basis in the error groups, and the pair
-    names read with the a side first.  Each group is built into its
+    with ``K = a1_x^U b2_x^U / (1 - sigma_y)``; the vacuum ratio of each
+    side, ``a0_ratio = a0^L / a0_v^U`` and ``b0_ratio`` alike, its basis
+    source's zero-photon floor over its vacuum source's ceiling; the
+    basis-basis pair's ``ab0_ratio = a0^U b0^U / (a0_v^L b0_v^L)``, its
+    zero-photon ceiling over the vacuum pair's floor; the ratios of the y
+    basis in the yield groups and of the x basis in the error groups; and the
+    pair names read with the a side first.  Each group is built into its
     telescope here, once: its coefficients checked and sorted and the weight
     of each level computed, so :func:`~mdiqkd.stat_bounds.combo_lower` and
     :func:`~mdiqkd.stat_bounds.combo_upper` only check, pool and bound the
@@ -347,26 +351,30 @@ def analysis_terms(bounds: PhotonCoeffBounds, emitted: dict[Pair, float], n_pair
     for (l, r), expected in emitted.items():
         if not expected > 0.0:
             return AnalysisTerms(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
-    a, b = bounds.alice, bounds.bob
-    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
-    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
-    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
+    # a_lo[s][k] and a_hi[s][k] bound the k-photon coefficient of source s on the a side, b_lo and b_hi on the b side.
+    a_lo, a_hi, b_lo, b_hi = bounds.alice.lower, bounds.alice.upper, bounds.bob.lower, bounds.bob.upper
+    a_v, b_v = a_lo["v"][0], b_lo["v"][0]
+    ax, ay, bx, by = a_v * a_lo["x"][1], a_v * a_lo["y"][1], b_v * b_lo["x"][1], b_v * b_lo["y"][1]
+    # min(ax, ay, bx, by, a_v * b_v) > 0.0 by comparisons: min passes over a NaN after its first argument, and so does this.
+    if not ax > 0.0 or ay <= 0.0 or bx <= 0.0 or by <= 0.0 or a_v * b_v <= 0.0:
         return AnalysisTerms("zero denominator in contamination factors; coefficient bounds degenerate")
-    sigma_x = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
-    sigma_y = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
+    sigma_x = a_hi["x"][0] * a_hi["v"][1] / ax + b_hi["x"][0] * b_hi["v"][1] / bx
+    sigma_y = a_hi["y"][0] * a_hi["v"][1] / ay + b_hi["y"][0] * b_hi["v"][1] / by
     if sigma_x >= 1.0 or sigma_y >= 1.0:
         return AnalysisTerms(
             f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
         )
     vx, xv, vy, yv = _VX, _XV, _VY, _YV
-    r12 = (a.lo("y", 1) / a.hi("x", 1)) * (b.lo("y", 2) / b.hi("x", 2))
-    r21 = (a.lo("y", 2) / a.hi("x", 2)) * (b.lo("y", 1) / b.hi("x", 1))
+    r12 = (a_lo["y"][1] / a_hi["x"][1]) * (b_lo["y"][2] / b_hi["x"][2])
+    r21 = (a_lo["y"][2] / a_hi["x"][2]) * (b_lo["y"][1] / b_hi["x"][1])
     if r21 < r12:
-        a, b, vx, xv, vy, yv = b, a, _XV, _VX, _YV, _VY
-    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
+        a_lo, a_hi, b_lo, b_hi, a_v, b_v = b_lo, b_hi, a_lo, a_hi, b_v, a_v
+        vx, xv, vy, yv = _XV, _VX, _YV, _VY
+    denominator = a_hi["x"][1] * a_lo["y"][1] * (b_hi["x"][1] * b_lo["y"][2] - b_hi["x"][2] * b_lo["y"][1])
     if denominator <= 0.0:
         return AnalysisTerms("single-photon denominator is not positive; decoy intensities too close for the bound")
-    scale, c_y, e = a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y), a.lo("y", 1) * b.lo("y", 2), emitted
+    scale, c_y, e = a_hi["x"][1] * b_hi["x"][2] / (1.0 - sigma_y), a_lo["y"][1] * b_lo["y"][2], emitted
+    a_vu, b_vu, ab_v = a_hi["v"][0], b_hi["v"][0], a_v * b_v
     # Each term is (weight / expected emissions of its pair, pair).
     return AnalysisTerms(
         infeasible="",
@@ -374,26 +382,24 @@ def analysis_terms(bounds: PhotonCoeffBounds, emitted: dict[Pair, float], n_pair
         sigma_x=sigma_x,
         denominator=denominator,
         c_y=c_y,
-        beta=a.lo("x", 1) * b.lo("x", 1),
-        gamma=a.lo("z", 1) * b.lo("z", 1),
-        yield_plus=combo_group(((c_y / e[_XX], _XX), (scale * _vacuum_ratio(a, "y") / e[vy], vy), (scale * _vacuum_ratio(b, "y") / e[yv], yv))),
-        yield_minus=combo_group(((scale / e[_YY], _YY), (scale * _pair_vacuum_ratio(a, b, "y") / e[_VV], _VV))),
-        error_plus=combo_group(((_vacuum_ratio(a, "x") / e[vx], vx), (_vacuum_ratio(b, "x") / e[xv], xv))),
-        error_minus=combo_group(((_pair_vacuum_ratio(a, b, "x") / e[_VV], _VV), (sigma_x / e[_XX], _XX))),
+        beta=a_lo["x"][1] * b_lo["x"][1],
+        gamma=a_lo["z"][1] * b_lo["z"][1],
+        yield_plus=combo_group(
+            ((c_y / e[_XX], _XX), (scale * (a_lo["y"][0] / a_vu) / e[vy], vy), (scale * (b_lo["y"][0] / b_vu) / e[yv], yv))
+        ),
+        yield_minus=combo_group(((scale / e[_YY], _YY), (scale * (a_hi["y"][0] * b_hi["y"][0] / ab_v) / e[_VV], _VV))),
+        error_plus=combo_group((((a_lo["x"][0] / a_vu) / e[vx], vx), ((b_lo["x"][0] / b_vu) / e[xv], xv))),
+        error_minus=combo_group((((a_hi["x"][0] * b_hi["x"][0] / ab_v) / e[_VV], _VV), (sigma_x / e[_XX], _XX))),
     )
 
 
 def _side_bounds(side: SideSources) -> SideCoeffBounds:
-    """The k = 0, 1, 2 table of one side, on the intervals its :class:`SideSources` has checked."""
-    intervals = {s: side.intensity_interval(s) for s in SOURCES}
+    """The k = 0, 1, 2 table of one side, on the intervals its :class:`SideSources` has checked and holds, the same dict."""
     lower: dict[str, tuple[float, ...]] = {}
     upper: dict[str, tuple[float, ...]] = {}
-    for source, (mu_lo, mu_hi) in intervals.items():
-        (lo0, hi0), (lo1, hi1), (lo2, hi2) = (
-            coeff_interval(mu_lo, mu_hi, 0), coeff_interval(mu_lo, mu_hi, 1), coeff_interval(mu_lo, mu_hi, 2)
-        )
-        lower[source], upper[source] = (lo0, lo1, lo2), (hi0, hi1, hi2)
-    return SideCoeffBounds(intervals=intervals, lower=lower, upper=upper)
+    for source, (mu_lo, mu_hi) in side.intervals.items():
+        lower[source], upper[source] = coeff_rows(mu_lo, mu_hi)
+    return SideCoeffBounds(intervals=side.intervals, lower=lower, upper=upper)
 
 
 def coeff_bounds(ensemble: SourceEnsemble) -> PhotonCoeffBounds:
@@ -454,31 +460,36 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
     """
     alice = _side_failures(bounds.alice)
     bob = alice if bounds.bob is bounds.alice else _side_failures(bounds.bob)
+    if not (alice or bob):
+        return DecoyConditionReport(failures=())
     return DecoyConditionReport(failures=tuple([f"alice:{f}" for f in alice] + [f"bob:{f}" for f in bob]))
 
 
 def _side_failures(sb: SideCoeffBounds) -> list[str]:
     """The ``check: detail`` failures of one side, for :func:`check_decoy_conditions`."""
     failures: list[str] = []
-    x_lo, x_hi = sb.intervals["x"]
-    y_lo, y_hi = sb.intervals["y"]
+    intervals, lower, upper = sb.intervals, sb.lower, sb.upper
+    x_lo, x_hi = intervals["x"]
+    y_lo, y_hi = intervals["y"]
     if not x_hi < y_lo:
         failures.append(
             "intensity-intervals-disjoint: "
             f"x interval [{x_lo:g}, {x_hi:g}] overlaps y interval [{y_lo:g}, {y_hi:g}]"
         )
 
-    a1v_hi = sb.hi("v", 1)
+    _, a1v_hi, a2v_hi = upper["v"]
     if a1v_hi != 0.0:
-        bad = next((s for s in ("x", "y") if sb.lo(s, 2) * a1v_hi < sb.hi(s, 1) * sb.hi("v", 2)), None)
-        if bad is not None:
-            failures.append(f"vacuum-ratio: source {bad} violates the vacuum ratio at k=2")
+        for s in ("x", "y"):
+            if lower[s][2] * a1v_hi < upper[s][1] * a2v_hi:
+                failures.append(f"vacuum-ratio: source {s} violates the vacuum ratio at k=2")
+                break
         else:
-            cap = sb.intervals["v"][1]
-            tail = next((s for s in ("x", "y") if sb.intervals[s][0] < cap and sb.hi(s, 1) > 0.0), None)
-            if tail is not None:
-                failures.append(
-                    f"vacuum-ratio: source {tail} violates the vacuum ratio at large k: "
-                    f"its interval starts at {sb.intervals[tail][0]:g}, below the vacuum cap {cap:g}"
-                )
+            cap = intervals["v"][1]
+            for s in ("x", "y"):
+                if intervals[s][0] < cap and upper[s][1] > 0.0:
+                    failures.append(
+                        f"vacuum-ratio: source {s} violates the vacuum ratio at large k: "
+                        f"its interval starts at {intervals[s][0]:g}, below the vacuum cap {cap:g}"
+                    )
+                    break
     return failures

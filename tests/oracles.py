@@ -43,7 +43,7 @@ from mdiqkd.keyrate_core import AnalysisInfeasible, KeyRateReport, RateCurve, So
 from mdiqkd.source_model import PhotonCoeffBounds, SourceEnsemble
 from mdiqkd.stat_bounds import ChernoffConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
-from mdiqkd.source_model import SOURCES, simulation_intensity
+from mdiqkd.source_model import SOURCES
 
 
 def brentq_lower_deviation(x: float, xi: float) -> float:
@@ -239,8 +239,7 @@ def full_observables(ensemble, params: ChannelParams) -> PairObservables:
     for l in SOURCES:
         for r in SOURCES:
             expected = emitted[l, r] = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
-            mu_a = simulation_intensity(ensemble.alice, l)
-            mu_b = simulation_intensity(ensemble.bob, r)
+            mu_a, mu_b = ensemble.alice.table[l][1], ensemble.bob.table[r][1]
             q, eq = pair_yield(mu_a, mu_b, "Z" if (l, r) == ("z", "z") else "X", params)
             if "z" in (l, r) and (l, r) != ("z", "z"):
                 eq = 0.5 * q

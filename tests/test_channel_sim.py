@@ -637,9 +637,12 @@ def test_z_basis_yield_is_not_shared_across_swapped_intensities(monkeypatch, par
     a, b = 0.07745773842747755, 0.2664509487769251
     assert pair_yield(a, b, "Z", params_10km) != pair_yield(b, a, "Z", params_10km)
     side = SideSources(mu_x=a, mu_y=b, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7)
-    monkeypatch.setattr(source_model, "_ANALYSED_PAIRS", (("x", "y", "Z"), ("y", "x", "Z")))
+    monkeypatch.setattr(source_model, "_ANALYSED_PAIRS", source_model._with_mirrors((("x", "y", "Z"), ("y", "x", "Z"))))
+    ensemble = SourceEnsemble.symmetric(side)
+    # y-x has x-y as its mirror, so only the basis stops the two from sharing a yield.
+    assert [row[5] for row in ensemble.pair_table] == [-1, 0]
     calls = _recorded_pair_yield_calls(monkeypatch)
-    build_observables(SourceEnsemble.symmetric(side), params_10km)
+    build_observables(ensemble, params_10km)
     assert [call[:3] for call in calls] == [(a, b, "Z"), (b, a, "Z")]
 
 
@@ -674,13 +677,10 @@ def test_observables_regression_fixture(noisy_ensemble, params_10km, observables
 def test_fixture_counts_agree_with_monte_carlo(noisy_ensemble, params_10km, observables_10km):
     # Spot-check three pairs of the stored table against the photon-level
     # simulation; expected counts must sit within 3 sigma of the MC rate.
-    from mdiqkd.source_model import simulation_intensity
-
     trials = 2_000_000
     for i, (l, r, basis) in enumerate([("x", "x", "X"), ("v", "y", "X"), ("z", "z", "Z")]):
         emitted, counts, errors = _entry(observables_10km, (l, r))
-        mu_a = simulation_intensity(noisy_ensemble.alice, l)
-        mu_b = simulation_intensity(noisy_ensemble.bob, r)
+        mu_a, mu_b = noisy_ensemble.alice.table[l][1], noisy_ensemble.bob.table[r][1]
         mc = monte_carlo_yield(mu_a, mu_b, basis, params_10km, trials=trials, seed=500 + i)
         assert abs(mc.gain - counts / emitted) <= 3.0 * mc.gain_se
         assert abs(mc.error_gain - errors / emitted) <= 3.0 * mc.error_se

@@ -1,8 +1,9 @@
 """The per-distance and per-probe path clamps by comparison, with the bits of the ``min``/``max`` it replaced.
 
 A ``min``/``max`` builtin call costs several times the comparisons it makes,
-so the functions that run once per distance or per search probe pick by plain
-comparisons: two-sided clamps through ``channel_sim._clamp``, one-sided picks
+so the functions that run once per distance or per search probe, the source
+side of a probe included, pick by plain comparisons: two-sided clamps through
+``channel_sim._clamp`` or its two comparisons inline, one-sided picks
 inline.  Both builtins keep their first argument unless the second compares
 strictly past it, so each comparison is written to keep the same argument on
 NaN and on signed zeros.  These tests pin that, and an ``ast`` check keeps the
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mdiqkd import ChernoffConfig, channel_sim, keyrate_core, optimizer, secure_key_rate, stat_bounds
+from mdiqkd import ChernoffConfig, channel_sim, keyrate_core, optimizer, secure_key_rate, source_model, stat_bounds
 from mdiqkd.channel_sim import _clamp
 from mdiqkd.keyrate_core import RateCurve
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
+from mdiqkd.source_model import PhotonCoeffBounds, SideCoeffBounds, SideSources, SourceEnsemble
 
 
 def _same_bits(a, b) -> bool:
@@ -131,6 +133,57 @@ def test_chernoff_newton_starts_pick_as_min_did(monkeypatch, bound, x):
     assert _same_bits(t, replaced)
 
 
+# --- the contamination-factor check of analysis_terms ---------------------------------
+
+_ZERO_DENOMINATOR = "zero denominator in contamination factors; coefficient bounds degenerate"
+_CHECKED = [0.0, -0.0, 5e-324, -5e-324, math.nan, 1.0]
+# Vacuum floors (a_v, b_v) whose product a_v * b_v is each checked value, by
+# its repr, since 0.0 and -0.0 are one dict key; two tiny floors multiply to
+# zero or to a subnormal.  A NaN product needs a NaN floor, which makes that
+# side's two other products NaN too.
+_VACUUM_FLOORS = {
+    "0.0": (1e-200, 1e-200),
+    "-0.0": (-1e-200, 1e-200),
+    "5e-324": (2.0**-537, 2.0**-537),
+    "-5e-324": (-(2.0**-537), 2.0**-537),
+    "nan": (1.0, math.nan),
+    "1.0": (1.0, 1.0),
+}
+
+
+def _checked_side(v0: float, x1: float, y1: float) -> SideCoeffBounds:
+    """A side whose vacuum floor is ``v0`` and one-photon x and y floors are ``x1`` and ``y1``; its other bounds pass every check."""
+    return SideCoeffBounds(
+        intervals={"v": (0.0, 0.0), "x": (0.1, 0.1), "y": (0.4, 0.4), "z": (0.5, 0.5)},
+        lower={"v": (v0, 0.0, 0.0), "x": (0.5, x1, 0.25), "y": (0.5, y1, 0.75), "z": (0.5, 0.5, 0.5)},
+        upper={"v": (1.0, 0.0, 0.0), "x": (1.0, 1.0, 1.0), "y": (1.0, 1.0, 1.0), "z": (1.0, 1.0, 1.0)},
+    )
+
+
+@pytest.mark.parametrize("value", _CHECKED, ids=repr)
+@pytest.mark.parametrize("position", range(5), ids=["ax", "ay", "bx", "by", "a_v*b_v"])
+def test_contamination_check_keeps_the_verdict_of_min(monkeypatch, position, value):
+    # analysis_terms refused where min(ax, ay, bx, by, a_v * b_v) > 0.0 failed.
+    # min keeps its first argument unless a later one compares strictly below
+    # it, so it ignores a NaN after its first argument: a NaN ay passes, and
+    # only a NaN ax fails.  The comparisons that replace it must do the same.
+    if position < 4:
+        a_v = b_v = 1.0
+        floors = [1.0] * 4
+        floors[position] = value
+    else:
+        a_v, b_v = _VACUUM_FLOORS[repr(value)]
+        floors = [math.copysign(1.0, a_v)] * 2 + [1.0] * 2  # keeps ax and ay positive under a negative a_v
+    a_x1, a_y1, b_x1, b_y1 = floors
+    products = (a_v * a_x1, a_v * a_y1, b_v * b_x1, b_v * b_y1, a_v * b_v)
+    assert _same_bits(products[position], value)
+    monkeypatch.setattr(source_model, "combo_group", lambda terms: None)  # the groups past the check are not the point
+    bounds = PhotonCoeffBounds(alice=_checked_side(a_v, a_x1, a_y1), bob=_checked_side(b_v, b_x1, b_y1))
+    emitted = {pair: 1.0 for pair, _, _ in source_model._ANALYSED_PAIRS}
+    refused = source_model.analysis_terms(bounds, emitted, 8.0).infeasible == _ZERO_DENOMINATOR
+    assert refused is (not min(products) > 0.0)
+
+
 # --- no builtin call on the path -----------------------------------------------------
 
 # Each function that runs once or more per distance of a scan or per probe of a search.
@@ -154,6 +207,14 @@ _PER_DISTANCE = [
     RateCurve.slope,
     optimizer._clip,
     optimizer.evaluate,
+    optimizer.OptimizationProblem.sources,
+    optimizer._nelder_mead,
+    SideSources.__post_init__,
+    SourceEnsemble.__post_init__,
+    source_model._side_bounds,
+    source_model.coeff_rows,
+    source_model.analysis_terms,
+    source_model._side_failures,
 ]
 
 

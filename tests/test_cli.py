@@ -161,8 +161,9 @@ def test_vacuum_ratio_failing_beyond_depth_twenty_exit_code_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("mu_y", "2e4"), ("mu_z", "2e4"), ("vacuum_cap", "2e4"), ("mu_y", "1e9"), ("mu_y", "800")])
 def test_intensity_past_underflow_limit_exit_code_2(tmp_path, capsys, monkeypatch, key, value):
+    # Every coefficient table calls poisson_coeff, and every observable pair_yield.
     built = []
-    monkeypatch.setattr(mdiqkd.source_model, "coeff_interval", lambda *args: built.append(args))
+    monkeypatch.setattr(mdiqkd.source_model, "poisson_coeff", lambda *args: built.append(args))
     monkeypatch.setattr(mdiqkd.channel_sim, "pair_yield", lambda *args: built.append(args))
     config = write_config(tmp_path, f"{key} = {value}\n")
     assert main(["rate", "--config", str(config)]) == 2

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdiqkd import ChannelParams, OptimizationProblem, SourceEnsemble, evaluate, optimize, optimizer, source_model
+from mdiqkd import ChannelParams, OptimizationProblem, SourceEnsemble, channel_sim, evaluate, keyrate_core, optimize, optimizer, source_model
 from mdiqkd.channel_sim import _usable_cores
 from mdiqkd.cli import RunConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START
@@ -80,6 +80,8 @@ def test_sane_point_rate_regression(problem_10km):
         pytest.param([str(v) for v in SANE_POINT], None, id="strings"),
         pytest.param(0.5, None, id="scalar"),
         pytest.param(SANE_POINT[:5] + (0.7 + 0j,), None, id="complex"),
+        # A value outside the box does not stop a later value's type check.
+        pytest.param((1.5,) + SANE_POINT[1:5] + ("0.7",), None, id="above-box-then-string"),
     ],
 )
 def test_point_shape_is_checked(problem_10km, point, rate):
@@ -96,17 +98,25 @@ def test_optimize_builds_each_table_once_per_ensemble(monkeypatch):
     # decoy conditions, and at 10 km a restart finds a positive start long
     # before its 40 start probes run out, so every ensemble the search makes
     # belongs to one logged probe with sources: a simplex vertex, or a start
-    # that is checked and then scored.
+    # that is checked and then scored.  Each such probe also makes one table
+    # of observables and one set of analysis terms over them, no more.
     problem = OptimizationProblem(channel=ChannelParams(n_pairs=1e11, distance_km=10.0))
-    calls = {"coeff_bounds": 0, "check_decoy_conditions": 0}
+    calls = dict.fromkeys(("coeff_bounds", "check_decoy_conditions", "build_observables", "analysis_terms"), 0)
     for name in calls:
-        counted = getattr(source_model, name)
-        monkeypatch.setattr(source_model, name, lambda arg, name=name, counted=counted: calls.update({name: calls[name] + 1}) or counted(arg))
+        counted = getattr(channel_sim if name == "build_observables" else source_model, name)
+
+        def counting(*args, name=name, counted=counted):
+            calls[name] += 1
+            return counted(*args)
+
+        for module in (source_model, channel_sim, keyrate_core):  # every module that calls it by this name
+            if getattr(module, name, None) is counted:
+                monkeypatch.setattr(module, name, counting)
     with one_cpu():  # a forked worker's calls are not counted here
         result = optimize(problem, seed=1, budget=60, restarts=3)
     assert 3 * 20 < len(result.evaluations) < 3 * 20 + 40  # 20 simplex calls per restart, and some starts
     made = sum(1 for point, _ in result.evaluations if problem.sources(point) is not None)
-    assert calls == {"coeff_bounds": made, "check_decoy_conditions": made}
+    assert calls == dict.fromkeys(calls, made)
 
 
 @pytest.mark.parametrize("key, value", [("fluctuation", 1.5), ("fluctuation", float("nan")), ("vacuum_cap", -1.0)])

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -14,7 +16,7 @@ from mdiqkd import (
     coeff_bounds,
     poisson_coeff,
 )
-from mdiqkd.source_model import coeff_interval
+from mdiqkd.source_model import SOURCES, coeff_rows
 
 from .oracles import grid_scan_coeff_extrema
 
@@ -54,9 +56,8 @@ def test_k_one_and_two_equal_the_log_space_form_bit_for_bit(mu, k):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_LOG_UNIFORM_MU, st.floats(0.0, 3.0), st.integers(0, 3))
 def test_coeff_interval_equals_brute_force_bit_for_bit(mu_lo, width, k):
-    assert [v.hex() for v in coeff_interval(mu_lo, mu_lo * (1.0 + width), k)] == [
-        v.hex() for v in _brute_force_coeffs(mu_lo, mu_lo * (1.0 + width), k)
-    ]
+    (lo,), (hi,) = coeff_rows(mu_lo, mu_lo * (1.0 + width), (k,))
+    assert [lo.hex(), hi.hex()] == [v.hex() for v in _brute_force_coeffs(mu_lo, mu_lo * (1.0 + width), k)]
 
 
 @pytest.mark.parametrize("k, same_as", [(2.0, 2), (0.0, 0), (True, 1), (False, 0)])
@@ -83,22 +84,22 @@ def test_domain_errors():
             poisson_coeff(mu, k)
     for mu_lo, mu_hi in [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf), (0.2, 0.1), (-0.1, 0.1)]:
         with pytest.raises(ValueError, match="invalid intensity interval"):
-            coeff_interval(mu_lo, mu_hi, 1)
+            coeff_rows(mu_lo, mu_hi)
 
 
 def test_zero_width_interval_is_degenerate():
-    lo, hi = coeff_interval(0.1, 0.1, 0)
+    (lo,), (hi,) = coeff_rows(0.1, 0.1, (0,))
     assert lo == hi == poisson_coeff(0.1, 0)
 
 
 def test_vacuum_interval_zero_photon_bounds():
-    lo, hi = coeff_interval(0.0, 1e-3, 0)
+    (lo,), (hi,) = coeff_rows(0.0, 1e-3, (0,))
     assert hi == 1.0
     assert lo == pytest.approx(math.exp(-1e-3), rel=1e-15, abs=0.0)
 
 
 def test_vacuum_interval_one_photon_bounds():
-    lo, hi = coeff_interval(0.0, 1e-3, 1)
+    (lo,), (hi,) = coeff_rows(0.0, 1e-3, (1,))
     assert lo == 0.0
     # mu e^-mu at mu = 1e-3: 0.0009990004998333749916680554
     assert hi == pytest.approx(0.0009990004998333749916680554, rel=1e-14, abs=0.0)
@@ -106,7 +107,7 @@ def test_vacuum_interval_one_photon_bounds():
 
 def test_interior_critical_point():
     # mu_y = 1, 10% fluctuation: the one-photon coefficient peaks at mu = 1.
-    lo, hi = coeff_interval(0.9, 1.1, 1)
+    (lo,), (hi,) = coeff_rows(0.9, 1.1, (1,))
     assert hi == pytest.approx(math.exp(-1.0), rel=1e-15, abs=0.0)
     assert lo == min(poisson_coeff(0.9, 1), poisson_coeff(1.1, 1))
     scan_lo, scan_hi = grid_scan_coeff_extrema(0.9, 1.1, 1)
@@ -163,9 +164,9 @@ def test_symmetric_ensemble_builds_its_side_bounds_once(noisy_side, monkeypatch)
 
 def test_partial_sums_of_lower_bounds_stay_below_one(noisy_ensemble):
     for source in ("v", "x", "y", "z"):
-        pairs = [coeff_interval(*noisy_ensemble.alice.intensity_interval(source), k) for k in range(61)]
-        assert sum(lo for lo, _ in pairs) <= 1.0
-        assert sum(hi for _, hi in pairs) >= 1.0 - 1e-12
+        lower, upper = coeff_rows(*noisy_ensemble.alice.intensity_interval(source), range(61))
+        assert sum(lower) <= 1.0
+        assert sum(upper) >= 1.0 - 1e-12
 
 
 def test_probabilities_must_normalize():
@@ -315,3 +316,52 @@ def test_decoy_check_agrees_with_depth_200_brute_force(side):
         for failure in report.failures:
             assert ":vacuum-ratio: " in failure and "at large k" in failure
             assert side.intensity_interval(failure.split("source ")[1][0])[0] < side.vacuum_cap
+
+
+@st.composite
+def _valid_sides(draw):
+    """Any :class:`SideSources` its checks accept, intensities from 1e-4 to 100 and each probability from 1e-3."""
+    mu_x = draw(st.floats(1e-4, 50.0))
+    p_x, p_y, p_z = (draw(st.floats(1e-3, 0.33)) for _ in range(3))
+    return SideSources(
+        mu_x=mu_x,
+        mu_y=mu_x + draw(st.floats(1e-4, 50.0)),
+        mu_z=draw(st.floats(1e-4, 100.0)),
+        p_v=1.0 - p_x - p_y - p_z,
+        p_x=p_x,
+        p_y=p_y,
+        p_z=p_z,
+        vacuum_cap=draw(st.just(0.0) | st.floats(0.0, 100.0)),
+        fluctuation=draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_valid_sides())
+def test_side_tables_hold_the_field_formulas_and_stay_out_of_equality(side):
+    # The oracles read the simulation intensities off the table, so this pins them to the fields too.
+    f = side.fluctuation
+    for source in SOURCES:
+        if source == "v":
+            interval, simulated = (0.0, side.vacuum_cap), side.vacuum_cap / 2.0
+        else:
+            mu = getattr(side, f"mu_{source}")
+            interval, simulated = (mu * (1.0 - f), mu * (1.0 + f)), mu
+        assert [v.hex() for v in side.intensity_interval(source)] == [v.hex() for v in interval]
+        assert side.probability(source).hex() == getattr(side, f"p_{source}").hex()
+        assert side.table[source][1].hex() == simulated.hex()
+    assert list(side.intervals) == list(side.table) == list(SOURCES)
+
+    # Not fields: equality, hashing and repr see the fields alone.
+    other = SideSources(**{name: getattr(side, name) for name in side.__dataclass_fields__})
+    object.__setattr__(other, "intervals", {})
+    object.__setattr__(other, "table", {})
+    assert other == side and hash(other) == hash(side)
+    assert "intervals" not in repr(side) and "table" not in repr(side)
+
+    # Rebuilt by replace, carried over by a copy and by a pickle round trip, as SourceEnsemble.bounds is.
+    ensemble = SourceEnsemble.symmetric(side)
+    for made in (replace(side), copy.deepcopy(side), pickle.loads(pickle.dumps(side))):
+        assert made == side and made.intervals == side.intervals and made.table == side.table
+    for made in (replace(ensemble), copy.deepcopy(ensemble), pickle.loads(pickle.dumps(ensemble))):
+        assert made.alice.table == side.table and made.bounds == ensemble.bounds
