@@ -30,10 +30,15 @@ per-pattern table.  No ``lambda`` exceeds its entry's ``offset + |slope|``,
 so a trial whose click uniforms all lie below the no-click probabilities of
 that bound clicks nowhere; the simulation skips the physics of such trials,
 but none of their draws, so its counts are those of computing every trial.
+Where the bound's table holds one value, as every X-basis table does, the
+uniforms are compared with that value and no per-trial floor is gathered;
+the trials that can click are gathered with ``take``.
 Its draws are fixed as ``uniform``, ``integers`` and ``random`` calls; it
 makes them as ``random`` and ``bit_generator.random_raw`` calls, which read
 the same stream of the same PCG64 generator more cheaply (see
-:func:`monte_carlo_yield`), so the counts do not move.
+:func:`monte_carlo_yield`), so the counts do not move.  The raw words are
+read as explicit little-endian 32-bit halves, one shift per bit, so the
+bits do not depend on the host's byte order.
 The chunks of trials run on a ``ThreadPoolExecutor``, and one generator
 yields each cell's counts in the order its chunks were submitted.
 
@@ -270,18 +275,22 @@ def monte_carlo_yield(
     rejects, and the bit is the draw's top bit.  PCG64 serves 32-bit draws
     as the low and then the high half of each 64-bit output.  So the ``2m``
     bits are the top bits of the halves of ``m`` outputs of
-    ``bit_generator.random_raw``, read by shifts, not by the host's byte
-    order.  Each chunk's generator is new, so no half is buffered before
-    the bits or left after them.  The bit and click draws are made in
-    blocks of trials, one call per block on the same stream; a generator
-    consumes its stream in element order, so the blocks draw the same
-    numbers as one call would.
+    ``bit_generator.random_raw``, read as explicit little-endian 32-bit
+    halves with one shift each (:func:`_top_bits`), and so not by the
+    host's byte order.  Each chunk's generator is new, so no half is
+    buffered before the bits or left after them.  The bit and click draws
+    are made in blocks of trials, one call per block on the same stream; a
+    generator consumes its stream in element order, so the blocks draw the
+    same numbers as one call would.
 
     A detector's no-click probability never lies below its
     :func:`_no_click_floor`, so a trial whose four uniforms lie below their
     floors has no click, and its cosine, intensities and ``exp`` are never
     computed; every other trial runs the same float operations on the same
-    values.  This cannot change a count: it skips work, not draws.
+    values.  This cannot change a count: it skips work, not draws.  Where
+    every entry of the floor table holds one value, as in every X-basis
+    table, the uniforms are compared with that value and no per-trial floor
+    is gathered; the trials that can click are gathered with ``take``.
 
     :func:`validate_model` passes the :func:`_cell_counts` of all its cells
     as ``_counts``, whose next item is this cell's, so that the chunks of
@@ -417,22 +426,42 @@ def _no_click_floor(offset: np.ndarray, slope: np.ndarray, keep: float) -> np.nd
     return floor
 
 
+def _top_bits(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, twice as long as ``raw``, filled with the top bit of the low and then of the high 32-bit half of each word.
+
+    Those are ``raw >> 31 & 1`` and ``raw >> 63``, the bits that
+    ``integers(0, 2)`` makes from the two 32-bit draws PCG64 serves from one
+    64-bit output.  The words are read as explicit little-endian halves, so
+    the low half comes first whatever the host's byte order and whatever
+    byte order ``raw`` is held in; one right shift, cast to the uint8
+    ``out``, takes each top bit.
+    """
+    import numpy as np
+
+    return np.right_shift(raw.astype("<u8", copy=False).view("<u4"), 31, out=out, casting="unsafe")
+
+
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
     """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
 
     The phase is drawn by ``random(m)``, the bits block by block by
-    ``random_raw`` into one ``2m``-byte buffer, and the click uniforms block
-    by block, in the listed order.  A trial whose four click uniforms all
-    lie below the :func:`_no_click_floor` of its bit pattern clicks
-    nowhere.  Only the other, hot, trials of a block get their phase scaled
-    by ``2 pi``, its cosine, their :func:`_intensity_table` rows, ``exp``,
-    the comparison and the
-    :func:`_lookup_tables` lookups: the float operations of every trial on
-    the same values, each on a contiguous array, so the counts are those of
-    computing every trial.  The hot rows are picked out only where the
-    expected hot fraction, one minus the mean over the four patterns of the
-    product of their floors, is at most one half; elsewhere the index is the
-    whole block, as a view.  Intensities go to ``(block, 4)`` buffers reused
+    ``random_raw`` and read by :func:`_top_bits` into one ``2m``-byte
+    buffer, and the click uniforms block by block, in the listed order.  A
+    trial whose four click uniforms all lie below the
+    :func:`_no_click_floor` of its bit pattern clicks nowhere.  Where every
+    entry of the floor table holds one value, the uniforms are compared
+    with that value; otherwise with the floor rows gathered by pattern.  The
+    other, hot, trials of a block are indexed by ``flatnonzero`` on one bool
+    per trial, and their pattern, phase and click uniforms are gathered with
+    ``take`` into buffers reused across blocks.  Only they get their phase
+    scaled by ``2 pi``, its cosine, their :func:`_intensity_table` rows,
+    ``exp``, the comparison and the :func:`_lookup_tables` lookups: the
+    float operations of every trial on the same values, each on a
+    contiguous array, so the counts are those of computing every trial.
+    The hot rows are picked out only where the expected hot fraction, one
+    minus the mean over the four patterns of the product of their floors,
+    is at most one half; elsewhere every trial of the block is computed, on
+    views of the block.  Intensities go to ``(block, 4)`` buffers reused
     across blocks.
     """
     import numpy as np
@@ -441,15 +470,11 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     block = min(_BLOCK_SIZE, m)
     blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
     phase = rng.random(m)  # times 2 pi, on the hot rows only, is uniform(0, 2 pi, m)
-    # Row t holds the top bits of the low and the high half of raw output t:
-    # the 2m halves, read in order, are Alice's m bits and then Bob's.
-    halves = np.empty((m, 2), dtype=np.uint8)
+    # The 2m halves, read in order, are Alice's m bits and then Bob's.
+    bits = np.empty(2 * m, dtype=np.uint8)
     for start, stop in blocks:
-        raw = rng.bit_generator.random_raw(stop - start)
-        halves[start:stop, 0] = raw >> 31 & 1
-        halves[start:stop, 1] = raw >> 63
-    bits = halves.reshape(2 * m)
-    pattern = np.left_shift(bits[:m], 1, out=bits[:m])
+        _top_bits(rng.bit_generator.random_raw(stop - start), bits[2 * start : 2 * stop])
+    pattern = np.add(bits[:m], bits[:m], out=bits[:m])  # 2 bit_a; numpy's uint8 add is vectorized, its shift is not
     pattern |= bits[m:]
 
     offset, slope = _intensity_table(basis, ea, eb)
@@ -458,25 +483,29 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     keep = 1.0 - params.p_d
     floor = _no_click_floor(offset, slope, keep)
     sparse = floor.prod(axis=1).mean() >= 0.5
-    silent, spare, uniform = np.empty((3, block, 4))
+    # A table of one floor value is compared with that value, with no gather.
+    level = floor.flat[0] if (floor == floor.flat[0]).all() else None
+    silent, spare, uniform, hot_u = np.empty((4, block, 4))
+    hot_pattern, hot_phase = np.empty(block, dtype=np.uint8), np.empty(block)
     above = np.empty((block, 4), dtype=bool)
     raw_errors = []
     for start, stop in blocks:
         n = stop - start
         u = rng.random(out=uniform[:n])
+        hot, cos_phi, k = pattern[start:stop], phase[start:stop], n
         if sparse:
-            floors = floor.take(pattern[start:stop], axis=0, out=silent[:n], mode="clip")
-            rows = np.flatnonzero(_click_codes(np.greater_equal(u, floors, out=above[:n])))
-        else:
-            rows = slice(None)
-        hot, cos_phi = pattern[start:stop][rows], phase[start:stop][rows]
-        k = hot.size
+            floors = floor.take(hot, axis=0, out=silent[:n], mode="clip") if level is None else level
+            rows = np.flatnonzero(np.greater_equal(u, floors, out=above[:n]).view("<u4")[:, 0] != 0)
+            k = rows.size
+            hot = hot.take(rows, out=hot_pattern[:k], mode="clip")
+            cos_phi = cos_phi.take(rows, out=hot_phase[:k], mode="clip")
+            u = u.take(rows, axis=0, out=hot_u[:k], mode="clip")
         np.cos(np.multiply(cos_phi, 2.0 * math.pi, out=cos_phi), out=cos_phi)
         lam = offset.take(hot, axis=0, out=silent[:k], mode="clip")
         lam += np.multiply(slope.take(hot, axis=0, out=spare[:k], mode="clip"), cos_phi[:, None], out=spare[:k])
         np.exp(np.negative(lam, out=lam), out=lam)
         lam *= keep
-        code = _click_codes(np.greater_equal(u[rows], lam, out=above[:k]))  # bit j set when detector j fired
+        code = _click_codes(np.greater_equal(u, lam, out=above[:k]))  # bit j set when detector j fired
         key = np.left_shift(hot, 4) | code
         raw_errors.append(error_of[basis].take(key[success_of.take(code)]))
 
@@ -643,8 +672,8 @@ def validate_model(
         raise ValueError("the validation grid must hold at least one (mu, distance_km) point")
     cells, analytic = [], []
     for i, (mu, distance) in enumerate(grid):
+        run_params = params.at_distance(distance)  # shared by the point's two cells
         for j, basis in enumerate(("X", "Z")):
-            run_params = params.at_distance(distance)
             analytic.append(pair_yield(mu, mu, basis, run_params))
             cells.append((mu, mu, basis, run_params, trials, seed + 1000 * i + j))
     from concurrent.futures import ThreadPoolExecutor

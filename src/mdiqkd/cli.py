@@ -36,7 +36,7 @@ from .keyrate_core import AnalysisInputs, KeyRateReport, SolverError, secure_key
 from .source_model import SideSources, SourceEnsemble
 
 if TYPE_CHECKING:
-    from .optimizer import OptimizationResult
+    from .optimizer import OptimizationProblem, OptimizationResult
 
 
 class ConfigError(ValueError):
@@ -283,44 +283,43 @@ def _report(ensemble: SourceEnsemble, params: ChannelParams) -> KeyRateReport:
     return secure_key_rate(AnalysisInputs.from_simulation(ensemble, params))
 
 
-def _per_distance(
-    config: RunConfig, distances: list[float], search: bool
-) -> Iterator[tuple[ChannelParams, SourceEnsemble, OptimizationResult | None]]:
-    """Yield each distance's channel, sources and search result, in the order given.
-
-    Without a search the configured sources, built and decoy-checked once,
-    serve every distance (the coefficient bounds depend only on the sources)
-    and the result is None. With one, the sources are the best point's.
-    """
+def _channels(config: RunConfig, distances: list[float]) -> list[ChannelParams]:
+    """The configured channel at each distance, in the order given."""
     channel = config.channel_params()
-    ensemble = None if search else config.ensemble()
-    if search:
-        from .optimizer import OptimizationProblem, optimize  # loaded only by a search
-    for distance in distances:
-        params = channel.at_distance(0.0 if distance == 0 else distance)  # so -0 prints as "0"
-        if not search:
-            yield params, ensemble, None
-            continue
+    return [channel.at_distance(0.0 if distance == 0 else distance) for distance in distances]  # so -0 prints as "0"
+
+
+def _searches(config: RunConfig, distances: list[float]) -> Iterator[tuple[ChannelParams, OptimizationProblem, OptimizationResult]]:
+    """Yield each distance's channel, search problem and search result, in the order given."""
+    from .optimizer import OptimizationProblem, optimize  # loaded only by a search
+
+    for params in _channels(config, distances):
         try:
             problem = OptimizationProblem(channel=params, vacuum_cap=config.vacuum_cap, fluctuation=config.fluctuation)
             result = optimize(problem, seed=config.seed, budget=config.budget, restarts=config.restarts)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # A positive rate needs sources, and an all-zero log's best is its first probe, DEFAULT_START.
-        yield params, SourceEnsemble.symmetric(problem.sources(result.point)), result
+        yield params, problem, result
 
 
 def cmd_rate(config: RunConfig, args: argparse.Namespace) -> int:
-    for params, ensemble, _ in _per_distance(config, [config.distance_km], search=False):
-        _emit(_record(_report(ensemble, params)), args.out)
+    (params,) = _channels(config, [config.distance_km])
+    _emit(_record(_report(config.ensemble(), params)), args.out)
     return 0
 
 
 def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     distances = sorted(parse_distances(config.distances))
-    mode = "optimized" if config.optimize else "fixed"
+    if config.optimize:
+        # A positive rate needs sources, and an all-zero log's best is its first probe, DEFAULT_START.
+        mode, runs = "optimized", ((params, SourceEnsemble.symmetric(problem.sources(result.point))) for params, problem, result in _searches(config, distances))
+    else:
+        # The configured sources, built and decoy-checked once, serve every
+        # distance: the coefficient bounds depend only on the sources.
+        channels, ensemble = _channels(config, distances), config.ensemble()
+        mode, runs = "fixed", ((params, ensemble) for params in channels)
     rows = []
-    for params, ensemble, _ in _per_distance(config, distances, search=config.optimize):
+    for params, ensemble in runs:
         report = _report(ensemble, params)
         rows.append(_SCAN_ROW % (params.distance_km, mode, report.rate, report.h_star, report.s11_at_min, report.e11_at_min))
     header = ["distance_km", "mode", "rate", "h_star", "s11_lower", "e11_upper"]
@@ -332,7 +331,7 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
     distances = sorted(parse_distances(config.distances)) if config.distances else [config.distance_km]
     rows = []
     log_rows = []
-    for params, _, result in _per_distance(config, distances, search=True):
+    for params, _, result in _searches(config, distances):
         distance = params.distance_km
         rows.append(_OPTIMIZE_ROW % (distance, result.rate, *result.point))
         for point, rate in result.evaluations:

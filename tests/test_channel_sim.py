@@ -270,6 +270,55 @@ def test_kernel_counts_match_the_kernel_that_computes_every_trial(basis, mu_a, m
     assert run(channel_sim._chunk_counts) == run(unfiltered_chunk_counts)
 
 
+def _floor_form(basis, mu_a, mu_b, params):
+    """Which comparison the kernel makes for these cells, read off their :func:`channel_sim._no_click_floor` table."""
+    eta = params._transmittance
+    floor = channel_sim._no_click_floor(*channel_sim._intensity_table(basis, eta * mu_a, eta * mu_b), 1.0 - params.p_d)
+    if not floor.any():
+        return "all zero"
+    if floor.prod(axis=1).mean() < 0.5:
+        return "dense"
+    return "one value" if (floor == floor.flat[0]).all() else "per-pattern rows"
+
+
+# (form, basis, mu_a, mu_b, channel): each form of the kernel's filter, in both bases where it has them.
+_FILTER_CASES = [
+    ("one value", "X", 0.5, 0.5, ChannelParams()),
+    ("one value", "X", 0.7, 0.1, ChannelParams(p_d=0.01)),
+    ("per-pattern rows", "Z", 0.5, 0.5, ChannelParams()),
+    ("per-pattern rows", "Z", 0.7, 0.1, ChannelParams(p_d=0.01)),
+    ("all zero", "X", 0.5, 0.3, ChannelParams(p_d=1.0)),
+    ("all zero", "Z", 0.5, 0.3, ChannelParams(p_d=1.0)),
+    ("dense", "X", 5.0, 5.0, ChannelParams(eta_d=1.0)),
+    ("dense", "Z", 5.0, 5.0, ChannelParams(eta_d=1.0)),
+]
+
+
+def test_the_filter_cases_reach_every_form():
+    assert [_floor_form(*case[1:]) for case in _FILTER_CASES] == [case[0] for case in _FILTER_CASES]
+    assert {case[0] for case in _FILTER_CASES} == {"one value", "per-pattern rows", "all zero", "dense"}
+
+
+@pytest.mark.parametrize("m", [1, 2, 16383, 16385])
+@pytest.mark.parametrize("form, basis, mu_a, mu_b, params", _FILTER_CASES)
+def test_each_filter_form_counts_as_the_kernel_that_computes_every_trial(form, basis, mu_a, mu_b, params, m):
+    eta = params._transmittance
+    run = lambda kernel: kernel(np.random.default_rng([m, 44]), m, basis, eta * mu_a, eta * mu_b, params)
+    assert run(channel_sim._chunk_counts) == run(unfiltered_chunk_counts)
+
+
+def test_top_bits_are_those_integers_reads_in_any_byte_order():
+    # Each word's low half, then its high half: the bits integers(0, 2) reads from the same stream.
+    edges = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**63 + 2**31, 2**64 - 1], dtype=np.uint64)
+    raw = np.concatenate((edges, np.random.default_rng(7).bit_generator.random_raw(1000)))
+    expected = np.column_stack((raw >> np.uint64(31) & np.uint64(1), raw >> np.uint64(63))).reshape(-1)
+    for words in (raw, raw.astype(">u8")):
+        assert channel_sim._top_bits(words, np.empty(2 * raw.size, dtype=np.uint8)).tolist() == expected.tolist()
+    drawn = np.random.default_rng(8).bit_generator.random_raw(1000)
+    read = channel_sim._top_bits(drawn, np.empty(2000, dtype=np.uint8))
+    assert read.tolist() == np.random.default_rng(8).integers(0, 2, 2000).tolist()
+
+
 @pytest.mark.parametrize("basis", ["X", "Z"])
 @pytest.mark.parametrize("m", [1, 7, 8191, 8192, 8193, 16383, 16384, 16385, 2 * 16384 + 1])
 def test_kernel_reads_the_stream_of_the_contract_calls(basis, m):
