@@ -112,7 +112,8 @@ class RunConfig:
         if self.distances:
             parse_distances(self.distances)
         self._build(ChannelParams)
-        self._build(SideSources)
+        # The sources build their coefficient rows when made, so they are made once, here, and ensemble() reads them.
+        object.__setattr__(self, "_sources", self._build(SideSources))
 
     def _build(self, cls: type[_Built]) -> _Built:
         """One library dataclass from the config keys of its fields; its errors name the config key."""
@@ -127,7 +128,7 @@ class RunConfig:
 
     def ensemble(self) -> SourceEnsemble:
         """The configured sources, refused unless they pass the decoy conditions."""
-        ensemble = SourceEnsemble.symmetric(self._build(SideSources))
+        ensemble = SourceEnsemble.symmetric(self._sources)
         if not ensemble.bounds.decoy.passed:
             raise ConfigError(f"decoy conditions fail for these sources: {ensemble.bounds.decoy.summary()}")
         return ensemble

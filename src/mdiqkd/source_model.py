@@ -96,14 +96,16 @@ class SideSources:
     ``fluctuation`` is the relative amplitude of the multiplicative intensity
     error on the x/y/z sources.
 
-    Two dicts are built once, when the sources are made and checked, each
+    Four dicts are built once, when the sources are made and checked, each
     keyed by source in the order of ``SOURCES``: ``intervals``, the
-    admissible per-pulse intensity range ``(lo, hi)`` of each source, and
-    ``table``, its ``(probability, simulation intensity)``.  Observables are
-    generated at the simulation intensity: a fluctuating source's nominal
-    midpoint, and half the cap for the unstable vacuum source, while the
-    analysis reads the full worst-case intervals.  Neither dict is a field,
-    so equality, hashing and ``repr`` see the fields alone.
+    admissible per-pulse intensity range ``(lo, hi)`` of each source;
+    ``table``, its ``(probability, simulation intensity)``; and ``lower``
+    and ``upper``, whose ``[k]`` bound its k-photon coefficient over that
+    interval for k = 0, 1, 2, all the rate and the decoy checks read.
+    Observables are generated at the simulation intensity: a fluctuating
+    source's nominal midpoint, and half the cap for the unstable vacuum
+    source, while the analysis reads the full worst-case intervals.  No dict
+    is a field, so equality, hashing and ``repr`` see the fields alone.
     """
 
     mu_x: float
@@ -145,15 +147,10 @@ class SideSources:
                     f"source {source} intensity interval ends at {mu_hi:g}, not below {MAX_INTENSITY:.6g}, "
                     "where the zero-photon coefficient e^-mu underflows"
                 )
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "table", table)
-
-    def probability(self, source: str) -> float:
-        return self.table[source][0]
-
-    def intensity_interval(self, source: str) -> tuple[float, float]:
-        """Admissible per-pulse intensity range of one source."""
-        return self.intervals[source]
+        lower, upper = {}, {}
+        for source, interval in intervals.items():  # once every interval is checked
+            lower[source], upper[source] = coeff_rows(*interval)
+        vars(self).update(intervals=intervals, table=table, lower=lower, upper=upper)
 
 
 Pair = tuple[str, str]
@@ -218,29 +215,8 @@ class SourceEnsemble:
 
 
 @dataclass(frozen=True)
-class SideCoeffBounds:
-    """Worst-case photon-number coefficient bounds for one side.
-
-    ``lower[l][k]`` / ``upper[l][k]`` bound the k-photon coefficient of source
-    ``l`` over that source's intensity interval, for k = 0, 1, 2: the rate
-    reads nothing else, and :func:`check_decoy_conditions` decides every
-    k >= 2 from the k = 2 entries.
-    """
-
-    intervals: dict[str, tuple[float, float]]
-    lower: dict[str, tuple[float, ...]]
-    upper: dict[str, tuple[float, ...]]
-
-    def lo(self, source: str, k: int) -> float:
-        return self.lower[source][k]
-
-    def hi(self, source: str, k: int) -> float:
-        return self.upper[source][k]
-
-
-@dataclass(frozen=True)
 class PhotonCoeffBounds:
-    """Coefficient bounds for both sides (Alice's are the a's, Bob's the b's).
+    """Coefficient bounds for both sides (Alice's are the a's, Bob's the b's): each side's own :class:`SideSources`.
 
     ``decoy``, the decoy-condition verdict on these bounds, is computed once
     per coefficient table, when the table is made.  The table also keeps the
@@ -248,8 +224,8 @@ class PhotonCoeffBounds:
     :class:`SourceEnsemble` neither is a field.
     """
 
-    alice: SideCoeffBounds
-    bob: SideCoeffBounds
+    alice: SideSources
+    bob: SideSources
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "decoy", check_decoy_conditions(self))
@@ -330,7 +306,9 @@ def analysis_terms(bounds: PhotonCoeffBounds, emitted: dict[Pair, float], n_pair
 
     Checked in order, and the first failure is the verdict: every pair in
     ``emitted`` must expect emissions, in its order; then the contamination
-    factors, then the denominator.  Each contamination factor measures how
+    factors; then the x ceilings that ``r12`` and ``r21`` below divide by,
+    since a tiny ``mu_x`` underflows them to zero, and a zero is no upper
+    bound; then the denominator.  Each contamination factor measures how
     much of a decoy source's zero-photon statistics the unstable vacuum
     source's one-photon component could fake; the bounds built on them
     require each per-basis sum, Alice's factor plus Bob's, to stay below one.
@@ -364,6 +342,8 @@ def analysis_terms(bounds: PhotonCoeffBounds, emitted: dict[Pair, float], n_pair
         return AnalysisTerms(
             f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
         )
+    if not (a_hi["x"][1] > 0.0 and a_hi["x"][2] > 0.0 and b_hi["x"][1] > 0.0 and b_hi["x"][2] > 0.0):
+        return AnalysisTerms("x-source coefficient ceiling underflows to zero; mu_x too small for the bound")
     vx, xv, vy, yv = _VX, _XV, _VY, _YV
     r12 = (a_lo["y"][1] / a_hi["x"][1]) * (b_lo["y"][2] / b_hi["x"][2])
     r21 = (a_lo["y"][2] / a_hi["x"][2]) * (b_lo["y"][1] / b_hi["x"][1])
@@ -393,19 +373,9 @@ def analysis_terms(bounds: PhotonCoeffBounds, emitted: dict[Pair, float], n_pair
     )
 
 
-def _side_bounds(side: SideSources) -> SideCoeffBounds:
-    """The k = 0, 1, 2 table of one side, on the intervals its :class:`SideSources` has checked and holds, the same dict."""
-    lower: dict[str, tuple[float, ...]] = {}
-    upper: dict[str, tuple[float, ...]] = {}
-    for source, (mu_lo, mu_hi) in side.intervals.items():
-        lower[source], upper[source] = coeff_rows(mu_lo, mu_hi)
-    return SideCoeffBounds(intervals=side.intervals, lower=lower, upper=upper)
-
-
 def coeff_bounds(ensemble: SourceEnsemble) -> PhotonCoeffBounds:
-    """Worst-case coefficient bounds for every source of both sides; sides given as one object share one table."""
-    alice = _side_bounds(ensemble.alice)
-    return PhotonCoeffBounds(alice=alice, bob=alice if ensemble.bob is ensemble.alice else _side_bounds(ensemble.bob))
+    """Worst-case coefficient bounds for every source of both sides: the tables each side built when it was made."""
+    return PhotonCoeffBounds(alice=ensemble.alice, bob=ensemble.bob)
 
 
 @dataclass(frozen=True)
@@ -456,7 +426,7 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
       condition holds by convention (every downstream use enters through
       factors that vanish with it).
 
-    Sides given as one object, as in :func:`coeff_bounds`, are checked once.
+    Sides given as one object are checked once.
     """
     alice = _side_failures(bounds.alice)
     bob = alice if bounds.bob is bounds.alice else _side_failures(bounds.bob)
@@ -465,10 +435,10 @@ def check_decoy_conditions(bounds: PhotonCoeffBounds) -> DecoyConditionReport:
     return DecoyConditionReport(failures=tuple([f"alice:{f}" for f in alice] + [f"bob:{f}" for f in bob]))
 
 
-def _side_failures(sb: SideCoeffBounds) -> list[str]:
+def _side_failures(side: SideSources) -> list[str]:
     """The ``check: detail`` failures of one side, for :func:`check_decoy_conditions`."""
     failures: list[str] = []
-    intervals, lower, upper = sb.intervals, sb.lower, sb.upper
+    intervals, lower, upper = side.intervals, side.lower, side.upper
     x_lo, x_hi = intervals["x"]
     y_lo, y_hi = intervals["y"]
     if not x_hi < y_lo:

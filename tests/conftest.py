@@ -1,8 +1,9 @@
 import os
 
 # Before anything imports numpy: an OpenBLAS thread would make every in-process
-# optimize test fork from a process of two threads.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# optimize test fork from a process of two threads.  Assigned, not defaulted,
+# so a value set outside the tests cannot start that thread.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import pytest
 

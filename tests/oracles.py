@@ -238,7 +238,7 @@ def full_observables(ensemble, params: ChannelParams) -> PairObservables:
     emitted, counts, errors = {}, {}, {}
     for l in SOURCES:
         for r in SOURCES:
-            expected = emitted[l, r] = ensemble.alice.probability(l) * ensemble.bob.probability(r) * params.n_pairs
+            expected = emitted[l, r] = ensemble.alice.table[l][0] * ensemble.bob.table[r][0] * params.n_pairs
             mu_a, mu_b = ensemble.alice.table[l][1], ensemble.bob.table[r][1]
             q, eq = pair_yield(mu_a, mu_b, "Z" if (l, r) == ("z", "z") else "X", params)
             if "z" in (l, r) and (l, r) != ("z", "z"):
@@ -554,22 +554,22 @@ def _record_factors(bounds: PhotonCoeffBounds) -> SimpleNamespace:
     sends vacuum and the other x or y.
     """
     a, b = bounds.alice, bounds.bob
-    a_v, b_v = a.lo("v", 0), b.lo("v", 0)
-    ax, ay, bx, by = a_v * a.lo("x", 1), a_v * a.lo("y", 1), b_v * b.lo("x", 1), b_v * b.lo("y", 1)
+    a_v, b_v = a.lower["v"][0], b.lower["v"][0]
+    ax, ay, bx, by = a_v * a.lower["x"][1], a_v * a.lower["y"][1], b_v * b.lower["x"][1], b_v * b.lower["y"][1]
     if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
         return SimpleNamespace(infeasible="zero denominator in contamination factors; coefficient bounds degenerate")
-    sigma_x = a.hi("x", 0) * a.hi("v", 1) / ax + b.hi("x", 0) * b.hi("v", 1) / bx
-    sigma_y = a.hi("y", 0) * a.hi("v", 1) / ay + b.hi("y", 0) * b.hi("v", 1) / by
+    sigma_x = a.upper["x"][0] * a.upper["v"][1] / ax + b.upper["x"][0] * b.upper["v"][1] / bx
+    sigma_y = a.upper["y"][0] * a.upper["v"][1] / ay + b.upper["y"][0] * b.upper["v"][1] / by
     if sigma_x >= 1.0 or sigma_y >= 1.0:
         return SimpleNamespace(
             infeasible=f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
         )
     vx, vy = ("v", "x"), ("v", "y")
-    r12 = (a.lo("y", 1) / a.hi("x", 1)) * (b.lo("y", 2) / b.hi("x", 2))
-    r21 = (a.lo("y", 2) / a.hi("x", 2)) * (b.lo("y", 1) / b.hi("x", 1))
+    r12 = (a.lower["y"][1] / a.upper["x"][1]) * (b.lower["y"][2] / b.upper["x"][2])
+    r21 = (a.lower["y"][2] / a.upper["x"][2]) * (b.lower["y"][1] / b.upper["x"][1])
     if r21 < r12:
         a, b, vx, vy = b, a, ("x", "v"), ("y", "v")
-    denominator = a.hi("x", 1) * a.lo("y", 1) * (b.hi("x", 1) * b.lo("y", 2) - b.hi("x", 2) * b.lo("y", 1))
+    denominator = a.upper["x"][1] * a.lower["y"][1] * (b.upper["x"][1] * b.lower["y"][2] - b.upper["x"][2] * b.lower["y"][1])
     if denominator <= 0.0:
         return SimpleNamespace(infeasible="single-photon denominator is not positive; decoy intensities too close for the bound")
     return SimpleNamespace(
@@ -579,16 +579,16 @@ def _record_factors(bounds: PhotonCoeffBounds) -> SimpleNamespace:
         sigma_x=sigma_x,
         sigma_y=sigma_y,
         denominator=denominator,
-        scale=a.hi("x", 1) * b.hi("x", 2) / (1.0 - sigma_y),
-        c_y=a.lo("y", 1) * b.lo("y", 2),
-        beta=a.lo("x", 1) * b.lo("x", 1),
-        gamma=a.lo("z", 1) * b.lo("z", 1),
-        a_vacuum_x=a.lo("x", 0) / a.hi("v", 0),
-        b_vacuum_x=b.lo("x", 0) / b.hi("v", 0),
-        pair_vacuum_x=a.hi("x", 0) * b.hi("x", 0) / (a.lo("v", 0) * b.lo("v", 0)),
-        a_vacuum_y=a.lo("y", 0) / a.hi("v", 0),
-        b_vacuum_y=b.lo("y", 0) / b.hi("v", 0),
-        pair_vacuum_y=a.hi("y", 0) * b.hi("y", 0) / (a.lo("v", 0) * b.lo("v", 0)),
+        scale=a.upper["x"][1] * b.upper["x"][2] / (1.0 - sigma_y),
+        c_y=a.lower["y"][1] * b.lower["y"][2],
+        beta=a.lower["x"][1] * b.lower["x"][1],
+        gamma=a.lower["z"][1] * b.lower["z"][1],
+        a_vacuum_x=a.lower["x"][0] / a.upper["v"][0],
+        b_vacuum_x=b.lower["x"][0] / b.upper["v"][0],
+        pair_vacuum_x=a.upper["x"][0] * b.upper["x"][0] / (a.lower["v"][0] * b.lower["v"][0]),
+        a_vacuum_y=a.lower["y"][0] / a.upper["v"][0],
+        b_vacuum_y=b.lower["y"][0] / b.upper["v"][0],
+        pair_vacuum_y=a.upper["y"][0] * b.upper["y"][0] / (a.lower["v"][0] * b.lower["v"][0]),
     )
 
 

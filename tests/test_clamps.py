@@ -15,6 +15,7 @@ import inspect
 import math
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,7 +25,7 @@ from mdiqkd import ChernoffConfig, channel_sim, keyrate_core, optimizer, secure_
 from mdiqkd.channel_sim import _clamp
 from mdiqkd.keyrate_core import RateCurve
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
-from mdiqkd.source_model import PhotonCoeffBounds, SideCoeffBounds, SideSources, SourceEnsemble
+from mdiqkd.source_model import PhotonCoeffBounds, SideSources, SourceEnsemble
 
 
 def _same_bits(a, b) -> bool:
@@ -151,9 +152,9 @@ _VACUUM_FLOORS = {
 }
 
 
-def _checked_side(v0: float, x1: float, y1: float) -> SideCoeffBounds:
+def _checked_side(v0: float, x1: float, y1: float) -> SimpleNamespace:
     """A side whose vacuum floor is ``v0`` and one-photon x and y floors are ``x1`` and ``y1``; its other bounds pass every check."""
-    return SideCoeffBounds(
+    return SimpleNamespace(
         intervals={"v": (0.0, 0.0), "x": (0.1, 0.1), "y": (0.4, 0.4), "z": (0.5, 0.5)},
         lower={"v": (v0, 0.0, 0.0), "x": (0.5, x1, 0.25), "y": (0.5, y1, 0.75), "z": (0.5, 0.5, 0.5)},
         upper={"v": (1.0, 0.0, 0.0), "x": (1.0, 1.0, 1.0), "y": (1.0, 1.0, 1.0), "z": (1.0, 1.0, 1.0)},
@@ -211,7 +212,6 @@ _PER_DISTANCE = [
     optimizer._nelder_mead,
     SideSources.__post_init__,
     SourceEnsemble.__post_init__,
-    source_model._side_bounds,
     source_model.coeff_rows,
     source_model.analysis_terms,
     source_model._side_failures,

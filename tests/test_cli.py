@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -6,7 +8,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdiqkd
@@ -361,6 +363,96 @@ def test_subnormal_expected_emissions_is_zero_rate_without_warning(tmp_path, cap
     assert float(fields["rate"]) == 0.0
     assert fields["reason"].startswith("infeasible: single-photon yield floor s11 overflows on H in [0, ")
     assert captured.err == ""
+
+
+# Sources whose two-photon ceiling over mu_x's interval, about mu_x^2 / 2,
+# underflows to zero while the decoy conditions pass: no vacuum cap, and a
+# nonzero cap below the x interval.
+_UNDERFLOWING_X = {"cap-zero": "mu_x = 1e-170\nvacuum_cap = 0\n", "cap-below-x": "mu_x = 3.16e-274\nvacuum_cap = 1.8e-276\n"}
+
+
+@pytest.mark.parametrize("extra", list(_UNDERFLOWING_X.values()), ids=list(_UNDERFLOWING_X))
+def test_underflowing_x_ceiling_is_zero_rate_not_traceback(tmp_path, capsys, extra):
+    config = write_config(tmp_path, extra)
+    assert main(["rate", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    fields = dict(line.split(" = ") for line in captured.out.strip().splitlines())
+    assert float(fields["rate"]) == 0.0
+    assert fields["reason"] == "infeasible: x-source coefficient ceiling underflows to zero; mu_x too small for the bound"
+    assert captured.err == ""
+    assert main(["scan", "--config", str(config), "--distances", "0,10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-2:] == [
+        f"{d},fixed,0.000000000000e+00,nan,0.000000000000e+00,nan" for d in (0, 10)
+    ]
+    assert captured.err == ""
+
+
+# Config fuzzing: per source and channel key, a range (lo, hi) for uniform
+# values and a number of decades below hi for log-uniform ones.
+_FUZZ_RANGES = {
+    "e_d": (0.0, 0.5, 8),
+    "p_d": (0.0, 1e-4, 12),
+    "eta_d": (0.0, 1.0, 8),
+    "alpha_f": (0.0, 1.0, 6),
+    "f": (1.0, 3.0, 2),
+    "xi": (0.0, 1e-3, 30),
+    "n_pairs": (1.0, 1e14, 20),
+    "distance_km": (0.0, 300.0, 8),
+    "mu_x": (0.0, 0.5, 300),
+    "mu_y": (0.0, 1.0, 300),
+    "mu_z": (0.0, 1.0, 300),
+    "p_v": (0.0, 1.0, 300),
+    "p_x": (0.0, 1.0, 300),
+    "p_y": (0.0, 1.0, 300),
+    "p_z": (0.0, 1.0, 300),
+    "vacuum_cap": (0.0, 1e-3, 300),
+    "fluctuation": (0.0, 0.2, 12),
+}
+_SPECIAL = ("0", "-0", "5e-324", "1e-320", "1e308", repr(sys.float_info.max), "nan", "inf", "-1")
+_PROBABILITIES = ("p_v", "p_x", "p_y", "p_z")
+
+
+@st.composite
+def _fuzz_configs(draw) -> str:
+    """A config text: each key present with probability 0.7, then a special value 1 time in 7, else uniform or log-uniform."""
+    values = {}
+    for key, (lo, hi, decades) in _FUZZ_RANGES.items():
+        pick = draw(st.integers(0, 99))
+        if pick < 30:
+            continue
+        if pick < 40:
+            values[key] = draw(st.sampled_from(_SPECIAL))
+        else:
+            u = draw(st.floats(0.0, 1.0))
+            values[key] = repr(lo + (hi - lo) * u if pick < 70 else hi * 10.0 ** (-decades * u))
+    if draw(st.booleans()):
+        p = [float(values.get(key, getattr(RunConfig, key))) for key in _PROBABILITIES]
+        total = sum(p)
+        if math.isfinite(total) and total > 0.0:
+            values.update({key: repr(v / total) for key, v in zip(_PROBABILITIES, p)})
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@given(text=_fuzz_configs())
+@example(text=_UNDERFLOWING_X["cap-zero"])
+@example(text=_UNDERFLOWING_X["cap-below-x"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_any_config_ends_rate_and_scan_in_exit_0_2_or_3(tmp_path_factory, text):
+    config = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    config.write_text(text, encoding="utf-8")
+    for argv, rate_of in (
+        (["rate"], lambda out: [line.split(" = ")[1] for line in out.splitlines() if line.startswith("rate = ")]),
+        (["scan", "--distances", "0,50"], lambda out: [row.split(",")[2] for row in out.splitlines() if row[:1].isdigit()]),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(config)])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            rates = rate_of(out.getvalue())
+            assert rates and all(math.isfinite(float(rate)) for rate in rates)
 
 
 def test_optimize_without_feasible_start_names_the_vacuum_cap(tmp_path, capsys):

@@ -67,7 +67,7 @@ def _rate(observables: PairObservables, l: str, r: str) -> float:
 
 def _sigma_y(bounds) -> float:
     """The y-basis contamination factor of a table, by hand; the terms hold it only inside ``K``."""
-    return sum(side.hi("y", 0) * side.hi("v", 1) / (side.lo("v", 0) * side.lo("y", 1)) for side in (bounds.alice, bounds.bob))
+    return sum(side.upper["y"][0] * side.upper["v"][1] / (side.lower["v"][0] * side.lower["y"][1]) for side in (bounds.alice, bounds.bob))
 
 
 def _emitted(ensemble: SourceEnsemble, n_pairs: float) -> dict:
@@ -84,7 +84,7 @@ def test_sigma_vanishes_for_exact_vacuum(exact_ensemble):
     terms, a = _terms(exact_ensemble, 1e11), exact_ensemble.bounds.alice
     assert terms.sigma_x == _sigma_y(exact_ensemble.bounds) == 0.0
     # So K = a1_x^U b2_x^U / (1 - sigma_y) is the product itself, bit for bit.
-    assert terms.yield_minus.terms[0] == (a.hi("x", 1) * a.hi("x", 2) / _emitted(exact_ensemble, 1e11)["y", "y"], ("y", "y"))
+    assert terms.yield_minus.terms[0] == (a.upper["x"][1] * a.upper["x"][2] / _emitted(exact_ensemble, 1e11)["y", "y"], ("y", "y"))
 
 
 def test_sigma_reference_value():
@@ -113,6 +113,22 @@ def test_pair_with_zero_expected_emissions_is_zero_report(sweep_side, params_10k
     assert report.rate == 0.0 and math.isfinite(report.signal_rate)
     assert report.reason == f"infeasible: no expected emissions from source pair {pair}; {key} {key} n_pairs underflows to zero"
     with pytest.raises(AnalysisInfeasible, match="no expected emissions"):
+        rate_function(inputs)
+
+
+@pytest.mark.parametrize("mu_x, cap", [(1e-170, 0.0), (3.16e-274, 1.8e-276)])
+def test_x_ceiling_underflowing_to_zero_is_zero_report(exact_side, params_10km, mu_x, cap):
+    # The two-photon ceiling over mu_x's interval, about mu_x^2 / 2, underflows
+    # to zero, and r12 and r21 divide by it; the decoy conditions still pass.
+    side = replace(exact_side, mu_x=mu_x, vacuum_cap=cap)
+    assert side.upper["x"][2] == 0.0
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params_10km)
+    assert inputs.bounds.decoy.passed
+    report = secure_key_rate(inputs)
+    assert report.rate == 0.0 and report.s11_at_min == 0.0 and report.chernoff_invocations == 0
+    assert math.isnan(report.h_star) and math.isfinite(report.signal_rate)
+    assert report.reason == "infeasible: x-source coefficient ceiling underflows to zero; mu_x too small for the bound"
+    with pytest.raises(AnalysisInfeasible, match="x-source coefficient ceiling"):
         rate_function(inputs)
 
 
@@ -196,11 +212,11 @@ def test_joint_splus_dominates_per_term_composition(inputs_10km):
     def bound(l: str, r: str) -> float:
         return chernoff_lower(obs.counts[l, r], cfg) / obs.emitted[l, r]
 
-    scale = a.hi("x", 1) * b.hi("x", 2) / (1.0 - y_total)
+    scale = a.upper["x"][1] * b.upper["x"][2] / (1.0 - y_total)
     per_term = (
-        a.lo("y", 1) * b.lo("y", 2) * bound("x", "x")
-        + scale * (a.lo("y", 0) / a.hi("v", 0)) * bound("v", "y")
-        + scale * (b.lo("y", 0) / b.hi("v", 0)) * bound("y", "v")
+        a.lower["y"][1] * b.lower["y"][2] * bound("x", "x")
+        + scale * (a.lower["y"][0] / a.upper["v"][0]) * bound("v", "y")
+        + scale * (b.lower["y"][0] / b.upper["v"][0]) * bound("y", "v")
     )
     curve, _, _ = rate_function(inputs_10km)
     assert curve.s_plus >= per_term - 1e-15
@@ -329,7 +345,7 @@ def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
     # Just below the h where s11 reaches zero: s11 is tiny but positive.  The
     # probe lies above h_upper, so e11 clips to 0 and the privacy term is the
     # whole tiny yield floor, pz2 gamma s11.
-    h_zero = (curve.s_plus - curve.s_minus) / (a.lo("y", 1) * b.lo("y", 2))
+    h_zero = (curve.s_plus - curve.s_minus) / (a.lower["y"][1] * b.lower["y"][2])
     probe = h_zero * (1.0 - 1e-9)
     assert curve.s11(probe) > 0.0 and curve.e11(probe) == 0.0
     obs = inputs.observables
@@ -1023,7 +1039,7 @@ def test_inputs_made_by_hand_read_their_own_bounds_and_observables(monkeypatch, 
     assert calls == [obs.n_pairs]
 
     def c_y(bounds) -> float:
-        return bounds.alice.lo("y", 1) * bounds.bob.lo("y", 2)
+        return bounds.alice.lower["y"][1] * bounds.bob.lower["y"][2]
 
     assert curve.c_y == c_y(other) != c_y(inputs.bounds)
     assert curve.txx_upper == chernoff_upper(obs.errors["x", "x"], by_hand.chernoff) / obs.emitted["x", "x"]
@@ -1278,7 +1294,7 @@ def test_bounds_hold_at_every_corner_of_the_source_errors(sweep_side, fluctuatio
     # sources' bounds.
     side = replace(sweep_side, fluctuation=fluctuation)
     ensemble = SourceEnsemble.symmetric(side)
-    ends = {s: side.intensity_interval(s) for s in ("v", "x", "y", "z")}
+    ends = {s: side.intervals[s] for s in ("v", "x", "y", "z")}
     corners = [dict(zip(("v", "x", "y", "z"), pick)) for pick in product(*(ends[s] for s in ("v", "x", "y", "z")))]
     for distance in (0.0, 30.0, 60.0):
         params = ChannelParams(n_pairs=1e11, distance_km=distance)
@@ -1312,7 +1328,7 @@ def test_bounds_hold_for_independent_sides_with_each_source_anywhere_in_its_inte
     params = ChannelParams(n_pairs=10.0**log_n, distance_km=distance)
     points = iter(where)
     alice_at, bob_at = (
-        {s: lo + (hi - lo) * next(points) for s in ("v", "x", "y", "z") for lo, hi in (side.intensity_interval(s),)}
+        {s: lo + (hi - lo) * next(points) for s in ("v", "x", "y", "z") for lo, hi in (side.intervals[s],)}
         for side in (alice, bob)
     )
     try:

@@ -120,16 +120,16 @@ def test_grid_scan_stays_inside_bounds(noisy_ensemble, source, k):
     bounds = coeff_bounds(noisy_ensemble)
     mu_lo, mu_hi = bounds.alice.intervals[source]
     scan_lo, scan_hi = grid_scan_coeff_extrema(mu_lo, mu_hi, k)
-    assert bounds.alice.lo(source, k) - 1e-12 <= scan_lo
-    assert scan_hi <= bounds.alice.hi(source, k) + 1e-12
+    assert bounds.alice.lower[source][k] - 1e-12 <= scan_lo
+    assert scan_hi <= bounds.alice.upper[source][k] + 1e-12
 
 
 def test_exact_sources_give_degenerate_intervals(exact_ensemble, exact_side):
     bounds = coeff_bounds(exact_ensemble)
     for k in range(3):
-        assert bounds.alice.lo("x", k) == bounds.alice.hi("x", k) == poisson_coeff(exact_side.mu_x, k)
-    assert bounds.alice.lo("v", 0) == bounds.alice.hi("v", 0) == 1.0
-    assert bounds.alice.hi("v", 1) == 0.0
+        assert bounds.alice.lower["x"][k] == bounds.alice.upper["x"][k] == poisson_coeff(exact_side.mu_x, k)
+    assert bounds.alice.lower["v"][0] == bounds.alice.upper["v"][0] == 1.0
+    assert bounds.alice.upper["v"][1] == 0.0
 
 
 def test_shrinking_fluctuation_never_widens_bounds(noisy_side):
@@ -142,29 +142,39 @@ def test_shrinking_fluctuation_never_widens_bounds(noisy_side):
     narrow = coeff_bounds(SourceEnsemble.symmetric(narrow_side))
     for source in ("x", "y", "z"):
         for k in range(3):
-            assert wide.alice.lo(source, k) <= narrow.alice.lo(source, k)
-            assert narrow.alice.hi(source, k) <= wide.alice.hi(source, k)
+            assert wide.alice.lower[source][k] <= narrow.alice.lower[source][k]
+            assert narrow.alice.upper[source][k] <= wide.alice.upper[source][k]
 
 
 def test_symmetric_ensemble_builds_its_side_bounds_once(noisy_side, monkeypatch):
     calls = []
     counted = source_model.poisson_coeff
     monkeypatch.setattr(source_model, "poisson_coeff", lambda mu, k: calls.append(k) or counted(mu, k))
-    symmetric = coeff_bounds(SourceEnsemble.symmetric(noisy_side))
-    one_side = len(calls)
     other = replace(noisy_side, fluctuation=0.02)
-    asymmetric = coeff_bounds(SourceEnsemble(alice=noisy_side, bob=other))
+    made = len(calls)
+    for mu_lo, mu_hi in other.intervals.values():
+        coeff_rows(mu_lo, mu_hi)
+    assert made > 0 and len(calls) == 2 * made  # making the side built each of its rows once
+    calls.clear()
+    ensembles = (
+        SourceEnsemble.symmetric(noisy_side),
+        SourceEnsemble(alice=noisy_side, bob=other),
+        SourceEnsemble(alice=other, bob=noisy_side),
+    )
+    symmetric, asymmetric, mirrored = (coeff_bounds(ensemble) for ensemble in ensembles)
+    assert calls == []  # neither the ensembles nor coeff_bounds build a row
+    for ensemble, bounds in zip(ensembles, (symmetric, asymmetric, mirrored)):
+        assert bounds.alice is ensemble.alice and bounds.bob is ensemble.bob
+        assert bounds == ensemble.bounds
     assert symmetric.alice is symmetric.bob
-    assert len(calls) - one_side == 2 * one_side
-    # The shared table is the one each side builds for itself.
-    mirrored = coeff_bounds(SourceEnsemble(alice=other, bob=noisy_side))
     assert asymmetric.alice == symmetric.alice == mirrored.bob
     assert asymmetric.bob == mirrored.alice != symmetric.alice
+    assert asymmetric.bob.upper != symmetric.alice.upper
 
 
 def test_partial_sums_of_lower_bounds_stay_below_one(noisy_ensemble):
     for source in ("v", "x", "y", "z"):
-        lower, upper = coeff_rows(*noisy_ensemble.alice.intensity_interval(source), range(61))
+        lower, upper = coeff_rows(*noisy_ensemble.alice.intervals[source], range(61))
         assert sum(lower) <= 1.0
         assert sum(upper) >= 1.0 - 1e-12
 
@@ -256,7 +266,7 @@ def test_vacuum_ratio_failing_beyond_depth_twenty_is_caught():
     # e^(c - x) (x / c)^k * a_1^{v,U} / a_1^{x,U} falls below 1 at k = 21.
     bounds = coeff_bounds(SourceEnsemble.symmetric(_side_with_cap(2.2, 3.2, 2.25)))
     ratios = [
-        poisson_coeff(2.2, k) * bounds.alice.hi("v", 1) / (bounds.alice.hi("x", 1) * poisson_coeff(2.25, k))
+        poisson_coeff(2.2, k) * bounds.alice.upper["v"][1] / (bounds.alice.upper["x"][1] * poisson_coeff(2.25, k))
         for k in range(2, 22)
     ]
     assert min(ratios[:-1]) >= 1.0 > ratios[-1]  # holds for k <= 20, fails at k = 21
@@ -280,7 +290,7 @@ def _brute_force_coeffs(mu_lo, mu_hi, k):
 
 def _brute_force_decoy_check(side, depth=200):
     """The decoy conditions of one side at every k = 2 .. depth, evaluated one by one."""
-    intervals = {s: side.intensity_interval(s) for s in "vxy"}
+    intervals = {s: side.intervals[s] for s in "vxy"}
     lo = {s: [_brute_force_coeffs(*intervals[s], k)[0] for k in range(depth + 1)] for s in "vxy"}
     hi = {s: [_brute_force_coeffs(*intervals[s], k)[1] for k in range(depth + 1)] for s in "vxy"}
     ks = range(2, depth + 1)
@@ -315,7 +325,7 @@ def test_decoy_check_agrees_with_depth_200_brute_force(side):
         # products have underflowed.
         for failure in report.failures:
             assert ":vacuum-ratio: " in failure and "at large k" in failure
-            assert side.intensity_interval(failure.split("source ")[1][0])[0] < side.vacuum_cap
+            assert side.intervals[failure.split("source ")[1][0]][0] < side.vacuum_cap
 
 
 @st.composite
@@ -347,8 +357,8 @@ def test_side_tables_hold_the_field_formulas_and_stay_out_of_equality(side):
         else:
             mu = getattr(side, f"mu_{source}")
             interval, simulated = (mu * (1.0 - f), mu * (1.0 + f)), mu
-        assert [v.hex() for v in side.intensity_interval(source)] == [v.hex() for v in interval]
-        assert side.probability(source).hex() == getattr(side, f"p_{source}").hex()
+        assert [v.hex() for v in side.intervals[source]] == [v.hex() for v in interval]
+        assert side.table[source][0].hex() == getattr(side, f"p_{source}").hex()
         assert side.table[source][1].hex() == simulated.hex()
     assert list(side.intervals) == list(side.table) == list(SOURCES)
 
