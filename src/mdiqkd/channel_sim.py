@@ -21,24 +21,19 @@ The closed-form gains below are the standard linear-optics expressions for
 this setup with phase-randomized weak coherent pulses.  They are not taken on
 faith: :func:`monte_carlo_yield` simulates the identical physics trial by
 trial, and the validation grid requires 3-sigma agreement before the model
-is used.  The simulation samples each trial's phase and bits, so it checks
-the closed form's phase integral and coincidence logic; the only fact the two
-share is that a threshold detector seeing mean photon number ``lambda``
-clicks with probability ``1 - (1 - p_d) e^-lambda``.  Given a trial's bits,
-each detector's ``lambda`` is affine in ``cos(phi)``, read from one row of a
-per-pattern table.  No ``lambda`` exceeds its entry's ``offset + |slope|``,
-so a trial whose click uniforms all lie below the no-click probabilities of
-that bound clicks nowhere; the simulation skips the physics of such trials,
-but none of their draws, so its counts are those of computing every trial.
-Where the bound's table holds one value, as every X-basis table does, the
-uniforms are compared with that value and no per-trial floor is gathered;
-the trials that can click are gathered with ``take``.
-Its draws are fixed as ``uniform``, ``integers`` and ``random`` calls; it
-makes them as ``random`` and ``bit_generator.random_raw`` calls, which read
-the same stream of the same PCG64 generator more cheaply (see
-:func:`monte_carlo_yield`), so the counts do not move.  The raw words are
-read as explicit little-endian 32-bit halves, one shift per bit, so the
-bits do not depend on the host's byte order.
+is used.  The simulation samples each trial's bits, phase and clicks, so it
+checks the closed form's phase integral and coincidence logic; the only fact
+the two share is that a threshold detector seeing mean photon number
+``lambda`` clicks with probability ``1 - (1 - p_d) e^-lambda``.  Given a
+trial's bits, each detector's ``lambda`` is affine in ``cos(phi)``, read from
+one row of a per-pattern table.  No ``lambda`` exceeds its entry's
+``offset + |slope|``, so no no-click probability lies below the floor that
+bound gives, and a trial whose click uniforms all lie below their floors
+clicks nowhere.  One multinomial per chunk draws how many trials can click,
+with each one's bit pattern and first detector at or above its floor; only
+those trials draw a phase and click uniforms, each uniform on its
+conditional range, so the counts have the distribution of drawing every
+trial in full (see :func:`monte_carlo_yield`).
 The chunks of trials run on a ``ThreadPoolExecutor``, and one generator
 yields each cell's counts in the order its chunks were submitted.
 
@@ -69,8 +64,8 @@ if TYPE_CHECKING:
 # Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
 _CHUNK_SIZE = 1_000_000
 
-# Trials per draw block within a chunk: the detector intensities and the
-# click uniforms of one block take 512 KB each, and its raw bit draws 128 KB.
+# Hot trials per draw block within a chunk: the detector intensities and the
+# click uniforms of one block take 512 KB each.
 _BLOCK_SIZE = 16384
 
 
@@ -257,40 +252,37 @@ def monte_carlo_yield(
     ``(seed, trials)``, not on the number of threads, the order in which
     chunks finish, or the block size below.
 
-    The draws are part of that contract.  Each chunk of ``m`` trials reads
-    its generator's stream as these calls would, in this order:
-    ``uniform(0, 2 pi, m)`` for the phase, ``integers(0, 2, m)`` for Alice's
-    bit and again for Bob's, ``random((m, 4))`` for the click uniforms
-    (detector ``k`` of a trial clicks where its uniform is at least its
-    no-click probability), and ``random(n)`` for the misalignment flips of
-    the chunk's ``n`` successful trials.  Changing any draw changes the
-    counts.
+    The draws are part of that contract.  Each chunk of ``m`` trials makes
+    these generator calls, in this order, and changing any of them changes
+    the counts:
 
-    The phase and bits are read through cheaper calls that give the same
-    values.  ``uniform(0, 2 pi, m)`` is ``0.0 + 2 pi y`` for the doubles
-    ``y`` of ``random(m)``, and ``0.0 + x == x`` for ``x >= 0``; so the
-    phase is drawn by ``random(m)``, and only the phases of trials that can
-    click are multiplied by ``2 pi``.  ``integers(0, 2)`` makes each bit by
-    Lemire's method from one 32-bit draw; with a range of 2 it never
-    rejects, and the bit is the draw's top bit.  PCG64 serves 32-bit draws
-    as the low and then the high half of each 64-bit output.  So the ``2m``
-    bits are the top bits of the halves of ``m`` outputs of
-    ``bit_generator.random_raw``, read as explicit little-endian 32-bit
-    halves with one shift each (:func:`_top_bits`), and so not by the
-    host's byte order.  Each chunk's generator is new, so no half is
-    buffered before the bits or left after them.  The bit and click draws
-    are made in blocks of trials, one call per block on the same stream; a
-    generator consumes its stream in element order, so the blocks draw the
-    same numbers as one call would.
+    1. ``multinomial(m, w)`` over 17 categories.  Detector ``i`` of a trial
+       with bit pattern ``p = 2 bit_a + bit_b`` stays silent where its
+       uniform lies below its :func:`_no_click_floor` ``f_i``.  Category
+       ``4 p + j``, of weight ``(1/4) (prod_{i<j} f_i) (1 - f_j)``, holds the
+       hot trials of pattern ``p`` whose first uniform at or above its floor
+       is detector ``j``'s.  The last category, of weight
+       ``(1/4) sum_p prod_i f_i``, holds the trials that cannot click, and
+       they draw nothing more.
+    2. ``random(k)`` for the phases of the ``k`` hot trials, in category
+       order, as ``2 pi`` times each value.
+    3. ``random((k, 4))`` for their click uniforms, each mapped affinely onto
+       its conditional range: ``[0, f_i)`` for ``i < j``, ``[f_j, 1)`` for
+       ``i = j`` and ``[0, 1)`` for ``i > j``.  Detector ``i`` clicks where
+       its uniform is at least its no-click probability.
+    4. ``random(s)`` for the misalignment flips of the chunk's ``s``
+       successes.
 
-    A detector's no-click probability never lies below its
-    :func:`_no_click_floor`, so a trial whose four uniforms lie below their
-    floors has no click, and its cosine, intensities and ``exp`` are never
-    computed; every other trial runs the same float operations on the same
-    values.  This cannot change a count: it skips work, not draws.  Where
-    every entry of the floor table holds one value, as in every X-basis
-    table, the uniforms are compared with that value and no per-trial floor
-    is gathered; the trials that can click are gathered with ``take``.
+    Given its pattern, a trial's four uniforms all lie below their floors
+    with probability ``prod_i f_i``; given that they do not, the first at or
+    above its floor is detector ``j``'s with probability proportional to
+    ``(prod_{i<j} f_i)(1 - f_j)``, and the uniforms are then independent on
+    the ranges above.  The trials of a chunk are exchangeable, so the counts
+    have exactly the distribution of drawing every trial's phase, bits and
+    four uniforms.  The uniforms are drawn in blocks of hot trials, one call
+    per block on the same stream; a generator consumes its stream in element
+    order, so the blocks draw the same numbers as one call would.  Phases
+    and uniforms stay float64.
 
     :func:`validate_model` passes the :func:`_cell_counts` of all its cells
     as ``_counts``, whose next item is this cell's, so that the chunks of
@@ -426,87 +418,58 @@ def _no_click_floor(offset: np.ndarray, slope: np.ndarray, keep: float) -> np.nd
     return floor
 
 
-def _top_bits(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out``, twice as long as ``raw``, filled with the top bit of the low and then of the high 32-bit half of each word.
-
-    Those are ``raw >> 31 & 1`` and ``raw >> 63``, the bits that
-    ``integers(0, 2)`` makes from the two 32-bit draws PCG64 serves from one
-    64-bit output.  The words are read as explicit little-endian halves, so
-    the low half comes first whatever the host's byte order and whatever
-    byte order ``raw`` is held in; one right shift, cast to the uint8
-    ``out``, takes each top bit.
-    """
-    import numpy as np
-
-    return np.right_shift(raw.astype("<u8", copy=False).view("<u4"), 31, out=out, casting="unsafe")
-
-
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
     """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
 
-    The phase is drawn by ``random(m)``, the bits block by block by
-    ``random_raw`` and read by :func:`_top_bits` into one ``2m``-byte
-    buffer, and the click uniforms block by block, in the listed order.  A
-    trial whose four click uniforms all lie below the
-    :func:`_no_click_floor` of its bit pattern clicks nowhere.  Where every
-    entry of the floor table holds one value, the uniforms are compared
-    with that value; otherwise with the floor rows gathered by pattern.  The
-    other, hot, trials of a block are indexed by ``flatnonzero`` on one bool
-    per trial, and their pattern, phase and click uniforms are gathered with
-    ``take`` into buffers reused across blocks.  Only they get their phase
-    scaled by ``2 pi``, its cosine, their :func:`_intensity_table` rows,
-    ``exp``, the comparison and the :func:`_lookup_tables` lookups: the
-    float operations of every trial on the same values, each on a
-    contiguous array, so the counts are those of computing every trial.
-    The hot rows are picked out only where the expected hot fraction, one
-    minus the mean over the four patterns of the product of their floors,
-    is at most one half; elsewhere every trial of the block is computed, on
-    views of the block.  Intensities go to ``(block, 4)`` buffers reused
-    across blocks.
+    The multinomial's first 16 counts, repeated in category order, give
+    each hot trial its category ``4 p + j``.  The tables are laid out by
+    category, so one index gathers a trial's :func:`_intensity_table` rows
+    and the affine map ``low + width u`` of its click uniforms: width ``f_i``
+    for ``i < j``, low ``f_j`` and width ``1 - f_j`` for ``i = j``, and
+    width 1 for ``i > j``.  The phases are drawn up front; the uniforms, and
+    the physics on them, block by block, into ``(block, 4)`` buffers reused
+    across blocks.  A cold trial draws nothing and costs nothing.
     """
     import numpy as np
 
     success_of, error_of = _lookup_tables()
-    block = min(_BLOCK_SIZE, m)
-    blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
-    phase = rng.random(m)  # times 2 pi, on the hot rows only, is uniform(0, 2 pi, m)
-    # The 2m halves, read in order, are Alice's m bits and then Bob's.
-    bits = np.empty(2 * m, dtype=np.uint8)
-    for start, stop in blocks:
-        _top_bits(rng.bit_generator.random_raw(stop - start), bits[2 * start : 2 * stop])
-    pattern = np.add(bits[:m], bits[:m], out=bits[:m])  # 2 bit_a; numpy's uint8 add is vectorized, its shift is not
-    pattern |= bits[m:]
-
     offset, slope = _intensity_table(basis, ea, eb)
     # No photon arrives with probability e^-lambda, and no dark count fires
     # with probability 1 - p_d.
     keep = 1.0 - params.p_d
     floor = _no_click_floor(offset, slope, keep)
-    sparse = floor.prod(axis=1).mean() >= 0.5
-    # A table of one floor value is compared with that value, with no gather.
-    level = floor.flat[0] if (floor == floor.flat[0]).all() else None
-    silent, spare, uniform, hot_u = np.empty((4, block, 4))
-    hot_pattern, hot_phase = np.empty(block, dtype=np.uint8), np.empty(block)
-    above = np.empty((block, 4), dtype=bool)
-    raw_errors = []
-    for start, stop in blocks:
-        n = stop - start
-        u = rng.random(out=uniform[:n])
-        hot, cos_phi, k = pattern[start:stop], phase[start:stop], n
-        if sparse:
-            floors = floor.take(hot, axis=0, out=silent[:n], mode="clip") if level is None else level
-            rows = np.flatnonzero(np.greater_equal(u, floors, out=above[:n]).view("<u4")[:, 0] != 0)
-            k = rows.size
-            hot = hot.take(rows, out=hot_pattern[:k], mode="clip")
-            cos_phi = cos_phi.take(rows, out=hot_phase[:k], mode="clip")
-            u = u.take(rows, axis=0, out=hot_u[:k], mode="clip")
-        np.cos(np.multiply(cos_phi, 2.0 * math.pi, out=cos_phi), out=cos_phi)
-        lam = offset.take(hot, axis=0, out=silent[:k], mode="clip")
-        lam += np.multiply(slope.take(hot, axis=0, out=spare[:k], mode="clip"), cos_phi[:, None], out=spare[:k])
+    below = np.cumprod(floor, axis=1)
+    before = np.ones((4, 4))
+    before[:, 1:] = below[:, :-1]  # the product of the floors before each detector
+    weight = 0.25 * before * (1.0 - floor)
+    # The last, no-click, category takes the remainder.
+    counts = rng.multinomial(m, np.append(weight, 0.25 * below[:, 3].sum()))
+    category = np.repeat(np.arange(16, dtype=np.uint8), counts[:16])
+    k = category.size
+    cos_phi = rng.random(k)
+    np.cos(np.multiply(cos_phi, 2.0 * math.pi, out=cos_phi), out=cos_phi)
+
+    # Row 4 p + j of each table: pattern p's row, and the map of its
+    # uniforms where j is the first detector at or above its floor.
+    low = floor[:, None, :] * np.eye(4)
+    width = np.where(np.tri(4, k=-1, dtype=bool), floor[:, None, :], 1.0 - low).reshape(16, 4)
+    low = low.reshape(16, 4)
+    offset, slope = offset.repeat(4, axis=0), slope.repeat(4, axis=0)
+    silent, spare, uniform = np.empty((3, _BLOCK_SIZE, 4))
+    above = np.empty((_BLOCK_SIZE, 4), dtype=bool)
+    raw_errors = [np.empty(0, dtype=bool)]
+    for start in range(0, k, _BLOCK_SIZE):
+        hot = category[start : start + _BLOCK_SIZE]
+        n = hot.size
+        lam = offset.take(hot, axis=0, out=silent[:n], mode="clip")
+        lam += np.multiply(slope.take(hot, axis=0, out=spare[:n], mode="clip"), cos_phi[start : start + n, None], out=spare[:n])
         np.exp(np.negative(lam, out=lam), out=lam)
         lam *= keep
-        code = _click_codes(np.greater_equal(u, lam, out=above[:k]))  # bit j set when detector j fired
-        key = np.left_shift(hot, 4) | code
+        u = rng.random(out=uniform[:n])
+        u *= width.take(hot, axis=0, out=spare[:n], mode="clip")
+        u += low.take(hot, axis=0, out=spare[:n], mode="clip")
+        code = _click_codes(np.greater_equal(u, lam, out=above[:n]))  # bit j set when detector j fired
+        key = np.left_shift(np.right_shift(hot, 2), 4) | code  # 16 pattern + code
         raw_errors.append(error_of[basis].take(key[success_of.take(code)]))
 
     raw_error = np.concatenate(raw_errors)

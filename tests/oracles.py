@@ -7,9 +7,9 @@ and, in the model-decomposition oracles, the closed-form gain ``pair_yield``
 that they take apart.  The exceptions are
 ``full_observables``, which extends the analysed table to all sixteen pairs
 with the package's own gains, ``write_observables_csv``, the
-regression-fixture writer, ``unfiltered_chunk_counts``, the Monte Carlo
-kernel kept as it was before it skipped trials that cannot click, which reads
-the package's lookup and intensity tables, and ``record_secure_key_rate``,
+regression-fixture writer, ``trial_by_trial_chunk_counts``, the Monte Carlo
+draw contract run one trial at a time, which reads the package's intensity
+table and no-click floors, and ``record_secure_key_rate``,
 the per-distance analysis kept as it was before a source ensemble built its
 combination terms once per ``n_pairs``, with its own copy of the factors a
 coefficient table fixes and of the combination bounds as they were before
@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
 from mdiqkd import channel_sim, stat_bounds
-from mdiqkd.channel_sim import _BLOCK_SIZE, PairObservables, _frozen, _intensity_table
+from mdiqkd.channel_sim import PairObservables, _frozen, _intensity_table
 from mdiqkd.keyrate_core import AnalysisInfeasible, KeyRateReport, RateCurve, SolverError, _convex_minimum, binary_entropy
 from mdiqkd.source_model import PhotonCoeffBounds, SourceEnsemble
 from mdiqkd.stat_bounds import ChernoffConfig
@@ -395,55 +395,62 @@ def quadrature_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams
     return float(np.mean(q)) / 4.0, float(np.mean(eq)) / 4.0
 
 
-def _lookup_tables():
-    """The package's success and error lookups, after click weights 1, 2, 4, 8: a click code has bit k set where detector k fired."""
-    return (np.array([1, 2, 4, 8], dtype=np.uint8), *channel_sim._lookup_tables())
+def contract_weights(basis: str, ea: float, eb: float, params: ChannelParams) -> list[float]:
+    """The 17 category weights of the Monte Carlo draw contract, formed detector by detector.
 
-
-def unfiltered_chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
-    """The Monte Carlo kernel as it was before it skipped trials that cannot click.
-
-    Every trial gets its cosine, its intensity-table rows, ``exp`` and the
-    comparison with its click uniforms; the generator calls and their order
-    are those listed in :func:`mdiqkd.channel_sim.monte_carlo_yield`.  The
-    body is kept as it was, so the shipped kernel's counts are checked
-    against it cell by cell.
+    Category ``4 p + j`` weighs ``(1/4) (prod_{i<j} f_i) (1 - f_j)`` with the
+    package's no-click floors ``f`` of pattern ``p``, in the kernel's order
+    of operations, so that ``multinomial`` draws the kernel's counts from
+    them; the last, no-click, category weighs ``(1/4) sum_p prod_i f_i``.
     """
-    import numpy as np
+    floor = channel_sim._no_click_floor(*_intensity_table(basis, ea, eb), 1.0 - params.p_d).tolist()
+    weights, silent = [], 0.0
+    for row in floor:
+        before = 1.0
+        for f in row:
+            weights.append(0.25 * before * (1.0 - f))
+            before *= f
+        silent += 0.25 * before
+    return weights + [silent]
 
-    click_weights, success_of, error_of = _lookup_tables()
-    block = min(_BLOCK_SIZE, m)
-    blocks = [(start, min(start + block, m)) for start in range(0, m, block)]
-    cos_phi = rng.uniform(0.0, 2.0 * np.pi, m)
-    np.cos(cos_phi, out=cos_phi)
-    bit_a, bit_b = np.empty((2, m), dtype=np.uint8)
-    for bits in (bit_a, bit_b):
-        for start, stop in blocks:
-            bits[start:stop] = rng.integers(0, 2, stop - start)
-    pattern = np.left_shift(bit_a, 1, out=bit_a)
-    pattern |= bit_b
 
+def trial_by_trial_chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
+    """The Monte Carlo draw contract of :func:`mdiqkd.channel_sim.monte_carlo_yield`, one hot trial at a time.
+
+    The generator calls are the contract's: ``multinomial(m, w)`` over the
+    17 categories, ``random(k)`` for the phases of the ``k`` hot trials,
+    ``random((k, 4))`` in one call for their click uniforms, which reads the
+    values the kernel reads block by block, and ``random(s)`` for the
+    misalignment flips, with the weights of :func:`contract_weights`.  Each
+    hot trial of category ``4 p + j`` maps its uniforms onto ``[0, f_i)``,
+    ``[f_j, 1)`` and ``[0, 1)``, reads its intensities from the package's
+    intensity table, clicks through ``math.exp`` and ``math.cos``, and is
+    classified by :func:`announced_error`.  Its counts can differ from the
+    kernel's only where a uniform lies within an ulp or two of its threshold,
+    where numpy's ``cos`` or ``exp`` may round otherwise.
+    """
     offset, slope = _intensity_table(basis, ea, eb)
-    silent, uniform = np.empty((2, block, 4))
-    clicks = np.empty((block, 4), dtype=bool)
-    code = np.empty(m, dtype=np.uint8)  # bit k set when detector k fired
-    for start, stop in blocks:
-        n = stop - start
-        lam = offset.take(pattern[start:stop], axis=0, out=silent[:n], mode="clip")
-        lam += np.multiply(slope.take(pattern[start:stop], axis=0, out=uniform[:n], mode="clip"), cos_phi[start:stop, None], out=uniform[:n])
-        # No photon arrives with probability e^-lambda, and no dark count
-        # fires with probability 1 - p_d.
-        np.exp(np.negative(lam, out=lam), out=lam)
-        lam *= 1.0 - params.p_d
-        np.greater_equal(rng.random(out=uniform[:n]), lam, out=clicks[:n])
-        np.matmul(clicks[:n].view(np.uint8), click_weights, out=code[start:stop])
-
-    success = success_of.take(code)
-    key = np.left_shift(pattern, 4, out=pattern)
-    key |= code
-    raw_error = error_of[basis].take(key[success])
-    flipped = rng.random(raw_error.size) < params.e_d
-    return raw_error.size, int(np.count_nonzero(raw_error ^ flipped))
+    keep = 1.0 - params.p_d
+    floor = channel_sim._no_click_floor(offset, slope, keep).tolist()
+    offset, slope = offset.tolist(), slope.tolist()
+    counts = rng.multinomial(m, contract_weights(basis, ea, eb, params))
+    hot = [category for category in range(16) for _ in range(counts[category])]
+    phases = rng.random(len(hot)).tolist()
+    uniforms = rng.random((len(hot), 4)).tolist()
+    raw_errors = []
+    for category, phase, drawn in zip(hot, phases, uniforms):
+        pattern, j = divmod(category, 4)
+        cos_phi = math.cos(phase * (2.0 * math.pi))
+        clicked = set()
+        for i, (u, f) in enumerate(zip(drawn, floor[pattern])):
+            u = f * u if i < j else f + (1.0 - f) * u if i == j else u
+            if u >= math.exp(-(offset[pattern][i] + slope[pattern][i] * cos_phi)) * keep:
+                clicked.add(DETECTORS[i])
+        error = announced_error(basis, pattern >> 1, pattern & 1, clicked)
+        if error is not None:
+            raw_errors.append(error)
+    flipped = rng.random(len(raw_errors)).tolist()
+    return len(raw_errors), sum(error != (flip < params.e_d) for error, flip in zip(raw_errors, flipped))
 
 
 # ---------------------------------------------------------------------------
