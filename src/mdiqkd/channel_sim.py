@@ -28,14 +28,15 @@ the two share is that a threshold detector seeing mean photon number
 trial's bits, each detector's ``lambda`` is affine in ``cos(phi)``, read from
 one row of a per-pattern table.  No ``lambda`` exceeds its entry's
 ``offset + |slope|``, so no no-click probability lies below the floor that
-bound gives, and a trial whose click uniforms all lie below their floors
-clicks nowhere.  One multinomial per chunk draws how many trials can click,
-with each one's bit pattern and first detector at or above its floor; only
+bound gives, so a detector whose click uniform lies below its floor stays
+silent.  A success needs exactly two clicks, so a trial with fewer than two
+candidate detectors, uniforms at or above their floors, cannot succeed.
+One multinomial per chunk draws how many trials have two or more
+candidates, with each one's bit pattern and first two candidates; only
 those trials draw a phase and click uniforms, each uniform on its
 conditional range, so the counts have the distribution of drawing every
-trial in full (see :func:`monte_carlo_yield`).
-The chunks of trials run on a ``ThreadPoolExecutor``, and one generator
-yields each cell's counts in the order its chunks were submitted.
+trial in full (see :func:`monte_carlo_yield`).  The chunks run one after
+another on the calling thread.
 
 The closed form is also checked where the validation grid, whose cells have
 equal intensities, does not reach: the tests compare every analysed pair of
@@ -47,12 +48,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .source_model import SourceEnsemble
@@ -64,19 +61,12 @@ if TYPE_CHECKING:
 # Trials per Monte Carlo chunk; each chunk draws from its own spawned seed.
 _CHUNK_SIZE = 1_000_000
 
-# Hot trials per draw block within a chunk: the detector intensities and the
-# click uniforms of one block take 512 KB each.
+# Drawn trials per draw block within a chunk: the detector intensities and
+# the click uniforms of one block take 512 KB each.
 _BLOCK_SIZE = 16384
 
-
-def _usable_cores() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-# Threads that run Monte Carlo chunks at once.  Each chunk has its own seed
-# and counts add up as integers, so the counts do not depend on this.
-_WORKERS = min(_usable_cores(), 4)
+# The candidate pairs (j1, j2), j1 < j2, in the order of their categories.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -226,16 +216,7 @@ def _check_run(*checks: tuple[str, object, int]) -> None:
             raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def monte_carlo_yield(
-    mu_a: float,
-    mu_b: float,
-    basis: str,
-    params: ChannelParams,
-    trials: int,
-    seed: int,
-    *,
-    _counts: Iterator[tuple[int, int]] | None = None,
-) -> MonteCarloYield:
+def monte_carlo_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams, trials: int, seed: int) -> MonteCarloYield:
     """Photon-level simulation of the relay measurement.
 
     Per trial: draw the relative phase between the two (independently
@@ -247,60 +228,61 @@ def monte_carlo_yield(
     detectors click independently, so one uniform per detector has the same
     distribution as a Poisson photon number plus a dark-count draw.
 
-    Trials are partitioned into fixed-size chunks with seeds spawned per
-    chunk, and chunks run on a small thread pool.  Results depend only on
-    ``(seed, trials)``, not on the number of threads, the order in which
-    chunks finish, or the block size below.
+    Trials are partitioned into fixed-size chunks, which bound the memory a
+    chunk takes, and chunk ``k`` draws from ``SeedSequence(seed,
+    spawn_key=(k,))``, which is ``SeedSequence(seed).spawn(n)[k]``.  The
+    chunks run one after another on the calling thread.  Results depend
+    only on ``(seed, trials)``, not on the block size below.
 
     The draws are part of that contract.  Each chunk of ``m`` trials makes
     these generator calls, in this order, and changing any of them changes
     the counts:
 
-    1. ``multinomial(m, w)`` over 17 categories.  Detector ``i`` of a trial
+    1. ``multinomial(m, w)`` over 25 categories.  Detector ``i`` of a trial
        with bit pattern ``p = 2 bit_a + bit_b`` stays silent where its
-       uniform lies below its :func:`_no_click_floor` ``f_i``.  Category
-       ``4 p + j``, of weight ``(1/4) (prod_{i<j} f_i) (1 - f_j)``, holds the
-       hot trials of pattern ``p`` whose first uniform at or above its floor
-       is detector ``j``'s.  The last category, of weight
-       ``(1/4) sum_p prod_i f_i``, holds the trials that cannot click, and
-       they draw nothing more.
-    2. ``random(k)`` for the phases of the ``k`` hot trials, in category
+       uniform lies below its :func:`_no_click_floor` ``f_i``; it is a
+       candidate where its uniform is at or above it.  Category ``6 p + c``
+       holds the trials of pattern ``p`` whose first two candidates are
+       detectors ``j1 < j2``, the pair ``c`` running over 01, 02, 03, 12,
+       13, 23 (``_PAIRS``), with weight ``(1/4) (prod_{i<j1} f_i) (1 -
+       f_j1) (prod_{j1<i<j2} f_i) (1 - f_j2)``.  The last category, of
+       weight ``(1/4) sum_p [prod_i f_i + sum_j (1 - f_j) prod_{i!=j}
+       f_i]``, holds the trials with at most one candidate, which click at
+       most once, and they draw nothing more.
+    2. ``random(k)`` for the phases of the ``k`` drawn trials, in category
        order, as ``2 pi`` times each value.
     3. ``random((k, 4))`` for their click uniforms, each mapped affinely onto
-       its conditional range: ``[0, f_i)`` for ``i < j``, ``[f_j, 1)`` for
-       ``i = j`` and ``[0, 1)`` for ``i > j``.  Detector ``i`` clicks where
-       its uniform is at least its no-click probability.
+       its conditional range: ``[0, f_i)`` for ``i < j1`` and ``j1 < i <
+       j2``, ``[f_i, 1)`` for ``i = j1`` and ``i = j2``, and ``[0, 1)`` for
+       ``i > j2``.  Detector ``i`` clicks where its uniform is at least its
+       no-click probability.
     4. ``random(s)`` for the misalignment flips of the chunk's ``s``
        successes.
 
-    Given its pattern, a trial's four uniforms all lie below their floors
-    with probability ``prod_i f_i``; given that they do not, the first at or
-    above its floor is detector ``j``'s with probability proportional to
-    ``(prod_{i<j} f_i)(1 - f_j)``, and the uniforms are then independent on
-    the ranges above.  The trials of a chunk are exchangeable, so the counts
-    have exactly the distribution of drawing every trial's phase, bits and
-    four uniforms.  The uniforms are drawn in blocks of hot trials, one call
-    per block on the same stream; a generator consumes its stream in element
-    order, so the blocks draw the same numbers as one call would.  Phases
-    and uniforms stay float64.
-
-    :func:`validate_model` passes the :func:`_cell_counts` of all its cells
-    as ``_counts``, whose next item is this cell's, so that the chunks of
-    later cells run while this call waits for this cell's.
+    Every accepted coincidence has exactly two clicks, and a detector clicks
+    only where it is a candidate, so a trial with at most one candidate
+    never succeeds.  Given its pattern, a trial's first two candidates are
+    detectors ``j1 < j2`` with the probability of the weight above, and its
+    uniforms are then independent on the ranges above.  The trials of a
+    chunk are exchangeable, so the counts have exactly the distribution of
+    drawing every trial's phase, bits and four uniforms.  The uniforms are
+    drawn in blocks of drawn trials, one call per block on the same stream;
+    a generator consumes its stream in element order, so the blocks draw the
+    same numbers as one call would.  Phases and uniforms stay float64.
     """
     _check_run(("trials", trials, 1), ("seed", seed, 0))
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
     _check_intensities(mu_a, mu_b)
-    if _counts is None:
-        # Imported here, so that commands without a Monte Carlo do not pay
-        # for the import.
-        from concurrent.futures import ThreadPoolExecutor
+    import numpy as np
 
-        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-            successes, errors = next(_cell_counts(pool, [(mu_a, mu_b, basis, params, trials, seed)]))
-    else:
-        successes, errors = next(_counts)
+    eta = params._transmittance
+    successes = errors = 0
+    for k, first in enumerate(range(0, trials, _CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        chunk_successes, chunk_errors = _chunk_counts(rng, min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params)
+        successes += chunk_successes
+        errors += chunk_errors
     q_hat = successes / trials
     eq_hat = errors / trials
     return MonteCarloYield(
@@ -312,39 +294,6 @@ def monte_carlo_yield(
         successes=successes,
         errors=errors,
     )
-
-
-def _cell_counts(pool, cells: list[tuple[float, float, str, ChannelParams, int, int]]) -> Iterator[tuple[int, int]]:
-    """``(successes, errors)`` of each ``(mu_a, mu_b, basis, params, trials, seed)`` cell, in order.
-
-    The futures of all ``(cell, chunk)`` jobs wait in one window in
-    submission order: each chunk is popped from the head, and the window is
-    refilled to two jobs per worker.  Jobs are made only as they are
-    submitted, and later cells' jobs run while an earlier cell is collected.
-    Chunk ``k`` of a cell draws from ``SeedSequence(seed, spawn_key=(k,))``,
-    which is ``SeedSequence(seed).spawn(n)[k]``.  Worker threads run only
-    ``_chunk_counts`` and below.  After a failed chunk, the jobs in the
-    window that have not started are cancelled.
-    """
-    import numpy as np
-
-    jobs = (
-        pool.submit(_chunk_counts, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), min(_CHUNK_SIZE, trials - first), basis, eta * mu_a, eta * mu_b, params)
-        for mu_a, mu_b, basis, params, trials, seed in cells
-        for eta in (params._transmittance,)
-        for k, first in enumerate(range(0, trials, _CHUNK_SIZE))
-    )
-    window: deque = deque()
-    try:
-        for cell in cells:
-            counts = []
-            for _ in range(0, cell[4], _CHUNK_SIZE):
-                window.extend(islice(jobs, 2 * _WORKERS - len(window)))
-                counts.append(window.popleft().result())
-            yield tuple(map(sum, zip(*counts)))
-    finally:
-        for job in window:
-            job.cancel()
 
 
 @cache
@@ -421,14 +370,16 @@ def _no_click_floor(offset: np.ndarray, slope: np.ndarray, keep: float) -> np.nd
 def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
     """Successes and errors among ``m`` trials, with the draws listed in :func:`monte_carlo_yield`.
 
-    The multinomial's first 16 counts, repeated in category order, give
-    each hot trial its category ``4 p + j``.  The tables are laid out by
+    The multinomial's first 24 counts, repeated in category order, give
+    each drawn trial its category ``6 p + c``.  The tables are laid out by
     category, so one index gathers a trial's :func:`_intensity_table` rows
-    and the affine map ``low + width u`` of its click uniforms: width ``f_i``
-    for ``i < j``, low ``f_j`` and width ``1 - f_j`` for ``i = j``, and
-    width 1 for ``i > j``.  The phases are drawn up front; the uniforms, and
-    the physics on them, block by block, into ``(block, 4)`` buffers reused
-    across blocks.  A cold trial draws nothing and costs nothing.
+    and the affine map ``low + width u`` of its click uniforms: width
+    ``f_i`` below the candidates' ranges, low ``f_i`` and width ``1 - f_i``
+    for the two candidates, and width 1 past the second.  A category's
+    weight is a quarter of the product of its four widths.  The phases are
+    drawn up front; the uniforms, and the physics on them, block by block,
+    into ``(block, 4)`` buffers reused across blocks.  A trial with at most
+    one candidate draws nothing and costs nothing.
     """
     import numpy as np
 
@@ -438,38 +389,41 @@ def _chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: f
     # with probability 1 - p_d.
     keep = 1.0 - params.p_d
     floor = _no_click_floor(offset, slope, keep)
-    below = np.cumprod(floor, axis=1)
-    before = np.ones((4, 4))
-    before[:, 1:] = below[:, :-1]  # the product of the floors before each detector
-    weight = 0.25 * before * (1.0 - floor)
-    # The last, no-click, category takes the remainder.
-    counts = rng.multinomial(m, np.append(weight, 0.25 * below[:, 3].sum()))
-    category = np.repeat(np.arange(16, dtype=np.uint8), counts[:16])
+
+    # Row 6 p + c of each table: pattern p's row, and the map of its
+    # uniforms where the pair c holds its first two candidates.
+    detector = np.arange(4)
+    first, second = np.array(_PAIRS).T[:, :, None]
+    candidate = (detector == first) | (detector == second)
+    f = floor[:, None, :]
+    low = np.where(candidate, f, 0.0).reshape(24, 4)
+    width = np.where(candidate, 1.0 - f, np.where(detector > second, 1.0, f)).reshape(24, 4)
+    weight = 0.25 * width[:, 0] * width[:, 1] * width[:, 2] * width[:, 3]
+    # The last category: no candidate, or only detector j.
+    one = np.where(np.eye(4, dtype=bool), 1.0 - f, f)
+    rest = 0.25 * (floor.prod(axis=1) + one.prod(axis=2).sum(axis=1)).sum()
+    counts = rng.multinomial(m, np.append(weight, rest))
+    category = np.repeat(np.arange(24, dtype=np.uint8), counts[:24])
     k = category.size
     cos_phi = rng.random(k)
     np.cos(np.multiply(cos_phi, 2.0 * math.pi, out=cos_phi), out=cos_phi)
 
-    # Row 4 p + j of each table: pattern p's row, and the map of its
-    # uniforms where j is the first detector at or above its floor.
-    low = floor[:, None, :] * np.eye(4)
-    width = np.where(np.tri(4, k=-1, dtype=bool), floor[:, None, :], 1.0 - low).reshape(16, 4)
-    low = low.reshape(16, 4)
-    offset, slope = offset.repeat(4, axis=0), slope.repeat(4, axis=0)
+    offset, slope = offset.repeat(6, axis=0), slope.repeat(6, axis=0)
     silent, spare, uniform = np.empty((3, _BLOCK_SIZE, 4))
     above = np.empty((_BLOCK_SIZE, 4), dtype=bool)
     raw_errors = [np.empty(0, dtype=bool)]
     for start in range(0, k, _BLOCK_SIZE):
-        hot = category[start : start + _BLOCK_SIZE]
-        n = hot.size
-        lam = offset.take(hot, axis=0, out=silent[:n], mode="clip")
-        lam += np.multiply(slope.take(hot, axis=0, out=spare[:n], mode="clip"), cos_phi[start : start + n, None], out=spare[:n])
+        drawn = category[start : start + _BLOCK_SIZE]
+        n = drawn.size
+        lam = offset.take(drawn, axis=0, out=silent[:n], mode="clip")
+        lam += np.multiply(slope.take(drawn, axis=0, out=spare[:n], mode="clip"), cos_phi[start : start + n, None], out=spare[:n])
         np.exp(np.negative(lam, out=lam), out=lam)
         lam *= keep
         u = rng.random(out=uniform[:n])
-        u *= width.take(hot, axis=0, out=spare[:n], mode="clip")
-        u += low.take(hot, axis=0, out=spare[:n], mode="clip")
+        u *= width.take(drawn, axis=0, out=spare[:n], mode="clip")
+        u += low.take(drawn, axis=0, out=spare[:n], mode="clip")
         code = _click_codes(np.greater_equal(u, lam, out=above[:n]))  # bit j set when detector j fired
-        key = np.left_shift(np.right_shift(hot, 2), 4) | code  # 16 pattern + code
+        key = np.left_shift(drawn // 6, 4) | code  # 16 pattern + code
         raw_errors.append(error_of[basis].take(key[success_of.take(code)]))
 
     raw_error = np.concatenate(raw_errors)
@@ -627,8 +581,7 @@ def validate_model(
     """Compare closed-form gains against the photon-level simulation.
 
     Each cell's simulation is one :func:`monte_carlo_yield` call on the
-    calling thread.  The calls read one :func:`_cell_counts` on one thread
-    pool, so the cells' chunks run on it together.
+    calling thread, made after every cell's closed-form gains.
     """
     _check_run(("trials", trials, 1), ("seed", seed, 0))
     if not grid:
@@ -639,11 +592,7 @@ def validate_model(
         for j, basis in enumerate(("X", "Z")):
             analytic.append(pair_yield(mu, mu, basis, run_params))
             cells.append((mu, mu, basis, run_params, trials, seed + 1000 * i + j))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        counts = _cell_counts(pool, cells)
-        mcs = [monte_carlo_yield(*cell, _counts=counts) for cell in cells]
+    mcs = [monte_carlo_yield(*cell) for cell in cells]
     rows = tuple(
         ValidationRow(
             mu=mu,

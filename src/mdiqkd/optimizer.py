@@ -28,7 +28,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .channel_sim import ChannelParams, _check_run, _usable_cores
+from .channel_sim import ChannelParams, _check_run
 from .keyrate_core import AnalysisInputs, secure_key_rate
 from .source_model import SideSources, SourceEnsemble
 
@@ -215,6 +215,11 @@ def _nelder_mead(func, x0, maxfev: int) -> None:
                         fsim[j] = f(sim[j])
     except _BudgetSpent:
         return
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def optimize(

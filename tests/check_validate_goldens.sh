@@ -11,9 +11,10 @@
 # Run from the root of the repository.  Covers the reference configuration
 # at 10^5 trials per cell, one chunk each, and at its default 10^7, ten
 # chunks each, which checks the counts at full size.  On a 2-core host
-# (Python 3.11, numpy 2.4) the script took 1.2-1.6 s on both cores and
-# 1.6-2.1 s on one.  The counts do not depend on the worker count, so run it
-# on all cores and on one.  The first diff that differs fails the script.
+# (Python 3.11, numpy 2.4) the script took 0.6-0.7 s on both cores and
+# 0.5-0.6 s on one.  The chunks run on one thread, so the counts cannot
+# depend on the cores; run it on all cores and on one all the same.  The
+# first diff that differs fails the script.
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then

@@ -26,7 +26,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -396,54 +396,62 @@ def quadrature_yield(mu_a: float, mu_b: float, basis: str, params: ChannelParams
 
 
 def contract_weights(basis: str, ea: float, eb: float, params: ChannelParams) -> list[float]:
-    """The 17 category weights of the Monte Carlo draw contract, formed detector by detector.
+    """The 25 category weights of the Monte Carlo draw contract, formed detector by detector.
 
-    Category ``4 p + j`` weighs ``(1/4) (prod_{i<j} f_i) (1 - f_j)`` with the
-    package's no-click floors ``f`` of pattern ``p``, in the kernel's order
-    of operations, so that ``multinomial`` draws the kernel's counts from
-    them; the last, no-click, category weighs ``(1/4) sum_p prod_i f_i``.
+    Category ``6 p + c``, with ``c`` the index of the pair ``(j1, j2)`` in
+    ``combinations(range(4), 2)``, weighs ``(1/4) (prod_{i<j1} f_i) (1 -
+    f_j1) (prod_{j1<i<j2} f_i) (1 - f_j2)`` with the package's no-click
+    floors ``f`` of pattern ``p``, one factor per detector in the kernel's
+    order of operations, so that ``multinomial`` draws the kernel's counts
+    from them.  The last category, the trials with at most one candidate,
+    weighs ``(1/4) sum_p [prod_i f_i + sum_j (1 - f_j) prod_{i!=j} f_i]``.
     """
     floor = channel_sim._no_click_floor(*_intensity_table(basis, ea, eb), 1.0 - params.p_d).tolist()
-    weights, silent = [], 0.0
+    weights, rest = [], 0.0
     for row in floor:
-        before = 1.0
-        for f in row:
-            weights.append(0.25 * before * (1.0 - f))
-            before *= f
-        silent += 0.25 * before
-    return weights + [silent]
+        for j1, j2 in combinations(range(4), 2):
+            weight = 0.25
+            for i, f in enumerate(row):
+                weight *= 1.0 - f if i in (j1, j2) else f if i < j2 else 1.0
+            weights.append(weight)
+        rest += math.prod(row) + sum((1.0 - f) * math.prod(row[:j] + row[j + 1 :]) for j, f in enumerate(row))
+    return weights + [0.25 * rest]
 
 
 def trial_by_trial_chunk_counts(rng: np.random.Generator, m: int, basis: str, ea: float, eb: float, params: ChannelParams) -> tuple[int, int]:
-    """The Monte Carlo draw contract of :func:`mdiqkd.channel_sim.monte_carlo_yield`, one hot trial at a time.
+    """The Monte Carlo draw contract of :func:`mdiqkd.channel_sim.monte_carlo_yield`, one drawn trial at a time.
 
     The generator calls are the contract's: ``multinomial(m, w)`` over the
-    17 categories, ``random(k)`` for the phases of the ``k`` hot trials,
-    ``random((k, 4))`` in one call for their click uniforms, which reads the
-    values the kernel reads block by block, and ``random(s)`` for the
-    misalignment flips, with the weights of :func:`contract_weights`.  Each
-    hot trial of category ``4 p + j`` maps its uniforms onto ``[0, f_i)``,
-    ``[f_j, 1)`` and ``[0, 1)``, reads its intensities from the package's
-    intensity table, clicks through ``math.exp`` and ``math.cos``, and is
-    classified by :func:`announced_error`.  Its counts can differ from the
-    kernel's only where a uniform lies within an ulp or two of its threshold,
-    where numpy's ``cos`` or ``exp`` may round otherwise.
+    25 categories, ``random(k)`` for the phases of the ``k`` trials with two
+    or more candidates, ``random((k, 4))`` in one call for their click
+    uniforms, which reads the values the kernel reads block by block, and
+    ``random(s)`` for the misalignment flips, with the weights of
+    :func:`contract_weights`.  Each drawn trial of category ``6 p + c``,
+    whose first two candidates are the pair ``(j1, j2)`` numbered ``c``,
+    maps its uniforms onto ``[f_i, 1)`` for ``i`` in the pair, ``[0, f_i)``
+    for the other ``i < j2`` and ``[0, 1)`` past ``j2``, reads its
+    intensities from the package's intensity table, clicks through
+    ``math.exp`` and ``math.cos``, and is classified by
+    :func:`announced_error`.  Its counts can differ from the kernel's only
+    where a uniform lies within an ulp or two of its threshold, where numpy's
+    ``cos`` or ``exp`` may round otherwise.
     """
     offset, slope = _intensity_table(basis, ea, eb)
     keep = 1.0 - params.p_d
     floor = channel_sim._no_click_floor(offset, slope, keep).tolist()
     offset, slope = offset.tolist(), slope.tolist()
+    pairs = list(combinations(range(4), 2))
     counts = rng.multinomial(m, contract_weights(basis, ea, eb, params))
-    hot = [category for category in range(16) for _ in range(counts[category])]
-    phases = rng.random(len(hot)).tolist()
-    uniforms = rng.random((len(hot), 4)).tolist()
+    drawn = [category for category in range(24) for _ in range(counts[category])]
+    phases = rng.random(len(drawn)).tolist()
+    uniforms = rng.random((len(drawn), 4)).tolist()
     raw_errors = []
-    for category, phase, drawn in zip(hot, phases, uniforms):
-        pattern, j = divmod(category, 4)
+    for category, phase, trial_uniforms in zip(drawn, phases, uniforms):
+        pattern, (j1, j2) = category // 6, pairs[category % 6]
         cos_phi = math.cos(phase * (2.0 * math.pi))
         clicked = set()
-        for i, (u, f) in enumerate(zip(drawn, floor[pattern])):
-            u = f * u if i < j else f + (1.0 - f) * u if i == j else u
+        for i, (u, f) in enumerate(zip(trial_uniforms, floor[pattern])):
+            u = f + (1.0 - f) * u if i in (j1, j2) else f * u if i < j2 else u
             if u >= math.exp(-(offset[pattern][i] + slope[pattern][i] * cos_phi)) * keep:
                 clicked.add(DETECTORS[i])
         error = announced_error(basis, pattern >> 1, pattern & 1, clicked)

@@ -149,45 +149,46 @@ def test_monte_carlo_is_deterministic():
 
 
 # (successes, errors) recorded from the threshold-click kernel, which draws
-# a phase and one uniform per detector for the trials that can click only.
+# a phase and one uniform per detector only for the trials with two or more
+# candidate detectors.
 # Any change to the draws, their order or the classification moves these
 # counts; test_golden_counts_agree_with_the_closed_form checks them against
 # the closed-form gains, which share no draw with them.
 MONTE_CARLO_GOLDEN = [
     # id, mu_a, mu_b, basis, ChannelParams overrides, trials, seed, successes, errors
-    ("x-equal", 0.3, 0.3, "X", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 28, 6),
-    ("z-equal", 0.3, 0.3, "Z", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 14, 1),
-    ("x-unequal", 0.5, 0.2, "X", {"p_d": 1e-2}, 20_000, 11, 93, 41),
-    ("z-unequal", 0.5, 0.35, "Z", {"p_d": 1e-2}, 20_000, 11, 72, 23),
-    ("x-zero-intensity", 0.0, 0.0, "X", {"p_d": 0.05}, 20_000, 3, 208, 101),
-    ("z-zero-intensity", 0.0, 0.0, "Z", {"p_d": 0.05}, 20_000, 3, 208, 85),
-    ("z-one-side-dark", 0.4, 0.0, "Z", {"p_d": 0.05}, 20_000, 5, 273, 137),
-    ("x-ed-0", 0.4, 0.4, "X", {"e_d": 0.0, "p_d": 0.02}, 20_000, 13, 152, 66),
-    ("z-ed-1", 0.4, 0.28, "Z", {"e_d": 1.0, "p_d": 0.02}, 20_000, 13, 112, 64),
-    ("x-pd-0", 0.6, 0.6, "X", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 133, 43),
-    ("z-pd-0", 0.6, 0.42, "Z", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 45, 4),
-    ("x-all-patterns", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 6486, 1955),
-    ("z-all-patterns", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 4130, 1738),
+    ("x-equal", 0.3, 0.3, "X", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 27, 11),
+    ("z-equal", 0.3, 0.3, "Z", {"distance_km": 10.0, "p_d": 1e-3}, 20_000, 7, 12, 1),
+    ("x-unequal", 0.5, 0.2, "X", {"p_d": 1e-2}, 20_000, 11, 95, 38),
+    ("z-unequal", 0.5, 0.35, "Z", {"p_d": 1e-2}, 20_000, 11, 78, 21),
+    ("x-zero-intensity", 0.0, 0.0, "X", {"p_d": 0.05}, 20_000, 3, 178, 89),
+    ("z-zero-intensity", 0.0, 0.0, "Z", {"p_d": 0.05}, 20_000, 3, 178, 86),
+    ("z-one-side-dark", 0.4, 0.0, "Z", {"p_d": 0.05}, 20_000, 5, 230, 108),
+    ("x-ed-0", 0.4, 0.4, "X", {"e_d": 0.0, "p_d": 0.02}, 20_000, 13, 153, 64),
+    ("z-ed-1", 0.4, 0.28, "Z", {"e_d": 1.0, "p_d": 0.02}, 20_000, 13, 103, 57),
+    ("x-pd-0", 0.6, 0.6, "X", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 136, 50),
+    ("z-pd-0", 0.6, 0.42, "Z", {"p_d": 0.0, "e_d": 0.1}, 20_000, 17, 32, 3),
+    ("x-all-patterns", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 6483, 1884),
+    ("z-all-patterns", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 20_000, 29, 4041, 1731),
     ("x-trials-1", 2.0, 2.0, "X", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
     ("z-trials-1", 2.0, 2.0, "Z", {"eta_d": 1.0, "p_d": 0.3}, 1, 19, 0, 0),
     # At trial counts on, just past and just short of multiples of 16384,
-    # the kernel's block size.  Its blocks hold hot trials only, whose count
-    # is drawn; _CONTRACT_CELLS puts hot counts on the block boundaries.
-    ("x-block16k-minus-one", 0.6, 0.45, "X", {"eta_d": 0.7, "p_d": 0.03}, 16384 - 1, 47, 1779, 517),
-    ("z-block16k-minus-one", 0.6, 0.45, "Z", {"eta_d": 0.7, "p_d": 0.03}, 16384 - 1, 47, 1008, 224),
-    ("x-block16k-multiple", 1.2, 1.2, "X", {"distance_km": 20.0, "p_d": 0.1}, 2 * 16384, 53, 2159, 995),
-    ("z-block16k-multiple", 1.2, 1.2, "Z", {"distance_km": 20.0, "p_d": 0.1}, 2 * 16384, 53, 1936, 946),
-    ("x-block16k-plus-one", 0.3, 0.9, "X", {"p_d": 0.01, "e_d": 0.05}, 2 * 16384 + 1, 59, 293, 119),
-    ("z-block16k-plus-one", 0.3, 0.9, "Z", {"p_d": 0.01, "e_d": 0.05}, 2 * 16384 + 1, 59, 178, 59),
+    # the kernel's block size.  Its blocks hold drawn trials only, whose
+    # count is drawn; _CONTRACT_CELLS puts drawn counts on the block boundaries.
+    ("x-block16k-minus-one", 0.6, 0.45, "X", {"eta_d": 0.7, "p_d": 0.03}, 16384 - 1, 47, 1755, 534),
+    ("z-block16k-minus-one", 0.6, 0.45, "Z", {"eta_d": 0.7, "p_d": 0.03}, 16384 - 1, 47, 1017, 258),
+    ("x-block16k-multiple", 1.2, 1.2, "X", {"distance_km": 20.0, "p_d": 0.1}, 2 * 16384, 53, 2073, 1001),
+    ("z-block16k-multiple", 1.2, 1.2, "Z", {"distance_km": 20.0, "p_d": 0.1}, 2 * 16384, 53, 1954, 964),
+    ("x-block16k-plus-one", 0.3, 0.9, "X", {"p_d": 0.01, "e_d": 0.05}, 2 * 16384 + 1, 59, 330, 118),
+    ("z-block16k-plus-one", 0.3, 0.9, "Z", {"p_d": 0.01, "e_d": 0.05}, 2 * 16384 + 1, 59, 181, 55),
     # The same around multiples of 8192, half the block size, where a
     # chunk's draws end inside a block.  The last six cases also run at
     # other block sizes below.
-    ("x-block-multiple", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 7977, 2364),
-    ("z-block-multiple", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 4955, 2168),
-    ("x-block-plus-one", 0.5, 0.35, "X", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 119, 48),
-    ("z-block-plus-one", 0.5, 0.35, "Z", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 91, 26),
-    ("x-block-minus-one", 0.8, 0.8, "X", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 1098, 336),
-    ("z-block-minus-one", 0.8, 0.8, "Z", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 723, 218),
+    ("x-block-multiple", 1.5, 0.9, "X", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 8054, 2375),
+    ("z-block-multiple", 1.5, 0.9, "Z", {"eta_d": 1.0, "p_d": 0.2}, 3 * 8192, 37, 5034, 2207),
+    ("x-block-plus-one", 0.5, 0.35, "X", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 134, 41),
+    ("z-block-plus-one", 0.5, 0.35, "Z", {"distance_km": 5.0, "p_d": 1e-2}, 3 * 8192 + 1, 41, 103, 26),
+    ("x-block-minus-one", 0.8, 0.8, "X", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 1091, 359),
+    ("z-block-minus-one", 0.8, 0.8, "Z", {"eta_d": 0.5, "p_d": 0.05}, 8192 - 1, 43, 684, 196),
 ]
 
 
@@ -255,6 +256,17 @@ def test_no_click_floor_lies_below_every_no_click_probability(basis):
 
 
 @pytest.mark.parametrize("basis", ["X", "Z"])
+def test_contract_weights_sum_to_one(basis):
+    # The 24 categories of two or more candidates and the remainder of at
+    # most one partition each pattern's trials, on the floor test's grid.
+    intensities = ((0.0, 0.0), (1e-7, 3e-6), (0.07, 0.07), (0.7, 0.05), (0.0, 0.4), (1.3, 2.9), (5.0, 5.0), (730.0, 725.0), (1500.0, 3.0))
+    for (ea, eb), p_d in product(intensities, (0.0, 6.02e-6, 0.2, 1.0)):
+        weights = contract_weights(basis, ea, eb, ChannelParams(p_d=p_d))
+        assert len(weights) == 25 and min(weights) >= 0.0
+        assert math.fsum(weights) == pytest.approx(1.0, rel=0.0, abs=1e-15), (ea, eb, p_d)
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     mu_a=st.floats(0.0, 5.0),
@@ -273,12 +285,14 @@ def test_kernel_counts_match_the_contract_run_trial_by_trial(basis, mu_a, mu_b, 
 
 
 # (mu_a, mu_b, channel, m): dark counts 0, 6e-6 and 1, detector efficiency 0
-# and 1, unequal intensities, mu = 5, one and two trials, and 16383, 16384
-# and 16385 hot trials, once at p_d = 1, where every trial is hot and none
-# succeeds, and once at mu = 40, where the floors of every pattern multiply
-# to at most 1e-35, so that all but about 1e-30 of the trials are hot.
+# and 1, unequal intensities, mu = 5, one and two trials, a cell at 60 km
+# where most trials with a candidate have only one, and 16383, 16384 and
+# 16385 drawn trials, once at p_d = 1, where every detector of every trial
+# is a candidate and no trial succeeds, and once at mu = 40, where all but
+# about 1e-30 of the trials have two or more candidates.
 _CONTRACT_CELLS = [
     (0.5, 0.5, ChannelParams(), 20_000),
+    (0.1, 0.1, ChannelParams(distance_km=60.0), 20_000),
     (0.7, 0.1, ChannelParams(p_d=0.0), 20_000),
     (0.3, 0.3, ChannelParams(p_d=1.0), 2_000),
     (0.4, 0.4, ChannelParams(eta_d=0.0, p_d=0.01), 20_000),
@@ -305,15 +319,15 @@ def test_kernel_counts_match_the_contract_on_its_edge_cells(basis, mu_a, mu_b, p
 def test_kernel_reads_the_stream_of_the_contract_calls(basis, ea, eb, p_d, m):
     # Equal counts could hide a kernel that draws more or less than the
     # listed calls: after a chunk, its generator must stand where a twin
-    # stands that made those calls.  At ea = eb = 40 every trial is hot, so
-    # the blocks of hot trials end where m puts them.
+    # stands that made those calls.  At ea = eb = 40 every trial has four
+    # candidates, so the blocks of drawn trials end where m puts them.
     params = ChannelParams(p_d=p_d)
     rng, twin = np.random.default_rng(m), np.random.default_rng(m)
     successes, _ = channel_sim._chunk_counts(rng, m, basis, ea, eb, params)
-    hot = int(twin.multinomial(m, contract_weights(basis, ea, eb, params))[:16].sum())
-    twin.random(hot)
-    for start in range(0, hot, channel_sim._BLOCK_SIZE):
-        twin.random((min(channel_sim._BLOCK_SIZE, hot - start), 4))
+    drawn = int(twin.multinomial(m, contract_weights(basis, ea, eb, params))[:24].sum())
+    twin.random(drawn)
+    for start in range(0, drawn, channel_sim._BLOCK_SIZE):
+        twin.random((min(channel_sim._BLOCK_SIZE, drawn - start), 4))
     twin.random(successes)
     state, expected = rng.bit_generator.state, twin.bit_generator.state
     assert (state["state"], state["has_uint32"]) == (expected["state"], expected["has_uint32"])
@@ -375,7 +389,7 @@ def test_monte_carlo_chunking_does_not_change_results(monkeypatch):
     # Three chunks, the last one short: the counts depend on (seed, trials) only.
     monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 10_000)
     params = ChannelParams(distance_km=5.0, p_d=1e-2)
-    for basis, counts in (("X", (137, 50)), ("Z", (88, 30))):
+    for basis, counts in (("X", (125, 45)), ("Z", (87, 36))):
         a = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
         b = monte_carlo_yield(0.5, 0.35, basis, params, trials=25_000, seed=11)
         assert (a.successes, a.errors) == (b.successes, b.errors) == counts
@@ -390,19 +404,11 @@ def test_monte_carlo_counts_do_not_depend_on_block_size(monkeypatch, block_size)
 
 
 def test_validation_rows_do_not_depend_on_worker_count(monkeypatch):
-    # Three chunks per cell, the last one short, run on one, two and four
-    # threads; four, with a short switch interval, to provoke any lost update.
+    # Three chunks per cell, the last one short, run one after another on
+    # the calling thread: a rerun gives the same rows.
     monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 10_000)
-    reports = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(channel_sim, "_WORKERS", workers)
-            reports.append(validate_model(ChannelParams(), trials=25_000, seed=5))
-    finally:
-        sys.setswitchinterval(interval)
-    assert reports[0] == reports[1] == reports[2]
+    reports = [validate_model(ChannelParams(), trials=25_000, seed=5) for _ in range(2)]
+    assert reports[0] == reports[1]
     assert len(reports[0].rows) == 2 * len(channel_sim.DEFAULT_VALIDATION_GRID)
 
 
@@ -443,16 +449,14 @@ def test_worker_error_propagates_and_threads_are_joined(monkeypatch):
         validate_model(ChannelParams(), trials=1000, seed=1)
     assert caught.value is failure
     assert threading.active_count() == threads_before
-    # 20,000 one-trial jobs, but no more than the in-flight window ran.
-    assert 1 <= len(calls) <= 2 * channel_sim._WORKERS
+    # 20,000 one-trial chunks, but the first failure ends the run.
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_validation_cells_get_their_own_counts(monkeypatch, workers):
-    # Three chunks per cell, the last one short, so the window holds chunks
-    # of several cells at once; each cell must still get its own counts.
+def test_validation_cells_get_their_own_counts(monkeypatch):
+    # Three chunks per cell, the last one short; each cell must get its own
+    # counts, those of one monte_carlo_yield call with the cell's seed.
     monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 1000)
-    monkeypatch.setattr(channel_sim, "_WORKERS", workers)
     params, trials, seed = ChannelParams(eta_d=1.0, p_d=1e-2), 2500, 17
     grid = ((0.2, 0.0), (0.5, 20.0), (0.05, 40.0))
     seen = []
@@ -505,36 +509,6 @@ def test_trials_and_seed_must_be_integers_in_range(trials, seed, name):
     assert monte_carlo_yield(0.1, 0.1, "X", ChannelParams(), trials=np.int64(100), seed=np.int64(1)).trials == 100
 
 
-def test_failed_chunk_cancels_the_jobs_not_started(monkeypatch):
-    # A pool that starts nothing, so which jobs were cancelled is certain:
-    # the first job has failed, and the rest of the window waits.
-    from concurrent.futures import Future
-
-    failure = RuntimeError("chunk failed")
-
-    class IdlePool:
-        def __init__(self):
-            self.jobs = []
-
-        def submit(self, *args):
-            self.jobs.append(Future())
-            if len(self.jobs) == 1:
-                self.jobs[0].set_exception(failure)
-            return self.jobs[-1]
-
-    monkeypatch.setattr(channel_sim, "_CHUNK_SIZE", 1)
-    monkeypatch.setattr(channel_sim, "_WORKERS", 2)
-    pool = IdlePool()
-    with pytest.raises(RuntimeError) as caught:
-        next(channel_sim._cell_counts(pool, [(0.1, 0.1, "X", ChannelParams(), 10, 1)]))
-    assert caught.value is failure
-    assert len(pool.jobs) == 4 and all(job.cancelled() for job in pool.jobs[1:])
-
-
-def test_worker_count_is_capped_at_four():
-    assert 1 <= channel_sim._WORKERS <= 4
-
-
 def test_traced_functions_run_on_the_calling_thread(monkeypatch):
     # A tracer that keeps one span stack needs every public call on one
     # thread, and sees validate_model's simulation as one call per cell.
@@ -552,21 +526,6 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
     channel_sim.monte_carlo_yield(0.2, 0.2, "Z", ChannelParams(), trials=3000, seed=3)
     assert sorted(name for name, _ in calls) == ["monte_carlo_yield"] * 5 + ["pair_yield"] * 4
     assert {thread for _, thread in calls} == {threading.current_thread()}
-
-
-def test_validation_cells_run_at_the_same_time(monkeypatch):
-    # Two one-chunk cells on two workers: each chunk waits for the other to
-    # start, which times out if validate_model ran its cells one by one.
-    barrier = threading.Barrier(2, timeout=10)
-
-    def meet(*args):
-        barrier.wait()
-        return 0, 0
-
-    monkeypatch.setattr(channel_sim, "_WORKERS", 2)
-    monkeypatch.setattr(channel_sim, "_chunk_counts", meet)
-    report = validate_model(ChannelParams(), trials=100, seed=1, grid=((0.2, 0.0),))
-    assert [row.mc_gain for row in report.rows] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("mu_a, mu_b", [(float("nan"), 0.1), (0.1, -0.1), (float("inf"), 0.1), (0.1, float("nan"))])

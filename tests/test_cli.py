@@ -283,9 +283,9 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_rate_scan_and_optimize_leave_numpy_and_thread_pool_unloaded(tmp_path):
-    # rate, scan and the search run in math alone; numpy and the thread pool
-    # are imported only by validate-model, which simulates.  A search forks
-    # its workers itself, without multiprocessing.
+    # rate, scan and the search run in math alone; numpy is imported only by
+    # validate-model, which simulates on the calling thread, with no thread
+    # pool.  A search forks its workers itself, without multiprocessing.
     src = str(Path(mdiqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config = str(write_config(tmp_path))
@@ -294,15 +294,17 @@ def test_rate_scan_and_optimize_leave_numpy_and_thread_pool_unloaded(tmp_path):
         ["scan", "--config", config, "--distances", "0:80:5"],
         ["optimize", "--config", config, "--distances", "10"],
         ["scan", "--config", config, "--distances", "10", "--optimize", "on"],
+        ["validate-model", "--config", str(write_config(tmp_path, "mc_trials = 100000\n", "validate.cfg")), "--out", str(tmp_path / "validate.csv")],
     ]
     code = (
-        "import sys\nimport mdiqkd.cli\n"
+        "import sys, threading\nimport mdiqkd.cli\n"
         f"for argv in {commands!r}:\n"
         "    assert mdiqkd.cli.main(argv) == 0\n"
-        "    print(argv[0], [m for m in ('numpy', 'concurrent.futures', 'multiprocessing') if m in sys.modules], file=sys.stderr)"
+        "    loaded = [m for m in ('numpy', 'concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "    print(argv[0], loaded, threading.active_count(), file=sys.stderr)"
     )
     err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stderr
-    assert err.splitlines() == ["rate []", "scan []", "optimize []", "scan []"]
+    assert err.splitlines() == ["rate [] 1", "scan [] 1", "optimize [] 1", "scan [] 1", "validate-model ['numpy'] 1"]
 
 
 def test_optimize_leaves_scipy_unloaded(tmp_path):

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from mdiqkd import ChannelParams, OptimizationProblem, SourceEnsemble, channel_sim, evaluate, keyrate_core, optimize, optimizer, source_model
-from mdiqkd.channel_sim import _usable_cores
 from mdiqkd.cli import RunConfig
-from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START
+from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER, DEFAULT_START, _usable_cores
 from tests import oracles
 from tests.fresh_forks import one_cpu, search_problem
 
