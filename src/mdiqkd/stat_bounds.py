@@ -126,10 +126,12 @@ _SMALLEST_NORMAL = sys.float_info.min
 
 @dataclass(frozen=True)
 class ChernoffConfig:
-    """Failure probability per bound, and the switch to the infinite-data limit.
+    """Failure probability per bound, and the switch that reads every count as its own expectation.
 
-    ``disabled=True`` collapses every envelope onto the observed value, which
-    turns the finite-data analysis into its infinite-data limit.  Each
+    ``disabled=True`` collapses every envelope onto the observed value, so the
+    analysis reads the observed counts, which the simulation rounds to
+    integers, as exact.  That is the infinite-data limit only where those
+    counts are large enough for their rounding not to matter.  Each
     instance holds ``ln(2/xi)``, which every bound reads, and the upper
     bound of a zero count, both computed once when it is made.  It also keeps
     the lower and upper bound of each integer count below ``2 ln(2/xi)`` it

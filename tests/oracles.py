@@ -9,28 +9,21 @@ that they take apart.  The exceptions are
 with the package's own gains, ``write_observables_csv``, the
 regression-fixture writer, ``trial_by_trial_chunk_counts``, the Monte Carlo
 draw contract run one trial at a time, which reads the package's intensity
-table and no-click floors, and ``record_secure_key_rate``,
-the per-distance analysis kept as it was before a source ensemble built its
-combination terms once per ``n_pairs``, with its own copy of the factors a
-coefficient table fixes and of the combination bounds as they were before
-their groups were built once (``record_combo_lower`` and
-``record_combo_upper``, which sort and telescope ``(coefficient, count)``
-terms at each call), which reads the package's gains, Chernoff bounds, rate
-curve and minimum over H.  That path counts each Chernoff bound it solves
-(``InvocationCounter``), where the package reads its count off the terms;
-``counted_chernoff_solves`` counts the package's own solves by rebinding its
-two Chernoff bounds.
+table and no-click floors, and ``counted_chernoff_solves``, which counts the
+package's own Chernoff solves by rebinding its two Chernoff bounds.
+``decimal_analysis`` restates the whole finite-data analysis in 50-digit
+``decimal`` arithmetic from the sources' intensity intervals and the
+observables alone.
 """
 
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from itertools import combinations, product
-from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -38,9 +31,7 @@ from scipy.optimize import brentq
 
 from mdiqkd import ChannelParams, pair_yield
 from mdiqkd import channel_sim, stat_bounds
-from mdiqkd.channel_sim import PairObservables, _frozen, _intensity_table
-from mdiqkd.keyrate_core import AnalysisInfeasible, KeyRateReport, RateCurve, SolverError, _convex_minimum, binary_entropy
-from mdiqkd.source_model import PhotonCoeffBounds, SourceEnsemble
+from mdiqkd.channel_sim import PairObservables, _intensity_table
 from mdiqkd.stat_bounds import ChernoffConfig
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
 from mdiqkd.source_model import SOURCES
@@ -461,165 +452,11 @@ def trial_by_trial_chunk_counts(rng: np.random.Generator, m: int, basis: str, ea
     return len(raw_errors), sum(error != (flip < params.e_d) for error, flip in zip(raw_errors, flipped))
 
 
+
+
 # ---------------------------------------------------------------------------
-# The per-distance analysis as it was before a source ensemble built its
-# combination terms once per n_pairs: one SourceCounts record per pair, every
-# term formed from the records at each distance, and the emission check run
-# at each analysis.  The functions are copied unchanged, apart from their
-# names, without their docstrings; the new path must give every report field
-# bit for bit as this does.
+# The package's own Chernoff solves, counted.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SourceCounts:
-    """Counts recorded for one two-pulse source."""
-
-    emitted: float  # expected emitted pairs p_l p_r N_t
-    counts: int
-    errors: int
-
-    @property
-    def rate(self) -> float:
-        """Counts per expected emission; 0 where none is expected, and so none counted."""
-        return self.counts / self.emitted if self.emitted else 0.0
-
-
-@dataclass(frozen=True)
-class RecordObservables:
-    """Counts and error counts for the two-pulse sources the analysis reads."""
-
-    pairs: dict[tuple[str, str], SourceCounts]
-    n_pairs: float
-
-    def entry(self, alice_source: str, bob_source: str) -> SourceCounts:
-        return self.pairs[(alice_source, bob_source)]
-
-    @property
-    def signal_rate(self) -> float:
-        """Observed counting rate of the signal-signal source."""
-        return self.entry("z", "z").rate
-
-    @property
-    def signal_error_rate(self) -> float:
-        """Observed error fraction among signal-signal counts."""
-        zz = self.entry("z", "z")
-        return zz.errors / zz.counts if zz.counts else 0.0
-
-
-@dataclass(frozen=True)
-class RecordInputs:
-    """Everything the finite-data analysis consumes."""
-
-    bounds: PhotonCoeffBounds
-    observables: RecordObservables
-    chernoff: ChernoffConfig
-    f_ec: float
-
-    @classmethod
-    def from_simulation(cls, ensemble: SourceEnsemble, params: ChannelParams) -> "RecordInputs":
-        return _frozen(
-            cls,
-            bounds=ensemble.bounds,
-            observables=record_build_observables(ensemble, params),
-            chernoff=params._chernoff,
-            f_ec=params.f_ec,
-        )
-
-
-def record_observables(observables: PairObservables) -> RecordObservables:
-    """The per-pair records of a package observables table."""
-    pairs = {
-        pair: SourceCounts(emitted=expected, counts=observables.counts[pair], errors=observables.errors[pair])
-        for pair, expected in observables.emitted.items()
-    }
-    return RecordObservables(pairs=pairs, n_pairs=observables.n_pairs)
-
-
-def record_build_observables(ensemble: SourceEnsemble, params: ChannelParams) -> RecordObservables:
-    shared = ensemble.bob is ensemble.alice
-    n_pairs = params.n_pairs
-    yields: dict[tuple[str, str, str], tuple[float, float]] = {}
-    pairs: dict[tuple[str, str], SourceCounts] = {}
-    for (l, r), basis, mu_l, mu_r, p_lr, _ in ensemble.pair_table:
-        mirror = yields.get((r, l, basis)) if shared and basis == "X" else None
-        q, eq = yields[(l, r, basis)] = pair_yield(mu_l, mu_r, basis, params) if mirror is None else mirror
-        emitted = p_lr * n_pairs
-        counts = round(emitted * q)
-        errors = min(round(emitted * eq), counts)
-        pairs[(l, r)] = _frozen(SourceCounts, emitted=emitted, counts=counts, errors=errors)
-    return _frozen(RecordObservables, pairs=pairs, n_pairs=float(n_pairs))
-
-
-def _record_terms(obs: RecordObservables, column: str, *weighted: tuple[float, str, str]) -> list[tuple[float, float]]:
-    terms = []
-    for weight, l, r in weighted:
-        entry = obs.entry(l, r)
-        terms.append((weight / entry.emitted, float(getattr(entry, column))))
-    return terms
-
-
-def _record_factors(bounds: PhotonCoeffBounds) -> SimpleNamespace:
-    """The factors of the analysis that a coefficient table alone fixes, checked in order: the contamination factors, then the denominator.
-
-    ``infeasible`` says why the table cannot support the bounds, and is empty
-    where it can.  The yield floor drops the two-one yield, which is sound
-    only where ``r21 >= r12``; elsewhere the factors are formed with Bob's
-    table as the a side.  ``vx`` and ``vy`` name the pairs in which the a side
-    sends vacuum and the other x or y.
-    """
-    a, b = bounds.alice, bounds.bob
-    a_v, b_v = a.lower["v"][0], b.lower["v"][0]
-    ax, ay, bx, by = a_v * a.lower["x"][1], a_v * a.lower["y"][1], b_v * b.lower["x"][1], b_v * b.lower["y"][1]
-    if not min(ax, ay, bx, by, a_v * b_v) > 0.0:
-        return SimpleNamespace(infeasible="zero denominator in contamination factors; coefficient bounds degenerate")
-    sigma_x = a.upper["x"][0] * a.upper["v"][1] / ax + b.upper["x"][0] * b.upper["v"][1] / bx
-    sigma_y = a.upper["y"][0] * a.upper["v"][1] / ay + b.upper["y"][0] * b.upper["v"][1] / by
-    if sigma_x >= 1.0 or sigma_y >= 1.0:
-        return SimpleNamespace(
-            infeasible=f"vacuum contamination too large (x: {sigma_x:.3g}, y: {sigma_y:.3g}); bounds require each sum below 1"
-        )
-    vx, vy = ("v", "x"), ("v", "y")
-    r12 = (a.lower["y"][1] / a.upper["x"][1]) * (b.lower["y"][2] / b.upper["x"][2])
-    r21 = (a.lower["y"][2] / a.upper["x"][2]) * (b.lower["y"][1] / b.upper["x"][1])
-    if r21 < r12:
-        a, b, vx, vy = b, a, ("x", "v"), ("y", "v")
-    denominator = a.upper["x"][1] * a.lower["y"][1] * (b.upper["x"][1] * b.lower["y"][2] - b.upper["x"][2] * b.lower["y"][1])
-    if denominator <= 0.0:
-        return SimpleNamespace(infeasible="single-photon denominator is not positive; decoy intensities too close for the bound")
-    return SimpleNamespace(
-        infeasible="",
-        vx=vx,
-        vy=vy,
-        sigma_x=sigma_x,
-        sigma_y=sigma_y,
-        denominator=denominator,
-        scale=a.upper["x"][1] * b.upper["x"][2] / (1.0 - sigma_y),
-        c_y=a.lower["y"][1] * b.lower["y"][2],
-        beta=a.lower["x"][1] * b.lower["x"][1],
-        gamma=a.lower["z"][1] * b.lower["z"][1],
-        a_vacuum_x=a.lower["x"][0] / a.upper["v"][0],
-        b_vacuum_x=b.lower["x"][0] / b.upper["v"][0],
-        pair_vacuum_x=a.upper["x"][0] * b.upper["x"][0] / (a.lower["v"][0] * b.lower["v"][0]),
-        a_vacuum_y=a.lower["y"][0] / a.upper["v"][0],
-        b_vacuum_y=b.lower["y"][0] / b.upper["v"][0],
-        pair_vacuum_y=a.upper["y"][0] * b.upper["y"][0] / (a.lower["v"][0] * b.lower["v"][0]),
-    )
-
-
-def _validated_terms(terms: Iterable[tuple[float, float]]) -> list[tuple[float, float, float]]:
-    """``(-c, c, x)`` of each term as floats; ``-c`` is the sort key of :func:`_telescope`."""
-    out = []
-    for c, x in terms:
-        if not c >= 0:  # NaN fails too
-            raise ValueError(f"combination coefficients must be nonnegative, got {c}")
-        if not 0 <= x < math.inf:
-            raise ValueError(f"observed counts must be finite and nonnegative, got {x}")
-        c = float(c)
-        out.append((-c, c, float(x)))
-    if not out:
-        raise ValueError("at least one (coefficient, count) term is required")
-    return out
 
 
 class InvocationCounter:
@@ -640,7 +477,7 @@ def counted_chernoff_solves() -> Iterator[InvocationCounter]:
     """While open, count the bounds solved through ``stat_bounds.chernoff_lower`` and ``chernoff_upper``.
 
     The combination bounds and the analysis look those names up at each call,
-    so their solves are counted too, and so are the record path's.
+    so their solves are counted too.
     """
     counter = InvocationCounter()
     with pytest.MonkeyPatch.context() as patch:
@@ -650,151 +487,183 @@ def counted_chernoff_solves() -> Iterator[InvocationCounter]:
         yield counter
 
 
-def _telescope(
-    terms: Sequence[tuple[float, float]],
-    bound: Callable[[float, ChernoffConfig], float],
-    cfg: ChernoffConfig,
-    counter: InvocationCounter | None,
-) -> float:
-    """``sum_i c_i <X_i>`` bounded by ``bound`` on coefficient-sorted partial sums.
+# ---------------------------------------------------------------------------
+# The finite-data analysis in 50-digit decimal arithmetic: the four-intensity
+# bounds of Zhou, Yu & Wang, PRA 93, 042324 (2016), each positively combined
+# group bounded jointly as in Zhang et al., PRA 95, 012333 (2017).  It reads
+# only the float intensity intervals and the observables, each exact as a
+# Decimal.  The float-range verdicts (a coefficient ceiling that underflows, a
+# yield floor that overflows) are not restated: the exact values do neither.
+# ---------------------------------------------------------------------------
 
-    Each level pools every count whose coefficient is at least that level's,
-    weighted by the drop to the next coefficient; ties collapse into a single
-    pooled bound.  A level is closed when the coefficient drops, before the
-    next count joins the pool, and the last level drops to zero.
+_CONTEXT = Context(prec=50)
+
+
+def decimal_chernoff(x: float | Decimal, xi: float, upper: bool) -> Decimal:
+    """Envelope of the expectation behind the count ``x``: ``x e^t`` at the lower or upper root of ``e^t - 1 - t = ln(2/xi)/x``.
+
+    Each root is found by Newton's method from a point outside it, where
+    ``f(t) = e^t - 1 - t`` exceeds ``eps``: ``-(1 + eps)`` for the lower
+    root, and for the upper the lesser of ``sqrt(2 eps)`` (``f(t) >= t^2/2``)
+    and ``ln(2 (1 + eps))``.  On the convex ``f`` every step then stays
+    outside and shrinks ``|t|`` by less than the one before, until rounding
+    ends that.  A zero count has no lower envelope above 0, and the tail
+    ``ln(2/xi)`` above.
     """
-    levels = sorted(_validated_terms(terms), key=itemgetter(0))
-    counter = counter or InvocationCounter()
-    total = 0.0
-    cum = 0.0
-    c = levels[0][1]
-    for _, c_next, x in levels:
-        if c > c_next:
-            total += (c - c_next) * counter.solved(bound, cum, cfg)
-            c = c_next
-        cum += x
-    if c > 0.0:
-        total += c * counter.solved(bound, cum, cfg)
-    return total
+    with localcontext(_CONTEXT):
+        x, log_term = Decimal(x), (2 / Decimal(xi)).ln()
+        if x == 0:
+            return log_term if upper else Decimal(0)
+        eps = log_term / x
+        t = min((2 * eps).sqrt(), (2 * (1 + eps)).ln()) if upper else -(1 + eps)
+        last_gain = None
+        while True:
+            g = t.exp() - 1
+            nxt = t - (g - t - eps) / g
+            gain = abs(t) - abs(nxt)
+            if not (gain > 0 and (last_gain is None or gain < last_gain)):
+                return x * t.exp()
+            t, last_gain = nxt, gain
 
 
-def record_combo_lower(terms: Sequence[tuple[float, float]], cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
-    """Joint lower bound on ``sum_i c_i <X_i>`` from ``(coefficient, count)`` terms, sorted and telescoped at each call."""
-    return _telescope(terms, stat_bounds.chernoff_lower, cfg, counter)
+def decimal_telescope(terms: Iterable[tuple[Decimal, Decimal]], bound: Callable[[Decimal], Decimal]) -> Decimal:
+    """``sum_i c_i <X_i>`` of ``(c_i, X_i)`` terms: with the ``c_i`` sorted descending, ``sum_j (c_j - c_j+1) bound(X_1 + ... + X_j)``, ``c_n+1 = 0``."""
+    with localcontext(_CONTEXT):
+        ordered = sorted(terms, key=lambda term: term[0], reverse=True)
+        total = pooled = Decimal(0)
+        for (c, x), (c_next, _) in zip(ordered, ordered[1:] + [(0, 0)]):
+            pooled += x
+            if c > c_next:
+                total += (c - c_next) * bound(pooled)
+        return total
 
 
-def record_combo_upper(terms: Sequence[tuple[float, float]], cfg: ChernoffConfig, counter: InvocationCounter | None = None) -> float:
-    """Joint upper bound on ``sum_i c_i <X_i>``; the same telescoping as :func:`record_combo_lower`."""
-    return _telescope(terms, stat_bounds.chernoff_upper, cfg, counter)
+def _decimal_side(intervals: dict) -> tuple[dict, dict]:
+    """Minima and maxima of ``P_k(mu) = e^-mu mu^k / k!``, k = 0, 1, 2, over each source's interval.
+
+    ``P_k`` rises to its peak at ``mu = k`` and falls after it, so its extrema
+    lie at the ends of the interval or at ``k`` inside it.
+    """
+    lower, upper = {}, {}
+    for source, (lo, hi) in intervals.items():
+        points = [Decimal(lo), Decimal(hi)]
+        values = [[(-mu).exp() * (1, mu, mu * mu / 2)[k] for mu in points + [Decimal(k)] * (lo < k < hi)] for k in range(3)]
+        lower[source], upper[source] = [min(v) for v in values], [max(v) for v in values]
+    return lower, upper
 
 
-def _record_h_lower(inputs: RecordInputs, f: SimpleNamespace, counter: InvocationCounter) -> float:
-    obs = inputs.observables
-    cfg = inputs.chernoff
+def _decoy_conditions_hold(intervals: dict, lower: dict, upper: dict) -> bool:
+    """The x interval lies below the y interval, and ``P_k^{l,L} / P_k^{v,U} >= P_1^{l,U} / P_1^{v,U}`` for l = x, y and every k >= 2.
 
-    positive = record_combo_lower(
-        _record_terms(obs, "errors", (f.a_vacuum_x, *f.vx), (f.b_vacuum_x, *f.vx[::-1])),
-        cfg,
-        counter,
-    )
-    negative = record_combo_upper(
-        _record_terms(obs, "errors", (f.pair_vacuum_x, "v", "v"), (f.sigma_x, "x", "x")),
-        cfg,
-        counter,
-    )
-    return max(0.0, 2.0 * (positive - negative) / (1.0 - f.sigma_x))
+    That holds at every k if it holds at k = 2 and each decoy interval starts at
+    or above the vacuum cap; an interval that starts below it fails at some k.
+    It holds trivially where the vacuum source is exactly vacuum.
+    """
+    if not intervals["x"][1] < intervals["y"][0]:
+        return False
+    cap = intervals["v"][1]
+    return cap == 0 or all(lower[l][2] * upper["v"][1] >= upper[l][1] * upper["v"][2] and intervals[l][0] >= cap for l in "xy")
 
 
-def _record_curve(inputs: RecordInputs, f: SimpleNamespace, counter: InvocationCounter) -> RateCurve:
-    obs = inputs.observables
-    cfg = inputs.chernoff
-    scale = f.scale
-    s_plus = record_combo_lower(
-        _record_terms(obs, "counts", (f.c_y, "x", "x"), (scale * f.a_vacuum_y, *f.vy), (scale * f.b_vacuum_y, *f.vy[::-1])),
-        cfg,
-        counter,
-    )
-    s_minus = record_combo_upper(
-        _record_terms(obs, "counts", (scale, "y", "y"), (scale * f.pair_vacuum_y, "v", "v")),
-        cfg,
-        counter,
-    )
-    xx = obs.entry("x", "x")
-    return _frozen(
-        RateCurve,
-        s_plus=s_plus,
-        s_minus=s_minus,
-        txx_upper=counter.solved(stat_bounds.chernoff_upper, xx.errors, cfg) / xx.emitted,
-        c_y=f.c_y,
-        denominator=f.denominator,
-        beta=f.beta,
-        gamma=f.gamma,
-        pz2=obs.entry("z", "z").emitted / obs.n_pairs,
-        correction=inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate),
-    )
+def decimal_analysis(alice: dict, bob: dict, observables, xi: float, f_ec: float, disabled: bool = False) -> SimpleNamespace:
+    """The finite-data analysis of ``observables`` over the intensity intervals ``alice`` and ``bob``, in 50 digits.
 
+    ``alice`` and ``bob`` are the ``intervals`` of each side; of
+    ``observables`` only ``emitted``, ``counts``, ``errors`` and ``n_pairs``
+    are read.  ``disabled`` reads every count as its own expectation.
+    Returns ``reason``, one of ``decoy-conditions-failed``, ``infeasible``,
+    ``h-range-empty`` and ``ok``.  Where it is ``ok`` it also holds
+    ``h_lower``, ``h_upper``, the minimizer ``h_star`` and ``rate``, the
+    unclamped minimum of the candidate rate ``R`` over ``[h_lower, h_upper]``;
+    ``rate_at``, ``R`` at any h; and ``scale``, the size of the terms ``R``
+    is formed from at ``h_star``:
+    ``pz2 (gamma (s_plus + s_minus + c_y h_star) / denominator + correction)``.
+    """
+    with localcontext(_CONTEXT):
+        (a_lo, a_hi), (b_lo, b_hi) = _decimal_side(alice), _decimal_side(bob)
+        if not (_decoy_conditions_hold(alice, a_lo, a_hi) and _decoy_conditions_hold(bob, b_lo, b_hi)):
+            return SimpleNamespace(reason="decoy-conditions-failed")
+        emitted = {pair: Decimal(e) for pair, e in observables.emitted.items()}
+        counts = {pair: Decimal(c) for pair, c in observables.counts.items()}
+        errors = {pair: Decimal(c) for pair, c in observables.errors.items()}
+        if min(emitted.values()) <= 0:
+            return SimpleNamespace(reason="infeasible")
+        # Contamination: how much of a decoy's zero-photon statistics the vacuum source's one-photon part could fake.
+        sigma_x, sigma_y = (
+            a_hi[l][0] * a_hi["v"][1] / (a_lo["v"][0] * a_lo[l][1]) + b_hi[l][0] * b_hi["v"][1] / (b_lo["v"][0] * b_lo[l][1]) for l in "xy"
+        )
+        if sigma_x >= 1 or sigma_y >= 1:
+            return SimpleNamespace(reason="infeasible")
+        # The floor eliminates Y_12 and drops Y_21, which is sound where r21 >= r12; else the sides swap roles.
+        vx, xv, vy, yv = ("v", "x"), ("x", "v"), ("v", "y"), ("y", "v")
+        r12 = a_lo["y"][1] / a_hi["x"][1] * b_lo["y"][2] / b_hi["x"][2]
+        r21 = a_lo["y"][2] / a_hi["x"][2] * b_lo["y"][1] / b_hi["x"][1]
+        if r21 < r12:
+            a_lo, a_hi, b_lo, b_hi, vx, xv, vy, yv = b_lo, b_hi, a_lo, a_hi, xv, vx, yv, vy
+        denominator = a_hi["x"][1] * a_lo["y"][1] * (b_hi["x"][1] * b_lo["y"][2] - b_hi["x"][2] * b_lo["y"][1])
+        if denominator <= 0:
+            return SimpleNamespace(reason="infeasible")
+        scale_y = a_hi["x"][1] * b_hi["x"][2] / (1 - sigma_y)
+        c_y, beta, gamma = a_lo["y"][1] * b_lo["y"][2], a_lo["x"][1] * b_lo["x"][1], a_lo["z"][1] * b_lo["z"][1]
+        vacuum_v = a_lo["v"][0] * b_lo["v"][0]
 
-def _record_analysis(inputs: RecordInputs, counter: InvocationCounter) -> tuple[RateCurve, float, float]:
-    for (l, r), entry in inputs.observables.pairs.items():
-        if not entry.emitted > 0.0:
-            raise AnalysisInfeasible(f"no expected emissions from source pair {l}-{r}; p_{l} p_{r} n_pairs underflows to zero")
-    factors = _record_factors(inputs.bounds)
-    if factors.infeasible:
-        raise AnalysisInfeasible(factors.infeasible)
-    curve = _record_curve(inputs, factors, counter)
-    h_lower, h_upper = _record_h_lower(inputs, factors, counter), 2.0 * curve.txx_upper
-    if not all(math.isfinite(curve._yield_and_error(h)[0]) for h in (h_lower, h_upper)):
-        raise AnalysisInfeasible(f"single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]")
-    return curve, h_lower, h_upper
+        def lower(x: Decimal) -> Decimal:
+            return x if disabled else decimal_chernoff(x, xi, upper=False)
 
+        def upper(x: Decimal) -> Decimal:
+            return x if disabled else decimal_chernoff(x, xi, upper=True)
 
-def _record_zero_report(reason: str, obs: RecordObservables, invocations: int = 0) -> KeyRateReport:
-    return _frozen(
-        KeyRateReport,
-        rate=0.0,
-        h_lower=math.nan,
-        h_upper=math.nan,
-        h_star=math.nan,
-        s11_at_min=0.0,
-        e11_at_min=math.nan,
-        signal_rate=obs.signal_rate,
-        signal_error_rate=obs.signal_error_rate,
-        chernoff_invocations=invocations,
-        reason=reason,
-        trace_samples=0,
-    )
+        def rates(table: dict, *weighted: tuple[Decimal, tuple[str, str]]) -> list[tuple[Decimal, Decimal]]:
+            return [(w / emitted[pair], table[pair]) for w, pair in weighted]
 
+        xx, yy, vv, zz = ("x", "x"), ("y", "y"), ("v", "v"), ("z", "z")
+        s_plus = decimal_telescope(
+            rates(counts, (c_y, xx), (scale_y * a_lo["y"][0] / a_hi["v"][0], vy), (scale_y * b_lo["y"][0] / b_hi["v"][0], yv)), lower
+        )
+        s_minus = decimal_telescope(rates(counts, (scale_y, yy), (scale_y * a_hi["y"][0] * b_hi["y"][0] / vacuum_v, vv)), upper)
+        positive = decimal_telescope(rates(errors, (a_lo["x"][0] / a_hi["v"][0], vx), (b_lo["x"][0] / b_hi["v"][0], xv)), lower)
+        negative = decimal_telescope(rates(errors, (a_hi["x"][0] * b_hi["x"][0] / vacuum_v, vv), (sigma_x, xx)), upper)
+        txx_upper = upper(errors[xx]) / emitted[xx]
+        h_lower, h_upper = max(Decimal(0), 2 * (positive - negative) / (1 - sigma_x)), 2 * txx_upper
+        if h_lower > h_upper:
+            return SimpleNamespace(reason="h-range-empty")
+        pz2 = emitted[zz] / Decimal(observables.n_pairs)
+        ln2 = Decimal(2).ln()
+        log2 = lambda v: v.ln() / ln2
+        entropy = lambda e: 0 if e in (0, 1) else -e * log2(e) - (1 - e) * log2(1 - e)
+        correction = Decimal(f_ec) * counts[zz] / emitted[zz] * entropy(errors[zz] / counts[zz] if counts[zz] else Decimal(0))
 
-def record_secure_key_rate(inputs: RecordInputs) -> KeyRateReport:
-    obs = inputs.observables
-    decoy = inputs.bounds.decoy
-    if not decoy.passed:
-        return _record_zero_report(f"decoy-conditions-failed: {decoy.summary()}", obs)
+        def floor_and_error(h: Decimal) -> tuple[Decimal, Decimal | None]:
+            """``s11(h)`` before its clamp at 0, and ``e11(h)`` clipped to [0, 1] where ``s11 > 0``."""
+            s = (s_plus - s_minus - c_y * h) / denominator
+            return s, min(max((txx_upper - h / 2) / (beta * s), Decimal(0)), Decimal(1)) if s > 0 else None
 
-    counter = InvocationCounter()
-    try:
-        curve, h_lo, h_hi = _record_analysis(inputs, counter)
-    except AnalysisInfeasible as exc:
-        return _record_zero_report(f"infeasible: {exc}", obs, counter.count)
+        def rate_at(h: float | Decimal) -> Decimal:
+            with localcontext(_CONTEXT):
+                s, e = floor_and_error(Decimal(h))
+                privacy = s * (1 - entropy(e)) if s > 0 and e < Decimal("0.5") else 0
+                return pz2 * (gamma * privacy - correction)
 
-    if h_lo > h_hi:
-        return _record_zero_report("h-range-empty", obs, counter.count)
+        def slope_is_negative(h: Decimal) -> bool:
+            """Whether ``dR/dh < 0``; ``dR/dh = -pz2 gamma ((c_y/denominator) (1 + log2(1 - e)) + log2(e/(1 - e)) / (2 beta))`` where ``s11 > 0`` and ``0 < e11 < 1/2``, else 0 or, at ``e11 = 0``, ``+inf``."""
+            s, e = floor_and_error(h)
+            if not (s > 0 and 0 < e < Decimal("0.5")):
+                return False
+            return c_y / denominator * (1 + log2(1 - e)) + log2(e / (1 - e)) / (2 * beta) > 0
 
-    best_h, s11, e11, best_rate, samples = _convex_minimum(curve, h_lo, h_hi)
-    if not math.isfinite(best_rate):
-        raise SolverError(f"candidate rate is not finite at its minimum (h = {best_h!r}, rate = {best_rate!r})")
-
-    return _frozen(
-        KeyRateReport,
-        rate=max(0.0, best_rate),
-        h_lower=h_lo,
-        h_upper=h_hi,
-        h_star=best_h,
-        s11_at_min=s11,
-        e11_at_min=e11,
-        signal_rate=obs.signal_rate,
-        signal_error_rate=obs.signal_error_rate,
-        chernoff_invocations=counter.count,
-        reason="ok",
-        trace_samples=samples,
-    )
+        # R is convex on the range, so its minimum lies where the slope turns nonnegative.
+        left, right = h_lower, h_upper
+        if slope_is_negative(left):
+            for _ in range(100):
+                mid = (left + right) / 2
+                left, right = (mid, right) if slope_is_negative(mid) else (left, mid)
+        h_star = min((left, right), key=rate_at)
+        return SimpleNamespace(
+            reason="ok",
+            h_lower=h_lower,
+            h_upper=h_upper,
+            h_star=h_star,
+            rate=rate_at(h_star),
+            rate_at=rate_at,
+            scale=pz2 * (gamma * (s_plus + s_minus + c_y * h_star) / denominator + correction),
+        )

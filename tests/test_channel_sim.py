@@ -2,12 +2,13 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from decimal import Context, Decimal, localcontext
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
@@ -58,24 +59,46 @@ def test_i0m1_keeps_relative_precision_at_tiny_argument():
     assert _i0m1(1e-11) == pytest.approx(2.5e-23, rel=1e-15, abs=0.0)
 
 
-def _i0m1_from_zero(z: float) -> float:
-    """The series loop ``_i0m1`` replaced: from an empty sum, squaring ``z`` at each term."""
-    term = z * z / 4.0
-    total = 0.0
-    m = 1
-    while total + term > total:
-        total += term
-        m += 1
-        term *= z * z / (4.0 * m * m)
-    return total
+def _i0m1_series(z: float) -> Decimal:
+    """``I0(z) - 1 = sum_{m >= 1} (z^2/4)^m / (m!)^2`` in 50-digit decimal arithmetic, summed until a term is below 1e-50 of the sum."""
+    with localcontext(Context(prec=50)):
+        q = Decimal(z) ** 2 / 4
+        term = total = q
+        m = 1
+        while term > total * Decimal("1e-50"):
+            m += 1
+            term *= q / (m * m)
+            total += term
+        return total
 
 
-@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
-@given(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-162, 1.5e-162, sys.float_info.min, math.nan, math.inf, -math.inf]))
-def test_i0m1_keeps_the_bits_of_the_loop_from_an_empty_sum(z):
-    # The first term is taken before the loop, and zero or NaN ends it there as
-    # the loop's first test did; a first term that underflows to 0 included.
-    assert float.hex(_i0m1(z)) == float.hex(_i0m1_from_zero(z))
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.floats(-720.0, 720.0) | st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(1e-162)
+@example(1.5e-162)
+@example(sys.float_info.min)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_i0m1_is_the_power_series_of_i0_less_one(z):
+    # Term m is formed by m - 1 products and quotients, about 3m u, and the
+    # terms that weigh most have m near |z|/2; each addition adds u.  So the
+    # sum of positive terms lies within about 4 + 2|z| ulps.  I0 rises with
+    # |z|, and I0(720) - 1 exceeds the largest float, so past 720 it is inf.
+    value = _i0m1(z)
+    if not z * z / 4.0 > 0.0:
+        # The documented edge rule: 0 where the first term is zero or NaN.
+        assert float.hex(value) == float.hex(0.0)
+        return
+    expected = float(_i0m1_series(min(abs(z), 720.0)))
+    if expected == math.inf:
+        assert value == math.inf
+    else:
+        assert abs(value - expected) <= (4.0 + 2.0 * abs(z)) * math.ulp(expected), (z, value, expected)
 
 
 def test_transmittance_exact_arithmetic():
@@ -334,10 +357,11 @@ def test_kernel_reads_the_stream_of_the_contract_calls(basis, ea, eb, p_d, m):
 
 
 def test_kernel_counts_agree_with_the_closed_form_from_rare_to_certain_clicks():
-    # Stream-independent: cells whose share of trials that can click spans
-    # about 1 % to 100 %, 10^7 trials each.  Each of the 24 counts lies within 4.5
-    # binomial standard deviations of the closed form, which an exact
-    # sampler misses with probability about 1.6e-4 over all of them.
+    # Stream-independent: cells whose share of trials with two or more
+    # candidate detectors spans about 1 % to 100 %, 10^7 trials each.  Each
+    # of the 24 counts lies within 4.5 binomial standard deviations of the
+    # closed form, which an exact sampler misses with probability about
+    # 1.6e-4 over all of them.
     cells = [
         (0.1, 0.1, ChannelParams(distance_km=60.0)),
         (0.5, 0.5, ChannelParams()),
@@ -347,15 +371,15 @@ def test_kernel_counts_agree_with_the_closed_form_from_rare_to_certain_clicks():
         (5.0, 5.0, ChannelParams(eta_d=1.0)),
     ]
     trials = 10_000_000
-    hot_shares = []
+    candidate_shares = []
     for (mu_a, mu_b, params), basis in product(cells, ("X", "Z")):
         eta = params._transmittance
-        hot_shares.append(1.0 - contract_weights(basis, eta * mu_a, eta * mu_b, params)[-1])
+        candidate_shares.append(1.0 - contract_weights(basis, eta * mu_a, eta * mu_b, params)[-1])
         result = monte_carlo_yield(mu_a, mu_b, basis, params, trials=trials, seed=4747)
         q, eq = pair_yield(mu_a, mu_b, basis, params)
         for count, p in ((result.successes, q), (result.errors, eq)):
             assert abs(count - p * trials) <= 4.5 * math.sqrt(p * (1.0 - p) * trials), (mu_a, mu_b, basis, params, count, p * trials)
-    assert min(hot_shares) < 0.02 and max(hot_shares) > 0.99, hot_shares
+    assert min(candidate_shares) < 0.02 and max(candidate_shares) > 0.99, candidate_shares
 
 
 def test_success_and_error_lookups_follow_the_announcement_rules():

@@ -22,12 +22,11 @@ from mdiqkd import (
 from mdiqkd import stat_bounds
 
 from .oracles import (
-    InvocationCounter,
     brentq_lower_deviation,
     brentq_upper_deviation,
     counted_chernoff_solves,
-    record_combo_lower,
-    record_combo_upper,
+    decimal_chernoff,
+    decimal_telescope,
 )
 
 CFG = ChernoffConfig(xi=1e-7)
@@ -261,17 +260,20 @@ _COUNTS = st.one_of(st.integers(0, 10**13), st.floats(0.0, 1e13))
     xi=st.floats(1e-300, 0.5),
     disabled=st.booleans(),
 )
-def test_built_groups_match_the_per_call_telescope(terms, xi, disabled):
-    # The record bounds sort and telescope (coefficient, count) terms at every call.
+def test_built_groups_match_the_decimal_telescope(terms, xi, disabled):
+    # Each level's bound lies within twice its margin, 2^-49 (2 + |t|), of the
+    # exact one (module docstring).  |t| < 760 wherever a bound is not below
+    # the smallest normal float, where a lower bound is 0, and so within
+    # 1.4e-12.  The weights and pooled counts round by a few u.
     cfg = ChernoffConfig(xi=xi, disabled=disabled)
     group = combo_group([(c, i) for i, (c, _) in enumerate(terms)])
     counts = [x for _, x in terms]
-    for combo, record in ((combo_lower, record_combo_lower), (combo_upper, record_combo_upper)):
-        record_counter = InvocationCounter()
-        expected = record(terms, cfg, record_counter)
+    exact_terms = [(Decimal(c), Decimal(x)) for c, x in terms]
+    for combo, upper in ((combo_lower, False), (combo_upper, True)):
+        exact = float(decimal_telescope(exact_terms, (lambda x: x) if disabled else lambda x: decimal_chernoff(x, xi, upper)))
         with counted_chernoff_solves() as counter:
-            assert float.hex(combo(group, counts, cfg)) == float.hex(expected)
-        assert counter.count == record_counter.count == (0 if disabled else len(group.levels))
+            assert abs(combo(group, counts, cfg) - exact) <= 1.4e-12 * exact + max(c for c, _ in terms) * sys.float_info.min
+        assert counter.count == (0 if disabled else len(group.levels))
 
 
 def _first_count(above, lo: int) -> int:
