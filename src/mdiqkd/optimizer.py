@@ -14,9 +14,12 @@ built from it, is the same on every CPU and needs neither numpy nor an
 installed optimization library.
 
 The restarts are independent, so on Linux they run on ``min(cores,
-restarts)`` processes: this one and ``os.fork`` children, with the logs joined
-in restart order.  No output depends on that count; with one core, or on a
-platform without ``os.sched_getaffinity``, they run in a plain loop here.  A
+restarts)`` processes: this one and ``os.fork`` children.  The children only
+run restarts ahead of time; this process then runs the loop, in restart order,
+over every restart it did not receive from them.  So the outcome, the joined
+logs or the exception of the lowest failing restart, is the loop's for any
+count, and a child that dies or cannot send back only costs time.  With one
+core, or on a platform without ``os.sched_getaffinity``, nothing is forked.  A
 tracer that rebinds this package's functions counts only the restarts run in
 this process.
 """
@@ -217,11 +220,6 @@ def _nelder_mead(func, x0, maxfev: int) -> None:
         return
 
 
-def _usable_cores() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def optimize(
     problem: OptimizationProblem,
     seed: int = 1,
@@ -237,8 +235,8 @@ def optimize(
     evaluated and logged on top.  The log is every restart's probes in restart
     order, and the returned point is the first best over it, so it dominates
     the whole log by construction.  The restarts run on ``min(cores, restarts)``
-    processes on Linux (see :func:`_forked`); the result does not depend on
-    that count.
+    processes on Linux (see :func:`_forked`); the result, or the exception of
+    the lowest failing restart, does not depend on that count.
     Raises ``ValueError`` on a seed that is not an integer of at least 0 (a
     bool is none), a budget or restart count that is not one of at least 1,
     and when no random start passes the decoy conditions.
@@ -249,9 +247,8 @@ def optimize(
     run = lambda restart: _restart(problem, seed, restart, per_restart)
     # Fork only where the OS keeps an affinity set (Linux).  Elsewhere, as on
     # macOS, system libraries may start threads that a forked child cannot use.
-    workers = min(_usable_cores(), restarts) if hasattr(os, "sched_getaffinity") else 1
-    logs = [run(restart) for restart in range(restarts)] if workers == 1 else _forked(run, restarts, workers)
-    log = [entry for restart_log in logs for entry in restart_log]
+    workers = min(len(os.sched_getaffinity(0)), restarts) if hasattr(os, "sched_getaffinity") else 1
+    log = [entry for restart_log in _forked(run, restarts, workers) for entry in restart_log]
     best_point, best_rate = max(log, key=lambda entry: entry[1])
     return OptimizationResult(point=best_point, rate=best_rate, evaluations=tuple(log))
 
@@ -280,30 +277,25 @@ def _restart(problem: OptimizationProblem, seed: int, restart: int, maxfev: int)
 
 
 def _forked(run, restarts: int, workers: int) -> list:
-    """``[run(r) for r in range(restarts)]``, with worker ``w`` running restarts ``w, w + workers, ...``.
+    """``[run(r) for r in range(restarts)]``, with worker ``w`` running restarts ``w, w + workers, ...`` ahead of it.
 
     Worker 0 is this process, so a tracer installed here sees every layer; the
     others are forked children.  A child sends each restart's result as
-    ``(True, result)``, or the exception the restart raised as
-    ``(False, exception)``, back over a pipe in restart order, and stops at
-    its first exception.  A result that cannot be pickled is sent as the
-    exception that pickling raised, and an exception that cannot be pickled
-    and unpickled as a ``RuntimeError`` with its type and message.  A child
-    whose pipe fills waits until this process has run its own restarts and
-    reads it.  The exception of the lowest failing restart is raised, as the
-    loop in one process would raise it.  Once a restart fails, only lower
-    restarts are read from the children, and then they are killed.  Every
-    child is reaped before this returns or raises.
+    ``(restart, result)`` pickled over a pipe, in restart order, and stops at
+    its first restart that raises or whose result will not pickle.  A child
+    whose pipe fills waits until this process reads it.  This process runs its
+    own restarts up to its first failure, and then reads from each child only
+    the restarts below that failure.  Then every child is killed and reaped,
+    and the loop runs here, in restart order, over every restart not
+    received.  So the outcome, the results or the exception of the lowest
+    failing restart, is the loop's by construction.  A child that dies or
+    cannot send only costs time, and a failing restart may run twice.
     """
-    import pickle
-    import signal
-
-    logs: list = [None] * restarts
-    failed: dict[int, BaseException] = {}
-    lost: dict[int, int] = {}  # restart -> pid of the child that ended without sending it
+    logs: dict[int, object] = {}
     children: list[tuple[int, int, object]] = []  # (worker, pid, read end of its pipe)
-    status: dict[int, int] = {}
-    finished = False  # every child has sent all of its restarts
+    if workers > 1:  # so a one-worker search imports neither
+        import pickle
+        import signal
     try:
         for worker in range(1, workers):
             read_end, write_end = os.pipe()
@@ -315,69 +307,34 @@ def _forked(run, restarts: int, workers: int) -> list:
                 os.close(write_end)
                 raise
             if pid == 0:
-                code = 1
                 try:
                     pipe.close()
                     with os.fdopen(write_end, "wb") as out:
                         for restart in range(worker, restarts, workers):
-                            try:
-                                ok, data = True, pickle.dumps((True, run(restart)))
-                            except Exception as exc:
-                                ok, data = False, _pickled_error(exc)
-                            out.write(data)
+                            out.write(pickle.dumps((restart, run(restart))))
                             out.flush()
-                            if not ok:
-                                break
-                    code = 0
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             os.close(write_end)
             children.append((worker, pid, pipe))
 
-        limit = restarts  # the lowest failed restart: none from there on can change the outcome
+        limit = restarts  # this process's first failed restart
         for restart in range(0, restarts, workers):
             try:
                 logs[restart] = run(restart)
-            except Exception as exc:
-                failed[restart] = exc
+            except Exception:
                 limit = restart
                 break
-        for worker, pid, pipe in children:
-            for restart in range(worker, limit, workers):
+        for worker, _, pipe in children:
+            for _ in range(worker, limit, workers):
                 try:
-                    ok, payload = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # the child ended before sending it whole
-                    lost[restart] = pid
-                else:
-                    if ok:
-                        logs[restart] = payload
-                        continue
-                    failed[restart] = payload
-                limit = restart
-                break
-        finished = not (failed or lost)
+                    restart, log = pickle.load(pipe)
+                except Exception:  # the child stopped before sending it, or sent what does not load
+                    break
+                logs[restart] = log
     finally:
         for _, pid, pipe in children:
             pipe.close()
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            status[pid] = os.waitpid(pid, 0)[1]
-
-    for restart, pid in lost.items():
-        code = os.waitstatus_to_exitcode(status[pid])
-        failed[restart] = RuntimeError(f"search worker {pid} ended with exit code {code} before sending restart {restart}")
-    if failed:
-        raise failed[min(failed)]
-    return logs
-
-
-def _pickled_error(exc: Exception) -> bytes:
-    """``(False, exc)`` pickled, or, where ``exc`` does not survive the round trip, a ``RuntimeError`` with its type and message."""
-    import pickle
-
-    try:
-        data = pickle.dumps((False, exc))
-        pickle.loads(data)  # an exception whose __init__ takes other arguments pickles, but does not load
-        return data
-    except Exception:
-        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [logs[restart] if restart in logs else run(restart) for restart in range(restarts)]

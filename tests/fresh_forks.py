@@ -145,46 +145,17 @@ def lowest_failing(failing: list[int]) -> dict:
     return _pinned_then_free(lambda: _raised(lambda: optimize(problem, budget=80, restarts=4)))
 
 
-def dying_worker() -> dict:
-    """The error of a 2-restart search whose forked worker exits with code 7 before it sends anything."""
-    parent = os.getpid()
-    random_start = optimizer._random_start
-
-    def start(problem, rng):
-        if os.getpid() != parent:
-            os._exit(7)
-        return random_start(problem, rng)
-
-    optimizer._random_start = start  # stays replaced: this process runs one case
-    problem = OptimizationProblem(channel=ChannelParams(n_pairs=1e11, distance_km=10.0))
-    with _counted_forks() as forks:
-        error = _raised(lambda: optimize(problem, budget=40, restarts=2))
-    return {"error": error, "forks": len(forks), "reaped": _reaped()}
-
-
-# What each restart returns in :func:`forked`: results of any type are results,
-# an exception instance among them.
-_RESULTS = {
-    "int": lambda restart: restart,
-    "tuple": lambda restart: (restart, str(restart)),
-    "none": lambda restart: None,
-    "exception": lambda restart: KeyError(restart),
-}
-
-
-def forked(kind: str, restarts: int, workers: int) -> dict:
-    """``repr`` of ``optimizer._forked`` over restarts that return ``_RESULTS[kind]``, and of the plain loop."""
-    run = _RESULTS[kind]
-    with _counted_forks() as forks:
-        result = optimizer._forked(run, restarts, workers)
-    return {"forked": repr(result), "loop": repr([run(r) for r in range(restarts)]), "forks": len(forks), "reaped": _reaped()}
-
-
 class _Unloadable(Exception):
     """An exception that pickles but does not unpickle: its ``__init__`` takes two arguments and passes one on."""
 
     def __init__(self, restart, why):
         super().__init__(f"restart {restart}: {why}")
+
+
+def _hooked(restart):
+    exc = ValueError(f"restart {restart} failed")
+    exc.hook = lambda: None  # an attribute pickle cannot write
+    return exc
 
 
 def _failing(make):
@@ -198,29 +169,66 @@ def _failing(make):
     return run
 
 
-def _hooked(restart):
-    exc = ValueError(f"restart {restart} failed")
-    exc.hook = lambda: None  # an attribute pickle cannot write
-    return exc
+_THIS_PROCESS = os.getpid()
 
 
-# Restart 1 of these runs in the forked child of :func:`unpicklable`, and what
-# it ends in cannot be sent back as it is.
-_UNPICKLABLE = {
-    "result": lambda restart: lambda: restart,
-    "exception": _failing(_hooked),
+def _exit_in_a_child(restart):
+    """Exit with code 7 in a forked child; in this process, return ``restart`` as the loop would."""
+    if os.getpid() != _THIS_PROCESS:
+        os._exit(7)
+    return restart
+
+
+def _at(special: int, outcome):
+    """A restart that returns its number, except that restart ``special`` returns ``outcome(special)``."""
+    return lambda restart: outcome(restart) if restart == special else restart
+
+
+# What each restart does in :func:`forked`.  With 2 workers, restarts 1 and 3
+# run in the forked child.
+_RESULTS = {
+    # Results of any type are results, an exception instance among them.
+    "int": lambda restart: restart,
+    "tuple": lambda restart: (restart, str(restart)),
+    "none": lambda restart: None,
+    "exception": lambda restart: KeyError(restart),
+    # The child ends before it sends restart 1, or after it has sent it.
+    "dies": _at(1, _exit_in_a_child),
+    "dies_after_sending": _at(3, _exit_in_a_child),
+    # A result pickle cannot write, and exceptions that cannot be sent as they are.
+    "unpicklable": _at(1, _hooked),
+    "hooked": _failing(_hooked),
     "unloadable": _failing(lambda restart: _Unloadable(restart, "no start")),
 }
 
 
-def unpicklable(kind: str) -> dict:
-    """The error of ``optimizer._forked`` over 2 restarts on 2 workers whose restart 1 ends in ``_UNPICKLABLE[kind]``."""
+def _outcome(call) -> list:
+    """``["result", repr(call())]``, or the type and message of the exception it raised: a form with no addresses."""
+    try:
+        return ["result", repr(call())]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def forked(kind: str, restarts: int, workers: int) -> dict:
+    """The outcome of ``optimizer._forked`` over restarts that do ``_RESULTS[kind]``, and of the plain loop.
+
+    ``"here"`` lists the restarts that ``_forked`` ran in this process, in the order it ran them.
+    """
+    here: list[int] = []
+
+    def run(restart):
+        here.append(restart)  # in a child, to the child's own copy
+        return _RESULTS[kind](restart)
+
     with _counted_forks() as forks:
-        error = _raised(lambda: optimizer._forked(_UNPICKLABLE[kind], 2, 2))
-    return {"error": error, "forks": len(forks), "reaped": _reaped()}
+        result = _outcome(lambda: optimizer._forked(run, restarts, workers))
+    reaped, ran_here = _reaped(), here[:]
+    loop = _outcome(lambda: [run(r) for r in range(restarts)])
+    return {"forked": result, "loop": loop, "here": ran_here, "forks": len(forks), "reaped": reaped}
 
 
-CASES = {case.__name__: case for case in (search, no_feasible_start, lowest_failing, dying_worker, forked, unpicklable)}
+CASES = {case.__name__: case for case in (search, no_feasible_start, lowest_failing, forked)}
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mdiqkd import ChernoffConfig, channel_sim, keyrate_core, optimizer, secure_key_rate, source_model, stat_bounds
+from mdiqkd import channel_sim, keyrate_core, optimizer, secure_key_rate, source_model, stat_bounds
 from mdiqkd.channel_sim import _clamp
 from mdiqkd.keyrate_core import RateCurve
 from mdiqkd.optimizer import BOX_LOWER, BOX_UPPER
@@ -101,37 +101,6 @@ def test_error_count_is_capped_at_the_count_as_min_did(monkeypatch, noisy_ensemb
     for pair, basis, mu_l, mu_r, _, _ in noisy_ensemble.pair_table:
         _, eq = pair_yield(mu_l, mu_r, basis, params_10km)
         assert _same_bits(obs.errors[pair], min(round(obs.emitted[pair] * eq), obs.counts[pair]))
-
-
-_XI = ChernoffConfig(xi=1e-10)
-_L = _XI._log_two_over_xi
-
-
-# Newton runs only where eps = ln(2/xi) / x >= stat_bounds._NEWTON_FROM = 1/2, so
-# sqrt(2 eps) is at or above 1 there; eps is positive, so the Newton starts see no
-# NaN and no zero.  The counts give sqrt(2 eps) at and above 1 and an infinite eps;
-# the last two take the branch-point series, and no Newton start.
-@pytest.mark.parametrize("x", [5e-324, _L / 8.0, 2.0 * _L, 1.0, 1e6, 1e300])
-@pytest.mark.parametrize("bound", ["lower", "upper"])
-def test_chernoff_newton_starts_pick_as_min_did(monkeypatch, bound, x):
-    starts = []
-    honest = stat_bounds._log_root
-
-    def log_root(eps, t):
-        starts.append((eps, t))
-        return honest(eps, t)
-
-    monkeypatch.setattr(stat_bounds, "_log_root", log_root)
-    getattr(stat_bounds, f"chernoff_{bound}")(x, _XI)
-    if _L / x < stat_bounds._NEWTON_FROM:
-        assert starts == []
-        return
-    [(eps, t)] = starts
-    if bound == "lower":
-        replaced = -(eps + min(1.0, math.sqrt(2.0 * eps)))
-    else:
-        replaced = min(math.sqrt(2.0 * eps), math.log(2.0 * (1.0 + eps)))
-    assert _same_bits(t, replaced)
 
 
 # --- the contamination-factor check of analysis_terms ---------------------------------

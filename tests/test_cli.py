@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import mdiqkd
 from mdiqkd import AnalysisInputs, ChannelParams, OptimizationProblem, SideSources, cli, optimize, secure_key_rate
-from mdiqkd.cli import MAX_RANGE_POINTS, _fmt, main, parse_config_file, parse_distances, ConfigError, RunConfig
+from mdiqkd.cli import MAX_RANGE_POINTS, main, parse_config_file, parse_distances, ConfigError, RunConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("float", "int")]
@@ -937,19 +939,50 @@ def test_main_runs_the_command_function_bound_at_the_call(tmp_path, monkeypatch)
 
 
 _EDGES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, 1e16, 1e-5, 0.5]
-_DOUBLE = st.floats() | st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300) | st.sampled_from(_EDGES)
+# Any double, subnormals often, and values of the size where "%.3f" and "%.2f" differ.
+_DOUBLE = st.floats() | st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300) | st.floats(-1e3, 1e3) | st.sampled_from(_EDGES)
+
+# What each CSV row prints per column: its text, its 0/1 flag, or a number to
+# ("sig", n) significant digits or ("places", n) places after the point.
+_G, _E12, _F3 = ("sig", 6), ("sig", 13), ("places", 3)
+_ROWS = {
+    "_SCAN_ROW": [_G, "text", _E12, _E12, _E12, _E12],
+    "_OPTIMIZE_ROW": [_G, *[_E12] * 7],
+    "_VALIDATE_ROW": [_G, _G, "text", _E12, _E12, _F3, _E12, _E12, _F3, "flag"],
+}
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(st.lists(_DOUBLE, min_size=10, max_size=10), st.sampled_from(["fixed", "optimized", "X", "Z"]), st.booleans())
-def test_one_format_per_row_prints_each_field_as_its_own_format(values, text, ok):
-    # Each row's %-format against the f"{v:g}", f"{v:.3f}" and _fmt(v) fields
-    # it replaced, joined by commas: NaN, infinities, signed zeros and
-    # subnormals included.
-    d, *v = values
-    scan = [f"{d:g}", text, *map(_fmt, v[:4])]
-    assert cli._SCAN_ROW % (d, text, *v[:4]) == ",".join(scan)
-    optimize_row = [f"{d:g}", *map(_fmt, v[:7])]
-    assert cli._OPTIMIZE_ROW % (d, *v[:7]) == ",".join(optimize_row)
-    validate = [f"{d:g}", f"{v[0]:g}", text, _fmt(v[1]), _fmt(v[2]), f"{v[3]:.3f}", _fmt(v[4]), _fmt(v[5]), f"{v[6]:.3f}", "1" if ok else "0"]
-    assert cli._VALIDATE_ROW % (d, v[0], text, v[1], v[2], v[3], v[4], v[5], v[6], ok) == ",".join(validate)
+def _check_number(field: str, precision: tuple[str, int], value: float) -> None:
+    """``field`` spells ``value`` as Python does and reads back to it within half a unit of its last printed digit."""
+    if not math.isfinite(value):
+        assert field == repr(value)  # nan, inf or -inf; a NaN's sign is not printed
+        return
+    assert field.startswith("-") == (math.copysign(1.0, value) < 0.0), (field, value)  # signed zeros too
+    kind, digits = precision
+    last = Decimal(value).adjusted() - digits + 1 if kind == "sig" else -digits  # the exponent of the last printed digit
+    assert abs(Fraction(Decimal(field)) - Fraction(value)) <= Fraction(1, 2) * Fraction(10) ** last, (field, precision, value)
+
+
+def _with_edges(test):
+    """``test`` with an explicit example per edge value, in every number column."""
+    for edge in _EDGES:
+        test = example([edge] * 8, "optimized", False)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_DOUBLE, min_size=8, max_size=8), st.sampled_from(["fixed", "optimized", "X", "Z"]), st.booleans())
+@_with_edges
+def test_each_row_field_reads_back_to_its_value_within_its_printed_precision(values, text, ok):
+    for name, columns in _ROWS.items():
+        numbers = iter(values)
+        args = [text if column == "text" else ok if column == "flag" else next(numbers) for column in columns]
+        printed = (getattr(cli, name) % tuple(args)).split(",")
+        assert len(printed) == len(columns), printed
+        for field, column, arg in zip(printed, columns, args):
+            if column == "text":
+                assert field == arg
+            elif column == "flag":
+                assert field == ("1" if arg else "0")
+            else:
+                _check_number(field, column, arg)

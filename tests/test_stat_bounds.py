@@ -355,6 +355,44 @@ def test_bounds_lie_outside_the_exact_roots_in_each_eps_range_and_at_each_cut_of
     assert checked > 20_000
 
 
+_XI = ChernoffConfig(xi=1e-10)
+_L = _XI._log_two_over_xi
+
+
+def _excess(t: float) -> Decimal:
+    """``expm1(t) - t`` in 50 digits; infinite at an infinite ``t``, as its limit is on either side."""
+    if math.isinf(t):
+        return Decimal("Infinity")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal(t).exp() - 1 - Decimal(t)
+
+
+# Newton runs only where eps = ln(2/xi) / x >= stat_bounds._NEWTON_FROM = 1/2.
+# The counts give an infinite eps, eps of 8, 1/2 and ln(2/xi); the last two
+# take the branch-point series, and no Newton start.
+@pytest.mark.parametrize("x", [5e-324, _L / 8.0, 2.0 * _L, 1.0, 1e6, 1e300])
+@pytest.mark.parametrize("bound", ["lower", "upper"])
+def test_chernoff_newton_starts_lie_outside_their_roots(monkeypatch, bound, x):
+    # _log_root's margin holds only from a start t0 outside the root of the
+    # convex f(t) = expm1(t) - t = eps on the bound's side of zero: there f(t0) >= eps.
+    starts = []
+    honest = stat_bounds._log_root
+
+    def log_root(eps, t):
+        starts.append((eps, t))
+        return honest(eps, t)
+
+    monkeypatch.setattr(stat_bounds, "_log_root", log_root)
+    getattr(stat_bounds, f"chernoff_{bound}")(x, _XI)
+    if _L / x < stat_bounds._NEWTON_FROM:
+        assert starts == []
+        return
+    [(eps, t)] = starts
+    assert t < 0.0 if bound == "lower" else t > 0.0
+    assert _excess(t) >= Decimal(eps), (eps, t)
+
+
 # --- small counts solved once per configuration ----------------------------------------
 
 
