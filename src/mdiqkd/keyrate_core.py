@@ -34,6 +34,8 @@ probability is a union bound over is read off the terms.  The Z-basis single-pho
 X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
 ``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
+Why a configuration has no rate is decided once, with the report's reason
+string, which :func:`secure_key_rate` reports and :func:`rate_function` raises.
 """
 
 from __future__ import annotations
@@ -232,29 +234,42 @@ def _curve(inputs: AnalysisInputs, terms: AnalysisTerms) -> RateCurve:
     )
 
 
-def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
-    """The candidate-rate curve and the admissible H interval.
+def _analysis(inputs: AnalysisInputs) -> tuple[str, RateCurve | None, float, float, int]:
+    """The one verdict on ``inputs``: ``(reason, curve, h_lower, h_upper, chernoff_invocations)``.
 
-    Returns ``(curve, h_lower, h_upper)``, with every Chernoff bound solved
-    once: the curve :func:`secure_key_rate` minimizes, for diagnostics and
-    dense scans.  Raises :class:`AnalysisInfeasible` where the terms are
-    infeasible, before any bound, or where the yield floor overflows, after
-    every bound.
+    The reason is the report's: ``ok``, ``h-range-empty``, or why there is no
+    curve (then ``None``, with a NaN H range): failed decoy conditions or
+    infeasible terms, before any bound, or an overflowing yield floor, after.
     """
+    decoy = inputs.bounds.decoy
+    if not decoy.passed:
+        return f"decoy-conditions-failed: {decoy.summary()}", None, math.nan, math.nan, 0
     obs = inputs.observables
-    return _rate_function(inputs, inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs))
-
-
-def _rate_function(inputs: AnalysisInputs, terms: AnalysisTerms) -> tuple[RateCurve, float, float]:
-    """:func:`rate_function` of ``inputs`` over ``terms``, which the caller read once off their table."""
+    terms = inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs)
     if terms.infeasible:
-        raise AnalysisInfeasible(terms.infeasible)
+        return f"infeasible: {terms.infeasible}", None, math.nan, math.nan, 0
+    levels = (terms.yield_plus.levels, terms.yield_minus.levels, terms.error_plus.levels, terms.error_minus.levels)
+    invocations = 0 if inputs.chernoff.disabled else 1 + sum(map(len, levels))
     curve = _curve(inputs, terms)
     h_lower, h_upper = _h_lower(inputs, terms), 2.0 * curve.txx_upper
     # Emissions near the float minimum give count weights near its maximum.  s11 is affine in h, so it is
     # finite on the interval if it is at both ends.
     if not (math.isfinite(curve._yield_and_error(h_lower)[0]) and math.isfinite(curve._yield_and_error(h_upper)[0])):
-        raise AnalysisInfeasible(f"single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]")
+        return f"infeasible: single-photon yield floor s11 overflows on H in [{h_lower:.3g}, {h_upper:.3g}]", None, math.nan, math.nan, invocations
+    return "h-range-empty" if h_lower > h_upper else "ok", curve, h_lower, h_upper, invocations
+
+
+def rate_function(inputs: AnalysisInputs) -> tuple[RateCurve, float, float]:
+    """The candidate-rate curve and the admissible H interval, ``(curve, h_lower, h_upper)``.
+
+    The curve :func:`secure_key_rate` minimizes, every Chernoff bound solved
+    once, for diagnostics and dense scans; an empty range has ``h_lower >
+    h_upper``.  Where the report has no curve, decoy failures included,
+    raises :class:`AnalysisInfeasible` with the report's reason as message.
+    """
+    reason, curve, h_lower, h_upper, _ = _analysis(inputs)
+    if curve is None:
+        raise AnalysisInfeasible(reason)
     return curve, h_lower, h_upper
 
 
@@ -273,23 +288,6 @@ class KeyRateReport:
     chernoff_invocations: int
     reason: str
     trace_samples: int = 0  # slope evaluations of the minimum over H
-
-
-def _zero_report(reason: str, obs: PairObservables, invocations: int = 0) -> KeyRateReport:
-    return _frozen(
-        KeyRateReport,
-        rate=0.0,
-        h_lower=math.nan,
-        h_upper=math.nan,
-        h_star=math.nan,
-        s11_at_min=0.0,
-        e11_at_min=math.nan,
-        signal_rate=obs.signal_rate,
-        signal_error_rate=obs.signal_error_rate,
-        chernoff_invocations=invocations,
-        reason=reason,
-        trace_samples=0,
-    )
 
 
 def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, float, float, float, int]:
@@ -342,47 +340,37 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
 def secure_key_rate(inputs: AnalysisInputs) -> KeyRateReport:
     """Minimize the candidate rate over the admissible nuisance interval.
 
-    Structural infeasibilities come back as zero-rate reports with a reason
-    code rather than exceptions; a merely unprofitable configuration reports
-    ``reason="ok"`` with the rate clamped at zero.  A minimum that is not
-    finite raises :class:`SolverError` instead of being clamped.
+    The minimum runs only where the verdict's reason is ``ok``; any other
+    reason is a zero-rate report with a NaN H range, not an exception.  An
+    unprofitable configuration reports ``ok`` with the rate clamped at zero,
+    and a minimum that is not finite raises :class:`SolverError`.
 
-    ``chernoff_invocations`` is read off the terms, as the module says; it
-    is 0 where the Chernoff configuration is disabled or the terms
-    themselves are infeasible, since the analysis then solves no bound.
+    The raw minimum ``R(h_star)`` is at least ``-pz2 correction``, since the
+    rest of ``R``, ``pz2 gamma s11 (1 - H2(e11))``, is nonnegative; and
+    ``pz2 correction`` is ``f_ec H2(E_zz)`` times the z-z count over
+    ``n_pairs``, at most ``f_ec`` up to rounding, as that count is at most
+    ``n_pairs``.  So a score of ``-2 f_ec`` ranks every point without a rate
+    below every point with one.
     """
-    obs = inputs.observables
-    decoy = inputs.bounds.decoy
-    if not decoy.passed:
-        return _zero_report(f"decoy-conditions-failed: {decoy.summary()}", obs)
-
-    terms = inputs.bounds.analysis_terms(obs.emitted, obs.n_pairs)
-    invocations = 0
-    if not (terms.infeasible or inputs.chernoff.disabled):
-        invocations = 1 + len(terms.yield_plus.levels) + len(terms.yield_minus.levels) + len(terms.error_plus.levels) + len(terms.error_minus.levels)
-    try:
-        curve, h_lo, h_hi = _rate_function(inputs, terms)
-    except AnalysisInfeasible as exc:
-        return _zero_report(f"infeasible: {exc}", obs, invocations)
-
-    if h_lo > h_hi:
-        return _zero_report("h-range-empty", obs, invocations)
-
-    best_h, s11, e11, best_rate, samples = _convex_minimum(curve, h_lo, h_hi)
-    if not math.isfinite(best_rate):
-        raise SolverError(f"candidate rate is not finite at its minimum (h = {best_h!r}, rate = {best_rate!r})")
-
+    reason, curve, h_lower, h_upper, invocations = _analysis(inputs)
+    h_star, s11, e11, rate, samples = math.nan, 0.0, math.nan, 0.0, 0
+    if reason == "ok":
+        h_star, s11, e11, rate, samples = _convex_minimum(curve, h_lower, h_upper)
+        if not math.isfinite(rate):
+            raise SolverError(f"candidate rate is not finite at its minimum (h = {h_star!r}, rate = {rate!r})")
+    else:
+        h_lower = h_upper = math.nan
     return _frozen(
         KeyRateReport,
-        rate=best_rate if best_rate > 0.0 else 0.0,
-        h_lower=h_lo,
-        h_upper=h_hi,
-        h_star=best_h,
+        rate=rate if rate > 0.0 else 0.0,
+        h_lower=h_lower,
+        h_upper=h_upper,
+        h_star=h_star,
         s11_at_min=s11,
         e11_at_min=e11,
-        signal_rate=obs.signal_rate,
-        signal_error_rate=obs.signal_error_rate,
+        signal_rate=inputs.observables.signal_rate,
+        signal_error_rate=inputs.observables.signal_error_rate,
         chernoff_invocations=invocations,
-        reason="ok",
+        reason=reason,
         trace_samples=samples,
     )

@@ -169,7 +169,7 @@ _PER_DISTANCE = [
     keyrate_core._h_lower,
     keyrate_core._curve,
     keyrate_core.rate_function,
-    keyrate_core._rate_function,
+    keyrate_core._analysis,
     keyrate_core.secure_key_rate,
     keyrate_core._convex_minimum,
     RateCurve._yield_and_error,

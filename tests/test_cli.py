@@ -438,25 +438,43 @@ def _fuzz_configs(draw) -> str:
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
+def _main_on_text(tmp_path_factory, text: str, argv: list[str]) -> tuple[int, str]:
+    """``main`` on a config file holding ``text``: its exit code, and its stdout, or its stderr where the code is not 0.
+
+    Its stderr holds no traceback.
+    """
+    config = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    config.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(config)])
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue() if code else out.getvalue()
+
+
 @given(text=_fuzz_configs())
 @example(text=_UNDERFLOWING_X["cap-zero"])
 @example(text=_UNDERFLOWING_X["cap-below-x"])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_any_config_ends_rate_and_scan_in_exit_0_2_or_3(tmp_path_factory, text):
-    config = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
-    config.write_text(text, encoding="utf-8")
     for argv, rate_of in (
         (["rate"], lambda out: [line.split(" = ")[1] for line in out.splitlines() if line.startswith("rate = ")]),
         (["scan", "--distances", "0,50"], lambda out: [row.split(",")[2] for row in out.splitlines() if row[:1].isdigit()]),
     ):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", str(config)])
-        assert code in (0, 2, 3), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        code, out = _main_on_text(tmp_path_factory, text, argv)
+        assert code in (0, 2, 3), out
         if code == 0:
-            rates = rate_of(out.getvalue())
+            rates = rate_of(out)
             assert rates and all(math.isfinite(float(rate)) for rate in rates)
+
+
+@given(text=_fuzz_configs())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_any_config_ends_optimize_in_exit_0_2_or_3_and_validate_model_in_0_1_or_2(tmp_path_factory, text):
+    code, out = _main_on_text(tmp_path_factory, text + "budget = 30\nrestarts = 2\n", ["optimize", "--distances", "10"])
+    assert code in (0, 2, 3), out
+    code, out = _main_on_text(tmp_path_factory, text + "mc_trials = 300\n", ["validate-model"])
+    assert code in (0, 1, 2), out
 
 
 def test_optimize_without_feasible_start_names_the_vacuum_cap(tmp_path, capsys):

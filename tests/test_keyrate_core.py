@@ -275,12 +275,14 @@ def test_s11_zero_when_combinations_cancel(inputs_10km):
     assert replace(curve, s_plus=1e-3, s_minus=1e-3).s11(0.0) == 0.0
 
 
-def test_s11_rejects_degenerate_denominator(inputs_10km):
-    # x spans [0.24, 0.36] and y [0.32, 0.48]: they overlap.
-    side = SideSources(mu_x=0.3, mu_y=0.4, mu_z=0.5, p_v=0.1, p_x=0.1, p_y=0.1, p_z=0.7, fluctuation=0.2)
-    bounds = coeff_bounds(SourceEnsemble.symmetric(side))
-    with pytest.raises(AnalysisInfeasible, match="denominator"):
-        rate_function(replace(inputs_10km, bounds=bounds))
+def test_s11_rejects_degenerate_denominator(params_10km):
+    # Sources that pass the decoy conditions, whose denominator underflows to zero.
+    side, reason = _CORNERS["denominator"]
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble.symmetric(side), params_10km)
+    assert inputs.bounds.decoy.passed
+    with pytest.raises(AnalysisInfeasible, match="denominator") as refused:
+        rate_function(inputs)
+    assert str(refused.value) == secure_key_rate(inputs).reason and str(refused.value).startswith(reason)
 
 
 def _fixed_s11_curve(inputs, txx_upper):
@@ -1252,6 +1254,78 @@ def test_the_shared_terms_report_an_empty_h_range_as_the_per_distance_records_do
     for disabled in (False, True):
         by_hand |= _matches_the_decimal_analysis(ensemble, channel, [10.0, 40.0], "h-range-empty", disabled)
     assert "h-range-empty" in {r.split(":")[0] for r in by_hand}
+
+
+# --- one verdict for the report and the curve ------------------------------------
+
+
+@st.composite
+def _any_side(draw) -> SideSources:
+    """A side whose sources may fail the decoy conditions: intensities up to 3, fluctuation up to 0.4."""
+    mu_x = 10.0 ** draw(st.floats(-2.5, 0.45))
+    p_x, p_y, p_z = draw(st.floats(0.01, 0.4)), draw(st.floats(0.01, 0.4)), draw(st.floats(0.05, 0.8))
+    assume(p_x + p_y + p_z < 0.99)
+    return SideSources(
+        mu_x=mu_x,
+        mu_y=draw(st.floats(mu_x, 3.0, exclude_min=True) | st.floats(0.01, 1.5).map(lambda d: min(3.0, mu_x * 10.0**d))),
+        mu_z=draw(st.floats(0.05, 3.0)),
+        p_v=1.0 - p_x - p_y - p_z,
+        p_x=p_x,
+        p_y=p_y,
+        p_z=p_z,
+        vacuum_cap=draw(st.sampled_from([0.0, 1e-6, 1e-3])),
+        fluctuation=draw(st.floats(0.0, 0.4)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    _any_side(),
+    st.none() | _any_side(),
+    st.sampled_from([0.0, 10.0, 60.0, 150.0]),
+    st.sampled_from([1e8, 1e11, 1e14]),
+    st.sampled_from(["as-simulated", "as-simulated", "all-errors", "h-range-empty"]),
+)
+# Sources that fail the decoy conditions, though their terms are feasible and their H range, [0.00217, 0.0119], is not empty.
+@example(SideSources(mu_x=1.5, mu_y=1.7, mu_z=0.5, p_v=0.4, p_x=0.2, p_y=0.2, p_z=0.2, fluctuation=0.2), None, 10.0, 1e11, "as-simulated")
+def test_rate_function_refuses_exactly_what_the_report_refuses_with_its_reason(alice, bob, distance, n_pairs, how):
+    # bob None is a symmetric ensemble: one object on both sides.
+    ensemble = SourceEnsemble(alice=alice, bob=alice if bob is None else bob)
+    inputs = AnalysisInputs.from_simulation(ensemble, ChannelParams(n_pairs=n_pairs, distance_km=distance))
+    if how != "as-simulated":
+        inputs = replace(inputs, observables=_doctored(inputs.observables, how))
+    try:
+        report = secure_key_rate(inputs)
+    except SolverError:
+        return
+    if report.reason not in ("ok", "h-range-empty"):
+        with pytest.raises(AnalysisInfeasible) as refused:
+            rate_function(inputs)
+        assert str(refused.value) == report.reason
+        return
+    curve, h_lo, h_hi = rate_function(inputs)
+    if report.reason == "h-range-empty":
+        assert h_lo > h_hi and report.rate == 0.0
+        return
+    assert [h_lo.hex(), h_hi.hex()] == [report.h_lower.hex(), report.h_upper.hex()]
+    assert max(0.0, curve(report.h_star)).hex() == report.rate.hex()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_random_setup(), st.none() | _random_setup(), st.floats(0.0, 1.0))
+def test_the_raw_minimum_is_at_least_minus_f_ec(setup, other, f_ec_excess):
+    # The floor secure_key_rate's docstring derives for the raw minimum, on
+    # decoy-passing two-sided ensembles, with error-correction factors 1 to 2.
+    alice, params = setup
+    bob = alice if other is None else other[0]
+    params = replace(params, f_ec=1.0 + f_ec_excess)
+    inputs = AnalysisInputs.from_simulation(SourceEnsemble(alice=alice, bob=bob), params)
+    report = secure_key_rate(inputs)
+    assume(report.reason == "ok")
+    curve, _, _ = rate_function(inputs)
+    floor = curve.pz2 * curve.correction
+    assert curve(report.h_star) >= -floor
+    assert floor <= params.f_ec * (1.0 + 1e-12)
 
 
 # --- the Chernoff count read off the terms --------------------------------------
