@@ -581,30 +581,28 @@ def validate_model(
     """Compare closed-form gains against the photon-level simulation.
 
     Each cell's simulation is one :func:`monte_carlo_yield` call on the
-    calling thread, made after every cell's closed-form gains.
+    calling thread, made right after that cell's closed-form gains.
     """
     _check_run(("trials", trials, 1), ("seed", seed, 0))
     if not grid:
         raise ValueError("the validation grid must hold at least one (mu, distance_km) point")
-    cells, analytic = [], []
+    rows = []
     for i, (mu, distance) in enumerate(grid):
         run_params = params.at_distance(distance)  # shared by the point's two cells
         for j, basis in enumerate(("X", "Z")):
-            analytic.append(pair_yield(mu, mu, basis, run_params))
-            cells.append((mu, mu, basis, run_params, trials, seed + 1000 * i + j))
-    mcs = [monte_carlo_yield(*cell) for cell in cells]
-    rows = tuple(
-        ValidationRow(
-            mu=mu,
-            distance_km=run_params.distance_km,
-            basis=basis,
-            analytic_gain=q,
-            mc_gain=mc.gain,
-            z_gain=_z_score(mc.gain, q, mc.gain_se, trials),
-            analytic_error_gain=eq,
-            mc_error_gain=mc.error_gain,
-            z_error=_z_score(mc.error_gain, eq, mc.error_se, trials),
-        )
-        for (mu, _, basis, run_params, _, _), (q, eq), mc in zip(cells, analytic, mcs)
-    )
-    return ValidationReport(rows=rows)
+            q, eq = pair_yield(mu, mu, basis, run_params)
+            mc = monte_carlo_yield(mu, mu, basis, run_params, trials, seed + 1000 * i + j)
+            rows.append(
+                ValidationRow(
+                    mu=mu,
+                    distance_km=run_params.distance_km,
+                    basis=basis,
+                    analytic_gain=q,
+                    mc_gain=mc.gain,
+                    z_gain=_z_score(mc.gain, q, mc.gain_se, trials),
+                    analytic_error_gain=eq,
+                    mc_error_gain=mc.error_gain,
+                    z_error=_z_score(mc.error_gain, eq, mc.error_se, trials),
+                )
+            )
+    return ValidationReport(rows=tuple(rows))

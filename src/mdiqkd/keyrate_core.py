@@ -33,7 +33,8 @@ and one on the x-x errors, so the number of estimates its failure
 probability is a union bound over is read off the terms.  The Z-basis single-photon yield is estimated by its
 X-basis bound.
 :class:`RateCurve` is the one implementation of ``s11(H)``, ``e11(H)`` and
-``R(H)``, apart from an array form of ``R`` kept for dense-grid checks.
+``R(H)``, read at a scalar H by :meth:`RateCurve.point`, the search's reader,
+apart from an array form of ``R`` kept for dense-grid checks.
 Why a configuration has no rate is decided once, with the report's reason
 string, which :func:`secure_key_rate` reports and :func:`rate_function` raises.
 """
@@ -119,11 +120,11 @@ def binary_entropy(x: float) -> float:
 class RateCurve:
     """Candidate rate ``R(h)`` with its yield floor and phase-error ceiling.
 
-    Holds the H-independent pieces.  :meth:`s11`, :meth:`e11` and a call of
-    the curve at a Python scalar h read :meth:`_point`, as the search reads
-    it, and give Python floats.  Calling the curve at an array of nuisance
-    values gives ``R`` alone, for dense-grid checks.  The search over H reads
-    :meth:`slope`, and :meth:`_point` at the ends of its final bracket.
+    Holds the H-independent pieces.  :meth:`point` is the one scalar reader:
+    it gives ``(s11, e11, R)`` at a Python scalar h, in Python floats, as the
+    search over H reads them at the ends of its final bracket, after steering
+    by :meth:`slope`.  Calling the curve at an array of nuisance values gives
+    ``R`` alone, for dense-grid checks.
     """
 
     s_plus: float
@@ -136,29 +137,14 @@ class RateCurve:
     pz2: float
     correction: float  # f_ec * S_zz * H2(E_zz), from observed values
 
-    def _scalar_point(self, h: float) -> tuple[float, float, float]:
-        """:meth:`_point` at a Python scalar h (``int`` or ``float``); anything else raises :class:`TypeError`."""
-        if not isinstance(h, (int, float)):
-            raise TypeError(f"s11 and e11 take a Python scalar h, not {type(h).__name__}; an array read of the curve gives R only")
-        return self._point(float(h))
-
-    def s11(self, h: float) -> float:
-        """Single-photon-pair yield floor; affine and decreasing in h, clamped at zero."""
-        return self._scalar_point(h)[0]
-
-    def e11(self, h: float) -> float:
-        """Phase-error ceiling clipped to [0, 1]; NaN where the yield floor vanishes."""
-        return self._scalar_point(h)[1]
-
     def __call__(self, h):
-        """``R(h)`` (raw; may be negative): a float at a Python scalar h, as :meth:`_point` gives it, else an array.
+        """``R(h)`` (raw; may be negative) at an array-like h, read through numpy, for dense-grid checks.
 
+        A Python scalar is read as a 0-d array, so it gives a numpy float.
         ``np.log2`` and ``math.log2`` differ in the last bit for about 0.1 % of
-        arguments, so an array read can differ from :meth:`_point` in its last
-        bits: by 2 to 4 ulp on 3 of the 1,664 reference probes (numpy 2.4.6).
+        arguments, so this can differ from :meth:`point` in its last bits: by
+        2 to 4 ulp on 3 of the 1,664 reference probes (numpy 2.4.6).
         """
-        if isinstance(h, (int, float)):
-            return self._point(float(h))[2]
         import numpy as np
 
         h = np.asarray(h, dtype=float)
@@ -180,9 +166,17 @@ class RateCurve:
         # The clamp returns a NaN quotient as it is; adding 0.0 turns -0.0 into 0.0.
         return s, _clamp((self.txx_upper - h / 2.0) / (self.beta * s), 0.0, 1.0) + 0.0
 
-    def _point(self, h: float) -> tuple[float, float, float]:
-        """``(s11, e11, R)`` at a scalar h, as Python floats."""
-        s, e = self._yield_and_error(h)
+    def point(self, h: float) -> tuple[float, float, float]:
+        """``(s11, e11, R)`` at a Python scalar h (``int`` or ``float``), as Python floats.
+
+        ``s11`` is affine and decreasing in h, clamped at zero; ``e11`` is
+        clipped to [0, 1], and NaN where ``s11`` vanishes; ``R`` is raw and
+        may be negative.  Anything but an ``int`` or a ``float`` raises
+        :class:`TypeError`: the curve's call reads arrays.
+        """
+        if not isinstance(h, (int, float)):
+            raise TypeError(f"point takes a Python scalar h, not {type(h).__name__}; the curve's call reads arrays, and gives R only")
+        s, e = self._yield_and_error(float(h))
         s11 = (0.0 if 0.0 > s else s) + 0.0  # NaN stays NaN, -0.0 becomes 0.0
         # Phase error at or beyond one half, or undefined, leaves nothing to distill.
         privacy = 1.0 - binary_entropy(e) if e < 0.5 else 0.0
@@ -306,7 +300,7 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
     bisection on the slope's sign keeps a minimizer in ``[lo, hi]`` until its
     ends are adjacent floats; each step strictly narrows it, so the loop ends.
     The one final bracket, ``[lo, lo]`` in the first case, gives the lower of
-    ``R`` at its ends, read from :meth:`RateCurve._point` once per distinct end.
+    ``R`` at its ends, read from :meth:`RateCurve.point` once per distinct end.
 
     A NaN slope, or an infinite one anywhere but at ``hi`` (where ``e = 0``),
     raises :class:`SolverError` rather than steering the search.
@@ -329,9 +323,9 @@ def _convex_minimum(curve: RateCurve, lo: float, hi: float) -> tuple[float, floa
                 left = mid
             else:
                 right = mid
-    h, point = left, curve._point(left)
+    h, point = left, curve.point(left)
     if right != left:
-        other = curve._point(right)
+        other = curve.point(right)
         if other[2] < point[2]:
             h, point = right, other
     return (h, *point, samples)

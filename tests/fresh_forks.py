@@ -228,7 +228,28 @@ def forked(kind: str, restarts: int, workers: int) -> dict:
     return {"forked": result, "loop": loop, "here": ran_here, "forks": len(forks), "reaped": reaped}
 
 
-CASES = {case.__name__: case for case in (search, no_feasible_start, lowest_failing, forked)}
+def second_fork_fails() -> dict:
+    """``optimizer._forked`` over 3 restarts with 3 workers, where the first ``os.fork`` makes a child and the second raises ``OSError``.
+
+    ``"fds_kept"`` says whether the descriptors open after the call are
+    those open before it, so no pipe end was left open.
+    """
+    before = sorted(os.listdir("/proc/self/fd"))
+    with _counted_forks() as forks:
+        counted = os.fork
+
+        def second_fails() -> int:
+            if len(forks) == 1:
+                raise OSError("no process for worker 2")
+            return counted()
+
+        os.fork = second_fails
+        result = _outcome(lambda: optimizer._forked(lambda restart: restart, 3, 3))
+    kept = sorted(os.listdir("/proc/self/fd")) == before
+    return {"forked": result, "fds_kept": kept, "forks": len(forks), "reaped": _reaped()}
+
+
+CASES = {case.__name__: case for case in (search, no_feasible_start, lowest_failing, forked, second_fork_fails)}
 
 
 if __name__ == "__main__":

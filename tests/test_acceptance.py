@@ -107,9 +107,8 @@ def test_criterion_5_soundness_on_honest_data(noisy_ensemble, noisy_side):
         # Evaluate the pointwise bounds at the true nuisance value.
         curve, h_lo, h_hi = rate_function(inputs)
         assert h_lo <= h_true <= h_hi, (distance, h_lo, h_true, h_hi)
-        s11_at_truth = float(curve.s11(h_true))
+        s11_at_truth, e11_at_truth, _ = curve.point(h_true)
         assert s11_at_truth <= y11_true, (distance, s11_at_truth, y11_true)
-        e11_at_truth = float(curve.e11(h_true))
         assert not math.isnan(e11_at_truth) and e11_at_truth >= e11_true, (distance, e11_at_truth, e11_true)
     print("ACCEPTANCE 5 PASS: true yield, phase error, and nuisance value inside their bounds at 10 and 50 km")
 

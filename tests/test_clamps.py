@@ -78,7 +78,7 @@ def test_yield_floor_clamps_at_zero_as_max_did(value):
     curve = RateCurve(s_plus=value, s_minus=0.0, txx_upper=1e-3, c_y=0.0, denominator=1.0, beta=1.0, gamma=1.0, pz2=1.0, correction=0.0)
     s, _ = curve._yield_and_error(0.0)
     assert _same_bits(s, value)
-    assert _same_bits(curve._point(0.0)[0], max(s, 0.0) + 0.0)
+    assert _same_bits(curve.point(0.0)[0], max(s, 0.0) + 0.0)
 
 
 @pytest.mark.parametrize("value", [-0.0, 0.0, -1e-300, 1e-300, -1.0, 1.0])  # a minimum that is not finite raises
@@ -173,7 +173,7 @@ _PER_DISTANCE = [
     keyrate_core.secure_key_rate,
     keyrate_core._convex_minimum,
     RateCurve._yield_and_error,
-    RateCurve._point,
+    RateCurve.point,
     RateCurve.slope,
     optimizer._clip,
     optimizer.evaluate,

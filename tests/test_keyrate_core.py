@@ -264,7 +264,7 @@ def test_empty_h_range_is_zero_report(sweep_side, params_10km):
 
 def test_s11_is_affine_and_decreasing_in_h(inputs_10km):
     curve, _, _ = rate_function(inputs_10km)
-    values = [curve.s11(h) for h in (0.0, 1e-5, 2e-5, 3e-5)]
+    values = [curve.point(h)[0] for h in (0.0, 1e-5, 2e-5, 3e-5)]
     assert all(a > b for a, b in zip(values, values[1:]))
     deltas = [b - a for a, b in zip(values, values[1:])]
     assert all(d == pytest.approx(deltas[0], rel=1e-9, abs=0.0) for d in deltas)
@@ -272,7 +272,7 @@ def test_s11_is_affine_and_decreasing_in_h(inputs_10km):
 
 def test_s11_zero_when_combinations_cancel(inputs_10km):
     curve, _, _ = rate_function(inputs_10km)
-    assert replace(curve, s_plus=1e-3, s_minus=1e-3).s11(0.0) == 0.0
+    assert replace(curve, s_plus=1e-3, s_minus=1e-3).point(0.0)[0] == 0.0
 
 
 def test_s11_rejects_degenerate_denominator(params_10km):
@@ -293,18 +293,18 @@ def _fixed_s11_curve(inputs, txx_upper):
 
 def test_e11_vanishes_at_interval_top(inputs_10km):
     txx_upper = 3e-5
-    assert _fixed_s11_curve(inputs_10km, txx_upper).e11(2.0 * txx_upper) == 0.0
+    assert _fixed_s11_curve(inputs_10km, txx_upper).point(2.0 * txx_upper)[1] == 0.0
 
 
 def test_e11_decreasing_in_h_at_fixed_s11(inputs_10km):
     curve = _fixed_s11_curve(inputs_10km, 3e-5)
-    values = [curve.e11(h) for h in (0.0, 1e-5, 2e-5)]
+    values = [curve.point(h)[1] for h in (0.0, 1e-5, 2e-5)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_e11_signals_no_single_photon_signal(inputs_10km):
     curve, _, _ = rate_function(inputs_10km)
-    assert math.isnan(replace(curve, s_plus=1e-3, s_minus=1e-3).e11(0.0))
+    assert math.isnan(replace(curve, s_plus=1e-3, s_minus=1e-3).point(0.0)[1])
 
 
 # --- entropy ------------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_rate_with_no_single_photon_floor_is_pure_cost(inputs_10km):
     pz2 = obs.emitted["z", "z"] / obs.n_pairs
     expected = -pz2 * inputs_10km.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
     curve, _, _ = rate_function(inputs_10km)
-    assert float(curve(1.0)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert curve.point(1.0)[2] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
@@ -348,17 +348,18 @@ def test_privacy_term_vanishes_beyond_half_error(exact_ensemble):
     # whole tiny yield floor, pz2 gamma s11.
     h_zero = (curve.s_plus - curve.s_minus) / (a.lower["y"][1] * b.lower["y"][2])
     probe = h_zero * (1.0 - 1e-9)
-    assert curve.s11(probe) > 0.0 and curve.e11(probe) == 0.0
+    s11, e11, rate = curve.point(probe)
+    assert s11 > 0.0 and e11 == 0.0
     obs = inputs.observables
     pz2 = obs.emitted["z", "z"] / obs.n_pairs
     cost = pz2 * inputs.f_ec * obs.signal_rate * binary_entropy(obs.signal_error_rate)
-    privacy = pz2 * curve.gamma * curve.s11(probe)
-    assert float(curve(probe)) == pytest.approx(-cost + privacy, rel=1e-12, abs=0.0)
+    privacy = pz2 * curve.gamma * s11
+    assert rate == pytest.approx(-cost + privacy, rel=1e-12, abs=0.0)
     # With the error ceiling raised, e11 saturates instead and the privacy
     # term is exactly 0, leaving only the correction cost.
-    saturated = replace(curve, txx_upper=probe)
-    assert saturated.e11(probe) == 1.0
-    assert float(saturated(probe)) == pytest.approx(-cost, rel=1e-12, abs=0.0)
+    _, e11, rate = replace(curve, txx_upper=probe).point(probe)
+    assert e11 == 1.0
+    assert rate == pytest.approx(-cost, rel=1e-12, abs=0.0)
 
 
 def test_secure_key_rate_exact_point_regression(exact_ensemble):
@@ -406,7 +407,7 @@ def test_secure_key_rate_asymmetric_sources_regression(alice, bob, distance_km, 
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_scalar_curve_reads_equal_the_report():
+def test_point_reads_equal_the_report():
     # At this h_star np.log2 and math.log2 differ in a last bit (numpy 2.4.6):
     # an array read gives R = 8.372558804600281e-06, the report 8.372558804600285e-06.
     side = SideSources(
@@ -419,8 +420,8 @@ def test_scalar_curve_reads_equal_the_report():
     curve, _, _ = rate_function(inputs)
     assert report.reason == "ok" and report.rate > 0.0
     h = report.h_star
-    assert (curve(h), curve.s11(h), curve.e11(h)) == (report.rate, report.s11_at_min, report.e11_at_min)
-    assert all(type(v) is float for v in (curve(h), curve.s11(h), curve.e11(h)))
+    assert curve.point(h) == (report.s11_at_min, report.e11_at_min, report.rate)
+    assert all(type(v) is float for v in curve.point(h))
 
 
 def test_secure_key_rate_handles_single_point_interval(inputs_10km):
@@ -441,7 +442,7 @@ def test_refinement_never_worse_than_grid(inputs_10km):
     report = secure_key_rate(inputs_10km)
     rate, h_lo, h_hi = rate_function(inputs_10km)
     grid_min = float(np.min(dense_rate(rate, np.linspace(h_lo, h_hi, 41))))
-    assert float(rate(report.h_star)) <= grid_min + 1e-18
+    assert rate.point(report.h_star)[2] <= grid_min + 1e-18
 
 
 @st.composite
@@ -544,7 +545,7 @@ def test_slope_search_does_not_stop_at_top_where_e11_vanishes():
     assert curve.slope(0.0) < 0.0 and curve.slope(0.8) == math.inf
     assert h == pytest.approx(0.7052640621, abs=1e-9)
     assert rate == pytest.approx(0.0258292843, abs=1e-9)
-    assert float(curve(0.8)) == pytest.approx(0.05, rel=1e-12, abs=0.0)
+    assert curve.point(0.8)[2] == pytest.approx(0.05, rel=1e-12, abs=0.0)
     assert rate <= float(np.min(dense_rate(curve, np.linspace(0.0, 0.8, 20001))))
 
 
@@ -552,8 +553,8 @@ def test_bisection_ends_on_adjacent_floats(noisy_ensemble, monkeypatch):
     # At 60 km the slope at h_lower is negative, so the search bisects; it
     # stops only when no float lies between the ends it reads R at.
     inputs = AnalysisInputs.from_simulation(noisy_ensemble, ChannelParams(n_pairs=1e11, distance_km=60.0))
-    read, point = [], RateCurve._point
-    monkeypatch.setattr(RateCurve, "_point", lambda self, h: read.append(h) or point(self, h))
+    read, point = [], RateCurve.point
+    monkeypatch.setattr(RateCurve, "point", lambda self, h: read.append(h) or point(self, h))
     report = secure_key_rate(inputs)
     assert report.trace_samples > 1
     left, right = read
@@ -568,7 +569,7 @@ def test_slope_matches_central_difference(inputs_10km, fraction):
     ):
         h = lo + fraction * (hi - lo)
         step = 1e-6 * (hi - lo)
-        difference = (float(curve(h + step)) - float(curve(h - step))) / (2.0 * step)
+        difference = (curve.point(h + step)[2] - curve.point(h - step)[2]) / (2.0 * step)
         assert curve.slope(h) == pytest.approx(difference, rel=1e-6, abs=0.0)
 
 
@@ -578,7 +579,8 @@ def test_slope_matches_product_rule_reference(case, fraction):
     # The closed form in e11 alone against pz2 gamma (s' phi(e) + s phi'(e) e').
     curve, lo, hi = case
     h = lo + fraction * (hi - lo)
-    assume(curve.s11(h) > 0.0 and 0.0 < curve.e11(h) < 0.5)
+    s11, e11, _ = curve.point(h)
+    assume(s11 > 0.0 and 0.0 < e11 < 0.5)
     reference, scale = product_rule_slope(curve, h)
     assert abs(curve.slope(h) - reference) <= 1e-12 * scale
 
@@ -599,8 +601,8 @@ def test_slope_of_nan_curve_is_nan(inputs_10km):
 
 
 def _assert_point_matches_array(curve: RateCurve, h: float) -> None:
-    """R from ``RateCurve._point`` against the array read of the curve: bit for bit, or up to log2's last bit."""
-    s11, e11, rate = curve._point(h)
+    """R from ``RateCurve.point`` against the array read of the curve: bit for bit, or up to log2's last bit."""
+    s11, e11, rate = curve.point(h)
     array_rate = float(curve(np.array([h]))[0])
     logs_agree = not 0.0 < e11 < 0.5 or all(math.log2(x) == float(np.log2(np.array([x]))[0]) for x in (e11, 1.0 - e11))
     if logs_agree:
@@ -643,7 +645,7 @@ def test_scalar_point_matches_array_form(case):
     curve, h = case
     _assert_point_matches_array(curve, h)
     # The clamps: s11 is at least +0.0; e11 is NaN where s11 vanishes, and in [+0.0, 1] elsewhere.
-    s11, e11 = curve.s11(h), curve.e11(h)
+    s11, e11, _ = curve.point(h)
     assert s11 >= 0.0 and math.copysign(1.0, s11) == 1.0
     assert math.isnan(e11) if s11 == 0.0 else 0.0 <= e11 <= 1.0 and math.copysign(1.0, e11) == 1.0
 
@@ -653,7 +655,7 @@ def test_scalar_point_matches_array_form(case):
 def test_dense_rate_oracle_matches_point(case):
     # The dense-grid checks read R from the oracle; it must be R.
     curve, h = case
-    s11, _, rate = curve._point(h)
+    s11, _, rate = curve.point(h)
     scale = curve.pz2 * (curve.gamma * s11 + curve.correction)
     assert float(dense_rate(curve, np.array([h]))[0]) == pytest.approx(rate, rel=0.0, abs=1e-12 * scale)
 
@@ -682,19 +684,19 @@ _LAST_BIT_E = 0.18123377742646968  # log2 of it differs in the last bit between 
 def test_scalar_point_edge_cases_match_array_form(changes, h, s11, e11):
     curve = replace(_UNIT_CURVE, **changes)
     # float.hex tells -0.0 from 0.0, and reads "nan" for every NaN.
-    assert (curve.s11(h).hex(), curve.e11(h).hex()) == (s11.hex(), e11.hex())
+    got_s11, got_e11, rate = curve.point(h)
+    assert (got_s11.hex(), got_e11.hex()) == (s11.hex(), e11.hex())
     _assert_point_matches_array(curve, h)
     if s11 == 0.0:
-        assert curve(h) == -curve.pz2 * curve.correction
+        assert rate == -curve.pz2 * curve.correction
 
 
-def test_s11_and_e11_refuse_arrays(inputs_10km):
+def test_point_refuses_arrays(inputs_10km):
     # Only a call of the curve has an array form, and it gives R alone.
     curve, h_lo, h_hi = rate_function(inputs_10km)
     for h in (np.array([h_lo, h_hi]), np.array([h_lo]), np.array(h_lo), [h_lo]):
-        for read in (curve.s11, curve.e11):
-            with pytest.raises(TypeError, match="Python scalar"):
-                read(h)
+        with pytest.raises(TypeError, match="Python scalar"):
+            curve.point(h)
     assert curve(np.array([h_lo, h_hi])).shape == (2,)
 
 
@@ -736,9 +738,10 @@ def test_bounds_contain_model_truth_on_random_honest_data(setup):
     y11_true, e11_true = single_photon_pair_truth("X", params)
     h_true = 2.0 * vacuum_error_component(side.mu_x, side.mu_x, params)
     assert h_lo <= h_true <= h_hi
-    assert curve.s11(h_true) <= y11_true
-    if curve.s11(h_true) > 0.0:
-        assert curve.e11(h_true) >= e11_true
+    s11, e11, _ = curve.point(h_true)
+    assert s11 <= y11_true
+    if s11 > 0.0:
+        assert e11 >= e11_true
 
 
 def test_non_finite_minimum_raises_solver_error(inputs_10km):
@@ -1308,7 +1311,7 @@ def test_rate_function_refuses_exactly_what_the_report_refuses_with_its_reason(a
         assert h_lo > h_hi and report.rate == 0.0
         return
     assert [h_lo.hex(), h_hi.hex()] == [report.h_lower.hex(), report.h_upper.hex()]
-    assert max(0.0, curve(report.h_star)).hex() == report.rate.hex()
+    assert max(0.0, curve.point(report.h_star)[2]).hex() == report.rate.hex()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1324,7 +1327,7 @@ def test_the_raw_minimum_is_at_least_minus_f_ec(setup, other, f_ec_excess):
     assume(report.reason == "ok")
     curve, _, _ = rate_function(inputs)
     floor = curve.pz2 * curve.correction
-    assert curve(report.h_star) >= -floor
+    assert curve.point(report.h_star)[2] >= -floor
     assert floor <= params.f_ec * (1.0 + 1e-12)
 
 
@@ -1402,9 +1405,10 @@ def _assert_sound(ensemble: SourceEnsemble, params: ChannelParams, alice: dict, 
     h_true = 2.0 * vacuum_error_component(alice["x"], bob["x"], params)
     case = (params.n_pairs, params.distance_km, alice, bob)
     assert h_lo <= h_true <= h_hi, case
-    assert curve.s11(h_true) <= y11, case
-    if curve.s11(h_true) > 0.0:
-        assert curve.e11(h_true) >= e11, case
+    s11_at_truth, e11_at_truth, _ = curve.point(h_true)
+    assert s11_at_truth <= y11, case
+    if s11_at_truth > 0.0:
+        assert e11_at_truth >= e11, case
 
 
 @pytest.mark.parametrize("fluctuation", [0.01, 0.05])
@@ -1472,3 +1476,66 @@ def test_naming_the_other_side_alice_gives_the_same_report(sides, distance_km):
     assert forward.chernoff_invocations == backward.chernoff_invocations
     for name in ("rate", "h_lower", "h_upper", "h_star", "s11_at_min", "e11_at_min", "signal_rate", "signal_error_rate"):
         assert getattr(backward, name) == pytest.approx(getattr(forward, name), rel=1e-12, abs=0.0, nan_ok=True), name
+
+
+# --- bounds that are tight as well as sound -------------------------------------
+
+
+_TIGHT_SIDE = SideSources(mu_x=0.1, mu_y=0.25, mu_z=0.45, p_v=0.15, p_x=0.2, p_y=0.05, p_z=0.6, vacuum_cap=0.0)
+
+
+@pytest.mark.parametrize("mu_x", [0.1, 0.01, 1e-3, 1e-4])
+def test_bounds_close_on_the_truth_as_mu_x_falls(mu_x):
+    """Exact sources and exact counts: at the true H, ``s11`` and ``e11`` are within a derived multiple of ``mu_x`` of the truth.
+
+    With no intensity error, an exact vacuum and the envelopes disabled at
+    ``n_pairs`` 1e20, where each count is exact to about 1e-8, the vacuum
+    source's terms cancel every y-y pair in which a side emitted nothing,
+    and ``c_y H`` every such x-x pair.  With ``x = mu_x``, ``y = mu_y``, Poisson coefficients on both
+    sides and ``N = m + n``, the yield floor at the true H is ``Y11`` less
+    the dropped yields, whose weights over the denominator are
+
+        x y (y^(N-3) - x^(N-3)) / (y - x) / (m! n!)   for m, n >= 1, N >= 4,
+
+    and zero for ``Y_12`` and ``Y_21`` on equal sides.  A success needs two
+    clicks, so two of the N photons must arrive, each with the side
+    transmittance ``eta``, or a dark count must stand in for one:
+    ``Y_mn <= C(N, 2) eta^2 + 4 N eta p_d + 6 p_d^2``, while
+    ``Y11 >= (1 - p_d)^2 eta^2 / 2``.  So ``Y_mn / Y11 <= N (N - 1) (1 + d)``,
+    with ``d`` the dark-count factor below, under 1e-3 here.  Bounding
+    ``(y^k - x^k) / (y - x)`` by ``k y^(k-1)`` and summing
+    ``sum over m + n = N of 1 / (m! n!) = (2^N - 2) / N!`` gives
+
+        1 - s11/Y11 <= c_s x,   c_s = (1 + d) y sum over N >= 4 of (N - 3) (2^N - 2) y^(N-4) / (N - 2)!,
+
+    which sums to ``(1 + d) (4 ((2y - 1) e^(2y) + 1) - 2 ((y - 1) e^y + 1)) / y``,
+    2.514 at ``y = 0.25``.  The error ceiling is
+    ``(T11 + sum over (m, n) != (1, 1) of x^(N-2) T_mn / (m! n!)) / s11``,
+    with ``T_mn <= Y_mn`` the error yields, so with ``g = 1 - s11/Y11``
+
+        e11 - e11_true = (e11_true g + sum of x^(N-2) T_mn / (m! n! Y11)) / (1 - g),
+
+    and the sum is at most ``(1 + d) (4 (e^(2x) - 1) - 2 (e^x - 1))``, whose
+    ratio to x grows with x.  For ``x <= 0.1``, ``e11 - e11_true <= c_e x``
+    with ``c_e = (e11_true c_s + (1 + d) 6.752) / (1 - 0.1 c_s)``.  Both
+    constants come from these bounds alone.  Measured here, the two ratios
+    are 0.86-1.07 and 0.49-0.69, so a bound loosened by a term of order one
+    fails, and one loosened by less than about one more ``mu_x`` may not.
+    """
+    ensemble = SourceEnsemble.symmetric(replace(_TIGHT_SIDE, mu_x=mu_x))
+    y = _TIGHT_SIDE.mu_y
+    for distance in (0.0, 30.0, 60.0):
+        params = ChannelParams(n_pairs=1e20, distance_km=distance)
+        inputs = replace(AnalysisInputs.from_simulation(ensemble, params), chernoff=ChernoffConfig(xi=params.xi, disabled=True))
+        curve, _, _ = rate_function(inputs)
+        y11, e11_true = single_photon_pair_truth("X", params)
+        eta, p_d = params._transmittance, params.p_d
+        assert y11 >= (1.0 - p_d) ** 2 * eta**2 / 2.0
+        dark = (1.0 + 4.0 * p_d / eta + 2.0 * (p_d / eta) ** 2) / (1.0 - p_d) ** 2 - 1.0
+        c_s = (1.0 + dark) * (4.0 * ((2.0 * y - 1.0) * math.exp(2.0 * y) + 1.0) - 2.0 * ((y - 1.0) * math.exp(y) + 1.0)) / y
+        c_e = (e11_true * c_s + (1.0 + dark) * (4.0 * math.expm1(0.2) - 2.0 * math.expm1(0.1)) / 0.1) / (1.0 - 0.1 * c_s)
+        # The true H can lie a few ulps outside [h_lower, h_upper] here: the point reads it all the same.
+        s11, e11, _ = curve.point(2.0 * vacuum_error_component(mu_x, mu_x, params))
+        case = (mu_x, distance, s11, y11, e11, e11_true)
+        assert 0.0 <= 1.0 - s11 / y11 <= c_s * mu_x, case
+        assert 0.0 <= e11 - e11_true <= c_e * mu_x, case

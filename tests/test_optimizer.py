@@ -398,6 +398,13 @@ def test_forked_gives_the_loops_outcome_and_reaps_every_child(kind):
     assert run["forks"] == 1 and run["reaped"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no per-descriptor entries to compare")
+def test_forked_raises_a_failed_fork_and_closes_and_reaps_what_it_made():
+    # The first fork made a child and a pipe; the second raised before making its child.
+    run = _fresh("second_fork_fails")
+    assert run == {"forked": ["OSError", "no process for worker 2"], "fds_kept": True, "forks": 1, "reaped": True}
+
+
 # scipy sorts the vertices with numpy's default argsort, whose order of tied
 # values depends on the CPU's vector extensions.  On an AVX-512 host it leaves
 # the log of (7, 25 km, 0.05), whose zero plateau ties vertices, so only the
